@@ -17,9 +17,7 @@ from .errors import (
 from .grid import (
     Field,
     Grid,
-    SpectralField,
     check_compactness_inequality,
-    from_spectral,
     inner_h,
     inverse_neumann_laplacian,
     laplacian,
@@ -29,7 +27,6 @@ from .grid import (
     norm_vstar,
     norm_z,
     prolong,
-    to_spectral,
 )
 from .physics import (
     NO_TRUNCATION,
@@ -39,12 +36,9 @@ from .physics import (
     additive_noise,
     apply_B,
     apply_DB,
-    apply_DB_adjoint,
     double_well,
     multiplicative_noise,
     no_noise,
-    psi_eval,
-    psi_second_truncated,
     quadratic_potential,
     validate_assumptions,
     zero_potential,

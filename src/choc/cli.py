@@ -163,44 +163,33 @@ def _duality_summary(build: BuildResult, path_index: int) -> dict:
     }
 
 
-def _cmd_linearize(args) -> int:
+# subcommand -> (snapshot file prefix, field at step n of the duality data)
+_SENSITIVITY_SNAPSHOTS = {
+    "linearize": ("linearized", lambda data, n: data["lin"].z(n)),
+    "adjoint": ("adjoint", lambda data, n: data["adj"].ptilde(n)),
+}
+
+
+def _cmd_sensitivity(args) -> int:
+    """``linearize`` or ``adjoint``: snapshots of z or ptilde plus the
+    duality summary of one path."""
     t0 = time.perf_counter()
     build = _load(args)
     outdir = _outdir(args)
     data = _duality_summary(build, args.path_index)
+    prefix, field_at = _SENSITIVITY_SNAPSHOTS[args.command]
     nsteps = build.problem.params.timegrid.nsteps
     outputs = []
     for n in _snapshot_steps(nsteps, args.snapshot_every):
-        path = outdir / f"linearized_{n:06d}.chs"
-        write_snapshot(data["lin"].z(n), path)
+        path = outdir / f"{prefix}_{n:06d}.chs"
+        write_snapshot(field_at(data, n), path)
         outputs.append(path)
     summary = outdir / "duality.json"
     summary.write_text(json.dumps(data["summary"], sort_keys=True, indent=2) + "\n")
     outputs.append(summary)
-    _write_manifest(outdir, "linearize", build, outputs,
+    _write_manifest(outdir, args.command, build, outputs,
                     {"path_index": args.path_index}, time.perf_counter() - t0)
-    print(f"linearize: duality residual "
-          f"{data['summary']['relative_residual']:.3e}")
-    return EXIT_OK
-
-
-def _cmd_adjoint(args) -> int:
-    t0 = time.perf_counter()
-    build = _load(args)
-    outdir = _outdir(args)
-    data = _duality_summary(build, args.path_index)
-    nsteps = build.problem.params.timegrid.nsteps
-    outputs = []
-    for n in _snapshot_steps(nsteps, args.snapshot_every):
-        path = outdir / f"adjoint_{n:06d}.chs"
-        write_snapshot(data["adj"].ptilde(n), path)
-        outputs.append(path)
-    summary = outdir / "duality.json"
-    summary.write_text(json.dumps(data["summary"], sort_keys=True, indent=2) + "\n")
-    outputs.append(summary)
-    _write_manifest(outdir, "adjoint", build, outputs,
-                    {"path_index": args.path_index}, time.perf_counter() - t0)
-    print(f"adjoint: duality residual "
+    print(f"{args.command}: duality residual "
           f"{data['summary']['relative_residual']:.3e}")
     return EXIT_OK
 
@@ -323,17 +312,12 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("linearize", help="solve the linearized system")
-    common(p)
-    p.add_argument("--path-index", type=int, default=0)
-    p.add_argument("--snapshot-every", type=int, default=None)
-    p.set_defaults(func=_cmd_linearize)
-
-    p = sub.add_parser("adjoint", help="solve the adjoint system")
-    common(p)
-    p.add_argument("--path-index", type=int, default=0)
-    p.add_argument("--snapshot-every", type=int, default=None)
-    p.set_defaults(func=_cmd_adjoint)
+    for name, system in (("linearize", "linearized"), ("adjoint", "adjoint")):
+        p = sub.add_parser(name, help=f"solve the {system} system")
+        common(p)
+        p.add_argument("--path-index", type=int, default=0)
+        p.add_argument("--snapshot-every", type=int, default=None)
+        p.set_defaults(func=_cmd_sensitivity)
 
     p = sub.add_parser("optimize", help="projected gradient descent")
     common(p)

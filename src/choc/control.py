@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import BlowUpError, ConfigurationError, DomainError
 from .grid import Field, Grid
 from .physics import NO_TRUNCATION, TruncationLevel
 from .sensitivity import solve_adjoint
@@ -201,30 +201,6 @@ def _path_cost(problem: Problem, u: ControlProcess, wp: WienerPath, i: int) -> f
                          problem.target_t(i), problem.alphas)
 
 
-def _path_workers() -> int:
-    """Path-level thread count, CHOC_THREADS override (default sequential)."""
-    import os
-    try:
-        return max(1, int(os.environ.get("CHOC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_paths(fn, paths):
-    """Run a per-path function; results land in path order regardless of
-    scheduling, so threaded and sequential runs agree bitwise."""
-    workers = _path_workers()
-    if workers == 1 or len(paths) <= 1:
-        return [fn(i, wp) for i, wp in enumerate(paths)]
-    from concurrent.futures import ThreadPoolExecutor
-    out = [None] * len(paths)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, i, wp): i for i, wp in enumerate(paths)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
-
-
 def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
                  paths: list[WienerPath] | None = None) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the tracking cost.
@@ -234,8 +210,7 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     """
     if paths is None:
         paths = es.sample_paths(problem.params)
-    costs = np.array(_map_paths(lambda i, wp: _path_cost(problem, u, wp, i),
-                                paths))
+    costs = np.array([_path_cost(problem, u, wp, i) for i, wp in enumerate(paths)])
     mean = float(np.mean(costs))
     if len(costs) < 2:
         return mean, 0.0
@@ -268,7 +243,7 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
                             trunc=problem.trunc)
         return adj.ptildes[: tg.nsteps]
 
-    ptildes = _map_paths(path_ptilde, paths)
+    ptildes = [path_ptilde(i, wp) for i, wp in enumerate(paths)]
     if u.per_path:
         return np.stack([pt + a3 * u.values[i] for i, pt in enumerate(ptildes)])
     acc = ptildes[0].copy()
@@ -285,7 +260,15 @@ def project_admissible(u: ControlProcess, c0: float | None = None) -> ControlPro
     norm = l2q_norm(u.values, u.timegrid, u.grid, per_path=u.per_path)
     if norm <= radius:
         return u if radius == u.c0 else replace(u, c0=radius)
-    return replace(u, values=u.values * (radius / norm), c0=radius)
+    scale = radius / norm
+    values = u.values * scale
+    # Rounding can leave the rescaled norm an ulp or two above the radius,
+    # and projecting that again would move it; shrink the factor until the
+    # result is inside, so a second projection returns it unchanged.
+    while l2q_norm(values, u.timegrid, u.grid, per_path=u.per_path) > radius:
+        scale = np.nextafter(scale, 0.0)
+        values = u.values * scale
+    return replace(u, values=values, c0=radius)
 
 
 @dataclass(frozen=True)
@@ -339,9 +322,10 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
              opts: OptimizerOptions = OptimizerOptions()) -> OptimizationResult:
     """Projected gradient descent with Armijo backtracking.
 
-    Accepted steps never increase the cost; termination on the gradient-map
-    norm at the fixed reference step, on the iteration budget, or on a
-    stalled line search.
+    Accepted steps never increase the cost; a trial step whose state solve
+    blows up is rejected and shrunk like one that fails the Armijo test.
+    Termination on the gradient-map norm at the fixed reference step, on the
+    iteration budget, or on a stalled line search.
     """
     paths = es.sample_paths(problem.params)
     u = project_admissible(u0)
@@ -379,7 +363,10 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
             cand = project_admissible(u.with_values(u.values - trial_eta * grad))
             step_sq = l2q_norm(u.values - cand.values, tg, u.grid,
                                per_path=u.per_path) ** 2
-            cand_cost, _ = reduced_cost(cand, es, problem, paths)
+            try:
+                cand_cost, _ = reduced_cost(cand, es, problem, paths)
+            except BlowUpError:
+                cand_cost = np.inf    # a blown-up trial is a rejected trial
             if cand_cost <= cost - (opts.armijo_c / trial_eta) * step_sq:
                 accepted = True
                 break

@@ -29,9 +29,6 @@ from .errors import ConfigurationError, DomainError, PreconditionError, ShapeErr
 __all__ = [
     "Grid",
     "Field",
-    "SpectralField",
-    "to_spectral",
-    "from_spectral",
     "laplacian",
     "inverse_neumann_laplacian",
     "mean",
@@ -47,6 +44,8 @@ __all__ = [
 
 
 def _dct(values: np.ndarray) -> np.ndarray:
+    """Orthonormal cosine transform; the zero coefficient is the grid mean
+    times sqrt(total point count)."""
     return _fft.dctn(values, type=2, norm="ortho")
 
 
@@ -191,50 +190,14 @@ class Field:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Cosine-transform coefficients of a field, indexed by wavenumber."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __init__(self, grid: Grid, coefficients):
-        coefficients = np.asarray(coefficients, dtype=np.float64)
-        if coefficients.shape != grid.shape:
-            raise ShapeError(
-                f"coefficient shape {coefficients.shape} != grid shape {grid.shape}"
-            )
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "coefficients", coefficients)
-
-
 def _same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise ConfigurationError("operands live on different grids")
 
 
-def _require_grid(field: Field, grid: Grid) -> None:
-    if field.grid != grid:
-        raise ConfigurationError("field grid does not match the expected grid")
-
-
-def to_spectral(x: Field) -> SpectralField:
-    """Forward orthonormal cosine transform of a field.
-
-    The coefficient at wavenumber zero equals the grid mean times
-    sqrt(total point count).
-    """
-    return SpectralField(x.grid, _dct(x.values))
-
-
-def from_spectral(sf: SpectralField) -> Field:
-    return Field(sf.grid, _idct(sf.coefficients))
-
-
 def laplacian(x: Field) -> Field:
     """Discrete Neumann Laplacian (negative semi-definite, zero-mean output)."""
-    g = x.grid
-    return Field(g, _idct(g.lap_symbol * _dct(x.values)))
+    return Field(x.grid, lap_values(x.grid, x.values))
 
 
 def lap_values(grid: Grid, values: np.ndarray) -> np.ndarray:

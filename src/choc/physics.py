@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +24,8 @@ __all__ = [
     "double_well",
     "quadratic_potential",
     "zero_potential",
-    "psi_eval",
     "TruncationLevel",
     "NO_TRUNCATION",
-    "psi_second_truncated",
     "validate_assumptions",
     "AssumptionReport",
     "NoiseModel",
@@ -36,7 +34,6 @@ __all__ = [
     "default_mode_indices",
     "apply_B",
     "apply_DB",
-    "apply_DB_adjoint",
 ]
 
 
@@ -103,21 +100,6 @@ def zero_potential() -> Potential:
     )
 
 
-def psi_eval(pot: Potential, r, order: int = 0):
-    """Evaluate psi (order 0), psi' (order 1) or psi'' (order 2)."""
-    if order == 0:
-        out = pot.psi(r)
-    elif order == 1:
-        out = pot.psi_prime(r)
-    elif order == 2:
-        out = pot.psi_second(r)
-    else:
-        raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
-    if np.isscalar(r):
-        return float(out)
-    return np.asarray(out, dtype=float)
-
-
 @dataclass(frozen=True)
 class TruncationLevel:
     """Symmetric clamp level for the potential curvature; +inf disables it."""
@@ -144,15 +126,6 @@ class TruncationLevel:
 
 
 NO_TRUNCATION = TruncationLevel(math.inf)
-
-
-def psi_second_truncated(pot: Potential, r, n) -> np.ndarray:
-    """Curvature clamped to [-n, n]; identical to psi'' wherever |psi''| <= n."""
-    n = TruncationLevel.coerce(n)
-    out = n.clamp(pot.psi_second(np.asarray(r, dtype=float)))
-    if np.isscalar(r):
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -368,8 +341,7 @@ def _check_dw(nm: NoiseModel, dw) -> np.ndarray:
     return dw
 
 
-def b_increment_values(nm: NoiseModel, t: float, y: np.ndarray,
-                       dw: np.ndarray) -> np.ndarray:
+def b_increment_values(nm: NoiseModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """Array-level noise increment; the hot path used by the solvers."""
     if nm.nmodes == 0:
         return np.zeros(nm.grid.shape)
@@ -384,7 +356,7 @@ def b_increment_values(nm: NoiseModel, t: float, y: np.ndarray,
     return out
 
 
-def db_increment_values(nm: NoiseModel, t: float, y: np.ndarray, z: np.ndarray,
+def db_increment_values(nm: NoiseModel, y: np.ndarray, z: np.ndarray,
                         dw: np.ndarray) -> np.ndarray:
     """Derivative of the noise operator in the state, applied to z."""
     if nm.nmodes == 0 or not nm.is_multiplicative:
@@ -398,25 +370,12 @@ def db_increment_values(nm: NoiseModel, t: float, y: np.ndarray, z: np.ndarray,
     return out
 
 
-def db_adjoint_values(nm: NoiseModel, t: float, y: np.ndarray,
-                      q_columns: np.ndarray) -> np.ndarray:
-    """Adjoint of the noise derivative for per-mode fields ``q_columns``.
+def db_adjoint_scaled_values(nm: NoiseModel, y: np.ndarray, p: np.ndarray,
+                             dw: np.ndarray) -> np.ndarray:
+    """Adjoint of z -> DB(y)[z] dw applied to p.
 
-    Satisfies the exact discrete identity
-    sum_k <DB(y)[z] e_k, q_k>_H = <z, DB*(y) q>_H.
+    Satisfies the exact discrete identity <DB(y)[z] dw, p>_H = <z, out>_H.
     """
-    if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(nm.grid.shape)
-    acc = np.zeros(nm.grid.shape)
-    for k in range(nm.nmodes):
-        qk = q_columns[k]
-        acc += nm.sigmas[k] * nm.modes[k] * (qk - np.mean(qk))
-    return nm.rho_prime(y) * acc
-
-
-def db_adjoint_scaled_values(nm: NoiseModel, t: float, y: np.ndarray,
-                             p: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Adjoint of z -> DB(y)[z] dW for a single field p: the q_k are p dw_k."""
     if nm.nmodes == 0 or not nm.is_multiplicative:
         return np.zeros(nm.grid.shape)
     p0 = p - np.mean(p)
@@ -424,31 +383,17 @@ def db_adjoint_scaled_values(nm: NoiseModel, t: float, y: np.ndarray,
     return nm.rho_prime(y) * weights * p0
 
 
-def apply_B(nm: NoiseModel, t: float, y: Field, dw) -> Field:
+def apply_B(nm: NoiseModel, y: Field, dw) -> Field:
     """Noise increment for Brownian increments ``dw`` (length K)."""
     if y.grid != nm.grid:
         raise ConfigurationError("state field lives on a different grid")
     dw = _check_dw(nm, dw)
-    return Field(nm.grid, b_increment_values(nm, t, y.values, dw))
+    return Field(nm.grid, b_increment_values(nm, y.values, dw))
 
 
-def apply_DB(nm: NoiseModel, t: float, y: Field, z: Field, dw) -> Field:
+def apply_DB(nm: NoiseModel, y: Field, z: Field, dw) -> Field:
     """Directional derivative of the noise operator at y along z."""
     if y.grid != nm.grid or z.grid != nm.grid:
         raise ConfigurationError("fields live on a different grid")
     dw = _check_dw(nm, dw)
-    return Field(nm.grid, db_increment_values(nm, t, y.values, z.values, dw))
-
-
-def apply_DB_adjoint(nm: NoiseModel, t: float, y: Field, q: Sequence[Field]) -> Field:
-    """Adjoint of the noise derivative for one field per mode."""
-    if y.grid != nm.grid:
-        raise ConfigurationError("state field lives on a different grid")
-    if len(q) != nm.nmodes:
-        raise ShapeError(f"expected {nm.nmodes} adjoint fields, got {len(q)}")
-    cols = np.zeros((nm.nmodes,) + nm.grid.shape)
-    for k, qk in enumerate(q):
-        if qk.grid != nm.grid:
-            raise ConfigurationError("adjoint field lives on a different grid")
-        cols[k] = qk.values
-    return Field(nm.grid, db_adjoint_values(nm, t, y.values, cols))
+    return Field(nm.grid, db_increment_values(nm, y.values, z.values, dw))

@@ -131,7 +131,7 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
         explicit = react - p.stabilization * z - hvals[n]
         rhs = z + tau * lap_values(g, explicit)
         if nm.is_multiplicative and nm.nmodes:
-            rhs = rhs + db_increment_values(nm, n * tau, y_n, z, traj.wiener.increments[n])
+            rhs = rhs + db_increment_values(nm, y_n, z, traj.wiener.increments[n])
         mus[n] = -lap_values(g, z) + react - hvals[n]
         z = solve_shifted(g, sym, rhs)
         zs[n + 1] = z
@@ -199,7 +199,7 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
             costate = tau * dist[n] + p_n - tau * (c_n - s) * pt_n
             if nm.is_multiplicative and nm.nmodes:
                 costate = costate + db_adjoint_scaled_values(
-                    nm, n * tau, traj.ys[n], p_n, traj.wiener.increments[n]
+                    nm, traj.ys[n], p_n, traj.wiener.increments[n]
                 )
     else:
         if nm.is_multiplicative and nm.nmodes:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SnapshotFormatError
 from .grid import Field, Grid
 
-__all__ = ["write_snapshot", "read_snapshot", "write_series_csv", "field_to_csv"]
+__all__ = ["write_snapshot", "read_snapshot", "write_series_csv"]
 
 MAGIC = b"CHOC"
 VERSION = 1
@@ -79,19 +79,3 @@ def write_series_csv(path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def field_to_csv(field: Field, path) -> None:
-    """Dump a field as coordinate/value rows for quick inspection."""
-    g = field.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if g.ndims == 1:
-            writer.writerow(["x", "value"])
-            for x, v in zip(g.axis_coords(0), field.values):
-                writer.writerow([repr(float(x)), repr(float(v))])
-        else:
-            writer.writerow(["x", "y", "value"])
-            xs, ys = g.coords()
-            for x, y, v in zip(xs.ravel(), ys.ravel(), field.values.ravel()):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])

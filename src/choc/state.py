@@ -28,7 +28,6 @@ from .grid import (
     _idct as _idct_values,
     grad_norm_sq,
     lap_values,
-    solve_shifted,
 )
 from .physics import NoiseModel, Potential, b_increment_values
 
@@ -209,24 +208,11 @@ def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:
     return Field(y.grid, values)
 
 
-def _step_values(y: np.ndarray, u_n: np.ndarray, dw_n: np.ndarray, t_n: float,
-                 p: StateParams) -> tuple[np.ndarray, np.ndarray]:
-    g = p.grid
-    tau = p.timegrid.tau
-    psi_prime = p.potential.psi_prime(y)
-    explicit = psi_prime - p.stabilization * y - u_n
-    rhs = y + tau * lap_values(g, explicit) + b_increment_values(p.noise, t_n, y, dw_n)
-    y_next = solve_shifted(g, p.implicit_symbol, rhs)
-    w_n = -lap_values(g, y) + psi_prime - u_n
-    return y_next, w_n
-
-
 def _step_spectral(y: np.ndarray, y_hat: np.ndarray, u_n: np.ndarray,
-                   dw_n: np.ndarray, t_n: float, p: StateParams):
+                   dw_n: np.ndarray, p: StateParams):
     """One step carrying the cosine coefficients of y alongside its values.
 
-    Same arithmetic as :func:`_step_values` with the redundant transforms
-    fused out; returns (y_next, y_next_hat, w_n).
+    ``y_hat`` must be the transform of ``y``; returns (y_next, y_next_hat, w_n).
     """
     g = p.grid
     lam = g.lap_symbol
@@ -235,8 +221,7 @@ def _step_spectral(y: np.ndarray, y_hat: np.ndarray, u_n: np.ndarray,
     explicit = psi_prime - p.stabilization * y - u_n
     rhs_hat = y_hat + tau * lam * _dct_values(explicit)
     if p.noise.nmodes:
-        rhs_hat = rhs_hat + _dct_values(
-            b_increment_values(p.noise, t_n, y, dw_n))
+        rhs_hat = rhs_hat + _dct_values(b_increment_values(p.noise, y, dw_n))
     y_next_hat = rhs_hat / p.implicit_symbol
     y_next = _idct_values(y_next_hat)
     w_n = _idct_values(-lam * y_hat) + psi_prime - u_n
@@ -252,7 +237,8 @@ def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
         raise ShapeError(
             f"expected {params.noise.nmodes} Brownian increments, got {dw_n.shape}"
         )
-    y_next, w_n = _step_values(y_n.values, u_n.values, dw_n, 0.0, params)
+    y_next, _, w_n = _step_spectral(y_n.values, _dct_values(y_n.values),
+                                    u_n.values, dw_n, params)
     _guard(y_next, 0, params.blowup_threshold)
     return Field(params.grid, y_next), Field(params.grid, w_n)
 
@@ -294,10 +280,9 @@ def solve_state(y0: Field, u, wp: WienerPath, params: StateParams,
     mass[0] = np.mean(y)
     if record_energy:
         en[0] = _energy_values(g, y, params.potential)
-    tau = tg.tau
     for n in range(nsteps):
         y, y_hat, w_n = _step_spectral(y, y_hat, uvals[n], wp.increments[n],
-                                       n * tau, params)
+                                       params)
         _guard(y, n, params.blowup_threshold)
         ys[n + 1] = y
         ws[n] = w_n

@@ -29,6 +29,7 @@ from .state import (
     StateParams,
     TimeGrid,
     aggregate_increments,
+    mix_seed,
     sample_wiener_path,
     series_l2h_norm,
     solve_state,
@@ -176,7 +177,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     errors = np.zeros(len(eps_list))
     z_norm = 0.0
     for i in range(npaths):
-        wp = sample_wiener_path(p.noise, tg, _mix(path_seed, i))
+        wp = sample_wiener_path(p.noise, tg, mix_seed(path_seed, i))
         traj = solve_state(problem.y0, u.values, wp, p)
         lin = solve_linearized(traj, h.values, problem.trunc)
         z_norm += series_l2h_norm(lin.zs[: tg.nsteps], tg, g)
@@ -210,11 +211,6 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
         table=table,
         notes="error measured per path in the strong L2(0,T;H) distance",
     )
-
-
-def _mix(seed, index):
-    from .state import mix_seed
-    return mix_seed(seed, index)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +263,8 @@ def check_duality(problem: Problem, es: EnsembleSpec,
     else:
         for j in range(npairs):
             pairs.append((
-                random_smooth_control(problem, _mix(seed, 2 * j), amplitude=0.5),
-                random_smooth_control(problem, _mix(seed, 2 * j + 1), amplitude=1.0),
+                random_smooth_control(problem, mix_seed(seed, 2 * j), amplitude=0.5),
+                random_smooth_control(problem, mix_seed(seed, 2 * j + 1), amplitude=1.0),
             ))
     rows = []
     worst = 0.0
@@ -452,8 +448,8 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     if pairs is None:
         pairs = []
         for j in range(npairs):
-            u1 = random_smooth_control(problem, _mix(seed, 2 * j), amplitude=0.7)
-            u2 = random_smooth_control(problem, _mix(seed, 2 * j + 1), amplitude=0.7)
+            u1 = random_smooth_control(problem, mix_seed(seed, 2 * j), amplitude=0.7)
+            u2 = random_smooth_control(problem, mix_seed(seed, 2 * j + 1), amplitude=0.7)
             pairs.append((u1, u2))
     for u1, u2 in pairs:
         if np.array_equal(u1.values, u2.values):

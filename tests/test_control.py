@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choc import (
+    BlowUpError,
     ControlProcess,
     EnsembleSpec,
     Field,
@@ -11,12 +12,14 @@ from choc import (
     OptimizerOptions,
     Problem,
     TimeGrid,
+    build_problem,
     double_well,
     evaluate_cost,
     gradient,
     multiplicative_noise,
     optimality_residual,
     optimize,
+    parse_config,
     project_admissible,
     reduced_cost,
     sample_wiener_path,
@@ -26,7 +29,6 @@ from choc.control import l2q_inner, l2q_norm
 from choc.grid import low_pass_field
 from choc.physics import no_noise
 from choc.state import StateParams
-
 
 
 def _problem(grid_n=32, nsteps=40, npaths=3, alphas=(1.0, 1.0, 1e-2),
@@ -247,6 +249,43 @@ def test_optimize_synthetic_target_descends():
     assert resid / (1.0 + res.control.norm_l2q()) <= 1e-3
 
 
+# A trial step from eta0 = 1e8 along the first gradient blows the state up.
+_BLOWUP_TRIAL_CONFIG = """
+[control]
+c0 = 1e6
+[cost]
+alpha3 = 0
+x_q = constant:0.9
+x_t = constant:0.9
+[optimizer]
+eta0 = 1e8
+max_iter = 1
+[ensemble]
+npaths = 2
+"""
+
+
+def test_optimize_rejects_blown_up_trial():
+    build = build_problem(parse_config(_BLOWUP_TRIAL_CONFIG))
+    problem, es, u0 = build.problem, build.ensemble, build.u0
+    first_trial = project_admissible(
+        u0.with_values(u0.values - 1e8 * gradient(u0, es, problem)))
+    with pytest.raises(BlowUpError):
+        reduced_cost(first_trial, es, problem)
+    res = optimize(u0, es, problem, build.optimizer)
+    assert res.n_iterations == 1
+    assert res.step_history[0] < 1e8
+    assert all(b <= a for a, b in zip(res.cost_history, res.cost_history[1:]))
+
+
+def test_optimize_blowup_in_starting_cost_raises():
+    from dataclasses import replace
+    problem, es = _problem()
+    fragile = replace(problem, params=replace(problem.params, blowup_threshold=1e-3))
+    with pytest.raises(BlowUpError):
+        optimize(fragile.zero_control(), es, fragile)
+
+
 # --- optimality residual ------------------------------------------------------
 
 
@@ -269,15 +308,3 @@ def test_residual_alpha3_zero_fallback():
     u = _smooth_control(problem, 3)
     value = optimality_residual(u, es, problem)
     assert value <= 0.0
-
-
-def test_threaded_paths_bitwise_identical(monkeypatch):
-    problem, es = _problem(npaths=4)
-    u = _smooth_control(problem, 3)
-    seq_cost = reduced_cost(u, es, problem)
-    seq_grad = gradient(u, es, problem)
-    monkeypatch.setenv("CHOC_THREADS", "4")
-    thr_cost = reduced_cost(u, es, problem)
-    thr_grad = gradient(u, es, problem)
-    assert seq_cost == thr_cost
-    assert np.array_equal(seq_grad, thr_grad)

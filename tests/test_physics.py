@@ -14,18 +14,15 @@ from choc import (
     additive_noise,
     apply_B,
     apply_DB,
-    apply_DB_adjoint,
     double_well,
     inner_h,
     mean,
     multiplicative_noise,
     norm_h,
-    psi_eval,
-    psi_second_truncated,
     quadratic_potential,
     validate_assumptions,
 )
-from choc.physics import NO_TRUNCATION, Potential, no_noise
+from choc.physics import NO_TRUNCATION, Potential, db_adjoint_scaled_values, no_noise
 
 from conftest import random_field
 
@@ -35,17 +32,17 @@ from conftest import random_field
 
 def test_double_well_at_origin():
     pot = double_well()
-    assert psi_eval(pot, 0.0, 0) == pytest.approx(0.25)
-    assert psi_eval(pot, 0.0, 1) == 0.0
-    assert psi_eval(pot, 0.0, 2) == pytest.approx(-1.0)
+    assert pot.psi(0.0) == pytest.approx(0.25)
+    assert pot.psi_prime(0.0) == 0.0
+    assert pot.psi_second(0.0) == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("r", [1.0, -1.0])
 def test_double_well_minima(r):
     pot = double_well()
-    assert psi_eval(pot, r, 0) == pytest.approx(0.0)
-    assert psi_eval(pot, r, 1) == pytest.approx(0.0)
-    assert psi_eval(pot, r, 2) == pytest.approx(2.0)
+    assert pot.psi(r) == pytest.approx(0.0)
+    assert pot.psi_prime(r) == pytest.approx(0.0)
+    assert pot.psi_second(r) == pytest.approx(2.0)
 
 
 def test_psi_derivatives_match_finite_differences(rng):
@@ -53,42 +50,41 @@ def test_psi_derivatives_match_finite_differences(rng):
     for pot in (double_well(), quadratic_potential(1.7)):
         for r in rng.uniform(-3, 3, size=10):
             eps = 1e-5
-            fd1 = (psi_eval(pot, r + eps, 0) - psi_eval(pot, r - eps, 0)) / (2 * eps)
-            fd2 = (psi_eval(pot, r + eps, 1) - psi_eval(pot, r - eps, 1)) / (2 * eps)
-            assert fd1 == pytest.approx(psi_eval(pot, r, 1), rel=1e-7, abs=1e-7)
-            assert fd2 == pytest.approx(psi_eval(pot, r, 2), rel=1e-7, abs=1e-7)
-
-
-def test_psi_eval_rejects_bad_order():
-    with pytest.raises(DomainError):
-        psi_eval(double_well(), 0.0, 3)
+            fd1 = (pot.psi(r + eps) - pot.psi(r - eps)) / (2 * eps)
+            fd2 = (pot.psi_prime(r + eps) - pot.psi_prime(r - eps)) / (2 * eps)
+            assert fd1 == pytest.approx(pot.psi_prime(r), rel=1e-7, abs=1e-7)
+            assert fd2 == pytest.approx(pot.psi_second(r), rel=1e-7, abs=1e-7)
 
 
 # --- truncation ------------------------------------------------------------
 
 
+def _clamped_curvature(pot, r, n):
+    return TruncationLevel.coerce(n).clamp(pot.psi_second(r))
+
+
 def test_truncation_clamps():
     pot = double_well()
-    assert psi_second_truncated(pot, 3.0, 2.0) == 2.0           # T_2(26) = 2
-    assert psi_second_truncated(pot, 0.0, 5.0) == -1.0          # inside the band
-    assert psi_second_truncated(pot, -4.0, 10.0) == 10.0
+    assert _clamped_curvature(pot, 3.0, 2.0) == 2.0           # T_2(26) = 2
+    assert _clamped_curvature(pot, 0.0, 5.0) == -1.0          # inside the band
+    assert _clamped_curvature(pot, -4.0, 10.0) == 10.0
 
 
 def test_truncation_infinite_is_identity(rng):
     pot = double_well()
     r = rng.uniform(-50, 50, size=10_000)
-    exact = psi_eval(pot, r, 2)
-    clamped = psi_second_truncated(pot, r, math.inf)
+    exact = pot.psi_second(r)
+    clamped = _clamped_curvature(pot, r, math.inf)
     assert np.array_equal(exact, clamped)
 
 
 def test_truncation_monotone_consistency(rng):
     pot = double_well()
     r = float(rng.uniform(-3, 3))
-    exact = psi_eval(pot, r, 2)
+    exact = pot.psi_second(r)
     prev = None
     for n in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-        val = psi_second_truncated(pot, r, n)
+        val = _clamped_curvature(pot, r, n)
         if prev is not None:
             assert abs(val - exact) <= abs(prev - exact)
         if n >= abs(exact):
@@ -164,28 +160,28 @@ def test_linear_shape_needs_override(grid64):
 def test_apply_B_zero_increment(grid64, rng):
     nm = multiplicative_noise(grid64, [0.1, 0.2])
     y = random_field(grid64, rng)
-    out = apply_B(nm, 0.0, y, np.zeros(2))
+    out = apply_B(nm, y, np.zeros(2))
     assert np.all(out.values == 0.0)
 
 
 def test_apply_B_additive_single_mode(grid64, rng):
     nm = additive_noise(grid64, [0.3], mode_indices=[(2,)])
     y = random_field(grid64, rng)
-    out = apply_B(nm, 0.0, y, np.array([1.0]))
+    out = apply_B(nm, y, np.array([1.0]))
     assert np.allclose(out.values, 0.3 * grid64.cosine_mode((2,)), atol=1e-14)
 
 
 def test_apply_B_multiplicative_zero_state(grid64):
     # tanh(0) = 0, so the modulated modes vanish
     nm = multiplicative_noise(grid64, [0.5, 0.5])
-    out = apply_B(nm, 0.0, Field.zeros(grid64), np.array([1.0, -2.0]))
+    out = apply_B(nm, Field.zeros(grid64), np.array([1.0, -2.0]))
     assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_apply_B_shape_error(grid64, rng):
     nm = multiplicative_noise(grid64, [0.1, 0.1])
     with pytest.raises(ShapeError):
-        apply_B(nm, 0.0, random_field(grid64, rng), np.zeros(3))
+        apply_B(nm, random_field(grid64, rng), np.zeros(3))
 
 
 def test_multiplicative_mean_free(grid64, grid2d, rng):
@@ -194,47 +190,50 @@ def test_multiplicative_mean_free(grid64, grid2d, rng):
         for _ in range(20):
             y = random_field(g, rng)
             dw = rng.standard_normal(3)
-            out = apply_B(nm, 0.0, y, dw)
+            out = apply_B(nm, y, dw)
             assert abs(mean(out)) <= 1e-12
 
 
 def test_k0_reproduces_deterministic(grid64, rng):
     nm = no_noise(grid64)
     y = random_field(grid64, rng)
-    out = apply_B(nm, 0.0, y, np.zeros(0))
+    out = apply_B(nm, y, np.zeros(0))
     assert np.all(out.values == 0.0)
 
 
 def test_db_additive_zero(grid64, rng):
     nm = additive_noise(grid64, [0.1, 0.1])
     y, z = random_field(grid64, rng), random_field(grid64, rng)
-    out = apply_DB(nm, 0.0, y, z, rng.standard_normal(2))
+    out = apply_DB(nm, y, z, rng.standard_normal(2))
     assert np.all(out.values == 0.0)
-    adj = apply_DB_adjoint(nm, 0.0, y, [y, z])
-    assert np.all(adj.values == 0.0)
+    adj = db_adjoint_scaled_values(nm, y.values, z.values, rng.standard_normal(2))
+    assert np.all(adj == 0.0)
 
 
 def test_db_linear_in_direction(grid64, rng):
     nm = multiplicative_noise(grid64, [0.3, 0.1])
     y = random_field(grid64, rng)
-    out = apply_DB(nm, 0.0, y, Field.zeros(grid64), rng.standard_normal(2))
+    out = apply_DB(nm, y, Field.zeros(grid64), rng.standard_normal(2))
     assert np.all(out.values == 0.0)
 
 
 def test_db_adjoint_identity(grid64, grid2d, rng):
-    # oracle: both inner products evaluated directly
+    # oracle: both inner products evaluated directly, with q_k = p dw_k
     for g in (grid64, grid2d):
         nm = multiplicative_noise(g, [0.4, 0.2, 0.7])
         for _ in range(10):
             y = random_field(g, rng)
             z = random_field(g, rng)
-            q = [random_field(g, rng) for _ in range(3)]
+            p = random_field(g, rng)
+            dw = rng.standard_normal(3)
+            q = [p * dw[k] for k in range(3)]
             lhs = 0.0
             for k in range(3):
                 ek = np.zeros(3)
                 ek[k] = 1.0
-                lhs += inner_h(apply_DB(nm, 0.0, y, z, ek), q[k])
-            rhs = inner_h(z, apply_DB_adjoint(nm, 0.0, y, q))
+                lhs += inner_h(apply_DB(nm, y, z, ek), q[k])
+            adj = db_adjoint_scaled_values(nm, y.values, p.values, dw)
+            rhs = inner_h(z, Field(g, adj))
             scale = norm_h(z) * max(norm_h(qk) for qk in q)
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
@@ -249,7 +248,7 @@ def test_lipschitz_certificate(grid64, rng):
         for k in range(2):
             ek = np.zeros(2)
             ek[k] = 1.0
-            d = apply_B(nm, 0.0, y1, ek) - apply_B(nm, 0.0, y2, ek)
+            d = apply_B(nm, y1, ek) - apply_B(nm, y2, ek)
             hs_sq += norm_h(d) ** 2
         assert np.sqrt(hs_sq) <= nm.l_b * norm_h(y1 - y2) * (1 + 1e-12)
 
@@ -260,11 +259,11 @@ def test_db_directional_derivative(grid64, rng):
     y = random_field(grid64, rng)
     z = random_field(grid64, rng)
     dw = rng.standard_normal(2)
-    db = apply_DB(nm, 0.0, y, z, dw)
+    db = apply_DB(nm, y, z, dw)
     errors = []
     for eps in (1e-2, 1e-3, 1e-4):
-        bumped = apply_B(nm, 0.0, Field(grid64, y.values + eps * z.values), dw)
-        base = apply_B(nm, 0.0, y, dw)
+        bumped = apply_B(nm, Field(grid64, y.values + eps * z.values), dw)
+        base = apply_B(nm, y, dw)
         quotient = (bumped.values - base.values) / eps
         errors.append(norm_h(Field(grid64, quotient - db.values)))
     assert errors[0] > errors[1] > errors[2]

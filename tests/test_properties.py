@@ -1,0 +1,130 @@
+"""Property tests: the structural identities on randomly drawn problems.
+
+Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
+and a potential, then checks one identity of the discrete system: duality
+to rounding, per-path mass conservation, idempotent projection, and the
+field-level Laplacian against the array-level one.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from choc import (
+    ControlProcess,
+    Field,
+    Grid,
+    TimeGrid,
+    additive_noise,
+    double_well,
+    duality_terms,
+    laplacian,
+    mix_seed,
+    multiplicative_noise,
+    project_admissible,
+    quadratic_potential,
+    sample_wiener_path,
+    solve_adjoint,
+    solve_linearized,
+    solve_state,
+    zero_potential,
+)
+from choc.grid import lap_values, low_pass_field
+from choc.physics import no_noise
+from choc.state import StateParams
+
+# A fixed example sequence and no example database: the suite gives the same
+# verdict on every run and writes no files.
+PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True,
+                      database=None)
+
+lengths = st.floats(0.5, 2.0)
+grids = st.one_of(
+    st.builds(lambda n, a: Grid((n,), (a,)), st.integers(4, 40), lengths),
+    st.builds(lambda n, m, a, b: Grid((n, m), (a, b)),
+              st.integers(4, 12), st.integers(4, 12), lengths, lengths),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def state_params(draw):
+    g = draw(grids)
+    # nonconstant cosine modes of wavenumber below 4 per axis
+    candidates = [ix for ix in np.ndindex(*(min(4, n) for n in g.npoints)) if any(ix)]
+    modes = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3,
+                          unique=True))
+    sigmas = draw(st.lists(st.floats(0.0, 0.5), min_size=len(modes),
+                           max_size=len(modes)))
+    kind = draw(st.sampled_from(["none", "additive", "multiplicative"]))
+    if kind == "none":
+        noise = no_noise(g)
+    elif kind == "additive":
+        noise = additive_noise(g, sigmas, modes)
+    else:
+        noise = multiplicative_noise(g, sigmas, modes)
+    potential = draw(st.one_of(
+        st.just(double_well()),
+        st.just(zero_potential()),
+        st.builds(quadratic_potential, st.floats(0.0, 2.0)),
+    ))
+    tg = TimeGrid(draw(st.floats(0.005, 0.05)), draw(st.integers(2, 8)))
+    return StateParams(grid=g, timegrid=tg, potential=potential, noise=noise)
+
+
+def _smooth_series(params, rng, amplitude):
+    return np.stack([low_pass_field(params.grid, rng, amplitude).values
+                     for _ in range(params.timegrid.nsteps)])
+
+
+@PROPERTIES
+@given(params=state_params(), seed=seeds,
+       alphas=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+def test_duality_to_rounding(params, seed, alphas):
+    rng = np.random.default_rng(seed)
+    alphas = alphas + (0.0,)
+    y0 = low_pass_field(params.grid, rng, 0.4)
+    u = _smooth_series(params, rng, 0.5)
+    h = _smooth_series(params, rng, 1.0)
+    x_q = _smooth_series(params, rng, 0.3)
+    x_t = low_pass_field(params.grid, rng, 0.3).values
+    wp = sample_wiener_path(params.noise, params.timegrid, seed)
+    traj = solve_state(y0, u, wp, params, record_energy=False)
+    lin = solve_linearized(traj, h)
+    adj = solve_adjoint(traj, x_q, x_t, alphas)
+    lhs, rhs = duality_terms(traj, lin, adj, h, x_q, x_t, alphas)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+@PROPERTIES
+@given(params=state_params(), seed=seeds)
+def test_mass_conserved_per_path(params, seed):
+    rng = np.random.default_rng(seed)
+    y0 = low_pass_field(params.grid, rng, 0.4)
+    u = _smooth_series(params, rng, 0.5)
+    for i in range(2):
+        wp = sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
+        traj = solve_state(y0, u, wp, params, record_energy=False)
+        assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
+
+
+@PROPERTIES
+@given(g=grids, nsteps=st.integers(1, 6), npaths=st.integers(1, 3),
+       per_path=st.booleans(), amplitude=st.floats(0.0, 10.0),
+       c0=st.floats(0.01, 5.0), seed=seeds)
+def test_projection_idempotent(g, nsteps, npaths, per_path, amplitude, c0, seed):
+    tg = TimeGrid(0.05, nsteps)
+    shape = ((npaths,) if per_path else ()) + (nsteps,) + g.shape
+    values = amplitude * np.random.default_rng(seed).standard_normal(shape)
+    u = ControlProcess(g, tg, values, c0=c0, per_path=per_path)
+    once = project_admissible(u)
+    twice = project_admissible(once)
+    assert np.array_equal(twice.values, once.values)
+    assert once.norm_l2q() <= c0 * (1.0 + 1e-12)
+
+
+@PROPERTIES
+@given(g=grids, seed=seeds)
+def test_laplacian_is_lap_values(g, seed):
+    values = np.random.default_rng(seed).standard_normal(g.shape)
+    assert np.array_equal(laplacian(Field(g, values)).values, lap_values(g, values))

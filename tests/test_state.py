@@ -141,6 +141,22 @@ def test_step_matches_dense_solve(grid64, rng):
     assert np.allclose(y1.values, oracle, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("make_noise", [additive_noise, multiplicative_noise])
+def test_step_is_first_step_of_solve(grid64, grid2d, rng, make_noise):
+    # step_state and solve_state share one stepping kernel, bit for bit
+    for g in (grid64, grid2d):
+        params = StateParams(grid=g, timegrid=TimeGrid(0.02, 5),
+                             potential=double_well(),
+                             noise=make_noise(g, [0.3, 0.2, 0.1]))
+        y0 = low_pass_field(g, rng, 0.4)
+        u = np.stack([low_pass_field(g, rng, 0.5).values for _ in range(5)])
+        wp = sample_wiener_path(params.noise, params.timegrid, 21)
+        traj = solve_state(y0, u, wp, params)
+        y1, w0 = step_state(y0, Field(g, u[0]), wp.increments[0], params)
+        assert np.array_equal(y1.values, traj.ys[1])
+        assert np.array_equal(w0.values, traj.ws[0])
+
+
 def test_step_requires_stabilization_above_c1(grid64):
     with pytest.raises(ConfigurationError):
         StateParams(grid=grid64, timegrid=TimeGrid(0.05, 10),
