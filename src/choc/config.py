@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlProcess, EnsembleSpec, OptimizerOptions, Problem
+from .control import ControlProcess, EnsembleSpec, OptimizerOptions, Problem, l2q_norm
 from .errors import ConfigParseError, ConfigurationError
 from .grid import Field, Grid, low_pass_field
 from .physics import (
@@ -27,7 +27,8 @@ from .physics import (
     no_noise,
     quadratic_potential,
 )
-from .state import StateParams, TimeGrid, mix_seed, solve_state
+from .snapshots import read_snapshot
+from .state import StateParams, TimeGrid, mix_seed, sample_wiener_path, solve_state
 
 __all__ = [
     "RunConfig",
@@ -404,7 +405,6 @@ def _parse_source(text: str, what: str):
 
 def _resolve_field_source(text: str, grid: Grid, base_dir: Path, seed: int,
                           what: str) -> Field:
-    from .snapshots import read_snapshot
     kind, arg = _parse_source(text, what)
     if kind == "constant":
         return Field.constant(grid, float(arg or 0.0))
@@ -455,7 +455,6 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
         u0 = ControlProcess(grid, tg,
                             np.full((tg.nsteps,) + grid.shape, float(arg or 0.0)), c0)
     elif kind == "file":
-        from .snapshots import read_snapshot
         f = read_snapshot(base_dir / arg, grid)
         u0 = ControlProcess(grid, tg, np.repeat(f.values[None], tg.nsteps, axis=0), c0)
     else:
@@ -483,7 +482,6 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
             value = (np.full((tg.nsteps,) + grid.shape, c) if name == "x_q"
                      else np.full(grid.shape, c))
         elif kind == "file":
-            from .snapshots import read_snapshot
             f = read_snapshot(base_dir / arg, grid)
             value = (np.repeat(f.values[None], tg.nsteps, axis=0) if name == "x_q"
                      else f.values)
@@ -512,7 +510,6 @@ def _reference_control(grid: Grid, tg: TimeGrid, c0: float,
     """Smooth admissible control used to manufacture attainable targets."""
     profile = grid.cosine_mode((1,) + (0,) * (grid.ndims - 1))
     values = np.repeat(profile[None], tg.nsteps, axis=0)
-    from .control import l2q_norm
     norm = l2q_norm(values, tg, grid)
     values *= amplitude * c0 / norm
     return ControlProcess(grid, tg, values, c0)
@@ -521,7 +518,6 @@ def _reference_control(grid: Grid, tg: TimeGrid, c0: float,
 def _synthetic_targets(params: StateParams, y0: Field, reference: ControlProcess,
                        es: EnsembleSpec):
     """Per-path targets from simulating the reference control."""
-    from .state import sample_wiener_path
     tg = params.timegrid
     x_q = np.empty((es.npaths, tg.nsteps) + params.grid.shape)
     x_t = np.empty((es.npaths,) + params.grid.shape)

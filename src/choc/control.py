@@ -31,6 +31,7 @@ from .state import (
     mix_seed,
     sample_wiener_path,
     solve_state,
+    target_values,
 )
 
 __all__ = [
@@ -180,13 +181,12 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> float:
     g = traj.grid
     cv = g.cell_volume
     tau = tg.tau
+    xq, xt = target_values(x_q, x_t, alphas, tg, g)
     total = 0.0
     if a1 != 0.0:
-        xq = control_values(x_q, tg, g) if x_q is not None else 0.0
         diff = traj.ys[: tg.nsteps] - xq
         total += 0.5 * a1 * tau * cv * float(np.sum(diff**2))
     if a2 != 0.0:
-        xt = 0.0 if x_t is None else np.asarray(getattr(x_t, "values", x_t), dtype=float)
         total += 0.5 * a2 * cv * float(np.sum((traj.ys[tg.nsteps] - xt) ** 2))
     if a3 != 0.0:
         uvals = control_values(u, tg, g)
@@ -195,8 +195,7 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> float:
 
 
 def _path_cost(problem: Problem, u: ControlProcess, wp: WienerPath, i: int) -> float:
-    traj = solve_state(problem.y0, u.path_values(i), wp, problem.params,
-                       record_energy=False)
+    traj = solve_state(problem.y0, u.path_values(i), wp, problem.params)
     return evaluate_cost(traj, u.path_values(i), problem.target_q(i),
                          problem.target_t(i), problem.alphas)
 
@@ -236,8 +235,7 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     a3 = problem.alphas[2]
 
     def path_ptilde(i, wp):
-        traj = solve_state(problem.y0, u.path_values(i), wp, problem.params,
-                           record_energy=False)
+        traj = solve_state(problem.y0, u.path_values(i), wp, problem.params)
         adj = solve_adjoint(traj, problem.target_q(i), problem.target_t(i),
                             problem.alphas, backend="discrete_transpose",
                             trunc=problem.trunc)

@@ -37,14 +37,17 @@ class BlowUpError(ChocError):
         Index of the step at which the blow-up was detected.
     max_abs : float
         Largest absolute state value at detection time.
+    seed : int or None
+        Seed of the Wiener path that blew up, when known; sampling the path
+        again from it replays the blow-up.
     """
 
-    def __init__(self, step, max_abs):
-        super().__init__(
-            f"state blow-up at step {step}: max |y| = {max_abs:.3e}"
-        )
+    def __init__(self, step, max_abs, seed=None):
+        replay = "" if seed is None else f" (Wiener path seed {seed})"
+        super().__init__(f"state blow-up at step {step}: max |y| = {max_abs:.3e}{replay}")
         self.step = step
         self.max_abs = max_abs
+        self.seed = seed
 
 
 class SnapshotFormatError(ChocError):

@@ -205,11 +205,6 @@ def lap_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _idct(grid.lap_symbol * _dct(values))
 
 
-def solve_shifted(grid: Grid, symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a constant-coefficient operator diagonal in the cosine basis."""
-    return _idct(_dct(rhs) / symbol)
-
-
 def mean(x: Field) -> float:
     """Volume-weighted average; on a uniform grid this is the plain mean."""
     return float(np.mean(x.values))

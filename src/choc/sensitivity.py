@@ -1,7 +1,8 @@
 """Linearized and adjoint solvers along a fixed state trajectory.
 
-The linearized solver differentiates the state stepper exactly: with
-C_n = clamp(psi''(y_n)) it advances
+The linearized sweep is the state step: with C_n = clamp(psi''(y_n)) it
+runs the state's step function with reaction C_n z_n, source h_n and noise
+DB(y_n)[z_n] dW_n, that is
 
     (I + tau*Lap^2 - tau*S*Lap) z_{n+1}
         = z_n + tau*Lap(C_n z_n - S z_n - h_n) + DB(y_n)[z_n] dW_n,
@@ -36,14 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, lap_values, solve_shifted
+from .grid import Field, Grid, _dct, _idct, lap_values
 from .physics import (
     NO_TRUNCATION,
     TruncationLevel,
     db_adjoint_scaled_values,
     db_increment_values,
 )
-from .state import StateParams, Trajectory, control_values, series_l2h_norm
+from .state import (
+    StateParams,
+    Trajectory,
+    _step_spectral,
+    control_values,
+    series_l2h_norm,
+    target_values,
+)
 
 __all__ = [
     "LinearizedSolution",
@@ -108,56 +116,41 @@ class AdjointSolution:
 def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolution:
     """Integrate the linearized system along the trajectory's noise path.
 
-    Reuses the trajectory's stored Wiener increments and stabilization, so
-    the scheme is the exact differential of the state stepper when the
-    curvature clamp is inactive.
+    Runs the state's step function on the trajectory's stored Wiener
+    increments and stabilization, so the scheme is the exact differential of
+    the state stepper when the curvature clamp is inactive.
     """
     p = traj.params
     g = p.grid
     tg = p.timegrid
     trunc = TruncationLevel.coerce(trunc)
     hvals = control_values(h, tg, g)
-    tau = tg.tau
-    sym = p.implicit_symbol
     nm = p.noise
+    noisy = nm.is_multiplicative and nm.nmodes > 0
 
     zs = np.zeros((tg.nsteps + 1,) + g.shape)
     mus = np.zeros((tg.nsteps,) + g.shape)
     z = np.zeros(g.shape)
+    z_hat = np.zeros(g.shape)
     for n in range(tg.nsteps):
         y_n = traj.ys[n]
-        c_n = trunc.clamp(p.potential.psi_second(y_n))
-        react = c_n * z
-        explicit = react - p.stabilization * z - hvals[n]
-        rhs = z + tau * lap_values(g, explicit)
-        if nm.is_multiplicative and nm.nmodes:
-            rhs = rhs + db_increment_values(nm, y_n, z, traj.wiener.increments[n])
-        mus[n] = -lap_values(g, z) + react - hvals[n]
-        z = solve_shifted(g, sym, rhs)
+        noise = (db_increment_values(nm, y_n, z, traj.wiener.increments[n])
+                 if noisy else None)
+        reaction = trunc.clamp(p.potential.psi_second(y_n)) * z
+        z, z_hat, mus[n] = _step_spectral(z, z_hat, reaction, hvals[n], noise, p)
         zs[n + 1] = z
     return LinearizedSolution(params=p, zs=zs, mus=mus, trunc=trunc)
 
 
 def _tracking_sources(traj: Trajectory, x_q, x_t, alphas):
-    """Normalize targets; returns (alpha1*(y_n - xQ_n))_n and alpha2*(y_N - x_T)."""
+    """Returns (alpha1*(y_n - xQ_n))_n and alpha2*(y_N - x_T)."""
     a1, a2, _ = alphas
     tg = traj.timegrid
     g = traj.grid
-    if a1 != 0.0:
-        xq = control_values(x_q, tg, g) if x_q is not None else np.zeros((tg.nsteps,) + g.shape)
-        dist = a1 * (traj.ys[: tg.nsteps] - xq)
-    else:
-        dist = np.zeros((tg.nsteps,) + g.shape)
-    if a2 != 0.0:
-        if x_t is None:
-            xt = np.zeros(g.shape)
-        else:
-            xt = np.asarray(getattr(x_t, "values", x_t), dtype=float)
-        if xt.shape != g.shape:
-            raise ConfigurationError(f"terminal target shape {xt.shape} != {g.shape}")
-        terminal = a2 * (traj.ys[tg.nsteps] - xt)
-    else:
-        terminal = np.zeros(g.shape)
+    xq, xt = target_values(x_q, x_t, alphas, tg, g)
+    dist = (a1 * (traj.ys[: tg.nsteps] - xq) if a1 != 0.0
+            else np.zeros((tg.nsteps,) + g.shape))
+    terminal = a2 * (traj.ys[tg.nsteps] - xt) if a2 != 0.0 else np.zeros(g.shape)
     return dist, terminal
 
 
@@ -191,7 +184,7 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
         ps[tg.nsteps] = costate
         pts[tg.nsteps] = -lap_values(g, costate)
         for n in range(tg.nsteps - 1, -1, -1):
-            p_n = solve_shifted(g, sym, costate)
+            p_n = _idct(_dct(costate) / sym)
             pt_n = -lap_values(g, p_n)
             ps[n] = p_n
             pts[n] = pt_n
@@ -213,7 +206,7 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
         for n in range(tg.nsteps - 1, -1, -1):
             c_n = trunc.clamp(p.potential.psi_second(traj.ys[n]))
             rhs = pv - tau * (c_n - s) * pts[n + 1] + tau * dist[n]
-            pv = solve_shifted(g, sym, rhs)
+            pv = _idct(_dct(rhs) / sym)
             ps[n] = pv
             pts[n] = -lap_values(g, pv)
 

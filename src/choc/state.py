@@ -7,10 +7,13 @@ the nonlinearity explicitly with a linear stabilization shift S:
         = y_n + tau*Lap(psi'(y_n) - S*y_n - u_n) + B(y_n) dW_n,
 
 where Lap is the (negative semi-definite) Neumann Laplacian. The implicit
-operator is diagonal in the cosine basis, so a step costs two transforms.
-The noise enters explicitly at the old iterate. Because the zero mode of
-Lap vanishes and mean-free noise has no zero mode, the spatial mean of y is
-conserved along every path.
+operator is diagonal in the cosine basis and the step carries the cosine
+coefficients of y, so a step makes four transforms (three without noise):
+forward transforms of the explicit term and of the noise increment, inverse
+transforms of y_{n+1} and of the chemical potential. The linearized solver
+runs the same step. The noise enters explicitly at the old iterate. Because
+the zero mode of Lap vanishes and mean-free noise has no zero mode, the
+spatial mean of y is conserved along every path.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ class Trajectory:
     ``ys`` stacks the nsteps+1 state fields, ``ws`` the nsteps chemical
     potentials evaluated at the step starts. The control values and the
     Wiener path that generated the trajectory are kept for the linearized
-    and adjoint solvers.
+    and adjoint solvers. The free-energy series is computed when first read.
     """
 
     params: StateParams
@@ -166,7 +169,6 @@ class Trajectory:
     control: np.ndarray          # (nsteps,   *grid.shape)
     wiener: WienerPath
     mass: np.ndarray             # (nsteps+1,)
-    energy: np.ndarray           # (nsteps+1,)
 
     @property
     def grid(self) -> Grid:
@@ -175,6 +177,12 @@ class Trajectory:
     @property
     def timegrid(self) -> TimeGrid:
         return self.params.timegrid
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """Free energy of every state, shape (nsteps+1,)."""
+        pot = self.params.potential
+        return np.array([_energy_values(self.grid, y, pot) for y in self.ys])
 
     def y(self, n: int) -> Field:
         return Field(self.grid, self.ys[n])
@@ -200,6 +208,25 @@ def control_values(u, tg: TimeGrid, grid: Grid) -> np.ndarray:
     return values
 
 
+def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid):
+    """Normalize the tracking targets the cost weights read.
+
+    Returns (xQ, xT) as arrays of shapes (nsteps, *grid.shape) and
+    grid.shape; None stands for a zero target. A target whose weight is zero
+    is not read and comes back as None. A target of another shape is a
+    :class:`ConfigurationError`.
+    """
+    a1, a2, _ = alphas
+    xq = control_values(x_q, tg, grid) if a1 != 0.0 else None
+    xt = None
+    if a2 != 0.0:
+        xt = (np.zeros(grid.shape) if x_t is None
+              else np.asarray(getattr(x_t, "values", x_t), dtype=float))
+        if xt.shape != grid.shape:
+            raise ConfigurationError(f"terminal target shape {xt.shape} != {grid.shape}")
+    return xq, xt
+
+
 def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:
     """w = -Lap y + psi'(y) - u."""
     if y.grid != u.grid:
@@ -208,24 +235,24 @@ def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:
     return Field(y.grid, values)
 
 
-def _step_spectral(y: np.ndarray, y_hat: np.ndarray, u_n: np.ndarray,
-                   dw_n: np.ndarray, p: StateParams):
-    """One step carrying the cosine coefficients of y alongside its values.
+def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
+                   source: np.ndarray, noise: np.ndarray | None, p: StateParams):
+    """One step of the scheme, carrying the cosine coefficients of x.
 
-    ``y_hat`` must be the transform of ``y``; returns (y_next, y_next_hat, w_n).
+    Solves (I + tau*Lap^2 - tau*S*Lap) x_next
+        = x + tau*Lap(reaction - S*x - source) + noise,
+    where ``x_hat`` is the transform of ``x`` and ``noise`` may be None.
+    Returns (x_next, x_next_hat, -Lap x + reaction - source).
     """
-    g = p.grid
-    lam = g.lap_symbol
-    tau = p.timegrid.tau
-    psi_prime = p.potential.psi_prime(y)
-    explicit = psi_prime - p.stabilization * y - u_n
-    rhs_hat = y_hat + tau * lam * _dct_values(explicit)
-    if p.noise.nmodes:
-        rhs_hat = rhs_hat + _dct_values(b_increment_values(p.noise, y, dw_n))
-    y_next_hat = rhs_hat / p.implicit_symbol
-    y_next = _idct_values(y_next_hat)
-    w_n = _idct_values(-lam * y_hat) + psi_prime - u_n
-    return y_next, y_next_hat, w_n
+    lam = p.grid.lap_symbol
+    explicit = reaction - p.stabilization * x - source
+    rhs_hat = x_hat + p.timegrid.tau * lam * _dct_values(explicit)
+    if noise is not None:
+        rhs_hat = rhs_hat + _dct_values(noise)
+    x_next_hat = rhs_hat / p.implicit_symbol
+    x_next = _idct_values(x_next_hat)
+    potential = _idct_values(-lam * x_hat) + reaction - source
+    return x_next, x_next_hat, potential
 
 
 def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
@@ -237,25 +264,25 @@ def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
         raise ShapeError(
             f"expected {params.noise.nmodes} Brownian increments, got {dw_n.shape}"
         )
-    y_next, _, w_n = _step_spectral(y_n.values, _dct_values(y_n.values),
-                                    u_n.values, dw_n, params)
+    y = y_n.values
+    noise = b_increment_values(params.noise, y, dw_n) if params.noise.nmodes else None
+    y_next, _, w_n = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
+                                    u_n.values, noise, params)
     _guard(y_next, 0, params.blowup_threshold)
     return Field(params.grid, y_next), Field(params.grid, w_n)
 
 
-def _guard(values: np.ndarray, step: int, threshold: float) -> None:
+def _guard(values: np.ndarray, step: int, threshold: float, seed=None) -> None:
     top = float(np.max(np.abs(values)))
     if not np.isfinite(top) or top > threshold:
-        raise BlowUpError(step, top)
+        raise BlowUpError(step, top, seed)
 
 
-def solve_state(y0: Field, u, wp: WienerPath, params: StateParams,
-                record_energy: bool = True) -> Trajectory:
+def solve_state(y0: Field, u, wp: WienerPath, params: StateParams) -> Trajectory:
     """Integrate the state system along one noise path.
 
-    Deterministic given (y0, control, wp); records the mass series and,
-    unless ``record_energy`` is disabled (inner optimization loops), the
-    free-energy series. Raises :class:`BlowUpError` instead of clipping
+    Deterministic given (y0, control, wp); records the mass series. Raises
+    :class:`BlowUpError`, carrying the path's seed, instead of clipping
     runaway states.
     """
     g = params.grid
@@ -272,25 +299,23 @@ def solve_state(y0: Field, u, wp: WienerPath, params: StateParams,
     ys = np.empty((nsteps + 1,) + g.shape)
     ws = np.empty((nsteps,) + g.shape)
     mass = np.empty(nsteps + 1)
-    en = np.zeros(nsteps + 1)
+    nm = params.noise
+    noisy = nm.nmodes > 0
+    psi_prime = params.potential.psi_prime
 
     y = y0.values.copy()
     y_hat = _dct_values(y)
     ys[0] = y
     mass[0] = np.mean(y)
-    if record_energy:
-        en[0] = _energy_values(g, y, params.potential)
     for n in range(nsteps):
-        y, y_hat, w_n = _step_spectral(y, y_hat, uvals[n], wp.increments[n],
-                                       params)
-        _guard(y, n, params.blowup_threshold)
+        noise = b_increment_values(nm, y, wp.increments[n]) if noisy else None
+        y, y_hat, ws[n] = _step_spectral(y, y_hat, psi_prime(y), uvals[n], noise,
+                                         params)
+        _guard(y, n, params.blowup_threshold, wp.seed)
         ys[n + 1] = y
-        ws[n] = w_n
         mass[n + 1] = np.mean(y)
-        if record_energy:
-            en[n + 1] = _energy_values(g, y, params.potential)
     return Trajectory(params=params, ys=ys, ws=ws, control=uvals, wiener=wp,
-                      mass=mass, energy=en)
+                      mass=mass)
 
 
 def _energy_values(g: Grid, values: np.ndarray, pot: Potential) -> float:

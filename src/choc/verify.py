@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .sensitivity import (
 from .state import (
     StateParams,
     TimeGrid,
+    WienerPath,
     aggregate_increments,
     mix_seed,
     sample_wiener_path,
@@ -135,9 +136,7 @@ def check_mass_conservation(problem: Problem, es: EnsembleSpec,
     if u is None:
         u = problem.zero_control()
     worst = 0.0
-    for i in range(es.npaths):
-        wp = sample_wiener_path(problem.params.noise, problem.params.timegrid,
-                                es.path_seed(i))
+    for i, wp in enumerate(es.sample_paths(problem.params)):
         traj = solve_state(problem.y0, u.path_values(i), wp, problem.params)
         drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
         worst = max(worst, drift)
@@ -218,13 +217,13 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
 
 
 def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
-                      es: EnsembleSpec, backend: str):
-    """Ensemble duality residual; both sides from independent code paths."""
+                      paths: list[WienerPath], backend: str):
+    """Ensemble duality residual over the given Wiener paths; both sides from
+    independent code paths."""
     p = problem.params
     lhs_total = 0.0
     rhs_total = 0.0
-    for i in range(es.npaths):
-        wp = sample_wiener_path(p.noise, p.timegrid, es.path_seed(i))
+    for i, wp in enumerate(paths):
         traj = solve_state(problem.y0, u.path_values(i), wp, p)
         lin = solve_linearized(traj, h.values, problem.trunc)
         adj = solve_adjoint(traj, problem.target_q(i), problem.target_t(i),
@@ -233,8 +232,8 @@ def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
                                  problem.target_t(i), problem.alphas)
         lhs_total += lhs
         rhs_total += rhs
-    lhs_total /= es.npaths
-    rhs_total /= es.npaths
+    lhs_total /= len(paths)
+    rhs_total /= len(paths)
     scale = max(abs(lhs_total), abs(rhs_total), 1e-300)
     return abs(lhs_total - rhs_total) / scale, lhs_total, rhs_total
 
@@ -266,10 +265,11 @@ def check_duality(problem: Problem, es: EnsembleSpec,
                 random_smooth_control(problem, mix_seed(seed, 2 * j), amplitude=0.5),
                 random_smooth_control(problem, mix_seed(seed, 2 * j + 1), amplitude=1.0),
             ))
+    paths = es.sample_paths(problem.params)
     rows = []
     worst = 0.0
     for j, (uj, hj) in enumerate(pairs):
-        res, lhs, rhs = _duality_residual(problem, uj, hj, es, backend)
+        res, lhs, rhs = _duality_residual(problem, uj, hj, paths, backend)
         worst = max(worst, res)
         rows.append({"pair": j, "residual": res, "lhs": lhs, "rhs": rhs})
     return CheckReport(
@@ -286,7 +286,6 @@ def check_duality(problem: Problem, es: EnsembleSpec,
 
 def _resize_problem(problem: Problem, nsteps: int) -> Problem:
     """Same problem on a different time grid (targets must be resolvable)."""
-    from dataclasses import replace
     p = problem.params
     tg = TimeGrid(p.timegrid.t_final, nsteps)
     params = replace(p, timegrid=tg)
@@ -329,8 +328,7 @@ def _check_duality_continuous(problem, es, u, h, seed, nsteps_list, order_tol):
     rng = np.random.default_rng(seed)
     xq_profile = low_pass_field(p.grid, rng, 0.3)
     xt_profile = low_pass_field(p.grid, rng, 0.3)
-    from dataclasses import replace as _replace
-    problem = _replace(
+    problem = replace(
         problem,
         x_q=np.repeat(xq_profile.values[None], p.timegrid.nsteps, axis=0),
         x_t=xt_profile.values,
@@ -357,25 +355,10 @@ def _check_duality_continuous(problem, es, u, h, seed, nsteps_list, order_tol):
                                  c0=prob_n.c0)
         else:
             h_n = _retime_control(h, prob_n)
-        lhs_total = rhs_total = 0.0
-        for i in range(es.npaths):
-            wp_fine = sample_wiener_path(prob_n.params.noise,
-                                         TimeGrid(tgn.t_final, finest),
-                                         es.path_seed(i))
-            wp = aggregate_increments(wp_fine, finest // nsteps)
-            traj = solve_state(prob_n.y0, u_n.values, wp, prob_n.params)
-            lin = solve_linearized(traj, h_n.values, prob_n.trunc)
-            adj = solve_adjoint(traj, prob_n.target_q(i), prob_n.target_t(i),
-                                prob_n.alphas, backend="continuous",
-                                trunc=prob_n.trunc)
-            lhs, rhs = duality_terms(traj, lin, adj, h_n.values,
-                                     prob_n.target_q(i), prob_n.target_t(i),
-                                     prob_n.alphas)
-            lhs_total += lhs
-            rhs_total += rhs
-        scale = max(abs(lhs_total), abs(rhs_total), 1e-300)
+        paths = _coupled_paths(prob_n.params.noise, tgn, finest, es)
+        residual, _, _ = _duality_residual(prob_n, u_n, h_n, paths, "continuous")
         taus.append(tgn.tau)
-        residuals.append(abs(lhs_total - rhs_total) / scale)
+        residuals.append(residual)
     order = empirical_order(np.asarray(taus), np.asarray(residuals))
     table = tuple({"tau": t, "residual": r} for t, r in zip(taus, residuals))
     return CheckReport(
@@ -388,6 +371,17 @@ def _check_duality_continuous(problem, es, u, h, seed, nsteps_list, order_tol):
         passed=bool(math.isfinite(order) and order >= order_tol),
         table=table,
     )
+
+
+def _coupled_paths(noise, tg: TimeGrid, finest: int,
+                   es: EnsembleSpec) -> list[WienerPath]:
+    """The ensemble's paths on ``tg``, sampled on the finest grid of a
+    refinement sweep and aggregated, so every level sees the same Brownian
+    motion."""
+    fine = TimeGrid(tg.t_final, finest)
+    return [aggregate_increments(sample_wiener_path(noise, fine, es.path_seed(i)),
+                                 finest // tg.nsteps)
+            for i in range(es.npaths)]
 
 
 def _retime_control(u: ControlProcess, problem: Problem) -> ControlProcess:
@@ -415,7 +409,6 @@ def _norm_c0h_l2z(series: np.ndarray, tg: TimeGrid, g: Grid) -> float:
 
 
 def _refine_params(params: StateParams, mesh_factor: int) -> StateParams:
-    from dataclasses import replace
     if mesh_factor == 1:
         return params
     g = params.grid
@@ -516,8 +509,7 @@ def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
     per_level_diffs = None
     top_identical = True
     max_curv = 0.0
-    for i in range(es.npaths):
-        wp = sample_wiener_path(p.noise, p.timegrid, es.path_seed(i))
+    for i, wp in enumerate(es.sample_paths(p)):
         traj = solve_state(problem.y0, u.path_values(i), wp, p)
         rows = convergence_in_truncation(traj, h.values, levels)
         path_curv = rows[0]["max_curvature"]
@@ -569,16 +561,11 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
     try:
         for mesh_f, time_f in refinements:
             params = _refine_params(base, int(mesh_f))
-            from dataclasses import replace
             tg = TimeGrid(base.timegrid.t_final, base.timegrid.nsteps * int(time_f))
             params = replace(params, timegrid=tg)
             y0 = prolong(problem.y0, params.grid) if int(mesh_f) != 1 else problem.y0
             m12 = zsq = v6 = 0.0
-            for i in range(es.npaths):
-                wp_fine = sample_wiener_path(
-                    params.noise, TimeGrid(tg.t_final, finest_steps),
-                    es.path_seed(i))
-                wp = aggregate_increments(wp_fine, finest_steps // tg.nsteps)
+            for wp in _coupled_paths(params.noise, tg, finest_steps, es):
                 traj = solve_state(y0, None, wp, params)
                 hs = np.array([norm_h(Field(params.grid, v)) for v in traj.ys])
                 vs = np.array([norm_v(Field(params.grid, v)) for v in traj.ys])
@@ -597,7 +584,8 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
             name="moment_bounds",
             inputs={"refinements": [list(r) for r in refinements],
                     "npaths": es.npaths, "base_seed": es.base_seed},
-            measured={"blow_up": {"step": exc.step, "max_abs": exc.max_abs}},
+            measured={"blow_up": {"step": exc.step, "max_abs": exc.max_abs,
+                                  "seed": exc.seed}},
             tolerance={"stability_factor": stability_factor},
             passed=False,
             notes="trajectory blow-up detected; estimates not available",
@@ -660,17 +648,13 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
 
     taus = []
     gaps = []
-    from dataclasses import replace
     for nsteps in nsteps_list:
         tg = TimeGrid(p.timegrid.t_final, nsteps)
         params = replace(p, timegrid=tg)
         uvals = np.repeat(u_field.values[None], nsteps, axis=0)
         xq = np.repeat(xq_field.values[None], nsteps, axis=0)
         gap = 0.0
-        for i in range(es.npaths):
-            wp_fine = sample_wiener_path(params.noise, TimeGrid(tg.t_final, finest),
-                                         es.path_seed(i))
-            wp = aggregate_increments(wp_fine, finest // nsteps)
+        for wp in _coupled_paths(params.noise, tg, finest, es):
             traj = solve_state(problem.y0, uvals, wp, params)
             adj_t = solve_adjoint(traj, xq, None, alphas,
                                   backend="discrete_transpose")

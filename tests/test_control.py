@@ -5,6 +5,7 @@ import pytest
 
 from choc import (
     BlowUpError,
+    ConfigurationError,
     ControlProcess,
     EnsembleSpec,
     Field,
@@ -23,6 +24,7 @@ from choc import (
     project_admissible,
     reduced_cost,
     sample_wiener_path,
+    solve_adjoint,
     solve_state,
 )
 from choc.control import l2q_inner, l2q_norm
@@ -98,6 +100,18 @@ def test_cost_matches_quadrature_oracle(small_params, rng):
         oracle += 0.5 * alphas[2] * tau * cv * np.sum(u[n] ** 2)
     oracle += 0.5 * alphas[1] * cv * np.sum((traj.ys[tg.nsteps] - x_t) ** 2)
     assert cost == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("x_t", [np.zeros(1), np.zeros(16)])
+def test_terminal_target_of_wrong_shape_rejected(small_params, rng, x_t):
+    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
+    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, wp,
+                       small_params)
+    alphas = (0.0, 1.0, 0.0)
+    with pytest.raises(ConfigurationError):
+        evaluate_cost(traj, None, None, x_t, alphas)
+    with pytest.raises(ConfigurationError):
+        solve_adjoint(traj, None, x_t, alphas)
 
 
 # --- reduced cost -------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_duality_to_rounding(params, seed, alphas):
     x_q = _smooth_series(params, rng, 0.3)
     x_t = low_pass_field(params.grid, rng, 0.3).values
     wp = sample_wiener_path(params.noise, params.timegrid, seed)
-    traj = solve_state(y0, u, wp, params, record_energy=False)
+    traj = solve_state(y0, u, wp, params)
     lin = solve_linearized(traj, h)
     adj = solve_adjoint(traj, x_q, x_t, alphas)
     lhs, rhs = duality_terms(traj, lin, adj, h, x_q, x_t, alphas)
@@ -104,7 +104,7 @@ def test_mass_conserved_per_path(params, seed):
     u = _smooth_series(params, rng, 0.5)
     for i in range(2):
         wp = sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
-        traj = solve_state(y0, u, wp, params, record_energy=False)
+        traj = solve_state(y0, u, wp, params)
         assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
 
 

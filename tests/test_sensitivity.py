@@ -1,8 +1,11 @@
 """Linearized and adjoint solvers: recursion oracles, exact duality,
 transpose against a column-assembled dense operator, truncation behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from choc import (
     ConfigurationError,
@@ -19,7 +22,7 @@ from choc import (
     solve_state,
 )
 from choc.grid import lap_values, low_pass_field
-from choc.physics import additive_noise, zero_potential
+from choc.physics import additive_noise, no_noise, zero_potential
 from choc.state import StateParams, series_l2h_norm
 
 from conftest import random_field
@@ -109,6 +112,36 @@ def test_linearized_mu_definition(small_params, rng):
         expected = (-lap_values(small_params.grid, lin.zs[n])
                     + c * lin.zs[n] - h[n])
         assert np.allclose(lin.mus[n], expected, atol=1e-11)
+
+
+def _count_transforms(monkeypatch):
+    calls = []
+    for name in ("dctn", "idctn"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("noise_kind, per_step", [("multiplicative", 4), ("none", 3)])
+def test_linearized_runs_the_state_step(small_params, rng, monkeypatch, noise_kind,
+                                        per_step):
+    params = small_params
+    if noise_kind == "none":
+        params = replace(params, noise=no_noise(params.grid))
+    nsteps = params.timegrid.nsteps
+    h = _random_direction(params, rng)
+    y0 = low_pass_field(params.grid, rng, 0.4)
+    wp = sample_wiener_path(params.noise, params.timegrid, 0)
+    calls = _count_transforms(monkeypatch)
+    traj = solve_state(y0, None, wp, params)
+    state_calls = len(calls)
+    solve_linearized(traj, h)
+    assert state_calls == 1 + per_step * nsteps
+    assert len(calls) - state_calls == per_step * nsteps
 
 
 def test_linearized_grid_mismatch(small_params, rng):

@@ -1,11 +1,14 @@
 """State solver: stepping oracle, conservation, dissipation, reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from choc import (
     BlowUpError,
     ConfigurationError,
+    EnsembleSpec,
     Field,
     Grid,
     TimeGrid,
@@ -15,6 +18,8 @@ from choc import (
     mix_seed,
     multiplicative_noise,
     norm_h,
+    Problem,
+    reduced_cost,
     sample_wiener_path,
     solve_state,
     step_state,
@@ -227,6 +232,32 @@ def test_blowup_raises_with_diagnostics(grid64, rng):
     assert err.value.max_abs > 1e6 or not np.isfinite(err.value.max_abs)
 
 
+def test_blowup_seed_replays_path(grid64, rng):
+    nm = additive_noise(grid64, [30.0, 30.0])
+    params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 20),
+                         potential=double_well(), noise=nm)
+    problem = Problem(params=params, y0=low_pass_field(grid64, rng, 0.4),
+                      alphas=(1.0, 0.0, 0.0))
+    es = EnsembleSpec(4, 31)
+    u = problem.zero_control()
+    # a threshold between the two largest path maxima blows up one path only
+    tops = sorted((float(np.max(np.abs(solve_state(problem.y0, None, wp, params).ys))), i)
+                  for i, wp in enumerate(es.sample_paths(params)))
+    (second, _), (top, worst) = tops[-2:]
+    assert second < top
+    params = replace(params, blowup_threshold=0.5 * (second + top))
+    problem = replace(problem, params=params)
+    with pytest.raises(BlowUpError) as err:
+        reduced_cost(u, es, problem)
+    assert err.value.seed == es.path_seed(worst)
+    assert str(err.value.seed) in str(err.value)
+    with pytest.raises(BlowUpError) as replay:
+        solve_state(problem.y0, None, sample_wiener_path(nm, params.timegrid,
+                                                         err.value.seed), params)
+    assert (replay.value.step, replay.value.max_abs) == (err.value.step,
+                                                         err.value.max_abs)
+
+
 def test_timegrid_mismatch_rejected(small_params, rng):
     y0 = low_pass_field(small_params.grid, rng, 0.4)
     wrong = sample_wiener_path(small_params.noise, TimeGrid(0.02, 41), 0)
@@ -254,6 +285,22 @@ def test_energy_matches_dense_quadrature(grid64, rng):
     oracle = 0.5 * float(v @ (-mat @ v)) * grid64.cell_volume \
         + float(np.sum(pot.psi(y.values))) * grid64.cell_volume
     assert energy(y, pot) == pytest.approx(oracle, rel=1e-11)
+
+
+def test_energy_computed_on_read(small_params, rng):
+    calls = []
+
+    def psi(r):
+        calls.append(1)
+        return double_well().psi(r)
+
+    pot = replace(double_well(), psi=psi)
+    params = replace(small_params, potential=pot)
+    wp = sample_wiener_path(params.noise, params.timegrid, 8)
+    traj = solve_state(low_pass_field(params.grid, rng, 0.4), None, wp, params)
+    assert calls == []
+    assert all(traj.energy[n] == energy(traj.y(n), pot)
+               for n in range(params.timegrid.nsteps + 1))
 
 
 # --- strong-order sanity -----------------------------------------------------------
