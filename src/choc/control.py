@@ -8,6 +8,13 @@ transpose-backend adjoint supplies its exact gradient
 
     grad J(u) = mean over paths of ptilde + alpha3 * u.
 
+The adjoint runs backward along the state trajectory at u, so a caller that
+has solved the ensemble at u passes those trajectories on (``states=``) and
+no path is solved twice at one control. :func:`optimize` runs one state
+sweep over the ensemble for the starting cost and one per line-search trial,
+one adjoint sweep per iteration, and one adjoint sweep at the final control,
+whose gradient also gives the optimality residual.
+
 An open-loop random control class (one control per path) shares the same
 code path behind the ``per_path`` flag of :class:`ControlProcess`.
 """
@@ -194,22 +201,39 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> float:
     return total
 
 
-def _path_cost(problem: Problem, u: ControlProcess, wp: WienerPath, i: int) -> float:
-    traj = solve_state(problem.y0, u.path_values(i), wp, problem.params)
-    return evaluate_cost(traj, u.path_values(i), problem.target_q(i),
-                         problem.target_t(i), problem.alphas)
+def _solve_paths(u: ControlProcess, problem: Problem,
+                 paths: list[WienerPath]) -> list[Trajectory]:
+    """The state trajectories of ``u`` on every path, in path order.
+
+    A blow-up is re-raised with the index of the path that blew up.
+    """
+    states = []
+    for i, wp in enumerate(paths):
+        try:
+            states.append(solve_state(problem.y0, u.path_values(i), wp, problem.params))
+        except BlowUpError as exc:
+            exc.path = i
+            raise
+    return states
 
 
 def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
-                 paths: list[WienerPath] | None = None) -> tuple[float, float]:
+                 paths: list[WienerPath] | None = None,
+                 states: list[Trajectory] | None = None) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the tracking cost.
 
     The Wiener paths are fixed by ``es`` independently of ``u``, so repeated
     evaluations are bitwise identical and the map u -> mean is smooth.
+    ``states`` are u's trajectories on ``paths``; they are solved here when
+    None.
     """
     if paths is None:
         paths = es.sample_paths(problem.params)
-    costs = np.array([_path_cost(problem, u, wp, i) for i, wp in enumerate(paths)])
+    if states is None:
+        states = _solve_paths(u, problem, paths)
+    costs = np.array([evaluate_cost(traj, u.path_values(i), problem.target_q(i),
+                                    problem.target_t(i), problem.alphas)
+                      for i, traj in enumerate(states)])
     mean = float(np.mean(costs))
     if len(costs) < 2:
         return mean, 0.0
@@ -218,12 +242,14 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
 
 
 def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
-             paths: list[WienerPath] | None = None) -> np.ndarray:
+             paths: list[WienerPath] | None = None,
+             states: list[Trajectory] | None = None) -> np.ndarray:
     """Exact gradient of the finite-ensemble reduced cost at ``u``.
 
-    Runs the state and transpose-adjoint solves per path and averages
-    ptilde; the control penalty contributes alpha3 * u. With a per-path
-    control the path gradients are returned unaveraged.
+    Runs the transpose-adjoint solve along each path's state trajectory and
+    averages ptilde; the control penalty contributes alpha3 * u. With a
+    per-path control the path gradients are returned unaveraged. ``states``
+    are u's trajectories on ``paths``; they are solved here when None.
     """
     if problem.backend != "discrete_transpose":
         raise ConfigurationError(
@@ -231,17 +257,18 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
         )
     if paths is None:
         paths = es.sample_paths(problem.params)
+    if states is None:
+        states = _solve_paths(u, problem, paths)
     tg = problem.params.timegrid
     a3 = problem.alphas[2]
 
-    def path_ptilde(i, wp):
-        traj = solve_state(problem.y0, u.path_values(i), wp, problem.params)
+    def path_ptilde(i, traj):
         adj = solve_adjoint(traj, problem.target_q(i), problem.target_t(i),
                             problem.alphas, backend="discrete_transpose",
                             trunc=problem.trunc)
         return adj.ptildes[: tg.nsteps]
 
-    ptildes = [path_ptilde(i, wp) for i, wp in enumerate(paths)]
+    ptildes = [path_ptilde(i, traj) for i, traj in enumerate(states)]
     if u.per_path:
         return np.stack([pt + a3 * u.values[i] for i, pt in enumerate(ptildes)])
     acc = ptildes[0].copy()
@@ -295,6 +322,8 @@ class OptimizationResult:
     projection_residual: float
     termination: str
     n_iterations: int
+    cost_stderr_history: list[float]   # Monte Carlo standard error of each cost
+    blowup_rejections: int             # trials rejected because the state blew up
 
     def summary(self) -> dict:
         return {
@@ -324,13 +353,23 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     blows up is rejected and shrunk like one that fails the Armijo test.
     Termination on the gradient-map norm at the fixed reference step, on the
     iteration budget, or on a stalled line search.
+
+    Solve budget: one state sweep over the ensemble for the starting cost and
+    one per line-search trial; one adjoint sweep per iteration, along the
+    trajectories its accepted trial solved; one adjoint sweep at the final
+    control, for the residual (on convergence or a stalled search this is
+    the gradient the last iteration already took).
     """
     paths = es.sample_paths(problem.params)
     u = project_admissible(u0)
-    cost, _ = reduced_cost(u, es, problem, paths)
+    # u's trajectories, kept from the cost to the next gradient only.
+    states = _solve_paths(u, problem, paths)
+    cost, stderr = reduced_cost(u, es, problem, paths, states)
     cost_history = [cost]
+    stderr_history = [stderr]
     gmap_history: list[float] = []
     step_history: list[float] = []
+    blowup_rejections = 0
     termination = "max_iter"
     tg = u.timegrid
 
@@ -339,7 +378,8 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     prev_grad = None
     it = 0
     while it < opts.max_iter:
-        grad = gradient(u, es, problem, paths)
+        grad = gradient(u, es, problem, paths, states)
+        states = None
         gmap = _gradient_map_norm(u, grad, opts.eta0)
         gmap_history.append(gmap)
         if gmap <= opts.tol:
@@ -361,10 +401,14 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
             cand = project_admissible(u.with_values(u.values - trial_eta * grad))
             step_sq = l2q_norm(u.values - cand.values, tg, u.grid,
                                per_path=u.per_path) ** 2
+            cand_states = None    # drop a rejected trial's states before the next solve
             try:
-                cand_cost, _ = reduced_cost(cand, es, problem, paths)
+                cand_states = _solve_paths(cand, problem, paths)
+                cand_cost, cand_stderr = reduced_cost(cand, es, problem, paths,
+                                                      cand_states)
             except BlowUpError:
                 cand_cost = np.inf    # a blown-up trial is a rejected trial
+                blowup_rejections += 1
             if cand_cost <= cost - (opts.armijo_c / trial_eta) * step_sq:
                 accepted = True
                 break
@@ -376,35 +420,45 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
         prev_u = u.values
         prev_grad = grad
         u = cand
+        states = cand_states
         cost = cand_cost
         cost_history.append(cost)
+        stderr_history.append(cand_stderr)
         step_history.append(trial_eta)
         eta = trial_eta
         it += 1
 
-    residual = optimality_residual(u, es, problem, paths)
+    if termination == "max_iter":
+        grad = gradient(u, es, problem, paths, states)
     return OptimizationResult(
         control=u,
         cost_history=cost_history,
         gradient_map_history=gmap_history,
         step_history=step_history,
-        projection_residual=residual,
+        projection_residual=_residual(u, grad, problem),
         termination=termination,
         n_iterations=it,
+        cost_stderr_history=stderr_history,
+        blowup_rejections=blowup_rejections,
     )
 
 
 def optimality_residual(u: ControlProcess, es: EnsembleSpec, problem: Problem,
-                        paths: list[WienerPath] | None = None) -> float:
+                        paths: list[WienerPath] | None = None,
+                        states: list[Trajectory] | None = None) -> float:
     """Distance between u and the projected point -mean(ptilde)/alpha3.
 
     Vanishes exactly at a stationary point of the discrete problem when
     alpha3 > 0. For alpha3 = 0 the projection form degenerates; the most
     negative directional derivative over unit coordinate directions is
-    reported instead.
+    reported instead. ``states`` are as for :func:`gradient`.
     """
+    return _residual(u, gradient(u, es, problem, paths, states), problem)
+
+
+def _residual(u: ControlProcess, grad: np.ndarray, problem: Problem) -> float:
+    """:func:`optimality_residual` from the gradient at ``u``."""
     a3 = problem.alphas[2]
-    grad = gradient(u, es, problem, paths)
     tg = u.timegrid
     g = u.grid
     if a3 > 0:

@@ -40,14 +40,26 @@ class BlowUpError(ChocError):
     seed : int or None
         Seed of the Wiener path that blew up, when known; sampling the path
         again from it replays the blow-up.
+    path : int or None
+        Index of that path in its ensemble, when the solve ran in one.
     """
 
-    def __init__(self, step, max_abs, seed=None):
-        replay = "" if seed is None else f" (Wiener path seed {seed})"
-        super().__init__(f"state blow-up at step {step}: max |y| = {max_abs:.3e}{replay}")
+    def __init__(self, step, max_abs, seed=None, path=None):
+        super().__init__(step, max_abs, seed, path)
         self.step = step
         self.max_abs = max_abs
         self.seed = seed
+        self.path = path
+
+    def __str__(self):
+        # Built when read: an ensemble loop sets ``path`` after the solve raised.
+        where = []
+        if self.path is not None:
+            where.append(f"ensemble path {self.path}")
+        if self.seed is not None:
+            where.append(f"Wiener path seed {self.seed}")
+        replay = f" ({', '.join(where)})" if where else ""
+        return f"state blow-up at step {self.step}: max |y| = {self.max_abs:.3e}{replay}"
 
 
 class SnapshotFormatError(ChocError):

@@ -217,14 +217,18 @@ def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid):
     :class:`ConfigurationError`.
     """
     a1, a2, _ = alphas
-    xq = control_values(x_q, tg, grid) if a1 != 0.0 else None
-    xt = None
-    if a2 != 0.0:
-        xt = (np.zeros(grid.shape) if x_t is None
-              else np.asarray(getattr(x_t, "values", x_t), dtype=float))
-        if xt.shape != grid.shape:
-            raise ConfigurationError(f"terminal target shape {xt.shape} != {grid.shape}")
+    xq = (_target_array(x_q, (tg.nsteps,) + grid.shape, "distributed")
+          if a1 != 0.0 else None)
+    xt = _target_array(x_t, grid.shape, "terminal") if a2 != 0.0 else None
     return xq, xt
+
+
+def _target_array(x, shape, kind: str) -> np.ndarray:
+    values = (np.zeros(shape) if x is None
+              else np.asarray(getattr(x, "values", x), dtype=float))
+    if values.shape != shape:
+        raise ConfigurationError(f"{kind} target shape {values.shape} != {shape}")
+    return values
 
 
 def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:

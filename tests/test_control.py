@@ -27,6 +27,7 @@ from choc import (
     solve_adjoint,
     solve_state,
 )
+import choc.control
 from choc.control import l2q_inner, l2q_norm
 from choc.grid import low_pass_field
 from choc.physics import no_noise
@@ -114,6 +115,19 @@ def test_terminal_target_of_wrong_shape_rejected(small_params, rng, x_t):
         solve_adjoint(traj, None, x_t, alphas)
 
 
+def test_distributed_target_of_wrong_shape_rejected(small_params, rng):
+    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
+    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, wp,
+                       small_params)
+    x_q = np.zeros((3, 32))
+    alphas = (1.0, 0.0, 0.0)
+    message = r"distributed target shape \(3, 32\) != \(40, 32\)"
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate_cost(traj, None, x_q, None, alphas)
+    with pytest.raises(ConfigurationError, match=message):
+        solve_adjoint(traj, x_q, None, alphas)
+
+
 # --- reduced cost -------------------------------------------------------------
 
 
@@ -185,6 +199,19 @@ def test_gradient_per_path_control():
     assert grad.shape == vals.shape
 
 
+def test_given_states_change_no_bits():
+    problem, es = _problem()
+    u = _smooth_control(problem, 3)
+    paths = es.sample_paths(problem.params)
+    states = [solve_state(problem.y0, u.values, wp, problem.params) for wp in paths]
+    assert (reduced_cost(u, es, problem, paths, states)
+            == reduced_cost(u, es, problem))
+    assert np.array_equal(gradient(u, es, problem, paths, states),
+                          gradient(u, es, problem))
+    assert (optimality_residual(u, es, problem, paths, states)
+            == optimality_residual(u, es, problem))
+
+
 # --- projection ------------------------------------------------------------------
 
 
@@ -238,6 +265,53 @@ def test_optimize_huge_tol_stops_immediately():
     assert np.array_equal(res.control.values, u0.values)
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e6])
+def test_optimize_solves_each_control_once(monkeypatch, tol):
+    # every state path is solved once per control: the starting cost and
+    # each trial; the gradient and the residual reuse those trajectories
+    problem, es = _problem(grid_n=16, npaths=2)
+    counts = {"state": 0, "adjoint": 0, "cost": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(choc.control, "solve_state",
+                        counted("state", choc.control.solve_state))
+    monkeypatch.setattr(choc.control, "solve_adjoint",
+                        counted("adjoint", choc.control.solve_adjoint))
+    monkeypatch.setattr(choc.control, "reduced_cost",
+                        counted("cost", choc.control.reduced_cost))
+    res = optimize(_smooth_control(problem, 3), es, problem,
+                   OptimizerOptions(tol=tol, max_iter=3, eta0=16.0))
+    trials = counts["cost"] - 1
+    assert res.n_iterations == (3 if tol < 1 else 0)
+    assert trials >= res.n_iterations
+    assert counts["state"] == (1 + trials) * es.npaths
+    assert counts["adjoint"] == (res.n_iterations + 1) * es.npaths
+
+
+def test_optimize_history_golden():
+    # recorded from the optimizer that solved every path again for each
+    # gradient and for the residual; reusing the trajectories moves no bit.
+    # Two of the five trials backtrack.
+    problem, es = _problem()
+    u0 = _smooth_control(problem, 3)
+    res = optimize(u0, es, problem, OptimizerOptions(tol=1e-300, max_iter=3,
+                                                     eta0=16.0))
+    assert [c.hex() for c in res.cost_history] == [
+        "0x1.161d0b682a2e9p-6", "0x1.c4b5ac72f6a8dp-7",
+        "0x1.2fb8cf026d55bp-7", "0x1.1c225ec567e99p-7"]
+    assert res.projection_residual.hex() == "0x1.fef20647839a4p-1"
+    assert res.projection_residual == optimality_residual(res.control, es, problem)
+    assert len(res.cost_stderr_history) == len(res.cost_history)
+    assert res.cost_stderr_history[0] == reduced_cost(u0, es, problem)[1]
+    assert res.cost_stderr_history[-1] == reduced_cost(res.control, es, problem)[1]
+    assert res.blowup_rejections == 0
+
+
 def test_optimize_synthetic_target_descends():
     # small synthetic-target run: targets generated from a reference control
     # with the ensemble's own seeds
@@ -289,6 +363,7 @@ def test_optimize_rejects_blown_up_trial():
     res = optimize(u0, es, problem, build.optimizer)
     assert res.n_iterations == 1
     assert res.step_history[0] < 1e8
+    assert res.blowup_rejections >= 1
     assert all(b <= a for a, b in zip(res.cost_history, res.cost_history[1:]))
 
 

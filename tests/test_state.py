@@ -251,6 +251,8 @@ def test_blowup_seed_replays_path(grid64, rng):
         reduced_cost(u, es, problem)
     assert err.value.seed == es.path_seed(worst)
     assert str(err.value.seed) in str(err.value)
+    assert err.value.path == worst
+    assert f"ensemble path {worst}" in str(err.value)
     with pytest.raises(BlowUpError) as replay:
         solve_state(problem.y0, None, sample_wiener_path(nm, params.timegrid,
                                                          err.value.seed), params)
