@@ -8,10 +8,13 @@ transpose-backend adjoint supplies its exact gradient
 
     grad J(u) = mean over paths of ptilde + alpha3 * u.
 
-The adjoint runs backward along the state trajectory at u, so a caller that
-has solved the ensemble at u passes those trajectories on (``states=``) and
-no path is solved twice at one control. :func:`optimize` runs one state
-sweep over the ensemble for the starting cost and one per line-search trial,
+The ensemble is solved in sweeps: one :func:`~choc.state.solve_state` call
+integrates every path at once, on arrays with a leading path axis, and one
+:func:`~choc.sensitivity.solve_adjoint` call runs every path's costate
+backward. The adjoint runs along the state trajectories at u, so a caller
+that has solved the ensemble at u passes that batched trajectory on
+(``states=``) and no path is solved twice at one control. :func:`optimize`
+runs one state sweep for the starting cost and one per line-search trial,
 one adjoint sweep per iteration, and one adjoint sweep at the final control,
 whose gradient also gives the optimality residual.
 
@@ -202,38 +205,29 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> float:
 
 
 def _solve_paths(u: ControlProcess, problem: Problem,
-                 paths: list[WienerPath]) -> list[Trajectory]:
-    """The state trajectories of ``u`` on every path, in path order.
-
-    A blow-up is re-raised with the index of the path that blew up.
-    """
-    states = []
-    for i, wp in enumerate(paths):
-        try:
-            states.append(solve_state(problem.y0, u.path_values(i), wp, problem.params))
-        except BlowUpError as exc:
-            exc.path = i
-            raise
-    return states
+                 paths: list[WienerPath]) -> Trajectory:
+    """The state trajectories of ``u`` on every path: one batched sweep."""
+    return solve_state(problem.y0, u.values, paths, problem.params)
 
 
 def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
                  paths: list[WienerPath] | None = None,
-                 states: list[Trajectory] | None = None) -> tuple[float, float]:
+                 states: Trajectory | None = None) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the tracking cost.
 
     The Wiener paths are fixed by ``es`` independently of ``u``, so repeated
     evaluations are bitwise identical and the map u -> mean is smooth.
-    ``states`` are u's trajectories on ``paths``; they are solved here when
-    None.
+    ``states`` is u's batched trajectory on ``paths``; it is solved here
+    when None.
     """
     if paths is None:
         paths = es.sample_paths(problem.params)
     if states is None:
         states = _solve_paths(u, problem, paths)
-    costs = np.array([evaluate_cost(traj, u.path_values(i), problem.target_q(i),
-                                    problem.target_t(i), problem.alphas)
-                      for i, traj in enumerate(states)])
+    costs = np.array([evaluate_cost(states.path(i), u.path_values(i),
+                                    problem.target_q(i), problem.target_t(i),
+                                    problem.alphas)
+                      for i in range(states.npaths)])
     mean = float(np.mean(costs))
     if len(costs) < 2:
         return mean, 0.0
@@ -243,13 +237,13 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
 
 def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
              paths: list[WienerPath] | None = None,
-             states: list[Trajectory] | None = None) -> np.ndarray:
+             states: Trajectory | None = None) -> np.ndarray:
     """Exact gradient of the finite-ensemble reduced cost at ``u``.
 
-    Runs the transpose-adjoint solve along each path's state trajectory and
-    averages ptilde; the control penalty contributes alpha3 * u. With a
+    Runs one transpose-adjoint sweep along the paths' state trajectories
+    and averages ptilde; the control penalty contributes alpha3 * u. With a
     per-path control the path gradients are returned unaveraged. ``states``
-    are u's trajectories on ``paths``; they are solved here when None.
+    is u's batched trajectory on ``paths``; it is solved here when None.
     """
     if problem.backend != "discrete_transpose":
         raise ConfigurationError(
@@ -261,18 +255,14 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
         states = _solve_paths(u, problem, paths)
     tg = problem.params.timegrid
     a3 = problem.alphas[2]
-
-    def path_ptilde(i, traj):
-        adj = solve_adjoint(traj, problem.target_q(i), problem.target_t(i),
-                            problem.alphas, backend="discrete_transpose",
-                            trunc=problem.trunc)
-        return adj.ptildes[: tg.nsteps]
-
-    ptildes = [path_ptilde(i, traj) for i, traj in enumerate(states)]
+    adj = solve_adjoint(states, problem.x_q, problem.x_t, problem.alphas,
+                        backend="discrete_transpose", trunc=problem.trunc)
+    # ptilde one path at a time: the batch's p is the only full-size array
+    ptildes = (adj.path(i).ptildes[: tg.nsteps] for i in range(adj.npaths))
     if u.per_path:
         return np.stack([pt + a3 * u.values[i] for i, pt in enumerate(ptildes)])
-    acc = ptildes[0].copy()
-    for pt in ptildes[1:]:
+    acc = next(ptildes)    # a fresh array, summed into in place
+    for pt in ptildes:
         acc += pt
     return acc / len(paths) + a3 * u.values
 
@@ -354,11 +344,12 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     Termination on the gradient-map norm at the fixed reference step, on the
     iteration budget, or on a stalled line search.
 
-    Solve budget: one state sweep over the ensemble for the starting cost and
-    one per line-search trial; one adjoint sweep per iteration, along the
-    trajectories its accepted trial solved; one adjoint sweep at the final
-    control, for the residual (on convergence or a stalled search this is
-    the gradient the last iteration already took).
+    Solve budget, in sweeps (one sweep solves every path of the ensemble in
+    one call): one state sweep for the starting cost and one per line-search
+    trial; one adjoint sweep per iteration, along the trajectories its
+    accepted trial solved; one adjoint sweep at the final control, for the
+    residual (on convergence or a stalled search this is the gradient the
+    last iteration already took).
     """
     paths = es.sample_paths(problem.params)
     u = project_admissible(u0)
@@ -445,7 +436,7 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
 
 def optimality_residual(u: ControlProcess, es: EnsembleSpec, problem: Problem,
                         paths: list[WienerPath] | None = None,
-                        states: list[Trajectory] | None = None) -> float:
+                        states: Trajectory | None = None) -> float:
     """Distance between u and the projected point -mean(ptilde)/alpha3.
 
     Vanishes exactly at a stationary point of the discrete problem when

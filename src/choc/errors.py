@@ -34,14 +34,16 @@ class BlowUpError(ChocError):
     Attributes
     ----------
     step : int
-        Index of the step at which the blow-up was detected.
+        Index of the step at which the blow-up was detected; in a batch of
+        paths, the earliest step at which any path blew up.
     max_abs : float
-        Largest absolute state value at detection time.
+        Largest absolute value of that path's state at detection time.
     seed : int or None
         Seed of the Wiener path that blew up, when known; sampling the path
-        again from it replays the blow-up.
+        again from it replays the blow-up. In a batch, the lowest-indexed
+        path that blew up at that step.
     path : int or None
-        Index of that path in its ensemble, when the solve ran in one.
+        Index of that path in its batch, when the solve swept one.
     """
 
     def __init__(self, step, max_abs, seed=None, path=None):
@@ -52,7 +54,6 @@ class BlowUpError(ChocError):
         self.path = path
 
     def __str__(self):
-        # Built when read: an ensemble loop sets ``path`` after the solve raised.
         where = []
         if self.path is not None:
             where.append(f"ensemble path {self.path}")

@@ -43,14 +43,14 @@ __all__ = [
 ]
 
 
-def _dct(values: np.ndarray) -> np.ndarray:
-    """Orthonormal cosine transform; the zero coefficient is the grid mean
-    times sqrt(total point count)."""
-    return _fft.dctn(values, type=2, norm="ortho")
+def _dct(values: np.ndarray, axes=None) -> np.ndarray:
+    """Orthonormal cosine transform over ``axes`` (all axes when None); the
+    zero coefficient is the grid mean times sqrt(total point count)."""
+    return _fft.dctn(values, type=2, norm="ortho", axes=axes)
 
 
-def _idct(coeffs: np.ndarray) -> np.ndarray:
-    return _fft.idctn(coeffs, type=2, norm="ortho")
+def _idct(coeffs: np.ndarray, axes=None) -> np.ndarray:
+    return _fft.idctn(coeffs, type=2, norm="ortho", axes=axes)
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,20 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.npoints
 
-    @property
+    @cached_property
     def size(self) -> int:
         return int(np.prod(self.npoints))
+
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing array axes a field occupies; leading axes (time,
+        paths) are batch axes of the transforms and means."""
+        return tuple(range(-self.ndims, 0))
+
+    def transform_axes(self, values: np.ndarray) -> tuple[int, ...] | None:
+        """The axes a cosine transform of ``values`` runs over: the grid
+        axes, given as None (all axes, the cheaper call) for one field."""
+        return None if values.ndim == self.ndims else self.axes
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -201,8 +212,10 @@ def laplacian(x: Field) -> Field:
 
 
 def lap_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level Laplacian used by the time steppers."""
-    return _idct(grid.lap_symbol * _dct(values))
+    """Array-level Laplacian used by the time steppers; leading axes of
+    ``values`` are a batch."""
+    axes = grid.transform_axes(values)
+    return _idct(grid.lap_symbol * _dct(values, axes), axes)
 
 
 def mean(x: Field) -> float:

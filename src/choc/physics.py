@@ -341,33 +341,50 @@ def _check_dw(nm: NoiseModel, dw) -> np.ndarray:
     return dw
 
 
-def b_increment_values(nm: NoiseModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Array-level noise increment; the hot path used by the solvers."""
-    if nm.nmodes == 0:
-        return np.zeros(nm.grid.shape)
-    if not nm.is_multiplicative:
-        return np.tensordot(nm.sigmas * dw, nm.modes, axes=(0, 0))
-    rho_y = nm.rho(y)
-    out = np.zeros(nm.grid.shape)
+# The array-level operators below are the hot path of the solvers. Their
+# field arguments may carry leading batch axes (one row per path), with
+# ``dw`` of shape (*batch, K); means and mode sums are taken row by row.
+
+
+def _path_mean(g: Grid, x: np.ndarray) -> np.ndarray:
+    """Grid mean of each row of ``x``, kept broadcastable against ``x``;
+    bitwise np.mean of the row."""
+    return x.sum(axis=g.axes, keepdims=True) / g.size
+
+
+def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
+    """sum_k sigma_k dw_k g_k for each row of ``dw``."""
+    flat = (nm.sigmas * dw)[..., None, :] @ nm.modes.reshape(nm.nmodes, -1)
+    return flat.reshape(dw.shape[:-1] + nm.grid.shape)
+
+
+def _projected_modes(nm: NoiseModel, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """sum_k sigma_k dw_k (g_k v - mean(g_k v)) for each row of ``v``."""
+    scales = (nm.sigmas * dw).T                      # (K, *batch)
+    scales = scales.reshape(scales.shape + (1,) * nm.grid.ndims)
+    out = np.zeros(v.shape)
     for k in range(nm.nmodes):
-        col = nm.modes[k] * rho_y
-        col = col - np.mean(col)
-        out += nm.sigmas[k] * dw[k] * col
+        col = nm.modes[k] * v
+        col = col - _path_mean(nm.grid, col)
+        out += scales[k] * col
     return out
+
+
+def b_increment_values(nm: NoiseModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Array-level noise increment B(y) dw."""
+    if nm.nmodes == 0:
+        return np.zeros(y.shape)
+    if not nm.is_multiplicative:
+        return _mode_sum(nm, dw)
+    return _projected_modes(nm, nm.rho(y), dw)
 
 
 def db_increment_values(nm: NoiseModel, y: np.ndarray, z: np.ndarray,
                         dw: np.ndarray) -> np.ndarray:
     """Derivative of the noise operator in the state, applied to z."""
     if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(nm.grid.shape)
-    rz = nm.rho_prime(y) * z
-    out = np.zeros(nm.grid.shape)
-    for k in range(nm.nmodes):
-        col = nm.modes[k] * rz
-        col = col - np.mean(col)
-        out += nm.sigmas[k] * dw[k] * col
-    return out
+        return np.zeros(y.shape)
+    return _projected_modes(nm, nm.rho_prime(y) * z, dw)
 
 
 def db_adjoint_scaled_values(nm: NoiseModel, y: np.ndarray, p: np.ndarray,
@@ -377,10 +394,9 @@ def db_adjoint_scaled_values(nm: NoiseModel, y: np.ndarray, p: np.ndarray,
     Satisfies the exact discrete identity <DB(y)[z] dw, p>_H = <z, out>_H.
     """
     if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(nm.grid.shape)
-    p0 = p - np.mean(p)
-    weights = np.tensordot(nm.sigmas * dw, nm.modes, axes=(0, 0))
-    return nm.rho_prime(y) * weights * p0
+        return np.zeros(y.shape)
+    p0 = p - _path_mean(nm.grid, p)
+    return nm.rho_prime(y) * _mode_sum(nm, dw) * p0
 
 
 def apply_B(nm: NoiseModel, y: Field, dw) -> Field:

@@ -28,11 +28,16 @@ and ptilde satisfies, exactly in floating point up to rounding,
 for every direction h. The "continuous" backend discretizes the backward
 equation directly with the martingale term dropped; for additive noise the
 two differ by a one-step shift of coefficients, an O(tau) gap.
+
+:func:`solve_adjoint` sweeps every path of a batched trajectory at once,
+on arrays with a leading path axis; each path's costate is bitwise that of
+its own sweep. :func:`solve_linearized` runs along one path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,8 @@ from .physics import (
 from .state import (
     StateParams,
     Trajectory,
+    _by_step,
+    _increments,
     _step_spectral,
     control_values,
     series_l2h_norm,
@@ -92,12 +99,14 @@ class AdjointSolution:
     """Costate pair (p, ptilde) per time node; ptilde = -Lap p throughout.
 
     Only ptilde enters gradients and optimality conditions; p carries a
-    gauge fixed by propagating the terminal mean backward.
+    gauge fixed by propagating the terminal mean backward. The sweep stores
+    p; ptilde is computed from it when first read, bitwise the value the
+    sweep used. The solution of a batched trajectory carries its leading
+    path axis, and :meth:`path` gives one path's solution.
     """
 
     params: StateParams
-    ps: np.ndarray               # (nsteps+1, *grid.shape)
-    ptildes: np.ndarray          # (nsteps+1, *grid.shape)
+    ps: np.ndarray               # ([npaths,] nsteps+1, *grid.shape)
     backend: str
     trunc: TruncationLevel
     warning: str | None = None
@@ -105,6 +114,24 @@ class AdjointSolution:
     @property
     def grid(self) -> Grid:
         return self.params.grid
+
+    @cached_property
+    def ptildes(self) -> np.ndarray:
+        """-Lap p at every node, shaped like ``ps``."""
+        return -lap_values(self.grid, self.ps)
+
+    @property
+    def npaths(self) -> int | None:
+        """Number of paths in a batch; None for a single-path solution."""
+        return self.ps.shape[0] if self.ps.ndim == self.grid.ndims + 2 else None
+
+    def path(self, i: int) -> "AdjointSolution":
+        """Path ``i`` of a batch; its ``ps`` is a view into the batch's."""
+        if self.npaths is None:
+            raise ConfigurationError("a single-path solution has no path axis")
+        return AdjointSolution(params=self.params, ps=self.ps[i],
+                               backend=self.backend, trunc=self.trunc,
+                               warning=self.warning)
 
     def p(self, n: int) -> Field:
         return Field(self.grid, self.ps[n])
@@ -120,6 +147,9 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
     increments and stabilization, so the scheme is the exact differential of
     the state stepper when the curvature clamp is inactive.
     """
+    if traj.npaths is not None:
+        raise ConfigurationError("solve_linearized runs along one path; "
+                                 "pass one path of the batch")
     p = traj.params
     g = p.grid
     tg = p.timegrid
@@ -143,7 +173,7 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
 
 
 def _tracking_sources(traj: Trajectory, x_q, x_t, alphas):
-    """Returns (alpha1*(y_n - xQ_n))_n and alpha2*(y_N - x_T)."""
+    """Returns (alpha1*(y_n - xQ_n))_n and alpha2*(y_N - x_T) along one path."""
     a1, a2, _ = alphas
     tg = traj.timegrid
     g = traj.grid
@@ -156,8 +186,11 @@ def _tracking_sources(traj: Trajectory, x_q, x_t, alphas):
 
 def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_transpose",
                   trunc=NO_TRUNCATION) -> AdjointSolution:
-    """Backward costate sweep along one path.
+    """Backward costate sweep along one path, or along every path of a
+    batched trajectory at once.
 
+    For a batch each target is shared by the paths or given per path, with
+    a leading npaths axis, and the solution carries the path axis.
     ``backend`` selects the exact transpose of the linearized recursion or a
     direct backward discretization of the continuous adjoint equation. The
     continuous backend drops the martingale term; with multiplicative noise
@@ -169,49 +202,62 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
     g = p.grid
     tg = p.timegrid
     trunc = TruncationLevel.coerce(trunc)
-    dist, terminal = _tracking_sources(traj, x_q, x_t, alphas)
+    a1, a2, _ = alphas
+    batched = traj.npaths is not None
+    xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
+    # arrays indexed by step first, as in the state sweep
+    nsteps = tg.nsteps
+    ys = _by_step(traj.ys, batched)
+    if xq is not None:
+        xq = _by_step(xq, xq.ndim == g.ndims + 2)    # per-path target
+    zero = np.zeros(ys.shape[1:])
+    axes = g.transform_axes(zero)
     tau = tg.tau
     sym = p.implicit_symbol
     nm = p.noise
     s = p.stabilization
+    noisy = nm.is_multiplicative and nm.nmodes > 0
+    if noisy:
+        dw_n = _increments(traj.wiener) if batched else traj.wiener.increments
 
-    ps = np.zeros((tg.nsteps + 1,) + g.shape)
-    pts = np.zeros((tg.nsteps + 1,) + g.shape)
+    def dist(n):
+        """alpha1 * (y_n - xQ_n)."""
+        return a1 * (ys[n] - xq[n]) if a1 != 0.0 else zero
+
+    terminal = a2 * (ys[nsteps] - xt) if a2 != 0.0 else zero
+    ps = np.zeros(traj.ys.shape)
+    ps_n = _by_step(ps, batched)
     warning = None
 
     if backend == "discrete_transpose":
         costate = terminal.copy()              # P_N
-        ps[tg.nsteps] = costate
-        pts[tg.nsteps] = -lap_values(g, costate)
-        for n in range(tg.nsteps - 1, -1, -1):
-            p_n = _idct(_dct(costate) / sym)
+        ps_n[nsteps] = costate
+        for n in range(nsteps - 1, -1, -1):
+            p_n = _idct(_dct(costate, axes) / sym, axes)
             pt_n = -lap_values(g, p_n)
-            ps[n] = p_n
-            pts[n] = pt_n
-            c_n = trunc.clamp(p.potential.psi_second(traj.ys[n]))
-            costate = tau * dist[n] + p_n - tau * (c_n - s) * pt_n
-            if nm.is_multiplicative and nm.nmodes:
-                costate = costate + db_adjoint_scaled_values(
-                    nm, traj.ys[n], p_n, traj.wiener.increments[n]
-                )
+            ps_n[n] = p_n
+            c_n = trunc.clamp(p.potential.psi_second(ys[n]))
+            costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
+            if noisy:
+                costate = costate + db_adjoint_scaled_values(nm, ys[n], p_n, dw_n[n])
     else:
-        if nm.is_multiplicative and nm.nmodes:
+        if noisy:
             warning = (
                 "continuous backend drops the martingale and noise-derivative "
                 "terms; biased for multiplicative noise"
             )
         pv = terminal.copy()
-        ps[tg.nsteps] = pv
-        pts[tg.nsteps] = -lap_values(g, pv)
-        for n in range(tg.nsteps - 1, -1, -1):
-            c_n = trunc.clamp(p.potential.psi_second(traj.ys[n]))
-            rhs = pv - tau * (c_n - s) * pts[n + 1] + tau * dist[n]
-            pv = _idct(_dct(rhs) / sym)
-            ps[n] = pv
-            pts[n] = -lap_values(g, pv)
+        pt = -lap_values(g, pv)
+        ps_n[nsteps] = pv
+        for n in range(nsteps - 1, -1, -1):
+            c_n = trunc.clamp(p.potential.psi_second(ys[n]))
+            rhs = pv - tau * (c_n - s) * pt + tau * dist(n)
+            pv = _idct(_dct(rhs, axes) / sym, axes)
+            pt = -lap_values(g, pv)
+            ps_n[n] = pv
 
-    return AdjointSolution(params=p, ps=ps, ptildes=pts, backend=backend,
-                           trunc=trunc, warning=warning)
+    return AdjointSolution(params=p, ps=ps, backend=backend, trunc=trunc,
+                           warning=warning)
 
 
 def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolution,

@@ -14,10 +14,17 @@ transforms of y_{n+1} and of the chemical potential. The linearized solver
 runs the same step. The noise enters explicitly at the old iterate. Because
 the zero mode of Lap vanishes and mean-free noise has no zero mode, the
 spatial mean of y is conserved along every path.
+
+:func:`solve_state` integrates a batch of paths in one sweep: the arrays of
+a step carry a leading path axis, the transforms run over the grid axes
+only, and the noise and the blow-up guard act path by path. Each path's
+numbers are bitwise those of solving it alone. A single path runs the same
+loop on arrays without the path axis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,20 +162,24 @@ class StateParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and chemical potentials for one noise path.
+    """States and chemical potentials for one noise path or a batch of paths.
 
     ``ys`` stacks the nsteps+1 state fields, ``ws`` the nsteps chemical
     potentials evaluated at the step starts. The control values and the
     Wiener path that generated the trajectory are kept for the linearized
     and adjoint solvers. The free-energy series is computed when first read.
+
+    A batch (``wiener`` a tuple of paths) puts a leading path axis on
+    ``ys``, ``ws``, ``mass`` and, for a per-path control, on ``control``;
+    :meth:`path` gives one path's trajectory as views into those arrays.
     """
 
     params: StateParams
-    ys: np.ndarray               # (nsteps+1, *grid.shape)
-    ws: np.ndarray               # (nsteps,   *grid.shape)
-    control: np.ndarray          # (nsteps,   *grid.shape)
-    wiener: WienerPath
-    mass: np.ndarray             # (nsteps+1,)
+    ys: np.ndarray               # ([npaths,] nsteps+1, *grid.shape)
+    ws: np.ndarray               # ([npaths,] nsteps,   *grid.shape)
+    control: np.ndarray          # ([npaths,] nsteps,   *grid.shape)
+    wiener: WienerPath | tuple[WienerPath, ...]
+    mass: np.ndarray             # ([npaths,] nsteps+1)
 
     @property
     def grid(self) -> Grid:
@@ -178,11 +189,28 @@ class Trajectory:
     def timegrid(self) -> TimeGrid:
         return self.params.timegrid
 
+    @property
+    def npaths(self) -> int | None:
+        """Number of paths in a batch; None for a single-path trajectory."""
+        return len(self.wiener) if isinstance(self.wiener, tuple) else None
+
+    def path(self, i: int) -> "Trajectory":
+        """Path ``i`` of a batch, as views into the batch's arrays."""
+        if self.npaths is None:
+            raise ConfigurationError("a single-path trajectory has no path axis")
+        per_path = self.control.ndim == self.grid.ndims + 2
+        return Trajectory(params=self.params, ys=self.ys[i], ws=self.ws[i],
+                          control=self.control[i] if per_path else self.control,
+                          wiener=self.wiener[i], mass=self.mass[i])
+
     @cached_property
     def energy(self) -> np.ndarray:
-        """Free energy of every state, shape (nsteps+1,)."""
+        """Free energy of every state, shape ([npaths,] nsteps+1)."""
+        g = self.grid
         pot = self.params.potential
-        return np.array([_energy_values(self.grid, y, pot) for y in self.ys])
+        states = self.ys.reshape((-1,) + g.shape)
+        return np.array([_energy_values(g, y, pot)
+                         for y in states]).reshape(self.ys.shape[:-g.ndims])
 
     def y(self, n: int) -> Field:
         return Field(self.grid, self.ys[n])
@@ -191,43 +219,44 @@ class Trajectory:
         return Field(self.grid, self.ws[n])
 
 
-def control_values(u, tg: TimeGrid, grid: Grid) -> np.ndarray:
+def control_values(u, tg: TimeGrid, grid: Grid, npaths: int | None = None) -> np.ndarray:
     """Normalize a control argument to a (nsteps, *grid.shape) array.
 
     Accepts None (zero control), an array, or any object with a ``values``
-    array of the right shape.
+    array of the right shape. With ``npaths`` a per-path control of shape
+    (npaths, nsteps, *grid.shape) is accepted as well.
     """
-    if u is None:
-        return np.zeros((tg.nsteps,) + grid.shape)
-    values = getattr(u, "values", u)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (tg.nsteps,) + grid.shape:
-        raise ConfigurationError(
-            f"control shape {values.shape} != {(tg.nsteps,) + grid.shape}"
-        )
-    return values
+    return _series_array(u, (tg.nsteps,) + grid.shape, "control", npaths)
 
 
-def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid):
+def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid,
+                  npaths: int | None = None):
     """Normalize the tracking targets the cost weights read.
 
     Returns (xQ, xT) as arrays of shapes (nsteps, *grid.shape) and
-    grid.shape; None stands for a zero target. A target whose weight is zero
-    is not read and comes back as None. A target of another shape is a
-    :class:`ConfigurationError`.
+    grid.shape; None stands for a zero target. With ``npaths`` a target may
+    also be given per path, with a leading npaths axis. A target whose
+    weight is zero is not read and comes back as None. A target of another
+    shape is a :class:`ConfigurationError`.
     """
     a1, a2, _ = alphas
-    xq = (_target_array(x_q, (tg.nsteps,) + grid.shape, "distributed")
+    xq = (_series_array(x_q, (tg.nsteps,) + grid.shape, "distributed target", npaths)
           if a1 != 0.0 else None)
-    xt = _target_array(x_t, grid.shape, "terminal") if a2 != 0.0 else None
+    xt = (_series_array(x_t, grid.shape, "terminal target", npaths)
+          if a2 != 0.0 else None)
     return xq, xt
 
 
-def _target_array(x, shape, kind: str) -> np.ndarray:
-    values = (np.zeros(shape) if x is None
-              else np.asarray(getattr(x, "values", x), dtype=float))
-    if values.shape != shape:
-        raise ConfigurationError(f"{kind} target shape {values.shape} != {shape}")
+def _series_array(x, shape, kind: str, npaths: int | None) -> np.ndarray:
+    """``x`` as a float array of ``shape`` or, given ``npaths``, of
+    (npaths, *shape); None is zero."""
+    if x is None:
+        return np.zeros(shape)
+    values = np.asarray(getattr(x, "values", x), dtype=float)
+    if values.shape != shape and (npaths is None
+                                  or values.shape != (npaths,) + shape):
+        wanted = f"{shape}" if npaths is None else f"{shape} or {(npaths,) + shape}"
+        raise ConfigurationError(f"{kind} shape {values.shape} != {wanted}")
     return values
 
 
@@ -246,16 +275,18 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
     Solves (I + tau*Lap^2 - tau*S*Lap) x_next
         = x + tau*Lap(reaction - S*x - source) + noise,
     where ``x_hat`` is the transform of ``x`` and ``noise`` may be None.
-    Returns (x_next, x_next_hat, -Lap x + reaction - source).
+    Returns (x_next, x_next_hat, -Lap x + reaction - source). The arrays may
+    carry leading batch axes; the transforms run over the grid axes.
     """
     lam = p.grid.lap_symbol
+    axes = p.grid.transform_axes(x)
     explicit = reaction - p.stabilization * x - source
-    rhs_hat = x_hat + p.timegrid.tau * lam * _dct_values(explicit)
+    rhs_hat = x_hat + p.timegrid.tau * lam * _dct_values(explicit, axes)
     if noise is not None:
-        rhs_hat = rhs_hat + _dct_values(noise)
+        rhs_hat = rhs_hat + _dct_values(noise, axes)
     x_next_hat = rhs_hat / p.implicit_symbol
-    x_next = _idct_values(x_next_hat)
-    potential = _idct_values(-lam * x_hat) + reaction - source
+    x_next = _idct_values(x_next_hat, axes)
+    potential = _idct_values(-lam * x_hat, axes) + reaction - source
     return x_next, x_next_hat, potential
 
 
@@ -272,54 +303,88 @@ def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
     noise = b_increment_values(params.noise, y, dw_n) if params.noise.nmodes else None
     y_next, _, w_n = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
                                     u_n.values, noise, params)
-    _guard(y_next, 0, params.blowup_threshold)
+    _guard(y_next, 0, params.blowup_threshold, [None], False)
     return Field(params.grid, y_next), Field(params.grid, w_n)
 
 
-def _guard(values: np.ndarray, step: int, threshold: float, seed=None) -> None:
+def _guard(values: np.ndarray, step: int, threshold: float, seeds,
+           batched: bool) -> None:
+    """Raise :class:`BlowUpError` when a path of ``values`` (one per seed)
+    is not finite or exceeds the threshold, naming the lowest such path."""
     top = float(np.max(np.abs(values)))
-    if not np.isfinite(top) or top > threshold:
-        raise BlowUpError(step, top, seed)
+    if np.isfinite(top) and top <= threshold:
+        return
+    rows = np.max(np.abs(values).reshape(len(seeds), -1), axis=1)
+    i = int(np.argmax(~np.isfinite(rows) | (rows > threshold)))
+    raise BlowUpError(step, float(rows[i]), seeds[i], i if batched else None)
 
 
-def solve_state(y0: Field, u, wp: WienerPath, params: StateParams) -> Trajectory:
-    """Integrate the state system along one noise path.
+def solve_state(y0: Field, u, paths: WienerPath | Sequence[WienerPath],
+                params: StateParams) -> Trajectory:
+    """Integrate the state system along one noise path or a batch of paths.
 
-    Deterministic given (y0, control, wp); records the mass series. Raises
-    :class:`BlowUpError`, carrying the path's seed, instead of clipping
-    runaway states.
+    ``paths`` is one :class:`WienerPath` or a sequence of them. A sequence
+    is integrated in one sweep and the trajectory carries a leading path
+    axis; ``u`` is then shared by every path or given per path, with shape
+    (npaths, nsteps, *grid.shape). Each path's result is bitwise that of
+    solving it alone.
+
+    Deterministic given (y0, control, paths); records the mass series.
+    Raises :class:`BlowUpError` instead of clipping runaway states. It names
+    the earliest step at which a path blew up and, at that step, the lowest
+    blown-up path: its seed and, in a batch, its index.
     """
     g = params.grid
     tg = params.timegrid
+    batched = not isinstance(paths, WienerPath)
+    batch = tuple(paths) if batched else (paths,)
     if y0.grid != g:
         raise ConfigurationError("initial datum lives on a different grid")
-    if wp.timegrid != tg:
+    if not batch:
+        raise ConfigurationError("need at least one Wiener path")
+    if any(wp.timegrid != tg for wp in batch):
         raise ConfigurationError("Wiener path sampled on a different time grid")
-    if wp.nmodes != params.noise.nmodes:
+    if any(wp.nmodes != params.noise.nmodes for wp in batch):
         raise ConfigurationError("Wiener path has a different number of modes")
-    uvals = control_values(u, tg, g)
+    uvals = control_values(u, tg, g, len(batch) if batched else None)
 
+    # A batch runs with a leading path axis on every array of a step; the
+    # *_n arrays are views indexed by step first.
+    lead = (len(batch),) if batched else ()
     nsteps = tg.nsteps
-    ys = np.empty((nsteps + 1,) + g.shape)
-    ws = np.empty((nsteps,) + g.shape)
-    mass = np.empty(nsteps + 1)
+    ys = np.empty(lead + (nsteps + 1,) + g.shape)
+    ws = np.empty(lead + (nsteps,) + g.shape)
+    ys_n, ws_n = _by_step(ys, batched), _by_step(ws, batched)
+    u_n = _by_step(uvals, uvals.ndim == g.ndims + 2)    # per-path control
+    dw_n = _increments(batch) if batched else paths.increments
     nm = params.noise
     noisy = nm.nmodes > 0
     psi_prime = params.potential.psi_prime
+    seeds = [wp.seed for wp in batch]
 
-    y = y0.values.copy()
-    y_hat = _dct_values(y)
-    ys[0] = y
-    mass[0] = np.mean(y)
+    y = np.repeat(y0.values[None], len(batch), axis=0) if batched else y0.values.copy()
+    y_hat = _dct_values(y, g.transform_axes(y))
+    ys_n[0] = y
     for n in range(nsteps):
-        noise = b_increment_values(nm, y, wp.increments[n]) if noisy else None
-        y, y_hat, ws[n] = _step_spectral(y, y_hat, psi_prime(y), uvals[n], noise,
-                                         params)
-        _guard(y, n, params.blowup_threshold, wp.seed)
-        ys[n + 1] = y
-        mass[n + 1] = np.mean(y)
-    return Trajectory(params=params, ys=ys, ws=ws, control=uvals, wiener=wp,
-                      mass=mass)
+        noise = b_increment_values(nm, y, dw_n[n]) if noisy else None
+        y, y_hat, ws_n[n] = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise,
+                                           params)
+        _guard(y, n, params.blowup_threshold, seeds, batched)
+        ys_n[n + 1] = y
+    mass = ys.sum(axis=g.axes) / g.size
+    return Trajectory(params=params, ys=ys, ws=ws, control=uvals,
+                      wiener=batch if batched else paths, mass=mass)
+
+
+def _by_step(a: np.ndarray, batched: bool) -> np.ndarray:
+    """A view of ``a`` indexed by step first: a batch's (npaths, steps, ...)
+    as (steps, npaths, ...), a single path's array as it is."""
+    return np.moveaxis(a, 1, 0) if batched else a
+
+
+def _increments(paths) -> np.ndarray:
+    """The Brownian increments of a batch of paths, shape (nsteps, npaths, K)."""
+    return np.stack([wp.increments for wp in paths], axis=1)
 
 
 def _energy_values(g: Grid, values: np.ndarray, pot: Potential) -> float:

@@ -187,23 +187,36 @@ def test_gradient_matches_central_differences(trial):
 
 
 def test_gradient_per_path_control():
+    # a per-path control with per-path synthetic targets: the batched
+    # gradient is bitwise the single-path solves, path by path
     problem, es = _problem(npaths=3, alphas=(1.0, 1.0, 1e-2))
-    g, tg = problem.params.grid, problem.params.timegrid
+    params = problem.params
+    g, tg = params.grid, params.timegrid
     rng = np.random.default_rng(8)
     vals = np.stack([
         np.stack([low_pass_field(g, rng, 0.2).values for _ in range(tg.nsteps)])
         for _ in range(es.npaths)
     ])
     u = ControlProcess(g, tg, vals, c0=1.0, per_path=True)
-    grad = gradient(u, es, problem)
+    paths = es.sample_paths(params)
+    u_ref = _smooth_control(problem, 9, amplitude=0.4)
+    refs = [solve_state(problem.y0, u_ref.values, wp, params) for wp in paths]
+    from dataclasses import replace
+    synth = replace(problem, x_q=np.stack([t.ys[: tg.nsteps] for t in refs]),
+                    x_t=np.stack([t.ys[tg.nsteps] for t in refs]))
+    grad = gradient(u, es, synth)
     assert grad.shape == vals.shape
+    for i, wp in enumerate(paths):
+        traj = solve_state(problem.y0, vals[i], wp, params)
+        adj = solve_adjoint(traj, synth.x_q[i], synth.x_t[i], synth.alphas)
+        assert np.array_equal(grad[i], adj.ptildes[: tg.nsteps] + 1e-2 * vals[i])
 
 
 def test_given_states_change_no_bits():
     problem, es = _problem()
     u = _smooth_control(problem, 3)
     paths = es.sample_paths(problem.params)
-    states = [solve_state(problem.y0, u.values, wp, problem.params) for wp in paths]
+    states = solve_state(problem.y0, u.values, paths, problem.params)
     assert (reduced_cost(u, es, problem, paths, states)
             == reduced_cost(u, es, problem))
     assert np.array_equal(gradient(u, es, problem, paths, states),
@@ -267,8 +280,9 @@ def test_optimize_huge_tol_stops_immediately():
 
 @pytest.mark.parametrize("tol", [1e-300, 1e6])
 def test_optimize_solves_each_control_once(monkeypatch, tol):
-    # every state path is solved once per control: the starting cost and
-    # each trial; the gradient and the residual reuse those trajectories
+    # the ensemble is solved in one sweep per control: the starting cost and
+    # each trial; the gradient and the residual reuse those trajectories, and
+    # each gradient is one adjoint sweep
     problem, es = _problem(grid_n=16, npaths=2)
     counts = {"state": 0, "adjoint": 0, "cost": 0}
 
@@ -289,8 +303,8 @@ def test_optimize_solves_each_control_once(monkeypatch, tol):
     trials = counts["cost"] - 1
     assert res.n_iterations == (3 if tol < 1 else 0)
     assert trials >= res.n_iterations
-    assert counts["state"] == (1 + trials) * es.npaths
-    assert counts["adjoint"] == (res.n_iterations + 1) * es.npaths
+    assert counts["state"] == 1 + trials
+    assert counts["adjoint"] == res.n_iterations + 1
 
 
 def test_optimize_history_golden():

@@ -2,8 +2,9 @@
 
 Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
 and a potential, then checks one identity of the discrete system: duality
-to rounding, per-path mass conservation, idempotent projection, and the
-field-level Laplacian against the array-level one.
+to rounding, per-path mass conservation, idempotent projection, the
+field-level Laplacian against the array-level one, and batched sweeps
+against path-by-path solves, bit for bit.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from choc import (
 )
 from choc.grid import lap_values, low_pass_field
 from choc.physics import no_noise
+from choc.sensitivity import BACKENDS
 from choc.state import StateParams
 
 # A fixed example sequence and no example database: the suite gives the same
@@ -128,3 +130,42 @@ def test_projection_idempotent(g, nsteps, npaths, per_path, amplitude, c0, seed)
 def test_laplacian_is_lap_values(g, seed):
     values = np.random.default_rng(seed).standard_normal(g.shape)
     assert np.array_equal(laplacian(Field(g, values)).values, lap_values(g, values))
+
+
+@PROPERTIES
+@given(params=state_params(), seed=seeds, npaths=st.integers(1, 4),
+       per_path_control=st.booleans(), per_path_targets=st.booleans(),
+       backend=st.sampled_from(BACKENDS))
+def test_batch_is_serial(params, seed, npaths, per_path_control,
+                         per_path_targets, backend):
+    rng = np.random.default_rng(seed)
+    alphas = (0.7, 1.3, 0.0)
+    y0 = low_pass_field(params.grid, rng, 0.4)
+
+    def per_path(draw, flag):
+        return np.stack([draw() for _ in range(npaths)]) if flag else draw()
+
+    u = per_path(lambda: _smooth_series(params, rng, 0.5), per_path_control)
+    x_q = per_path(lambda: _smooth_series(params, rng, 0.3), per_path_targets)
+    x_t = per_path(lambda: low_pass_field(params.grid, rng, 0.3).values,
+                   per_path_targets)
+    paths = [sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
+             for i in range(npaths)]
+    batch = solve_state(y0, u, paths, params)
+    adj = solve_adjoint(batch, x_q, x_t, alphas, backend)
+    assert batch.npaths == adj.npaths == npaths
+    for i, wp in enumerate(paths):
+        def pick(x, flag):
+            return x[i] if flag else x
+        traj = solve_state(y0, pick(u, per_path_control), wp, params)
+        view = batch.path(i)
+        assert np.shares_memory(view.ys, batch.ys)
+        assert np.array_equal(view.ys, traj.ys)
+        assert np.array_equal(view.ws, traj.ws)
+        assert np.array_equal(view.mass, traj.mass)
+        assert np.array_equal(view.control, traj.control)
+        assert view.wiener is wp
+        alone = solve_adjoint(traj, pick(x_q, per_path_targets),
+                              pick(x_t, per_path_targets), alphas, backend)
+        assert np.array_equal(adj.ps[i], alone.ps)
+        assert np.array_equal(adj.ptildes[i], alone.ptildes)

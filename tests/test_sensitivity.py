@@ -150,6 +150,30 @@ def test_linearized_grid_mismatch(small_params, rng):
         solve_linearized(traj, np.zeros((7,) + small_params.grid.shape))
 
 
+def test_batched_trajectory_rejected_by_linearized(small_params, rng):
+    # the linearized sweep runs along one path; one path of the batch works
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    paths = [sample_wiener_path(small_params.noise, small_params.timegrid, s)
+             for s in (1, 2)]
+    batch = solve_state(y0, None, paths, small_params)
+    h = _random_direction(small_params, rng)
+    with pytest.raises(ConfigurationError):
+        solve_linearized(batch, h)
+    assert np.array_equal(solve_linearized(batch.path(1), h).zs,
+                          solve_linearized(solve_state(y0, None, paths[1],
+                                                       small_params), h).zs)
+
+
+def test_batched_adjoint_rejects_target_of_other_path_count(small_params, rng):
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    paths = [sample_wiener_path(small_params.noise, small_params.timegrid, s)
+             for s in (1, 2)]
+    batch = solve_state(y0, None, paths, small_params)
+    x_t = np.zeros((3,) + small_params.grid.shape)
+    with pytest.raises(ConfigurationError, match=r"terminal target shape \(3, 32\)"):
+        solve_adjoint(batch, None, x_t, (0.0, 1.0, 0.0))
+
+
 # --- adjoint solver ------------------------------------------------------------
 
 

@@ -260,6 +260,58 @@ def test_blowup_seed_replays_path(grid64, rng):
                                                          err.value.max_abs)
 
 
+def test_blowup_in_batch_names_earliest_step(grid64, rng):
+    # in one sweep the error names the earliest step at which any path blew
+    # up and, at that step, the lowest such path; here a later path blows up
+    # before an earlier one does
+    nm = additive_noise(grid64, [30.0, 30.0])
+    params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 20),
+                         potential=double_well(), noise=nm)
+    y0 = low_pass_field(grid64, rng, 0.4)
+    paths = EnsembleSpec(6, 31).sample_paths(params)
+    # tops[i, n]: the largest |y| the guard sees after step n of path i
+    tops = np.array([np.max(np.abs(solve_state(y0, None, wp, params).ys[1:]),
+                            axis=1) for wp in paths])
+
+    def first_steps(threshold):
+        return {i: int(np.argmax(row > threshold))
+                for i, row in enumerate(tops) if np.any(row > threshold)}
+
+    # a threshold at which two paths blow up at different steps, and a
+    # higher-indexed path first
+    for threshold in np.sort(tops.ravel())[::-1]:
+        steps = first_steps(threshold)
+        if len(set(steps.values())) < 2:
+            continue
+        earliest = min(steps.values())
+        culprit = min(i for i, n in steps.items() if n == earliest)
+        if culprit != min(steps):
+            break
+    else:
+        pytest.fail("no threshold separates the paths' blow-up steps")
+    fragile = replace(params, blowup_threshold=float(threshold))
+    with pytest.raises(BlowUpError) as err:
+        solve_state(y0, None, paths, fragile)
+    assert err.value.step == earliest
+    assert err.value.path == culprit
+    assert err.value.seed == paths[culprit].seed
+    assert err.value.max_abs == tops[culprit, earliest]
+    # the named path alone replays the same blow-up
+    with pytest.raises(BlowUpError) as alone:
+        solve_state(y0, None, paths[culprit], fragile)
+    assert (alone.value.step, alone.value.max_abs) == (earliest, err.value.max_abs)
+    assert alone.value.path is None
+    # every path blows up at step 0, the first with the smallest value: the
+    # lowest index is named, not the largest value
+    order = np.argsort(tops[:, 0])
+    low = replace(params, blowup_threshold=0.5 * float(tops[:, 0].min()))
+    with pytest.raises(BlowUpError) as first:
+        solve_state(y0, None, [paths[i] for i in order], low)
+    assert (first.value.step, first.value.path) == (0, 0)
+    assert first.value.seed == paths[order[0]].seed
+    assert first.value.max_abs == tops[order[0], 0]
+
+
 def test_timegrid_mismatch_rejected(small_params, rng):
     y0 = low_pass_field(small_params.grid, rng, 0.4)
     wrong = sample_wiener_path(small_params.noise, TimeGrid(0.02, 41), 0)

@@ -33,6 +33,19 @@ def test_trace_sees_every_layer(tracing):
     h = random_smooth_control(build.problem, 5)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
+    sweeps = []     # (solver, path count) of each sweep the control layer runs
+    traced = {name: getattr(choc.control, name)
+              for name in ("solve_state", "solve_adjoint")}
+
+    def sized(name):
+        def wrapper(*args, **kwargs):
+            out = traced[name](*args, **kwargs)
+            sweeps.append((name, out.npaths))
+            return out
+        return wrapper
+
+    for name in traced:
+        setattr(choc.control, name, sized(name))
     try:
         build = tracing.wrap_potential(build, tracer)
         problem, es = build.problem, build.ensemble
@@ -56,6 +69,8 @@ def test_trace_sees_every_layer(tracing):
             counts[name] = dict(tracer.counts)
             counts[name]["spans"] = {s[0] for s in tracer.spans}
     finally:
+        for name, fn in traced.items():
+            setattr(choc.control, name, fn)
         uninstall()
 
     for name, c in counts.items():
@@ -65,7 +80,10 @@ def test_trace_sees_every_layer(tracing):
     assert counts["solve_state"]["state.solves"] == 1
     assert counts["solve_linearized"]["sensitivity.linearized.solves"] == 1
     assert counts["solve_adjoint"]["sensitivity.adjoint.solves"] == 1
+    # the control layer solves the ensemble in one sweep per equation
     for name in ("reduced_cost", "gradient"):
         assert f"control.{name}" in counts[name]["spans"]
-        assert counts[name]["state.solves"] == es.npaths
-    assert counts["gradient"]["sensitivity.adjoint.solves"] == es.npaths
+        assert counts[name]["state.solves"] == 1
+    assert counts["gradient"]["sensitivity.adjoint.solves"] == 1
+    assert sweeps == [("solve_state", es.npaths), ("solve_state", es.npaths),
+                      ("solve_adjoint", es.npaths)]
