@@ -229,7 +229,7 @@ def inner_h(x: Field, z: Field) -> float:
 
 
 def norm_h(x: Field) -> float:
-    return float(np.sqrt(np.sum(x.values**2) * x.grid.cell_volume))
+    return float(norm_h_values(x.grid, x.values))
 
 
 def grad_norm_sq(x: Field) -> float:
@@ -238,17 +238,41 @@ def grad_norm_sq(x: Field) -> float:
     Defined as the quadratic form of minus the Laplacian so that discrete
     integration by parts is exact.
     """
-    g = x.grid
-    coeffs = _dct(x.values)
-    return float(np.sum((-g.lap_symbol) * coeffs**2) * g.cell_volume)
+    return float(grad_norm_sq_values(x.grid, x.values))
 
 
 def norm_v(x: Field) -> float:
-    return float(np.sqrt(norm_h(x) ** 2 + grad_norm_sq(x)))
+    return float(norm_v_values(x.grid, x.values))
 
 
 def norm_z(x: Field) -> float:
-    return float(np.sqrt(norm_v(x) ** 2 + norm_h(laplacian(x)) ** 2))
+    return float(norm_z_values(x.grid, x.values))
+
+
+# Array-level norms: leading axes of ``values`` are a batch, and each field
+# of the batch gets the bits of its field-level norm. A norm built on
+# another one squares it with np.float_power, which calls the C library's
+# pow as Python's float ** does; np.square rounds differently in about one
+# case in a thousand.
+
+
+def norm_h_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(values**2, axis=grid.axes) * grid.cell_volume)
+
+
+def grad_norm_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    coeffs = _dct(values, grid.transform_axes(values))
+    return np.sum((-grid.lap_symbol) * coeffs**2, axis=grid.axes) * grid.cell_volume
+
+
+def norm_v_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.float_power(norm_h_values(grid, values), 2)
+                   + grad_norm_sq_values(grid, values))
+
+
+def norm_z_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.float_power(norm_v_values(grid, values), 2)
+                   + np.float_power(norm_h_values(grid, lap_values(grid, values)), 2))
 
 
 def inverse_neumann_laplacian(x: Field, mean_tol: float = 1e-10) -> Field:

@@ -29,9 +29,9 @@ for every direction h. The "continuous" backend discretizes the backward
 equation directly with the martingale term dropped; for additive noise the
 two differ by a one-step shift of coefficients, an O(tau) gap.
 
-:func:`solve_adjoint` sweeps every path of a batched trajectory at once,
-on arrays with a leading path axis; each path's costate is bitwise that of
-its own sweep. :func:`solve_linearized` runs along one path.
+:func:`solve_linearized` and :func:`solve_adjoint` sweep every path of a
+batched trajectory at once, on arrays with a leading path axis; each path's
+sensitivity and costate are bitwise those of its own sweep.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .state import (
     Trajectory,
     _by_step,
     _increments,
+    _starts,
     _step_spectral,
     control_values,
     series_l2h_norm,
@@ -76,16 +77,47 @@ BACKENDS = ("discrete_transpose", "continuous")
 
 @dataclass(frozen=True)
 class LinearizedSolution:
-    """Directional state sensitivity z and its potential mu along one path."""
+    """Directional state sensitivity z along a trajectory's paths.
 
-    params: StateParams
-    zs: np.ndarray               # (nsteps+1, *grid.shape), zs[0] = 0
-    mus: np.ndarray              # (nsteps,   *grid.shape)
+    ``zs`` stacks the nsteps+1 sensitivities from z_0 = 0 in the direction
+    ``h``, which the paths share. The solution of a batched trajectory
+    carries its leading path axis, and :meth:`path` gives one path's
+    solution as views. The linearized potential
+    mu_n = -Lap z_n + C_n z_n - h_n at the step starts is computed when
+    first read.
+    """
+
+    traj: Trajectory
+    h: np.ndarray                # (nsteps, *grid.shape)
+    zs: np.ndarray               # ([npaths,] nsteps+1, *grid.shape), zs[0] = 0
     trunc: TruncationLevel
+
+    @property
+    def params(self) -> StateParams:
+        return self.traj.params
 
     @property
     def grid(self) -> Grid:
         return self.params.grid
+
+    @property
+    def npaths(self) -> int | None:
+        """Number of paths in a batch; None for a single-path solution."""
+        return self.traj.npaths
+
+    def path(self, i: int) -> "LinearizedSolution":
+        """Path ``i`` of a batch; its ``zs`` is a view into the batch's."""
+        return LinearizedSolution(traj=self.traj.path(i), h=self.h,
+                                  zs=self.zs[i], trunc=self.trunc)
+
+    @cached_property
+    def mus(self) -> np.ndarray:
+        """mu_n at every step start, shape ([npaths,] nsteps, *grid.shape)."""
+        batched = self.npaths is not None
+        z = _starts(self.zs, batched)
+        curvature = self.trunc.clamp(self.params.potential.psi_second(
+            _starts(self.traj.ys, batched)))
+        return -lap_values(self.grid, z) + curvature * z - self.h
 
     def z(self, n: int) -> Field:
         return Field(self.grid, self.zs[n])
@@ -141,15 +173,14 @@ class AdjointSolution:
 
 
 def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolution:
-    """Integrate the linearized system along the trajectory's noise path.
+    """Integrate the linearized system along the trajectory's noise path, or
+    along every path of a batched trajectory at once.
 
     Runs the state's step function on the trajectory's stored Wiener
     increments and stabilization, so the scheme is the exact differential of
-    the state stepper when the curvature clamp is inactive.
+    the state stepper when the curvature clamp is inactive. The direction
+    ``h`` is shared by the paths of a batch.
     """
-    if traj.npaths is not None:
-        raise ConfigurationError("solve_linearized runs along one path; "
-                                 "pass one path of the batch")
     p = traj.params
     g = p.grid
     tg = p.timegrid
@@ -157,19 +188,22 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
     hvals = control_values(h, tg, g)
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
+    batched = traj.npaths is not None
+    # arrays indexed by step first, as in the state sweep
+    ys = _by_step(traj.ys, batched)
+    if noisy:
+        dw_n = _increments(traj.wiener) if batched else traj.wiener.increments
 
-    zs = np.zeros((tg.nsteps + 1,) + g.shape)
-    mus = np.zeros((tg.nsteps,) + g.shape)
-    z = np.zeros(g.shape)
-    z_hat = np.zeros(g.shape)
+    zs = np.zeros(traj.ys.shape)
+    zs_n = _by_step(zs, batched)
+    z = np.zeros(ys.shape[1:])
+    z_hat = np.zeros(ys.shape[1:])
     for n in range(tg.nsteps):
-        y_n = traj.ys[n]
-        noise = (db_increment_values(nm, y_n, z, traj.wiener.increments[n])
-                 if noisy else None)
-        reaction = trunc.clamp(p.potential.psi_second(y_n)) * z
-        z, z_hat, mus[n] = _step_spectral(z, z_hat, reaction, hvals[n], noise, p)
-        zs[n + 1] = z
-    return LinearizedSolution(params=p, zs=zs, mus=mus, trunc=trunc)
+        noise = db_increment_values(nm, ys[n], z, dw_n[n]) if noisy else None
+        reaction = trunc.clamp(p.potential.psi_second(ys[n])) * z
+        z, z_hat = _step_spectral(z, z_hat, reaction, hvals[n], noise, p)
+        zs_n[n + 1] = z
+    return LinearizedSolution(traj=traj, h=hvals, zs=zs, trunc=trunc)
 
 
 def _tracking_sources(traj: Trajectory, x_q, x_t, alphas):
@@ -284,18 +318,28 @@ def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolutio
     return lhs, rhs
 
 
-def convergence_in_truncation(traj: Trajectory, h, levels) -> list[dict]:
+def convergence_in_truncation(traj: Trajectory, h, levels) -> list:
     """Distance between linearized solutions at consecutive clamp levels.
 
     Once a level exceeds the largest curvature seen along the trajectory the
-    clamp is inactive and successive solutions coincide bit for bit.
+    clamp is inactive and successive solutions coincide bit for bit. A
+    batched trajectory is solved once per level for all its paths and gives
+    one table per path.
     """
     levels = [TruncationLevel.coerce(lv) for lv in levels]
     if any(b.level <= a.level for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("truncation levels must be strictly increasing")
+    sols = [solve_linearized(traj, h, lv) for lv in levels]
+    if traj.npaths is None:
+        return _truncation_table(traj, levels, sols)
+    return [_truncation_table(traj.path(i), levels, [s.path(i) for s in sols])
+            for i in range(traj.npaths)]
+
+
+def _truncation_table(traj: Trajectory, levels, sols) -> list[dict]:
+    """Rows of :func:`convergence_in_truncation` along one path."""
     tg = traj.timegrid
     g = traj.grid
-    sols = [solve_linearized(traj, h, lv) for lv in levels]
     max_curv = max_curvature(traj)
     rows = []
     for (la, sa), (lb, sb) in zip(zip(levels, sols), zip(levels[1:], sols[1:])):

@@ -8,10 +8,11 @@ the nonlinearity explicitly with a linear stabilization shift S:
 
 where Lap is the (negative semi-definite) Neumann Laplacian. The implicit
 operator is diagonal in the cosine basis and the step carries the cosine
-coefficients of y, so a step makes four transforms (three without noise):
-forward transforms of the explicit term and of the noise increment, inverse
-transforms of y_{n+1} and of the chemical potential. The linearized solver
-runs the same step. The noise enters explicitly at the old iterate. Because
+coefficients of y, so a step makes three transforms (two without noise):
+forward transforms of the explicit term and of the noise increment and an
+inverse transform of y_{n+1}. The chemical potential is not part of the
+step; a trajectory computes it when read. The linearized solver runs the
+same step. The noise enters explicitly at the old iterate. Because
 the zero mode of Lap vanishes and mean-free noise has no zero mode, the
 spatial mean of y is conserved along every path.
 
@@ -162,21 +163,20 @@ class StateParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and chemical potentials for one noise path or a batch of paths.
+    """States of one noise path or a batch of paths.
 
-    ``ys`` stacks the nsteps+1 state fields, ``ws`` the nsteps chemical
-    potentials evaluated at the step starts. The control values and the
+    ``ys`` stacks the nsteps+1 state fields. The control values and the
     Wiener path that generated the trajectory are kept for the linearized
-    and adjoint solvers. The free-energy series is computed when first read.
+    and adjoint solvers. The chemical potentials ``ws`` at the step starts
+    and the free-energy series are computed when first read.
 
     A batch (``wiener`` a tuple of paths) puts a leading path axis on
-    ``ys``, ``ws``, ``mass`` and, for a per-path control, on ``control``;
+    ``ys``, ``mass`` and, for a per-path control, on ``control``;
     :meth:`path` gives one path's trajectory as views into those arrays.
     """
 
     params: StateParams
     ys: np.ndarray               # ([npaths,] nsteps+1, *grid.shape)
-    ws: np.ndarray               # ([npaths,] nsteps,   *grid.shape)
     control: np.ndarray          # ([npaths,] nsteps,   *grid.shape)
     wiener: WienerPath | tuple[WienerPath, ...]
     mass: np.ndarray             # ([npaths,] nsteps+1)
@@ -199,9 +199,17 @@ class Trajectory:
         if self.npaths is None:
             raise ConfigurationError("a single-path trajectory has no path axis")
         per_path = self.control.ndim == self.grid.ndims + 2
-        return Trajectory(params=self.params, ys=self.ys[i], ws=self.ws[i],
+        return Trajectory(params=self.params, ys=self.ys[i],
                           control=self.control[i] if per_path else self.control,
                           wiener=self.wiener[i], mass=self.mass[i])
+
+    @cached_property
+    def ws(self) -> np.ndarray:
+        """Chemical potential w_n = -Lap y_n + psi'(y_n) - u_n at every step
+        start, shape ([npaths,] nsteps, *grid.shape)."""
+        starts = _starts(self.ys, self.npaths is not None)
+        return _chemical_potential_values(self.grid, starts, self.control,
+                                          self.params.potential)
 
     @cached_property
     def energy(self) -> np.ndarray:
@@ -264,8 +272,13 @@ def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:
     """w = -Lap y + psi'(y) - u."""
     if y.grid != u.grid:
         raise ConfigurationError("state and control live on different grids")
-    values = -lap_values(y.grid, y.values) + pot.psi_prime(y.values) - u.values
-    return Field(y.grid, values)
+    return Field(y.grid, _chemical_potential_values(y.grid, y.values, u.values, pot))
+
+
+def _chemical_potential_values(g: Grid, y: np.ndarray, u: np.ndarray,
+                               pot: Potential) -> np.ndarray:
+    """Array-level chemical potential; leading axes of ``y`` are a batch."""
+    return -lap_values(g, y) + pot.psi_prime(y) - u
 
 
 def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
@@ -275,8 +288,8 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
     Solves (I + tau*Lap^2 - tau*S*Lap) x_next
         = x + tau*Lap(reaction - S*x - source) + noise,
     where ``x_hat`` is the transform of ``x`` and ``noise`` may be None.
-    Returns (x_next, x_next_hat, -Lap x + reaction - source). The arrays may
-    carry leading batch axes; the transforms run over the grid axes.
+    Returns (x_next, x_next_hat). The arrays may carry leading batch axes;
+    the transforms run over the grid axes.
     """
     lam = p.grid.lap_symbol
     axes = p.grid.transform_axes(x)
@@ -285,9 +298,7 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
     if noise is not None:
         rhs_hat = rhs_hat + _dct_values(noise, axes)
     x_next_hat = rhs_hat / p.implicit_symbol
-    x_next = _idct_values(x_next_hat, axes)
-    potential = _idct_values(-lam * x_hat, axes) + reaction - source
-    return x_next, x_next_hat, potential
+    return _idct_values(x_next_hat, axes), x_next_hat
 
 
 def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
@@ -301,10 +312,10 @@ def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
         )
     y = y_n.values
     noise = b_increment_values(params.noise, y, dw_n) if params.noise.nmodes else None
-    y_next, _, w_n = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
-                                    u_n.values, noise, params)
+    y_next, _ = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
+                               u_n.values, noise, params)
     _guard(y_next, 0, params.blowup_threshold, [None], False)
-    return Field(params.grid, y_next), Field(params.grid, w_n)
+    return Field(params.grid, y_next), chemical_potential(y_n, u_n, params.potential)
 
 
 def _guard(values: np.ndarray, step: int, threshold: float, seeds,
@@ -353,8 +364,7 @@ def solve_state(y0: Field, u, paths: WienerPath | Sequence[WienerPath],
     lead = (len(batch),) if batched else ()
     nsteps = tg.nsteps
     ys = np.empty(lead + (nsteps + 1,) + g.shape)
-    ws = np.empty(lead + (nsteps,) + g.shape)
-    ys_n, ws_n = _by_step(ys, batched), _by_step(ws, batched)
+    ys_n = _by_step(ys, batched)
     u_n = _by_step(uvals, uvals.ndim == g.ndims + 2)    # per-path control
     dw_n = _increments(batch) if batched else paths.increments
     nm = params.noise
@@ -367,12 +377,11 @@ def solve_state(y0: Field, u, paths: WienerPath | Sequence[WienerPath],
     ys_n[0] = y
     for n in range(nsteps):
         noise = b_increment_values(nm, y, dw_n[n]) if noisy else None
-        y, y_hat, ws_n[n] = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise,
-                                           params)
+        y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise, params)
         _guard(y, n, params.blowup_threshold, seeds, batched)
         ys_n[n + 1] = y
     mass = ys.sum(axis=g.axes) / g.size
-    return Trajectory(params=params, ys=ys, ws=ws, control=uvals,
+    return Trajectory(params=params, ys=ys, control=uvals,
                       wiener=batch if batched else paths, mass=mass)
 
 
@@ -380,6 +389,11 @@ def _by_step(a: np.ndarray, batched: bool) -> np.ndarray:
     """A view of ``a`` indexed by step first: a batch's (npaths, steps, ...)
     as (steps, npaths, ...), a single path's array as it is."""
     return np.moveaxis(a, 1, 0) if batched else a
+
+
+def _starts(a: np.ndarray, batched: bool) -> np.ndarray:
+    """The step-start nodes 0..nsteps-1 of a ([npaths,] nsteps+1, ...) series."""
+    return a[:, :-1] if batched else a[:-1]
 
 
 def _increments(paths) -> np.ndarray:

@@ -4,7 +4,9 @@ continuous dependence, truncation convergence, and moment probes.
 Every check is a pure function of its inputs and seeds and emits a
 :class:`CheckReport` whose JSON form is byte-stable across runs. Each check
 has a negative control exercised by the test suite, so a vacuous pass cannot
-hide a wiring bug.
+hide a wiring bug. A check sweeps its whole ensemble at once, with one
+batched solve per control, level or time grid (the backend check's adjoints
+excepted), and sums per-path results in path order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import numpy as np
 
 from .control import ControlProcess, EnsembleSpec, Problem, l2q_norm
 from .errors import BlowUpError, ConfigurationError, PreconditionError
-from .grid import Field, Grid, low_pass_field, norm_h, norm_v, norm_z, prolong
+from .grid import (
+    Field,
+    Grid,
+    low_pass_field,
+    norm_h_values,
+    norm_v_values,
+    norm_z_values,
+    prolong,
+)
 from .physics import additive_noise, multiplicative_noise, no_noise
 from .sensitivity import (
     convergence_in_truncation,
@@ -135,11 +145,9 @@ def check_mass_conservation(problem: Problem, es: EnsembleSpec,
     """
     if u is None:
         u = problem.zero_control()
-    worst = 0.0
-    for i, wp in enumerate(es.sample_paths(problem.params)):
-        traj = solve_state(problem.y0, u.path_values(i), wp, problem.params)
-        drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
-        worst = max(worst, drift)
+    traj = solve_state(problem.y0, u.values, es.sample_paths(problem.params),
+                       problem.params)
+    worst = float(np.max(np.abs(traj.mass - traj.mass[:, :1])))
     return CheckReport(
         name="mass_conservation",
         inputs={"npaths": es.npaths, "base_seed": es.base_seed,
@@ -175,16 +183,17 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     g = p.grid
     errors = np.zeros(len(eps_list))
     z_norm = 0.0
-    for i in range(npaths):
-        wp = sample_wiener_path(p.noise, tg, mix_seed(path_seed, i))
-        traj = solve_state(problem.y0, u.values, wp, p)
-        lin = solve_linearized(traj, h.values, problem.trunc)
-        z_norm += series_l2h_norm(lin.zs[: tg.nsteps], tg, g)
-        for j, eps in enumerate(eps_list):
-            bumped = solve_state(problem.y0, u.values + eps * h.values, wp, p)
-            quotient = (bumped.ys - traj.ys) / eps
-            errors[j] += series_l2h_norm(quotient[: tg.nsteps] - lin.zs[: tg.nsteps],
-                                         tg, g)
+    paths = [sample_wiener_path(p.noise, tg, mix_seed(path_seed, i))
+             for i in range(npaths)]
+    traj = solve_state(problem.y0, u.values, paths, p)
+    zs = solve_linearized(traj, h.values, problem.trunc).zs[:, : tg.nsteps]
+    for z in zs:
+        z_norm += series_l2h_norm(z, tg, g)
+    for j, eps in enumerate(eps_list):
+        bumped = solve_state(problem.y0, u.values + eps * h.values, paths, p)
+        for i in range(npaths):
+            quotient = (bumped.ys[i] - traj.ys[i]) / eps
+            errors[j] += series_l2h_norm(quotient[: tg.nsteps] - zs[i], tg, g)
     errors /= npaths
     z_norm /= npaths
 
@@ -219,17 +228,17 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
 def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
                       paths: list[WienerPath], backend: str):
     """Ensemble duality residual over the given Wiener paths; both sides from
-    independent code paths."""
-    p = problem.params
+    independent code paths, one batched sweep each."""
+    traj = solve_state(problem.y0, u.values, paths, problem.params)
+    lin = solve_linearized(traj, h.values, problem.trunc)
+    adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas,
+                        backend=backend, trunc=problem.trunc)
     lhs_total = 0.0
     rhs_total = 0.0
-    for i, wp in enumerate(paths):
-        traj = solve_state(problem.y0, u.path_values(i), wp, p)
-        lin = solve_linearized(traj, h.values, problem.trunc)
-        adj = solve_adjoint(traj, problem.target_q(i), problem.target_t(i),
-                            problem.alphas, backend=backend, trunc=problem.trunc)
-        lhs, rhs = duality_terms(traj, lin, adj, h.values, problem.target_q(i),
-                                 problem.target_t(i), problem.alphas)
+    for i in range(len(paths)):
+        lhs, rhs = duality_terms(traj.path(i), lin.path(i), adj.path(i), h.values,
+                                 problem.target_q(i), problem.target_t(i),
+                                 problem.alphas)
         lhs_total += lhs
         rhs_total += rhs
     lhs_total /= len(paths)
@@ -403,8 +412,8 @@ def _retime_control(u: ControlProcess, problem: Problem) -> ControlProcess:
 
 def _norm_c0h_l2z(series: np.ndarray, tg: TimeGrid, g: Grid) -> float:
     """max-in-time H norm plus L2-in-time Z norm of a field series."""
-    sup_h = max(norm_h(Field(g, v)) for v in series)
-    zsq = sum(norm_z(Field(g, v)) ** 2 for v in series[: tg.nsteps]) * tg.tau
+    sup_h = float(np.max(norm_h_values(g, series)))
+    zsq = sum(float(z) ** 2 for z in norm_z_values(g, series[: tg.nsteps])) * tg.tau
     return float(sup_h + math.sqrt(zsq))
 
 
@@ -424,6 +433,18 @@ def _refine_params(params: StateParams, mesh_factor: int) -> StateParams:
         noise = additive_noise(fine, nm.sigmas, nm.mode_indices,
                                allow_nonzero_mean_modes=True)
     return replace(params, grid=fine, noise=noise)
+
+
+def _mean_ratio(y0: Field, u1: np.ndarray, u2: np.ndarray,
+                paths: list[WienerPath], params: StateParams, du: float) -> float:
+    """Path mean of the state-difference norm over ``du``; one sweep per
+    control."""
+    t1 = solve_state(y0, u1, paths, params)
+    t2 = solve_state(y0, u2, paths, params)
+    total = 0.0
+    for y1, y2 in zip(t1.ys, t2.ys):
+        total += _norm_c0h_l2z(y1 - y2, params.timegrid, params.grid) / du
+    return total / len(paths)
 
 
 def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
@@ -452,24 +473,16 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     fine_grid = fine_params.grid
     y0_fine = prolong(problem.y0, fine_grid)
 
+    paths = es.sample_paths(p)
+    fine_paths = es.sample_paths(fine_params)
     rows = []
     ratios = {"coarse": [], "fine": []}
     for j, (u1, u2) in enumerate(pairs):
         du = l2q_norm(u1.values - u2.values, tg, p.grid)
         u1f = np.stack([prolong(Field(p.grid, v), fine_grid).values for v in u1.values])
         u2f = np.stack([prolong(Field(p.grid, v), fine_grid).values for v in u2.values])
-        r_coarse = r_fine = 0.0
-        for i in range(es.npaths):
-            wp = sample_wiener_path(p.noise, tg, es.path_seed(i))
-            t1 = solve_state(problem.y0, u1.values, wp, p)
-            t2 = solve_state(problem.y0, u2.values, wp, p)
-            r_coarse += _norm_c0h_l2z(t1.ys - t2.ys, tg, p.grid) / du
-            wpf = sample_wiener_path(fine_params.noise, tg, es.path_seed(i))
-            t1f = solve_state(y0_fine, u1f, wpf, fine_params)
-            t2f = solve_state(y0_fine, u2f, wpf, fine_params)
-            r_fine += _norm_c0h_l2z(t1f.ys - t2f.ys, tg, fine_grid) / du
-        r_coarse /= es.npaths
-        r_fine /= es.npaths
+        r_coarse = _mean_ratio(problem.y0, u1.values, u2.values, paths, p, du)
+        r_fine = _mean_ratio(y0_fine, u1f, u2f, fine_paths, fine_params, du)
         ratios["coarse"].append(r_coarse)
         ratios["fine"].append(r_fine)
         rows.append({"pair": j, "ratio_coarse": r_coarse, "ratio_fine": r_fine})
@@ -509,9 +522,8 @@ def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
     per_level_diffs = None
     top_identical = True
     max_curv = 0.0
-    for i, wp in enumerate(es.sample_paths(p)):
-        traj = solve_state(problem.y0, u.path_values(i), wp, p)
-        rows = convergence_in_truncation(traj, h.values, levels)
+    traj = solve_state(problem.y0, u.values, es.sample_paths(p), p)
+    for rows in convergence_in_truncation(traj, h.values, levels):
         path_curv = rows[0]["max_curvature"]
         max_curv = max(max_curv, path_curv)
         diffs = np.array([r["difference_l2h"] for r in rows])
@@ -565,11 +577,11 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
             params = replace(params, timegrid=tg)
             y0 = prolong(problem.y0, params.grid) if int(mesh_f) != 1 else problem.y0
             m12 = zsq = v6 = 0.0
-            for wp in _coupled_paths(params.noise, tg, finest_steps, es):
-                traj = solve_state(y0, None, wp, params)
-                hs = np.array([norm_h(Field(params.grid, v)) for v in traj.ys])
-                vs = np.array([norm_v(Field(params.grid, v)) for v in traj.ys])
-                zs = np.array([norm_z(Field(params.grid, v)) for v in traj.ys[: tg.nsteps]])
+            paths = _coupled_paths(params.noise, tg, finest_steps, es)
+            for ys in solve_state(y0, None, paths, params).ys:
+                hs = norm_h_values(params.grid, ys)
+                vs = norm_v_values(params.grid, ys)
+                zs = norm_z_values(params.grid, ys[: tg.nsteps])
                 m12 += float(np.max(hs)) ** 12
                 v6 += float(np.max(vs)) ** 6
                 zsq += float(np.sum(zs**2) * tg.tau)
@@ -654,8 +666,12 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
         uvals = np.repeat(u_field.values[None], nsteps, axis=0)
         xq = np.repeat(xq_field.values[None], nsteps, axis=0)
         gap = 0.0
-        for wp in _coupled_paths(params.noise, tg, finest, es):
-            traj = solve_state(problem.y0, uvals, wp, params)
+        paths = _coupled_paths(params.noise, tg, finest, es)
+        batch = solve_state(problem.y0, uvals, paths, params)
+        for i in range(len(paths)):
+            # the adjoints run path by path: batched 800-step costates
+            # would set the suite's peak memory
+            traj = batch.path(i)
             adj_t = solve_adjoint(traj, xq, None, alphas,
                                   backend="discrete_transpose")
             adj_c = solve_adjoint(traj, xq, None, alphas,

@@ -20,7 +20,16 @@ from choc import (
     norm_z,
     prolong,
 )
-from choc.grid import _dct, _idct, compactness_constant
+from choc.grid import (
+    _dct,
+    _idct,
+    compactness_constant,
+    grad_norm_sq_values,
+    lap_values,
+    norm_h_values,
+    norm_v_values,
+    norm_z_values,
+)
 
 from conftest import apply_dense, dense_neumann_laplacian, random_field
 
@@ -206,6 +215,22 @@ def test_norm_z_matches_dense(grid64, rng):
     oracle = np.sqrt(norm_v(x) ** 2
                      + np.sum(lap**2) * grid64.cell_volume)
     assert norm_z(x) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_array_norms_square_like_python_floats(rng):
+    # the array norms compose as the scalar ones always have: a Python float
+    # squared with ** (the C library's pow), then np.sqrt; np.square rounds
+    # differently in about one case in a thousand, which would move the bits
+    # of every report built on these norms
+    g = Grid((4,), (1.0,))
+    values = rng.standard_normal((20000,) + g.shape)
+    hs = norm_h_values(g, values)
+    vs = norm_v_values(g, values)
+    lap_hs = norm_h_values(g, lap_values(g, values))
+    assert all(v == float(np.sqrt(float(h) ** 2 + gsq)) for v, h, gsq
+               in zip(vs, hs, grad_norm_sq_values(g, values)))
+    assert all(z == float(np.sqrt(float(v) ** 2 + float(lh) ** 2))
+               for z, v, lh in zip(norm_z_values(g, values), vs, lap_hs))
 
 
 # --- dual norm -------------------------------------------------------------

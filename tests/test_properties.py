@@ -3,8 +3,8 @@
 Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
 and a potential, then checks one identity of the discrete system: duality
 to rounding, per-path mass conservation, idempotent projection, the
-field-level Laplacian against the array-level one, and batched sweeps
-against path-by-path solves, bit for bit.
+field-level Laplacian and norms against the array-level ones, and batched
+sweeps against path-by-path solves, bit for bit.
 """
 
 import numpy as np
@@ -22,6 +22,9 @@ from choc import (
     laplacian,
     mix_seed,
     multiplicative_noise,
+    norm_h,
+    norm_v,
+    norm_z,
     project_admissible,
     quadratic_potential,
     sample_wiener_path,
@@ -30,7 +33,15 @@ from choc import (
     solve_state,
     zero_potential,
 )
-from choc.grid import lap_values, low_pass_field
+from choc.grid import (
+    grad_norm_sq,
+    grad_norm_sq_values,
+    lap_values,
+    low_pass_field,
+    norm_h_values,
+    norm_v_values,
+    norm_z_values,
+)
 from choc.physics import no_noise
 from choc.sensitivity import BACKENDS
 from choc.state import StateParams
@@ -133,11 +144,26 @@ def test_laplacian_is_lap_values(g, seed):
 
 
 @PROPERTIES
+@given(g=grids, batch=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       seed=seeds)
+def test_norms_are_norm_values(g, batch, seed):
+    values = np.random.default_rng(seed).standard_normal(tuple(batch) + g.shape)
+    for norm, norm_values in ((norm_h, norm_h_values),
+                              (grad_norm_sq, grad_norm_sq_values),
+                              (norm_v, norm_v_values), (norm_z, norm_z_values)):
+        batched = norm_values(g, values)
+        assert batched.shape == tuple(batch)
+        for ix in np.ndindex(*batch):
+            assert batched[ix] == norm(Field(g, values[ix]))
+
+
+@PROPERTIES
 @given(params=state_params(), seed=seeds, npaths=st.integers(1, 4),
        per_path_control=st.booleans(), per_path_targets=st.booleans(),
-       backend=st.sampled_from(BACKENDS))
+       backend=st.sampled_from(BACKENDS),
+       trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
 def test_batch_is_serial(params, seed, npaths, per_path_control,
-                         per_path_targets, backend):
+                         per_path_targets, backend, trunc):
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
     y0 = low_pass_field(params.grid, rng, 0.4)
@@ -151,9 +177,11 @@ def test_batch_is_serial(params, seed, npaths, per_path_control,
                    per_path_targets)
     paths = [sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
              for i in range(npaths)]
+    h = _smooth_series(params, rng, 1.0)
     batch = solve_state(y0, u, paths, params)
+    lin = solve_linearized(batch, h, trunc)
     adj = solve_adjoint(batch, x_q, x_t, alphas, backend)
-    assert batch.npaths == adj.npaths == npaths
+    assert batch.npaths == lin.npaths == adj.npaths == npaths
     for i, wp in enumerate(paths):
         def pick(x, flag):
             return x[i] if flag else x
@@ -161,10 +189,14 @@ def test_batch_is_serial(params, seed, npaths, per_path_control,
         view = batch.path(i)
         assert np.shares_memory(view.ys, batch.ys)
         assert np.array_equal(view.ys, traj.ys)
-        assert np.array_equal(view.ws, traj.ws)
+        assert np.array_equal(batch.ws[i], traj.ws)
         assert np.array_equal(view.mass, traj.mass)
         assert np.array_equal(view.control, traj.control)
         assert view.wiener is wp
+        alone_lin = solve_linearized(traj, h, trunc)
+        assert np.shares_memory(lin.path(i).zs, lin.zs)
+        assert np.array_equal(lin.zs[i], alone_lin.zs)
+        assert np.array_equal(lin.mus[i], alone_lin.mus)
         alone = solve_adjoint(traj, pick(x_q, per_path_targets),
                               pick(x_t, per_path_targets), alphas, backend)
         assert np.array_equal(adj.ps[i], alone.ps)

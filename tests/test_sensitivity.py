@@ -126,7 +126,7 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("noise_kind, per_step", [("multiplicative", 4), ("none", 3)])
+@pytest.mark.parametrize("noise_kind, per_step", [("multiplicative", 3), ("none", 2)])
 def test_linearized_runs_the_state_step(small_params, rng, monkeypatch, noise_kind,
                                         per_step):
     params = small_params
@@ -150,18 +150,23 @@ def test_linearized_grid_mismatch(small_params, rng):
         solve_linearized(traj, np.zeros((7,) + small_params.grid.shape))
 
 
-def test_batched_trajectory_rejected_by_linearized(small_params, rng):
-    # the linearized sweep runs along one path; one path of the batch works
+def test_batched_linearized_is_path_solve(small_params, rng):
+    # one sweep of a batched trajectory gives each path its own solve, bit
+    # for bit, and the path view of the solution shares the batch's zs
     y0 = low_pass_field(small_params.grid, rng, 0.4)
     paths = [sample_wiener_path(small_params.noise, small_params.timegrid, s)
              for s in (1, 2)]
     batch = solve_state(y0, None, paths, small_params)
     h = _random_direction(small_params, rng)
-    with pytest.raises(ConfigurationError):
-        solve_linearized(batch, h)
-    assert np.array_equal(solve_linearized(batch.path(1), h).zs,
-                          solve_linearized(solve_state(y0, None, paths[1],
-                                                       small_params), h).zs)
+    lin = solve_linearized(batch, h, trunc=5.0)
+    assert lin.npaths == 2
+    assert lin.zs.shape == batch.ys.shape
+    for i, wp in enumerate(paths):
+        alone = solve_linearized(solve_state(y0, None, wp, small_params), h, trunc=5.0)
+        view = lin.path(i)
+        assert np.shares_memory(view.zs, lin.zs)
+        assert np.array_equal(view.zs, alone.zs)
+        assert np.array_equal(lin.mus[i], alone.mus)
 
 
 def test_batched_adjoint_rejects_target_of_other_path_count(small_params, rng):

@@ -263,10 +263,15 @@ def test_moment_bounds_stable():
 
 def test_moment_bounds_blowup_negative_control():
     problem = _problem(sigma=1e3, nsteps=10, blowup_threshold=1e6)
-    report = check_moment_bounds(problem, EnsembleSpec(2, 9))
+    es = EnsembleSpec(2, 9)
+    report = check_moment_bounds(problem, es)
     assert not report.passed
-    assert "blow_up" in report.measured
-    assert np.isfinite(report.measured["blow_up"]["max_abs"]) or True
+    blow_up = report.measured["blow_up"]
+    # the unrefined level blows up: the earliest step of the batch's sweep,
+    # at that step the lowest blown-up path
+    assert 0 <= blow_up["step"] < problem.params.timegrid.nsteps
+    assert blow_up["seed"] in [es.path_seed(i) for i in range(es.npaths)]
+    assert not np.isfinite(blow_up["max_abs"]) or blow_up["max_abs"] > 1e6
 
 
 # --- backend consistency ------------------------------------------------------------
