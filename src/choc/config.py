@@ -28,7 +28,7 @@ from .physics import (
     quadratic_potential,
 )
 from .snapshots import read_snapshot
-from .state import StateParams, TimeGrid, mix_seed, sample_wiener_path, solve_state
+from .state import StateParams, TimeGrid, mix_seed, solve_state
 
 __all__ = [
     "RunConfig",
@@ -397,7 +397,7 @@ def build_noise(c: RunConfig, grid: Grid):
                                 allow_linear_shape=nc.allow_linear_shape)
 
 
-def _parse_source(text: str, what: str):
+def _parse_source(text: str):
     kind, _, arg = text.partition(":")
     kind = kind.strip().lower()
     return kind, arg.strip()
@@ -405,7 +405,7 @@ def _parse_source(text: str, what: str):
 
 def _resolve_field_source(text: str, grid: Grid, base_dir: Path, seed: int,
                           what: str) -> Field:
-    kind, arg = _parse_source(text, what)
+    kind, arg = _parse_source(text)
     if kind == "constant":
         return Field.constant(grid, float(arg or 0.0))
     if kind == "file":
@@ -448,7 +448,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
                                mix_seed(es.base_seed, 0xD0), "solver.y0")
 
     c0 = config.control.c0
-    kind, arg = _parse_source(config.control.init, "control.init")
+    kind, arg = _parse_source(config.control.init)
     if kind == "zero":
         u0 = ControlProcess.zeros(grid, tg, c0)
     elif kind == "constant":
@@ -474,7 +474,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
         alpha = alphas[0] if name == "x_q" else alphas[1]
         if alpha == 0:
             continue
-        kind, arg = _parse_source(text, f"cost.{name}")
+        kind, arg = _parse_source(text)
         if kind == "synthetic":
             value = x_q_s if name == "x_q" else x_t_s
         elif kind == "constant":
@@ -518,12 +518,6 @@ def _reference_control(grid: Grid, tg: TimeGrid, c0: float,
 def _synthetic_targets(params: StateParams, y0: Field, reference: ControlProcess,
                        es: EnsembleSpec):
     """Per-path targets from simulating the reference control."""
-    tg = params.timegrid
-    x_q = np.empty((es.npaths, tg.nsteps) + params.grid.shape)
-    x_t = np.empty((es.npaths,) + params.grid.shape)
-    for i in range(es.npaths):
-        wp = sample_wiener_path(params.noise, tg, es.path_seed(i))
-        traj = solve_state(y0, reference.values, wp, params)
-        x_q[i] = traj.ys[: tg.nsteps]
-        x_t[i] = traj.ys[tg.nsteps]
-    return x_q, x_t
+    nsteps = params.timegrid.nsteps
+    ys = solve_state(y0, reference.values, es.sample_paths(params), params).ys
+    return ys[:, :nsteps], ys[:, nsteps]

@@ -257,14 +257,10 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     a3 = problem.alphas[2]
     adj = solve_adjoint(states, problem.x_q, problem.x_t, problem.alphas,
                         backend="discrete_transpose", trunc=problem.trunc)
-    # ptilde one path at a time: the batch's p is the only full-size array
-    ptildes = (adj.path(i).ptildes[: tg.nsteps] for i in range(adj.npaths))
+    ptildes = adj.ptildes[:, : tg.nsteps]
     if u.per_path:
-        return np.stack([pt + a3 * u.values[i] for i, pt in enumerate(ptildes)])
-    acc = next(ptildes)    # a fresh array, summed into in place
-    for pt in ptildes:
-        acc += pt
-    return acc / len(paths) + a3 * u.values
+        return ptildes + a3 * u.values
+    return ptildes.sum(axis=0) / adj.npaths + a3 * u.values
 
 
 def project_admissible(u: ControlProcess, c0: float | None = None) -> ControlProcess:

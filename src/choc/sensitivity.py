@@ -29,9 +29,11 @@ for every direction h. The "continuous" backend discretizes the backward
 equation directly with the martingale term dropped; for additive noise the
 two differ by a one-step shift of coefficients, an O(tau) gap.
 
-:func:`solve_linearized` and :func:`solve_adjoint` sweep every path of a
-batched trajectory at once, on arrays with a leading path axis; each path's
-sensitivity and costate are bitwise those of its own sweep.
+:func:`solve_adjoint` stores the ptilde_n it computes at every node and
+does not keep p, which no reader uses. :func:`solve_linearized` and
+:func:`solve_adjoint` sweep every path of a batched trajectory at once, on
+arrays with a leading path axis; each path's sensitivity and costate are
+bitwise those of its own sweep.
 """
 
 from __future__ import annotations
@@ -122,23 +124,20 @@ class LinearizedSolution:
     def z(self, n: int) -> Field:
         return Field(self.grid, self.zs[n])
 
-    def mu(self, n: int) -> Field:
-        return Field(self.grid, self.mus[n])
-
 
 @dataclass(frozen=True)
 class AdjointSolution:
-    """Costate pair (p, ptilde) per time node; ptilde = -Lap p throughout.
+    """Costate ptilde = -Lap p per time node.
 
-    Only ptilde enters gradients and optimality conditions; p carries a
-    gauge fixed by propagating the terminal mean backward. The sweep stores
-    p; ptilde is computed from it when first read, bitwise the value the
-    sweep used. The solution of a batched trajectory carries its leading
-    path axis, and :meth:`path` gives one path's solution.
+    Only ptilde enters gradients and optimality conditions, so the sweep
+    stores the ptilde it computes and does not keep p, whose gauge is fixed
+    by propagating the terminal mean backward. The solution of a batched
+    trajectory carries its leading path axis, and :meth:`path` gives one
+    path's solution.
     """
 
     params: StateParams
-    ps: np.ndarray               # ([npaths,] nsteps+1, *grid.shape)
+    ptildes: np.ndarray          # ([npaths,] nsteps+1, *grid.shape)
     backend: str
     trunc: TruncationLevel
     warning: str | None = None
@@ -147,26 +146,19 @@ class AdjointSolution:
     def grid(self) -> Grid:
         return self.params.grid
 
-    @cached_property
-    def ptildes(self) -> np.ndarray:
-        """-Lap p at every node, shaped like ``ps``."""
-        return -lap_values(self.grid, self.ps)
-
     @property
     def npaths(self) -> int | None:
         """Number of paths in a batch; None for a single-path solution."""
-        return self.ps.shape[0] if self.ps.ndim == self.grid.ndims + 2 else None
+        batched = self.ptildes.ndim == self.grid.ndims + 2
+        return self.ptildes.shape[0] if batched else None
 
     def path(self, i: int) -> "AdjointSolution":
-        """Path ``i`` of a batch; its ``ps`` is a view into the batch's."""
+        """Path ``i`` of a batch; its ``ptildes`` is a view into the batch's."""
         if self.npaths is None:
             raise ConfigurationError("a single-path solution has no path axis")
-        return AdjointSolution(params=self.params, ps=self.ps[i],
+        return AdjointSolution(params=self.params, ptildes=self.ptildes[i],
                                backend=self.backend, trunc=self.trunc,
                                warning=self.warning)
-
-    def p(self, n: int) -> Field:
-        return Field(self.grid, self.ps[n])
 
     def ptilde(self, n: int) -> Field:
         return Field(self.grid, self.ptildes[n])
@@ -259,17 +251,16 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
         return a1 * (ys[n] - xq[n]) if a1 != 0.0 else zero
 
     terminal = a2 * (ys[nsteps] - xt) if a2 != 0.0 else zero
-    ps = np.zeros(traj.ys.shape)
-    ps_n = _by_step(ps, batched)
+    ptildes = np.empty(traj.ys.shape)
+    pts_n = _by_step(ptildes, batched)
+    pts_n[nsteps] = -lap_values(g, terminal)
     warning = None
 
     if backend == "discrete_transpose":
-        costate = terminal.copy()              # P_N
-        ps_n[nsteps] = costate
+        costate = terminal                     # P_N
         for n in range(nsteps - 1, -1, -1):
             p_n = _idct(_dct(costate, axes) / sym, axes)
-            pt_n = -lap_values(g, p_n)
-            ps_n[n] = p_n
+            pt_n = pts_n[n] = -lap_values(g, p_n)
             c_n = trunc.clamp(p.potential.psi_second(ys[n]))
             costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
             if noisy:
@@ -280,17 +271,15 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
                 "continuous backend drops the martingale and noise-derivative "
                 "terms; biased for multiplicative noise"
             )
-        pv = terminal.copy()
-        pt = -lap_values(g, pv)
-        ps_n[nsteps] = pv
+        pv = terminal
+        pt = pts_n[nsteps]
         for n in range(nsteps - 1, -1, -1):
             c_n = trunc.clamp(p.potential.psi_second(ys[n]))
             rhs = pv - tau * (c_n - s) * pt + tau * dist(n)
             pv = _idct(_dct(rhs, axes) / sym, axes)
-            pt = -lap_values(g, pv)
-            ps_n[n] = pv
+            pt = pts_n[n] = -lap_values(g, pv)
 
-    return AdjointSolution(params=p, ps=ps, backend=backend, trunc=trunc,
+    return AdjointSolution(params=p, ptildes=ptildes, backend=backend, trunc=trunc,
                            warning=warning)
 
 

@@ -223,9 +223,6 @@ class Trajectory:
     def y(self, n: int) -> Field:
         return Field(self.grid, self.ys[n])
 
-    def w(self, n: int) -> Field:
-        return Field(self.grid, self.ws[n])
-
 
 def control_values(u, tg: TimeGrid, grid: Grid, npaths: int | None = None) -> np.ndarray:
     """Normalize a control argument to a (nsteps, *grid.shape) array.

@@ -669,8 +669,9 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
         paths = _coupled_paths(params.noise, tg, finest, es)
         batch = solve_state(problem.y0, uvals, paths, params)
         for i in range(len(paths)):
-            # the adjoints run path by path: batched 800-step costates
-            # would set the suite's peak memory
+            # the adjoints run path by path, each holding one ptilde array
+            # per backend: batched 800-step costates would set the suite's
+            # peak memory
             traj = batch.path(i)
             adj_t = solve_adjoint(traj, xq, None, alphas,
                                   backend="discrete_transpose")

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choc import Field, Grid, read_snapshot, write_snapshot
+import choc.config
+from choc import Field, Grid, read_snapshot, solve_state, write_snapshot
 from choc.cli import main
 from choc.config import (
     build_problem,
@@ -215,7 +216,36 @@ def test_cli_linearize_and_adjoint(tmp_path):
     assert duality["relative_residual"] <= 1e-10
     out2 = tmp_path / "adj"
     assert main(["adjoint", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out2 / "duality.json").exists()
+    # every ptilde snapshot, the terminal node included, and the duality
+    # summary keep their bits
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out2.iterdir()) if p.name != "manifest.json"}
+    assert digests == {
+        "adjoint_000000.chs":
+            "9a74d47af8780c54f9ccbc12e7933488181e57bb3ba4e6507ba8c671b590e184",
+        "adjoint_000001.chs":
+            "9f4e02d22f86ee10c1276b65a948e314da8f81cc34505e12533deca80507fc29",
+        "adjoint_000002.chs":
+            "082f4bc9ae87c9372ed80d88f36acbfb3e8a43705776d719c5ec5d7766374c05",
+        "adjoint_000003.chs":
+            "1de83d476b56d29a16911ae7e8d1e440afcaf2516bb11d52036c8096eac752d5",
+        "adjoint_000004.chs":
+            "10b19d11583e81cc9007c00e57d194b2c5415cd73e7268831a6a845df9292d8e",
+        "adjoint_000005.chs":
+            "9850cb8d92cfced6433de05a73e645e9c079e71ad4752ceef3d84384f60073f3",
+        "adjoint_000006.chs":
+            "be1295c2348427872b66c6bae5c13e415304bbb73d41f699570edb57566d4267",
+        "adjoint_000007.chs":
+            "d8b4e4ac7d847afcaadfd8c3881cd6d06d6197ea4bd46124630c309b0333568e",
+        "adjoint_000008.chs":
+            "16c9ad573f032182c0f41e5d91772f139344d397d60968d3b0fdccc5205df66b",
+        "adjoint_000009.chs":
+            "f897b8057707261c1579cb87a8f72ad0ad10954c2cf2284dfd7fa6247db02f8a",
+        "adjoint_000010.chs":
+            "60727896755f9ac78d3f296c080d1fc673f26ad6e25b34662b3bf6ccf9d16b9c",
+        "duality.json":
+            "ca2fa446b492c2abd15748cb85808d8db0530af9ae62661d68376c14cc9ad2ad",
+    }
 
 
 def test_cli_optimize_monotone_manifest(tmp_path):
@@ -300,13 +330,27 @@ def test_cli_missing_config_file(tmp_path):
 # --- synthetic build ------------------------------------------------------------
 
 
-def test_build_problem_synthetic_targets_shapes():
+def test_build_problem_synthetic_targets_shapes(monkeypatch):
+    # the reference control is simulated in one batched sweep whose targets
+    # are bitwise those of path-by-path solves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_state(*args, **kwargs)
+    monkeypatch.setattr(choc.config, "solve_state", counted)
     config = parse_config(TINY)
     build = build_problem(config)
+    assert len(calls) == 1
     es = build.ensemble
-    tg = build.problem.params.timegrid
-    g = build.problem.params.grid
+    params = build.problem.params
+    tg = params.timegrid
+    g = params.grid
     assert build.problem.x_q.shape == (es.npaths, tg.nsteps) + g.shape
     assert build.problem.x_t.shape == (es.npaths,) + g.shape
     assert build.reference_control is not None
     assert build.reference_control.norm_l2q() <= build.problem.c0
+    for i, wp in enumerate(es.sample_paths(params)):
+        traj = solve_state(build.problem.y0, build.reference_control.values, wp, params)
+        assert np.array_equal(build.problem.x_q[i], traj.ys[: tg.nsteps])
+        assert np.array_equal(build.problem.x_t[i], traj.ys[tg.nsteps])

@@ -33,6 +33,8 @@ from choc.grid import low_pass_field
 from choc.physics import no_noise
 from choc.state import StateParams
 
+from test_sensitivity import _count_transforms
+
 
 def _problem(grid_n=32, nsteps=40, npaths=3, alphas=(1.0, 1.0, 1e-2),
              noise=True, seed=5, c0=1.0):
@@ -223,6 +225,32 @@ def test_given_states_change_no_bits():
                           gradient(u, es, problem))
     assert (optimality_residual(u, es, problem, paths, states)
             == optimality_residual(u, es, problem))
+
+
+@pytest.mark.parametrize("npaths", [1, 3])
+def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
+    # given u's states, the gradient is one adjoint sweep for all paths:
+    # 2 transforms for the terminal ptilde and 4 per node; reading the
+    # stored ptilde afterwards makes none
+    problem, es = _problem(npaths=npaths)
+    u = _smooth_control(problem, 3)
+    paths = es.sample_paths(problem.params)
+    states = solve_state(problem.y0, u.values, paths, problem.params)
+    nsteps = problem.params.timegrid.nsteps
+    adjoints = []
+
+    def kept(*args, **kwargs):
+        adjoints.append(solve_adjoint(*args, **kwargs))
+        return adjoints[-1]
+    monkeypatch.setattr(choc.control, "solve_adjoint", kept)
+    calls = _count_transforms(monkeypatch)
+    gradient(u, es, problem, paths, states)
+    assert len(calls) == 2 + 4 * nsteps
+    (adj,) = adjoints
+    del calls[:]
+    assert adj.ptildes.shape == states.ys.shape
+    adj.path(npaths - 1).ptilde(nsteps)
+    assert calls == []
 
 
 # --- projection ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from choc.grid import lap_values, low_pass_field
 from choc.physics import additive_noise, no_noise, zero_potential
 from choc.state import StateParams, series_l2h_norm
 
-from conftest import random_field
+from conftest import dense_neumann_laplacian, random_field
 
 
 def _make_traj(params, rng, seed=0, y0_amp=0.4, u=None):
@@ -185,7 +185,6 @@ def test_batched_adjoint_rejects_target_of_other_path_count(small_params, rng):
 def test_adjoint_zero_weights(small_params, rng):
     traj = _make_traj(small_params, rng)
     adj = solve_adjoint(traj, None, None, (0.0, 0.0, 1.0))
-    assert np.all(adj.ps == 0.0)
     assert np.all(adj.ptildes == 0.0)
 
 
@@ -194,19 +193,31 @@ def test_adjoint_terminal_condition(small_params, rng):
     x_t = random_field(small_params.grid, rng, smooth=True)
     adj = solve_adjoint(traj, None, x_t.values, (0.0, 1.0, 0.0))
     n = small_params.timegrid.nsteps
-    assert np.array_equal(adj.ps[n], traj.ys[n] - x_t.values)
+    expected = -lap_values(small_params.grid, traj.ys[n] - x_t.values)
+    assert np.array_equal(adj.ptildes[n], expected)
 
 
 def test_adjoint_ptilde_is_minus_lap_p(small_params, rng):
-    traj = _make_traj(small_params, rng)
-    x_q = _random_direction(small_params, rng, 0.3)
-    x_t = random_field(small_params.grid, rng, smooth=True).values
+    # one step back from a terminal datum against the dense operators:
+    # ptilde_{N-1} = -L p_{N-1} with p_{N-1} = (I + tau L^2 - tau S L)^{-1} P_N
+    params = small_params
+    traj = _make_traj(params, rng)
+    x_t = random_field(params.grid, rng, smooth=True).values
+    adj = solve_adjoint(traj, None, x_t, (0.0, 1.0, 0.0))
+    n = params.timegrid.nsteps
+    tau = params.timegrid.tau
+    lap = dense_neumann_laplacian(params.grid)
+    implicit = (np.eye(lap.shape[0]) + tau * lap @ lap
+                - tau * params.stabilization * lap)
+    p_prev = np.linalg.solve(implicit, (traj.ys[n] - x_t).ravel())
+    expected = (-lap @ p_prev).reshape(params.grid.shape)
+    assert np.allclose(adj.ptildes[n - 1], expected, atol=1e-10)
+
+    x_q = _random_direction(params, rng, 0.3)
     for backend in ("discrete_transpose", "continuous"):
         adj = solve_adjoint(traj, x_q, x_t, (1.0, 1.0, 0.0), backend=backend)
-        for n in (0, 17, small_params.timegrid.nsteps):
-            expected = -lap_values(small_params.grid, adj.ps[n])
-            assert np.allclose(adj.ptildes[n], expected, atol=1e-10)
-            assert abs(np.mean(adj.ptildes[n])) <= 1e-12
+        means = np.mean(adj.ptildes.reshape(n + 1, -1), axis=1)
+        assert np.max(np.abs(means)) <= 1e-12
 
 
 def test_adjoint_warns_continuous_multiplicative(small_params, rng):
