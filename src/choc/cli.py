@@ -111,23 +111,33 @@ def _snapshot_steps(nsteps: int, every: int | None) -> list[int]:
     return steps
 
 
+def _solve_path(build: BuildResult, path_index: int):
+    """The trajectory of u0 on one path of the ensemble, a batch of one; a
+    blow-up names the path by its index in the ensemble."""
+    problem = build.problem
+    wp = sample_wiener_path(problem.params.noise, problem.params.timegrid,
+                            build.ensemble.path_seed(path_index))
+    try:
+        return solve_state(problem.y0, build.u0.values, [wp], problem.params)
+    except BlowUpError as exc:
+        raise BlowUpError(exc.step, exc.max_abs, exc.seed, path_index) from None
+
+
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     build = _load(args)
     outdir = _outdir(args)
-    problem, es = build.problem, build.ensemble
-    wp = sample_wiener_path(problem.params.noise, problem.params.timegrid,
-                            es.path_seed(args.path_index))
-    traj = solve_state(problem.y0, build.u0.values, wp, problem.params)
+    problem = build.problem
+    traj = _solve_path(build, args.path_index)
     outputs = []
     for n in _snapshot_steps(problem.params.timegrid.nsteps, args.snapshot_every):
         path = outdir / f"state_{n:06d}.chs"
-        write_snapshot(traj.y(n), path)
+        write_snapshot(Field(problem.params.grid, traj.ys[0, n]), path)
         outputs.append(path)
     series = outdir / "series.csv"
     times = problem.params.timegrid.times()
     write_series_csv(series, ["time", "mass", "energy"],
-                     zip(times, traj.mass, traj.energy))
+                     zip(times, traj.mass[0], traj.energy[0]))
     outputs.append(series)
     _write_manifest(outdir, "simulate", build, outputs,
                     {"path_index": args.path_index},
@@ -142,18 +152,15 @@ def _default_direction(build: BuildResult):
 
 
 def _duality_summary(build: BuildResult, path_index: int) -> dict:
-    problem, es = build.problem, build.ensemble
+    problem = build.problem
     h = _default_direction(build)
-    wp = sample_wiener_path(problem.params.noise, problem.params.timegrid,
-                            es.path_seed(path_index))
-    traj = solve_state(problem.y0, build.u0.values, wp, problem.params)
+    x_q, x_t = problem.target_q(path_index), problem.target_t(path_index)
+    traj = _solve_path(build, path_index)
     lin = solve_linearized(traj, h.values, problem.trunc)
-    adj = solve_adjoint(traj, problem.target_q(path_index),
-                        problem.target_t(path_index), problem.alphas,
+    adj = solve_adjoint(traj, x_q, x_t, problem.alphas,
                         backend=problem.backend, trunc=problem.trunc)
-    lhs, rhs = duality_terms(traj, lin, adj, h.values,
-                             problem.target_q(path_index),
-                             problem.target_t(path_index), problem.alphas)
+    lhs, rhs = duality_terms(traj, lin, adj, h.values, x_q, x_t, problem.alphas)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {
         "traj": traj, "lin": lin, "adj": adj,
@@ -163,10 +170,10 @@ def _duality_summary(build: BuildResult, path_index: int) -> dict:
     }
 
 
-# subcommand -> (snapshot file prefix, field at step n of the duality data)
+# subcommand -> (snapshot file prefix, the one path's series in the duality data)
 _SENSITIVITY_SNAPSHOTS = {
-    "linearize": ("linearized", lambda data, n: data["lin"].z(n)),
-    "adjoint": ("adjoint", lambda data, n: data["adj"].ptilde(n)),
+    "linearize": ("linearized", lambda data: data["lin"].zs[0]),
+    "adjoint": ("adjoint", lambda data: data["adj"].ptildes[0]),
 }
 
 
@@ -177,12 +184,14 @@ def _cmd_sensitivity(args) -> int:
     build = _load(args)
     outdir = _outdir(args)
     data = _duality_summary(build, args.path_index)
-    prefix, field_at = _SENSITIVITY_SNAPSHOTS[args.command]
+    prefix, series_of = _SENSITIVITY_SNAPSHOTS[args.command]
+    series = series_of(data)
+    grid = build.problem.params.grid
     nsteps = build.problem.params.timegrid.nsteps
     outputs = []
     for n in _snapshot_steps(nsteps, args.snapshot_every):
         path = outdir / f"{prefix}_{n:06d}.chs"
-        write_snapshot(field_at(data, n), path)
+        write_snapshot(Field(grid, series[n]), path)
         outputs.append(path)
     summary = outdir / "duality.json"
     summary.write_text(json.dumps(data["summary"], sort_keys=True, indent=2) + "\n")

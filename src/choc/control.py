@@ -12,7 +12,7 @@ The ensemble is solved in sweeps: one :func:`~choc.state.solve_state` call
 integrates every path at once, on arrays with a leading path axis, and one
 :func:`~choc.sensitivity.solve_adjoint` call runs every path's costate
 backward. The adjoint runs along the state trajectories at u, so a caller
-that has solved the ensemble at u passes that batched trajectory on
+that has solved the ensemble at u passes that trajectory on
 (``states=``) and no path is solved twice at one control. :func:`optimize`
 runs one state sweep for the starting cost and one per line-search trial,
 one adjoint sweep per iteration, and one adjoint sweep at the final control,
@@ -37,6 +37,7 @@ from .state import (
     TimeGrid,
     Trajectory,
     WienerPath,
+    _path_sums,
     control_values,
     mix_seed,
     sample_wiener_path,
@@ -94,9 +95,6 @@ class ControlProcess:
 
     def with_values(self, values) -> "ControlProcess":
         return replace(self, values=np.asarray(values, dtype=float))
-
-    def path_values(self, i: int) -> np.ndarray:
-        return self.values[i] if self.per_path else self.values
 
     def norm_l2q(self) -> float:
         return l2q_norm(self.values, self.timegrid, self.grid,
@@ -179,34 +177,36 @@ class Problem:
         return ControlProcess.zeros(self.params.grid, self.params.timegrid, self.c0)
 
 
-def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> float:
-    """Per-path quadratic tracking cost (ensemble averaging is the caller's).
+def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
+    """Quadratic tracking cost of every path, shape (npaths,); ensemble
+    averaging is the caller's.
 
     (a1/2) sum_n tau |y_n - xQ_n|_H^2 + (a2/2) |y_N - x_T|_H^2
     + (a3/2) sum_n tau |u_n|_H^2, with the distributed sums over the step
-    starts n = 0..N-1.
+    starts n = 0..N-1. The control and the targets are shared by the paths
+    or given per path, with a leading npaths axis.
     """
     a1, a2, a3 = alphas
     tg = traj.timegrid
     g = traj.grid
     cv = g.cell_volume
     tau = tg.tau
-    xq, xt = target_values(x_q, x_t, alphas, tg, g)
-    total = 0.0
+    starts = traj.ys[:, : tg.nsteps]
+    xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
+    total = np.zeros(traj.npaths)
     if a1 != 0.0:
-        diff = traj.ys[: tg.nsteps] - xq
-        total += 0.5 * a1 * tau * cv * float(np.sum(diff**2))
+        total += 0.5 * a1 * tau * cv * _path_sums((starts - xq) ** 2)
     if a2 != 0.0:
-        total += 0.5 * a2 * cv * float(np.sum((traj.ys[tg.nsteps] - xt) ** 2))
+        total += 0.5 * a2 * cv * _path_sums((traj.ys[:, tg.nsteps] - xt) ** 2)
     if a3 != 0.0:
-        uvals = control_values(u, tg, g)
-        total += 0.5 * a3 * tau * cv * float(np.sum(uvals**2))
+        uvals = np.broadcast_to(control_values(u, tg, g, traj.npaths), starts.shape)
+        total += 0.5 * a3 * tau * cv * _path_sums(uvals**2)
     return total
 
 
 def _solve_paths(u: ControlProcess, problem: Problem,
                  paths: list[WienerPath]) -> Trajectory:
-    """The state trajectories of ``u`` on every path: one batched sweep."""
+    """The state trajectories of ``u`` on every path: one sweep."""
     return solve_state(problem.y0, u.values, paths, problem.params)
 
 
@@ -217,17 +217,14 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
 
     The Wiener paths are fixed by ``es`` independently of ``u``, so repeated
     evaluations are bitwise identical and the map u -> mean is smooth.
-    ``states`` is u's batched trajectory on ``paths``; it is solved here
+    ``states`` is u's trajectory on ``paths``; it is solved here
     when None.
     """
     if paths is None:
         paths = es.sample_paths(problem.params)
     if states is None:
         states = _solve_paths(u, problem, paths)
-    costs = np.array([evaluate_cost(states.path(i), u.path_values(i),
-                                    problem.target_q(i), problem.target_t(i),
-                                    problem.alphas)
-                      for i in range(states.npaths)])
+    costs = evaluate_cost(states, u.values, problem.x_q, problem.x_t, problem.alphas)
     mean = float(np.mean(costs))
     if len(costs) < 2:
         return mean, 0.0
@@ -243,7 +240,7 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     Runs one transpose-adjoint sweep along the paths' state trajectories
     and averages ptilde; the control penalty contributes alpha3 * u. With a
     per-path control the path gradients are returned unaveraged. ``states``
-    is u's batched trajectory on ``paths``; it is solved here when None.
+    is u's trajectory on ``paths``; it is solved here when None.
     """
     if problem.backend != "discrete_transpose":
         raise ConfigurationError(

@@ -34,16 +34,16 @@ class BlowUpError(ChocError):
     Attributes
     ----------
     step : int
-        Index of the step at which the blow-up was detected; in a batch of
-        paths, the earliest step at which any path blew up.
+        Index of the step at which the blow-up was detected: the earliest
+        step at which any path of the batch blew up.
     max_abs : float
         Largest absolute value of that path's state at detection time.
     seed : int or None
         Seed of the Wiener path that blew up, when known; sampling the path
-        again from it replays the blow-up. In a batch, the lowest-indexed
-        path that blew up at that step.
+        again from it replays the blow-up. Of the paths that blew up at that
+        step, the lowest-indexed one.
     path : int or None
-        Index of that path in its batch, when the solve swept one.
+        Index of that path in its batch.
     """
 
     def __init__(self, step, max_abs, seed=None, path=None):

@@ -69,7 +69,11 @@ class Grid:
     lengths: tuple[float, ...]
 
     def __init__(self, npoints, lengths=None):
-        npoints = tuple(int(n) for n in np.atleast_1d(npoints))
+        counts = np.atleast_1d(npoints)
+        if not all(float(n).is_integer() for n in counts):
+            raise ConfigurationError(
+                f"point counts must be integers, got {counts.tolist()}")
+        npoints = tuple(int(n) for n in counts)
         if lengths is None:
             lengths = (1.0,) * len(npoints)
         lengths = tuple(float(l) for l in np.atleast_1d(lengths))
@@ -101,11 +105,6 @@ class Grid:
         """The trailing array axes a field occupies; leading axes (time,
         paths) are batch axes of the transforms and means."""
         return tuple(range(-self.ndims, 0))
-
-    def transform_axes(self, values: np.ndarray) -> tuple[int, ...] | None:
-        """The axes a cosine transform of ``values`` runs over: the grid
-        axes, given as None (all axes, the cheaper call) for one field."""
-        return None if values.ndim == self.ndims else self.axes
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -214,8 +213,7 @@ def laplacian(x: Field) -> Field:
 def lap_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Array-level Laplacian used by the time steppers; leading axes of
     ``values`` are a batch."""
-    axes = grid.transform_axes(values)
-    return _idct(grid.lap_symbol * _dct(values, axes), axes)
+    return _idct(grid.lap_symbol * _dct(values, grid.axes), grid.axes)
 
 
 def mean(x: Field) -> float:
@@ -261,7 +259,7 @@ def norm_h_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def grad_norm_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    coeffs = _dct(values, grid.transform_axes(values))
+    coeffs = _dct(values, grid.axes)
     return np.sum((-grid.lap_symbol) * coeffs**2, axis=grid.axes) * grid.cell_volume
 
 

@@ -31,9 +31,9 @@ two differ by a one-step shift of coefficients, an O(tau) gap.
 
 :func:`solve_adjoint` stores the ptilde_n it computes at every node and
 does not keep p, which no reader uses. :func:`solve_linearized` and
-:func:`solve_adjoint` sweep every path of a batched trajectory at once, on
-arrays with a leading path axis; each path's sensitivity and costate are
-bitwise those of its own sweep.
+:func:`solve_adjoint` sweep every path of a trajectory at once, on arrays
+with a leading path axis; each path's sensitivity and costate are bitwise
+those of its own sweep.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, _dct, _idct, lap_values
+from .grid import Grid, _dct, _idct, lap_values
 from .physics import (
     NO_TRUNCATION,
     TruncationLevel,
@@ -54,9 +54,8 @@ from .physics import (
 from .state import (
     StateParams,
     Trajectory,
-    _by_step,
     _increments,
-    _starts,
+    _path_sums,
     _step_spectral,
     control_values,
     series_l2h_norm,
@@ -70,7 +69,6 @@ __all__ = [
     "solve_linearized",
     "solve_adjoint",
     "convergence_in_truncation",
-    "max_curvature",
     "duality_terms",
 ]
 
@@ -82,16 +80,14 @@ class LinearizedSolution:
     """Directional state sensitivity z along a trajectory's paths.
 
     ``zs`` stacks the nsteps+1 sensitivities from z_0 = 0 in the direction
-    ``h``, which the paths share. The solution of a batched trajectory
-    carries its leading path axis, and :meth:`path` gives one path's
-    solution as views. The linearized potential
-    mu_n = -Lap z_n + C_n z_n - h_n at the step starts is computed when
-    first read.
+    ``h``, which the paths share, behind the trajectory's leading path axis.
+    The linearized potential mu_n = -Lap z_n + C_n z_n - h_n at the step
+    starts is computed when first read.
     """
 
     traj: Trajectory
     h: np.ndarray                # (nsteps, *grid.shape)
-    zs: np.ndarray               # ([npaths,] nsteps+1, *grid.shape), zs[0] = 0
+    zs: np.ndarray               # (npaths, nsteps+1, *grid.shape), zs[:, 0] = 0
     trunc: TruncationLevel
 
     @property
@@ -103,26 +99,16 @@ class LinearizedSolution:
         return self.params.grid
 
     @property
-    def npaths(self) -> int | None:
-        """Number of paths in a batch; None for a single-path solution."""
+    def npaths(self) -> int:
         return self.traj.npaths
-
-    def path(self, i: int) -> "LinearizedSolution":
-        """Path ``i`` of a batch; its ``zs`` is a view into the batch's."""
-        return LinearizedSolution(traj=self.traj.path(i), h=self.h,
-                                  zs=self.zs[i], trunc=self.trunc)
 
     @cached_property
     def mus(self) -> np.ndarray:
-        """mu_n at every step start, shape ([npaths,] nsteps, *grid.shape)."""
-        batched = self.npaths is not None
-        z = _starts(self.zs, batched)
+        """mu_n at every step start, shape (npaths, nsteps, *grid.shape)."""
+        z = self.zs[:, :-1]
         curvature = self.trunc.clamp(self.params.potential.psi_second(
-            _starts(self.traj.ys, batched)))
+            self.traj.ys[:, :-1]))
         return -lap_values(self.grid, z) + curvature * z - self.h
-
-    def z(self, n: int) -> Field:
-        return Field(self.grid, self.zs[n])
 
 
 @dataclass(frozen=True)
@@ -131,13 +117,12 @@ class AdjointSolution:
 
     Only ptilde enters gradients and optimality conditions, so the sweep
     stores the ptilde it computes and does not keep p, whose gauge is fixed
-    by propagating the terminal mean backward. The solution of a batched
-    trajectory carries its leading path axis, and :meth:`path` gives one
-    path's solution.
+    by propagating the terminal mean backward. The solution carries the
+    trajectory's leading path axis.
     """
 
     params: StateParams
-    ptildes: np.ndarray          # ([npaths,] nsteps+1, *grid.shape)
+    ptildes: np.ndarray          # (npaths, nsteps+1, *grid.shape)
     backend: str
     trunc: TruncationLevel
     warning: str | None = None
@@ -147,31 +132,18 @@ class AdjointSolution:
         return self.params.grid
 
     @property
-    def npaths(self) -> int | None:
-        """Number of paths in a batch; None for a single-path solution."""
-        batched = self.ptildes.ndim == self.grid.ndims + 2
-        return self.ptildes.shape[0] if batched else None
-
-    def path(self, i: int) -> "AdjointSolution":
-        """Path ``i`` of a batch; its ``ptildes`` is a view into the batch's."""
-        if self.npaths is None:
-            raise ConfigurationError("a single-path solution has no path axis")
-        return AdjointSolution(params=self.params, ptildes=self.ptildes[i],
-                               backend=self.backend, trunc=self.trunc,
-                               warning=self.warning)
-
-    def ptilde(self, n: int) -> Field:
-        return Field(self.grid, self.ptildes[n])
+    def npaths(self) -> int:
+        return self.ptildes.shape[0]
 
 
 def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolution:
-    """Integrate the linearized system along the trajectory's noise path, or
-    along every path of a batched trajectory at once.
+    """Integrate the linearized system along every noise path of the
+    trajectory at once.
 
     Runs the state's step function on the trajectory's stored Wiener
     increments and stabilization, so the scheme is the exact differential of
     the state stepper when the curvature clamp is inactive. The direction
-    ``h`` is shared by the paths of a batch.
+    ``h`` is shared by the paths.
     """
     p = traj.params
     g = p.grid
@@ -180,14 +152,13 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
     hvals = control_values(h, tg, g)
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
-    batched = traj.npaths is not None
     # arrays indexed by step first, as in the state sweep
-    ys = _by_step(traj.ys, batched)
+    ys = np.moveaxis(traj.ys, 1, 0)
     if noisy:
-        dw_n = _increments(traj.wiener) if batched else traj.wiener.increments
+        dw_n = _increments(traj.wiener)
 
     zs = np.zeros(traj.ys.shape)
-    zs_n = _by_step(zs, batched)
+    zs_n = np.moveaxis(zs, 1, 0)
     z = np.zeros(ys.shape[1:])
     z_hat = np.zeros(ys.shape[1:])
     for n in range(tg.nsteps):
@@ -198,25 +169,12 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
     return LinearizedSolution(traj=traj, h=hvals, zs=zs, trunc=trunc)
 
 
-def _tracking_sources(traj: Trajectory, x_q, x_t, alphas):
-    """Returns (alpha1*(y_n - xQ_n))_n and alpha2*(y_N - x_T) along one path."""
-    a1, a2, _ = alphas
-    tg = traj.timegrid
-    g = traj.grid
-    xq, xt = target_values(x_q, x_t, alphas, tg, g)
-    dist = (a1 * (traj.ys[: tg.nsteps] - xq) if a1 != 0.0
-            else np.zeros((tg.nsteps,) + g.shape))
-    terminal = a2 * (traj.ys[tg.nsteps] - xt) if a2 != 0.0 else np.zeros(g.shape)
-    return dist, terminal
-
-
 def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_transpose",
                   trunc=NO_TRUNCATION) -> AdjointSolution:
-    """Backward costate sweep along one path, or along every path of a
-    batched trajectory at once.
+    """Backward costate sweep along every path of the trajectory at once.
 
-    For a batch each target is shared by the paths or given per path, with
-    a leading npaths axis, and the solution carries the path axis.
+    Each target is shared by the paths or given per path, with a leading
+    npaths axis, and the solution carries the path axis.
     ``backend`` selects the exact transpose of the linearized recursion or a
     direct backward discretization of the continuous adjoint equation. The
     continuous backend drops the martingale term; with multiplicative noise
@@ -229,22 +187,21 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
     tg = p.timegrid
     trunc = TruncationLevel.coerce(trunc)
     a1, a2, _ = alphas
-    batched = traj.npaths is not None
     xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
     # arrays indexed by step first, as in the state sweep
     nsteps = tg.nsteps
-    ys = _by_step(traj.ys, batched)
-    if xq is not None:
-        xq = _by_step(xq, xq.ndim == g.ndims + 2)    # per-path target
+    ys = np.moveaxis(traj.ys, 1, 0)
+    if xq is not None and xq.ndim == g.ndims + 2:    # per-path target
+        xq = np.moveaxis(xq, 1, 0)
     zero = np.zeros(ys.shape[1:])
-    axes = g.transform_axes(zero)
+    axes = g.axes
     tau = tg.tau
     sym = p.implicit_symbol
     nm = p.noise
     s = p.stabilization
     noisy = nm.is_multiplicative and nm.nmodes > 0
     if noisy:
-        dw_n = _increments(traj.wiener) if batched else traj.wiener.increments
+        dw_n = _increments(traj.wiener)
 
     def dist(n):
         """alpha1 * (y_n - xQ_n)."""
@@ -252,7 +209,7 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
 
     terminal = a2 * (ys[nsteps] - xt) if a2 != 0.0 else zero
     ptildes = np.empty(traj.ys.shape)
-    pts_n = _by_step(ptildes, batched)
+    pts_n = np.moveaxis(ptildes, 1, 0)
     pts_n[nsteps] = -lap_values(g, terminal)
     warning = None
 
@@ -284,8 +241,9 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
 
 
 def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolution,
-                  h, x_q, x_t, alphas) -> tuple[float, float]:
-    """Both sides of the duality identity, computed from independent data.
+                  h, x_q, x_t, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the duality identity on every path, computed from
+    independent data; two arrays of shape (npaths,).
 
     Left: the control direction paired with ptilde over the cylinder.
     Right: the cost-weighted linearized state. The two are computed from the
@@ -296,14 +254,18 @@ def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolutio
     g = p.grid
     cv = g.cell_volume
     tau = tg.tau
+    nsteps = tg.nsteps
     a1, a2, _ = alphas
     hvals = control_values(h, tg, g)
 
-    lhs = tau * cv * float(np.sum(hvals * adj.ptildes[: tg.nsteps]))
+    lhs = tau * cv * _path_sums(hvals * adj.ptildes[:, :nsteps])
 
-    dist, terminal = _tracking_sources(traj, x_q, x_t, (a1, a2, 0.0))
-    rhs = tau * cv * float(np.sum(dist * lin.zs[: tg.nsteps]))
-    rhs += cv * float(np.sum(terminal * lin.zs[tg.nsteps]))
+    xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
+    dist = (a1 * (traj.ys[:, :nsteps] - xq) if a1 != 0.0
+            else np.zeros((nsteps,) + g.shape))
+    terminal = a2 * (traj.ys[:, nsteps] - xt) if a2 != 0.0 else np.zeros(g.shape)
+    rhs = tau * cv * _path_sums(dist * lin.zs[:, :nsteps])
+    rhs += cv * _path_sums(terminal * lin.zs[:, nsteps])
     return lhs, rhs
 
 
@@ -311,38 +273,25 @@ def convergence_in_truncation(traj: Trajectory, h, levels) -> list:
     """Distance between linearized solutions at consecutive clamp levels.
 
     Once a level exceeds the largest curvature seen along the trajectory the
-    clamp is inactive and successive solutions coincide bit for bit. A
-    batched trajectory is solved once per level for all its paths and gives
-    one table per path.
+    clamp is inactive and successive solutions coincide bit for bit. The
+    trajectory is solved once per level for all its paths, and the result
+    is one table per path.
     """
     levels = [TruncationLevel.coerce(lv) for lv in levels]
     if any(b.level <= a.level for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("truncation levels must be strictly increasing")
-    sols = [solve_linearized(traj, h, lv) for lv in levels]
-    if traj.npaths is None:
-        return _truncation_table(traj, levels, sols)
-    return [_truncation_table(traj.path(i), levels, [s.path(i) for s in sols])
-            for i in range(traj.npaths)]
-
-
-def _truncation_table(traj: Trajectory, levels, sols) -> list[dict]:
-    """Rows of :func:`convergence_in_truncation` along one path."""
+    zs = [solve_linearized(traj, h, lv).zs for lv in levels]
     tg = traj.timegrid
-    g = traj.grid
-    max_curv = max_curvature(traj)
-    rows = []
-    for (la, sa), (lb, sb) in zip(zip(levels, sols), zip(levels[1:], sols[1:])):
-        diff = series_l2h_norm(sb.zs[1:] - sa.zs[1:], tg, g)
-        rows.append({
+    psi_second = traj.params.potential.psi_second
+    tables = []
+    for i in range(traj.npaths):
+        max_curv = float(np.max(np.abs(psi_second(traj.ys[i]))))
+        tables.append([{
             "level_low": la.level,
             "level_high": lb.level,
-            "difference_l2h": diff,
-            "identical": bool(np.array_equal(sa.zs, sb.zs)),
+            "difference_l2h": series_l2h_norm(zb[i, 1:] - za[i, 1:], tg, traj.grid),
+            "identical": bool(np.array_equal(za[i], zb[i])),
             "max_curvature": max_curv,
-        })
-    return rows
+        } for la, lb, za, zb in zip(levels, levels[1:], zs, zs[1:])])
+    return tables
 
-
-def max_curvature(traj: Trajectory) -> float:
-    """Largest |psi''(y)| observed along the trajectory."""
-    return float(np.max(np.abs(traj.params.potential.psi_second(traj.ys))))

@@ -19,8 +19,8 @@ spatial mean of y is conserved along every path.
 :func:`solve_state` integrates a batch of paths in one sweep: the arrays of
 a step carry a leading path axis, the transforms run over the grid axes
 only, and the noise and the blow-up guard act path by path. Each path's
-numbers are bitwise those of solving it alone. A single path runs the same
-loop on arrays without the path axis.
+numbers are bitwise those of solving it alone; a single path is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .grid import (
     Grid,
     _dct as _dct_values,
     _idct as _idct_values,
-    grad_norm_sq,
+    grad_norm_sq_values,
     lap_values,
 )
 from .physics import NoiseModel, Potential, b_increment_values
@@ -163,23 +163,20 @@ class StateParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States of one noise path or a batch of paths.
+    """States of a batch of noise paths; a single path is a batch of one.
 
-    ``ys`` stacks the nsteps+1 state fields. The control values and the
-    Wiener path that generated the trajectory are kept for the linearized
-    and adjoint solvers. The chemical potentials ``ws`` at the step starts
-    and the free-energy series are computed when first read.
-
-    A batch (``wiener`` a tuple of paths) puts a leading path axis on
-    ``ys``, ``mass`` and, for a per-path control, on ``control``;
-    :meth:`path` gives one path's trajectory as views into those arrays.
+    ``ys`` stacks the nsteps+1 state fields of every path behind a leading
+    path axis. The control values, shared by the paths or given per path,
+    and the Wiener paths that generated the trajectory are kept for the
+    linearized and adjoint solvers. The chemical potentials ``ws`` at the
+    step starts and the free-energy series are computed when first read.
     """
 
     params: StateParams
-    ys: np.ndarray               # ([npaths,] nsteps+1, *grid.shape)
-    control: np.ndarray          # ([npaths,] nsteps,   *grid.shape)
-    wiener: WienerPath | tuple[WienerPath, ...]
-    mass: np.ndarray             # ([npaths,] nsteps+1)
+    ys: np.ndarray               # (npaths, nsteps+1, *grid.shape)
+    control: np.ndarray          # ([npaths,] nsteps, *grid.shape)
+    wiener: tuple[WienerPath, ...]
+    mass: np.ndarray             # (npaths, nsteps+1)
 
     @property
     def grid(self) -> Grid:
@@ -190,38 +187,20 @@ class Trajectory:
         return self.params.timegrid
 
     @property
-    def npaths(self) -> int | None:
-        """Number of paths in a batch; None for a single-path trajectory."""
-        return len(self.wiener) if isinstance(self.wiener, tuple) else None
-
-    def path(self, i: int) -> "Trajectory":
-        """Path ``i`` of a batch, as views into the batch's arrays."""
-        if self.npaths is None:
-            raise ConfigurationError("a single-path trajectory has no path axis")
-        per_path = self.control.ndim == self.grid.ndims + 2
-        return Trajectory(params=self.params, ys=self.ys[i],
-                          control=self.control[i] if per_path else self.control,
-                          wiener=self.wiener[i], mass=self.mass[i])
+    def npaths(self) -> int:
+        return len(self.wiener)
 
     @cached_property
     def ws(self) -> np.ndarray:
         """Chemical potential w_n = -Lap y_n + psi'(y_n) - u_n at every step
-        start, shape ([npaths,] nsteps, *grid.shape)."""
-        starts = _starts(self.ys, self.npaths is not None)
-        return _chemical_potential_values(self.grid, starts, self.control,
+        start, shape (npaths, nsteps, *grid.shape)."""
+        return _chemical_potential_values(self.grid, self.ys[:, :-1], self.control,
                                           self.params.potential)
 
     @cached_property
     def energy(self) -> np.ndarray:
-        """Free energy of every state, shape ([npaths,] nsteps+1)."""
-        g = self.grid
-        pot = self.params.potential
-        states = self.ys.reshape((-1,) + g.shape)
-        return np.array([_energy_values(g, y, pot)
-                         for y in states]).reshape(self.ys.shape[:-g.ndims])
-
-    def y(self, n: int) -> Field:
-        return Field(self.grid, self.ys[n])
+        """Free energy of every state, shape (npaths, nsteps+1)."""
+        return _energy_values(self.grid, self.ys, self.params.potential)
 
 
 def control_values(u, tg: TimeGrid, grid: Grid, npaths: int | None = None) -> np.ndarray:
@@ -234,15 +213,14 @@ def control_values(u, tg: TimeGrid, grid: Grid, npaths: int | None = None) -> np
     return _series_array(u, (tg.nsteps,) + grid.shape, "control", npaths)
 
 
-def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid,
-                  npaths: int | None = None):
+def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid, npaths: int):
     """Normalize the tracking targets the cost weights read.
 
     Returns (xQ, xT) as arrays of shapes (nsteps, *grid.shape) and
-    grid.shape; None stands for a zero target. With ``npaths`` a target may
-    also be given per path, with a leading npaths axis. A target whose
-    weight is zero is not read and comes back as None. A target of another
-    shape is a :class:`ConfigurationError`.
+    grid.shape, or given per path with a leading npaths axis; None stands
+    for a zero target. A target whose weight is zero is not read and comes
+    back as None. A target of another shape is a
+    :class:`ConfigurationError`.
     """
     a1, a2, _ = alphas
     xq = (_series_array(x_q, (tg.nsteps,) + grid.shape, "distributed target", npaths)
@@ -258,11 +236,20 @@ def _series_array(x, shape, kind: str, npaths: int | None) -> np.ndarray:
     if x is None:
         return np.zeros(shape)
     values = np.asarray(getattr(x, "values", x), dtype=float)
-    if values.shape != shape and (npaths is None
-                                  or values.shape != (npaths,) + shape):
-        wanted = f"{shape}" if npaths is None else f"{shape} or {(npaths,) + shape}"
+    shapes = [shape] + ([(npaths,) + shape] if npaths else [])
+    if values.shape not in shapes:
+        wanted = " or ".join(str(s) for s in shapes)
         raise ConfigurationError(f"{kind} shape {values.shape} != {wanted}")
     return values
+
+
+def _path_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each path's entries of a contiguous (npaths, ...) array.
+
+    The summed axes are trailing and contiguous, so each sum is bitwise the
+    ``np.sum`` of that path's array alone.
+    """
+    return np.sum(a, axis=tuple(range(1, a.ndim)))
 
 
 def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:
@@ -289,7 +276,7 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
     the transforms run over the grid axes.
     """
     lam = p.grid.lap_symbol
-    axes = p.grid.transform_axes(x)
+    axes = p.grid.axes
     explicit = reaction - p.stabilization * x - source
     rhs_hat = x_hat + p.timegrid.tau * lam * _dct_values(explicit, axes)
     if noise is not None:
@@ -311,12 +298,11 @@ def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
     noise = b_increment_values(params.noise, y, dw_n) if params.noise.nmodes else None
     y_next, _ = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
                                u_n.values, noise, params)
-    _guard(y_next, 0, params.blowup_threshold, [None], False)
+    _guard(y_next, 0, params.blowup_threshold, [None])
     return Field(params.grid, y_next), chemical_potential(y_n, u_n, params.potential)
 
 
-def _guard(values: np.ndarray, step: int, threshold: float, seeds,
-           batched: bool) -> None:
+def _guard(values: np.ndarray, step: int, threshold: float, seeds) -> None:
     """Raise :class:`BlowUpError` when a path of ``values`` (one per seed)
     is not finite or exceeds the threshold, naming the lowest such path."""
     top = float(np.max(np.abs(values)))
@@ -324,28 +310,30 @@ def _guard(values: np.ndarray, step: int, threshold: float, seeds,
         return
     rows = np.max(np.abs(values).reshape(len(seeds), -1), axis=1)
     i = int(np.argmax(~np.isfinite(rows) | (rows > threshold)))
-    raise BlowUpError(step, float(rows[i]), seeds[i], i if batched else None)
+    raise BlowUpError(step, float(rows[i]), seeds[i], i)
 
 
-def solve_state(y0: Field, u, paths: WienerPath | Sequence[WienerPath],
+def solve_state(y0: Field, u, paths: Sequence[WienerPath],
                 params: StateParams) -> Trajectory:
-    """Integrate the state system along one noise path or a batch of paths.
+    """Integrate the state system along a batch of noise paths in one sweep.
 
-    ``paths`` is one :class:`WienerPath` or a sequence of them. A sequence
-    is integrated in one sweep and the trajectory carries a leading path
-    axis; ``u`` is then shared by every path or given per path, with shape
-    (npaths, nsteps, *grid.shape). Each path's result is bitwise that of
-    solving it alone.
+    ``paths`` is a sequence of :class:`WienerPath`; one path is the batch
+    ``[path]``, and a bare path is a :class:`ConfigurationError`. The
+    trajectory carries a leading path axis; ``u`` is shared by every path
+    or given per path, with shape (npaths, nsteps, *grid.shape). Each
+    path's result is bitwise that of solving it alone.
 
     Deterministic given (y0, control, paths); records the mass series.
     Raises :class:`BlowUpError` instead of clipping runaway states. It names
     the earliest step at which a path blew up and, at that step, the lowest
-    blown-up path: its seed and, in a batch, its index.
+    blown-up path: its seed and its index in the batch.
     """
     g = params.grid
     tg = params.timegrid
-    batched = not isinstance(paths, WienerPath)
-    batch = tuple(paths) if batched else (paths,)
+    if isinstance(paths, WienerPath):
+        raise ConfigurationError("solve_state takes a sequence of Wiener paths; "
+                                 "pass one path as [path]")
+    batch = tuple(paths)
     if y0.grid != g:
         raise ConfigurationError("initial datum lives on a different grid")
     if not batch:
@@ -354,43 +342,31 @@ def solve_state(y0: Field, u, paths: WienerPath | Sequence[WienerPath],
         raise ConfigurationError("Wiener path sampled on a different time grid")
     if any(wp.nmodes != params.noise.nmodes for wp in batch):
         raise ConfigurationError("Wiener path has a different number of modes")
-    uvals = control_values(u, tg, g, len(batch) if batched else None)
+    uvals = control_values(u, tg, g, len(batch))
 
-    # A batch runs with a leading path axis on every array of a step; the
-    # *_n arrays are views indexed by step first.
-    lead = (len(batch),) if batched else ()
+    # Every array of a step carries the leading path axis; the *_n arrays
+    # are views indexed by step first.
     nsteps = tg.nsteps
-    ys = np.empty(lead + (nsteps + 1,) + g.shape)
-    ys_n = _by_step(ys, batched)
-    u_n = _by_step(uvals, uvals.ndim == g.ndims + 2)    # per-path control
-    dw_n = _increments(batch) if batched else paths.increments
+    ys = np.empty((len(batch), nsteps + 1) + g.shape)
+    ys_n = np.moveaxis(ys, 1, 0)
+    per_path = uvals.ndim == g.ndims + 2
+    u_n = np.moveaxis(uvals, 1, 0) if per_path else uvals
+    dw_n = _increments(batch)
     nm = params.noise
     noisy = nm.nmodes > 0
     psi_prime = params.potential.psi_prime
     seeds = [wp.seed for wp in batch]
 
-    y = np.repeat(y0.values[None], len(batch), axis=0) if batched else y0.values.copy()
-    y_hat = _dct_values(y, g.transform_axes(y))
+    y = np.repeat(y0.values[None], len(batch), axis=0)
+    y_hat = _dct_values(y, g.axes)
     ys_n[0] = y
     for n in range(nsteps):
         noise = b_increment_values(nm, y, dw_n[n]) if noisy else None
         y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise, params)
-        _guard(y, n, params.blowup_threshold, seeds, batched)
+        _guard(y, n, params.blowup_threshold, seeds)
         ys_n[n + 1] = y
     mass = ys.sum(axis=g.axes) / g.size
-    return Trajectory(params=params, ys=ys, control=uvals,
-                      wiener=batch if batched else paths, mass=mass)
-
-
-def _by_step(a: np.ndarray, batched: bool) -> np.ndarray:
-    """A view of ``a`` indexed by step first: a batch's (npaths, steps, ...)
-    as (steps, npaths, ...), a single path's array as it is."""
-    return np.moveaxis(a, 1, 0) if batched else a
-
-
-def _starts(a: np.ndarray, batched: bool) -> np.ndarray:
-    """The step-start nodes 0..nsteps-1 of a ([npaths,] nsteps+1, ...) series."""
-    return a[:, :-1] if batched else a[:-1]
+    return Trajectory(params=params, ys=ys, control=uvals, wiener=batch, mass=mass)
 
 
 def _increments(paths) -> np.ndarray:
@@ -398,14 +374,15 @@ def _increments(paths) -> np.ndarray:
     return np.stack([wp.increments for wp in paths], axis=1)
 
 
-def _energy_values(g: Grid, values: np.ndarray, pot: Potential) -> float:
-    f = Field(g, values)
-    return 0.5 * grad_norm_sq(f) + float(np.sum(pot.psi(values)) * g.cell_volume)
+def _energy_values(g: Grid, values: np.ndarray, pot: Potential) -> np.ndarray:
+    """Array-level free energy; leading axes of ``values`` are a batch."""
+    return (0.5 * grad_norm_sq_values(g, values)
+            + np.sum(pot.psi(values), axis=g.axes) * g.cell_volume)
 
 
 def energy(y: Field, pot: Potential) -> float:
     """Free energy: half the Dirichlet form plus the potential integral."""
-    return _energy_values(y.grid, y.values, pot)
+    return float(_energy_values(y.grid, y.values, pot))
 
 
 def series_l2h_norm(values: np.ndarray, tg: TimeGrid, grid: Grid) -> float:

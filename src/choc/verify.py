@@ -5,8 +5,8 @@ Every check is a pure function of its inputs and seeds and emits a
 :class:`CheckReport` whose JSON form is byte-stable across runs. Each check
 has a negative control exercised by the test suite, so a vacuous pass cannot
 hide a wiring bug. A check sweeps its whole ensemble at once, with one
-batched solve per control, level or time grid (the backend check's adjoints
-excepted), and sums per-path results in path order.
+solve per control, level, time grid or backend, and sums per-path results
+in path order.
 """
 
 from __future__ import annotations
@@ -228,19 +228,20 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
 def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
                       paths: list[WienerPath], backend: str):
     """Ensemble duality residual over the given Wiener paths; both sides from
-    independent code paths, one batched sweep each."""
+    independent code paths, one sweep each."""
     traj = solve_state(problem.y0, u.values, paths, problem.params)
     lin = solve_linearized(traj, h.values, problem.trunc)
     adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas,
                         backend=backend, trunc=problem.trunc)
+    lhs, rhs = duality_terms(traj, lin, adj, h.values, problem.x_q, problem.x_t,
+                             problem.alphas)
+    # a Python loop in path order: sum() compensates (Python >= 3.12) and
+    # np.sum sums pairwise, and either would move the reports' bits
     lhs_total = 0.0
     rhs_total = 0.0
-    for i in range(len(paths)):
-        lhs, rhs = duality_terms(traj.path(i), lin.path(i), adj.path(i), h.values,
-                                 problem.target_q(i), problem.target_t(i),
-                                 problem.alphas)
-        lhs_total += lhs
-        rhs_total += rhs
+    for lhs_i, rhs_i in zip(lhs.tolist(), rhs.tolist()):
+        lhs_total += lhs_i
+        rhs_total += rhs_i
     lhs_total /= len(paths)
     rhs_total /= len(paths)
     scale = max(abs(lhs_total), abs(rhs_total), 1e-300)
@@ -305,7 +306,7 @@ def _resize_problem(problem: Problem, nsteps: int) -> Problem:
             if x_q.shape[0] != nsteps:
                 # constant-in-time targets resample trivially; anything else
                 # cannot be transferred across time grids
-                if np.allclose(x_q, x_q[:1]):
+                if (x_q == x_q[:1]).all():
                     x_q = np.repeat(x_q[:1], nsteps, axis=0)
                 else:
                     raise ConfigurationError(
@@ -398,7 +399,7 @@ def _retime_control(u: ControlProcess, problem: Problem) -> ControlProcess:
     tg = problem.params.timegrid
     if u.timegrid == tg:
         return u
-    if not np.allclose(u.values, u.values[:1]):
+    if not (u.values == u.values[:1]).all():
         raise ConfigurationError(
             "only constant-in-time controls transfer across time grids"
         )
@@ -626,6 +627,20 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
 # Backend consistency
 
 
+def _backend_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
+                 paths: list[WienerPath], params: StateParams) -> float:
+    """Path mean of the L2(Q) gap between the two backends' ptilde; one
+    state sweep and one adjoint sweep per backend, all freed on return."""
+    tg = params.timegrid
+    traj = solve_state(y0, u, paths, params)
+    adj_t = solve_adjoint(traj, x_q, None, alphas, backend="discrete_transpose")
+    adj_c = solve_adjoint(traj, x_q, None, alphas, backend="continuous")
+    gap = 0.0
+    for pt_t, pt_c in zip(adj_t.ptildes, adj_c.ptildes):
+        gap += series_l2h_norm(pt_t[: tg.nsteps] - pt_c[: tg.nsteps], tg, params.grid)
+    return gap / len(paths)
+
+
 def check_backend_consistency(problem: Problem, es: EnsembleSpec,
                               nsteps_list=(100, 200, 400, 800), seed: int = 0,
                               order_tol: float = 0.8) -> CheckReport:
@@ -665,22 +680,9 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
         params = replace(p, timegrid=tg)
         uvals = np.repeat(u_field.values[None], nsteps, axis=0)
         xq = np.repeat(xq_field.values[None], nsteps, axis=0)
-        gap = 0.0
         paths = _coupled_paths(params.noise, tg, finest, es)
-        batch = solve_state(problem.y0, uvals, paths, params)
-        for i in range(len(paths)):
-            # the adjoints run path by path, each holding one ptilde array
-            # per backend: batched 800-step costates would set the suite's
-            # peak memory
-            traj = batch.path(i)
-            adj_t = solve_adjoint(traj, xq, None, alphas,
-                                  backend="discrete_transpose")
-            adj_c = solve_adjoint(traj, xq, None, alphas,
-                                  backend="continuous")
-            gap += series_l2h_norm(adj_t.ptildes[:nsteps] - adj_c.ptildes[:nsteps],
-                                   tg, p.grid)
         taus.append(tg.tau)
-        gaps.append(gap / es.npaths)
+        gaps.append(_backend_gap(problem.y0, uvals, xq, alphas, paths, params))
     order = empirical_order(np.asarray(taus), np.asarray(gaps))
     table = tuple({"tau": t, "ptilde_gap_l2q": gv} for t, gv in zip(taus, gaps))
     return CheckReport(

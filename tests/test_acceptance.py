@@ -80,7 +80,7 @@ def test_criterion_01_mass_conservation():
 def test_criterion_02_constant_fixed_point():
     params = _params("none")
     wp = sample_wiener_path(params.noise, TIMEGRID, 0)
-    traj = solve_state(Field.constant(GRID, 0.3), None, wp, params)
+    traj = solve_state(Field.constant(GRID, 0.3), None, [wp], params)
     dev = float(np.max(np.abs(traj.ys - 0.3)))
     _report(2, "constant state is a fixed point of the deterministic flow",
             dev <= 1e-12, f"sup deviation {dev:.3e} <= 1e-12")
@@ -90,8 +90,8 @@ def test_criterion_03_energy_dissipation():
     params = _params("none", s=2.0)
     y0 = low_pass_field(GRID, np.random.default_rng(11), 0.4)
     wp = sample_wiener_path(params.noise, TIMEGRID, 0)
-    traj = solve_state(y0, None, wp, params)
-    worst = float(np.max(np.diff(traj.energy)))
+    traj = solve_state(y0, None, [wp], params)
+    worst = float(np.max(np.diff(traj.energy[0])))
     _report(3, "deterministic energy dissipation at S = 2",
             worst <= 1e-10, f"max energy increment {worst:.3e} <= 1e-10")
 

@@ -321,6 +321,10 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 3
     assert "blow-up" in capsys.readouterr().err
+    # the one path a run solves is named by its index in the ensemble
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--path-index", "2"]) == 3
+    assert "ensemble path 2" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -351,6 +355,7 @@ def test_build_problem_synthetic_targets_shapes(monkeypatch):
     assert build.reference_control is not None
     assert build.reference_control.norm_l2q() <= build.problem.c0
     for i, wp in enumerate(es.sample_paths(params)):
-        traj = solve_state(build.problem.y0, build.reference_control.values, wp, params)
-        assert np.array_equal(build.problem.x_q[i], traj.ys[: tg.nsteps])
-        assert np.array_equal(build.problem.x_t[i], traj.ys[tg.nsteps])
+        traj = solve_state(build.problem.y0, build.reference_control.values, [wp],
+                           params)
+        assert np.array_equal(build.problem.x_q[i], traj.ys[0, : tg.nsteps])
+        assert np.array_equal(build.problem.x_t[i], traj.ys[0, tg.nsteps])

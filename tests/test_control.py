@@ -66,11 +66,11 @@ def test_cost_perfect_tracking(small_params, rng):
     g = small_params.grid
     y0 = low_pass_field(g, rng, 0.4)
     wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
-    traj = solve_state(y0, None, wp, small_params)
+    traj = solve_state(y0, None, [wp], small_params)
     tg = small_params.timegrid
-    cost = evaluate_cost(traj, None, traj.ys[: tg.nsteps], traj.ys[tg.nsteps],
+    cost = evaluate_cost(traj, None, traj.ys[0, : tg.nsteps], traj.ys[0, tg.nsteps],
                          (1.0, 1.0, 1.0))
-    assert cost == 0.0
+    assert cost.tolist() == [0.0]
 
 
 def test_cost_pure_control_quadrature(grid64):
@@ -79,8 +79,8 @@ def test_cost_pure_control_quadrature(grid64):
                          noise=no_noise(grid64))
     wp = sample_wiener_path(params.noise, tg, 0)
     u = np.ones((tg.nsteps,) + grid64.shape)
-    traj = solve_state(Field.constant(grid64, 0.0), u, wp, params)
-    cost = evaluate_cost(traj, u, None, None, (0.0, 0.0, 1.0))
+    traj = solve_state(Field.constant(grid64, 0.0), u, [wp], params)
+    (cost,) = evaluate_cost(traj, u, None, None, (0.0, 0.0, 1.0))
     expected = 0.5 * tg.t_final * grid64.volume          # (1/2) |u|^2 over Q
     assert cost == pytest.approx(expected, rel=1e-12)
 
@@ -91,24 +91,25 @@ def test_cost_matches_quadrature_oracle(small_params, rng):
     y0 = low_pass_field(g, rng, 0.4)
     wp = sample_wiener_path(small_params.noise, tg, 4)
     u = np.stack([low_pass_field(g, rng, 0.5).values for _ in range(tg.nsteps)])
-    traj = solve_state(y0, u, wp, small_params)
+    traj = solve_state(y0, u, [wp], small_params)
     x_q = np.stack([low_pass_field(g, rng, 0.3).values for _ in range(tg.nsteps)])
     x_t = low_pass_field(g, rng, 0.3).values
     alphas = (0.7, 1.3, 0.4)
-    cost = evaluate_cost(traj, u, x_q, x_t, alphas)
+    (cost,) = evaluate_cost(traj, u, x_q, x_t, alphas)
     cv, tau = g.cell_volume, tg.tau
+    ys = traj.ys[0]
     oracle = 0.0
     for n in range(tg.nsteps):
-        oracle += 0.5 * alphas[0] * tau * cv * np.sum((traj.ys[n] - x_q[n]) ** 2)
+        oracle += 0.5 * alphas[0] * tau * cv * np.sum((ys[n] - x_q[n]) ** 2)
         oracle += 0.5 * alphas[2] * tau * cv * np.sum(u[n] ** 2)
-    oracle += 0.5 * alphas[1] * cv * np.sum((traj.ys[tg.nsteps] - x_t) ** 2)
+    oracle += 0.5 * alphas[1] * cv * np.sum((ys[tg.nsteps] - x_t) ** 2)
     assert cost == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("x_t", [np.zeros(1), np.zeros(16)])
 def test_terminal_target_of_wrong_shape_rejected(small_params, rng, x_t):
     wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
-    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, wp,
+    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, [wp],
                        small_params)
     alphas = (0.0, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
@@ -119,7 +120,7 @@ def test_terminal_target_of_wrong_shape_rejected(small_params, rng, x_t):
 
 def test_distributed_target_of_wrong_shape_rejected(small_params, rng):
     wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
-    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, wp,
+    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, [wp],
                        small_params)
     x_q = np.zeros((3, 32))
     alphas = (1.0, 0.0, 0.0)
@@ -202,16 +203,16 @@ def test_gradient_per_path_control():
     u = ControlProcess(g, tg, vals, c0=1.0, per_path=True)
     paths = es.sample_paths(params)
     u_ref = _smooth_control(problem, 9, amplitude=0.4)
-    refs = [solve_state(problem.y0, u_ref.values, wp, params) for wp in paths]
+    refs = [solve_state(problem.y0, u_ref.values, [wp], params) for wp in paths]
     from dataclasses import replace
-    synth = replace(problem, x_q=np.stack([t.ys[: tg.nsteps] for t in refs]),
-                    x_t=np.stack([t.ys[tg.nsteps] for t in refs]))
+    synth = replace(problem, x_q=np.stack([t.ys[0, : tg.nsteps] for t in refs]),
+                    x_t=np.stack([t.ys[0, tg.nsteps] for t in refs]))
     grad = gradient(u, es, synth)
     assert grad.shape == vals.shape
     for i, wp in enumerate(paths):
-        traj = solve_state(problem.y0, vals[i], wp, params)
+        traj = solve_state(problem.y0, vals[i], [wp], params)
         adj = solve_adjoint(traj, synth.x_q[i], synth.x_t[i], synth.alphas)
-        assert np.array_equal(grad[i], adj.ptildes[: tg.nsteps] + 1e-2 * vals[i])
+        assert np.array_equal(grad[i], adj.ptildes[0, : tg.nsteps] + 1e-2 * vals[i])
 
 
 def test_given_states_change_no_bits():
@@ -249,7 +250,7 @@ def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     (adj,) = adjoints
     del calls[:]
     assert adj.ptildes.shape == states.ys.shape
-    adj.path(npaths - 1).ptilde(nsteps)
+    adj.ptildes[npaths - 1, nsteps]
     assert calls == []
 
 
@@ -365,9 +366,9 @@ def test_optimize_synthetic_target_descends():
     x_t = np.empty((es.npaths,) + params.grid.shape)
     for i in range(es.npaths):
         wp = sample_wiener_path(params.noise, tg, es.path_seed(i))
-        traj = solve_state(problem.y0, u_ref.values, wp, params)
-        x_q[i] = traj.ys[: tg.nsteps]
-        x_t[i] = traj.ys[tg.nsteps]
+        traj = solve_state(problem.y0, u_ref.values, [wp], params)
+        x_q[i] = traj.ys[0, : tg.nsteps]
+        x_t[i] = traj.ys[0, tg.nsteps]
     from dataclasses import replace
     synth = replace(problem, x_q=x_q, x_t=x_t)
     u0 = synth.zero_control()

@@ -46,6 +46,15 @@ def test_grid_validation():
     assert g.volume == pytest.approx(2.0)
 
 
+def test_grid_rejects_non_integral_point_counts():
+    with pytest.raises(ConfigurationError, match="integers"):
+        Grid(64.7)
+    with pytest.raises(ConfigurationError, match="integers"):
+        Grid([16.2, 12.9])
+    assert Grid(64.0).npoints == (64,)
+    assert Grid([16.0, 12]).npoints == (16, 12)
+
+
 def test_field_validation(grid64):
     with pytest.raises(DomainError):
         Field(grid64, np.full(grid64.shape, np.nan))

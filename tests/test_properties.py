@@ -3,8 +3,8 @@
 Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
 and a potential, then checks one identity of the discrete system: duality
 to rounding, per-path mass conservation, idempotent projection, the
-field-level Laplacian and norms against the array-level ones, and batched
-sweeps against path-by-path solves, bit for bit.
+field-level Laplacian and norms against the array-level ones, and a sweep
+of a batch of paths against a sweep of each path alone, bit for bit.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from choc import (
     additive_noise,
     double_well,
     duality_terms,
+    evaluate_cost,
     laplacian,
     mix_seed,
     multiplicative_noise,
@@ -44,7 +45,7 @@ from choc.grid import (
 )
 from choc.physics import no_noise
 from choc.sensitivity import BACKENDS
-from choc.state import StateParams
+from choc.state import StateParams, _path_sums
 
 # A fixed example sequence and no example database: the suite gives the same
 # verdict on every run and writes no files.
@@ -102,10 +103,10 @@ def test_duality_to_rounding(params, seed, alphas):
     x_q = _smooth_series(params, rng, 0.3)
     x_t = low_pass_field(params.grid, rng, 0.3).values
     wp = sample_wiener_path(params.noise, params.timegrid, seed)
-    traj = solve_state(y0, u, wp, params)
+    traj = solve_state(y0, u, [wp], params)
     lin = solve_linearized(traj, h)
     adj = solve_adjoint(traj, x_q, x_t, alphas)
-    lhs, rhs = duality_terms(traj, lin, adj, h, x_q, x_t, alphas)
+    (lhs,), (rhs,) = duality_terms(traj, lin, adj, h, x_q, x_t, alphas)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
@@ -117,8 +118,8 @@ def test_mass_conserved_per_path(params, seed):
     u = _smooth_series(params, rng, 0.5)
     for i in range(2):
         wp = sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
-        traj = solve_state(y0, u, wp, params)
-        assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
+        traj = solve_state(y0, u, [wp], params)
+        assert np.max(np.abs(traj.mass[0] - traj.mass[0, 0])) <= 1e-12
 
 
 @PROPERTIES
@@ -158,14 +159,27 @@ def test_norms_are_norm_values(g, batch, seed):
 
 
 @PROPERTIES
+@given(g=grids, npaths=st.integers(1, 8), nsteps=st.integers(1, 300), seed=seeds)
+def test_path_sums_are_per_path_sums(g, npaths, nsteps, seed):
+    # the loop over paths is the reference: each row sum is bitwise the
+    # np.sum of that path's array alone
+    a = np.random.default_rng(seed).standard_normal((npaths, nsteps) + g.shape)
+    sums = _path_sums(a)
+    assert sums.shape == (npaths,)
+    assert all(sums[i] == np.sum(a[i]) for i in range(npaths))
+
+
+@PROPERTIES
 @given(params=state_params(), seed=seeds, npaths=st.integers(1, 4),
        per_path_control=st.booleans(), per_path_targets=st.booleans(),
        backend=st.sampled_from(BACKENDS),
        trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
 def test_batch_is_serial(params, seed, npaths, per_path_control,
                          per_path_targets, backend, trunc):
+    # a batch of npaths paths is bitwise npaths batches of one
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
+    cost_alphas = (0.7, 1.3, 0.2)
     y0 = low_pass_field(params.grid, rng, 0.4)
 
     def per_path(draw, flag):
@@ -181,22 +195,28 @@ def test_batch_is_serial(params, seed, npaths, per_path_control,
     batch = solve_state(y0, u, paths, params)
     lin = solve_linearized(batch, h, trunc)
     adj = solve_adjoint(batch, x_q, x_t, alphas, backend)
+    cost = evaluate_cost(batch, u, x_q, x_t, cost_alphas)
+    lhs, rhs = duality_terms(batch, lin, adj, h, x_q, x_t, alphas)
     assert batch.npaths == lin.npaths == adj.npaths == npaths
     for i, wp in enumerate(paths):
         def pick(x, flag):
             return x[i] if flag else x
-        traj = solve_state(y0, pick(u, per_path_control), wp, params)
-        view = batch.path(i)
-        assert np.shares_memory(view.ys, batch.ys)
-        assert np.array_equal(view.ys, traj.ys)
-        assert np.array_equal(batch.ws[i], traj.ws)
-        assert np.array_equal(view.mass, traj.mass)
-        assert np.array_equal(view.control, traj.control)
-        assert view.wiener is wp
+        u_i = pick(u, per_path_control)
+        xq_i, xt_i = pick(x_q, per_path_targets), pick(x_t, per_path_targets)
+        traj = solve_state(y0, u_i, [wp], params)
+        assert traj.npaths == 1 and traj.wiener == (wp,)
+        assert batch.wiener[i] is wp
+        assert np.array_equal(batch.ys[i], traj.ys[0])
+        assert np.array_equal(batch.ws[i], traj.ws[0])
+        assert np.array_equal(batch.mass[i], traj.mass[0])
+        assert np.array_equal(batch.energy[i], traj.energy[0])
+        assert np.array_equal(pick(batch.control, per_path_control), traj.control)
         alone_lin = solve_linearized(traj, h, trunc)
-        assert np.shares_memory(lin.path(i).zs, lin.zs)
-        assert np.array_equal(lin.zs[i], alone_lin.zs)
-        assert np.array_equal(lin.mus[i], alone_lin.mus)
-        alone = solve_adjoint(traj, pick(x_q, per_path_targets),
-                              pick(x_t, per_path_targets), alphas, backend)
-        assert np.array_equal(adj.ptildes[i], alone.ptildes)
+        assert np.array_equal(lin.zs[i], alone_lin.zs[0])
+        assert np.array_equal(lin.mus[i], alone_lin.mus[0])
+        alone = solve_adjoint(traj, xq_i, xt_i, alphas, backend)
+        assert np.array_equal(adj.ptildes[i], alone.ptildes[0])
+        assert cost[i] == evaluate_cost(traj, u_i, xq_i, xt_i, cost_alphas)[0]
+        alone_lhs, alone_rhs = duality_terms(traj, alone_lin, alone, h, xq_i, xt_i,
+                                             alphas)
+        assert (lhs[i], rhs[i]) == (alone_lhs[0], alone_rhs[0])

@@ -156,10 +156,10 @@ def test_step_is_first_step_of_solve(grid64, grid2d, rng, make_noise):
         y0 = low_pass_field(g, rng, 0.4)
         u = np.stack([low_pass_field(g, rng, 0.5).values for _ in range(5)])
         wp = sample_wiener_path(params.noise, params.timegrid, 21)
-        traj = solve_state(y0, u, wp, params)
+        traj = solve_state(y0, u, [wp], params)
         y1, w0 = step_state(y0, Field(g, u[0]), wp.increments[0], params)
-        assert np.array_equal(y1.values, traj.ys[1])
-        assert np.array_equal(w0.values, traj.ws[0])
+        assert np.array_equal(y1.values, traj.ys[0, 1])
+        assert np.array_equal(w0.values, traj.ws[0, 0])
 
 
 def test_step_requires_stabilization_above_c1(grid64):
@@ -176,7 +176,7 @@ def test_solve_constant_state_stays(grid64):
     params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 200),
                          potential=double_well(), noise=no_noise(grid64))
     wp = sample_wiener_path(params.noise, params.timegrid, 0)
-    traj = solve_state(Field.constant(grid64, 0.3), None, wp, params)
+    traj = solve_state(Field.constant(grid64, 0.3), None, [wp], params)
     assert np.max(np.abs(traj.ys - 0.3)) <= 1e-12
 
 
@@ -186,15 +186,15 @@ def test_solve_energy_dissipation(grid64, rng):
                          stabilization=2.0)
     y0 = low_pass_field(grid64, rng, 0.4)
     wp = sample_wiener_path(params.noise, params.timegrid, 0)
-    traj = solve_state(y0, None, wp, params)
-    assert np.all(np.diff(traj.energy) <= 1e-10)
+    traj = solve_state(y0, None, [wp], params)
+    assert np.all(np.diff(traj.energy[0]) <= 1e-10)
 
 
 def test_solve_bitwise_reproducible(small_params, rng):
     y0 = low_pass_field(small_params.grid, rng, 0.4)
     wp = sample_wiener_path(small_params.noise, small_params.timegrid, 123)
-    t1 = solve_state(y0, None, wp, small_params)
-    t2 = solve_state(y0, None, wp, small_params)
+    t1 = solve_state(y0, None, [wp], small_params)
+    t2 = solve_state(y0, None, [wp], small_params)
     assert np.array_equal(t1.ys, t2.ys)
     assert np.array_equal(t1.ws, t2.ws)
 
@@ -206,8 +206,8 @@ def test_solve_mass_conservation_multiplicative(grid64, rng):
     y0 = low_pass_field(grid64, rng, 0.4)
     for seed in range(4):
         wp = sample_wiener_path(nm, params.timegrid, mix_seed(9, seed))
-        traj = solve_state(y0, None, wp, params)
-        assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
+        traj = solve_state(y0, None, [wp], params)
+        assert np.max(np.abs(traj.mass[0] - traj.mass[0, 0])) <= 1e-12
 
 
 def test_solve_mass_conservation_zero_mean_additive(grid64, rng):
@@ -216,8 +216,8 @@ def test_solve_mass_conservation_zero_mean_additive(grid64, rng):
                          potential=double_well(), noise=nm)
     y0 = low_pass_field(grid64, rng, 0.4)
     wp = sample_wiener_path(nm, params.timegrid, 5)
-    traj = solve_state(y0, None, wp, params)
-    assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
+    traj = solve_state(y0, None, [wp], params)
+    assert np.max(np.abs(traj.mass[0] - traj.mass[0, 0])) <= 1e-12
 
 
 def test_blowup_raises_with_diagnostics(grid64, rng):
@@ -228,7 +228,7 @@ def test_blowup_raises_with_diagnostics(grid64, rng):
     y0 = low_pass_field(grid64, rng, 0.4)
     wp = sample_wiener_path(nm, params.timegrid, 3)
     with pytest.raises(BlowUpError) as err:
-        solve_state(y0, None, wp, params)
+        solve_state(y0, None, [wp], params)
     assert err.value.max_abs > 1e6 or not np.isfinite(err.value.max_abs)
 
 
@@ -241,7 +241,7 @@ def test_blowup_seed_replays_path(grid64, rng):
     es = EnsembleSpec(4, 31)
     u = problem.zero_control()
     # a threshold between the two largest path maxima blows up one path only
-    tops = sorted((float(np.max(np.abs(solve_state(problem.y0, None, wp, params).ys))), i)
+    tops = sorted((float(np.max(np.abs(solve_state(problem.y0, None, [wp], params).ys))), i)
                   for i, wp in enumerate(es.sample_paths(params)))
     (second, _), (top, worst) = tops[-2:]
     assert second < top
@@ -254,8 +254,8 @@ def test_blowup_seed_replays_path(grid64, rng):
     assert err.value.path == worst
     assert f"ensemble path {worst}" in str(err.value)
     with pytest.raises(BlowUpError) as replay:
-        solve_state(problem.y0, None, sample_wiener_path(nm, params.timegrid,
-                                                         err.value.seed), params)
+        solve_state(problem.y0, None, [sample_wiener_path(nm, params.timegrid,
+                                                          err.value.seed)], params)
     assert (replay.value.step, replay.value.max_abs) == (err.value.step,
                                                          err.value.max_abs)
 
@@ -270,7 +270,7 @@ def test_blowup_in_batch_names_earliest_step(grid64, rng):
     y0 = low_pass_field(grid64, rng, 0.4)
     paths = EnsembleSpec(6, 31).sample_paths(params)
     # tops[i, n]: the largest |y| the guard sees after step n of path i
-    tops = np.array([np.max(np.abs(solve_state(y0, None, wp, params).ys[1:]),
+    tops = np.array([np.max(np.abs(solve_state(y0, None, [wp], params).ys[0, 1:]),
                             axis=1) for wp in paths])
 
     def first_steps(threshold):
@@ -296,11 +296,11 @@ def test_blowup_in_batch_names_earliest_step(grid64, rng):
     assert err.value.path == culprit
     assert err.value.seed == paths[culprit].seed
     assert err.value.max_abs == tops[culprit, earliest]
-    # the named path alone replays the same blow-up
+    # the named path alone replays the same blow-up, as path 0 of its batch
     with pytest.raises(BlowUpError) as alone:
-        solve_state(y0, None, paths[culprit], fragile)
+        solve_state(y0, None, [paths[culprit]], fragile)
     assert (alone.value.step, alone.value.max_abs) == (earliest, err.value.max_abs)
-    assert alone.value.path is None
+    assert alone.value.path == 0
     # every path blows up at step 0, the first with the smallest value: the
     # lowest index is named, not the largest value
     order = np.argsort(tops[:, 0])
@@ -316,7 +316,15 @@ def test_timegrid_mismatch_rejected(small_params, rng):
     y0 = low_pass_field(small_params.grid, rng, 0.4)
     wrong = sample_wiener_path(small_params.noise, TimeGrid(0.02, 41), 0)
     with pytest.raises(ConfigurationError):
-        solve_state(y0, None, wrong, small_params)
+        solve_state(y0, None, [wrong], small_params)
+
+
+def test_bare_wiener_path_rejected(small_params, rng):
+    # a bare path is not a batch: its steps would read as paths
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 0)
+    with pytest.raises(ConfigurationError, match=r"\[path\]"):
+        solve_state(y0, None, wp, small_params)
 
 
 # --- energy ----------------------------------------------------------------------
@@ -351,9 +359,9 @@ def test_energy_computed_on_read(small_params, rng):
     pot = replace(double_well(), psi=psi)
     params = replace(small_params, potential=pot)
     wp = sample_wiener_path(params.noise, params.timegrid, 8)
-    traj = solve_state(low_pass_field(params.grid, rng, 0.4), None, wp, params)
+    traj = solve_state(low_pass_field(params.grid, rng, 0.4), None, [wp], params)
     assert calls == []
-    assert all(traj.energy[n] == energy(traj.y(n), pot)
+    assert all(traj.energy[0, n] == energy(Field(params.grid, traj.ys[0, n]), pot)
                for n in range(params.timegrid.nsteps + 1))
 
 
@@ -378,9 +386,9 @@ def test_strong_order_sweep():
         for s in range(4):
             wp_fine = sample_wiener_path(nm, tg_fine, mix_seed(77, s))
             wp = aggregate_increments(wp_fine, base * factor_max // nsteps)
-            ref = solve_state(y0, None, wp_fine, params_fine)
-            coarse = solve_state(y0, None, wp, params)
-            err += norm_h(Field(g, coarse.ys[-1] - ref.ys[-1]))
+            ref = solve_state(y0, None, [wp_fine], params_fine)
+            coarse = solve_state(y0, None, [wp], params)
+            err += norm_h(Field(g, coarse.ys[0, -1] - ref.ys[0, -1]))
         errors.append(err / 4)
         taus.append(tg.tau)
     assert errors[2] < errors[1] < errors[0]

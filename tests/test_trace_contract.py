@@ -53,7 +53,7 @@ def test_trace_sees_every_layer(tracing):
         counts = {}
         calls = {
             "solve_state": lambda: choc.state.solve_state(
-                problem.y0, build.u0.values, wp, problem.params),
+                problem.y0, build.u0.values, [wp], problem.params),
             "solve_linearized": lambda: choc.sensitivity.solve_linearized(
                 traj, h.values, problem.trunc),
             "solve_adjoint": lambda: choc.sensitivity.solve_adjoint(

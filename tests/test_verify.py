@@ -1,5 +1,7 @@
 """Check harness: positive runs, negative controls, bitwise determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from choc.verify import (
     check_truncation,
     empirical_order,
     random_smooth_control,
+    _resize_problem,
+    _retime_control,
 )
 
 
@@ -140,6 +144,26 @@ def test_duality_check_continuous_trend():
     assert report.measured["empirical_order"] >= 0.8
 
 
+def test_nearly_constant_series_do_not_change_time_grid():
+    # a rise of 5e-6 in the second half passes np.allclose against the first
+    # step, but the series is not constant in time, and retiming it as one
+    # would drop the rise
+    problem = _problem(nsteps=200)
+    g, tg = problem.params.grid, problem.params.timegrid
+    profile = 1.0 + 0.3 * g.cosine_mode((1,))
+    flat = np.repeat(profile[None], tg.nsteps, axis=0)
+    raised = flat.copy()
+    raised[tg.nsteps // 2:] += 5e-6
+    resized = _resize_problem(replace(problem, x_q=flat), 400)
+    assert np.array_equal(resized.x_q, np.repeat(profile[None], 400, axis=0))
+    u = ControlProcess(g, tg, flat, c0=1.0)
+    assert np.array_equal(_retime_control(u, resized).values, resized.x_q)
+    with pytest.raises(ConfigurationError, match="constant-in-time"):
+        _retime_control(replace(u, values=raised), resized)
+    with pytest.raises(ConfigurationError, match="time-varying target"):
+        _resize_problem(replace(problem, x_q=raised), 400)
+
+
 def test_duality_continuous_rejects_multiplicative():
     problem = _problem(noise="multiplicative")
     with pytest.raises(ConfigurationError):
@@ -186,13 +210,13 @@ def test_lipschitz_ratio_bounded_by_dense_operator_norm():
     from choc.state import sample_wiener_path, solve_state
     from choc.verify import _norm_c0h_l2z
     wp = sample_wiener_path(problem.params.noise, tg, 0)
-    base = solve_state(problem.y0, None, wp, problem.params)
+    base = solve_state(problem.y0, None, [wp], problem.params)
     cols = np.zeros((nsteps + 1, npts, nsteps * npts))
     for col in range(nsteps * npts):
         d = np.zeros((nsteps, npts))
         d[col // npts, col % npts] = 1.0
-        bumped = solve_state(problem.y0, d, wp, problem.params)
-        cols[:, :, col] = bumped.ys - base.ys
+        bumped = solve_state(problem.y0, d, [wp], problem.params)
+        cols[:, :, col] = bumped.ys[0] - base.ys[0]
 
     # operator norm wrt the (C0 H cap L2 Z) output norm is bounded by the
     # Euclidean norm times the worst per-column ratio; use an SVD bound on a
@@ -209,13 +233,13 @@ def test_lipschitz_ratio_bounded_by_dense_operator_norm():
         d = random_smooth_control(problem, seed, amplitude=0.2)
         u2 = ControlProcess(g, tg, d.values, c0=problem.c0)
         diff_traj = None
-        bumped = solve_state(problem.y0, d.values, wp, problem.params)
-        num = _norm_c0h_l2z(bumped.ys - base.ys, tg, g)
+        bumped = solve_state(problem.y0, d.values, [wp], problem.params)
+        num = _norm_c0h_l2z(bumped.ys[0] - base.ys[0], tg, g)
         den = np.sqrt(np.sum(d.values**2) * tau * cv)
         ratios.append(num / den)
         # consistency of the dense map: reproduce the state difference
         pred = (flat @ d.values.ravel()).reshape(nsteps + 1, npts)
-        assert np.allclose(pred, bumped.ys - base.ys, atol=1e-9)
+        assert np.allclose(pred, bumped.ys[0] - base.ys[0], atol=1e-9)
     # bound: num <= smax |d|_2 * norm-equivalence factors
     lam_max = float(np.max(-g.lap_symbol))
     equiv = np.sqrt(cv) * (1 + np.sqrt(tau * (nsteps + 1) * (1 + lam_max) ** 2))
