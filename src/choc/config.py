@@ -344,8 +344,11 @@ def _validate(c: RunConfig) -> None:
              "solver.blowup_threshold must be positive")
     _require(c.optimizer.tol > 0, "optimizer.tol must be positive")
     _require(c.optimizer.max_iter >= 0, "optimizer.max_iter must be nonnegative")
+    _require(0 < c.optimizer.armijo_c < 1, "optimizer.armijo_c must lie in (0, 1)")
     _require(0 < c.optimizer.armijo_shrink < 1,
              "optimizer.armijo_shrink must lie in (0, 1)")
+    _require(c.optimizer.max_backtracks >= 1,
+             "optimizer.max_backtracks must be at least 1")
     _require(c.optimizer.eta0 > 0, "optimizer.eta0 must be positive")
 
 
@@ -450,13 +453,13 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
     c0 = config.control.c0
     kind, arg = _parse_source(config.control.init)
     if kind == "zero":
-        u0 = ControlProcess.zeros(grid, tg, c0)
+        u0 = ControlProcess.zeros(grid, tg)
     elif kind == "constant":
         u0 = ControlProcess(grid, tg,
-                            np.full((tg.nsteps,) + grid.shape, float(arg or 0.0)), c0)
+                            np.full((tg.nsteps,) + grid.shape, float(arg or 0.0)))
     elif kind == "file":
         f = read_snapshot(base_dir / arg, grid)
-        u0 = ControlProcess(grid, tg, np.repeat(f.values[None], tg.nsteps, axis=0), c0)
+        u0 = ControlProcess(grid, tg, np.repeat(f.values[None], tg.nsteps, axis=0))
     else:
         raise ConfigurationError(f"control.init: unknown source {config.control.init!r}")
 
@@ -512,7 +515,7 @@ def _reference_control(grid: Grid, tg: TimeGrid, c0: float,
     values = np.repeat(profile[None], tg.nsteps, axis=0)
     norm = l2q_norm(values, tg, grid)
     values *= amplitude * c0 / norm
-    return ControlProcess(grid, tg, values, c0)
+    return ControlProcess(grid, tg, values)
 
 
 def _synthetic_targets(params: StateParams, y0: Field, reference: ControlProcess,

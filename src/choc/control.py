@@ -18,8 +18,8 @@ runs one state sweep for the starting cost and one per line-search trial,
 one adjoint sweep per iteration, and one adjoint sweep at the final control,
 whose gradient also gives the optimality residual.
 
-An open-loop random control class (one control per path) shares the same
-code path behind the ``per_path`` flag of :class:`ControlProcess`.
+The admissible set is the L2 ball of radius :attr:`Problem.c0`; every
+projection, the optimizer's and the optimality residual's, is onto it.
 """
 
 from __future__ import annotations
@@ -64,52 +64,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlProcess:
-    """Piecewise-constant-in-time control with an admissibility radius.
-
-    ``values`` has shape (nsteps, *grid.shape); with ``per_path=True`` a
-    leading path axis is added and the admissibility norm averages over it.
+    """Deterministic piecewise-constant-in-time control, one field per time
+    step: ``values`` has shape (nsteps, *grid.shape). The admissible ball it
+    is projected onto is the problem's (:attr:`Problem.c0`).
     """
 
     grid: Grid
     timegrid: TimeGrid
     values: np.ndarray
-    c0: float = 1.0
-    per_path: bool = False
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise DomainError(f"admissibility radius must be positive, got {self.c0}")
         values = np.asarray(self.values, dtype=float)
-        base = (self.timegrid.nsteps,) + self.grid.shape
-        expected_ndim = len(base) + (1 if self.per_path else 0)
-        if values.ndim != expected_ndim or values.shape[-len(base):] != base:
-            raise ConfigurationError(
-                f"control values shape {values.shape} incompatible with "
-                f"{base} (per_path={self.per_path})"
-            )
+        shape = (self.timegrid.nsteps,) + self.grid.shape
+        if values.shape != shape:
+            raise ConfigurationError(f"control values shape {values.shape} != {shape}")
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def zeros(cls, grid: Grid, tg: TimeGrid, c0: float = 1.0) -> "ControlProcess":
-        return cls(grid, tg, np.zeros((tg.nsteps,) + grid.shape), c0)
+    def zeros(cls, grid: Grid, tg: TimeGrid) -> "ControlProcess":
+        return cls(grid, tg, np.zeros((tg.nsteps,) + grid.shape))
 
     def with_values(self, values) -> "ControlProcess":
         return replace(self, values=np.asarray(values, dtype=float))
 
     def norm_l2q(self) -> float:
-        return l2q_norm(self.values, self.timegrid, self.grid,
-                        per_path=self.per_path)
+        return l2q_norm(self.values, self.timegrid, self.grid)
 
 
-def l2q_norm(values: np.ndarray, tg: TimeGrid, grid: Grid,
-             per_path: bool = False) -> float:
-    """Discrete L2 norm over the time-space cylinder; with a path axis the
-    square is averaged over paths (an expectation norm)."""
+def l2q_norm(values: np.ndarray, tg: TimeGrid, grid: Grid) -> float:
+    """Discrete L2 norm over the time-space cylinder."""
     values = np.asarray(values, dtype=float)
-    sq = np.sum(values**2) * tg.tau * grid.cell_volume
-    if per_path:
-        sq /= values.shape[0]
-    return float(np.sqrt(sq))
+    return float(np.sqrt(np.sum(values**2) * tg.tau * grid.cell_volume))
 
 
 def l2q_inner(a: np.ndarray, b: np.ndarray, tg: TimeGrid, grid: Grid) -> float:
@@ -138,7 +123,9 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class Problem:
-    """Tracking problem: dynamics, initial datum, targets, and weights.
+    """Tracking problem: dynamics, initial datum, targets, weights, and the
+    admissible set, the L2 ball of radius ``c0`` that controls are projected
+    onto.
 
     Targets may be shared across paths (shapes (nsteps, *grid) / (*grid)) or
     per path (leading npaths axis), as produced by the synthetic target
@@ -155,6 +142,8 @@ class Problem:
     backend: str = "discrete_transpose"
 
     def __post_init__(self):
+        if self.c0 <= 0:
+            raise DomainError(f"admissibility radius must be positive, got {self.c0}")
         if any(a < 0 for a in self.alphas):
             raise DomainError(f"cost weights must be nonnegative, got {self.alphas}")
         if self.y0.grid != self.params.grid:
@@ -174,7 +163,7 @@ class Problem:
         return xt[i] if xt.ndim == self.params.grid.ndims + 1 else xt
 
     def zero_control(self) -> ControlProcess:
-        return ControlProcess.zeros(self.params.grid, self.params.timegrid, self.c0)
+        return ControlProcess.zeros(self.params.grid, self.params.timegrid)
 
 
 def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
@@ -183,8 +172,8 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
 
     (a1/2) sum_n tau |y_n - xQ_n|_H^2 + (a2/2) |y_N - x_T|_H^2
     + (a3/2) sum_n tau |u_n|_H^2, with the distributed sums over the step
-    starts n = 0..N-1. The control and the targets are shared by the paths
-    or given per path, with a leading npaths axis.
+    starts n = 0..N-1. The control is shared by the paths; the targets are
+    shared or given per path, with a leading npaths axis.
     """
     a1, a2, a3 = alphas
     tg = traj.timegrid
@@ -199,7 +188,7 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
     if a2 != 0.0:
         total += 0.5 * a2 * cv * _path_sums((traj.ys[:, tg.nsteps] - xt) ** 2)
     if a3 != 0.0:
-        uvals = np.broadcast_to(control_values(u, tg, g, traj.npaths), starts.shape)
+        uvals = np.broadcast_to(control_values(u, tg, g), starts.shape)
         total += 0.5 * a3 * tau * cv * _path_sums(uvals**2)
     return total
 
@@ -211,19 +200,16 @@ def _solve_paths(u: ControlProcess, problem: Problem,
 
 
 def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
-                 paths: list[WienerPath] | None = None,
                  states: Trajectory | None = None) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the tracking cost.
 
     The Wiener paths are fixed by ``es`` independently of ``u``, so repeated
     evaluations are bitwise identical and the map u -> mean is smooth.
-    ``states`` is u's trajectory on ``paths``; it is solved here
-    when None.
+    ``states`` is u's trajectory on the paths of ``es``, which it carries;
+    it is solved here when None.
     """
-    if paths is None:
-        paths = es.sample_paths(problem.params)
     if states is None:
-        states = _solve_paths(u, problem, paths)
+        states = _solve_paths(u, problem, es.sample_paths(problem.params))
     costs = evaluate_cost(states, u.values, problem.x_q, problem.x_t, problem.alphas)
     mean = float(np.mean(costs))
     if len(costs) < 2:
@@ -233,50 +219,43 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
 
 
 def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
-             paths: list[WienerPath] | None = None,
              states: Trajectory | None = None) -> np.ndarray:
     """Exact gradient of the finite-ensemble reduced cost at ``u``.
 
     Runs one transpose-adjoint sweep along the paths' state trajectories
-    and averages ptilde; the control penalty contributes alpha3 * u. With a
-    per-path control the path gradients are returned unaveraged. ``states``
-    is u's trajectory on ``paths``; it is solved here when None.
+    and averages ptilde; the control penalty contributes alpha3 * u.
+    ``states`` are as for :func:`reduced_cost`.
     """
     if problem.backend != "discrete_transpose":
         raise ConfigurationError(
             "exact gradients require the discrete_transpose backend"
         )
-    if paths is None:
-        paths = es.sample_paths(problem.params)
     if states is None:
-        states = _solve_paths(u, problem, paths)
+        states = _solve_paths(u, problem, es.sample_paths(problem.params))
     tg = problem.params.timegrid
     a3 = problem.alphas[2]
     adj = solve_adjoint(states, problem.x_q, problem.x_t, problem.alphas,
                         backend="discrete_transpose", trunc=problem.trunc)
-    ptildes = adj.ptildes[:, : tg.nsteps]
-    if u.per_path:
-        return ptildes + a3 * u.values
-    return ptildes.sum(axis=0) / adj.npaths + a3 * u.values
+    return adj.ptildes[:, : tg.nsteps].sum(axis=0) / adj.npaths + a3 * u.values
 
 
-def project_admissible(u: ControlProcess, c0: float | None = None) -> ControlProcess:
-    """Radial projection onto the closed admissibility ball; idempotent."""
-    radius = u.c0 if c0 is None else float(c0)
+def project_admissible(u: ControlProcess, radius: float) -> ControlProcess:
+    """Radial projection onto the closed L2 ball of ``radius``; idempotent."""
+    radius = float(radius)
     if radius <= 0:
         raise DomainError(f"admissibility radius must be positive, got {radius}")
-    norm = l2q_norm(u.values, u.timegrid, u.grid, per_path=u.per_path)
+    norm = l2q_norm(u.values, u.timegrid, u.grid)
     if norm <= radius:
-        return u if radius == u.c0 else replace(u, c0=radius)
+        return u
     scale = radius / norm
     values = u.values * scale
     # Rounding can leave the rescaled norm an ulp or two above the radius,
     # and projecting that again would move it; shrink the factor until the
     # result is inside, so a second projection returns it unchanged.
-    while l2q_norm(values, u.timegrid, u.grid, per_path=u.per_path) > radius:
+    while l2q_norm(values, u.timegrid, u.grid) > radius:
         scale = np.nextafter(scale, 0.0)
         values = u.values * scale
-    return replace(u, values=values, c0=radius)
+    return u.with_values(values)
 
 
 @dataclass(frozen=True)
@@ -322,10 +301,10 @@ class OptimizationResult:
         }
 
 
-def _gradient_map_norm(u: ControlProcess, grad: np.ndarray, eta0: float) -> float:
-    trial = project_admissible(u.with_values(u.values - eta0 * grad))
-    return l2q_norm(u.values - trial.values, u.timegrid, u.grid,
-                    per_path=u.per_path) / eta0
+def _gradient_map_norm(u: ControlProcess, grad: np.ndarray, eta0: float,
+                       radius: float) -> float:
+    trial = project_admissible(u.with_values(u.values - eta0 * grad), radius)
+    return l2q_norm(u.values - trial.values, u.timegrid, u.grid) / eta0
 
 
 def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
@@ -345,10 +324,10 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     last iteration already took).
     """
     paths = es.sample_paths(problem.params)
-    u = project_admissible(u0)
+    u = project_admissible(u0, problem.c0)
     # u's trajectories, kept from the cost to the next gradient only.
     states = _solve_paths(u, problem, paths)
-    cost, stderr = reduced_cost(u, es, problem, paths, states)
+    cost, stderr = reduced_cost(u, es, problem, states)
     cost_history = [cost]
     stderr_history = [stderr]
     gmap_history: list[float] = []
@@ -362,9 +341,9 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     prev_grad = None
     it = 0
     while it < opts.max_iter:
-        grad = gradient(u, es, problem, paths, states)
+        grad = gradient(u, es, problem, states)
         states = None
-        gmap = _gradient_map_norm(u, grad, opts.eta0)
+        gmap = _gradient_map_norm(u, grad, opts.eta0, problem.c0)
         gmap_history.append(gmap)
         if gmap <= opts.tol:
             termination = "converged"
@@ -382,14 +361,13 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
         accepted = False
         trial_eta = eta
         for _ in range(opts.max_backtracks):
-            cand = project_admissible(u.with_values(u.values - trial_eta * grad))
-            step_sq = l2q_norm(u.values - cand.values, tg, u.grid,
-                               per_path=u.per_path) ** 2
+            cand = project_admissible(u.with_values(u.values - trial_eta * grad),
+                                      problem.c0)
+            step_sq = l2q_norm(u.values - cand.values, tg, u.grid) ** 2
             cand_states = None    # drop a rejected trial's states before the next solve
             try:
                 cand_states = _solve_paths(cand, problem, paths)
-                cand_cost, cand_stderr = reduced_cost(cand, es, problem, paths,
-                                                      cand_states)
+                cand_cost, cand_stderr = reduced_cost(cand, es, problem, cand_states)
             except BlowUpError:
                 cand_cost = np.inf    # a blown-up trial is a rejected trial
                 blowup_rejections += 1
@@ -413,7 +391,7 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
         it += 1
 
     if termination == "max_iter":
-        grad = gradient(u, es, problem, paths, states)
+        grad = gradient(u, es, problem, states)
     return OptimizationResult(
         control=u,
         cost_history=cost_history,
@@ -428,16 +406,15 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
 
 
 def optimality_residual(u: ControlProcess, es: EnsembleSpec, problem: Problem,
-                        paths: list[WienerPath] | None = None,
                         states: Trajectory | None = None) -> float:
     """Distance between u and the projected point -mean(ptilde)/alpha3.
 
     Vanishes exactly at a stationary point of the discrete problem when
     alpha3 > 0. For alpha3 = 0 the projection form degenerates; the most
     negative directional derivative over unit coordinate directions is
-    reported instead. ``states`` are as for :func:`gradient`.
+    reported instead. ``states`` are as for :func:`reduced_cost`.
     """
-    return _residual(u, gradient(u, es, problem, paths, states), problem)
+    return _residual(u, gradient(u, es, problem, states), problem)
 
 
 def _residual(u: ControlProcess, grad: np.ndarray, problem: Problem) -> float:
@@ -447,8 +424,7 @@ def _residual(u: ControlProcess, grad: np.ndarray, problem: Problem) -> float:
     g = u.grid
     if a3 > 0:
         mean_ptilde = grad - a3 * u.values
-        target = project_admissible(u.with_values(-mean_ptilde / a3),
-                                    c0=problem.c0)
-        return l2q_norm(u.values - target.values, tg, g, per_path=u.per_path)
+        target = project_admissible(u.with_values(-mean_ptilde / a3), problem.c0)
+        return l2q_norm(u.values - target.values, tg, g)
     unit = np.sqrt(tg.tau * g.cell_volume)
     return float(-np.max(np.abs(grad)) * unit)

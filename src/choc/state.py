@@ -166,15 +166,14 @@ class Trajectory:
     """States of a batch of noise paths; a single path is a batch of one.
 
     ``ys`` stacks the nsteps+1 state fields of every path behind a leading
-    path axis. The control values, shared by the paths or given per path,
-    and the Wiener paths that generated the trajectory are kept for the
+    path axis. The control values, shared by the paths, and the Wiener paths that generated the trajectory are kept for the
     linearized and adjoint solvers. The chemical potentials ``ws`` at the
     step starts and the free-energy series are computed when first read.
     """
 
     params: StateParams
     ys: np.ndarray               # (npaths, nsteps+1, *grid.shape)
-    control: np.ndarray          # ([npaths,] nsteps, *grid.shape)
+    control: np.ndarray          # (nsteps, *grid.shape)
     wiener: tuple[WienerPath, ...]
     mass: np.ndarray             # (npaths, nsteps+1)
 
@@ -203,14 +202,13 @@ class Trajectory:
         return _energy_values(self.grid, self.ys, self.params.potential)
 
 
-def control_values(u, tg: TimeGrid, grid: Grid, npaths: int | None = None) -> np.ndarray:
+def control_values(u, tg: TimeGrid, grid: Grid) -> np.ndarray:
     """Normalize a control argument to a (nsteps, *grid.shape) array.
 
     Accepts None (zero control), an array, or any object with a ``values``
-    array of the right shape. With ``npaths`` a per-path control of shape
-    (npaths, nsteps, *grid.shape) is accepted as well.
+    array of the right shape.
     """
-    return _series_array(u, (tg.nsteps,) + grid.shape, "control", npaths)
+    return _series_array(u, (tg.nsteps,) + grid.shape, "control", None)
 
 
 def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid, npaths: int):
@@ -298,7 +296,10 @@ def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
     noise = b_increment_values(params.noise, y, dw_n) if params.noise.nmodes else None
     y_next, _ = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
                                u_n.values, noise, params)
-    _guard(y_next, 0, params.blowup_threshold, [None])
+    try:
+        _guard(y_next, 0, params.blowup_threshold, [None])
+    except BlowUpError as exc:    # one field, not a path of an ensemble
+        raise BlowUpError(exc.step, exc.max_abs) from None
     return Field(params.grid, y_next), chemical_potential(y_n, u_n, params.potential)
 
 
@@ -319,9 +320,9 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
 
     ``paths`` is a sequence of :class:`WienerPath`; one path is the batch
     ``[path]``, and a bare path is a :class:`ConfigurationError`. The
-    trajectory carries a leading path axis; ``u`` is shared by every path
-    or given per path, with shape (npaths, nsteps, *grid.shape). Each
-    path's result is bitwise that of solving it alone.
+    trajectory carries a leading path axis; ``u`` is one control of shape
+    (nsteps, *grid.shape), shared by every path. Each path's result is
+    bitwise that of solving it alone.
 
     Deterministic given (y0, control, paths); records the mass series.
     Raises :class:`BlowUpError` instead of clipping runaway states. It names
@@ -342,15 +343,13 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
         raise ConfigurationError("Wiener path sampled on a different time grid")
     if any(wp.nmodes != params.noise.nmodes for wp in batch):
         raise ConfigurationError("Wiener path has a different number of modes")
-    uvals = control_values(u, tg, g, len(batch))
+    uvals = control_values(u, tg, g)
 
     # Every array of a step carries the leading path axis; the *_n arrays
     # are views indexed by step first.
     nsteps = tg.nsteps
     ys = np.empty((len(batch), nsteps + 1) + g.shape)
     ys_n = np.moveaxis(ys, 1, 0)
-    per_path = uvals.ndim == g.ndims + 2
-    u_n = np.moveaxis(uvals, 1, 0) if per_path else uvals
     dw_n = _increments(batch)
     nm = params.noise
     noisy = nm.nmodes > 0
@@ -362,7 +361,7 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
     ys_n[0] = y
     for n in range(nsteps):
         noise = b_increment_values(nm, y, dw_n[n]) if noisy else None
-        y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise, params)
+        y, y_hat = _step_spectral(y, y_hat, psi_prime(y), uvals[n], noise, params)
         _guard(y, n, params.blowup_threshold, seeds)
         ys_n[n + 1] = y
     mass = ys.sum(axis=g.axes) / g.size

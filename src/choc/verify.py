@@ -127,7 +127,7 @@ def random_smooth_control(problem: Problem, seed: int, amplitude: float = 1.0,
     norm = l2q_norm(vals, tg, g)
     if norm > 0:
         vals *= amplitude / norm
-    return ControlProcess(g, tg, vals, c0=problem.c0)
+    return ControlProcess(g, tg, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +355,12 @@ def _check_duality_continuous(problem, es, u, h, seed, nsteps_list, order_tol):
         tgn = prob_n.params.timegrid
         if u is None:
             u_n = ControlProcess(prob_n.params.grid, tgn,
-                                 np.repeat(u_profile.values[None], nsteps, axis=0),
-                                 c0=prob_n.c0)
+                                 np.repeat(u_profile.values[None], nsteps, axis=0))
         else:
             u_n = _retime_control(u, prob_n)
         if h is None:
             h_n = ControlProcess(prob_n.params.grid, tgn,
-                                 np.repeat(h_profile.values[None], nsteps, axis=0),
-                                 c0=prob_n.c0)
+                                 np.repeat(h_profile.values[None], nsteps, axis=0))
         else:
             h_n = _retime_control(h, prob_n)
         paths = _coupled_paths(prob_n.params.noise, tgn, finest, es)
@@ -403,8 +401,7 @@ def _retime_control(u: ControlProcess, problem: Problem) -> ControlProcess:
         raise ConfigurationError(
             "only constant-in-time controls transfer across time grids"
         )
-    return ControlProcess(u.grid, tg, np.repeat(u.values[:1], tg.nsteps, axis=0),
-                          c0=u.c0)
+    return ControlProcess(u.grid, tg, np.repeat(u.values[:1], tg.nsteps, axis=0))
 
 
 # ---------------------------------------------------------------------------

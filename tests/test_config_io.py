@@ -41,6 +41,19 @@ def test_negative_alpha3_names_nonnegativity():
     assert "nonnegativity" in str(err.value)
 
 
+@pytest.mark.parametrize("setting, name", [
+    ("max_backtracks = 0", "max_backtracks"), ("max_backtracks = -3", "max_backtracks"),
+    ("armijo_c = 0", "armijo_c"), ("armijo_c = -1", "armijo_c"),
+    ("armijo_c = 1", "armijo_c"), ("armijo_c = 5", "armijo_c"),
+])
+def test_line_search_settings_validated(setting, name):
+    # each would stop the optimizer without a trial step or void the
+    # sufficient-decrease test
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(f"[optimizer]\n{setting}\n")
+    assert f"optimizer.{name}" in str(err.value)
+
+
 def test_unknown_key_carries_line_number():
     text = "[grid]\nndims = 1\nwidgets = 4\n"
     with pytest.raises(ConfigParseError) as err:

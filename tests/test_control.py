@@ -56,7 +56,7 @@ def _smooth_control(problem, seed, amplitude=0.5):
     rng = np.random.default_rng(seed)
     vals = np.stack([low_pass_field(g, rng, 1.0).values for _ in range(tg.nsteps)])
     vals *= amplitude / l2q_norm(vals, tg, g)
-    return ControlProcess(g, tg, vals, c0=problem.c0)
+    return ControlProcess(g, tg, vals)
 
 
 # --- evaluate_cost -----------------------------------------------------------
@@ -189,42 +189,16 @@ def test_gradient_matches_central_differences(trial):
     assert abs(inner - fd) / (abs(fd) + 1e-14) <= 1e-5
 
 
-def test_gradient_per_path_control():
-    # a per-path control with per-path synthetic targets: the batched
-    # gradient is bitwise the single-path solves, path by path
-    problem, es = _problem(npaths=3, alphas=(1.0, 1.0, 1e-2))
-    params = problem.params
-    g, tg = params.grid, params.timegrid
-    rng = np.random.default_rng(8)
-    vals = np.stack([
-        np.stack([low_pass_field(g, rng, 0.2).values for _ in range(tg.nsteps)])
-        for _ in range(es.npaths)
-    ])
-    u = ControlProcess(g, tg, vals, c0=1.0, per_path=True)
-    paths = es.sample_paths(params)
-    u_ref = _smooth_control(problem, 9, amplitude=0.4)
-    refs = [solve_state(problem.y0, u_ref.values, [wp], params) for wp in paths]
-    from dataclasses import replace
-    synth = replace(problem, x_q=np.stack([t.ys[0, : tg.nsteps] for t in refs]),
-                    x_t=np.stack([t.ys[0, tg.nsteps] for t in refs]))
-    grad = gradient(u, es, synth)
-    assert grad.shape == vals.shape
-    for i, wp in enumerate(paths):
-        traj = solve_state(problem.y0, vals[i], [wp], params)
-        adj = solve_adjoint(traj, synth.x_q[i], synth.x_t[i], synth.alphas)
-        assert np.array_equal(grad[i], adj.ptildes[0, : tg.nsteps] + 1e-2 * vals[i])
-
-
 def test_given_states_change_no_bits():
     problem, es = _problem()
     u = _smooth_control(problem, 3)
     paths = es.sample_paths(problem.params)
     states = solve_state(problem.y0, u.values, paths, problem.params)
-    assert (reduced_cost(u, es, problem, paths, states)
+    assert (reduced_cost(u, es, problem, states=states)
             == reduced_cost(u, es, problem))
-    assert np.array_equal(gradient(u, es, problem, paths, states),
+    assert np.array_equal(gradient(u, es, problem, states=states),
                           gradient(u, es, problem))
-    assert (optimality_residual(u, es, problem, paths, states)
+    assert (optimality_residual(u, es, problem, states=states)
             == optimality_residual(u, es, problem))
 
 
@@ -245,7 +219,7 @@ def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
         return adjoints[-1]
     monkeypatch.setattr(choc.control, "solve_adjoint", kept)
     calls = _count_transforms(monkeypatch)
-    gradient(u, es, problem, paths, states)
+    gradient(u, es, problem, states=states)
     assert len(calls) == 2 + 4 * nsteps
     (adj,) = adjoints
     del calls[:]
@@ -260,17 +234,17 @@ def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
 def test_projection_interior_untouched():
     problem, _ = _problem()
     u = _smooth_control(problem, 3, amplitude=0.5 * problem.c0)
-    out = project_admissible(u)
+    out = project_admissible(u, problem.c0)
     assert out is u
 
 
 def test_projection_radial_scaling():
     problem, _ = _problem()
     u = _smooth_control(problem, 3, amplitude=2.0 * problem.c0)
-    out = project_admissible(u)
+    out = project_admissible(u, problem.c0)
     assert out.norm_l2q() == pytest.approx(problem.c0, rel=1e-12)
     assert np.allclose(out.values, u.values * 0.5, rtol=1e-12)
-    again = project_admissible(out)
+    again = project_admissible(out, problem.c0)
     assert np.array_equal(again.values, out.values)
 
 
@@ -279,10 +253,17 @@ def test_projection_nonexpansive(rng):
     for trial in range(5):
         u = _smooth_control(problem, 30 + trial, amplitude=3.0)
         w = _smooth_control(problem, 40 + trial, amplitude=0.8)  # admissible
-        pu = project_admissible(u)
+        pu = project_admissible(u, problem.c0)
         tg, g = problem.params.timegrid, problem.params.grid
         assert (l2q_norm(pu.values - w.values, tg, g)
                 <= l2q_norm(u.values - w.values, tg, g) + 1e-12)
+
+
+def test_control_is_one_field_series():
+    problem, es = _problem()
+    g, tg = problem.params.grid, problem.params.timegrid
+    with pytest.raises(ConfigurationError):
+        ControlProcess(g, tg, np.zeros((es.npaths, tg.nsteps) + g.shape))
 
 
 # --- optimizer -------------------------------------------------------------------
@@ -400,7 +381,7 @@ def test_optimize_rejects_blown_up_trial():
     build = build_problem(parse_config(_BLOWUP_TRIAL_CONFIG))
     problem, es, u0 = build.problem, build.ensemble, build.u0
     first_trial = project_admissible(
-        u0.with_values(u0.values - 1e8 * gradient(u0, es, problem)))
+        u0.with_values(u0.values - 1e8 * gradient(u0, es, problem)), problem.c0)
     with pytest.raises(BlowUpError):
         reduced_cost(first_trial, es, problem)
     res = optimize(u0, es, problem, build.optimizer)
@@ -408,6 +389,37 @@ def test_optimize_rejects_blown_up_trial():
     assert res.step_history[0] < 1e8
     assert res.blowup_rejections >= 1
     assert all(b <= a for a, b in zip(res.cost_history, res.cost_history[1:]))
+
+
+# Synthetic targets from a reference control 8 times the radius: the ball binds.
+# With alpha3 = 1 and eta0 = 1 the gradient map is the optimality residual.
+_BINDING_BALL_CONFIG = """
+[grid]
+npoints = 16
+[time]
+nsteps = 20
+[control]
+c0 = 0.02
+[cost]
+alpha3 = 1
+synthetic_amplitude = 8
+[ensemble]
+npaths = 2
+base_seed = {seed}
+[optimizer]
+tol = 1e-9
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_optimize_stays_in_the_problem_ball(seed):
+    build = build_problem(parse_config(_BINDING_BALL_CONFIG.format(seed=seed)))
+    problem, es, opts = build.problem, build.ensemble, build.optimizer
+    res = optimize(build.u0, es, problem, opts)
+    assert res.termination == "converged"
+    assert problem.c0 * (1.0 - 1e-12) <= res.control.norm_l2q() <= problem.c0
+    assert res.projection_residual == optimality_residual(res.control, es, problem)
+    assert res.projection_residual <= opts.tol
 
 
 def test_optimize_blowup_in_starting_cost_raises():

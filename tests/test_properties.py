@@ -123,18 +123,16 @@ def test_mass_conserved_per_path(params, seed):
 
 
 @PROPERTIES
-@given(g=grids, nsteps=st.integers(1, 6), npaths=st.integers(1, 3),
-       per_path=st.booleans(), amplitude=st.floats(0.0, 10.0),
-       c0=st.floats(0.01, 5.0), seed=seeds)
-def test_projection_idempotent(g, nsteps, npaths, per_path, amplitude, c0, seed):
+@given(g=grids, nsteps=st.integers(1, 6), amplitude=st.floats(0.0, 10.0),
+       radius=st.floats(0.01, 5.0), seed=seeds)
+def test_projection_idempotent(g, nsteps, amplitude, radius, seed):
     tg = TimeGrid(0.05, nsteps)
-    shape = ((npaths,) if per_path else ()) + (nsteps,) + g.shape
-    values = amplitude * np.random.default_rng(seed).standard_normal(shape)
-    u = ControlProcess(g, tg, values, c0=c0, per_path=per_path)
-    once = project_admissible(u)
-    twice = project_admissible(once)
+    values = amplitude * np.random.default_rng(seed).standard_normal((nsteps,) + g.shape)
+    u = ControlProcess(g, tg, values)
+    once = project_admissible(u, radius)
+    twice = project_admissible(once, radius)
     assert np.array_equal(twice.values, once.values)
-    assert once.norm_l2q() <= c0 * (1.0 + 1e-12)
+    assert once.norm_l2q() <= radius * (1.0 + 1e-12)
 
 
 @PROPERTIES
@@ -171,11 +169,9 @@ def test_path_sums_are_per_path_sums(g, npaths, nsteps, seed):
 
 @PROPERTIES
 @given(params=state_params(), seed=seeds, npaths=st.integers(1, 4),
-       per_path_control=st.booleans(), per_path_targets=st.booleans(),
-       backend=st.sampled_from(BACKENDS),
+       per_path_targets=st.booleans(), backend=st.sampled_from(BACKENDS),
        trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
-def test_batch_is_serial(params, seed, npaths, per_path_control,
-                         per_path_targets, backend, trunc):
+def test_batch_is_serial(params, seed, npaths, per_path_targets, backend, trunc):
     # a batch of npaths paths is bitwise npaths batches of one
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
@@ -185,7 +181,7 @@ def test_batch_is_serial(params, seed, npaths, per_path_control,
     def per_path(draw, flag):
         return np.stack([draw() for _ in range(npaths)]) if flag else draw()
 
-    u = per_path(lambda: _smooth_series(params, rng, 0.5), per_path_control)
+    u = _smooth_series(params, rng, 0.5)
     x_q = per_path(lambda: _smooth_series(params, rng, 0.3), per_path_targets)
     x_t = per_path(lambda: low_pass_field(params.grid, rng, 0.3).values,
                    per_path_targets)
@@ -201,22 +197,21 @@ def test_batch_is_serial(params, seed, npaths, per_path_control,
     for i, wp in enumerate(paths):
         def pick(x, flag):
             return x[i] if flag else x
-        u_i = pick(u, per_path_control)
         xq_i, xt_i = pick(x_q, per_path_targets), pick(x_t, per_path_targets)
-        traj = solve_state(y0, u_i, [wp], params)
+        traj = solve_state(y0, u, [wp], params)
         assert traj.npaths == 1 and traj.wiener == (wp,)
         assert batch.wiener[i] is wp
         assert np.array_equal(batch.ys[i], traj.ys[0])
         assert np.array_equal(batch.ws[i], traj.ws[0])
         assert np.array_equal(batch.mass[i], traj.mass[0])
         assert np.array_equal(batch.energy[i], traj.energy[0])
-        assert np.array_equal(pick(batch.control, per_path_control), traj.control)
+        assert np.array_equal(batch.control, traj.control)
         alone_lin = solve_linearized(traj, h, trunc)
         assert np.array_equal(lin.zs[i], alone_lin.zs[0])
         assert np.array_equal(lin.mus[i], alone_lin.mus[0])
         alone = solve_adjoint(traj, xq_i, xt_i, alphas, backend)
         assert np.array_equal(adj.ptildes[i], alone.ptildes[0])
-        assert cost[i] == evaluate_cost(traj, u_i, xq_i, xt_i, cost_alphas)[0]
+        assert cost[i] == evaluate_cost(traj, u, xq_i, xt_i, cost_alphas)[0]
         alone_lhs, alone_rhs = duality_terms(traj, alone_lin, alone, h, xq_i, xt_i,
                                              alphas)
         assert (lhs[i], rhs[i]) == (alone_lhs[0], alone_rhs[0])

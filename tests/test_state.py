@@ -232,6 +232,20 @@ def test_blowup_raises_with_diagnostics(grid64, rng):
     assert err.value.max_abs > 1e6 or not np.isfinite(err.value.max_abs)
 
 
+def test_step_blowup_names_no_path(grid64, rng):
+    # one field-level step belongs to no ensemble, so no path is named
+    params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 20),
+                         potential=double_well(), noise=no_noise(grid64),
+                         blowup_threshold=1e-3)
+    y = low_pass_field(grid64, rng, 0.4)
+    with pytest.raises(BlowUpError) as err:
+        step_state(y, Field.zeros(grid64), np.zeros(0), params)
+    assert err.value.path is None
+    assert err.value.seed is None
+    assert err.value.step == 0
+    assert "ensemble path" not in str(err.value)
+
+
 def test_blowup_seed_replays_path(grid64, rng):
     nm = additive_noise(grid64, [30.0, 30.0])
     params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 20),
@@ -325,6 +339,15 @@ def test_bare_wiener_path_rejected(small_params, rng):
     wp = sample_wiener_path(small_params.noise, small_params.timegrid, 0)
     with pytest.raises(ConfigurationError, match=r"\[path\]"):
         solve_state(y0, None, wp, small_params)
+
+
+def test_per_path_control_rejected(small_params, rng):
+    # a control is one deterministic field series, shared by every path
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    paths = EnsembleSpec(2, 7).sample_paths(small_params)
+    u = np.zeros((2, small_params.timegrid.nsteps) + small_params.grid.shape)
+    with pytest.raises(ConfigurationError):
+        solve_state(y0, u, paths, small_params)
 
 
 # --- energy ----------------------------------------------------------------------

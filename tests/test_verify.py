@@ -156,7 +156,7 @@ def test_nearly_constant_series_do_not_change_time_grid():
     raised[tg.nsteps // 2:] += 5e-6
     resized = _resize_problem(replace(problem, x_q=flat), 400)
     assert np.array_equal(resized.x_q, np.repeat(profile[None], 400, axis=0))
-    u = ControlProcess(g, tg, flat, c0=1.0)
+    u = ControlProcess(g, tg, flat)
     assert np.array_equal(_retime_control(u, resized).values, resized.x_q)
     with pytest.raises(ConfigurationError, match="constant-in-time"):
         _retime_control(replace(u, values=raised), resized)
@@ -191,7 +191,7 @@ def test_lipschitz_linear_map_ratio_independent_of_base():
     for seed in (21, 22):
         u1 = random_smooth_control(problem, seed, amplitude=0.5)
         u2 = ControlProcess(problem.params.grid, problem.params.timegrid,
-                            u1.values + d.values, c0=problem.c0)
+                            u1.values + d.values)
         report = check_lipschitz(problem, es, pairs=[(u1, u2)])
         ratios.append(report.measured["max_ratio_coarse"])
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
@@ -231,7 +231,7 @@ def test_lipschitz_ratio_bounded_by_dense_operator_norm():
     ratios = []
     for seed in (31, 32, 33):
         d = random_smooth_control(problem, seed, amplitude=0.2)
-        u2 = ControlProcess(g, tg, d.values, c0=problem.c0)
+        u2 = ControlProcess(g, tg, d.values)
         diff_traj = None
         bumped = solve_state(problem.y0, d.values, [wp], problem.params)
         num = _norm_c0h_l2z(bumped.ys[0] - base.ys[0], tg, g)
