@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .config import (
 from .control import optimize
 from .errors import BlowUpError, ChocError, ConfigurationError
 from .grid import Field
-from .physics import additive_noise
 from .sensitivity import duality_terms, solve_adjoint, solve_linearized
 from .snapshots import write_series_csv, write_snapshot
 from .state import sample_wiener_path, solve_state
@@ -228,19 +226,9 @@ def _cmd_optimize(args) -> int:
     s = result.summary()
     print(f"optimize: {s['termination']} after {s['iterations']} iterations; "
           f"cost {s['initial_cost']:.6e} -> {s['final_cost']:.6e}; "
+          f"gradient map {s['final_gradient_map']:.3e}; "
           f"projection residual {s['projection_residual']:.3e}")
     return EXIT_OK
-
-
-def _additive_twin(build: BuildResult) -> BuildResult:
-    """Additive-noise variant of the problem for the backend checks."""
-    problem = build.problem
-    nm = problem.params.noise
-    if not nm.is_multiplicative:
-        return build
-    twin_noise = additive_noise(problem.params.grid, nm.sigmas, nm.mode_indices)
-    params = replace(problem.params, noise=twin_noise)
-    return replace(build, problem=replace(problem, params=params))
 
 
 def _run_verify_suite(build: BuildResult, names=None) -> list:
@@ -258,8 +246,7 @@ def _run_verify_suite(build: BuildResult, names=None) -> list:
                                                (2.0, 8.0, 32.0, 128.0), es),
         "moment_bounds": lambda: check_moment_bounds(problem, es),
         "backend_consistency": lambda: check_backend_consistency(
-            _additive_twin(build).problem, es, nsteps_list=(100, 200, 400, 800),
-            seed=seed),
+            problem, es, nsteps_list=(100, 200, 400, 800), seed=seed),
     }
     names = names or list(available)
     unknown = [n for n in names if n not in available]

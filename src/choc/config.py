@@ -406,15 +406,29 @@ def _parse_source(text: str):
     return kind, arg.strip()
 
 
+def _source_number(arg: str, what: str) -> float:
+    """The V of ``constant:V`` or the AMP of ``smooth_random:AMP``: a finite
+    number, with no default."""
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{what}: the source value must be a finite number, got {arg!r}"
+        )
+    return value
+
+
 def _resolve_field_source(text: str, grid: Grid, base_dir: Path, seed: int,
                           what: str) -> Field:
     kind, arg = _parse_source(text)
     if kind == "constant":
-        return Field.constant(grid, float(arg or 0.0))
+        return Field.constant(grid, _source_number(arg, what))
     if kind == "file":
         return read_snapshot(base_dir / arg, grid)
     if kind == "smooth_random":
-        amp = float(arg or 0.2)
+        amp = _source_number(arg, what)
         return low_pass_field(grid, np.random.default_rng(seed), amp)
     raise ConfigurationError(f"{what}: unknown source {text!r}")
 
@@ -456,7 +470,8 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
         u0 = ControlProcess.zeros(grid, tg)
     elif kind == "constant":
         u0 = ControlProcess(grid, tg,
-                            np.full((tg.nsteps,) + grid.shape, float(arg or 0.0)))
+                            np.full((tg.nsteps,) + grid.shape,
+                                    _source_number(arg, "control.init")))
     elif kind == "file":
         f = read_snapshot(base_dir / arg, grid)
         u0 = ControlProcess(grid, tg, np.repeat(f.values[None], tg.nsteps, axis=0))
@@ -481,7 +496,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
         if kind == "synthetic":
             value = x_q_s if name == "x_q" else x_t_s
         elif kind == "constant":
-            c = float(arg or 0.0)
+            c = _source_number(arg, f"cost.{name}")
             value = (np.full((tg.nsteps,) + grid.shape, c) if name == "x_q"
                      else np.full(grid.shape, c))
         elif kind == "file":

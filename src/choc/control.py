@@ -275,7 +275,16 @@ class OptimizerOptions:
 
 @dataclass
 class OptimizationResult:
-    """Outcome of a projected gradient run."""
+    """Outcome of a projected gradient run.
+
+    The run stops on the gradient map at ``eta0``; ``projection_residual``
+    is :func:`optimality_residual` at the final control, a different
+    measure. Where neither the gradient step nor -mean(ptilde)/alpha3
+    leaves the ball, both are plain norms of the gradient: the residual is
+    the final gradient map divided by alpha3. On a converged or stalled
+    run, whose last gradient map is taken at the final control, the
+    residual is then about ``tol / alpha3``, not ``tol``.
+    """
 
     control: ControlProcess
     cost_history: list[float]
@@ -410,7 +419,9 @@ def optimality_residual(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     """Distance between u and the projected point -mean(ptilde)/alpha3.
 
     Vanishes exactly at a stationary point of the discrete problem when
-    alpha3 > 0. For alpha3 = 0 the projection form degenerates; the most
+    alpha3 > 0. Where the ball binds neither u - grad nor that point, it is
+    |grad| / alpha3: the gradient map of :func:`optimize` divided by alpha3.
+    For alpha3 = 0 the projection form degenerates; the most
     negative directional derivative over unit coordinate directions is
     reported instead. ``states`` are as for :func:`reduced_cost`.
     """

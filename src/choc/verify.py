@@ -1,12 +1,15 @@
 """Executable structural checks: conservation, differentiability, duality,
-continuous dependence, truncation convergence, and moment probes.
+continuous dependence, truncation convergence, moment probes, and the
+consistency of the continuous adjoint with the transpose.
 
 Every check is a pure function of its inputs and seeds and emits a
-:class:`CheckReport` whose JSON form is byte-stable across runs. Each check
-has a negative control exercised by the test suite, so a vacuous pass cannot
-hide a wiring bug. A check sweeps its whole ensemble at once, with one
-solve per control, level, time grid or backend, and sums per-path results
-in path order.
+:class:`CheckReport` whose JSON form is byte-stable across runs. Each claim
+has one check, and each check has a negative control exercised by the test
+suite, so a vacuous pass cannot hide a wiring bug. A check sweeps its whole
+ensemble at once, with one solve per control, level, time grid or backend,
+and sums per-path results in path order. The refinement studies (Lipschitz,
+moment bounds, backend consistency) build every level with :func:`_level`,
+so all levels of a study see the same Brownian motion.
 """
 
 from __future__ import annotations
@@ -226,13 +229,13 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
 
 
 def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
-                      paths: list[WienerPath], backend: str):
+                      paths: list[WienerPath]):
     """Ensemble duality residual over the given Wiener paths; both sides from
     independent code paths, one sweep each."""
     traj = solve_state(problem.y0, u.values, paths, problem.params)
     lin = solve_linearized(traj, h.values, problem.trunc)
     adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas,
-                        backend=backend, trunc=problem.trunc)
+                        trunc=problem.trunc)
     lhs, rhs = duality_terms(traj, lin, adj, h.values, problem.x_q, problem.x_t,
                              problem.alphas)
     # a Python loop in path order: sum() compensates (Python >= 3.12) and
@@ -251,22 +254,22 @@ def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
 def check_duality(problem: Problem, es: EnsembleSpec,
                   u: ControlProcess | None = None,
                   h: ControlProcess | None = None,
-                  backend: str = "discrete_transpose",
                   npairs: int = 1, seed: int = 0,
-                  tol: float = 1e-10,
-                  nsteps_list=None, order_tol: float = 0.8) -> CheckReport:
-    """Cost-weighted linearized state against the adjoint paired with the
-    control direction.
+                  tol: float = 1e-10) -> CheckReport:
+    """Cost-weighted linearized state against the transpose adjoint paired
+    with the control direction.
 
-    With the transpose backend the identity is algebraic and must hold to
-    rounding. With the continuous backend (additive noise) the residual is
-    O(tau) and is reported as a dyadic convergence table instead.
+    The identity is algebraic and must hold to rounding on every pair: the
+    given ``u`` and ``h``, or else ``npairs`` random smooth pairs drawn from
+    ``seed``. The continuous adjoint's O(tau) agreement with the transpose
+    is measured by :func:`check_backend_consistency`.
     """
-    if backend == "continuous":
-        return _check_duality_continuous(problem, es, u, h, seed,
-                                         nsteps_list, order_tol)
+    if (u is None) != (h is None):
+        raise ConfigurationError(
+            "check_duality takes both a control u and a direction h, or neither"
+        )
     pairs = []
-    if u is not None and h is not None:
+    if u is not None:
         pairs.append((u, h))
         npairs = 1
     else:
@@ -279,12 +282,12 @@ def check_duality(problem: Problem, es: EnsembleSpec,
     rows = []
     worst = 0.0
     for j, (uj, hj) in enumerate(pairs):
-        res, lhs, rhs = _duality_residual(problem, uj, hj, paths, backend)
+        res, lhs, rhs = _duality_residual(problem, uj, hj, paths)
         worst = max(worst, res)
         rows.append({"pair": j, "residual": res, "lhs": lhs, "rhs": rhs})
     return CheckReport(
         name="duality",
-        inputs={"backend": backend, "npairs": npairs, "seed": seed,
+        inputs={"backend": "discrete_transpose", "npairs": npairs, "seed": seed,
                 "npaths": es.npaths, "base_seed": es.base_seed,
                 "noise_kind": problem.params.noise.kind},
         measured={"max_relative_residual": worst},
@@ -294,114 +297,40 @@ def check_duality(problem: Problem, es: EnsembleSpec,
     )
 
 
-def _resize_problem(problem: Problem, nsteps: int) -> Problem:
-    """Same problem on a different time grid (targets must be resolvable)."""
-    p = problem.params
-    tg = TimeGrid(p.timegrid.t_final, nsteps)
-    params = replace(p, timegrid=tg)
-    x_q = problem.x_q
-    if x_q is not None:
-        x_q = np.asarray(x_q)
-        if x_q.ndim == 1 + problem.params.grid.ndims:
-            if x_q.shape[0] != nsteps:
-                # constant-in-time targets resample trivially; anything else
-                # cannot be transferred across time grids
-                if (x_q == x_q[:1]).all():
-                    x_q = np.repeat(x_q[:1], nsteps, axis=0)
-                else:
-                    raise ConfigurationError(
-                        "cannot transfer a time-varying target across time grids"
-                    )
-        else:
-            raise ConfigurationError(
-                "per-path targets cannot be transferred across time grids"
-            )
-    return replace(problem, params=params, x_q=x_q)
+# ---------------------------------------------------------------------------
+# Refinement levels
 
 
-def _check_duality_continuous(problem, es, u, h, seed, nsteps_list, order_tol):
-    p = problem.params
-    if p.noise.is_multiplicative:
-        raise ConfigurationError(
-            "the continuous-backend duality trend is defined for additive noise"
-        )
-    if nsteps_list is None:
-        base = p.timegrid.nsteps
-        nsteps_list = [base, 2 * base, 4 * base]
-    nsteps_list = sorted(int(n) for n in nsteps_list)
-    finest = nsteps_list[-1]
-    if any(finest % n for n in nsteps_list):
-        raise ConfigurationError("coarse step counts must divide the finest")
-
-    # constant-in-time profiles and targets keep the sweep coherent across
-    # time grids (random per-step targets have no finer-grid counterpart)
-    rng = np.random.default_rng(seed)
-    xq_profile = low_pass_field(p.grid, rng, 0.3)
-    xt_profile = low_pass_field(p.grid, rng, 0.3)
-    problem = replace(
-        problem,
-        x_q=np.repeat(xq_profile.values[None], p.timegrid.nsteps, axis=0),
-        x_t=xt_profile.values,
-    )
-    if u is None:
-        u_profile = low_pass_field(problem.params.grid, rng, 0.5)
-    if h is None:
-        h_profile = low_pass_field(problem.params.grid, rng, 1.0)
-
-    taus = []
-    residuals = []
-    for nsteps in nsteps_list:
-        prob_n = _resize_problem(problem, nsteps)
-        tgn = prob_n.params.timegrid
-        if u is None:
-            u_n = ControlProcess(prob_n.params.grid, tgn,
-                                 np.repeat(u_profile.values[None], nsteps, axis=0))
-        else:
-            u_n = _retime_control(u, prob_n)
-        if h is None:
-            h_n = ControlProcess(prob_n.params.grid, tgn,
-                                 np.repeat(h_profile.values[None], nsteps, axis=0))
-        else:
-            h_n = _retime_control(h, prob_n)
-        paths = _coupled_paths(prob_n.params.noise, tgn, finest, es)
-        residual, _, _ = _duality_residual(prob_n, u_n, h_n, paths, "continuous")
-        taus.append(tgn.tau)
-        residuals.append(residual)
-    order = empirical_order(np.asarray(taus), np.asarray(residuals))
-    table = tuple({"tau": t, "residual": r} for t, r in zip(taus, residuals))
-    return CheckReport(
-        name="duality_continuous",
-        inputs={"backend": "continuous", "nsteps_list": list(nsteps_list),
-                "seed": seed, "npaths": es.npaths, "base_seed": es.base_seed},
-        measured={"empirical_order": order,
-                  "finest_residual": residuals[-1]},
-        tolerance={"empirical_order": order_tol},
-        passed=bool(math.isfinite(order) and order >= order_tol),
-        table=table,
-    )
-
-
-def _coupled_paths(noise, tg: TimeGrid, finest: int,
-                   es: EnsembleSpec) -> list[WienerPath]:
-    """The ensemble's paths on ``tg``, sampled on the finest grid of a
-    refinement sweep and aggregated, so every level sees the same Brownian
+def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
+           finest: int) -> tuple[StateParams, Field, list[WienerPath]]:
+    """One level of a refinement study: the state parameters on a grid
+    refined ``mesh_factor`` times per axis with ``nsteps`` time steps, the
+    initial datum on that grid, and the ensemble's paths, sampled on
+    ``finest`` steps and aggregated, so every level sees the same Brownian
     motion."""
-    fine = TimeGrid(tg.t_final, finest)
-    return [aggregate_increments(sample_wiener_path(noise, fine, es.path_seed(i)),
-                                 finest // tg.nsteps)
-            for i in range(es.npaths)]
-
-
-def _retime_control(u: ControlProcess, problem: Problem) -> ControlProcess:
-    """Reuse a constant-in-time control on a different time grid."""
-    tg = problem.params.timegrid
-    if u.timegrid == tg:
-        return u
-    if not (u.values == u.values[:1]).all():
-        raise ConfigurationError(
-            "only constant-in-time controls transfer across time grids"
-        )
-    return ControlProcess(u.grid, tg, np.repeat(u.values[:1], tg.nsteps, axis=0))
+    if finest % nsteps:
+        raise ConfigurationError("coarse step counts must divide the finest")
+    p = problem.params
+    grid, noise, y0 = p.grid, p.noise, problem.y0
+    if mesh_factor != 1:
+        grid = Grid(tuple(n * mesh_factor for n in grid.npoints), grid.lengths)
+        if noise.nmodes == 0:
+            noise = no_noise(grid)
+        elif noise.is_multiplicative:
+            noise = multiplicative_noise(grid, noise.sigmas, noise.mode_indices,
+                                         shape=noise.shape_name,
+                                         allow_linear_shape=True)
+        else:
+            noise = additive_noise(grid, noise.sigmas, noise.mode_indices,
+                                   allow_nonzero_mean_modes=True)
+        y0 = prolong(y0, grid)
+    params = replace(p, grid=grid, noise=noise,
+                     timegrid=TimeGrid(p.timegrid.t_final, nsteps))
+    fine = TimeGrid(p.timegrid.t_final, finest)
+    paths = [aggregate_increments(sample_wiener_path(noise, fine, es.path_seed(i)),
+                                  finest // nsteps)
+             for i in range(es.npaths)]
+    return params, y0, paths
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +342,6 @@ def _norm_c0h_l2z(series: np.ndarray, tg: TimeGrid, g: Grid) -> float:
     sup_h = float(np.max(norm_h_values(g, series)))
     zsq = sum(float(z) ** 2 for z in norm_z_values(g, series[: tg.nsteps])) * tg.tau
     return float(sup_h + math.sqrt(zsq))
-
-
-def _refine_params(params: StateParams, mesh_factor: int) -> StateParams:
-    if mesh_factor == 1:
-        return params
-    g = params.grid
-    fine = Grid(tuple(n * mesh_factor for n in g.npoints), g.lengths)
-    nm = params.noise
-    if nm.nmodes == 0:
-        noise = no_noise(fine)
-    elif nm.is_multiplicative:
-        noise = multiplicative_noise(fine, nm.sigmas, nm.mode_indices,
-                                     shape=nm.shape_name,
-                                     allow_linear_shape=True)
-    else:
-        noise = additive_noise(fine, nm.sigmas, nm.mode_indices,
-                               allow_nonzero_mean_modes=True)
-    return replace(params, grid=fine, noise=noise)
 
 
 def _mean_ratio(y0: Field, u1: np.ndarray, u2: np.ndarray,
@@ -467,19 +378,17 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
         if np.array_equal(u1.values, u2.values):
             raise PreconditionError("control pairs must differ")
 
-    fine_params = _refine_params(p, mesh_factor)
+    params, y0, paths = _level(problem, es, 1, tg.nsteps, tg.nsteps)
+    fine_params, y0_fine, fine_paths = _level(problem, es, mesh_factor,
+                                              tg.nsteps, tg.nsteps)
     fine_grid = fine_params.grid
-    y0_fine = prolong(problem.y0, fine_grid)
-
-    paths = es.sample_paths(p)
-    fine_paths = es.sample_paths(fine_params)
     rows = []
     ratios = {"coarse": [], "fine": []}
     for j, (u1, u2) in enumerate(pairs):
         du = l2q_norm(u1.values - u2.values, tg, p.grid)
         u1f = np.stack([prolong(Field(p.grid, v), fine_grid).values for v in u1.values])
         u2f = np.stack([prolong(Field(p.grid, v), fine_grid).values for v in u2.values])
-        r_coarse = _mean_ratio(problem.y0, u1.values, u2.values, paths, p, du)
+        r_coarse = _mean_ratio(y0, u1.values, u2.values, paths, params, du)
         r_fine = _mean_ratio(y0_fine, u1f, u2f, fine_paths, fine_params, du)
         ratios["coarse"].append(r_coarse)
         ratios["fine"].append(r_fine)
@@ -564,18 +473,15 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
     the estimates must be finite and stable within a fixed factor. A
     blow-up on any path is recorded as a failure, never as NaN.
     """
-    base = problem.params
-    time_factors = [int(t) for _, t in refinements]
-    finest_steps = base.timegrid.nsteps * max(time_factors)
+    nsteps = problem.params.timegrid.nsteps
+    finest = nsteps * max(int(t) for _, t in refinements)
     rows = []
     try:
         for mesh_f, time_f in refinements:
-            params = _refine_params(base, int(mesh_f))
-            tg = TimeGrid(base.timegrid.t_final, base.timegrid.nsteps * int(time_f))
-            params = replace(params, timegrid=tg)
-            y0 = prolong(problem.y0, params.grid) if int(mesh_f) != 1 else problem.y0
+            params, y0, paths = _level(problem, es, int(mesh_f),
+                                       nsteps * int(time_f), finest)
+            tg = params.timegrid
             m12 = zsq = v6 = 0.0
-            paths = _coupled_paths(params.noise, tg, finest_steps, es)
             for ys in solve_state(y0, None, paths, params).ys:
                 hs = norm_h_values(params.grid, ys)
                 vs = norm_v_values(params.grid, ys)
@@ -643,9 +549,12 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
                               order_tol: float = 0.8) -> CheckReport:
     """Continuous vs transpose adjoint agreement as the time step shrinks.
 
-    Runs on additive noise (the continuous backend is unbiased there) with a
-    shared Brownian path aggregated across the dyadic sweep; the L2(Q) gap
-    between the two ptilde sequences must shrink with order about one.
+    This is the one check on the continuous backend. Its claim is about
+    additive noise, where the continuous backend is unbiased, so a problem
+    with multiplicative noise is measured on its additive variant, with the
+    same modes and amplitudes. A shared Brownian path is aggregated across
+    the dyadic sweep, and the L2(Q) gap between the two ptilde sequences
+    must shrink with order about one.
 
     The scenario drives the adjoint by the distributed tracking term alone.
     A terminal datum excites a one-node layer in which the backends disagree
@@ -654,15 +563,12 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     consistency being probed here is the O(tau) statement.
     """
     p = problem.params
-    if p.noise.is_multiplicative:
-        raise ConfigurationError(
-            "backend consistency is measured with additive noise; "
-            "pass an additive variant of the problem"
-        )
+    nm = p.noise
+    if nm.is_multiplicative:
+        p = replace(p, noise=additive_noise(p.grid, nm.sigmas, nm.mode_indices))
+        problem = replace(problem, params=p)
     nsteps_list = sorted(int(n) for n in nsteps_list)
     finest = nsteps_list[-1]
-    if any(finest % n for n in nsteps_list):
-        raise ConfigurationError("coarse step counts must divide the finest")
 
     rng = np.random.default_rng(seed)
     xq_field = low_pass_field(p.grid, rng, 0.3)
@@ -673,13 +579,11 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     taus = []
     gaps = []
     for nsteps in nsteps_list:
-        tg = TimeGrid(p.timegrid.t_final, nsteps)
-        params = replace(p, timegrid=tg)
+        params, y0, paths = _level(problem, es, 1, nsteps, finest)
         uvals = np.repeat(u_field.values[None], nsteps, axis=0)
         xq = np.repeat(xq_field.values[None], nsteps, axis=0)
-        paths = _coupled_paths(params.noise, tg, finest, es)
-        taus.append(tg.tau)
-        gaps.append(_backend_gap(problem.y0, uvals, xq, alphas, paths, params))
+        taus.append(params.timegrid.tau)
+        gaps.append(_backend_gap(y0, uvals, xq, alphas, paths, params))
     order = empirical_order(np.asarray(taus), np.asarray(gaps))
     table = tuple({"tau": t, "ptilde_gap_l2q": gv} for t, gv in zip(taus, gaps))
     return CheckReport(

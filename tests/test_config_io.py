@@ -296,6 +296,24 @@ def test_cli_verify_full_suite_small(tmp_path):
     reports = sorted(out.glob("check_*.json"))
     assert len(reports) == 7
     assert all(json.loads(p.read_text())["passed"] for p in reports)
+    # every report keeps its bits
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
+    assert digests == {
+        "check_backend_consistency.json":
+            "e42534cc66cee75836a1fd1fba7a25a5916650d871d3804e3d24261c6d6201ed",
+        "check_duality.json":
+            "bbfdf76f32829c9389ea514bbcffce45534d071081ce8ad8115a253eca4d9397",
+        "check_gateaux.json":
+            "f06cd1f1cdabf936bcf379b804dba0f72204bfe34dc08c1d6b3a28b3f80be2c2",
+        "check_lipschitz.json":
+            "7e73ae9a993a282e54d36190c0537d3b8f21903181302202dc881f5b184f1b65",
+        "check_mass_conservation.json":
+            "e686b4bf0a09059d90971bfb2b44bf7fba4c0e1db6c2a3982943299064083afc",
+        "check_moment_bounds.json":
+            "574bcfddd8e72c85a0023f6e1a717c52f82c99a84a223b1c8ee70defafe35962",
+        "check_truncation.json":
+            "94c468b36d831aa041beef4ded5ee52a4af072ffe60f578900dd0688e4fd3e45",
+    }
 
 
 def test_cli_verify_detects_failure(tmp_path):
@@ -314,6 +332,29 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("[cost]\nalpha3 = -2\n")
     assert main(["info", "--config", str(cfg)]) == 2
     assert "nonnegativity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("control", "init", "constant:abc"),
+    ("control", "init", "constant:inf"),
+    ("control", "init", "constant:"),
+    ("cost", "x_q", "constant:abc"),
+    ("cost", "x_t", "constant:nan"),
+    ("solver", "y0", "smooth_random:oops"),
+    ("solver", "y0", "smooth_random:"),
+    ("solver", "y0", "constant:-inf"),
+])
+def test_cli_malformed_source_value_exit_code(tmp_path, capsys, section, key, value):
+    # a source's V or AMP is a finite number, given: anything else is a
+    # configuration error naming the key, never a traceback or a default
+    cfg = tmp_path / "source.cfg"
+    cfg.write_text("[grid]\nnpoints = 16\n[time]\nt_final = 0.01\nnsteps = 10\n"
+                   "[noise]\nkind = none\nnmodes = 0\n"
+                   f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+        build_problem(parse_config(cfg.read_text()))
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
 
 
 def test_cli_unknown_check_exit_code(tmp_path):

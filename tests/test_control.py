@@ -422,6 +422,27 @@ def test_optimize_stays_in_the_problem_ball(seed):
     assert res.projection_residual <= opts.tol
 
 
+def test_projection_residual_is_gradient_map_over_alpha3_inside_the_ball():
+    # the same problem with a reference control well inside the ball: the run
+    # stops on the gradient map at eta0 = 1, and the residual it reports is
+    # that map divided by alpha3
+    config = _BINDING_BALL_CONFIG.format(seed=1).replace(
+        "alpha3 = 1\nsynthetic_amplitude = 8\n", "")
+    build = build_problem(parse_config(config))
+    problem, es, opts = build.problem, build.ensemble, build.optimizer
+    a3 = problem.alphas[2]
+    assert opts.eta0 == 1.0 and a3 == 1e-3
+    res = optimize(build.u0, es, problem, opts)
+    assert res.termination == "converged"
+    u = res.control
+    grad = gradient(u, es, problem)
+    # the ball binds neither the gradient step nor -mean(ptilde)/alpha3
+    for point in (u.values - grad, u.values - grad / a3):
+        assert l2q_norm(point, u.timegrid, u.grid) < problem.c0
+    assert res.projection_residual * a3 == pytest.approx(
+        res.gradient_map_history[-1], rel=1e-6)
+
+
 def test_optimize_blowup_in_starting_cost_raises():
     from dataclasses import replace
     problem, es = _problem()

@@ -29,8 +29,6 @@ from choc.verify import (
     check_truncation,
     empirical_order,
     random_smooth_control,
-    _resize_problem,
-    _retime_control,
 )
 
 
@@ -136,38 +134,14 @@ def test_duality_check_transpose(noise):
     assert report.measured["max_relative_residual"] <= 1e-10
 
 
-def test_duality_check_continuous_trend():
-    problem = _problem(noise="additive", nsteps=50)
-    report = check_duality(problem, EnsembleSpec(2, 9), backend="continuous",
-                           seed=1, nsteps_list=(50, 100, 200, 400))
-    assert report.passed
-    assert report.measured["empirical_order"] >= 0.8
-
-
-def test_nearly_constant_series_do_not_change_time_grid():
-    # a rise of 5e-6 in the second half passes np.allclose against the first
-    # step, but the series is not constant in time, and retiming it as one
-    # would drop the rise
-    problem = _problem(nsteps=200)
-    g, tg = problem.params.grid, problem.params.timegrid
-    profile = 1.0 + 0.3 * g.cosine_mode((1,))
-    flat = np.repeat(profile[None], tg.nsteps, axis=0)
-    raised = flat.copy()
-    raised[tg.nsteps // 2:] += 5e-6
-    resized = _resize_problem(replace(problem, x_q=flat), 400)
-    assert np.array_equal(resized.x_q, np.repeat(profile[None], 400, axis=0))
-    u = ControlProcess(g, tg, flat)
-    assert np.array_equal(_retime_control(u, resized).values, resized.x_q)
-    with pytest.raises(ConfigurationError, match="constant-in-time"):
-        _retime_control(replace(u, values=raised), resized)
-    with pytest.raises(ConfigurationError, match="time-varying target"):
-        _resize_problem(replace(problem, x_q=raised), 400)
-
-
-def test_duality_continuous_rejects_multiplicative():
-    problem = _problem(noise="multiplicative")
-    with pytest.raises(ConfigurationError):
-        check_duality(problem, EnsembleSpec(2, 9), backend="continuous")
+def test_duality_requires_both_or_neither_of_u_and_h():
+    # a lone control or direction would be dropped for random pairs
+    problem = _problem()
+    es = EnsembleSpec(2, 9)
+    u = random_smooth_control(problem, 1, amplitude=0.3)
+    for kwargs in ({"u": u}, {"h": u}):
+        with pytest.raises(ConfigurationError, match="both"):
+            check_duality(problem, es, **kwargs)
 
 
 # --- Lipschitz -------------------------------------------------------------------
@@ -285,6 +259,14 @@ def test_moment_bounds_stable():
     assert all(np.isfinite(l["sup_h_12"]) for l in levels)
 
 
+def test_moment_bounds_rejects_non_dividing_ladder():
+    # 2n steps do not aggregate from the finest 3n
+    problem = _problem()
+    with pytest.raises(ConfigurationError, match="must divide the finest"):
+        check_moment_bounds(problem, EnsembleSpec(1, 9),
+                            refinements=((1, 2), (1, 3)))
+
+
 def test_moment_bounds_blowup_negative_control():
     problem = _problem(sigma=1e3, nsteps=10, blowup_threshold=1e6)
     es = EnsembleSpec(2, 9)
@@ -309,10 +291,18 @@ def test_backend_consistency_check():
     assert report.measured["empirical_order"] >= 0.8
 
 
-def test_backend_consistency_rejects_multiplicative():
-    problem = _problem(noise="multiplicative")
-    with pytest.raises(ConfigurationError):
-        check_backend_consistency(problem, EnsembleSpec(1, 9))
+def test_backend_consistency_measures_the_additive_variant():
+    # the claim is about additive noise: a multiplicative problem is measured
+    # on its additive variant with the same modes, and reports the same bytes
+    problem = _problem(noise="multiplicative", nsteps=20)
+    nm = problem.params.noise
+    additive = replace(problem, params=replace(
+        problem.params,
+        noise=additive_noise(problem.params.grid, nm.sigmas, nm.mode_indices)))
+    es = EnsembleSpec(2, 9)
+    report = check_backend_consistency(problem, es, nsteps_list=(20, 40), seed=2)
+    twin = check_backend_consistency(additive, es, nsteps_list=(20, 40), seed=2)
+    assert report.to_json() == twin.to_json()
 
 
 # --- determinism ---------------------------------------------------------------------
