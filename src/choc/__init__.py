@@ -17,14 +17,10 @@ from .errors import (
 from .grid import (
     Field,
     Grid,
-    check_compactness_inequality,
-    inner_h,
-    inverse_neumann_laplacian,
     laplacian,
     mean,
     norm_h,
     norm_v,
-    norm_vstar,
     norm_z,
     prolong,
 )
@@ -34,14 +30,11 @@ from .physics import (
     Potential,
     TruncationLevel,
     additive_noise,
-    apply_B,
-    apply_DB,
     double_well,
     multiplicative_noise,
     no_noise,
     quadratic_potential,
     validate_assumptions,
-    zero_potential,
 )
 from .state import (
     StateParams,
@@ -49,11 +42,9 @@ from .state import (
     Trajectory,
     WienerPath,
     chemical_potential,
-    energy,
     mix_seed,
     sample_wiener_path,
     solve_state,
-    step_state,
 )
 from .sensitivity import (
     AdjointSolution,

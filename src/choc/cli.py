@@ -112,6 +112,10 @@ def _snapshot_steps(nsteps: int, every: int | None) -> list[int]:
 def _solve_path(build: BuildResult, path_index: int):
     """The trajectory of u0 on one path of the ensemble, a batch of one; a
     blow-up names the path by its index in the ensemble."""
+    npaths = build.ensemble.npaths
+    if not 0 <= path_index < npaths:
+        raise ConfigurationError(f"--path-index {path_index} is outside the "
+                                 f"ensemble's paths 0..{npaths - 1}")
     problem = build.problem
     wp = sample_wiener_path(problem.params.noise, problem.params.timegrid,
                             build.ensemble.path_seed(path_index))
@@ -151,9 +155,9 @@ def _default_direction(build: BuildResult):
 
 def _duality_summary(build: BuildResult, path_index: int) -> dict:
     problem = build.problem
+    traj = _solve_path(build, path_index)
     h = _default_direction(build)
     x_q, x_t = problem.target_q(path_index), problem.target_t(path_index)
-    traj = _solve_path(build, path_index)
     lin = solve_linearized(traj, h.values, problem.trunc)
     adj = solve_adjoint(traj, x_q, x_t, problem.alphas,
                         backend=problem.backend, trunc=problem.trunc)
@@ -182,6 +186,8 @@ def _cmd_sensitivity(args) -> int:
     build = _load(args)
     outdir = _outdir(args)
     data = _duality_summary(build, args.path_index)
+    if data["adj"].warning:
+        print(f"warning: {data['adj'].warning}", file=sys.stderr)
     prefix, series_of = _SENSITIVITY_SNAPSHOTS[args.command]
     series = series_of(data)
     grid = build.problem.params.grid

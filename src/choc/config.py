@@ -26,6 +26,7 @@ from .physics import (
     multiplicative_noise,
     no_noise,
     quadratic_potential,
+    validate_assumptions,
 )
 from .snapshots import read_snapshot
 from .state import StateParams, TimeGrid, mix_seed, solve_state
@@ -370,9 +371,19 @@ def build_grid(c: RunConfig) -> Grid:
 
 
 def build_potential(c: RunConfig):
+    """The configured potential; declared constants that its own values
+    contradict (say c1 below -min psi'') are a configuration error."""
     if c.potential.kind == "double_well":
-        return double_well(c.potential.c1, c.potential.c2)
-    return quadratic_potential(c.potential.curvature)
+        pot = double_well(c.potential.c1, c.potential.c2)
+    else:
+        pot = quadratic_potential(c.potential.curvature)
+    report = validate_assumptions(pot)
+    if not report:
+        name, at, margin = report.violations[0]
+        raise ConfigurationError(
+            f"potential constants c1 = {pot.c1:g}, c2 = {pot.c2:g} violate "
+            f"{name} at r = {at:g} (margin {margin:.3g})")
+    return pot
 
 
 def build_noise(c: RunConfig, grid: Grid):

@@ -1,10 +1,10 @@
 """Cost functional, Monte Carlo reduced cost, adjoint gradient, and
 projected gradient descent on the admissible ball.
 
-Controls are deterministic time-space fields by default (one field per time
-step). The reduced cost fixes the Wiener seeds once per ensemble, so for a
-finite ensemble it is a smooth deterministic function of the control and the
-transpose-backend adjoint supplies its exact gradient
+A control is one deterministic field series (one field per time step),
+shared by every path. The reduced cost fixes the Wiener seeds once per
+ensemble, so for a finite ensemble it is a smooth deterministic function of
+the control and the transpose-backend adjoint supplies its exact gradient
 
     grad J(u) = mean over paths of ptilde + alpha3 * u.
 

@@ -24,21 +24,17 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import ConfigurationError, DomainError, PreconditionError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 
 __all__ = [
     "Grid",
     "Field",
     "laplacian",
-    "inverse_neumann_laplacian",
     "mean",
-    "inner_h",
     "norm_h",
     "grad_norm_sq",
     "norm_v",
     "norm_z",
-    "norm_vstar",
-    "check_compactness_inequality",
     "prolong",
 ]
 
@@ -186,24 +182,6 @@ class Field:
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.shape))
 
-    def __add__(self, other: "Field") -> "Field":
-        _same_grid(self, other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _same_grid(self, other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise ConfigurationError("operands live on different grids")
-
 
 def laplacian(x: Field) -> Field:
     """Discrete Neumann Laplacian (negative semi-definite, zero-mean output)."""
@@ -219,11 +197,6 @@ def lap_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def mean(x: Field) -> float:
     """Volume-weighted average; on a uniform grid this is the plain mean."""
     return float(np.mean(x.values))
-
-
-def inner_h(x: Field, z: Field) -> float:
-    _same_grid(x, z)
-    return float(np.sum(x.values * z.values) * x.grid.cell_volume)
 
 
 def norm_h(x: Field) -> float:
@@ -271,74 +244,6 @@ def norm_v_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def norm_z_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.float_power(norm_v_values(grid, values), 2)
                    + np.float_power(norm_h_values(grid, lap_values(grid, values)), 2))
-
-
-def inverse_neumann_laplacian(x: Field, mean_tol: float = 1e-10) -> Field:
-    """Inverse of minus the Laplacian on the zero-mean subspace.
-
-    The input must have zero grid mean (within ``mean_tol``); the output has
-    zero mean and satisfies laplacian(out) == -x.
-    """
-    m = mean(x)
-    if abs(m) > mean_tol:
-        raise PreconditionError(
-            f"inverse Laplacian requires a zero-mean field, got mean {m:.3e}", value=m
-        )
-    g = x.grid
-    coeffs = _dct(x.values)
-    nu = -g.lap_symbol  # positive except the zero mode
-    flat = nu.reshape(-1)
-    out = coeffs.reshape(-1).copy()
-    out[1:] = out[1:] / flat[1:]
-    out[0] = 0.0
-    return Field(g, _idct(out.reshape(g.shape)))
-
-
-def norm_vstar(x: Field) -> float:
-    """Dual-space norm: gradient norm of the inverse Laplacian of the
-    mean-free part, plus the absolute grid mean."""
-    g = x.grid
-    m = mean(x)
-    coeffs = _dct(x.values).reshape(-1)
-    nu = (-g.lap_symbol).reshape(-1)
-    # ||grad N(x - mean)||^2 = sum_k coeff_k^2 / nu_k over nonzero modes
-    seminorm_sq = float(np.sum(coeffs[1:] ** 2 / nu[1:]) * g.cell_volume)
-    return float(np.sqrt(seminorm_sq) + abs(m))
-
-
-def compactness_constant(grid: Grid, sigma: float) -> float:
-    """Best constant C such that |x|_H^2 <= sigma |grad x|^2 + C |x|_*^2
-    on zero-mean fields, computed from the discrete spectrum."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    nu = (-grid.lap_symbol).reshape(-1)[1:]
-    c = np.max((1.0 - sigma * nu) * nu)
-    return float(max(c, 0.0))
-
-
-def check_compactness_inequality(x: Field, sigma: float, mean_tol: float = 1e-10):
-    """Evaluate both sides of the interpolation inequality on a zero-mean field.
-
-    Returns ``(lhs, rhs)`` with lhs = |x|_H^2 and
-    rhs = sigma * |grad x|_H^2 + C_sigma * |x|_*^2. The inequality holds by
-    construction of C_sigma; a failure beyond rounding is an internal error.
-    """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    m = mean(x)
-    if abs(m) > mean_tol:
-        raise PreconditionError(
-            f"compactness inequality is stated on zero-mean fields, got mean {m:.3e}",
-            value=m,
-        )
-    c = compactness_constant(x.grid, sigma)
-    lhs = norm_h(x) ** 2
-    rhs = sigma * grad_norm_sq(x) + c * norm_vstar(x) ** 2
-    if lhs > rhs + 1e-9 * (1.0 + abs(rhs)):
-        raise AssertionError(
-            f"compactness inequality violated beyond rounding: lhs={lhs!r} rhs={rhs!r}"
-        )
-    return lhs, rhs
 
 
 def prolong(x: Field, fine: Grid) -> Field:

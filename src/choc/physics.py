@@ -17,13 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .grid import Field, Grid
+from .grid import Grid
 
 __all__ = [
     "Potential",
     "double_well",
     "quadratic_potential",
-    "zero_potential",
     "TruncationLevel",
     "NO_TRUNCATION",
     "validate_assumptions",
@@ -32,8 +31,6 @@ __all__ = [
     "additive_noise",
     "multiplicative_noise",
     "default_mode_indices",
-    "apply_B",
-    "apply_DB",
 ]
 
 
@@ -85,18 +82,6 @@ def quadratic_potential(curvature: float = 1.0) -> Potential:
         psi_second=lambda r: np.full_like(np.asarray(r, dtype=float), a),
         c1=0.0,
         c2=c2,
-    )
-
-
-def zero_potential() -> Potential:
-    """psi identically zero; reduces the dynamics to the bi-Laplacian flow."""
-    return Potential(
-        name="zero",
-        psi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        psi_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        psi_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        c1=0.0,
-        c2=1.0,
     )
 
 
@@ -334,13 +319,6 @@ def no_noise(grid: Grid) -> NoiseModel:
                       shape_name="tanh", l_b=0.0)
 
 
-def _check_dw(nm: NoiseModel, dw) -> np.ndarray:
-    dw = np.atleast_1d(np.asarray(dw, dtype=float))
-    if dw.shape != (nm.nmodes,):
-        raise ShapeError(f"expected {nm.nmodes} increments, got shape {dw.shape}")
-    return dw
-
-
 # The array-level operators below are the hot path of the solvers. Their
 # field arguments may carry leading batch axes (one row per path), with
 # ``dw`` of shape (*batch, K); means and mode sums are taken row by row.
@@ -397,19 +375,3 @@ def db_adjoint_scaled_values(nm: NoiseModel, y: np.ndarray, p: np.ndarray,
         return np.zeros(y.shape)
     p0 = p - _path_mean(nm.grid, p)
     return nm.rho_prime(y) * _mode_sum(nm, dw) * p0
-
-
-def apply_B(nm: NoiseModel, y: Field, dw) -> Field:
-    """Noise increment for Brownian increments ``dw`` (length K)."""
-    if y.grid != nm.grid:
-        raise ConfigurationError("state field lives on a different grid")
-    dw = _check_dw(nm, dw)
-    return Field(nm.grid, b_increment_values(nm, y.values, dw))
-
-
-def apply_DB(nm: NoiseModel, y: Field, z: Field, dw) -> Field:
-    """Directional derivative of the noise operator at y along z."""
-    if y.grid != nm.grid or z.grid != nm.grid:
-        raise ConfigurationError("fields live on a different grid")
-    dw = _check_dw(nm, dw)
-    return Field(nm.grid, db_increment_values(nm, y.values, z.values, dw))

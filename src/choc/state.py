@@ -50,9 +50,7 @@ __all__ = [
     "mix_seed",
     "sample_wiener_path",
     "chemical_potential",
-    "step_state",
     "solve_state",
-    "energy",
     "series_l2h_norm",
 ]
 
@@ -283,26 +281,6 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
     return _idct_values(x_next_hat, axes), x_next_hat
 
 
-def step_state(y_n: Field, u_n: Field, dw_n, params: StateParams):
-    """One stabilized Euler-Maruyama step; returns (y_{n+1}, w_n)."""
-    if y_n.grid != params.grid or u_n.grid != params.grid:
-        raise ConfigurationError("fields live on a different grid than the solver")
-    dw_n = np.atleast_1d(np.asarray(dw_n, dtype=float))
-    if dw_n.shape != (params.noise.nmodes,):
-        raise ShapeError(
-            f"expected {params.noise.nmodes} Brownian increments, got {dw_n.shape}"
-        )
-    y = y_n.values
-    noise = b_increment_values(params.noise, y, dw_n) if params.noise.nmodes else None
-    y_next, _ = _step_spectral(y, _dct_values(y), params.potential.psi_prime(y),
-                               u_n.values, noise, params)
-    try:
-        _guard(y_next, 0, params.blowup_threshold, [None])
-    except BlowUpError as exc:    # one field, not a path of an ensemble
-        raise BlowUpError(exc.step, exc.max_abs) from None
-    return Field(params.grid, y_next), chemical_potential(y_n, u_n, params.potential)
-
-
 def _guard(values: np.ndarray, step: int, threshold: float, seeds) -> None:
     """Raise :class:`BlowUpError` when a path of ``values`` (one per seed)
     is not finite or exceeds the threshold, naming the lowest such path."""
@@ -377,11 +355,6 @@ def _energy_values(g: Grid, values: np.ndarray, pot: Potential) -> np.ndarray:
     """Array-level free energy; leading axes of ``values`` are a batch."""
     return (0.5 * grad_norm_sq_values(g, values)
             + np.sum(pot.psi(values), axis=g.axes) * g.cell_volume)
-
-
-def energy(y: Field, pot: Potential) -> float:
-    """Free energy: half the Dirichlet form plus the potential integral."""
-    return float(_energy_values(y.grid, y.values, pot))
 
 
 def series_l2h_norm(values: np.ndarray, tg: TimeGrid, grid: Grid) -> float:

@@ -8,7 +8,7 @@ result is checked against an independent computation.
 import numpy as np
 import pytest
 
-from choc import Field, Grid, TimeGrid, double_well, multiplicative_noise
+from choc import Field, Grid, Potential, TimeGrid, double_well, multiplicative_noise
 from choc.grid import low_pass_field
 from choc.state import StateParams
 
@@ -35,6 +35,23 @@ def dense_neumann_laplacian(grid: Grid) -> np.ndarray:
 
 def apply_dense(mat: np.ndarray, field: Field) -> np.ndarray:
     return (mat @ field.values.ravel()).reshape(field.grid.shape)
+
+
+def inner_h(x: Field, z: Field) -> float:
+    """Discrete L2 inner product: the midpoint rule on the cell centers."""
+    return float(np.sum(x.values * z.values) * x.grid.cell_volume)
+
+
+def zero_potential() -> Potential:
+    """psi identically zero; reduces the dynamics to the bi-Laplacian flow."""
+    return Potential(
+        name="zero",
+        psi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        psi_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        psi_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        c1=0.0,
+        c2=1.0,
+    )
 
 
 def random_field(grid: Grid, rng, smooth=False, amplitude=1.0) -> Field:

@@ -357,6 +357,42 @@ def test_cli_malformed_source_value_exit_code(tmp_path, capsys, section, key, va
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "linearize", "adjoint"])
+@pytest.mark.parametrize("index", ["2", "-1"])
+def test_cli_path_index_outside_the_ensemble(tmp_path, capsys, command, index):
+    # the tiny ensemble has paths 0 and 1; any other index names no path
+    cfg = _write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--path-index", index]) == 2
+    assert f"--path-index {index}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_false_potential_constant_exit_code(tmp_path, capsys):
+    # psi'' = -1 at r = 0 for the double well, so c1 = 0 is false, and
+    # S = 0 >= c1 would pass on it
+    cfg = _write_tiny(tmp_path, "[potential]\nc1 = 0\n[solver]\nstabilization = 0\n")
+    with pytest.raises(ConfigurationError, match="curvature_lower_bound at r = 0"):
+        build_problem(parse_config(cfg.read_text()))
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert "curvature_lower_bound" in capsys.readouterr().err
+
+
+def test_cli_shows_the_adjoint_warning(tmp_path, capsys):
+    # the continuous adjoint is biased for multiplicative noise; the run says so
+    cfg = _write_tiny(tmp_path).read_text().replace(
+        "kind = none\nnmodes = 0", "kind = multiplicative\nnmodes = 2")
+    path = tmp_path / "continuous.cfg"
+    path.write_text(cfg + "[solver]\nbackend = continuous\n")
+    for command in ("linearize", "adjoint"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        assert "warning: continuous backend" in capsys.readouterr().err
+    assert main(["adjoint", "--config", str(_write_tiny(tmp_path)),
+                 "--out", str(tmp_path / "discrete")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_unknown_check_exit_code(tmp_path):
     cfg = _write_tiny(tmp_path)
     assert main(["verify", "--config", str(cfg), "--check", "nope"]) == 2
@@ -370,7 +406,7 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
         "[noise]\nkind = additive\nnmodes = 1\nsigmas = 1e6\n"
         "[cost]\nalpha1 = 0\nalpha2 = 0\n"
         "[solver]\nblowup_threshold = 1e4\n"
-        "[ensemble]\nnpaths = 1\n"
+        "[ensemble]\nnpaths = 3\n"
     )
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 3

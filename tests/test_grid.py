@@ -8,22 +8,16 @@ from choc import (
     DomainError,
     Field,
     Grid,
-    PreconditionError,
-    check_compactness_inequality,
-    inner_h,
-    inverse_neumann_laplacian,
     laplacian,
     mean,
     norm_h,
     norm_v,
-    norm_vstar,
     norm_z,
     prolong,
 )
 from choc.grid import (
     _dct,
     _idct,
-    compactness_constant,
     grad_norm_sq_values,
     lap_values,
     norm_h_values,
@@ -31,7 +25,7 @@ from choc.grid import (
     norm_z_values,
 )
 
-from conftest import apply_dense, dense_neumann_laplacian, random_field
+from conftest import apply_dense, dense_neumann_laplacian, inner_h, random_field
 
 
 def test_grid_validation():
@@ -60,14 +54,6 @@ def test_field_validation(grid64):
         Field(grid64, np.full(grid64.shape, np.nan))
     with pytest.raises(Exception):
         Field(grid64, np.zeros(12))
-
-
-def test_grid_mismatch_raises(grid64, rng):
-    other = Grid((48,), (1.0,))
-    x = random_field(grid64, rng)
-    z = random_field(other, rng)
-    with pytest.raises(ConfigurationError):
-        inner_h(x, z)
 
 
 # --- laplacian -------------------------------------------------------------
@@ -155,43 +141,6 @@ def test_spectral_zero_coefficient_is_mean(grid64, grid2d, rng):
         assert c0 == pytest.approx(mean(x) * np.sqrt(g.size), rel=1e-12, abs=1e-14)
 
 
-# --- inverse Laplacian -----------------------------------------------------
-
-
-def test_inverse_zero_field(grid64):
-    out = inverse_neumann_laplacian(Field.zeros(grid64))
-    assert np.all(out.values == 0.0)
-
-
-def test_inverse_rejects_nonzero_mean(grid64):
-    with pytest.raises(PreconditionError) as err:
-        inverse_neumann_laplacian(Field.constant(grid64, 0.5))
-    assert err.value.value == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("k", [1, 3, 9])
-def test_inverse_eigenfield(grid64, k):
-    # oracle: dense pseudo-inverse of minus the Laplacian
-    mat = dense_neumann_laplacian(grid64)
-    pinv = np.linalg.pinv(-mat)
-    x = Field(grid64, grid64.cosine_mode((k,)))
-    out = inverse_neumann_laplacian(x)
-    oracle = (pinv @ x.values).reshape(grid64.shape)
-    n, h = grid64.npoints[0], grid64.spacings[0]
-    lam = -(2.0 / h**2) * (1.0 - np.cos(k * np.pi / n))
-    assert np.allclose(out.values, -x.values / lam, rtol=1e-10, atol=1e-13)
-    assert np.allclose(out.values, oracle, rtol=1e-8, atol=1e-10)
-
-
-def test_inverse_roundtrip_random(grid64, grid2d, rng):
-    for g in (grid64, grid2d):
-        raw = random_field(g, rng)
-        x = Field(g, raw.values - np.mean(raw.values))
-        y = inverse_neumann_laplacian(x)
-        assert abs(mean(y)) <= 1e-12
-        assert norm_h(laplacian(y) + x) <= 1e-10 * norm_h(x)
-
-
 # --- norms -----------------------------------------------------------------
 
 
@@ -240,69 +189,6 @@ def test_array_norms_square_like_python_floats(rng):
                in zip(vs, hs, grad_norm_sq_values(g, values)))
     assert all(z == float(np.sqrt(float(v) ** 2 + float(lh) ** 2))
                for z, v, lh in zip(norm_z_values(g, values), vs, lap_hs))
-
-
-# --- dual norm -------------------------------------------------------------
-
-
-def test_norm_vstar_zero_and_constant(grid64):
-    assert norm_vstar(Field.zeros(grid64)) == 0.0
-    assert norm_vstar(Field.constant(grid64, -1.25)) == pytest.approx(1.25)
-
-
-def test_norm_vstar_matches_dense_oracle(grid64, grid2d, rng):
-    # oracle: sqrt(<x - xbar, N (x - xbar)>_H) + |xbar| via dense pinv
-    for g in (grid64, grid2d):
-        mat = dense_neumann_laplacian(g)
-        pinv = np.linalg.pinv(-mat)
-        for _ in range(5):
-            x = random_field(g, rng)
-            m = mean(x)
-            v = (x.values - m).ravel()
-            quad = float(v @ (pinv @ v)) * g.cell_volume
-            oracle = np.sqrt(quad) + abs(m)
-            assert norm_vstar(x) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-
-
-def test_norm_vstar_homogeneous_and_triangle(grid64, rng):
-    for _ in range(10):
-        x = random_field(grid64, rng)
-        z = random_field(grid64, rng)
-        s = float(rng.standard_normal())
-        assert norm_vstar(x * s) == pytest.approx(abs(s) * norm_vstar(x), rel=1e-12, abs=1e-13)
-        assert norm_vstar(x + z) <= norm_vstar(x) + norm_vstar(z) + 1e-12
-
-
-# --- compactness inequality ------------------------------------------------
-
-
-def test_compactness_zero_field(grid64):
-    lhs, rhs = check_compactness_inequality(Field.zeros(grid64), 0.3)
-    assert lhs == 0.0 and rhs == 0.0
-
-
-def test_compactness_equality_at_lowest_mode(grid64):
-    x = Field(grid64, grid64.cosine_mode((1,)))
-    nu1 = float(-grid64.lap_symbol[1])
-    lhs, rhs = check_compactness_inequality(x, 1.0 / nu1)
-    # explicit spectral computation: C_sigma = 0 and both sides coincide
-    assert compactness_constant(grid64, 1.0 / nu1) == 0.0
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_compactness_random_zero_mean(grid64, grid2d, rng):
-    for g in (grid64, grid2d):
-        raw = random_field(g, rng)
-        x = Field(g, raw.values - np.mean(raw.values))
-        lhs, rhs = check_compactness_inequality(x, 0.1)
-        assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_compactness_rejects_bad_sigma(grid64):
-    with pytest.raises(DomainError):
-        check_compactness_inequality(Field.zeros(grid64), -1.0)
-    with pytest.raises(PreconditionError):
-        check_compactness_inequality(Field.constant(grid64, 1.0), 0.5)
 
 
 # --- prolongation ----------------------------------------------------------

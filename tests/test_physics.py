@@ -9,22 +9,36 @@ from choc import (
     ConfigurationError,
     DomainError,
     Field,
-    ShapeError,
     TruncationLevel,
     additive_noise,
-    apply_B,
-    apply_DB,
     double_well,
-    inner_h,
     mean,
     multiplicative_noise,
     norm_h,
     quadratic_potential,
     validate_assumptions,
 )
-from choc.physics import NO_TRUNCATION, Potential, db_adjoint_scaled_values, no_noise
+from choc.physics import (
+    NO_TRUNCATION,
+    Potential,
+    b_increment_values,
+    db_adjoint_scaled_values,
+    db_increment_values,
+    no_noise,
+)
 
-from conftest import random_field
+from conftest import inner_h, random_field
+
+
+def apply_B(nm, y: Field, dw) -> Field:
+    """Noise increment B(y) dw of one field."""
+    return Field(nm.grid, b_increment_values(nm, y.values, np.asarray(dw, dtype=float)))
+
+
+def apply_DB(nm, y: Field, z: Field, dw) -> Field:
+    """Directional derivative DB(y)[z] dw of one field."""
+    return Field(nm.grid, db_increment_values(nm, y.values, z.values,
+                                              np.asarray(dw, dtype=float)))
 
 
 # --- potential -------------------------------------------------------------
@@ -178,12 +192,6 @@ def test_apply_B_multiplicative_zero_state(grid64):
     assert np.max(np.abs(out.values)) == 0.0
 
 
-def test_apply_B_shape_error(grid64, rng):
-    nm = multiplicative_noise(grid64, [0.1, 0.1])
-    with pytest.raises(ShapeError):
-        apply_B(nm, random_field(grid64, rng), np.zeros(3))
-
-
 def test_multiplicative_mean_free(grid64, grid2d, rng):
     for g in (grid64, grid2d):
         nm = multiplicative_noise(g, [0.4, 0.2, 0.1])
@@ -226,7 +234,7 @@ def test_db_adjoint_identity(grid64, grid2d, rng):
             z = random_field(g, rng)
             p = random_field(g, rng)
             dw = rng.standard_normal(3)
-            q = [p * dw[k] for k in range(3)]
+            q = [Field(g, p.values * float(dw[k])) for k in range(3)]
             lhs = 0.0
             for k in range(3):
                 ek = np.zeros(3)
@@ -248,9 +256,9 @@ def test_lipschitz_certificate(grid64, rng):
         for k in range(2):
             ek = np.zeros(2)
             ek[k] = 1.0
-            d = apply_B(nm, y1, ek) - apply_B(nm, y2, ek)
+            d = Field(grid64, apply_B(nm, y1, ek).values - apply_B(nm, y2, ek).values)
             hs_sq += norm_h(d) ** 2
-        assert np.sqrt(hs_sq) <= nm.l_b * norm_h(y1 - y2) * (1 + 1e-12)
+        assert np.sqrt(hs_sq) <= nm.l_b * norm_h(Field(grid64, y1.values - y2.values)) * (1 + 1e-12)
 
 
 def test_db_directional_derivative(grid64, rng):

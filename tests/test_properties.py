@@ -32,7 +32,6 @@ from choc import (
     solve_adjoint,
     solve_linearized,
     solve_state,
-    zero_potential,
 )
 from choc.grid import (
     grad_norm_sq,
@@ -46,6 +45,8 @@ from choc.grid import (
 from choc.physics import no_noise
 from choc.sensitivity import BACKENDS
 from choc.state import StateParams, _path_sums
+
+from conftest import zero_potential
 
 # A fixed example sequence and no example database: the suite gives the same
 # verdict on every run and writes no files.

@@ -22,10 +22,10 @@ from choc import (
     solve_state,
 )
 from choc.grid import lap_values, low_pass_field
-from choc.physics import additive_noise, no_noise, zero_potential
+from choc.physics import additive_noise, no_noise
 from choc.state import StateParams, series_l2h_norm
 
-from conftest import dense_neumann_laplacian, random_field
+from conftest import dense_neumann_laplacian, random_field, zero_potential
 
 
 def _make_traj(params, rng, seed=0, y0_amp=0.4, u=None):

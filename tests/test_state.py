@@ -14,7 +14,6 @@ from choc import (
     TimeGrid,
     chemical_potential,
     double_well,
-    energy,
     mix_seed,
     multiplicative_noise,
     norm_h,
@@ -22,13 +21,12 @@ from choc import (
     reduced_cost,
     sample_wiener_path,
     solve_state,
-    step_state,
 )
 from choc.grid import low_pass_field
-from choc.physics import additive_noise, no_noise, zero_potential
-from choc.state import StateParams, aggregate_increments
+from choc.physics import additive_noise, no_noise
+from choc.state import StateParams, WienerPath, _energy_values, aggregate_increments
 
-from conftest import apply_dense, dense_neumann_laplacian, random_field
+from conftest import apply_dense, dense_neumann_laplacian, random_field, zero_potential
 
 
 # --- Wiener sampling ---------------------------------------------------------
@@ -95,15 +93,23 @@ def test_chemical_potential_matches_dense(grid64, rng):
 # --- single step ---------------------------------------------------------------
 
 
+def one_step(y: Field, u: Field, dw, params: StateParams):
+    """The trajectory of one step of the scheme from y under control u and
+    Brownian increments dw; ``params`` has a time grid of one step."""
+    wp = WienerPath(params.timegrid, params.noise.nmodes, 0,
+                    np.reshape(dw, (1, params.noise.nmodes)))
+    return solve_state(y, u.values[None], [wp], params)
+
+
 def test_step_constant_fixed_point(grid64):
     pot = double_well()
     nm = no_noise(grid64)
-    params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 200),
+    params = StateParams(grid=grid64, timegrid=TimeGrid(0.05 / 200, 1),
                          potential=pot, noise=nm)
     y = Field.constant(grid64, 0.3)
-    y1, w0 = step_state(y, Field.zeros(grid64), np.zeros(0), params)
-    assert np.max(np.abs(y1.values - 0.3)) <= 1e-13
-    assert np.allclose(w0.values, 0.3**3 - 0.3, atol=1e-12)
+    traj = one_step(y, Field.zeros(grid64), np.zeros(0), params)
+    assert np.max(np.abs(traj.ys[0, 1] - 0.3)) <= 1e-13
+    assert np.allclose(traj.ws[0, 0], 0.3**3 - 0.3, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 4, 9])
@@ -111,22 +117,22 @@ def test_step_pure_bilaplacian_decay(grid64, k):
     # oracle: per-mode scalar recursion y+ = y / (1 + tau * lam^2)
     pot = zero_potential()
     nm = no_noise(grid64)
-    tg = TimeGrid(0.05, 200)
+    tg = TimeGrid(0.05 / 200, 1)
     params = StateParams(grid=grid64, timegrid=tg, potential=pot, noise=nm,
                          stabilization=0.0)
     n, h = grid64.npoints[0], grid64.spacings[0]
     lam = -(2.0 / h**2) * (1.0 - np.cos(k * np.pi / n))
     y = Field(grid64, grid64.cosine_mode((k,)))
-    y1, _ = step_state(y, Field.zeros(grid64), np.zeros(0), params)
+    traj = one_step(y, Field.zeros(grid64), np.zeros(0), params)
     factor = 1.0 / (1.0 + tg.tau * lam**2)
-    assert np.allclose(y1.values, factor * y.values, rtol=1e-12, atol=1e-13)
+    assert np.allclose(traj.ys[0, 1], factor * y.values, rtol=1e-12, atol=1e-13)
 
 
 def test_step_matches_dense_solve(grid64, rng):
     # oracle: dense factorization of (I + tau L^2 - tau S L)
     pot = double_well()
     nm = additive_noise(grid64, [0.2, 0.1])
-    tg = TimeGrid(0.05, 100)
+    tg = TimeGrid(0.05 / 100, 1)
     s = 2.0
     params = StateParams(grid=grid64, timegrid=tg, potential=pot, noise=nm,
                          stabilization=s)
@@ -137,18 +143,19 @@ def test_step_matches_dense_solve(grid64, rng):
     y = random_field(grid64, rng, smooth=True, amplitude=0.5)
     u = random_field(grid64, rng, smooth=True)
     dw = rng.standard_normal(2) * np.sqrt(tg.tau)
-    y1, _ = step_state(y, u, dw, params)
+    traj = one_step(y, u, dw, params)
 
     noise_field = 0.2 * dw[0] * grid64.cosine_mode((1,)) + 0.1 * dw[1] * grid64.cosine_mode((2,))
     explicit = (y.values**3 - y.values) - s * y.values - u.values
     rhs = y.values + tg.tau * apply_dense(mat, Field(grid64, explicit)) + noise_field
     oracle = np.linalg.solve(operator, rhs.ravel()).reshape(grid64.shape)
-    assert np.allclose(y1.values, oracle, rtol=1e-10, atol=1e-12)
+    assert np.allclose(traj.ys[0, 1], oracle, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("make_noise", [additive_noise, multiplicative_noise])
 def test_step_is_first_step_of_solve(grid64, grid2d, rng, make_noise):
-    # step_state and solve_state share one stepping kernel, bit for bit
+    # the one-step solve the scheme tests read is, bit for bit, the first
+    # step of a longer sweep
     for g in (grid64, grid2d):
         params = StateParams(grid=g, timegrid=TimeGrid(0.02, 5),
                              potential=double_well(),
@@ -157,9 +164,10 @@ def test_step_is_first_step_of_solve(grid64, grid2d, rng, make_noise):
         u = np.stack([low_pass_field(g, rng, 0.5).values for _ in range(5)])
         wp = sample_wiener_path(params.noise, params.timegrid, 21)
         traj = solve_state(y0, u, [wp], params)
-        y1, w0 = step_state(y0, Field(g, u[0]), wp.increments[0], params)
-        assert np.array_equal(y1.values, traj.ys[0, 1])
-        assert np.array_equal(w0.values, traj.ws[0, 0])
+        first = replace(params, timegrid=TimeGrid(params.timegrid.tau, 1))
+        step = one_step(y0, Field(g, u[0]), wp.increments[0], first)
+        assert np.array_equal(step.ys[0, 1], traj.ys[0, 1])
+        assert np.array_equal(step.ws[0, 0], traj.ws[0, 0])
 
 
 def test_step_requires_stabilization_above_c1(grid64):
@@ -230,20 +238,6 @@ def test_blowup_raises_with_diagnostics(grid64, rng):
     with pytest.raises(BlowUpError) as err:
         solve_state(y0, None, [wp], params)
     assert err.value.max_abs > 1e6 or not np.isfinite(err.value.max_abs)
-
-
-def test_step_blowup_names_no_path(grid64, rng):
-    # one field-level step belongs to no ensemble, so no path is named
-    params = StateParams(grid=grid64, timegrid=TimeGrid(0.05, 20),
-                         potential=double_well(), noise=no_noise(grid64),
-                         blowup_threshold=1e-3)
-    y = low_pass_field(grid64, rng, 0.4)
-    with pytest.raises(BlowUpError) as err:
-        step_state(y, Field.zeros(grid64), np.zeros(0), params)
-    assert err.value.path is None
-    assert err.value.seed is None
-    assert err.value.step == 0
-    assert "ensemble path" not in str(err.value)
 
 
 def test_blowup_seed_replays_path(grid64, rng):
@@ -354,12 +348,14 @@ def test_per_path_control_rejected(small_params, rng):
 
 
 def test_energy_at_minimum(grid64):
-    assert energy(Field.constant(grid64, 1.0), double_well()) == pytest.approx(0.0, abs=1e-13)
+    assert _energy_values(grid64, np.ones(grid64.shape), double_well()) == pytest.approx(
+        0.0, abs=1e-13)
 
 
 def test_energy_at_zero_state(grid64):
     expected = 0.25 * grid64.volume
-    assert energy(Field.zeros(grid64), double_well()) == pytest.approx(expected, rel=1e-13)
+    assert _energy_values(grid64, np.zeros(grid64.shape), double_well()) == pytest.approx(
+        expected, rel=1e-13)
 
 
 def test_energy_matches_dense_quadrature(grid64, rng):
@@ -369,7 +365,7 @@ def test_energy_matches_dense_quadrature(grid64, rng):
     v = y.values.ravel()
     oracle = 0.5 * float(v @ (-mat @ v)) * grid64.cell_volume \
         + float(np.sum(pot.psi(y.values))) * grid64.cell_volume
-    assert energy(y, pot) == pytest.approx(oracle, rel=1e-11)
+    assert _energy_values(grid64, y.values, pot) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_energy_computed_on_read(small_params, rng):
@@ -384,7 +380,7 @@ def test_energy_computed_on_read(small_params, rng):
     wp = sample_wiener_path(params.noise, params.timegrid, 8)
     traj = solve_state(low_pass_field(params.grid, rng, 0.4), None, [wp], params)
     assert calls == []
-    assert all(traj.energy[0, n] == energy(Field(params.grid, traj.ys[0, n]), pot)
+    assert all(traj.energy[0, n] == _energy_values(params.grid, traj.ys[0, n], pot)
                for n in range(params.timegrid.nsteps + 1))
 
 
