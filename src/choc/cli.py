@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (
     BuildResult,
@@ -95,6 +93,8 @@ def _load(args) -> BuildResult:
 
 
 def _outdir(args) -> Path:
+    """The output directory, created here: a command calls this once its
+    work has succeeded, so a failed run leaves no directory behind."""
     out = args.out or os.environ.get("CHOC_OUTPUT_DIR") or "choc-out"
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -128,9 +128,9 @@ def _solve_path(build: BuildResult, path_index: int):
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     build = _load(args)
-    outdir = _outdir(args)
     problem = build.problem
     traj = _solve_path(build, args.path_index)
+    outdir = _outdir(args)
     outputs = []
     for n in _snapshot_steps(problem.params.timegrid.nsteps, args.snapshot_every):
         path = outdir / f"state_{n:06d}.chs"
@@ -159,8 +159,7 @@ def _duality_summary(build: BuildResult, path_index: int) -> dict:
     h = _default_direction(build)
     x_q, x_t = problem.target_q(path_index), problem.target_t(path_index)
     lin = solve_linearized(traj, h.values, problem.trunc)
-    adj = solve_adjoint(traj, x_q, x_t, problem.alphas,
-                        backend=problem.backend, trunc=problem.trunc)
+    adj = solve_adjoint(traj, x_q, x_t, problem.alphas, trunc=problem.trunc)
     lhs, rhs = duality_terms(traj, lin, adj, h.values, x_q, x_t, problem.alphas)
     lhs, rhs = float(lhs[0]), float(rhs[0])
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -168,7 +167,7 @@ def _duality_summary(build: BuildResult, path_index: int) -> dict:
         "traj": traj, "lin": lin, "adj": adj,
         "summary": {"lhs": lhs, "rhs": rhs,
                     "relative_residual": abs(lhs - rhs) / scale,
-                    "backend": problem.backend},
+                    "backend": "discrete_transpose"},
     }
 
 
@@ -184,10 +183,8 @@ def _cmd_sensitivity(args) -> int:
     duality summary of one path."""
     t0 = time.perf_counter()
     build = _load(args)
-    outdir = _outdir(args)
     data = _duality_summary(build, args.path_index)
-    if data["adj"].warning:
-        print(f"warning: {data['adj'].warning}", file=sys.stderr)
+    outdir = _outdir(args)
     prefix, series_of = _SENSITIVITY_SNAPSHOTS[args.command]
     series = series_of(data)
     grid = build.problem.params.grid
@@ -210,8 +207,8 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_optimize(args) -> int:
     t0 = time.perf_counter()
     build = _load(args)
-    outdir = _outdir(args)
     result = optimize(build.u0, build.ensemble, build.problem, build.optimizer)
+    outdir = _outdir(args)
     outputs = []
     history = outdir / "cost_history.csv"
     rows = []
@@ -264,8 +261,8 @@ def _run_verify_suite(build: BuildResult, names=None) -> list:
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     build = _load(args)
-    outdir = _outdir(args)
     reports = _run_verify_suite(build, args.check or None)
+    outdir = _outdir(args)
     outputs = []
     all_passed = True
     for report in reports:
@@ -342,6 +339,9 @@ def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
+        every = getattr(args, "snapshot_every", None)
+        if every is not None and every < 1:
+            raise ConfigurationError(f"--snapshot-every {every} must be at least 1")
         return args.func(args)
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)

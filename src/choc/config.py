@@ -103,7 +103,6 @@ class EnsembleConfig:
 @dataclass(frozen=True)
 class SolverConfig:
     stabilization: float = 2.0
-    backend: str = "discrete_transpose"
     truncation: float = math.inf
     blowup_threshold: float = 1e10
     y0: str = "smooth_random:0.2"   # constant:V | file:PATH | smooth_random:AMP
@@ -220,7 +219,6 @@ _PARSERS = {
     ("ensemble", "npaths"): int,
     ("ensemble", "base_seed"): int,
     ("solver", "stabilization"): _parse_float,
-    ("solver", "backend"): str.strip,
     ("solver", "truncation"): _parse_float,
     ("solver", "blowup_threshold"): _parse_float,
     ("solver", "y0"): str.strip,
@@ -338,8 +336,6 @@ def _validate(c: RunConfig) -> None:
     _require(c.cost.synthetic_amplitude > 0,
              "cost.synthetic_amplitude must be positive")
     _require(c.ensemble.npaths >= 1, "ensemble.npaths must be at least 1")
-    _require(c.solver.backend in ("discrete_transpose", "continuous"),
-             f"unknown solver.backend {c.solver.backend!r}")
     _require(c.solver.truncation > 0, "solver.truncation must be positive")
     _require(c.solver.blowup_threshold > 0,
              "solver.blowup_threshold must be positive")
@@ -522,7 +518,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
             x_t = value
 
     problem = Problem(params=params, y0=y0, alphas=alphas, x_q=x_q, x_t=x_t,
-                      c0=c0, trunc=trunc, backend=config.solver.backend)
+                      c0=c0, trunc=trunc)
     opts = OptimizerOptions(
         tol=config.optimizer.tol, max_iter=config.optimizer.max_iter,
         armijo_c=config.optimizer.armijo_c,

@@ -4,7 +4,7 @@ projected gradient descent on the admissible ball.
 A control is one deterministic field series (one field per time step),
 shared by every path. The reduced cost fixes the Wiener seeds once per
 ensemble, so for a finite ensemble it is a smooth deterministic function of
-the control and the transpose-backend adjoint supplies its exact gradient
+the control and the transpose adjoint supplies its exact gradient
 
     grad J(u) = mean over paths of ptilde + alpha3 * u.
 
@@ -139,7 +139,6 @@ class Problem:
     x_t: np.ndarray | None = None
     c0: float = 1.0
     trunc: TruncationLevel = NO_TRUNCATION
-    backend: str = "discrete_transpose"
 
     def __post_init__(self):
         if self.c0 <= 0:
@@ -226,16 +225,12 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     and averages ptilde; the control penalty contributes alpha3 * u.
     ``states`` are as for :func:`reduced_cost`.
     """
-    if problem.backend != "discrete_transpose":
-        raise ConfigurationError(
-            "exact gradients require the discrete_transpose backend"
-        )
     if states is None:
         states = _solve_paths(u, problem, es.sample_paths(problem.params))
     tg = problem.params.timegrid
     a3 = problem.alphas[2]
     adj = solve_adjoint(states, problem.x_q, problem.x_t, problem.alphas,
-                        backend="discrete_transpose", trunc=problem.trunc)
+                        trunc=problem.trunc)
     return adj.ptildes[:, : tg.nsteps].sum(axis=0) / adj.npaths + a3 * u.values
 
 

@@ -162,11 +162,10 @@ def validate_assumptions(pot: Potential, sample_range=(-10.0, 10.0),
 # Noise operator
 
 
+# shape name -> (rho, rho')
 _SHAPES = {
-    "tanh": (np.tanh, lambda r: 1.0 / np.cosh(r) ** 2, 1.0, 1.0),
-    # sup|rho| is unbounded for the linear shape; the growth certificate
-    # falls back to the Lipschitz constant, which is what the bounds use.
-    "linear": (lambda r: r, lambda r: np.ones_like(r), math.inf, 1.0),
+    "tanh": (np.tanh, lambda r: 1.0 / np.cosh(r) ** 2),
+    "linear": (lambda r: r, lambda r: np.ones_like(r)),
 }
 
 
@@ -193,8 +192,7 @@ class NoiseModel:
     Each mode is a smooth cosine profile ``g_k`` with amplitude ``sigma_k``.
     Additive noise adds ``sum_k sigma_k g_k dW_k``; multiplicative noise
     modulates the modes by a bounded shape of the state and removes the grid
-    mean mode by mode. ``l_b`` is a conservative Lipschitz/growth certificate
-    computed from the mode profiles at construction.
+    mean mode by mode.
     """
 
     grid: Grid
@@ -203,7 +201,6 @@ class NoiseModel:
     modes: np.ndarray            # (K, *grid.shape)
     mode_indices: tuple
     shape_name: str = "tanh"
-    l_b: float = 0.0
 
     @property
     def nmodes(self) -> int:
@@ -225,28 +222,6 @@ def _build_modes(grid: Grid, indices) -> np.ndarray:
     if mats:
         return np.stack(mats)
     return np.zeros((0,) + grid.shape)
-
-
-def _mode_sup_norms(grid: Grid, indices):
-    sup = []
-    grad_sup = []
-    for ix in indices:
-        ix = tuple(int(i) for i in np.atleast_1d(ix))
-        sup.append(1.0)
-        grad_sup.append(
-            math.sqrt(sum((m * math.pi / L) ** 2 for m, L in zip(ix, grid.lengths)))
-        )
-    return np.asarray(sup), np.asarray(grad_sup)
-
-
-def _certificate(grid: Grid, sigmas, indices, shape_name: str) -> float:
-    if len(sigmas) == 0:
-        return 0.0
-    sup, grad_sup = _mode_sup_norms(grid, indices)
-    _, _, rho_sup, rho_lip = _SHAPES[shape_name]
-    factor = rho_lip if not math.isfinite(rho_sup) else max(rho_sup, rho_lip)
-    w = (sup + grad_sup) * factor
-    return float(np.sqrt(np.sum(np.asarray(sigmas) ** 2 * w**2)))
 
 
 def _normalize_indices(grid: Grid, mode_indices, nmodes):
@@ -285,7 +260,6 @@ def additive_noise(grid: Grid, sigmas, mode_indices=None,
     return NoiseModel(
         grid=grid, kind="additive", sigmas=sigmas,
         modes=_build_modes(grid, indices), mode_indices=indices,
-        shape_name="tanh", l_b=_certificate(grid, sigmas, indices, "tanh"),
     )
 
 
@@ -308,15 +282,14 @@ def multiplicative_noise(grid: Grid, sigmas, mode_indices=None, shape: str = "ta
     return NoiseModel(
         grid=grid, kind="multiplicative", sigmas=sigmas,
         modes=_build_modes(grid, indices), mode_indices=indices,
-        shape_name=shape, l_b=_certificate(grid, sigmas, indices, shape),
+        shape_name=shape,
     )
 
 
 def no_noise(grid: Grid) -> NoiseModel:
     """K = 0: the deterministic equation."""
     return NoiseModel(grid=grid, kind="additive", sigmas=np.zeros(0),
-                      modes=np.zeros((0,) + grid.shape), mode_indices=(),
-                      shape_name="tanh", l_b=0.0)
+                      modes=np.zeros((0,) + grid.shape), mode_indices=())
 
 
 # The array-level operators below are the hot path of the solvers. Their

@@ -10,10 +10,10 @@ DB(y_n)[z_n] dW_n, that is
 from z_0 = 0, so the map h -> z is linear and, at infinite truncation, is
 the exact derivative of the discrete flow.
 
-The default adjoint backend ("discrete_transpose") is the algebraic
-transpose of that recursion. Writing one forward step as
-z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse implicit operator and
-E_n = I + tau*Lap(C_n - S) + DB_n, the costate sweep is
+The adjoint is the algebraic transpose of that recursion. Writing one
+forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
+implicit operator and E_n = I + tau*Lap(C_n - S) + DB_n, the costate sweep
+is
 
     P_N = alpha2 (y_N - x_T),
     p_n = M P_{n+1},            ptilde_n = -Lap p_n,
@@ -25,9 +25,9 @@ and ptilde satisfies, exactly in floating point up to rounding,
     sum_n tau <h_n, ptilde_n>_H
         = alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N - x_T, z_N>_H
 
-for every direction h. The "continuous" backend discretizes the backward
-equation directly with the martingale term dropped; for additive noise the
-two differ by a one-step shift of coefficients, an O(tau) gap.
+for every direction h. It is the only adjoint: a direct discretization of
+the continuous adjoint equation is the private reference of
+:func:`choc.verify.check_backend_consistency` and nothing else.
 
 :func:`solve_adjoint` stores the ptilde_n it computes at every node and
 does not keep p, which no reader uses. :func:`solve_linearized` and
@@ -65,14 +65,11 @@ from .state import (
 __all__ = [
     "LinearizedSolution",
     "AdjointSolution",
-    "BACKENDS",
     "solve_linearized",
     "solve_adjoint",
     "convergence_in_truncation",
     "duality_terms",
 ]
-
-BACKENDS = ("discrete_transpose", "continuous")
 
 
 @dataclass(frozen=True)
@@ -123,9 +120,6 @@ class AdjointSolution:
 
     params: StateParams
     ptildes: np.ndarray          # (npaths, nsteps+1, *grid.shape)
-    backend: str
-    trunc: TruncationLevel
-    warning: str | None = None
 
     @property
     def grid(self) -> Grid:
@@ -169,19 +163,13 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
     return LinearizedSolution(traj=traj, h=hvals, zs=zs, trunc=trunc)
 
 
-def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_transpose",
+def solve_adjoint(traj: Trajectory, x_q, x_t, alphas,
                   trunc=NO_TRUNCATION) -> AdjointSolution:
-    """Backward costate sweep along every path of the trajectory at once.
+    """Backward transpose sweep along every path of the trajectory at once.
 
     Each target is shared by the paths or given per path, with a leading
     npaths axis, and the solution carries the path axis.
-    ``backend`` selects the exact transpose of the linearized recursion or a
-    direct backward discretization of the continuous adjoint equation. The
-    continuous backend drops the martingale term; with multiplicative noise
-    that omission biases the result and is flagged in ``warning``.
     """
-    if backend not in BACKENDS:
-        raise ConfigurationError(f"unknown adjoint backend {backend!r}")
     p = traj.params
     g = p.grid
     tg = p.timegrid
@@ -207,37 +195,18 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas, backend: str = "discrete_t
         """alpha1 * (y_n - xQ_n)."""
         return a1 * (ys[n] - xq[n]) if a1 != 0.0 else zero
 
-    terminal = a2 * (ys[nsteps] - xt) if a2 != 0.0 else zero
+    costate = a2 * (ys[nsteps] - xt) if a2 != 0.0 else zero    # P_N
     ptildes = np.empty(traj.ys.shape)
     pts_n = np.moveaxis(ptildes, 1, 0)
-    pts_n[nsteps] = -lap_values(g, terminal)
-    warning = None
-
-    if backend == "discrete_transpose":
-        costate = terminal                     # P_N
-        for n in range(nsteps - 1, -1, -1):
-            p_n = _idct(_dct(costate, axes) / sym, axes)
-            pt_n = pts_n[n] = -lap_values(g, p_n)
-            c_n = trunc.clamp(p.potential.psi_second(ys[n]))
-            costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
-            if noisy:
-                costate = costate + db_adjoint_scaled_values(nm, ys[n], p_n, dw_n[n])
-    else:
+    pts_n[nsteps] = -lap_values(g, costate)
+    for n in range(nsteps - 1, -1, -1):
+        p_n = _idct(_dct(costate, axes) / sym, axes)
+        pt_n = pts_n[n] = -lap_values(g, p_n)
+        c_n = trunc.clamp(p.potential.psi_second(ys[n]))
+        costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
         if noisy:
-            warning = (
-                "continuous backend drops the martingale and noise-derivative "
-                "terms; biased for multiplicative noise"
-            )
-        pv = terminal
-        pt = pts_n[nsteps]
-        for n in range(nsteps - 1, -1, -1):
-            c_n = trunc.clamp(p.potential.psi_second(ys[n]))
-            rhs = pv - tau * (c_n - s) * pt + tau * dist(n)
-            pv = _idct(_dct(rhs, axes) / sym, axes)
-            pt = pts_n[n] = -lap_values(g, pv)
-
-    return AdjointSolution(params=p, ptildes=ptildes, backend=backend, trunc=trunc,
-                           warning=warning)
+            costate = costate + db_adjoint_scaled_values(nm, ys[n], p_n, dw_n[n])
+    return AdjointSolution(params=p, ptildes=ptildes)
 
 
 def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolution,

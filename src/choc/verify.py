@@ -6,7 +6,7 @@ Every check is a pure function of its inputs and seeds and emits a
 :class:`CheckReport` whose JSON form is byte-stable across runs. Each claim
 has one check, and each check has a negative control exercised by the test
 suite, so a vacuous pass cannot hide a wiring bug. A check sweeps its whole
-ensemble at once, with one solve per control, level, time grid or backend,
+ensemble at once, with one solve per control, level, time grid or adjoint,
 and sums per-path results in path order. The refinement studies (Lipschitz,
 moment bounds, backend consistency) build every level with :func:`_level`,
 so all levels of a study see the same Brownian motion.
@@ -25,6 +25,9 @@ from .errors import BlowUpError, ConfigurationError, PreconditionError
 from .grid import (
     Field,
     Grid,
+    _dct,
+    _idct,
+    lap_values,
     low_pass_field,
     norm_h_values,
     norm_v_values,
@@ -41,6 +44,7 @@ from .sensitivity import (
 from .state import (
     StateParams,
     TimeGrid,
+    Trajectory,
     WienerPath,
     aggregate_increments,
     mix_seed,
@@ -186,8 +190,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     g = p.grid
     errors = np.zeros(len(eps_list))
     z_norm = 0.0
-    paths = [sample_wiener_path(p.noise, tg, mix_seed(path_seed, i))
-             for i in range(npaths)]
+    paths = EnsembleSpec(npaths, path_seed).sample_paths(p)
     traj = solve_state(problem.y0, u.values, paths, p)
     zs = solve_linearized(traj, h.values, problem.trunc).zs[:, : tg.nsteps]
     for z in zs:
@@ -530,17 +533,48 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
 # Backend consistency
 
 
-def _backend_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
+def _continuous_ptildes(traj: Trajectory, x_q: np.ndarray, a1: float) -> np.ndarray:
+    """ptilde at the step starts of every path, shape (npaths, nsteps,
+    *grid.shape), from a direct backward discretization of the continuous
+    adjoint equation with the martingale term dropped, driven by the shared
+    tracking target ``x_q`` alone: from p_N = 0 and ptilde_N = 0,
+
+        (I + tau*Lap^2 - tau*S*Lap) p_n
+            = p_{n+1} - tau*(psi''(y_n) - S)*ptilde_{n+1} + tau*a1*(y_n - xQ_n),
+        ptilde_n = -Lap p_n,
+
+    with no curvature clamp. For additive noise it differs from the
+    transpose sweep by a one-step shift of coefficients, an O(tau) gap. It
+    is the reference of :func:`check_backend_consistency` and nothing else.
+    """
+    p = traj.params
+    g = p.grid
+    axes = g.axes
+    tau = p.timegrid.tau
+    s = p.stabilization
+    ys = np.moveaxis(traj.ys, 1, 0)
+    ptildes = np.empty(traj.ys[:, :-1].shape)
+    pts_n = np.moveaxis(ptildes, 1, 0)
+    pv = pt = np.zeros(ys.shape[1:])
+    for n in range(p.timegrid.nsteps - 1, -1, -1):
+        c_n = p.potential.psi_second(ys[n])
+        rhs = pv - tau * (c_n - s) * pt + tau * (a1 * (ys[n] - x_q[n]))
+        pv = _idct(_dct(rhs, axes) / p.implicit_symbol, axes)
+        pt = pts_n[n] = -lap_values(g, pv)
+    return ptildes
+
+
+def _adjoint_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
                  paths: list[WienerPath], params: StateParams) -> float:
-    """Path mean of the L2(Q) gap between the two backends' ptilde; one
-    state sweep and one adjoint sweep per backend, all freed on return."""
+    """Path mean of the L2(Q) gap between the transpose and the continuous
+    ptilde; one state sweep and one sweep of each adjoint, all freed on
+    return."""
     tg = params.timegrid
     traj = solve_state(y0, u, paths, params)
-    adj_t = solve_adjoint(traj, x_q, None, alphas, backend="discrete_transpose")
-    adj_c = solve_adjoint(traj, x_q, None, alphas, backend="continuous")
+    adj = solve_adjoint(traj, x_q, None, alphas)
     gap = 0.0
-    for pt_t, pt_c in zip(adj_t.ptildes, adj_c.ptildes):
-        gap += series_l2h_norm(pt_t[: tg.nsteps] - pt_c[: tg.nsteps], tg, params.grid)
+    for pt_t, pt_c in zip(adj.ptildes, _continuous_ptildes(traj, x_q, alphas[0])):
+        gap += series_l2h_norm(pt_t[: tg.nsteps] - pt_c, tg, params.grid)
     return gap / len(paths)
 
 
@@ -549,15 +583,16 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
                               order_tol: float = 0.8) -> CheckReport:
     """Continuous vs transpose adjoint agreement as the time step shrinks.
 
-    This is the one check on the continuous backend. Its claim is about
-    additive noise, where the continuous backend is unbiased, so a problem
-    with multiplicative noise is measured on its additive variant, with the
-    same modes and amplitudes. A shared Brownian path is aggregated across
-    the dyadic sweep, and the L2(Q) gap between the two ptilde sequences
-    must shrink with order about one.
+    The continuous adjoint is this check's private reference,
+    :func:`_continuous_ptildes`. The claim is about additive noise, where
+    the continuous scheme is unbiased, so a problem with multiplicative
+    noise is measured on its additive variant, with the same modes and
+    amplitudes. A shared Brownian path is aggregated across the dyadic
+    sweep, and the L2(Q) gap between the two ptilde sequences must shrink
+    with order about one.
 
     The scenario drives the adjoint by the distributed tracking term alone.
-    A terminal datum excites a one-node layer in which the backends disagree
+    A terminal datum excites a one-node layer in which the adjoints disagree
     per mode by an amount that saturates once tau*lambda^2 >> 1, polluting
     the observable rate with a square-root component; the interior
     consistency being probed here is the O(tau) statement.
@@ -583,7 +618,7 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
         uvals = np.repeat(u_field.values[None], nsteps, axis=0)
         xq = np.repeat(xq_field.values[None], nsteps, axis=0)
         taus.append(params.timegrid.tau)
-        gaps.append(_backend_gap(y0, uvals, xq, alphas, paths, params))
+        gaps.append(_adjoint_gap(y0, uvals, xq, alphas, paths, params))
     order = empirical_order(np.asarray(taus), np.asarray(gaps))
     table = tuple({"tau": t, "ptilde_gap_l2q": gv} for t, gv in zip(taus, gaps))
     return CheckReport(

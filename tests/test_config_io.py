@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import choc.cli
 import choc.config
 from choc import Field, Grid, read_snapshot, solve_state, write_snapshot
 from choc.cli import main
@@ -60,6 +61,15 @@ def test_unknown_key_carries_line_number():
         parse_config(text)
     assert "line 3" in str(err.value)
     assert "widgets" in str(err.value)
+
+
+def test_removed_backend_key_is_unknown():
+    # the transpose sweep is the one adjoint, so there is nothing to select
+    text = "[solver]\nstabilization = 2.0\nbackend = continuous\n"
+    with pytest.raises(ConfigParseError) as err:
+        parse_config(text)
+    assert "line 3" in str(err.value)
+    assert "backend" in str(err.value)
 
 
 def test_unknown_section_carries_line_number():
@@ -379,20 +389,6 @@ def test_cli_false_potential_constant_exit_code(tmp_path, capsys):
     assert "curvature_lower_bound" in capsys.readouterr().err
 
 
-def test_cli_shows_the_adjoint_warning(tmp_path, capsys):
-    # the continuous adjoint is biased for multiplicative noise; the run says so
-    cfg = _write_tiny(tmp_path).read_text().replace(
-        "kind = none\nnmodes = 0", "kind = multiplicative\nnmodes = 2")
-    path = tmp_path / "continuous.cfg"
-    path.write_text(cfg + "[solver]\nbackend = continuous\n")
-    for command in ("linearize", "adjoint"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
-        assert "warning: continuous backend" in capsys.readouterr().err
-    assert main(["adjoint", "--config", str(_write_tiny(tmp_path)),
-                 "--out", str(tmp_path / "discrete")]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_cli_unknown_check_exit_code(tmp_path):
     cfg = _write_tiny(tmp_path)
     assert main(["verify", "--config", str(cfg), "--check", "nope"]) == 2
@@ -415,6 +411,50 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--path-index", "2"]) == 3
     assert "ensemble path 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "optimize"])
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_cli_snapshot_every_below_one(tmp_path, capsys, monkeypatch, command, every):
+    # a usage error before any solve, with no output directory
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+    monkeypatch.setattr(choc.cli, "solve_state", no_solve)
+    monkeypatch.setattr(choc.cli, "optimize", no_solve)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write_tiny(tmp_path)), "--out", str(out),
+                 "--snapshot-every", every]) == 2
+    assert f"--snapshot-every {every}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# noise that blows up on the first step; no tracking term, so building the
+# problem solves nothing
+EXPLODING = ("[noise]\nkind = additive\nnmodes = 1\nsigmas = 1e6\n"
+             "[cost]\nalpha1 = 0\nalpha2 = 0\n"
+             "[solver]\nblowup_threshold = 1e4\n")
+
+
+@pytest.mark.parametrize("args, extra, code", [
+    (["simulate", "--path-index", "5"], "", 2),
+    (["linearize", "--path-index", "5"], "", 2),
+    (["verify", "--check", "nope"], "", 2),
+    (["simulate"], EXPLODING, 3),
+    (["adjoint"], EXPLODING, 3),
+    (["optimize"], EXPLODING, 3),
+    (["verify", "--check", "gateaux"], EXPLODING, 3),
+], ids=["simulate-path", "linearize-path", "verify-check", "simulate-blowup",
+        "adjoint-blowup", "optimize-blowup", "verify-blowup"])
+def test_cli_failed_run_leaves_no_directory(tmp_path, monkeypatch, args, extra, code):
+    # the output directory is made only once a command's work succeeded,
+    # whether --out names it or it is the default in the working directory
+    cfg = _write_tiny(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main(args + ["--config", str(cfg), "--out", str(out)]) == code
+    assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--config", str(cfg)]) == code
+    assert not (tmp_path / "choc-out").exists()
 
 
 def test_cli_missing_config_file(tmp_path):

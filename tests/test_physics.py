@@ -246,21 +246,6 @@ def test_db_adjoint_identity(grid64, grid2d, rng):
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
 
-def test_lipschitz_certificate(grid64, rng):
-    # 1000 random pairs stay under the constructed constant
-    nm = multiplicative_noise(grid64, [0.4, 0.2])
-    for _ in range(1000):
-        y1 = random_field(grid64, rng)
-        y2 = random_field(grid64, rng)
-        hs_sq = 0.0
-        for k in range(2):
-            ek = np.zeros(2)
-            ek[k] = 1.0
-            d = Field(grid64, apply_B(nm, y1, ek).values - apply_B(nm, y2, ek).values)
-            hs_sq += norm_h(d) ** 2
-        assert np.sqrt(hs_sq) <= nm.l_b * norm_h(Field(grid64, y1.values - y2.values)) * (1 + 1e-12)
-
-
 def test_db_directional_derivative(grid64, rng):
     # |(B(y+eps z) - B(y))/eps - DB(y)z| = O(eps)
     nm = multiplicative_noise(grid64, [0.4, 0.2])

@@ -43,8 +43,8 @@ from choc.grid import (
     norm_z_values,
 )
 from choc.physics import no_noise
-from choc.sensitivity import BACKENDS
 from choc.state import StateParams, _path_sums
+from choc.verify import _continuous_ptildes
 
 from conftest import zero_potential
 
@@ -170,10 +170,12 @@ def test_path_sums_are_per_path_sums(g, npaths, nsteps, seed):
 
 @PROPERTIES
 @given(params=state_params(), seed=seeds, npaths=st.integers(1, 4),
-       per_path_targets=st.booleans(), backend=st.sampled_from(BACKENDS),
+       per_path_targets=st.booleans(),
        trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
-def test_batch_is_serial(params, seed, npaths, per_path_targets, backend, trunc):
-    # a batch of npaths paths is bitwise npaths batches of one
+def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
+    # a batch of npaths paths is bitwise npaths batches of one, and so are
+    # the rows of the continuous adjoint that check_backend_consistency
+    # measures the transpose against, on a shared target
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
     cost_alphas = (0.7, 1.3, 0.2)
@@ -191,7 +193,9 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, backend, trunc)
     h = _smooth_series(params, rng, 1.0)
     batch = solve_state(y0, u, paths, params)
     lin = solve_linearized(batch, h, trunc)
-    adj = solve_adjoint(batch, x_q, x_t, alphas, backend)
+    adj = solve_adjoint(batch, x_q, x_t, alphas)
+    xq_shared = x_q[0] if per_path_targets else x_q
+    continuous = _continuous_ptildes(batch, xq_shared, alphas[0])
     cost = evaluate_cost(batch, u, x_q, x_t, cost_alphas)
     lhs, rhs = duality_terms(batch, lin, adj, h, x_q, x_t, alphas)
     assert batch.npaths == lin.npaths == adj.npaths == npaths
@@ -210,8 +214,10 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, backend, trunc)
         alone_lin = solve_linearized(traj, h, trunc)
         assert np.array_equal(lin.zs[i], alone_lin.zs[0])
         assert np.array_equal(lin.mus[i], alone_lin.mus[0])
-        alone = solve_adjoint(traj, xq_i, xt_i, alphas, backend)
+        alone = solve_adjoint(traj, xq_i, xt_i, alphas)
         assert np.array_equal(adj.ptildes[i], alone.ptildes[0])
+        assert np.array_equal(continuous[i],
+                              _continuous_ptildes(traj, xq_shared, alphas[0])[0])
         assert cost[i] == evaluate_cost(traj, u, xq_i, xt_i, cost_alphas)[0]
         alone_lhs, alone_rhs = duality_terms(traj, alone_lin, alone, h, xq_i, xt_i,
                                              alphas)

@@ -24,6 +24,7 @@ from choc import (
 from choc.grid import lap_values, low_pass_field
 from choc.physics import additive_noise, no_noise
 from choc.state import StateParams, series_l2h_norm
+from choc.verify import _continuous_ptildes
 
 from conftest import dense_neumann_laplacian, random_field, zero_potential
 
@@ -213,26 +214,14 @@ def test_adjoint_ptilde_is_minus_lap_p(small_params, rng):
     expected = (-lap @ p_prev).reshape(params.grid.shape)
     assert np.allclose(adj.ptildes[0, n - 1], expected, atol=1e-10)
 
+    # ptilde is mean-free at every node, for the transpose and for the
+    # continuous reference of check_backend_consistency
     x_q = _random_direction(params, rng, 0.3)
-    for backend in ("discrete_transpose", "continuous"):
-        adj = solve_adjoint(traj, x_q, x_t, (1.0, 1.0, 0.0), backend=backend)
-        means = np.mean(adj.ptildes[0].reshape(n + 1, -1), axis=1)
+    adj = solve_adjoint(traj, x_q, x_t, (1.0, 1.0, 0.0))
+    continuous = _continuous_ptildes(traj, x_q, 1.0)
+    for ptildes in (adj.ptildes[0], continuous[0]):
+        means = np.mean(ptildes.reshape(len(ptildes), -1), axis=1)
         assert np.max(np.abs(means)) <= 1e-12
-
-
-def test_adjoint_warns_continuous_multiplicative(small_params, rng):
-    traj = _make_traj(small_params, rng)
-    adj = solve_adjoint(traj, None, traj.ys[0, -1] * 0.5, (0.0, 1.0, 0.0),
-                        backend="continuous")
-    assert adj.warning is not None
-    adj_t = solve_adjoint(traj, None, traj.ys[0, -1] * 0.5, (0.0, 1.0, 0.0))
-    assert adj_t.warning is None
-
-
-def test_adjoint_unknown_backend(small_params, rng):
-    traj = _make_traj(small_params, rng)
-    with pytest.raises(ConfigurationError):
-        solve_adjoint(traj, None, None, (0.0, 0.0, 1.0), backend="magic")
 
 
 # --- duality ----------------------------------------------------------------------
@@ -308,11 +297,12 @@ def test_transpose_against_dense_column_oracle(rng):
     assert np.max(np.abs(dense_grad - adjoint_grad)) <= 1e-10 * max(scale, 1.0)
 
 
-# --- backends ------------------------------------------------------------------
+# --- the continuous reference ---------------------------------------------------
 
 
 def test_backends_consistent_additive(grid64, rng):
-    # same trajectory, both backends; gap small at fine tau and O(tau) overall
+    # same trajectory, the transpose and the continuous reference of
+    # check_backend_consistency; gap small at fine tau and O(tau) overall
     tg = TimeGrid(0.05, 400)
     nm = additive_noise(grid64, [0.05, 0.05])
     params = StateParams(grid=grid64, timegrid=tg, potential=double_well(),
@@ -320,9 +310,8 @@ def test_backends_consistent_additive(grid64, rng):
     traj = _make_traj(params, rng)
     x_q = np.repeat(low_pass_field(grid64, rng, 0.3).values[None], tg.nsteps, axis=0)
     adj_t = solve_adjoint(traj, x_q, None, (1.0, 0.0, 0.0))
-    adj_c = solve_adjoint(traj, x_q, None, (1.0, 0.0, 0.0), backend="continuous")
-    gap = series_l2h_norm(adj_t.ptildes[0, : tg.nsteps] - adj_c.ptildes[0, : tg.nsteps],
-                          tg, grid64)
+    continuous = _continuous_ptildes(traj, x_q, 1.0)
+    gap = series_l2h_norm(adj_t.ptildes[0, : tg.nsteps] - continuous[0], tg, grid64)
     ref = series_l2h_norm(adj_t.ptildes[0, : tg.nsteps], tg, grid64)
     assert gap <= 0.05 * ref
 
