@@ -92,13 +92,22 @@ def _load(args) -> BuildResult:
     return build_problem(config, base_dir)
 
 
+def _output_path(args) -> Path:
+    """The output directory a command will write, checked before its work:
+    the nearest existing path on the way to it must be a directory."""
+    path = Path(args.out or os.environ.get("CHOC_OUTPUT_DIR") or "choc-out")
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"cannot make output directory {str(path)!r}: "
+                                 f"{str(existing)!r} is not a directory")
+    return path
+
+
 def _outdir(args) -> Path:
     """The output directory, created here: a command calls this once its
     work has succeeded, so a failed run leaves no directory behind."""
-    out = args.out or os.environ.get("CHOC_OUTPUT_DIR") or "choc-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _snapshot_steps(nsteps: int, every: int | None) -> list[int]:
@@ -342,6 +351,8 @@ def main(argv=None) -> int:
         every = getattr(args, "snapshot_every", None)
         if every is not None and every < 1:
             raise ConfigurationError(f"--snapshot-every {every} must be at least 1")
+        if args.func is not _cmd_info:
+            args.out = _output_path(args)
         return args.func(args)
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,9 @@ setup (1D, 64 points, unit box, T = 0.05 over 200 steps, two noise modes of
 amplitude 0.1).
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +42,16 @@ __all__ = [
 
 
 # --- typed blocks ---------------------------------------------------------
+# Each field of a block is one key of its section: its name, type and
+# default are declared here and nowhere else. Parsing, serialization and the
+# built solver objects all derive from these dataclasses.
 
 
 @dataclass(frozen=True)
 class GridConfig:
     ndims: int = 1
-    npoints: tuple = (64,)
-    lengths: tuple = (1.0,)
+    npoints: tuple[int, ...] = (64,)
+    lengths: tuple[float, ...] = (1.0,)
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class PotentialConfig:
 class NoiseConfig:
     kind: str = "multiplicative"    # additive | multiplicative | none
     nmodes: int = 2
-    sigmas: tuple = (0.1,)
-    mode_indices: tuple = ()        # empty means lowest nonconstant modes
+    sigmas: tuple[float, ...] = (0.1,)
+    mode_indices: tuple[tuple[int, ...], ...] = ()  # empty means lowest nonconstant modes
     shape: str = "tanh"             # tanh | linear
     allow_linear_shape: bool = False
     allow_nonzero_mean_modes: bool = False
@@ -131,17 +132,8 @@ class RunConfig:
     optimizer: OptimizerConfig = dc_field(default_factory=OptimizerConfig)
 
 
-_BLOCKS = {
-    "grid": GridConfig,
-    "time": TimeConfig,
-    "potential": PotentialConfig,
-    "noise": NoiseConfig,
-    "control": ControlConfig,
-    "cost": CostConfig,
-    "ensemble": EnsembleConfig,
-    "solver": SolverConfig,
-    "optimizer": OptimizerConfig,
-}
+# section -> block class, in RunConfig's order (the serialization order)
+_BLOCKS = {f.name: f.type for f in dc_fields(RunConfig)}
 
 
 # --- value codecs ---------------------------------------------------------
@@ -163,19 +155,8 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split())
-
-
-def _parse_float_tuple(text: str) -> tuple:
-    return tuple(_parse_float(tok) for tok in text.split())
-
-
-def _parse_mode_indices(text: str) -> tuple:
-    out = []
-    for tok in text.split():
-        out.append(tuple(int(p) for p in tok.split(",")))
-    return tuple(out)
+def _parse_ints(text: str, sep: str | None = None) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(sep))
 
 
 def _fmt(value) -> str:
@@ -191,49 +172,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_PARSERS = {
-    ("grid", "ndims"): int,
-    ("grid", "npoints"): _parse_int_tuple,
-    ("grid", "lengths"): _parse_float_tuple,
-    ("time", "t_final"): _parse_float,
-    ("time", "nsteps"): int,
-    ("potential", "kind"): str.strip,
-    ("potential", "c1"): _parse_float,
-    ("potential", "c2"): _parse_float,
-    ("potential", "curvature"): _parse_float,
-    ("noise", "kind"): str.strip,
-    ("noise", "nmodes"): int,
-    ("noise", "sigmas"): _parse_float_tuple,
-    ("noise", "mode_indices"): _parse_mode_indices,
-    ("noise", "shape"): str.strip,
-    ("noise", "allow_linear_shape"): _parse_bool,
-    ("noise", "allow_nonzero_mean_modes"): _parse_bool,
-    ("control", "c0"): _parse_float,
-    ("control", "init"): str.strip,
-    ("cost", "alpha1"): _parse_float,
-    ("cost", "alpha2"): _parse_float,
-    ("cost", "alpha3"): _parse_float,
-    ("cost", "x_q"): str.strip,
-    ("cost", "x_t"): str.strip,
-    ("cost", "synthetic_amplitude"): _parse_float,
-    ("ensemble", "npaths"): int,
-    ("ensemble", "base_seed"): int,
-    ("solver", "stabilization"): _parse_float,
-    ("solver", "truncation"): _parse_float,
-    ("solver", "blowup_threshold"): _parse_float,
-    ("solver", "y0"): str.strip,
-    ("optimizer", "tol"): _parse_float,
-    ("optimizer", "max_iter"): int,
-    ("optimizer", "armijo_c"): _parse_float,
-    ("optimizer", "armijo_shrink"): _parse_float,
-    ("optimizer", "max_backtracks"): int,
-    ("optimizer", "eta0"): _parse_float,
+# One parser per field annotation. The table is keyed by the annotations
+# themselves, which this module evaluates (it does not postpone them), so a
+# field whose type has no parser fails at import.
+_PARSE_BY_TYPE = {
+    int: int,
+    float: _parse_float,
+    str: str,
+    bool: _parse_bool,
+    tuple[int, ...]: _parse_ints,
+    tuple[float, ...]: lambda text: tuple(_parse_float(tok) for tok in text.split()),
+    tuple[tuple[int, ...], ...]: lambda text: tuple(_parse_ints(tok, ",")
+                                                    for tok in text.split()),
 }
+
+_KEY_PARSERS = {(section, f.name): _PARSE_BY_TYPE[f.type]
+                for section, block in _BLOCKS.items() for f in dc_fields(block)}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; an empty document yields all defaults."""
-    values: dict = {}
+    values: dict = {name: {} for name in _BLOCKS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw
@@ -256,24 +215,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigParseError("key outside of any [section]", line=lineno)
         key, _, rawval = line.partition("=")
         key = key.strip().lower()
-        parser = _PARSERS.get((section, key))
+        parser = _KEY_PARSERS.get((section, key))
         if parser is None:
             raise ConfigParseError(f"unknown key {key!r} in section [{section}]",
                                    line=lineno)
         try:
-            values[(section, key)] = parser(rawval.strip())
+            values[section][key] = parser(rawval.strip())
         except (ValueError, TypeError) as exc:
             raise ConfigParseError(f"bad value for {section}.{key}: {exc}",
                                    line=lineno) from exc
 
-    blocks = {}
-    for name, cls in _BLOCKS.items():
-        kwargs = {}
-        for f in dc_fields(cls):
-            if (name, f.name) in values:
-                kwargs[f.name] = values[(name, f.name)]
-        blocks[name] = cls(**kwargs)
-    config = RunConfig(**blocks)
+    config = RunConfig(**{name: block(**values[name])
+                          for name, block in _BLOCKS.items()})
     _validate(config)
     return config
 
@@ -387,30 +340,17 @@ def build_noise(c: RunConfig, grid: Grid):
     if nc.kind == "none" or nc.nmodes == 0:
         return no_noise(grid)
     sigmas = _broadcast(nc.sigmas, nc.nmodes, "noise.sigmas")
+    for ix in nc.mode_indices:
+        if len(ix) != grid.ndims:
+            raise ConfigurationError(
+                f"noise.mode_indices entry {ix} does not match grid dimension"
+            )
     indices = nc.mode_indices or None
-    if indices is not None:
-        fixed = []
-        for ix in indices:
-            if len(ix) == 1 and grid.ndims == 1:
-                fixed.append(ix)
-            elif len(ix) == grid.ndims:
-                fixed.append(ix)
-            else:
-                raise ConfigurationError(
-                    f"noise.mode_indices entry {ix} does not match grid dimension"
-                )
-        indices = fixed
     if nc.kind == "additive":
         return additive_noise(grid, sigmas, indices,
                               allow_nonzero_mean_modes=nc.allow_nonzero_mean_modes)
     return multiplicative_noise(grid, sigmas, indices, shape=nc.shape,
                                 allow_linear_shape=nc.allow_linear_shape)
-
-
-def _parse_source(text: str):
-    kind, _, arg = text.partition(":")
-    kind = kind.strip().lower()
-    return kind, arg.strip()
 
 
 def _source_number(arg: str, what: str) -> float:
@@ -427,14 +367,26 @@ def _source_number(arg: str, what: str) -> float:
     return value
 
 
-def _resolve_field_source(text: str, grid: Grid, base_dir: Path, seed: int,
-                          what: str) -> Field:
-    kind, arg = _parse_source(text)
+def _source_field(text: str, what: str, grid: Grid, base_dir: Path, *,
+                  bare: str | None = None, seed: int | None = None) -> Field | None:
+    """The field that the source ``kind[:arg]`` of key ``what`` names.
+
+    Every key takes ``constant:V`` and ``file:PATH``. ``bare`` is the key's
+    kind that takes no argument (``zero`` or ``synthetic``), for which this
+    returns None; a ``seed`` admits ``smooth_random:AMP`` (``solver.y0``).
+    Kinds are case-insensitive.
+    """
+    kind, colon, arg = text.partition(":")
+    kind, arg = kind.strip().lower(), arg.strip()
+    if kind == bare:
+        if colon:
+            raise ConfigurationError(f"{what}: {bare} takes no argument, got {text!r}")
+        return None
     if kind == "constant":
         return Field.constant(grid, _source_number(arg, what))
     if kind == "file":
         return read_snapshot(base_dir / arg, grid)
-    if kind == "smooth_random":
+    if kind == "smooth_random" and seed is not None:
         amp = _source_number(arg, what)
         return low_pass_field(grid, np.random.default_rng(seed), amp)
     raise ConfigurationError(f"{what}: unknown source {text!r}")
@@ -468,66 +420,40 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
         blowup_threshold=config.solver.blowup_threshold,
     )
     es = EnsembleSpec(config.ensemble.npaths, config.ensemble.base_seed)
-    y0 = _resolve_field_source(config.solver.y0, grid, base_dir,
-                               mix_seed(es.base_seed, 0xD0), "solver.y0")
+    y0 = _source_field(config.solver.y0, "solver.y0", grid, base_dir,
+                       seed=mix_seed(es.base_seed, 0xD0))
 
     c0 = config.control.c0
-    kind, arg = _parse_source(config.control.init)
-    if kind == "zero":
-        u0 = ControlProcess.zeros(grid, tg)
-    elif kind == "constant":
-        u0 = ControlProcess(grid, tg,
-                            np.full((tg.nsteps,) + grid.shape,
-                                    _source_number(arg, "control.init")))
-    elif kind == "file":
-        f = read_snapshot(base_dir / arg, grid)
-        u0 = ControlProcess(grid, tg, np.repeat(f.values[None], tg.nsteps, axis=0))
-    else:
-        raise ConfigurationError(f"control.init: unknown source {config.control.init!r}")
+    steps = (tg.nsteps,) + grid.shape
+    init = _source_field(config.control.init, "control.init", grid, base_dir,
+                         bare="zero")
+    u0 = (ControlProcess.zeros(grid, tg) if init is None
+          else ControlProcess(grid, tg, np.broadcast_to(init.values, steps).copy()))
 
-    alphas = (config.cost.alpha1, config.cost.alpha2, config.cost.alpha3)
-    trunc = TruncationLevel(config.solver.truncation)
-
+    cost = config.cost
+    alphas = (cost.alpha1, cost.alpha2, cost.alpha3)
+    # the shape of each target that a field names: x_q holds it at every step
+    shapes = {"x_q": steps, "x_t": grid.shape}
+    # the field each weighted target names, None where it is synthetic; a
+    # target whose weight is zero is not read and stays None
+    named = {key: _source_field(getattr(cost, key), f"cost.{key}", grid, base_dir,
+                                bare="synthetic")
+             for key, alpha in zip(shapes, alphas) if alpha > 0}
+    targets = dict.fromkeys(shapes)
     reference = None
-    x_q = x_t = None
-    need_synth = (alphas[0] > 0 and config.cost.x_q == "synthetic") or \
-                 (alphas[1] > 0 and config.cost.x_t == "synthetic")
-    if need_synth:
-        reference = _reference_control(grid, tg, c0, config.cost.synthetic_amplitude)
-        x_q_s, x_t_s = _synthetic_targets(params, y0, reference, es)
-    for name, text in (("x_q", config.cost.x_q), ("x_t", config.cost.x_t)):
-        alpha = alphas[0] if name == "x_q" else alphas[1]
-        if alpha == 0:
-            continue
-        kind, arg = _parse_source(text)
-        if kind == "synthetic":
-            value = x_q_s if name == "x_q" else x_t_s
-        elif kind == "constant":
-            c = _source_number(arg, f"cost.{name}")
-            value = (np.full((tg.nsteps,) + grid.shape, c) if name == "x_q"
-                     else np.full(grid.shape, c))
-        elif kind == "file":
-            f = read_snapshot(base_dir / arg, grid)
-            value = (np.repeat(f.values[None], tg.nsteps, axis=0) if name == "x_q"
-                     else f.values)
-        else:
-            raise ConfigurationError(f"cost.{name}: unknown source {text!r}")
-        if name == "x_q":
-            x_q = value
-        else:
-            x_t = value
+    if any(f is None for f in named.values()):
+        reference = _reference_control(grid, tg, c0, cost.synthetic_amplitude)
+        synthetic = dict(zip(shapes, _synthetic_targets(params, y0, reference, es)))
+    for key, f in named.items():
+        targets[key] = (synthetic[key] if f is None
+                        else np.broadcast_to(f.values, shapes[key]).copy())
 
-    problem = Problem(params=params, y0=y0, alphas=alphas, x_q=x_q, x_t=x_t,
-                      c0=c0, trunc=trunc)
-    opts = OptimizerOptions(
-        tol=config.optimizer.tol, max_iter=config.optimizer.max_iter,
-        armijo_c=config.optimizer.armijo_c,
-        armijo_shrink=config.optimizer.armijo_shrink,
-        max_backtracks=config.optimizer.max_backtracks,
-        eta0=config.optimizer.eta0,
-    )
+    problem = Problem(params=params, y0=y0, alphas=alphas, x_q=targets["x_q"],
+                      x_t=targets["x_t"], c0=c0,
+                      trunc=TruncationLevel(config.solver.truncation))
     return BuildResult(config=config, problem=problem, ensemble=es,
-                       optimizer=opts, u0=u0, reference_control=reference)
+                       optimizer=OptimizerOptions(**asdict(config.optimizer)),
+                       u0=u0, reference_control=reference)
 
 
 def _reference_control(grid: Grid, tg: TimeGrid, c0: float,

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,16 @@ import choc.config
 from choc import Field, Grid, read_snapshot, solve_state, write_snapshot
 from choc.cli import main
 from choc.config import (
+    ControlConfig,
+    CostConfig,
+    EnsembleConfig,
+    GridConfig,
+    NoiseConfig,
+    OptimizerConfig,
+    PotentialConfig,
+    RunConfig,
+    SolverConfig,
+    TimeConfig,
     build_problem,
     config_digest,
     default_config,
@@ -114,6 +126,68 @@ def test_2d_config_broadcast():
 def test_comments_and_blank_lines():
     text = "# leading comment\n[time]\n\nnsteps = 7   # trailing comment\n"
     assert parse_config(text).time.nsteps == 7
+
+
+def _schema_keys():
+    defaults = default_config()
+    return {(block.name, key.name) for block in dc_fields(defaults)
+            for key in dc_fields(getattr(defaults, block.name))}
+
+
+def test_every_key_roundtrips():
+    # every field of every block away from its default, so each key's
+    # parser and its serialized form meet
+    config = RunConfig(
+        grid=GridConfig(ndims=2, npoints=(16, 8), lengths=(1.5, 2.0)),
+        time=TimeConfig(t_final=0.125, nsteps=17),
+        potential=PotentialConfig(kind="quadratic", c1=0.5, c2=2.5, curvature=2.0),
+        noise=NoiseConfig(kind="additive", nmodes=3, sigmas=(0.1, 0.2, 0.3),
+                          mode_indices=((1, 0), (0, 1), (1, 1)), shape="linear",
+                          allow_linear_shape=True, allow_nonzero_mean_modes=True),
+        control=ControlConfig(c0=2.0, init="file:u0.chs"),
+        cost=CostConfig(alpha1=0.5, alpha2=0.0, alpha3=0.01, x_q="constant:0.25",
+                        x_t="file:xt.chs", synthetic_amplitude=0.75),
+        ensemble=EnsembleConfig(npaths=3, base_seed=7),
+        solver=SolverConfig(stabilization=3.0, truncation=10.0,
+                            blowup_threshold=1e6, y0="constant:0.1"),
+        optimizer=OptimizerConfig(tol=1e-5, max_iter=20, armijo_c=0.01,
+                                  armijo_shrink=0.25, max_backtracks=5, eta0=0.5),
+    )
+    defaults = default_config()
+    same = [(section, key) for section, key in sorted(_schema_keys())
+            if getattr(getattr(config, section), key)
+            == getattr(getattr(defaults, section), key)]
+    assert same == []
+    assert parse_config(serialize_config(config)) == config
+
+
+def test_example_and_readme_name_every_key():
+    schema = _schema_keys()
+    section = None
+    example = []
+    for line in (REPO / "configs" / "example.cfg").read_text().splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            example.append((section, line.partition("=")[0].strip()))
+    assert sorted(example) == sorted(schema)
+    # the README's configuration table: one row per section, whose keys are
+    # the backquoted names outside the parenthesized defaults
+    readme = []
+    for section, cell in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$",
+                                    (REPO / "README.md").read_text(), re.M):
+        keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell))
+        readme.extend((section, key) for key in keys)
+    assert sorted(readme) == sorted(schema)
+
+
+@pytest.mark.parametrize("indices", ["1,2", "1 2,0"])
+def test_mode_index_of_the_wrong_dimension(indices):
+    # a 2D mode index on the default 1D grid names the key
+    config = parse_config(f"[noise]\nnmodes = 2\nmode_indices = {indices}\n")
+    with pytest.raises(ConfigurationError, match="noise.mode_indices"):
+        build_problem(config)
 
 
 # --- snapshots -----------------------------------------------------------------
@@ -353,10 +427,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("solver", "y0", "smooth_random:oops"),
     ("solver", "y0", "smooth_random:"),
     ("solver", "y0", "constant:-inf"),
+    ("cost", "x_q", "synthetic:1"),
+    ("control", "init", "zero:0"),
 ])
 def test_cli_malformed_source_value_exit_code(tmp_path, capsys, section, key, value):
-    # a source's V or AMP is a finite number, given: anything else is a
-    # configuration error naming the key, never a traceback or a default
+    # a source's V or AMP is a finite number, given, and zero and synthetic
+    # take none: anything else is a configuration error naming the key,
+    # never a traceback or a default
     cfg = tmp_path / "source.cfg"
     cfg.write_text("[grid]\nnpoints = 16\n[time]\nt_final = 0.01\nnsteps = 10\n"
                    "[noise]\nkind = none\nnmodes = 0\n"
@@ -457,11 +534,44 @@ def test_cli_failed_run_leaves_no_directory(tmp_path, monkeypatch, args, extra, 
     assert not (tmp_path / "choc-out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "optimize", "verify"])
+@pytest.mark.parametrize("where", ["out", "env", "parent"])
+def test_cli_out_names_a_file(tmp_path, capsys, monkeypatch, command, where):
+    # a configuration error before any solve, the file left as it was
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was checked")
+    monkeypatch.setattr(choc.config, "solve_state", no_solve)
+    monkeypatch.setattr(choc.cli, "solve_state", no_solve)
+    monkeypatch.setattr(choc.cli, "optimize", no_solve)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    args = [command, "--config", str(_write_tiny(tmp_path))]
+    if where == "env":
+        monkeypatch.setenv("CHOC_OUTPUT_DIR", str(afile))
+    else:
+        args += ["--out", str(afile if where == "out" else afile / "sub")]
+    assert main(args) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "keep"
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["info", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
 # --- synthetic build ------------------------------------------------------------
+
+
+def test_synthetic_kind_is_case_insensitive():
+    # x_q alone synthetic: the kind is matched as every source kind is
+    def build(kind):
+        return build_problem(parse_config(TINY + f"[cost]\nx_q = {kind}\n"
+                                                 "x_t = constant:0\n")).problem
+    expected = build("synthetic")
+    for kind in ("Synthetic", " SYNTHETIC "):
+        problem = build(kind)
+        assert np.array_equal(problem.x_q, expected.x_q)
+        assert np.array_equal(problem.x_t, np.zeros(problem.params.grid.shape))
 
 
 def test_build_problem_synthetic_targets_shapes(monkeypatch):
