@@ -34,7 +34,6 @@ from .physics import (
     multiplicative_noise,
     no_noise,
     quadratic_potential,
-    validate_assumptions,
 )
 from .state import (
     StateParams,

@@ -30,7 +30,7 @@ from .config import (
 )
 from .control import optimize
 from .errors import BlowUpError, ChocError, ConfigurationError
-from .grid import Field
+from .grid import Field, Grid
 from .sensitivity import duality_terms, solve_adjoint, solve_linearized
 from .snapshots import write_series_csv, write_snapshot
 from .state import sample_wiener_path, solve_state
@@ -110,12 +110,20 @@ def _outdir(args) -> Path:
     return args.out
 
 
-def _snapshot_steps(nsteps: int, every: int | None) -> list[int]:
-    every = every or max(1, nsteps // 10)
-    steps = list(range(0, nsteps + 1, every))
-    if steps[-1] != nsteps:
-        steps.append(nsteps)
-    return steps
+def _write_snapshots(outdir: Path, prefix: str, grid: Grid, series,
+                     every: int | None) -> list[Path]:
+    """Snapshots ``PREFIX_NNNNNN.chs`` of every ``every``-th row of
+    ``series`` (about ten rows by default) and of its last row."""
+    last = len(series) - 1
+    steps = list(range(0, last + 1, every or max(1, last // 10)))
+    if steps[-1] != last:
+        steps.append(last)
+    outputs = []
+    for n in steps:
+        path = outdir / f"{prefix}_{n:06d}.chs"
+        write_snapshot(Field(grid, series[n]), path)
+        outputs.append(path)
+    return outputs
 
 
 def _solve_path(build: BuildResult, path_index: int):
@@ -140,11 +148,8 @@ def _cmd_simulate(args) -> int:
     problem = build.problem
     traj = _solve_path(build, args.path_index)
     outdir = _outdir(args)
-    outputs = []
-    for n in _snapshot_steps(problem.params.timegrid.nsteps, args.snapshot_every):
-        path = outdir / f"state_{n:06d}.chs"
-        write_snapshot(Field(problem.params.grid, traj.ys[0, n]), path)
-        outputs.append(path)
+    outputs = _write_snapshots(outdir, "state", problem.params.grid, traj.ys[0],
+                               args.snapshot_every)
     series = outdir / "series.csv"
     times = problem.params.timegrid.times()
     write_series_csv(series, ["time", "mass", "energy"],
@@ -195,14 +200,8 @@ def _cmd_sensitivity(args) -> int:
     data = _duality_summary(build, args.path_index)
     outdir = _outdir(args)
     prefix, series_of = _SENSITIVITY_SNAPSHOTS[args.command]
-    series = series_of(data)
-    grid = build.problem.params.grid
-    nsteps = build.problem.params.timegrid.nsteps
-    outputs = []
-    for n in _snapshot_steps(nsteps, args.snapshot_every):
-        path = outdir / f"{prefix}_{n:06d}.chs"
-        write_snapshot(Field(grid, series[n]), path)
-        outputs.append(path)
+    outputs = _write_snapshots(outdir, prefix, build.problem.params.grid,
+                               series_of(data), args.snapshot_every)
     summary = outdir / "duality.json"
     summary.write_text(json.dumps(data["summary"], sort_keys=True, indent=2) + "\n")
     outputs.append(summary)
@@ -227,12 +226,8 @@ def _cmd_optimize(args) -> int:
         rows.append((i, cost, gmap, step))
     write_series_csv(history, ["iteration", "cost", "gradient_map", "step"], rows)
     outputs.append(history)
-    for n in _snapshot_steps(build.problem.params.timegrid.nsteps - 1,
-                             args.snapshot_every):
-        path = outdir / f"control_{n:06d}.chs"
-        write_snapshot(Field(build.problem.params.grid, result.control.values[n]),
-                       path)
-        outputs.append(path)
+    outputs += _write_snapshots(outdir, "control", build.problem.params.grid,
+                                result.control.values, args.snapshot_every)
     _write_manifest(outdir, "optimize", build, outputs,
                     {"optimization": result.summary()}, time.perf_counter() - t0)
     s = result.summary()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControlProcess, EnsembleSpec, OptimizerOptions, Problem, l2q_norm
-from .errors import ConfigParseError, ConfigurationError
+from .errors import ConfigParseError, ConfigurationError, SnapshotFormatError
 from .grid import Field, Grid, low_pass_field
 from .physics import (
     TruncationLevel,
@@ -24,7 +24,6 @@ from .physics import (
     multiplicative_noise,
     no_noise,
     quadratic_potential,
-    validate_assumptions,
 )
 from .snapshots import read_snapshot
 from .state import StateParams, TimeGrid, mix_seed, solve_state
@@ -63,8 +62,6 @@ class TimeConfig:
 @dataclass(frozen=True)
 class PotentialConfig:
     kind: str = "double_well"       # double_well | quadratic
-    c1: float = 1.0
-    c2: float = 3.0
     curvature: float = 1.0          # quadratic kind only
 
 
@@ -268,13 +265,12 @@ def _validate(c: RunConfig) -> None:
     _require(len(g.lengths) in (1, g.ndims),
              "grid.lengths must have one entry or one per axis")
     _require(all(n >= 4 for n in g.npoints), "grid.npoints entries must be >= 4")
-    _require(all(l > 0 for l in g.lengths), "grid.lengths entries must be positive")
-    _require(c.time.t_final > 0, "time.t_final must be positive")
+    _require(all(0 < l < math.inf for l in g.lengths),
+             "grid.lengths entries must be finite and positive")
+    _require(0 < c.time.t_final < math.inf, "time.t_final must be finite and positive")
     _require(c.time.nsteps >= 1, "time.nsteps must be at least 1")
     _require(c.potential.kind in ("double_well", "quadratic"),
              f"unknown potential.kind {c.potential.kind!r}")
-    _require(c.potential.c1 >= 0, "potential.c1 must be nonnegative")
-    _require(c.potential.c2 > 0, "potential.c2 must be positive")
     _require(c.noise.kind in ("additive", "multiplicative", "none"),
              f"unknown noise.kind {c.noise.kind!r}")
     _require(c.noise.nmodes >= 0, "noise.nmodes must be nonnegative")
@@ -289,6 +285,7 @@ def _validate(c: RunConfig) -> None:
     _require(c.cost.synthetic_amplitude > 0,
              "cost.synthetic_amplitude must be positive")
     _require(c.ensemble.npaths >= 1, "ensemble.npaths must be at least 1")
+    _require(math.isfinite(c.solver.stabilization), "solver.stabilization must be finite")
     _require(c.solver.truncation > 0, "solver.truncation must be positive")
     _require(c.solver.blowup_threshold > 0,
              "solver.blowup_threshold must be positive")
@@ -320,19 +317,9 @@ def build_grid(c: RunConfig) -> Grid:
 
 
 def build_potential(c: RunConfig):
-    """The configured potential; declared constants that its own values
-    contradict (say c1 below -min psi'') are a configuration error."""
     if c.potential.kind == "double_well":
-        pot = double_well(c.potential.c1, c.potential.c2)
-    else:
-        pot = quadratic_potential(c.potential.curvature)
-    report = validate_assumptions(pot)
-    if not report:
-        name, at, margin = report.violations[0]
-        raise ConfigurationError(
-            f"potential constants c1 = {pot.c1:g}, c2 = {pot.c2:g} violate "
-            f"{name} at r = {at:g} (margin {margin:.3g})")
-    return pot
+        return double_well()
+    return quadratic_potential(c.potential.curvature)
 
 
 def build_noise(c: RunConfig, grid: Grid):
@@ -385,7 +372,10 @@ def _source_field(text: str, what: str, grid: Grid, base_dir: Path, *,
     if kind == "constant":
         return Field.constant(grid, _source_number(arg, what))
     if kind == "file":
-        return read_snapshot(base_dir / arg, grid)
+        try:
+            return read_snapshot(base_dir / arg, grid)
+        except (OSError, SnapshotFormatError) as exc:
+            raise ConfigurationError(f"{what}: {exc}") from None
     if kind == "smooth_random" and seed is not None:
         amp = _source_number(arg, what)
         return low_pass_field(grid, np.random.default_rng(seed), amp)
@@ -434,11 +424,13 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
     alphas = (cost.alpha1, cost.alpha2, cost.alpha3)
     # the shape of each target that a field names: x_q holds it at every step
     shapes = {"x_q": steps, "x_t": grid.shape}
-    # the field each weighted target names, None where it is synthetic; a
-    # target whose weight is zero is not read and stays None
-    named = {key: _source_field(getattr(cost, key), f"cost.{key}", grid, base_dir,
-                                bare="synthetic")
-             for key, alpha in zip(shapes, alphas) if alpha > 0}
+    # every target's source is read, so a malformed one is an error even at
+    # zero weight; the field each weighted target names, None where it is
+    # synthetic (a target whose weight is zero stays None)
+    sources = {key: _source_field(getattr(cost, key), f"cost.{key}", grid, base_dir,
+                                  bare="synthetic")
+               for key in shapes}
+    named = {key: sources[key] for key, alpha in zip(shapes, alphas) if alpha > 0}
     targets = dict.fromkeys(shapes)
     reference = None
     if any(f is None for f in named.values()):

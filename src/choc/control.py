@@ -253,6 +253,11 @@ def project_admissible(u: ControlProcess, radius: float) -> ControlProcess:
     return u.with_values(values)
 
 
+# the Barzilai-Borwein trial step is clipped to [_ETA_MIN, _ETA_MAX]
+_ETA_MIN = 1e-6
+_ETA_MAX = 1e8
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Projected gradient settings: Armijo backtracking from an adaptive
@@ -264,8 +269,6 @@ class OptimizerOptions:
     armijo_shrink: float = 0.5
     max_backtracks: int = 40
     eta0: float = 1.0            # reference step for the termination metric
-    eta_min: float = 1e-6
-    eta_max: float = 1e8
 
 
 @dataclass
@@ -360,7 +363,7 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
             denom = l2q_inner(du, dg, tg, u.grid)
             if denom > 0:
                 eta = l2q_inner(du, du, tg, u.grid) / denom
-        eta = float(np.clip(eta, opts.eta_min, opts.eta_max))
+        eta = float(np.clip(eta, _ETA_MIN, _ETA_MAX))
 
         accepted = False
         trial_eta = eta

@@ -269,17 +269,21 @@ def prolong(x: Field, fine: Grid) -> Field:
     return Field(fine, _idct(out))
 
 
-def low_pass_field(grid: Grid, rng: np.random.Generator, amplitude: float,
-                   cutoff: int = 8) -> Field:
-    """Smooth random field: white noise damped beyond the cutoff wavenumber,
-    rescaled to the requested sup amplitude. Used for initial data."""
+# the wavenumber beyond which low_pass_field damps its white noise
+_CUTOFF = 8
+
+
+def low_pass_field(grid: Grid, rng: np.random.Generator, amplitude: float) -> Field:
+    """Smooth random field: white noise damped beyond the wavenumber
+    ``_CUTOFF``, rescaled to the requested sup amplitude. Used for initial
+    data."""
     coeffs = rng.standard_normal(grid.shape)
     if grid.ndims == 1:
-        k2 = (np.arange(grid.npoints[0]) / cutoff) ** 2
+        k2 = (np.arange(grid.npoints[0]) / _CUTOFF) ** 2
     else:
         kx = np.arange(grid.npoints[0])[:, None]
         ky = np.arange(grid.npoints[1])[None, :]
-        k2 = (kx**2 + ky**2) / cutoff**2
+        k2 = (kx**2 + ky**2) / _CUTOFF**2
     values = _idct(coeffs * np.exp(-k2))
     top = np.max(np.abs(values))
     if top > 0:

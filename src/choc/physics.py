@@ -1,7 +1,7 @@
 """Double-well potential and finite-rank noise operator.
 
-The potential is any nonnegative C^2 function with a curvature lower bound
--c1 and quadratic curvature growth c2. The noise operator maps a vector of
+The potential is a nonnegative C^2 function whose curvature is bounded below
+by -c1, a constant its formula fixes. The noise operator maps a vector of
 Brownian increments to a field increment through K smooth cosine modes;
 multiplicative noise modulates the modes by a bounded shape function of the
 state and is projected to zero mean mode by mode, which is what conserves
@@ -25,8 +25,6 @@ __all__ = [
     "quadratic_potential",
     "TruncationLevel",
     "NO_TRUNCATION",
-    "validate_assumptions",
-    "AssumptionReport",
     "NoiseModel",
     "additive_noise",
     "multiplicative_noise",
@@ -36,11 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential with first and second derivatives and growth constants.
+    """Scalar potential with its first and second derivatives.
 
-    ``c1`` bounds the second derivative from below (psi'' >= -c1) and ``c2``
-    controls quadratic growth; both are declared, then checked by
-    :func:`validate_assumptions`.
+    ``c1`` bounds the second derivative from below, psi'' >= -c1; each
+    built-in potential sets the value its formula fixes.
     """
 
     name: str
@@ -48,40 +45,32 @@ class Potential:
     psi_prime: Callable[[np.ndarray], np.ndarray]
     psi_second: Callable[[np.ndarray], np.ndarray]
     c1: float
-    c2: float
-
-    def __post_init__(self):
-        if self.c1 < 0:
-            raise DomainError(f"c1 must be nonnegative, got {self.c1}")
-        if self.c2 <= 0:
-            raise DomainError(f"c2 must be positive, got {self.c2}")
 
 
-def double_well(c1: float = 1.0, c2: float = 3.0) -> Potential:
-    """Classical double well psi(r) = (r^2 - 1)^2 / 4 with minima at +-1."""
+def double_well() -> Potential:
+    """Classical double well psi(r) = (r^2 - 1)^2 / 4 with minima at +-1;
+    psi'' = 3 r^2 - 1 >= -1, so c1 = 1."""
     return Potential(
         name="double_well",
         psi=lambda r: 0.25 * (np.asarray(r, dtype=float) ** 2 - 1.0) ** 2,
         psi_prime=lambda r: np.asarray(r, dtype=float) ** 3 - np.asarray(r, dtype=float),
         psi_second=lambda r: 3.0 * np.asarray(r, dtype=float) ** 2 - 1.0,
-        c1=c1,
-        c2=c2,
+        c1=1.0,
     )
 
 
 def quadratic_potential(curvature: float = 1.0) -> Potential:
-    """Convex quadratic psi(r) = a r^2 / 2; makes the state dynamics linear."""
+    """Convex quadratic psi(r) = a r^2 / 2; makes the state dynamics linear.
+    psi'' = a >= 0, so c1 = 0."""
     a = float(curvature)
     if a < 0:
         raise DomainError("quadratic potential needs nonnegative curvature")
-    c2 = max(1.0, a)
     return Potential(
         name="quadratic",
         psi=lambda r: 0.5 * a * np.asarray(r, dtype=float) ** 2,
         psi_prime=lambda r: a * np.asarray(r, dtype=float),
         psi_second=lambda r: np.full_like(np.asarray(r, dtype=float), a),
         c1=0.0,
-        c2=c2,
     )
 
 
@@ -111,51 +100,6 @@ class TruncationLevel:
 
 
 NO_TRUNCATION = TruncationLevel(math.inf)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Outcome of sampling the structural bounds of a potential."""
-
-    ok: bool
-    worst_margins: dict
-    violations: tuple = ()
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_assumptions(pot: Potential, sample_range=(-10.0, 10.0),
-                         nsamples: int = 4001) -> AssumptionReport:
-    """Sample the three structural inequalities of the potential on a range.
-
-    Checks psi >= 0, psi'' >= -c1, |psi''| <= c2 (1 + r^2) and
-    |psi'| <= c2 (1 + psi). Margins are reported as the minimum slack; the
-    first violated inequality (with a witness point) makes the report fail.
-    """
-    if nsamples < 2:
-        raise DomainError("need at least two sample points")
-    lo, hi = map(float, sample_range)
-    r = np.linspace(lo, hi, nsamples)
-    psi = np.asarray(pot.psi(r), dtype=float)
-    dpsi = np.asarray(pot.psi_prime(r), dtype=float)
-    ddpsi = np.asarray(pot.psi_second(r), dtype=float)
-
-    margins = {
-        "psi_nonnegative": psi,
-        "curvature_lower_bound": ddpsi + pot.c1,
-        "curvature_growth": pot.c2 * (1.0 + r**2) - np.abs(ddpsi),
-        "gradient_growth": pot.c2 * (1.0 + psi) - np.abs(dpsi),
-    }
-    worst = {}
-    violations = []
-    for name, m in margins.items():
-        i = int(np.argmin(m))
-        worst[name] = {"margin": float(m[i]), "at": float(r[i])}
-        if m[i] < 0:
-            violations.append((name, float(r[i]), float(m[i])))
-    return AssumptionReport(ok=not violations, worst_margins=worst,
-                            violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

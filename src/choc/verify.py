@@ -34,7 +34,7 @@ from .grid import (
     norm_z_values,
     prolong,
 )
-from .physics import additive_noise, multiplicative_noise, no_noise
+from .physics import _build_modes, additive_noise
 from .sensitivity import (
     convergence_in_truncation,
     duality_terms,
@@ -122,14 +122,14 @@ def empirical_order(params: np.ndarray, errors: np.ndarray) -> float:
     return float(slope)
 
 
-def random_smooth_control(problem: Problem, seed: int, amplitude: float = 1.0,
-                          cutoff: int = 8) -> ControlProcess:
+def random_smooth_control(problem: Problem, seed: int,
+                          amplitude: float = 1.0) -> ControlProcess:
     """Spatially smooth, temporally white control with unit-scaled L2 norm."""
     g = problem.params.grid
     tg = problem.params.timegrid
     rng = np.random.default_rng(seed)
     vals = np.stack([
-        low_pass_field(g, rng, 1.0, cutoff=cutoff).values for _ in range(tg.nsteps)
+        low_pass_field(g, rng, 1.0).values for _ in range(tg.nsteps)
     ])
     norm = l2q_norm(vals, tg, g)
     if norm > 0:
@@ -317,15 +317,7 @@ def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
     grid, noise, y0 = p.grid, p.noise, problem.y0
     if mesh_factor != 1:
         grid = Grid(tuple(n * mesh_factor for n in grid.npoints), grid.lengths)
-        if noise.nmodes == 0:
-            noise = no_noise(grid)
-        elif noise.is_multiplicative:
-            noise = multiplicative_noise(grid, noise.sigmas, noise.mode_indices,
-                                         shape=noise.shape_name,
-                                         allow_linear_shape=True)
-        else:
-            noise = additive_noise(grid, noise.sigmas, noise.mode_indices,
-                                   allow_nonzero_mean_modes=True)
+        noise = replace(noise, grid=grid, modes=_build_modes(grid, noise.mode_indices))
         y0 = prolong(y0, grid)
     params = replace(p, grid=grid, noise=noise,
                      timegrid=TimeGrid(p.timegrid.t_final, nsteps))

@@ -50,7 +50,6 @@ def zero_potential() -> Potential:
         psi_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         psi_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         c1=0.0,
-        c2=1.0,
     )
 
 

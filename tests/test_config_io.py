@@ -67,6 +67,22 @@ def test_line_search_settings_validated(setting, name):
     assert f"optimizer.{name}" in str(err.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "stabilization", "nan"), ("solver", "stabilization", "inf"),
+    ("time", "t_final", "inf"), ("time", "t_final", "nan"),
+    ("grid", "lengths", "inf"),
+])
+def test_non_finite_settings_validated(tmp_path, capsys, section, key, value):
+    # each would reach the solver and end as a blow-up at step 0
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    assert f"{section}.{key}" in str(err.value)
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_unknown_key_carries_line_number():
     text = "[grid]\nndims = 1\nwidgets = 4\n"
     with pytest.raises(ConfigParseError) as err:
@@ -75,13 +91,16 @@ def test_unknown_key_carries_line_number():
     assert "widgets" in str(err.value)
 
 
-def test_removed_backend_key_is_unknown():
-    # the transpose sweep is the one adjoint, so there is nothing to select
-    text = "[solver]\nstabilization = 2.0\nbackend = continuous\n"
+@pytest.mark.parametrize("section, key", [
+    ("solver", "backend"),       # the transpose sweep is the one adjoint
+    ("potential", "c1"),         # the potential's formula fixes its constants
+    ("potential", "c2"),
+])
+def test_removed_key_is_unknown(section, key):
     with pytest.raises(ConfigParseError) as err:
-        parse_config(text)
+        parse_config(f"# removed\n[{section}]\n{key} = 1\n")
     assert "line 3" in str(err.value)
-    assert "backend" in str(err.value)
+    assert f"unknown key {key!r}" in str(err.value)
 
 
 def test_unknown_section_carries_line_number():
@@ -140,7 +159,7 @@ def test_every_key_roundtrips():
     config = RunConfig(
         grid=GridConfig(ndims=2, npoints=(16, 8), lengths=(1.5, 2.0)),
         time=TimeConfig(t_final=0.125, nsteps=17),
-        potential=PotentialConfig(kind="quadratic", c1=0.5, c2=2.5, curvature=2.0),
+        potential=PotentialConfig(kind="quadratic", curvature=2.0),
         noise=NoiseConfig(kind="additive", nmodes=3, sigmas=(0.1, 0.2, 0.3),
                           mode_indices=((1, 0), (0, 1), (1, 1)), shape="linear",
                           allow_linear_shape=True, allow_nonzero_mean_modes=True),
@@ -429,11 +448,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("solver", "y0", "constant:-inf"),
     ("cost", "x_q", "synthetic:1"),
     ("control", "init", "zero:0"),
+    ("cost", "x_q", "missing:0"),
+    ("cost", "x_t", "file:missing.chs"),
+    # a zero-weight target's source is read all the same
+    ("cost", "x_q", "garbage\nalpha1 = 0"),
+    ("cost", "x_t", "constant:nan\nalpha2 = 0"),
+    ("cost", "x_t", "file:missing.chs\nalpha2 = 0"),
 ])
 def test_cli_malformed_source_value_exit_code(tmp_path, capsys, section, key, value):
-    # a source's V or AMP is a finite number, given, and zero and synthetic
-    # take none: anything else is a configuration error naming the key,
-    # never a traceback or a default
+    # a source's V or AMP is a finite number, given, zero and synthetic take
+    # none, and a file exists: anything else is a configuration error naming
+    # the key, never a traceback or a default
     cfg = tmp_path / "source.cfg"
     cfg.write_text("[grid]\nnpoints = 16\n[time]\nt_final = 0.01\nnsteps = 10\n"
                    "[noise]\nkind = none\nnmodes = 0\n"
@@ -457,13 +482,13 @@ def test_cli_path_index_outside_the_ensemble(tmp_path, capsys, command, index):
 
 
 def test_cli_false_potential_constant_exit_code(tmp_path, capsys):
-    # psi'' = -1 at r = 0 for the double well, so c1 = 0 is false, and
-    # S = 0 >= c1 would pass on it
-    cfg = _write_tiny(tmp_path, "[potential]\nc1 = 0\n[solver]\nstabilization = 0\n")
-    with pytest.raises(ConfigurationError, match="curvature_lower_bound at r = 0"):
+    # psi'' = -1 at r = 0 for the double well, so its c1 is 1 and a
+    # stabilization below it is a configuration error
+    cfg = _write_tiny(tmp_path, "[solver]\nstabilization = 0.5\n")
+    with pytest.raises(ConfigurationError, match="c1 = 1"):
         build_problem(parse_config(cfg.read_text()))
     assert main(["info", "--config", str(cfg)]) == 2
-    assert "curvature_lower_bound" in capsys.readouterr().err
+    assert "c1 = 1" in capsys.readouterr().err
 
 
 def test_cli_unknown_check_exit_code(tmp_path):

@@ -16,11 +16,9 @@ from choc import (
     multiplicative_noise,
     norm_h,
     quadratic_potential,
-    validate_assumptions,
 )
 from choc.physics import (
     NO_TRUNCATION,
-    Potential,
     b_increment_values,
     db_adjoint_scaled_values,
     db_increment_values,
@@ -114,42 +112,16 @@ def test_truncation_level_validation():
     assert not NO_TRUNCATION.finite
 
 
-# --- assumption validation ---------------------------------------------------
+# --- curvature bound ----------------------------------------------------------
 
 
-def test_validate_default_well_passes():
-    report = validate_assumptions(double_well(c1=1.0, c2=3.0))
-    assert report.ok
-    assert report.worst_margins["curvature_lower_bound"]["margin"] >= 0
-
-
-def test_validate_fails_with_understated_c1():
-    report = validate_assumptions(double_well(c1=0.5, c2=3.0))
-    assert not report.ok
-    names = [v[0] for v in report.violations]
-    assert "curvature_lower_bound" in names
-    violation = dict((v[0], v) for v in report.violations)["curvature_lower_bound"]
-    assert violation[1] == pytest.approx(0.0, abs=1e-2)   # witness near r = 0
-    assert violation[2] == pytest.approx(-0.5, abs=1e-3)  # margin
-
-
-def test_validate_fails_sextic_growth():
-    sextic = Potential(
-        name="sextic",
-        psi=lambda r: np.asarray(r, dtype=float) ** 6,
-        psi_prime=lambda r: 6.0 * np.asarray(r, dtype=float) ** 5,
-        psi_second=lambda r: 30.0 * np.asarray(r, dtype=float) ** 4,
-        c1=0.0,
-        c2=1.0,
-    )
-    report = validate_assumptions(sextic)
-    assert not report.ok
-    assert "curvature_growth" in [v[0] for v in report.violations]
-
-
-def test_validate_needs_samples():
-    with pytest.raises(DomainError):
-        validate_assumptions(double_well(), nsamples=1)
+def test_builtin_c1_bounds_curvature():
+    # each built-in's c1 is what its formula fixes: psi'' >= -c1 on a
+    # sample, and the double well's bound is attained at r = 0
+    r = np.linspace(-10.0, 10.0, 4001)
+    for pot in (double_well(), quadratic_potential(0.0), quadratic_potential(1.7)):
+        assert np.all(pot.psi_second(r) >= -pot.c1), pot.name
+    assert double_well().psi_second(0.0) == -double_well().c1
 
 
 # --- noise operator ----------------------------------------------------------
