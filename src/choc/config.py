@@ -9,7 +9,7 @@ amplitude 0.1).
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +42,10 @@ __all__ = [
 
 # --- typed blocks ---------------------------------------------------------
 # Each field of a block is one key of its section: its name, type and
-# default are declared here and nowhere else. Parsing, serialization and the
-# built solver objects all derive from these dataclasses.
+# default are declared once: here, or for [optimizer] in
+# control.OptimizerOptions, which the optimizer takes as it is. Parsing,
+# serialization and the built solver objects all derive from these
+# dataclasses.
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,6 @@ class NoiseConfig:
     nmodes: int = 2
     sigmas: tuple[float, ...] = (0.1,)
     mode_indices: tuple[tuple[int, ...], ...] = ()  # empty means lowest nonconstant modes
-    shape: str = "tanh"             # tanh | linear
-    allow_linear_shape: bool = False
     allow_nonzero_mean_modes: bool = False
 
 
@@ -107,16 +107,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    tol: float = 7e-7
-    max_iter: int = 300
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 40
-    eta0: float = 1.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: GridConfig = dc_field(default_factory=GridConfig)
     time: TimeConfig = dc_field(default_factory=TimeConfig)
@@ -126,7 +116,7 @@ class RunConfig:
     cost: CostConfig = dc_field(default_factory=CostConfig)
     ensemble: EnsembleConfig = dc_field(default_factory=EnsembleConfig)
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
-    optimizer: OptimizerConfig = dc_field(default_factory=OptimizerConfig)
+    optimizer: OptimizerOptions = dc_field(default_factory=OptimizerOptions)
 
 
 # section -> block class, in RunConfig's order (the serialization order)
@@ -170,8 +160,8 @@ def _fmt(value) -> str:
 
 
 # One parser per field annotation. The table is keyed by the annotations
-# themselves, which this module evaluates (it does not postpone them), so a
-# field whose type has no parser fails at import.
+# themselves, which this module and control.py evaluate (neither postpones
+# them), so a field whose type has no parser fails at import.
 _PARSE_BY_TYPE = {
     int: int,
     float: _parse_float,
@@ -257,7 +247,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+# inf switches these off; every other float setting must be finite
+_MAY_BE_INFINITE = {("solver", "truncation"), ("solver", "blowup_threshold")}
+
+
 def _validate(c: RunConfig) -> None:
+    for section in _BLOCKS:
+        block = getattr(c, section)
+        for f in dc_fields(block):
+            value = getattr(block, f.name)
+            values = {float: (value,), tuple[float, ...]: value}.get(f.type, ())
+            if (section, f.name) not in _MAY_BE_INFINITE:
+                _require(all(map(math.isfinite, values)),
+                         f"{section}.{f.name} must be finite")
     g = c.grid
     _require(g.ndims in (1, 2), f"grid.ndims must be 1 or 2, got {g.ndims}")
     _require(len(g.npoints) in (1, g.ndims),
@@ -265,9 +267,8 @@ def _validate(c: RunConfig) -> None:
     _require(len(g.lengths) in (1, g.ndims),
              "grid.lengths must have one entry or one per axis")
     _require(all(n >= 4 for n in g.npoints), "grid.npoints entries must be >= 4")
-    _require(all(0 < l < math.inf for l in g.lengths),
-             "grid.lengths entries must be finite and positive")
-    _require(0 < c.time.t_final < math.inf, "time.t_final must be finite and positive")
+    _require(all(l > 0 for l in g.lengths), "grid.lengths entries must be positive")
+    _require(c.time.t_final > 0, "time.t_final must be positive")
     _require(c.time.nsteps >= 1, "time.nsteps must be at least 1")
     _require(c.potential.kind in ("double_well", "quadratic"),
              f"unknown potential.kind {c.potential.kind!r}")
@@ -276,8 +277,6 @@ def _validate(c: RunConfig) -> None:
     _require(c.noise.nmodes >= 0, "noise.nmodes must be nonnegative")
     _require(all(s >= 0 for s in c.noise.sigmas),
              "noise.sigmas must be nonnegative")
-    _require(c.noise.shape in ("tanh", "linear"),
-             f"unknown noise.shape {c.noise.shape!r}")
     _require(c.control.c0 > 0, "control.c0 must be positive")
     for name in ("alpha1", "alpha2", "alpha3"):
         _require(getattr(c.cost, name) >= 0,
@@ -285,17 +284,11 @@ def _validate(c: RunConfig) -> None:
     _require(c.cost.synthetic_amplitude > 0,
              "cost.synthetic_amplitude must be positive")
     _require(c.ensemble.npaths >= 1, "ensemble.npaths must be at least 1")
-    _require(math.isfinite(c.solver.stabilization), "solver.stabilization must be finite")
     _require(c.solver.truncation > 0, "solver.truncation must be positive")
     _require(c.solver.blowup_threshold > 0,
              "solver.blowup_threshold must be positive")
     _require(c.optimizer.tol > 0, "optimizer.tol must be positive")
     _require(c.optimizer.max_iter >= 0, "optimizer.max_iter must be nonnegative")
-    _require(0 < c.optimizer.armijo_c < 1, "optimizer.armijo_c must lie in (0, 1)")
-    _require(0 < c.optimizer.armijo_shrink < 1,
-             "optimizer.armijo_shrink must lie in (0, 1)")
-    _require(c.optimizer.max_backtracks >= 1,
-             "optimizer.max_backtracks must be at least 1")
     _require(c.optimizer.eta0 > 0, "optimizer.eta0 must be positive")
 
 
@@ -336,8 +329,7 @@ def build_noise(c: RunConfig, grid: Grid):
     if nc.kind == "additive":
         return additive_noise(grid, sigmas, indices,
                               allow_nonzero_mean_modes=nc.allow_nonzero_mean_modes)
-    return multiplicative_noise(grid, sigmas, indices, shape=nc.shape,
-                                allow_linear_shape=nc.allow_linear_shape)
+    return multiplicative_noise(grid, sigmas, indices)
 
 
 def _source_number(arg: str, what: str) -> float:
@@ -444,7 +436,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
                       x_t=targets["x_t"], c0=c0,
                       trunc=TruncationLevel(config.solver.truncation))
     return BuildResult(config=config, problem=problem, ensemble=es,
-                       optimizer=OptimizerOptions(**asdict(config.optimizer)),
+                       optimizer=config.optimizer,
                        u0=u0, reference_control=reference)
 
 

@@ -22,8 +22,6 @@ The admissible set is the L2 ball of radius :attr:`Problem.c0`; every
 projection, the optimizer's and the optimality residual's, is onto it.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -256,18 +254,24 @@ def project_admissible(u: ControlProcess, radius: float) -> ControlProcess:
 # the Barzilai-Borwein trial step is clipped to [_ETA_MIN, _ETA_MAX]
 _ETA_MIN = 1e-6
 _ETA_MAX = 1e8
+# Armijo backtracking: a trial step t is accepted when the cost falls by at
+# least _ARMIJO_C / t times the squared step, else t shrinks by _ARMIJO_SHRINK,
+# at most _MAX_BACKTRACKS times per iteration
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+_MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Projected gradient settings: Armijo backtracking from an adaptive
-    (Barzilai-Borwein) trial step, gradient-map termination."""
+    """Projected gradient settings, the ``[optimizer]`` block of a run
+    configuration: Armijo backtracking from an adaptive (Barzilai-Borwein)
+    trial step, stopped when the gradient map at the reference step ``eta0``
+    falls to ``tol`` or after ``max_iter`` iterations. The config parser
+    keys on these annotations, which this module does not postpone."""
 
-    tol: float = 1e-6
-    max_iter: int = 200
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 40
+    tol: float = 7e-7
+    max_iter: int = 300
     eta0: float = 1.0            # reference step for the termination metric
 
 
@@ -367,7 +371,7 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
 
         accepted = False
         trial_eta = eta
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = project_admissible(u.with_values(u.values - trial_eta * grad),
                                       problem.c0)
             step_sq = l2q_norm(u.values - cand.values, tg, u.grid) ** 2
@@ -378,10 +382,10 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
             except BlowUpError:
                 cand_cost = np.inf    # a blown-up trial is a rejected trial
                 blowup_rejections += 1
-            if cand_cost <= cost - (opts.armijo_c / trial_eta) * step_sq:
+            if cand_cost <= cost - (_ARMIJO_C / trial_eta) * step_sq:
                 accepted = True
                 break
-            trial_eta *= opts.armijo_shrink
+            trial_eta *= _ARMIJO_SHRINK
         if not accepted:
             termination = "stalled"
             break

@@ -3,9 +3,9 @@
 The potential is a nonnegative C^2 function whose curvature is bounded below
 by -c1, a constant its formula fixes. The noise operator maps a vector of
 Brownian increments to a field increment through K smooth cosine modes;
-multiplicative noise modulates the modes by a bounded shape function of the
-state and is projected to zero mean mode by mode, which is what conserves
-mass along stochastic trajectories.
+multiplicative noise modulates the modes by tanh of the state, bounded and
+Lipschitz, and is projected to zero mean mode by mode, which is what
+conserves mass along stochastic trajectories.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ class TruncationLevel:
             return value
         return cls(float(value))
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.level)
-
     def clamp(self, values):
         # np.clip with infinite bounds returns the input values bit-for-bit.
         return np.clip(values, -self.level, self.level)
@@ -104,13 +100,6 @@ NO_TRUNCATION = TruncationLevel(math.inf)
 
 # ---------------------------------------------------------------------------
 # Noise operator
-
-
-# shape name -> (rho, rho')
-_SHAPES = {
-    "tanh": (np.tanh, lambda r: 1.0 / np.cosh(r) ** 2),
-    "linear": (lambda r: r, lambda r: np.ones_like(r)),
-}
 
 
 def default_mode_indices(ndims: int, nmodes: int) -> list:
@@ -135,8 +124,8 @@ class NoiseModel:
 
     Each mode is a smooth cosine profile ``g_k`` with amplitude ``sigma_k``.
     Additive noise adds ``sum_k sigma_k g_k dW_k``; multiplicative noise
-    modulates the modes by a bounded shape of the state and removes the grid
-    mean mode by mode.
+    modulates the modes by rho = tanh of the state and removes the grid mean
+    mode by mode.
     """
 
     grid: Grid
@@ -144,7 +133,6 @@ class NoiseModel:
     sigmas: np.ndarray
     modes: np.ndarray            # (K, *grid.shape)
     mode_indices: tuple
-    shape_name: str = "tanh"
 
     @property
     def nmodes(self) -> int:
@@ -154,11 +142,13 @@ class NoiseModel:
     def is_multiplicative(self) -> bool:
         return self.kind == "multiplicative"
 
-    def rho(self, values):
-        return _SHAPES[self.shape_name][0](values)
+    @staticmethod
+    def rho(values):
+        return np.tanh(values)
 
-    def rho_prime(self, values):
-        return _SHAPES[self.shape_name][1](values)
+    @staticmethod
+    def rho_prime(values):
+        return 1.0 / np.cosh(values) ** 2
 
 
 def _build_modes(grid: Grid, indices) -> np.ndarray:
@@ -180,6 +170,17 @@ def _normalize_indices(grid: Grid, mode_indices, nmodes):
     return tuple(out)
 
 
+def _amplitudes_and_indices(grid: Grid, sigmas, mode_indices):
+    """The checked amplitudes and mode indices of a noise constructor."""
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if np.any(sigmas < 0):
+        raise DomainError("noise amplitudes must be nonnegative")
+    indices = _normalize_indices(grid, mode_indices, len(sigmas))
+    if len(indices) != len(sigmas):
+        raise ShapeError("number of mode indices must match number of amplitudes")
+    return sigmas, indices
+
+
 def additive_noise(grid: Grid, sigmas, mode_indices=None,
                    allow_nonzero_mean_modes: bool = False) -> NoiseModel:
     """State-independent noise on smooth cosine modes.
@@ -188,12 +189,7 @@ def additive_noise(grid: Grid, sigmas, mode_indices=None,
     overridden; a constant mode injects mass and is only useful as a
     negative control for the conservation checks.
     """
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if np.any(sigmas < 0):
-        raise DomainError("noise amplitudes must be nonnegative")
-    indices = _normalize_indices(grid, mode_indices, len(sigmas))
-    if len(indices) != len(sigmas):
-        raise ShapeError("number of mode indices must match number of amplitudes")
+    sigmas, indices = _amplitudes_and_indices(grid, sigmas, mode_indices)
     if not allow_nonzero_mean_modes:
         for ix in indices:
             if all(m == 0 for m in ix):
@@ -207,26 +203,12 @@ def additive_noise(grid: Grid, sigmas, mode_indices=None,
     )
 
 
-def multiplicative_noise(grid: Grid, sigmas, mode_indices=None, shape: str = "tanh",
-                         allow_linear_shape: bool = False) -> NoiseModel:
+def multiplicative_noise(grid: Grid, sigmas, mode_indices=None) -> NoiseModel:
     """State-modulated noise, projected to zero mean mode by mode."""
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if np.any(sigmas < 0):
-        raise DomainError("noise amplitudes must be nonnegative")
-    if shape not in _SHAPES:
-        raise ConfigurationError(f"unknown multiplicative shape {shape!r}")
-    if shape == "linear" and not allow_linear_shape:
-        raise ConfigurationError(
-            "linear multiplicative shape is unbounded; "
-            "pass allow_linear_shape=True to use it anyway"
-        )
-    indices = _normalize_indices(grid, mode_indices, len(sigmas))
-    if len(indices) != len(sigmas):
-        raise ShapeError("number of mode indices must match number of amplitudes")
+    sigmas, indices = _amplitudes_and_indices(grid, sigmas, mode_indices)
     return NoiseModel(
         grid=grid, kind="multiplicative", sigmas=sigmas,
         modes=_build_modes(grid, indices), mode_indices=indices,
-        shape_name=shape,
     )
 
 

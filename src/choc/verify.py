@@ -67,6 +67,18 @@ __all__ = [
 ]
 
 
+# The checks' pass criteria, each report's ``tolerance``. The acceptance
+# tests pin them through the reports.
+_MASS_DRIFT_TOL = 1e-12           # mass conservation: max drift
+_GATEAUX_ORDER_TOL = 0.9          # Gateaux: least empirical order in eps
+_GATEAUX_FLOOR_FACTOR = 1e-4      # Gateaux: least error, per 1 + |z|
+_GATEAUX_EXACT_TOL = 1e-11        # Gateaux: affine dynamics, per 1 + |z|
+_DUALITY_TOL = 1e-10              # duality: max relative residual
+_LIPSCHITZ_MESH_FACTOR = 2        # Lipschitz: refinement of the fine level
+_STABILITY_FACTOR = 2.0           # Lipschitz, moment bounds: drift under refinement
+_BACKEND_ORDER_TOL = 0.8          # backend consistency: least order in tau
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -142,8 +154,7 @@ def random_smooth_control(problem: Problem, seed: int,
 
 
 def check_mass_conservation(problem: Problem, es: EnsembleSpec,
-                            u: ControlProcess | None = None,
-                            tol: float = 1e-12) -> CheckReport:
+                            u: ControlProcess | None = None) -> CheckReport:
     """Mass drift along stochastic trajectories must stay at rounding level.
 
     The Laplacian term is mean-free under Neumann conditions and so is any
@@ -161,8 +172,8 @@ def check_mass_conservation(problem: Problem, es: EnsembleSpec,
                 "noise_kind": problem.params.noise.kind,
                 "nmodes": problem.params.noise.nmodes},
         measured={"max_mass_drift": worst},
-        tolerance={"max_mass_drift": tol},
-        passed=worst <= tol,
+        tolerance={"max_mass_drift": _MASS_DRIFT_TOL},
+        passed=worst <= _MASS_DRIFT_TOL,
     )
 
 
@@ -172,9 +183,7 @@ def check_mass_conservation(problem: Problem, es: EnsembleSpec,
 
 def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
                   eps_list=(1e-1, 1e-2, 1e-3, 1e-4), path_seed: int = 0,
-                  npaths: int = 2, order_tol: float = 0.9,
-                  floor_factor: float = 1e-4,
-                  exact_tol: float = 1e-11) -> CheckReport:
+                  npaths: int = 2) -> CheckReport:
     """Difference quotients of the control-to-state map against the
     linearized solution, path by path with common noise.
 
@@ -204,9 +213,12 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     z_norm /= npaths
 
     order = empirical_order(np.asarray(eps_list), errors)
-    exact = bool(np.max(errors) <= exact_tol * (1.0 + z_norm))
-    floor_ok = bool(np.min(errors) <= floor_factor * (1.0 + z_norm))
-    passed = exact or (math.isfinite(order) and order >= order_tol and floor_ok)
+    exact_bound = _GATEAUX_EXACT_TOL * (1.0 + z_norm)
+    floor_bound = _GATEAUX_FLOOR_FACTOR * (1.0 + z_norm)
+    exact = bool(np.max(errors) <= exact_bound)
+    floor_ok = bool(np.min(errors) <= floor_bound)
+    passed = exact or (math.isfinite(order) and order >= _GATEAUX_ORDER_TOL
+                       and floor_ok)
     table = tuple(
         {"eps": float(e), "error_l2h": float(err)}
         for e, err in zip(eps_list, errors)
@@ -218,9 +230,8 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
         measured={"empirical_order": order, "min_error": float(np.min(errors)),
                   "max_error": float(np.max(errors)),
                   "linearized_norm": z_norm, "exact_linearity": exact},
-        tolerance={"empirical_order": order_tol,
-                   "min_error": floor_factor * (1.0 + z_norm),
-                   "exact_linearity_error": exact_tol * (1.0 + z_norm)},
+        tolerance={"empirical_order": _GATEAUX_ORDER_TOL, "min_error": floor_bound,
+                   "exact_linearity_error": exact_bound},
         passed=passed,
         table=table,
         notes="error measured per path in the strong L2(0,T;H) distance",
@@ -257,8 +268,7 @@ def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
 def check_duality(problem: Problem, es: EnsembleSpec,
                   u: ControlProcess | None = None,
                   h: ControlProcess | None = None,
-                  npairs: int = 1, seed: int = 0,
-                  tol: float = 1e-10) -> CheckReport:
+                  npairs: int = 1, seed: int = 0) -> CheckReport:
     """Cost-weighted linearized state against the transpose adjoint paired
     with the control direction.
 
@@ -294,8 +304,8 @@ def check_duality(problem: Problem, es: EnsembleSpec,
                 "npaths": es.npaths, "base_seed": es.base_seed,
                 "noise_kind": problem.params.noise.kind},
         measured={"max_relative_residual": worst},
-        tolerance={"max_relative_residual": tol},
-        passed=worst <= tol,
+        tolerance={"max_relative_residual": _DUALITY_TOL},
+        passed=worst <= _DUALITY_TOL,
         table=tuple(rows),
     )
 
@@ -352,9 +362,7 @@ def _mean_ratio(y0: Field, u1: np.ndarray, u2: np.ndarray,
 
 
 def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
-                    seed: int = 0, mesh_factor: int = 2,
-                    stability_factor: float = 2.0,
-                    pairs=None) -> CheckReport:
+                    seed: int = 0, pairs=None) -> CheckReport:
     """State-difference to control-difference ratios at two mesh resolutions.
 
     The continuous theory makes the control-to-state map Lipschitz; the
@@ -374,7 +382,7 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
             raise PreconditionError("control pairs must differ")
 
     params, y0, paths = _level(problem, es, 1, tg.nsteps, tg.nsteps)
-    fine_params, y0_fine, fine_paths = _level(problem, es, mesh_factor,
+    fine_params, y0_fine, fine_paths = _level(problem, es, _LIPSCHITZ_MESH_FACTOR,
                                               tg.nsteps, tg.nsteps)
     fine_grid = fine_params.grid
     rows = []
@@ -392,15 +400,15 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     all_vals = ratios["coarse"] + ratios["fine"]
     finite = all(math.isfinite(v) for v in all_vals)
     drift = max(ratios["fine"]) / max(ratios["coarse"]) if finite else float("inf")
-    stable = finite and (1.0 / stability_factor <= drift <= stability_factor)
+    stable = finite and (1.0 / _STABILITY_FACTOR <= drift <= _STABILITY_FACTOR)
     return CheckReport(
         name="lipschitz",
         inputs={"npairs": len(pairs), "seed": seed, "npaths": es.npaths,
-                "base_seed": es.base_seed, "mesh_factor": mesh_factor},
+                "base_seed": es.base_seed, "mesh_factor": _LIPSCHITZ_MESH_FACTOR},
         measured={"max_ratio_coarse": max(ratios["coarse"]),
                   "max_ratio_fine": max(ratios["fine"]),
                   "refinement_drift": drift, "all_finite": finite},
-        tolerance={"stability_factor": stability_factor},
+        tolerance={"stability_factor": _STABILITY_FACTOR},
         passed=stable,
         table=tuple(rows),
     )
@@ -459,8 +467,7 @@ def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
 
 
 def check_moment_bounds(problem: Problem, es: EnsembleSpec,
-                        refinements=((1, 1), (2, 2)),
-                        stability_factor: float = 2.0) -> CheckReport:
+                        refinements=((1, 1), (2, 2))) -> CheckReport:
     """Monte Carlo moment estimates under mesh/time refinement.
 
     Estimates E sup_n |y_n|_H^12, E sum_n tau |y_n|_Z^2, and
@@ -497,7 +504,7 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
                     "npaths": es.npaths, "base_seed": es.base_seed},
             measured={"blow_up": {"step": exc.step, "max_abs": exc.max_abs,
                                   "seed": exc.seed}},
-            tolerance={"stability_factor": stability_factor},
+            tolerance={"stability_factor": _STABILITY_FACTOR},
             passed=False,
             notes="trajectory blow-up detected; estimates not available",
         )
@@ -508,14 +515,14 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
     for a, b in zip(rows, rows[1:]):
         for k in ("sup_h_12", "l2z_sq", "sup_v_6"):
             lo, hi = sorted((a[k], b[k]))
-            if lo <= 0 or hi / lo > stability_factor:
+            if lo <= 0 or hi / lo > _STABILITY_FACTOR:
                 stable = False
     return CheckReport(
         name="moment_bounds",
         inputs={"refinements": [list(r) for r in refinements],
                 "npaths": es.npaths, "base_seed": es.base_seed},
         measured={"levels": rows, "all_finite": finite},
-        tolerance={"stability_factor": stability_factor},
+        tolerance={"stability_factor": _STABILITY_FACTOR},
         passed=bool(stable),
         table=tuple(rows),
     )
@@ -571,8 +578,8 @@ def _adjoint_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
 
 
 def check_backend_consistency(problem: Problem, es: EnsembleSpec,
-                              nsteps_list=(100, 200, 400, 800), seed: int = 0,
-                              order_tol: float = 0.8) -> CheckReport:
+                              nsteps_list=(100, 200, 400, 800),
+                              seed: int = 0) -> CheckReport:
     """Continuous vs transpose adjoint agreement as the time step shrinks.
 
     The continuous adjoint is this check's private reference,
@@ -619,8 +626,8 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
                 "npaths": es.npaths, "base_seed": es.base_seed,
                 "alphas": list(alphas)},
         measured={"empirical_order": order, "finest_gap": gaps[-1]},
-        tolerance={"empirical_order": order_tol},
-        passed=bool(math.isfinite(order) and order >= order_tol),
+        tolerance={"empirical_order": _BACKEND_ORDER_TOL},
+        passed=bool(math.isfinite(order) and order >= _BACKEND_ORDER_TOL),
         table=table,
         notes="tracking-driven adjoint; terminal data excite a saturated "
               "one-node layer that hides the interior O(tau) rate",

@@ -1,7 +1,9 @@
 """Acceptance criteria at desk scale (1D, 64 points, 200 steps).
 
 Each test prints one PASS/FAIL line; run with ``pytest -s`` to see them
-inline. Tolerances are fixed here, not tuned at runtime.
+inline. The checks' tolerances are constants of ``choc.verify``; each test
+asserts that its report carries the tolerance its PASS line prints, so a
+constant cannot loosen unnoticed.
 """
 
 import numpy as np
@@ -71,7 +73,8 @@ def _report(num, description, ok, detail):
 
 def test_criterion_01_mass_conservation():
     problem = _problem(_params("multiplicative"))
-    report = check_mass_conservation(problem, EnsembleSpec(16, 2024), tol=1e-12)
+    report = check_mass_conservation(problem, EnsembleSpec(16, 2024))
+    assert report.tolerance == {"max_mass_drift": 1e-12}
     _report(1, "mass conservation over 16 multiplicative paths",
             report.passed,
             f"max drift {report.measured['max_mass_drift']:.3e} <= 1e-12")
@@ -101,18 +104,23 @@ def test_criterion_04_gateaux():
     u = random_smooth_control(problem, 21, amplitude=0.4)
     h = random_smooth_control(problem, 22, amplitude=1.0)
     rep = check_gateaux(problem, u, h, eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                        path_seed=31, npaths=2, order_tol=0.9)
+                        path_seed=31, npaths=2)
+    scale = 1.0 + rep.measured["linearized_norm"]
+    assert rep.tolerance["empirical_order"] == 0.9
+    assert rep.tolerance["min_error"] == 1e-4 * scale
     ok_order = rep.passed and rep.measured["empirical_order"] >= 0.9
 
     lin_problem = _problem(_params("additive", potential=quadratic_potential(1.0)))
     rep_lin = check_gateaux(lin_problem, u, h,
                             eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                            path_seed=31, npaths=2, exact_tol=1e-11)
-    scale = 1.0 + rep_lin.measured["linearized_norm"]
-    ok_exact = rep_lin.measured["max_error"] <= 1e-11 * scale
+                            path_seed=31, npaths=2)
+    lin_scale = 1.0 + rep_lin.measured["linearized_norm"]
+    assert rep_lin.tolerance["exact_linearity_error"] == 1e-11 * lin_scale
+    ok_exact = rep_lin.measured["max_error"] <= 1e-11 * lin_scale
     _report(4, "difference quotients converge to the linearized state",
             ok_order and ok_exact,
-            f"order {rep.measured['empirical_order']:.2f} >= 0.9; "
+            f"order {rep.measured['empirical_order']:.2f} >= 0.9, "
+            f"min error {rep.measured['min_error']:.2e} <= 1e-4 scaled; "
             f"quadratic-potential error {rep_lin.measured['max_error']:.2e} "
             f"<= 1e-11 scaled")
 
@@ -123,8 +131,8 @@ def test_criterion_05_duality(noise):
     worst = 0.0
     for j in range(20):
         es = EnsembleSpec(1, mix_seed(4000, j))      # one path per pair
-        rep = check_duality(problem, es, npairs=1, seed=mix_seed(5000, j),
-                            tol=1e-10)
+        rep = check_duality(problem, es, npairs=1, seed=mix_seed(5000, j))
+        assert rep.tolerance == {"max_relative_residual": 1e-10}
         worst = max(worst, rep.measured["max_relative_residual"])
     _report(5, f"exact discrete duality, {noise} noise, 20 pairs",
             worst <= 1e-10, f"max residual {worst:.3e} <= 1e-10")
@@ -134,7 +142,8 @@ def test_criterion_06_backend_consistency():
     problem = _problem(_params("additive"))
     rep = check_backend_consistency(problem, EnsembleSpec(4, 6001),
                                     nsteps_list=(100, 200, 400, 800),
-                                    seed=3, order_tol=0.8)
+                                    seed=3)
+    assert rep.tolerance == {"empirical_order": 0.8}
     _report(6, "continuous and transpose adjoints agree at order >= 0.8",
             rep.passed,
             f"empirical order {rep.measured['empirical_order']:.2f} over "
@@ -204,9 +213,10 @@ def test_criterion_09_truncation_convergence():
 
 def test_criterion_10_lipschitz_probe():
     problem = _problem(_params("multiplicative"))
-    rep = check_lipschitz(problem, EnsembleSpec(4, 10001), npairs=5, seed=7,
-                          mesh_factor=2, stability_factor=2.0)
-    _report(10, "state/control difference ratios stable under mesh refinement",
+    rep = check_lipschitz(problem, EnsembleSpec(4, 10001), npairs=5, seed=7)
+    assert rep.inputs["mesh_factor"] == 2
+    assert rep.tolerance == {"stability_factor": 2.0}
+    _report(10, "state/control difference ratios stable under 2x mesh refinement",
             rep.passed,
             f"coarse {rep.measured['max_ratio_coarse']:.3f}, "
             f"fine {rep.measured['max_ratio_fine']:.3f}, "

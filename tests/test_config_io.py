@@ -19,7 +19,6 @@ from choc.config import (
     EnsembleConfig,
     GridConfig,
     NoiseConfig,
-    OptimizerConfig,
     PotentialConfig,
     RunConfig,
     SolverConfig,
@@ -30,6 +29,7 @@ from choc.config import (
     parse_config,
     serialize_config,
 )
+from choc.control import OptimizerOptions
 from choc.errors import ConfigParseError, ConfigurationError, SnapshotFormatError
 
 from conftest import random_field
@@ -55,13 +55,11 @@ def test_negative_alpha3_names_nonnegativity():
 
 
 @pytest.mark.parametrize("setting, name", [
-    ("max_backtracks = 0", "max_backtracks"), ("max_backtracks = -3", "max_backtracks"),
-    ("armijo_c = 0", "armijo_c"), ("armijo_c = -1", "armijo_c"),
-    ("armijo_c = 1", "armijo_c"), ("armijo_c = 5", "armijo_c"),
+    ("tol = 0", "tol"), ("max_iter = -1", "max_iter"), ("eta0 = 0", "eta0"),
 ])
 def test_line_search_settings_validated(setting, name):
-    # each would stop the optimizer without a trial step or void the
-    # sufficient-decrease test
+    # tol = 0 asks for an exact stationary point, max_iter = -1 for no
+    # iteration at all, and eta0 = 0 divides the gradient map by zero
     with pytest.raises(ConfigurationError) as err:
         parse_config(f"[optimizer]\n{setting}\n")
     assert f"optimizer.{name}" in str(err.value)
@@ -70,10 +68,14 @@ def test_line_search_settings_validated(setting, name):
 @pytest.mark.parametrize("section, key, value", [
     ("solver", "stabilization", "nan"), ("solver", "stabilization", "inf"),
     ("time", "t_final", "inf"), ("time", "t_final", "nan"),
-    ("grid", "lengths", "inf"),
+    ("grid", "lengths", "inf"), ("potential", "curvature", "nan"),
+    ("noise", "sigmas", "inf"), ("cost", "synthetic_amplitude", "inf"),
+    ("control", "c0", "inf"), ("cost", "alpha1", "inf"),
+    ("optimizer", "eta0", "inf"),
 ])
 def test_non_finite_settings_validated(tmp_path, capsys, section, key, value):
-    # each would reach the solver and end as a blow-up at step 0
+    # each would reach the solver and end as a blow-up at step 0, or pass
+    # unnoticed into the cost or the optimizer
     with pytest.raises(ConfigurationError) as err:
         parse_config(f"[{section}]\n{key} = {value}\n")
     assert f"{section}.{key}" in str(err.value)
@@ -95,6 +97,11 @@ def test_unknown_key_carries_line_number():
     ("solver", "backend"),       # the transpose sweep is the one adjoint
     ("potential", "c1"),         # the potential's formula fixes its constants
     ("potential", "c2"),
+    ("optimizer", "armijo_c"),   # the Armijo search is fixed
+    ("optimizer", "armijo_shrink"),
+    ("optimizer", "max_backtracks"),
+    ("noise", "shape"),          # multiplicative noise is tanh-shaped
+    ("noise", "allow_linear_shape"),
 ])
 def test_removed_key_is_unknown(section, key):
     with pytest.raises(ConfigParseError) as err:
@@ -161,16 +168,15 @@ def test_every_key_roundtrips():
         time=TimeConfig(t_final=0.125, nsteps=17),
         potential=PotentialConfig(kind="quadratic", curvature=2.0),
         noise=NoiseConfig(kind="additive", nmodes=3, sigmas=(0.1, 0.2, 0.3),
-                          mode_indices=((1, 0), (0, 1), (1, 1)), shape="linear",
-                          allow_linear_shape=True, allow_nonzero_mean_modes=True),
+                          mode_indices=((1, 0), (0, 1), (1, 1)),
+                          allow_nonzero_mean_modes=True),
         control=ControlConfig(c0=2.0, init="file:u0.chs"),
         cost=CostConfig(alpha1=0.5, alpha2=0.0, alpha3=0.01, x_q="constant:0.25",
                         x_t="file:xt.chs", synthetic_amplitude=0.75),
         ensemble=EnsembleConfig(npaths=3, base_seed=7),
         solver=SolverConfig(stabilization=3.0, truncation=10.0,
                             blowup_threshold=1e6, y0="constant:0.1"),
-        optimizer=OptimizerConfig(tol=1e-5, max_iter=20, armijo_c=0.01,
-                                  armijo_shrink=0.25, max_backtracks=5, eta0=0.5),
+        optimizer=OptimizerOptions(tol=1e-5, max_iter=20, eta0=0.5),
     )
     defaults = default_config()
     same = [(section, key) for section, key in sorted(_schema_keys())

@@ -109,7 +109,7 @@ def test_truncation_level_validation():
         TruncationLevel(0.0)
     with pytest.raises(DomainError):
         TruncationLevel(-3.0)
-    assert not NO_TRUNCATION.finite
+    assert NO_TRUNCATION.level == math.inf
 
 
 # --- curvature bound ----------------------------------------------------------
@@ -133,14 +133,6 @@ def test_additive_rejects_constant_mode(grid64):
     nm = additive_noise(grid64, [0.1], mode_indices=[(0,)],
                         allow_nonzero_mean_modes=True)
     assert nm.nmodes == 1
-
-
-def test_linear_shape_needs_override(grid64):
-    with pytest.raises(ConfigurationError):
-        multiplicative_noise(grid64, [0.1], shape="linear")
-    nm = multiplicative_noise(grid64, [0.1], shape="linear",
-                              allow_linear_shape=True)
-    assert nm.shape_name == "linear"
 
 
 def test_apply_B_zero_increment(grid64, rng):
