@@ -56,13 +56,21 @@ def test_negative_alpha3_names_nonnegativity():
 
 @pytest.mark.parametrize("setting, name", [
     ("tol = 0", "tol"), ("max_iter = -1", "max_iter"), ("eta0 = 0", "eta0"),
+    ("armijo_c = -1", "armijo_c"), ("armijo_c = 0", "armijo_c"),
+    ("armijo_c = 1", "armijo_c"), ("armijo_c = 5", "armijo_c"),
+    ("max_backtracks = -3", "max_backtracks"),
+    ("max_backtracks = 0", "max_backtracks"),
 ])
 def test_line_search_settings_validated(setting, name):
     # tol = 0 asks for an exact stationary point, max_iter = -1 for no
-    # iteration at all, and eta0 = 0 divides the gradient map by zero
+    # iteration at all, and eta0 = 0 divides the gradient map by zero; the
+    # Armijo constants are fixed, so any value for them is refused
     with pytest.raises(ConfigurationError) as err:
         parse_config(f"[optimizer]\n{setting}\n")
-    assert f"optimizer.{name}" in str(err.value)
+    if name in ("armijo_c", "max_backtracks"):
+        assert f"unknown key {name!r} in section [optimizer]" in str(err.value)
+    else:
+        assert f"optimizer.{name}" in str(err.value)
 
 
 @pytest.mark.parametrize("section, key, value", [
