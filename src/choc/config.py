@@ -325,6 +325,11 @@ def build_noise(c: RunConfig, grid: Grid):
             raise ConfigurationError(
                 f"noise.mode_indices entry {ix} does not match grid dimension"
             )
+    if len(set(nc.mode_indices)) != len(nc.mode_indices):
+        raise ConfigurationError(
+            f"noise.mode_indices {nc.mode_indices} names a mode twice; each mode "
+            "takes one Brownian motion"
+        )
     indices = nc.mode_indices or None
     if nc.kind == "additive":
         return additive_noise(grid, sigmas, indices,

@@ -43,7 +43,8 @@ class BlowUpError(ChocError):
         again from it replays the blow-up. Of the paths that blew up at that
         step, the lowest-indexed one.
     path : int or None
-        Index of that path in its batch.
+        Index of that path in its batch of paths. A sweep of the rows
+        controls × paths names the blown-up row by its path.
     """
 
     def __init__(self, step, max_abs, seed=None, path=None):

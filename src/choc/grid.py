@@ -252,21 +252,26 @@ def prolong(x: Field, fine: Grid) -> Field:
     Requires the fine grid to have at least as many points per axis and the
     same side lengths. Mean and low modes are preserved exactly.
     """
-    g = x.grid
-    if fine.ndims != g.ndims:
+    return Field(fine, prolong_values(x.grid, x.values, fine))
+
+
+def prolong_values(grid: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
+    """Array-level :func:`prolong`: leading axes of ``values`` are a batch,
+    and each field of it gets the bits of its field-level prolongation."""
+    if fine.ndims != grid.ndims:
         raise ConfigurationError("prolongation requires grids of equal dimension")
-    if fine.lengths != g.lengths:
+    if fine.lengths != grid.lengths:
         raise ConfigurationError("prolongation requires identical domain lengths")
-    if any(nf < nc for nf, nc in zip(fine.npoints, g.npoints)):
+    if any(nf < nc for nf, nc in zip(fine.npoints, grid.npoints)):
         raise ConfigurationError("target grid must be at least as fine per axis")
-    coeffs = _dct(x.values)
-    out = np.zeros(fine.shape)
-    sl = tuple(slice(0, n) for n in g.shape)
+    coeffs = _dct(values, grid.axes)
+    out = np.zeros(values.shape[: values.ndim - grid.ndims] + fine.shape)
+    sl = (...,) + tuple(slice(0, n) for n in grid.shape)
     scale = 1.0
-    for nf, nc in zip(fine.npoints, g.npoints):
+    for nf, nc in zip(fine.npoints, grid.npoints):
         scale *= np.sqrt(nf / nc)
     out[sl] = coeffs * scale
-    return Field(fine, _idct(out))
+    return _idct(out, fine.axes)
 
 
 # the wavenumber beyond which low_pass_field damps its white noise
@@ -277,15 +282,23 @@ def low_pass_field(grid: Grid, rng: np.random.Generator, amplitude: float) -> Fi
     """Smooth random field: white noise damped beyond the wavenumber
     ``_CUTOFF``, rescaled to the requested sup amplitude. Used for initial
     data."""
-    coeffs = rng.standard_normal(grid.shape)
+    return Field(grid, low_pass_values(grid, rng, amplitude))
+
+
+def low_pass_values(grid: Grid, rng: np.random.Generator, amplitude: float,
+                    batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Array-level :func:`low_pass_field`: a ``batch`` of smooth random
+    fields from one draw, each rescaled to the sup amplitude on its own.
+    The fields are bitwise those of as many :func:`low_pass_field` calls
+    on the same generator."""
+    coeffs = rng.standard_normal(batch + grid.shape)
     if grid.ndims == 1:
         k2 = (np.arange(grid.npoints[0]) / _CUTOFF) ** 2
     else:
         kx = np.arange(grid.npoints[0])[:, None]
         ky = np.arange(grid.npoints[1])[None, :]
         k2 = (kx**2 + ky**2) / _CUTOFF**2
-    values = _idct(coeffs * np.exp(-k2))
-    top = np.max(np.abs(values))
-    if top > 0:
-        values = values * (amplitude / top)
-    return Field(grid, values)
+    values = _idct(coeffs * np.exp(-k2), grid.axes)
+    top = np.max(np.abs(values), axis=grid.axes, keepdims=True)
+    scale = np.divide(amplitude, top, out=np.ones(top.shape), where=top > 0)
+    return values * scale

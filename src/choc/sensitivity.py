@@ -33,7 +33,10 @@ the continuous adjoint equation is the private reference of
 does not keep p, which no reader uses. :func:`solve_linearized` and
 :func:`solve_adjoint` sweep every path of a trajectory at once, on arrays
 with a leading path axis; each path's sensitivity and costate are bitwise
-those of its own sweep.
+those of its own sweep. Their sweeps are the private kernels
+:func:`_sweep_linearized` and :func:`_sweep_adjoint`, which also run the
+rows controls × paths of several controls on one ensemble, each row bitwise
+its own sweep.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .state import (
     Trajectory,
     _increments,
     _path_sums,
+    _step_major,
     _step_spectral,
     control_values,
     series_l2h_norm,
@@ -140,27 +144,38 @@ def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolu
     ``h`` is shared by the paths.
     """
     p = traj.params
-    g = p.grid
-    tg = p.timegrid
     trunc = TruncationLevel.coerce(trunc)
-    hvals = control_values(h, tg, g)
+    hvals = control_values(h, p.timegrid, p.grid)
+    zs = _sweep_linearized(traj.ys, hvals[None], traj.wiener, trunc, p)
+    return LinearizedSolution(traj=traj, h=hvals, zs=zs, trunc=trunc)
+
+
+def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
+                      trunc: TruncationLevel, p: StateParams) -> np.ndarray:
+    """The linearized sweep of the rows directions × paths, direction-major,
+    along the states ``ys`` of those rows (see :func:`~choc.state._sweep_state`).
+
+    ``directions`` has shape (ndirections, nsteps, *grid.shape); returns zs
+    of the shape of ``ys``. Each row is bitwise its own sweep.
+    """
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
     # arrays indexed by step first, as in the state sweep
-    ys = np.moveaxis(traj.ys, 1, 0)
+    ys_n = _step_major(ys, len(paths))
+    h_n = np.moveaxis(directions, 1, 0)[:, :, None]
     if noisy:
-        dw_n = _increments(traj.wiener)
+        dw_n = _increments(paths)
 
-    zs = np.zeros(traj.ys.shape)
-    zs_n = np.moveaxis(zs, 1, 0)
-    z = np.zeros(ys.shape[1:])
-    z_hat = np.zeros(ys.shape[1:])
-    for n in range(tg.nsteps):
-        noise = db_increment_values(nm, ys[n], z, dw_n[n]) if noisy else None
-        reaction = trunc.clamp(p.potential.psi_second(ys[n])) * z
-        z, z_hat = _step_spectral(z, z_hat, reaction, hvals[n], noise, p)
+    zs = np.zeros(ys.shape)
+    zs_n = _step_major(zs, len(paths))
+    z = np.zeros(ys_n.shape[1:])
+    z_hat = np.zeros(ys_n.shape[1:])
+    for n in range(p.timegrid.nsteps):
+        noise = db_increment_values(nm, ys_n[n], z, dw_n[n]) if noisy else None
+        reaction = trunc.clamp(p.potential.psi_second(ys_n[n])) * z
+        z, z_hat = _step_spectral(z, z_hat, reaction, h_n[n], noise, p)
         zs_n[n + 1] = z
-    return LinearizedSolution(traj=traj, h=hvals, zs=zs, trunc=trunc)
+    return zs
 
 
 def solve_adjoint(traj: Trajectory, x_q, x_t, alphas,
@@ -171,17 +186,30 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas,
     npaths axis, and the solution carries the path axis.
     """
     p = traj.params
+    xq, xt = target_values(x_q, x_t, alphas, p.timegrid, p.grid, traj.npaths)
+    ptildes = _sweep_adjoint(traj.ys, traj.wiener, xq, xt, alphas,
+                             TruncationLevel.coerce(trunc), p)
+    return AdjointSolution(params=p, ptildes=ptildes)
+
+
+def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
+                   trunc: TruncationLevel, p: StateParams) -> np.ndarray:
+    """The transpose sweep of the rows controls × paths, control-major,
+    along their states ``ys``; returns ptildes of the shape of ``ys``.
+
+    ``xq`` and ``xt`` are as :func:`~choc.state.target_values` returns them,
+    shared by the rows or given per path, and each row is bitwise its own
+    sweep.
+    """
     g = p.grid
     tg = p.timegrid
-    trunc = TruncationLevel.coerce(trunc)
     a1, a2, _ = alphas
-    xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
     # arrays indexed by step first, as in the state sweep
     nsteps = tg.nsteps
-    ys = np.moveaxis(traj.ys, 1, 0)
+    ys_n = _step_major(ys, len(paths))
     if xq is not None and xq.ndim == g.ndims + 2:    # per-path target
         xq = np.moveaxis(xq, 1, 0)
-    zero = np.zeros(ys.shape[1:])
+    zero = np.zeros(ys_n.shape[1:])
     axes = g.axes
     tau = tg.tau
     sym = p.implicit_symbol
@@ -189,24 +217,24 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas,
     s = p.stabilization
     noisy = nm.is_multiplicative and nm.nmodes > 0
     if noisy:
-        dw_n = _increments(traj.wiener)
+        dw_n = _increments(paths)
 
     def dist(n):
         """alpha1 * (y_n - xQ_n)."""
-        return a1 * (ys[n] - xq[n]) if a1 != 0.0 else zero
+        return a1 * (ys_n[n] - xq[n]) if a1 != 0.0 else zero
 
-    costate = a2 * (ys[nsteps] - xt) if a2 != 0.0 else zero    # P_N
-    ptildes = np.empty(traj.ys.shape)
-    pts_n = np.moveaxis(ptildes, 1, 0)
+    costate = a2 * (ys_n[nsteps] - xt) if a2 != 0.0 else zero    # P_N
+    ptildes = np.empty(ys.shape)
+    pts_n = _step_major(ptildes, len(paths))
     pts_n[nsteps] = -lap_values(g, costate)
     for n in range(nsteps - 1, -1, -1):
         p_n = _idct(_dct(costate, axes) / sym, axes)
         pt_n = pts_n[n] = -lap_values(g, p_n)
-        c_n = trunc.clamp(p.potential.psi_second(ys[n]))
+        c_n = trunc.clamp(p.potential.psi_second(ys_n[n]))
         costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
         if noisy:
-            costate = costate + db_adjoint_scaled_values(nm, ys[n], p_n, dw_n[n])
-    return AdjointSolution(params=p, ptildes=ptildes)
+            costate = costate + db_adjoint_scaled_values(nm, ys_n[n], p_n, dw_n[n])
+    return ptildes
 
 
 def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolution,
@@ -219,22 +247,41 @@ def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolutio
     backward and forward solves respectively.
     """
     p = traj.params
-    tg = p.timegrid
+    hvals = control_values(h, p.timegrid, p.grid)
+    xq, xt = target_values(x_q, x_t, alphas, p.timegrid, p.grid, traj.npaths)
+    return _duality_values(traj.ys, lin.zs, adj.ptildes, hvals[None], xq, xt,
+                           alphas, p)
+
+
+def _duality_values(ys, zs, ptildes, directions, xq, xt, alphas,
+                    p: StateParams) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the duality identity on the rows directions × paths,
+    direction-major: two arrays of shape (nrows,), each entry bitwise that
+    of its row alone.
+
+    ``ys``, ``zs`` and ``ptildes`` are the rows' sweeps, ``directions`` has
+    shape (ndirections, nsteps, *grid.shape), and the targets are as
+    :func:`~choc.state.target_values` returns them.
+    """
     g = p.grid
     cv = g.cell_volume
-    tau = tg.tau
-    nsteps = tg.nsteps
+    tau = p.timegrid.tau
+    nsteps = p.timegrid.nsteps
     a1, a2, _ = alphas
-    hvals = control_values(h, tg, g)
+    # (direction, path) axes in front, so a direction broadcasts over the
+    # paths and a per-path target over the directions
+    ys, zs, ptildes = (a.reshape((len(directions), -1) + a.shape[1:])
+                       for a in (ys, zs, ptildes))
 
-    lhs = tau * cv * _path_sums(hvals * adj.ptildes[:, :nsteps])
+    def row_sums(a):
+        return _path_sums(a.reshape((-1,) + a.shape[2:]))
 
-    xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
-    dist = (a1 * (traj.ys[:, :nsteps] - xq) if a1 != 0.0
+    lhs = tau * cv * row_sums(directions[:, None] * ptildes[:, :, :nsteps])
+    dist = (a1 * (ys[:, :, :nsteps] - xq) if a1 != 0.0
             else np.zeros((nsteps,) + g.shape))
-    terminal = a2 * (traj.ys[:, nsteps] - xt) if a2 != 0.0 else np.zeros(g.shape)
-    rhs = tau * cv * _path_sums(dist * lin.zs[:, :nsteps])
-    rhs += cv * _path_sums(terminal * lin.zs[:, nsteps])
+    terminal = a2 * (ys[:, :, nsteps] - xt) if a2 != 0.0 else np.zeros(g.shape)
+    rhs = tau * cv * row_sums(dist * zs[:, :, :nsteps])
+    rhs += cv * row_sums(terminal * zs[:, :, nsteps])
     return lhs, rhs
 
 

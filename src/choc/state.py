@@ -20,7 +20,9 @@ spatial mean of y is conserved along every path.
 a step carry a leading path axis, the transforms run over the grid axes
 only, and the noise and the blow-up guard act path by path. Each path's
 numbers are bitwise those of solving it alone; a single path is a batch of
-one.
+one. The sweep itself is :func:`_sweep_state`, which also solves several
+controls on one ensemble at once, as rows controls × paths, control-major;
+each row is bitwise its control's own sweep.
 """
 
 from __future__ import annotations
@@ -112,10 +114,15 @@ class WienerPath:
             )
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """numpy's generator of ``seed`` reduced mod 2^64, so a negative seed
+    draws a stream too and a nonnegative one keeps its bits."""
+    return np.random.default_rng(int(seed) & _MASK64)
+
+
 def sample_wiener_path(nm: NoiseModel, tg: TimeGrid, seed: int) -> WienerPath:
     """Draw the Brownian increments for one path; a pure function of the seed."""
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    incr = rng.standard_normal((tg.nsteps, nm.nmodes)) * np.sqrt(tg.tau)
+    incr = _generator(seed).standard_normal((tg.nsteps, nm.nmodes)) * np.sqrt(tg.tau)
     return WienerPath(timegrid=tg, nmodes=nm.nmodes, seed=int(seed), increments=incr)
 
 
@@ -282,14 +289,26 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
 
 
 def _guard(values: np.ndarray, step: int, threshold: float, seeds) -> None:
-    """Raise :class:`BlowUpError` when a path of ``values`` (one per seed)
-    is not finite or exceeds the threshold, naming the lowest such path."""
+    """Raise :class:`BlowUpError` when a row of ``values`` is not finite or
+    exceeds the threshold, naming the lowest such row by its path: its seed
+    and its index in ``seeds``.
+
+    ``values`` has shape (ncontrols, npaths, *grid.shape), rows
+    control-major, and row r runs the path of ``seeds[r % npaths]``.
+    """
     top = float(np.max(np.abs(values)))
     if np.isfinite(top) and top <= threshold:
         return
-    rows = np.max(np.abs(values).reshape(len(seeds), -1), axis=1)
-    i = int(np.argmax(~np.isfinite(rows) | (rows > threshold)))
-    raise BlowUpError(step, float(rows[i]), seeds[i], i)
+    rows = np.max(np.abs(values).reshape(values.shape[:2] + (-1,)), axis=2).ravel()
+    r = int(np.argmax(~np.isfinite(rows) | (rows > threshold)))
+    i = r % len(seeds)
+    raise BlowUpError(step, float(rows[r]), seeds[i], i)
+
+
+def _step_major(rows: np.ndarray, npaths: int) -> np.ndarray:
+    """A view of a (ncontrols * npaths, nsteps+1, *grid.shape) row array,
+    rows control-major, as (nsteps+1, ncontrols, npaths, *grid.shape)."""
+    return np.moveaxis(rows.reshape((-1, npaths) + rows.shape[1:]), 2, 0)
 
 
 def solve_state(y0: Field, u, paths: Sequence[WienerPath],
@@ -322,28 +341,46 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
     if any(wp.nmodes != params.noise.nmodes for wp in batch):
         raise ConfigurationError("Wiener path has a different number of modes")
     uvals = control_values(u, tg, g)
+    ys = _sweep_state(y0.values, uvals[None], batch, params)
+    mass = ys.sum(axis=g.axes) / g.size
+    return Trajectory(params=params, ys=ys, control=uvals, wiener=batch, mass=mass)
 
-    # Every array of a step carries the leading path axis; the *_n arrays
-    # are views indexed by step first.
-    nsteps = tg.nsteps
-    ys = np.empty((len(batch), nsteps + 1) + g.shape)
-    ys_n = np.moveaxis(ys, 1, 0)
-    dw_n = _increments(batch)
+
+def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
+                 params: StateParams) -> np.ndarray:
+    """The state sweep of the rows controls × paths, control-major: row r
+    runs ``controls[r // npaths]`` on ``paths[r % npaths]`` from ``y0``.
+
+    ``controls`` has shape (ncontrols, nsteps, *grid.shape); returns ys of
+    shape (ncontrols * npaths, nsteps+1, *grid.shape). Each row is bitwise
+    the sweep of its control and path alone. A blow-up names the earliest
+    step and, at it, the lowest blown-up row by its path (see
+    :func:`_guard`).
+    """
+    g = params.grid
+    nsteps = params.timegrid.nsteps
+    # Every array of a step carries the (control, path) axes; a control
+    # broadcasts over the paths and an increment over the controls. The
+    # *_n arrays are views indexed by step first.
+    ncontrols = len(controls)
+    ys = np.empty((ncontrols * len(paths), nsteps + 1) + g.shape)
+    ys_n = _step_major(ys, len(paths))
+    u_n = np.moveaxis(controls, 1, 0)[:, :, None]
+    dw_n = _increments(paths)
     nm = params.noise
     noisy = nm.nmodes > 0
     psi_prime = params.potential.psi_prime
-    seeds = [wp.seed for wp in batch]
+    seeds = [wp.seed for wp in paths]
 
-    y = np.repeat(y0.values[None], len(batch), axis=0)
+    y = np.broadcast_to(y0, (ncontrols, len(paths)) + g.shape).copy()
     y_hat = _dct_values(y, g.axes)
     ys_n[0] = y
     for n in range(nsteps):
         noise = b_increment_values(nm, y, dw_n[n]) if noisy else None
-        y, y_hat = _step_spectral(y, y_hat, psi_prime(y), uvals[n], noise, params)
+        y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise, params)
         _guard(y, n, params.blowup_threshold, seeds)
         ys_n[n + 1] = y
-    mass = ys.sum(axis=g.axes) / g.size
-    return Trajectory(params=params, ys=ys, control=uvals, wiener=batch, mass=mass)
+    return ys
 
 
 def _increments(paths) -> np.ndarray:

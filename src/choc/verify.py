@@ -6,10 +6,15 @@ Every check is a pure function of its inputs and seeds and emits a
 :class:`CheckReport` whose JSON form is byte-stable across runs. Each claim
 has one check, and each check has a negative control exercised by the test
 suite, so a vacuous pass cannot hide a wiring bug. A check sweeps its whole
-ensemble at once, with one solve per control, level, time grid or adjoint,
-and sums per-path results in path order. The refinement studies (Lipschitz,
-moment bounds, backend consistency) build every level with :func:`_level`,
-so all levels of a study see the same Brownian motion.
+ensemble at once and sums per-path results in path order. A check that
+solves several controls on one ensemble sweeps them together, as rows
+controls × paths: Gateaux its base and bumped controls in one sweep,
+Lipschitz both controls of a pair per level, and duality its pairs in
+chunks of :data:`_DUALITY_CHUNK`, whose size memory bounds. Every row is
+bitwise its control's own sweep, so the reports do not depend on the
+chunking. The refinement studies (Lipschitz, moment bounds, backend
+consistency) build every level with :func:`_level`, so all levels of a
+study see the same Brownian motion.
 """
 
 from __future__ import annotations
@@ -29,28 +34,34 @@ from .grid import (
     _idct,
     lap_values,
     low_pass_field,
+    low_pass_values,
     norm_h_values,
     norm_v_values,
     norm_z_values,
     prolong,
+    prolong_values,
 )
 from .physics import _build_modes, additive_noise
 from .sensitivity import (
+    _duality_values,
+    _sweep_adjoint,
+    _sweep_linearized,
     convergence_in_truncation,
-    duality_terms,
     solve_adjoint,
-    solve_linearized,
 )
 from .state import (
     StateParams,
     TimeGrid,
     Trajectory,
     WienerPath,
+    _generator,
+    _sweep_state,
     aggregate_increments,
     mix_seed,
     sample_wiener_path,
     series_l2h_norm,
     solve_state,
+    target_values,
 )
 
 __all__ = [
@@ -77,6 +88,10 @@ _DUALITY_TOL = 1e-10              # duality: max relative residual
 _LIPSCHITZ_MESH_FACTOR = 2        # Lipschitz: refinement of the fine level
 _STABILITY_FACTOR = 2.0           # Lipschitz, moment bounds: drift under refinement
 _BACKEND_ORDER_TOL = 0.8          # backend consistency: least order in tau
+
+# Pairs per duality sweep: 16 rows on 8 paths. A 1D sweep is bound by
+# dispatch, so more rows cost little time but hold more memory.
+_DUALITY_CHUNK = 2
 
 
 def _jsonable(obj):
@@ -139,10 +154,7 @@ def random_smooth_control(problem: Problem, seed: int,
     """Spatially smooth, temporally white control with unit-scaled L2 norm."""
     g = problem.params.grid
     tg = problem.params.timegrid
-    rng = np.random.default_rng(seed)
-    vals = np.stack([
-        low_pass_field(g, rng, 1.0).values for _ in range(tg.nsteps)
-    ])
+    vals = low_pass_values(g, _generator(seed), 1.0, (tg.nsteps,))
     norm = l2q_norm(vals, tg, g)
     if norm > 0:
         vals *= amplitude / norm
@@ -200,14 +212,17 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     errors = np.zeros(len(eps_list))
     z_norm = 0.0
     paths = EnsembleSpec(npaths, path_seed).sample_paths(p)
-    traj = solve_state(problem.y0, u.values, paths, p)
-    zs = solve_linearized(traj, h.values, problem.trunc).zs[:, : tg.nsteps]
+    # one sweep of the base control and every bumped one
+    controls = np.stack([u.values] + [u.values + eps * h.values for eps in eps_list])
+    ys = _sweep_state(problem.y0.values, controls, paths, p)
+    ys = ys.reshape((len(controls), npaths) + ys.shape[1:])
+    base, bumped = ys[0], ys[1:]
+    zs = _sweep_linearized(base, h.values[None], paths, problem.trunc, p)[:, : tg.nsteps]
     for z in zs:
         z_norm += series_l2h_norm(z, tg, g)
     for j, eps in enumerate(eps_list):
-        bumped = solve_state(problem.y0, u.values + eps * h.values, paths, p)
         for i in range(npaths):
-            quotient = (bumped.ys[i] - traj.ys[i]) / eps
+            quotient = (bumped[j, i] - base[i]) / eps
             errors[j] += series_l2h_norm(quotient[: tg.nsteps] - zs[i], tg, g)
     errors /= npaths
     z_norm /= npaths
@@ -242,16 +257,9 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
 # Duality
 
 
-def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
-                      paths: list[WienerPath]):
-    """Ensemble duality residual over the given Wiener paths; both sides from
-    independent code paths, one sweep each."""
-    traj = solve_state(problem.y0, u.values, paths, problem.params)
-    lin = solve_linearized(traj, h.values, problem.trunc)
-    adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas,
-                        trunc=problem.trunc)
-    lhs, rhs = duality_terms(traj, lin, adj, h.values, problem.x_q, problem.x_t,
-                             problem.alphas)
+def _duality_residual(lhs: np.ndarray, rhs: np.ndarray):
+    """The ensemble duality residual of one pair from both sides on each
+    path, (npaths,) each: (relative residual, mean lhs, mean rhs)."""
     # a Python loop in path order: sum() compensates (Python >= 3.12) and
     # np.sum sums pairwise, and either would move the reports' bits
     lhs_total = 0.0
@@ -259,10 +267,25 @@ def _duality_residual(problem: Problem, u: ControlProcess, h: ControlProcess,
     for lhs_i, rhs_i in zip(lhs.tolist(), rhs.tolist()):
         lhs_total += lhs_i
         rhs_total += rhs_i
-    lhs_total /= len(paths)
-    rhs_total /= len(paths)
+    lhs_total /= len(lhs)
+    rhs_total /= len(rhs)
     scale = max(abs(lhs_total), abs(rhs_total), 1e-300)
     return abs(lhs_total - rhs_total) / scale, lhs_total, rhs_total
+
+
+def _duality_sides(problem: Problem, us: np.ndarray, hs: np.ndarray,
+                   paths: list[WienerPath]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the duality identity for the pairs (us[j], hs[j]) on
+    every path, (npairs, npaths) each, from independent code paths: one
+    state, linearized and adjoint sweep of the rows pairs × paths."""
+    p = problem.params
+    xq, xt = target_values(problem.x_q, problem.x_t, problem.alphas, p.timegrid,
+                           p.grid, len(paths))
+    ys = _sweep_state(problem.y0.values, us, paths, p)
+    zs = _sweep_linearized(ys, hs, paths, problem.trunc, p)
+    pts = _sweep_adjoint(ys, paths, xq, xt, problem.alphas, problem.trunc, p)
+    lhs, rhs = _duality_values(ys, zs, pts, hs, xq, xt, problem.alphas, p)
+    return lhs.reshape(len(us), -1), rhs.reshape(len(us), -1)
 
 
 def check_duality(problem: Problem, es: EnsembleSpec,
@@ -274,30 +297,35 @@ def check_duality(problem: Problem, es: EnsembleSpec,
 
     The identity is algebraic and must hold to rounding on every pair: the
     given ``u`` and ``h``, or else ``npairs`` random smooth pairs drawn from
-    ``seed``. The continuous adjoint's O(tau) agreement with the transpose
-    is measured by :func:`check_backend_consistency`.
+    ``seed``. The pairs are solved :data:`_DUALITY_CHUNK` at a time, and a
+    chunk's controls are drawn when it runs. The continuous adjoint's O(tau)
+    agreement with the transpose is measured by
+    :func:`check_backend_consistency`.
     """
     if (u is None) != (h is None):
         raise ConfigurationError(
             "check_duality takes both a control u and a direction h, or neither"
         )
-    pairs = []
     if u is not None:
-        pairs.append((u, h))
         npairs = 1
-    else:
-        for j in range(npairs):
-            pairs.append((
-                random_smooth_control(problem, mix_seed(seed, 2 * j), amplitude=0.5),
-                random_smooth_control(problem, mix_seed(seed, 2 * j + 1), amplitude=1.0),
-            ))
+
+    def pair(j):
+        """The j-th (u, h), drawn when its chunk runs."""
+        if u is not None:
+            return u.values, h.values
+        return (random_smooth_control(problem, mix_seed(seed, 2 * j), 0.5).values,
+                random_smooth_control(problem, mix_seed(seed, 2 * j + 1), 1.0).values)
+
     paths = es.sample_paths(problem.params)
     rows = []
     worst = 0.0
-    for j, (uj, hj) in enumerate(pairs):
-        res, lhs, rhs = _duality_residual(problem, uj, hj, paths)
-        worst = max(worst, res)
-        rows.append({"pair": j, "residual": res, "lhs": lhs, "rhs": rhs})
+    for start in range(0, npairs, _DUALITY_CHUNK):
+        chunk = range(start, min(start + _DUALITY_CHUNK, npairs))
+        us, hs = (np.stack(c) for c in zip(*map(pair, chunk)))
+        for j, lhs, rhs in zip(chunk, *_duality_sides(problem, us, hs, paths)):
+            res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
+            worst = max(worst, res)
+            rows.append({"pair": j, "residual": res, "lhs": lhs_mean, "rhs": rhs_mean})
     return CheckReport(
         name="duality",
         inputs={"backend": "discrete_transpose", "npairs": npairs, "seed": seed,
@@ -349,14 +377,13 @@ def _norm_c0h_l2z(series: np.ndarray, tg: TimeGrid, g: Grid) -> float:
     return float(sup_h + math.sqrt(zsq))
 
 
-def _mean_ratio(y0: Field, u1: np.ndarray, u2: np.ndarray,
-                paths: list[WienerPath], params: StateParams, du: float) -> float:
-    """Path mean of the state-difference norm over ``du``; one sweep per
-    control."""
-    t1 = solve_state(y0, u1, paths, params)
-    t2 = solve_state(y0, u2, paths, params)
+def _mean_ratio(y0: Field, us: np.ndarray, paths: list[WienerPath],
+                params: StateParams, du: float) -> float:
+    """Path mean of the state-difference norm of the two controls ``us``
+    over ``du``; one sweep of both."""
+    ys = _sweep_state(y0.values, us, paths, params)
     total = 0.0
-    for y1, y2 in zip(t1.ys, t2.ys):
+    for y1, y2 in zip(ys[: len(paths)], ys[len(paths):]):
         total += _norm_c0h_l2z(y1 - y2, params.timegrid, params.grid) / du
     return total / len(paths)
 
@@ -389,10 +416,10 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     ratios = {"coarse": [], "fine": []}
     for j, (u1, u2) in enumerate(pairs):
         du = l2q_norm(u1.values - u2.values, tg, p.grid)
-        u1f = np.stack([prolong(Field(p.grid, v), fine_grid).values for v in u1.values])
-        u2f = np.stack([prolong(Field(p.grid, v), fine_grid).values for v in u2.values])
-        r_coarse = _mean_ratio(y0, u1.values, u2.values, paths, params, du)
-        r_fine = _mean_ratio(y0_fine, u1f, u2f, fine_paths, fine_params, du)
+        us = np.stack([u1.values, u2.values])
+        r_coarse = _mean_ratio(y0, us, paths, params, du)
+        r_fine = _mean_ratio(y0_fine, prolong_values(p.grid, us, fine_grid),
+                             fine_paths, fine_params, du)
         ratios["coarse"].append(r_coarse)
         ratios["fine"].append(r_fine)
         rows.append({"pair": j, "ratio_coarse": r_coarse, "ratio_fine": r_fine})
@@ -604,7 +631,7 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     nsteps_list = sorted(int(n) for n in nsteps_list)
     finest = nsteps_list[-1]
 
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     xq_field = low_pass_field(p.grid, rng, 0.3)
     u_field = low_pass_field(p.grid, rng, 0.5)
     a1 = problem.alphas[0] if problem.alphas[0] > 0 else 1.0

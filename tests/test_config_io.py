@@ -223,6 +223,16 @@ def test_mode_index_of_the_wrong_dimension(indices):
         build_problem(config)
 
 
+@pytest.mark.parametrize("indices", ["1 1", "1 2 1"])
+def test_mode_index_named_twice(tmp_path, capsys, indices):
+    # two Brownian motions on one mode would be one mode at a larger amplitude
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"[noise]\nnmodes = {len(indices.split())}\n"
+                   f"mode_indices = {indices}\n")
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert "noise.mode_indices" in capsys.readouterr().err
+
+
 # --- snapshots -----------------------------------------------------------------
 
 
@@ -431,6 +441,18 @@ def test_cli_verify_full_suite_small(tmp_path):
         "check_truncation.json":
             "94c468b36d831aa041beef4ded5ee52a4af072ffe60f578900dd0688e4fd3e45",
     }
+
+
+def test_cli_verify_negative_base_seed(tmp_path):
+    # a seed is reduced mod 2^64 wherever numpy draws from it, so every check
+    # runs, and the ensemble's paths are those of the reduced seed
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("[grid]\nnpoints = 16\n[time]\nnsteps = 10\n"
+                   "[ensemble]\nnpaths = 2\nbase_seed = -1\n")
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    reports = [json.loads(p.read_text()) for p in sorted(out.glob("check_*.json"))]
+    assert len(reports) == 7 and all(r["passed"] for r in reports)
 
 
 def test_cli_verify_detects_failure(tmp_path):

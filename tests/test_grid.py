@@ -23,6 +23,7 @@ from choc.grid import (
     norm_h_values,
     norm_v_values,
     norm_z_values,
+    prolong_values,
 )
 
 from conftest import apply_dense, dense_neumann_laplacian, inner_h, random_field
@@ -203,3 +204,16 @@ def test_prolong_preserves_modes_and_mean(grid64, rng):
     mode = Field(grid64, grid64.cosine_mode((3,)))
     up = prolong(mode, fine)
     assert np.allclose(up.values, fine.cosine_mode((3,)), atol=1e-12)
+
+
+@pytest.mark.parametrize("coarse, fine", [(Grid((16,), (1.0,)), Grid((32,), (1.0,))),
+                                          (Grid((6, 8), (1.0, 2.0)),
+                                           Grid((12, 8), (1.0, 2.0)))])
+def test_prolong_values_is_the_field_level_prolong(coarse, fine, rng):
+    # a batch of fields prolongs in one transform pair, each field with the
+    # bits of its own prolongation
+    values = rng.standard_normal((3, 5) + coarse.shape)
+    out = prolong_values(coarse, values, fine)
+    assert out.shape == (3, 5) + fine.shape
+    for ix in np.ndindex(3, 5):
+        assert np.array_equal(out[ix], prolong(Field(coarse, values[ix]), fine).values)

@@ -4,7 +4,8 @@ Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
 and a potential, then checks one identity of the discrete system: duality
 to rounding, per-path mass conservation, idempotent projection, the
 field-level Laplacian and norms against the array-level ones, and a sweep
-of a batch of paths against a sweep of each path alone, bit for bit.
+of a batch of paths, or of rows controls × paths, against a sweep of each
+path alone, bit for bit.
 """
 
 import numpy as np
@@ -42,8 +43,9 @@ from choc.grid import (
     norm_v_values,
     norm_z_values,
 )
-from choc.physics import no_noise
-from choc.state import StateParams, _path_sums
+from choc.physics import TruncationLevel, no_noise
+from choc.sensitivity import _duality_values, _sweep_adjoint, _sweep_linearized
+from choc.state import StateParams, _path_sums, _sweep_state, target_values
 from choc.verify import _continuous_ptildes
 
 from conftest import zero_potential
@@ -222,3 +224,45 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
         alone_lhs, alone_rhs = duality_terms(traj, alone_lin, alone, h, xq_i, xt_i,
                                              alphas)
         assert (lhs[i], rhs[i]) == (alone_lhs[0], alone_rhs[0])
+
+
+@PROPERTIES
+@given(params=state_params(), seed=seeds, ncontrols=st.integers(1, 3),
+       npaths=st.integers(1, 3), per_path_targets=st.booleans(),
+       trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
+def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trunc):
+    # the rows controls × paths, each with its own control and direction,
+    # are bitwise each row's own public sweeps
+    rng = np.random.default_rng(seed)
+    alphas = (0.7, 1.3, 0.0)
+    y0 = low_pass_field(params.grid, rng, 0.4)
+    us = np.stack([_smooth_series(params, rng, 0.5) for _ in range(ncontrols)])
+    hs = np.stack([_smooth_series(params, rng, 1.0) for _ in range(ncontrols)])
+    if per_path_targets:
+        x_q = np.stack([_smooth_series(params, rng, 0.3) for _ in range(npaths)])
+        x_t = np.stack([low_pass_field(params.grid, rng, 0.3).values
+                        for _ in range(npaths)])
+    else:
+        x_q = _smooth_series(params, rng, 0.3)
+        x_t = low_pass_field(params.grid, rng, 0.3).values
+    paths = [sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
+             for i in range(npaths)]
+    level = TruncationLevel.coerce(trunc)
+    xq, xt = target_values(x_q, x_t, alphas, params.timegrid, params.grid, npaths)
+    ys = _sweep_state(y0.values, us, paths, params)
+    zs = _sweep_linearized(ys, hs, paths, level, params)
+    ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, level, params)
+    lhs, rhs = _duality_values(ys, zs, ptildes, hs, xq, xt, alphas, params)
+    assert ys.shape == zs.shape == ptildes.shape
+    assert ys.shape[0] == lhs.shape[0] == ncontrols * npaths
+    for row in range(ncontrols * npaths):
+        c, i = divmod(row, npaths)
+        xq_i, xt_i = (x_q[i], x_t[i]) if per_path_targets else (x_q, x_t)
+        traj = solve_state(y0, us[c], [paths[i]], params)
+        lin = solve_linearized(traj, hs[c], trunc)
+        adj = solve_adjoint(traj, xq_i, xt_i, alphas, trunc)
+        assert np.array_equal(ys[row], traj.ys[0])
+        assert np.array_equal(zs[row], lin.zs[0])
+        assert np.array_equal(ptildes[row], adj.ptildes[0])
+        alone_lhs, alone_rhs = duality_terms(traj, lin, adj, hs[c], xq_i, xt_i, alphas)
+        assert (lhs[row], rhs[row]) == (alone_lhs[0], alone_rhs[0])

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from choc import (
     ControlProcess,
@@ -15,11 +16,15 @@ from choc import (
     multiplicative_noise,
     quadratic_potential,
 )
-from choc.errors import ConfigurationError
-from choc.grid import low_pass_field
+from choc import verify
+from choc.control import l2q_norm
+from choc.errors import BlowUpError, ConfigurationError
+from choc.grid import Field, low_pass_field
 from choc.physics import additive_noise, no_noise
-from choc.state import StateParams
+from choc.sensitivity import duality_terms, solve_adjoint, solve_linearized
+from choc.state import StateParams, mix_seed, solve_state
 from choc.verify import (
+    _duality_residual,
     check_backend_consistency,
     check_duality,
     check_gateaux,
@@ -132,6 +137,121 @@ def test_duality_check_transpose(noise):
     report = check_duality(problem, EnsembleSpec(2, 9), npairs=3, seed=1)
     assert report.passed
     assert report.measured["max_relative_residual"] <= 1e-10
+
+
+def _serial_duality_rows(problem, es, pairs):
+    """The report rows of a per-pair loop: one public state, linearized and
+    adjoint solve of each pair, reduced by ``_duality_residual``."""
+    paths = es.sample_paths(problem.params)
+    rows = []
+    for j, (u, h) in enumerate(pairs):
+        traj = solve_state(problem.y0, u, paths, problem.params)
+        lin = solve_linearized(traj, h, problem.trunc)
+        adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas,
+                            trunc=problem.trunc)
+        lhs, rhs = duality_terms(traj, lin, adj, h, problem.x_q, problem.x_t,
+                                 problem.alphas)
+        res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
+        rows.append({"pair": j, "residual": res, "lhs": lhs_mean, "rhs": rhs_mean})
+    return rows
+
+
+@pytest.mark.parametrize("npairs", [3, 5])
+@pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+@pytest.mark.parametrize("per_path_targets", [False, True])
+def test_duality_chunks_equal_a_per_pair_loop(npairs, noise, per_path_targets):
+    # npairs is no multiple of the chunk, so the last chunk is short
+    assert npairs % verify._DUALITY_CHUNK
+    problem = _problem(noise=noise)
+    es = EnsembleSpec(3, 9)
+    if per_path_targets:
+        rng = np.random.default_rng(4)
+        problem = replace(problem,
+                          x_q=problem.x_q + rng.standard_normal((3,) + problem.x_q.shape),
+                          x_t=problem.x_t + rng.standard_normal((3,) + problem.x_t.shape))
+    report = check_duality(problem, es, npairs=npairs, seed=1)
+    pairs = [(random_smooth_control(problem, mix_seed(1, 2 * j), 0.5).values,
+              random_smooth_control(problem, mix_seed(1, 2 * j + 1), 1.0).values)
+             for j in range(npairs)]
+    assert list(report.table) == _serial_duality_rows(problem, es, pairs)
+    u, h = (ControlProcess(problem.params.grid, problem.params.timegrid, v)
+            for v in pairs[-1])
+    given = check_duality(problem, es, u=u, h=h)
+    assert list(given.table) == _serial_duality_rows(problem, es, pairs[-1:])
+
+
+def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
+    # Only the second pair of a chunk blows up, on path 2 of 4: path 2 carries
+    # strong noise and the second pair a strong control. The error names
+    # that row's step, its seed and its index in the ensemble, as a solve of
+    # the pair alone does.
+    monkeypatch.setattr(verify, "_DUALITY_CHUNK", 2)
+    sample_paths = EnsembleSpec.sample_paths
+
+    def loud_path_2(self, params):
+        paths = sample_paths(self, params)
+        paths[2] = replace(paths[2], increments=20.0 * paths[2].increments)
+        return paths
+
+    draw = verify.random_smooth_control
+
+    def loud_second_pair(problem, seed, amplitude=1.0):
+        u = draw(problem, seed, amplitude)
+        return u.with_values(8.0 * u.values) if seed == mix_seed(1, 2) else u
+
+    monkeypatch.setattr(EnsembleSpec, "sample_paths", loud_path_2)
+    monkeypatch.setattr(verify, "random_smooth_control", loud_second_pair)
+    problem = _problem(noise="additive", blowup_threshold=0.8)
+    es = EnsembleSpec(4, 9)
+    paths = es.sample_paths(problem.params)
+    first, second = (loud_second_pair(problem, mix_seed(1, 2 * j), 0.5) for j in (0, 1))
+    solve_state(problem.y0, first.values, paths, problem.params)    # no blow-up
+    with pytest.raises(BlowUpError) as alone:
+        solve_state(problem.y0, second.values, paths, problem.params)
+    with pytest.raises(BlowUpError) as chunked:
+        check_duality(problem, es, npairs=2, seed=1)
+    exc = chunked.value
+    assert exc.path == 2 and es.path_seed(exc.path) == exc.seed
+    assert ((exc.step, exc.max_abs, exc.seed, exc.path)
+            == (alone.value.step, alone.value.max_abs, alone.value.seed,
+                alone.value.path))
+
+
+def _per_step_control(problem, seed, amplitude):
+    """random_smooth_control as a loop of one draw and one inverse
+    transform per step."""
+    g, tg = problem.params.grid, problem.params.timegrid
+    rng = np.random.default_rng(seed)
+    if g.ndims == 1:
+        k2 = (np.arange(g.npoints[0]) / 8) ** 2
+    else:
+        k2 = (np.arange(g.npoints[0])[:, None] ** 2
+              + np.arange(g.npoints[1])[None, :] ** 2) / 8**2
+    fields = []
+    for _ in range(tg.nsteps):
+        values = scipy.fft.idctn(rng.standard_normal(g.shape) * np.exp(-k2),
+                                 type=2, norm="ortho")
+        top = np.max(np.abs(values))
+        if top > 0:
+            values = values * (1.0 / top)
+        fields.append(values)
+    vals = np.stack(fields)
+    norm = l2q_norm(vals, tg, g)
+    if norm > 0:
+        vals *= amplitude / norm
+    return vals
+
+
+@pytest.mark.parametrize("grid", [Grid((32,), (1.0,)), Grid((12, 10), (1.0, 1.5))])
+def test_random_smooth_control_is_the_per_step_loop(grid):
+    tg = TimeGrid(0.02, 40)
+    params = StateParams(grid=grid, timegrid=tg, potential=double_well(),
+                         noise=no_noise(grid))
+    problem = Problem(params=params, y0=Field.zeros(grid), alphas=(1.0, 1.0, 1e-2))
+    for seed in range(30):
+        for amplitude in (0.5, 0.7, 1.0):
+            u = random_smooth_control(problem, seed, amplitude)
+            assert np.array_equal(u.values, _per_step_control(problem, seed, amplitude))
 
 
 def test_duality_requires_both_or_neither_of_u_and_h():
