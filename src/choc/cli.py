@@ -172,8 +172,8 @@ def _duality_summary(build: BuildResult, path_index: int) -> dict:
     traj = _solve_path(build, path_index)
     h = _default_direction(build)
     x_q, x_t = problem.target_q(path_index), problem.target_t(path_index)
-    lin = solve_linearized(traj, h.values, problem.trunc)
-    adj = solve_adjoint(traj, x_q, x_t, problem.alphas, trunc=problem.trunc)
+    lin = solve_linearized(traj, h.values)
+    adj = solve_adjoint(traj, x_q, x_t, problem.alphas)
     lhs, rhs = duality_terms(traj, lin, adj, h.values, x_q, x_t, problem.alphas)
     lhs, rhs = float(lhs[0]), float(rhs[0])
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -217,15 +217,12 @@ def _cmd_optimize(args) -> int:
     build = _load(args)
     result = optimize(build.u0, build.ensemble, build.problem, build.optimizer)
     outdir = _outdir(args)
-    outputs = []
     history = outdir / "cost_history.csv"
-    rows = []
-    for i, cost in enumerate(result.cost_history):
-        gmap = result.gradient_map_history[i] if i < len(result.gradient_map_history) else float("nan")
-        step = result.step_history[i - 1] if 0 < i <= len(result.step_history) else float("nan")
-        rows.append((i, cost, gmap, step))
-    write_series_csv(history, ["iteration", "cost", "gradient_map", "step"], rows)
-    outputs.append(history)
+    steps = [float("nan")] + result.step_history    # no step led to the first control
+    write_series_csv(history, ["iteration", "cost", "gradient_map", "step"],
+                     zip(range(len(steps)), result.cost_history,
+                         result.gradient_map_history, steps))
+    outputs = [history]
     outputs += _write_snapshots(outdir, "control", build.problem.params.grid,
                                 result.control.values, args.snapshot_every)
     _write_manifest(outdir, "optimize", build, outputs,

@@ -18,7 +18,6 @@ from .control import ControlProcess, EnsembleSpec, OptimizerOptions, Problem, l2
 from .errors import ConfigParseError, ConfigurationError, SnapshotFormatError
 from .grid import Field, Grid, low_pass_field
 from .physics import (
-    TruncationLevel,
     additive_noise,
     double_well,
     multiplicative_noise,
@@ -101,7 +100,6 @@ class EnsembleConfig:
 @dataclass(frozen=True)
 class SolverConfig:
     stabilization: float = 2.0
-    truncation: float = math.inf
     blowup_threshold: float = 1e10
     y0: str = "smooth_random:0.2"   # constant:V | file:PATH | smooth_random:AMP
 
@@ -248,7 +246,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 # inf switches these off; every other float setting must be finite
-_MAY_BE_INFINITE = {("solver", "truncation"), ("solver", "blowup_threshold")}
+_MAY_BE_INFINITE = {("solver", "blowup_threshold")}
 
 
 def _validate(c: RunConfig) -> None:
@@ -284,7 +282,6 @@ def _validate(c: RunConfig) -> None:
     _require(c.cost.synthetic_amplitude > 0,
              "cost.synthetic_amplitude must be positive")
     _require(c.ensemble.npaths >= 1, "ensemble.npaths must be at least 1")
-    _require(c.solver.truncation > 0, "solver.truncation must be positive")
     _require(c.solver.blowup_threshold > 0,
              "solver.blowup_threshold must be positive")
     _require(c.optimizer.tol > 0, "optimizer.tol must be positive")
@@ -438,8 +435,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
                         else np.broadcast_to(f.values, shapes[key]).copy())
 
     problem = Problem(params=params, y0=y0, alphas=alphas, x_q=targets["x_q"],
-                      x_t=targets["x_t"], c0=c0,
-                      trunc=TruncationLevel(config.solver.truncation))
+                      x_t=targets["x_t"], c0=c0)
     return BuildResult(config=config, problem=problem, ensemble=es,
                        optimizer=config.optimizer,
                        u0=u0, reference_control=reference)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainError
 from .grid import Field, Grid
-from .physics import NO_TRUNCATION, TruncationLevel
 from .sensitivity import solve_adjoint
 from .state import (
     StateParams,
@@ -136,7 +135,6 @@ class Problem:
     x_q: np.ndarray | None = None
     x_t: np.ndarray | None = None
     c0: float = 1.0
-    trunc: TruncationLevel = NO_TRUNCATION
 
     def __post_init__(self):
         if self.c0 <= 0:
@@ -227,8 +225,7 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
         states = _solve_paths(u, problem, es.sample_paths(problem.params))
     tg = problem.params.timegrid
     a3 = problem.alphas[2]
-    adj = solve_adjoint(states, problem.x_q, problem.x_t, problem.alphas,
-                        trunc=problem.trunc)
+    adj = solve_adjoint(states, problem.x_q, problem.x_t, problem.alphas)
     return adj.ptildes[:, : tg.nsteps].sum(axis=0) / adj.npaths + a3 * u.values
 
 
@@ -279,13 +276,13 @@ class OptimizerOptions:
 class OptimizationResult:
     """Outcome of a projected gradient run.
 
-    The run stops on the gradient map at ``eta0``; ``projection_residual``
-    is :func:`optimality_residual` at the final control, a different
-    measure. Where neither the gradient step nor -mean(ptilde)/alpha3
-    leaves the ball, both are plain norms of the gradient: the residual is
-    the final gradient map divided by alpha3. On a converged or stalled
-    run, whose last gradient map is taken at the final control, the
-    residual is then about ``tol / alpha3``, not ``tol``.
+    The run stops on the gradient map at ``eta0``, which ``gradient_map_history``
+    holds for each control of ``cost_history``: n_iterations + 1 entries on
+    every termination, the last at the final control. ``projection_residual``
+    is :func:`optimality_residual` there, a different measure. Where neither
+    the gradient step nor -mean(ptilde)/alpha3 leaves the ball, both are plain
+    norms of the gradient: the residual is the final gradient map divided by
+    alpha3, about ``tol / alpha3`` on a converged run, not ``tol``.
     """
 
     control: ControlProcess
@@ -304,9 +301,7 @@ class OptimizationResult:
             "termination": self.termination,
             "initial_cost": self.cost_history[0],
             "final_cost": self.cost_history[-1],
-            "final_gradient_map": (
-                self.gradient_map_history[-1] if self.gradient_map_history else 0.0
-            ),
+            "final_gradient_map": self.gradient_map_history[-1],
             "projection_residual": self.projection_residual,
             "control_norm": self.control.norm_l2q(),
         }
@@ -331,8 +326,8 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     one call): one state sweep for the starting cost and one per line-search
     trial; one adjoint sweep per iteration, along the trajectories its
     accepted trial solved; one adjoint sweep at the final control, for the
-    residual (on convergence or a stalled search this is the gradient the
-    last iteration already took).
+    residual and the last gradient map (on convergence or a stalled search
+    this is the gradient the last iteration already took).
     """
     paths = es.sample_paths(problem.params)
     u = project_admissible(u0, problem.c0)
@@ -403,6 +398,7 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
 
     if termination == "max_iter":
         grad = gradient(u, es, problem, states)
+        gmap_history.append(_gradient_map_norm(u, grad, opts.eta0, problem.c0))
     return OptimizationResult(
         control=u,
         cost_history=cost_history,

@@ -18,6 +18,7 @@ steppers a single diagonal division in coefficient space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +84,10 @@ class Grid:
             raise ConfigurationError(f"side lengths must be positive, got {lengths}")
         object.__setattr__(self, "npoints", npoints)
         object.__setattr__(self, "lengths", lengths)
+        # the Laplacian symbol reaches 4/h^2: h^2 must neither overflow nor underflow to 0
+        if not all(0.0 < h * h < math.inf and 4.0 / (h * h) < math.inf for h in self.spacings):
+            raise ConfigurationError(
+                f"side lengths {lengths} give a Laplacian symbol that is not finite")
 
     @property
     def ndims(self) -> int:

@@ -1,17 +1,18 @@
 """Linearized and adjoint solvers along a fixed state trajectory.
 
-The linearized sweep is the state step: with C_n = clamp(psi''(y_n)) it
-runs the state's step function with reaction C_n z_n, source h_n and noise
+The linearized sweep is the state step: with C_n = psi''(y_n) it runs the
+state's step function with reaction C_n z_n, source h_n and noise
 DB(y_n)[z_n] dW_n, that is
 
     (I + tau*Lap^2 - tau*S*Lap) z_{n+1}
         = z_n + tau*Lap(C_n z_n - S z_n - h_n) + DB(y_n)[z_n] dW_n,
 
-from z_0 = 0, so the map h -> z is linear and, at infinite truncation, is
-the exact derivative of the discrete flow.
+from z_0 = 0, so the map h -> z is linear and is the exact derivative of
+the discrete flow. Only the truncation study clamps the curvature:
+:func:`solve_linearized` takes a level, and with it C_n = clamp(psi''(y_n)).
 
-The adjoint is the algebraic transpose of that recursion. Writing one
-forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
+The adjoint is the algebraic transpose of the unclamped recursion. Writing
+one forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
 implicit operator and E_n = I + tau*Lap(C_n - S) + DB_n, the costate sweep
 is
 
@@ -178,22 +179,21 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
     return zs
 
 
-def solve_adjoint(traj: Trajectory, x_q, x_t, alphas,
-                  trunc=NO_TRUNCATION) -> AdjointSolution:
+def solve_adjoint(traj: Trajectory, x_q, x_t, alphas) -> AdjointSolution:
     """Backward transpose sweep along every path of the trajectory at once.
 
-    Each target is shared by the paths or given per path, with a leading
-    npaths axis, and the solution carries the path axis.
+    It is the transpose of the unclamped linearization, so the costate gives
+    the exact gradient. Each target is shared by the paths or given per path,
+    with a leading npaths axis, and the solution carries the path axis.
     """
     p = traj.params
     xq, xt = target_values(x_q, x_t, alphas, p.timegrid, p.grid, traj.npaths)
-    ptildes = _sweep_adjoint(traj.ys, traj.wiener, xq, xt, alphas,
-                             TruncationLevel.coerce(trunc), p)
+    ptildes = _sweep_adjoint(traj.ys, traj.wiener, xq, xt, alphas, p)
     return AdjointSolution(params=p, ptildes=ptildes)
 
 
 def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
-                   trunc: TruncationLevel, p: StateParams) -> np.ndarray:
+                   p: StateParams) -> np.ndarray:
     """The transpose sweep of the rows controls × paths, control-major,
     along their states ``ys``; returns ptildes of the shape of ``ys``.
 
@@ -230,7 +230,7 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     for n in range(nsteps - 1, -1, -1):
         p_n = _idct(_dct(costate, axes) / sym, axes)
         pt_n = pts_n[n] = -lap_values(g, p_n)
-        c_n = trunc.clamp(p.potential.psi_second(ys_n[n]))
+        c_n = p.potential.psi_second(ys_n[n])
         costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
         if noisy:
             costate = costate + db_adjoint_scaled_values(nm, ys_n[n], p_n, dw_n[n])

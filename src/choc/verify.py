@@ -41,7 +41,7 @@ from .grid import (
     prolong,
     prolong_values,
 )
-from .physics import _build_modes, additive_noise
+from .physics import NO_TRUNCATION, _build_modes, additive_noise
 from .sensitivity import (
     _duality_values,
     _sweep_adjoint,
@@ -217,7 +217,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     ys = _sweep_state(problem.y0.values, controls, paths, p)
     ys = ys.reshape((len(controls), npaths) + ys.shape[1:])
     base, bumped = ys[0], ys[1:]
-    zs = _sweep_linearized(base, h.values[None], paths, problem.trunc, p)[:, : tg.nsteps]
+    zs = _sweep_linearized(base, h.values[None], paths, NO_TRUNCATION, p)[:, : tg.nsteps]
     for z in zs:
         z_norm += series_l2h_norm(z, tg, g)
     for j, eps in enumerate(eps_list):
@@ -282,8 +282,8 @@ def _duality_sides(problem: Problem, us: np.ndarray, hs: np.ndarray,
     xq, xt = target_values(problem.x_q, problem.x_t, problem.alphas, p.timegrid,
                            p.grid, len(paths))
     ys = _sweep_state(problem.y0.values, us, paths, p)
-    zs = _sweep_linearized(ys, hs, paths, problem.trunc, p)
-    pts = _sweep_adjoint(ys, paths, xq, xt, problem.alphas, problem.trunc, p)
+    zs = _sweep_linearized(ys, hs, paths, NO_TRUNCATION, p)
+    pts = _sweep_adjoint(ys, paths, xq, xt, problem.alphas, p)
     lhs, rhs = _duality_values(ys, zs, pts, hs, xq, xt, problem.alphas, p)
     return lhs.reshape(len(us), -1), rhs.reshape(len(us), -1)
 

@@ -103,6 +103,7 @@ def test_unknown_key_carries_line_number():
 
 @pytest.mark.parametrize("section, key", [
     ("solver", "backend"),       # the transpose sweep is the one adjoint
+    ("solver", "truncation"),    # only the truncation study clamps psi''
     ("potential", "c1"),         # the potential's formula fixes its constants
     ("potential", "c2"),
     ("optimizer", "armijo_c"),   # the Armijo search is fixed
@@ -182,8 +183,8 @@ def test_every_key_roundtrips():
         cost=CostConfig(alpha1=0.5, alpha2=0.0, alpha3=0.01, x_q="constant:0.25",
                         x_t="file:xt.chs", synthetic_amplitude=0.75),
         ensemble=EnsembleConfig(npaths=3, base_seed=7),
-        solver=SolverConfig(stabilization=3.0, truncation=10.0,
-                            blowup_threshold=1e6, y0="constant:0.1"),
+        solver=SolverConfig(stabilization=3.0, blowup_threshold=1e6,
+                            y0="constant:0.1"),
         optimizer=OptimizerOptions(tol=1e-5, max_iter=20, eta0=0.5),
     )
     defaults = default_config()
@@ -328,6 +329,24 @@ def test_cli_info(tmp_path, capsys):
     assert "config digest" in out
 
 
+# every float or float-tuple key of the one schema
+_FLOAT_KEYS = [(block.name, key.name) for block in dc_fields(RunConfig)
+               for key in dc_fields(block.type)
+               if key.type in (float, tuple[float, ...])]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e-300", "1e300", "nan", "inf"])
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS,
+                         ids=[f"{s}.{k}" for s, k in _FLOAT_KEYS])
+def test_cli_info_float_edge_values(tmp_path, section, key, value):
+    # an edge value of any float key is accepted, refused as a configuration
+    # error or ends as a blow-up; it never escapes as a traceback
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("[grid]\nnpoints = 16\n[time]\nnsteps = 10\n"
+                   f"[ensemble]\nnpaths = 2\n[{section}]\n{key} = {value}\n")
+    assert main(["info", "--config", str(cfg)]) in (0, 2, 3)
+
+
 def test_cli_simulate_deterministic(tmp_path):
     cfg = _write_tiny(tmp_path)
     out1 = tmp_path / "run1"
@@ -398,6 +417,17 @@ def test_cli_optimize_monotone_manifest(tmp_path):
     rows = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
     costs = [float(r.split(",")[1]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+def test_cli_optimize_without_iterations_reports_its_gradient_map(tmp_path):
+    # max_iter = 0 still measures the gradient map at the starting control
+    cfg = _write_tiny(tmp_path, "\n[optimizer]\nmax_iter = 0\n")
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    final = manifest["deterministic"]["optimization"]["final_gradient_map"]
+    (row,) = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
+    assert float(row.split(",")[2]) == final > 0.0
 
 
 def test_cli_verify_tiny_subset(tmp_path):

@@ -336,6 +336,22 @@ def test_optimize_history_golden():
     assert res.blowup_rejections == 0
 
 
+@pytest.mark.parametrize("max_iter", [0, 3])
+def test_gradient_map_history_ends_at_the_final_control(max_iter):
+    # a run stopped by its budget reports the gradient map of its final
+    # control too: one entry per cost
+    problem, es = _problem()
+    opts = OptimizerOptions(tol=1e-300, max_iter=max_iter, eta0=16.0)
+    res = optimize(_smooth_control(problem, 3), es, problem, opts)
+    assert res.termination == "max_iter" and res.n_iterations == max_iter
+    assert len(res.gradient_map_history) == len(res.cost_history) == max_iter + 1
+    u = res.control
+    final = choc.control._gradient_map_norm(u, gradient(u, es, problem),
+                                            opts.eta0, problem.c0)
+    assert res.gradient_map_history[-1] == final > 0.0
+    assert res.summary()["final_gradient_map"] == final
+
+
 def test_optimize_synthetic_target_descends():
     # small synthetic-target run: targets generated from a reference control
     # with the ensemble's own seeds

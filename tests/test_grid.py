@@ -36,6 +36,13 @@ def test_grid_validation():
         Grid((8,), (-1.0,))
     with pytest.raises(ConfigurationError):
         Grid((8, 8, 8), (1.0, 1.0, 1.0))
+    # h^2 underflows to 0, or overflows (where 2/h^2 = 0 would pass a
+    # finiteness test of the symbol alone)
+    for extreme in (1e-300, 1e300):
+        with pytest.raises(ConfigurationError, match="Laplacian symbol"):
+            Grid((8,), (extreme,))
+        with pytest.raises(ConfigurationError, match="Laplacian symbol"):
+            Grid((8, 8), (1.0, extreme))
     g = Grid((8, 10), (2.0, 1.0))
     assert g.cell_volume == pytest.approx(0.25 * 0.1)
     assert g.volume == pytest.approx(2.0)

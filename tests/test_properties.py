@@ -232,7 +232,8 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
        trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
 def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trunc):
     # the rows controls × paths, each with its own control and direction,
-    # are bitwise each row's own public sweeps
+    # are bitwise each row's own public sweeps; the truncation level is the
+    # linearized sweep's alone, the adjoint is always unclamped
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
     y0 = low_pass_field(params.grid, rng, 0.4)
@@ -251,7 +252,7 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
     xq, xt = target_values(x_q, x_t, alphas, params.timegrid, params.grid, npaths)
     ys = _sweep_state(y0.values, us, paths, params)
     zs = _sweep_linearized(ys, hs, paths, level, params)
-    ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, level, params)
+    ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, params)
     lhs, rhs = _duality_values(ys, zs, ptildes, hs, xq, xt, alphas, params)
     assert ys.shape == zs.shape == ptildes.shape
     assert ys.shape[0] == lhs.shape[0] == ncontrols * npaths
@@ -260,7 +261,7 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
         xq_i, xt_i = (x_q[i], x_t[i]) if per_path_targets else (x_q, x_t)
         traj = solve_state(y0, us[c], [paths[i]], params)
         lin = solve_linearized(traj, hs[c], trunc)
-        adj = solve_adjoint(traj, xq_i, xt_i, alphas, trunc)
+        adj = solve_adjoint(traj, xq_i, xt_i, alphas)
         assert np.array_equal(ys[row], traj.ys[0])
         assert np.array_equal(zs[row], lin.zs[0])
         assert np.array_equal(ptildes[row], adj.ptildes[0])

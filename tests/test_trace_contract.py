@@ -55,7 +55,7 @@ def test_trace_sees_every_layer(tracing):
             "solve_state": lambda: choc.state.solve_state(
                 problem.y0, build.u0.values, [wp], problem.params),
             "solve_linearized": lambda: choc.sensitivity.solve_linearized(
-                traj, h.values, problem.trunc),
+                traj, h.values),
             "solve_adjoint": lambda: choc.sensitivity.solve_adjoint(
                 traj, problem.target_q(0), problem.target_t(0), problem.alphas),
             "reduced_cost": lambda: choc.control.reduced_cost(build.u0, es, problem),

@@ -146,9 +146,8 @@ def _serial_duality_rows(problem, es, pairs):
     rows = []
     for j, (u, h) in enumerate(pairs):
         traj = solve_state(problem.y0, u, paths, problem.params)
-        lin = solve_linearized(traj, h, problem.trunc)
-        adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas,
-                            trunc=problem.trunc)
+        lin = solve_linearized(traj, h)
+        adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas)
         lhs, rhs = duality_terms(traj, lin, adj, h, problem.x_q, problem.x_t,
                                  problem.alphas)
         res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
