@@ -25,10 +25,8 @@ from .grid import (
     prolong,
 )
 from .physics import (
-    NO_TRUNCATION,
     NoiseModel,
     Potential,
-    TruncationLevel,
     additive_noise,
     double_well,
     multiplicative_noise,
@@ -48,7 +46,6 @@ from .state import (
 from .sensitivity import (
     AdjointSolution,
     LinearizedSolution,
-    convergence_in_truncation,
     duality_terms,
     solve_adjoint,
     solve_linearized,

@@ -316,6 +316,9 @@ def build_noise(c: RunConfig, grid: Grid):
     nc = c.noise
     if nc.kind == "none" or nc.nmodes == 0:
         return no_noise(grid)
+    if nc.nmodes > grid.size:
+        raise ConfigurationError(f"noise.nmodes = {nc.nmodes} exceeds the "
+                                 f"{grid.size} points of the grid")
     sigmas = _broadcast(nc.sigmas, nc.nmodes, "noise.sigmas")
     for ix in nc.mode_indices:
         if len(ix) != grid.ndims:

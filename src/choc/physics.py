@@ -10,7 +10,6 @@ conserves mass along stochastic trajectories.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,8 +22,6 @@ __all__ = [
     "Potential",
     "double_well",
     "quadratic_potential",
-    "TruncationLevel",
-    "NO_TRUNCATION",
     "NoiseModel",
     "additive_noise",
     "multiplicative_noise",
@@ -72,30 +69,6 @@ def quadratic_potential(curvature: float = 1.0) -> Potential:
         psi_second=lambda r: np.full_like(np.asarray(r, dtype=float), a),
         c1=0.0,
     )
-
-
-@dataclass(frozen=True)
-class TruncationLevel:
-    """Symmetric clamp level for the potential curvature; +inf disables it."""
-
-    level: float
-
-    def __post_init__(self):
-        if not (self.level > 0):
-            raise DomainError(f"truncation level must be positive, got {self.level}")
-
-    @classmethod
-    def coerce(cls, value) -> "TruncationLevel":
-        if isinstance(value, TruncationLevel):
-            return value
-        return cls(float(value))
-
-    def clamp(self, values):
-        # np.clip with infinite bounds returns the input values bit-for-bit.
-        return np.clip(values, -self.level, self.level)
-
-
-NO_TRUNCATION = TruncationLevel(math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ DB(y_n)[z_n] dW_n, that is
         = z_n + tau*Lap(C_n z_n - S z_n - h_n) + DB(y_n)[z_n] dW_n,
 
 from z_0 = 0, so the map h -> z is linear and is the exact derivative of
-the discrete flow. Only the truncation study clamps the curvature:
-:func:`solve_linearized` takes a level, and with it C_n = clamp(psi''(y_n)).
+the discrete flow.
 
-The adjoint is the algebraic transpose of the unclamped recursion. Writing
-one forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
+The adjoint is the algebraic transpose of this recursion. Writing one
+forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
 implicit operator and E_n = I + tau*Lap(C_n - S) + DB_n, the costate sweep
 is
 
@@ -47,14 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .grid import Grid, _dct, _idct, lap_values
-from .physics import (
-    NO_TRUNCATION,
-    TruncationLevel,
-    db_adjoint_scaled_values,
-    db_increment_values,
-)
+from .physics import db_adjoint_scaled_values, db_increment_values
 from .state import (
     StateParams,
     Trajectory,
@@ -63,7 +56,6 @@ from .state import (
     _step_major,
     _step_spectral,
     control_values,
-    series_l2h_norm,
     target_values,
 )
 
@@ -72,7 +64,6 @@ __all__ = [
     "AdjointSolution",
     "solve_linearized",
     "solve_adjoint",
-    "convergence_in_truncation",
     "duality_terms",
 ]
 
@@ -90,7 +81,6 @@ class LinearizedSolution:
     traj: Trajectory
     h: np.ndarray                # (nsteps, *grid.shape)
     zs: np.ndarray               # (npaths, nsteps+1, *grid.shape), zs[:, 0] = 0
-    trunc: TruncationLevel
 
     @property
     def params(self) -> StateParams:
@@ -108,8 +98,7 @@ class LinearizedSolution:
     def mus(self) -> np.ndarray:
         """mu_n at every step start, shape (npaths, nsteps, *grid.shape)."""
         z = self.zs[:, :-1]
-        curvature = self.trunc.clamp(self.params.potential.psi_second(
-            self.traj.ys[:, :-1]))
+        curvature = self.params.potential.psi_second(self.traj.ys[:, :-1])
         return -lap_values(self.grid, z) + curvature * z - self.h
 
 
@@ -135,24 +124,22 @@ class AdjointSolution:
         return self.ptildes.shape[0]
 
 
-def solve_linearized(traj: Trajectory, h, trunc=NO_TRUNCATION) -> LinearizedSolution:
+def solve_linearized(traj: Trajectory, h) -> LinearizedSolution:
     """Integrate the linearized system along every noise path of the
     trajectory at once.
 
     Runs the state's step function on the trajectory's stored Wiener
     increments and stabilization, so the scheme is the exact differential of
-    the state stepper when the curvature clamp is inactive. The direction
-    ``h`` is shared by the paths.
+    the state stepper. The direction ``h`` is shared by the paths.
     """
     p = traj.params
-    trunc = TruncationLevel.coerce(trunc)
     hvals = control_values(h, p.timegrid, p.grid)
-    zs = _sweep_linearized(traj.ys, hvals[None], traj.wiener, trunc, p)
-    return LinearizedSolution(traj=traj, h=hvals, zs=zs, trunc=trunc)
+    zs = _sweep_linearized(traj.ys, hvals[None], traj.wiener, p)
+    return LinearizedSolution(traj=traj, h=hvals, zs=zs)
 
 
 def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
-                      trunc: TruncationLevel, p: StateParams) -> np.ndarray:
+                      p: StateParams) -> np.ndarray:
     """The linearized sweep of the rows directions × paths, direction-major,
     along the states ``ys`` of those rows (see :func:`~choc.state._sweep_state`).
 
@@ -173,7 +160,7 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
     z_hat = np.zeros(ys_n.shape[1:])
     for n in range(p.timegrid.nsteps):
         noise = db_increment_values(nm, ys_n[n], z, dw_n[n]) if noisy else None
-        reaction = trunc.clamp(p.potential.psi_second(ys_n[n])) * z
+        reaction = p.potential.psi_second(ys_n[n]) * z
         z, z_hat = _step_spectral(z, z_hat, reaction, h_n[n], noise, p)
         zs_n[n + 1] = z
     return zs
@@ -182,9 +169,9 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
 def solve_adjoint(traj: Trajectory, x_q, x_t, alphas) -> AdjointSolution:
     """Backward transpose sweep along every path of the trajectory at once.
 
-    It is the transpose of the unclamped linearization, so the costate gives
-    the exact gradient. Each target is shared by the paths or given per path,
-    with a leading npaths axis, and the solution carries the path axis.
+    It is the transpose of the linearization, so the costate gives the exact
+    gradient. Each target is shared by the paths or given per path, with a
+    leading npaths axis, and the solution carries the path axis.
     """
     p = traj.params
     xq, xt = target_values(x_q, x_t, alphas, p.timegrid, p.grid, traj.npaths)
@@ -283,31 +270,3 @@ def _duality_values(ys, zs, ptildes, directions, xq, xt, alphas,
     rhs = tau * cv * row_sums(dist * zs[:, :, :nsteps])
     rhs += cv * row_sums(terminal * zs[:, :, nsteps])
     return lhs, rhs
-
-
-def convergence_in_truncation(traj: Trajectory, h, levels) -> list:
-    """Distance between linearized solutions at consecutive clamp levels.
-
-    Once a level exceeds the largest curvature seen along the trajectory the
-    clamp is inactive and successive solutions coincide bit for bit. The
-    trajectory is solved once per level for all its paths, and the result
-    is one table per path.
-    """
-    levels = [TruncationLevel.coerce(lv) for lv in levels]
-    if any(b.level <= a.level for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("truncation levels must be strictly increasing")
-    zs = [solve_linearized(traj, h, lv).zs for lv in levels]
-    tg = traj.timegrid
-    psi_second = traj.params.potential.psi_second
-    tables = []
-    for i in range(traj.npaths):
-        max_curv = float(np.max(np.abs(psi_second(traj.ys[i]))))
-        tables.append([{
-            "level_low": la.level,
-            "level_high": lb.level,
-            "difference_l2h": series_l2h_norm(zb[i, 1:] - za[i, 1:], tg, traj.grid),
-            "identical": bool(np.array_equal(za[i], zb[i])),
-            "max_curvature": max_curv,
-        } for la, lb, za, zb in zip(levels, levels[1:], zs, zs[1:])])
-    return tables
-

@@ -14,7 +14,10 @@ chunks of :data:`_DUALITY_CHUNK`, whose size memory bounds. Every row is
 bitwise its control's own sweep, so the reports do not depend on the
 chunking. The refinement studies (Lipschitz, moment bounds, backend
 consistency) build every level with :func:`_level`, so all levels of a
-study see the same Brownian motion.
+study see the same Brownian motion. The truncation study is the only code
+that clamps the potential's curvature: it solves the state once and runs
+the linearized sweep once per clamp level, on a potential whose psi'' is
+clamped to that level.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import ControlProcess, EnsembleSpec, Problem, l2q_norm
-from .errors import BlowUpError, ConfigurationError, PreconditionError
+from .errors import BlowUpError, ConfigurationError, DomainError, PreconditionError
 from .grid import (
     Field,
     Grid,
@@ -41,12 +44,11 @@ from .grid import (
     prolong,
     prolong_values,
 )
-from .physics import NO_TRUNCATION, _build_modes, additive_noise
+from .physics import _build_modes, additive_noise
 from .sensitivity import (
     _duality_values,
     _sweep_adjoint,
     _sweep_linearized,
-    convergence_in_truncation,
     solve_adjoint,
 )
 from .state import (
@@ -217,7 +219,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     ys = _sweep_state(problem.y0.values, controls, paths, p)
     ys = ys.reshape((len(controls), npaths) + ys.shape[1:])
     base, bumped = ys[0], ys[1:]
-    zs = _sweep_linearized(base, h.values[None], paths, NO_TRUNCATION, p)[:, : tg.nsteps]
+    zs = _sweep_linearized(base, h.values[None], paths, p)[:, : tg.nsteps]
     for z in zs:
         z_norm += series_l2h_norm(z, tg, g)
     for j, eps in enumerate(eps_list):
@@ -282,7 +284,7 @@ def _duality_sides(problem: Problem, us: np.ndarray, hs: np.ndarray,
     xq, xt = target_values(problem.x_q, problem.x_t, problem.alphas, p.timegrid,
                            p.grid, len(paths))
     ys = _sweep_state(problem.y0.values, us, paths, p)
-    zs = _sweep_linearized(ys, hs, paths, NO_TRUNCATION, p)
+    zs = _sweep_linearized(ys, hs, paths, p)
     pts = _sweep_adjoint(ys, paths, xq, xt, problem.alphas, p)
     lhs, rhs = _duality_values(ys, zs, pts, hs, xq, xt, problem.alphas, p)
     return lhs.reshape(len(us), -1), rhs.reshape(len(us), -1)
@@ -447,42 +449,58 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
 
 def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
                      levels, es: EnsembleSpec) -> CheckReport:
-    """Linearized solutions across clamp levels, ensemble-wide.
+    """Linearized solutions across curvature clamp levels, ensemble-wide.
 
-    Differences between consecutive levels must be nonincreasing, and once
-    the top level dominates the observed curvature the solutions must agree
-    bit for bit.
+    The state is solved once, and at each level L the linearized sweep runs
+    on a potential whose psi'' is clamped to [-L, L]. Differences between
+    consecutive levels must be nonincreasing, and once the top level
+    dominates the observed curvature the solutions must agree bit for bit.
     """
+    levels = [float(level) for level in levels]
     if len(levels) < 2:
         raise ConfigurationError("need at least two truncation levels")
+    for level in levels:
+        if not level > 0:
+            raise DomainError(f"truncation level must be positive, got {level}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigurationError("truncation levels must be strictly increasing")
     p = problem.params
-    per_level_diffs = None
-    top_identical = True
-    max_curv = 0.0
-    traj = solve_state(problem.y0, u.values, es.sample_paths(p), p)
-    for rows in convergence_in_truncation(traj, h.values, levels):
-        path_curv = rows[0]["max_curvature"]
-        max_curv = max(max_curv, path_curv)
-        diffs = np.array([r["difference_l2h"] for r in rows])
-        per_level_diffs = diffs if per_level_diffs is None else per_level_diffs + diffs
-        if float(rows[-1]["level_high"]) >= path_curv:
-            top_identical = top_identical and rows[-1]["identical"]
+    paths = es.sample_paths(p)
+    ys = solve_state(problem.y0, u.values, paths, p).ys
+    psi_second = p.potential.psi_second
+
+    def sweep(level):
+        """The linearized sweep with psi'' clamped to [-level, level]."""
+        clamped = replace(p.potential, psi_second=lambda r: np.clip(
+            psi_second(r), -level, level))
+        return _sweep_linearized(ys, h.values[None], paths,
+                                 replace(p, potential=clamped))
+
+    zs = [sweep(level) for level in levels]
+    path_curv = [float(np.max(np.abs(psi_second(y)))) for y in ys]
+    max_curv = max([0.0] + path_curv)
+    per_level_diffs = np.zeros(len(levels) - 1)
+    for i in range(es.npaths):
+        per_level_diffs += [series_l2h_norm(zb[i, 1:] - za[i, 1:], p.timegrid, p.grid)
+                            for za, zb in zip(zs, zs[1:])]
     per_level_diffs /= es.npaths
+    top_identical = all(np.array_equal(zs[-2][i], zs[-1][i])
+                        for i, curv in enumerate(path_curv) if levels[-1] >= curv)
     nonincreasing = bool(np.all(np.diff(per_level_diffs) <= 1e-12 * (1 + per_level_diffs[:-1])))
-    top_dominates = float(levels[-1]) >= max_curv
+    top_dominates = levels[-1] >= max_curv
     final_zero = (not top_dominates) or (per_level_diffs[-1] == 0.0 and top_identical)
     table = tuple(
-        {"level_low": float(a), "level_high": float(b), "mean_difference": float(d)}
+        {"level_low": a, "level_high": b, "mean_difference": float(d)}
         for a, b, d in zip(levels[:-1], levels[1:], per_level_diffs)
     )
     return CheckReport(
         name="truncation",
-        inputs={"levels": [float(l) for l in levels], "npaths": es.npaths,
+        inputs={"levels": levels, "npaths": es.npaths,
                 "base_seed": es.base_seed},
         measured={"mean_differences": [float(d) for d in per_level_diffs],
                   "max_curvature": max_curv,
                   "top_level_dominates": top_dominates,
-                  "top_identical": bool(top_identical)},
+                  "top_identical": top_identical},
         tolerance={"monotone": True, "exact_zero_when_dominating": True},
         passed=bool(nonincreasing and final_zero),
         table=table,
@@ -569,9 +587,9 @@ def _continuous_ptildes(traj: Trajectory, x_q: np.ndarray, a1: float) -> np.ndar
             = p_{n+1} - tau*(psi''(y_n) - S)*ptilde_{n+1} + tau*a1*(y_n - xQ_n),
         ptilde_n = -Lap p_n,
 
-    with no curvature clamp. For additive noise it differs from the
-    transpose sweep by a one-step shift of coefficients, an O(tau) gap. It
-    is the reference of :func:`check_backend_consistency` and nothing else.
+    For additive noise it differs from the transpose sweep by a one-step
+    shift of coefficients, an O(tau) gap. It is the reference of
+    :func:`check_backend_consistency` and nothing else.
     """
     p = traj.params
     g = p.grid

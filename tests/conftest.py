@@ -5,6 +5,8 @@ matrices and never touch the package's transform path, so every spectral
 result is checked against an independent computation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def zero_potential() -> Potential:
         psi_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         c1=0.0,
     )
+
+
+def clamped(params: StateParams, level: float) -> StateParams:
+    """The same parameters with psi'' clamped to [-level, level], the
+    curvature that check_truncation sweeps at a level; an infinite level
+    clamps nothing."""
+    pot = params.potential
+    return replace(params, potential=replace(
+        pot, psi_second=lambda r: np.clip(pot.psi_second(r), -level, level)))
 
 
 def random_field(grid: Grid, rng, smooth=False, amplitude=1.0) -> Field:

@@ -234,6 +234,18 @@ def test_mode_index_named_twice(tmp_path, capsys, indices):
     assert "noise.mode_indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nmodes", ["65", str(2**62), str(2**63)])
+def test_more_modes_than_grid_points(tmp_path, capsys, nmodes):
+    # refused before a sigma is broadcast to nmodes entries: a tuple of 2^62
+    # entries exhausts memory, and 2^63 does not fit an index
+    cfg = tmp_path / "modes.cfg"
+    cfg.write_text(f"[noise]\nnmodes = {nmodes}\n")
+    with pytest.raises(ConfigurationError, match="noise.nmodes"):
+        build_problem(parse_config(cfg.read_text()))
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert "noise.nmodes" in capsys.readouterr().err
+
+
 # --- snapshots -----------------------------------------------------------------
 
 

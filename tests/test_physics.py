@@ -1,15 +1,11 @@
-"""Potential, truncation, and noise operator contracts."""
-
-import math
+"""Potential and noise operator contracts."""
 
 import numpy as np
 import pytest
 
 from choc import (
     ConfigurationError,
-    DomainError,
     Field,
-    TruncationLevel,
     additive_noise,
     double_well,
     mean,
@@ -18,7 +14,6 @@ from choc import (
     quadratic_potential,
 )
 from choc.physics import (
-    NO_TRUNCATION,
     b_increment_values,
     db_adjoint_scaled_values,
     db_increment_values,
@@ -66,50 +61,6 @@ def test_psi_derivatives_match_finite_differences(rng):
             fd2 = (pot.psi_prime(r + eps) - pot.psi_prime(r - eps)) / (2 * eps)
             assert fd1 == pytest.approx(pot.psi_prime(r), rel=1e-7, abs=1e-7)
             assert fd2 == pytest.approx(pot.psi_second(r), rel=1e-7, abs=1e-7)
-
-
-# --- truncation ------------------------------------------------------------
-
-
-def _clamped_curvature(pot, r, n):
-    return TruncationLevel.coerce(n).clamp(pot.psi_second(r))
-
-
-def test_truncation_clamps():
-    pot = double_well()
-    assert _clamped_curvature(pot, 3.0, 2.0) == 2.0           # T_2(26) = 2
-    assert _clamped_curvature(pot, 0.0, 5.0) == -1.0          # inside the band
-    assert _clamped_curvature(pot, -4.0, 10.0) == 10.0
-
-
-def test_truncation_infinite_is_identity(rng):
-    pot = double_well()
-    r = rng.uniform(-50, 50, size=10_000)
-    exact = pot.psi_second(r)
-    clamped = _clamped_curvature(pot, r, math.inf)
-    assert np.array_equal(exact, clamped)
-
-
-def test_truncation_monotone_consistency(rng):
-    pot = double_well()
-    r = float(rng.uniform(-3, 3))
-    exact = pot.psi_second(r)
-    prev = None
-    for n in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-        val = _clamped_curvature(pot, r, n)
-        if prev is not None:
-            assert abs(val - exact) <= abs(prev - exact)
-        if n >= abs(exact):
-            assert val == exact
-        prev = val
-
-
-def test_truncation_level_validation():
-    with pytest.raises(DomainError):
-        TruncationLevel(0.0)
-    with pytest.raises(DomainError):
-        TruncationLevel(-3.0)
-    assert NO_TRUNCATION.level == math.inf
 
 
 # --- curvature bound ----------------------------------------------------------

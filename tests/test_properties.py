@@ -43,12 +43,12 @@ from choc.grid import (
     norm_v_values,
     norm_z_values,
 )
-from choc.physics import TruncationLevel, no_noise
+from choc.physics import no_noise
 from choc.sensitivity import _duality_values, _sweep_adjoint, _sweep_linearized
 from choc.state import StateParams, _path_sums, _sweep_state, target_values
 from choc.verify import _continuous_ptildes
 
-from conftest import zero_potential
+from conftest import clamped, zero_potential
 
 # A fixed example sequence and no example database: the suite gives the same
 # verdict on every run and writes no files.
@@ -177,7 +177,9 @@ def test_path_sums_are_per_path_sums(g, npaths, nsteps, seed):
 def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
     # a batch of npaths paths is bitwise npaths batches of one, and so are
     # the rows of the continuous adjoint that check_backend_consistency
-    # measures the transpose against, on a shared target
+    # measures the transpose against, on a shared target; psi'' is clamped
+    # at the drawn level, as check_truncation clamps it (inf clamps nothing)
+    params = clamped(params, trunc)
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
     cost_alphas = (0.7, 1.3, 0.2)
@@ -194,7 +196,7 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
              for i in range(npaths)]
     h = _smooth_series(params, rng, 1.0)
     batch = solve_state(y0, u, paths, params)
-    lin = solve_linearized(batch, h, trunc)
+    lin = solve_linearized(batch, h)
     adj = solve_adjoint(batch, x_q, x_t, alphas)
     xq_shared = x_q[0] if per_path_targets else x_q
     continuous = _continuous_ptildes(batch, xq_shared, alphas[0])
@@ -213,7 +215,7 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
         assert np.array_equal(batch.mass[i], traj.mass[0])
         assert np.array_equal(batch.energy[i], traj.energy[0])
         assert np.array_equal(batch.control, traj.control)
-        alone_lin = solve_linearized(traj, h, trunc)
+        alone_lin = solve_linearized(traj, h)
         assert np.array_equal(lin.zs[i], alone_lin.zs[0])
         assert np.array_equal(lin.mus[i], alone_lin.mus[0])
         alone = solve_adjoint(traj, xq_i, xt_i, alphas)
@@ -232,8 +234,9 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
        trunc=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)))
 def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trunc):
     # the rows controls × paths, each with its own control and direction,
-    # are bitwise each row's own public sweeps; the truncation level is the
-    # linearized sweep's alone, the adjoint is always unclamped
+    # are bitwise each row's own public sweeps, with psi'' clamped at the
+    # drawn level as check_truncation clamps it (inf clamps nothing)
+    params = clamped(params, trunc)
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
     y0 = low_pass_field(params.grid, rng, 0.4)
@@ -248,10 +251,9 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
         x_t = low_pass_field(params.grid, rng, 0.3).values
     paths = [sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
              for i in range(npaths)]
-    level = TruncationLevel.coerce(trunc)
     xq, xt = target_values(x_q, x_t, alphas, params.timegrid, params.grid, npaths)
     ys = _sweep_state(y0.values, us, paths, params)
-    zs = _sweep_linearized(ys, hs, paths, level, params)
+    zs = _sweep_linearized(ys, hs, paths, params)
     ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, params)
     lhs, rhs = _duality_values(ys, zs, ptildes, hs, xq, xt, alphas, params)
     assert ys.shape == zs.shape == ptildes.shape
@@ -260,7 +262,7 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
         c, i = divmod(row, npaths)
         xq_i, xt_i = (x_q[i], x_t[i]) if per_path_targets else (x_q, x_t)
         traj = solve_state(y0, us[c], [paths[i]], params)
-        lin = solve_linearized(traj, hs[c], trunc)
+        lin = solve_linearized(traj, hs[c])
         adj = solve_adjoint(traj, xq_i, xt_i, alphas)
         assert np.array_equal(ys[row], traj.ys[0])
         assert np.array_equal(zs[row], lin.zs[0])

@@ -1,5 +1,6 @@
 """Linearized and adjoint solvers: recursion oracles, exact duality,
-transpose against a column-assembled dense operator, truncation behavior."""
+transpose against a column-assembled dense operator, and the linearized
+solutions across curvature clamp levels that check_truncation compares."""
 
 from dataclasses import replace
 
@@ -9,10 +10,13 @@ import scipy.fft
 
 from choc import (
     ConfigurationError,
+    ControlProcess,
+    DomainError,
+    EnsembleSpec,
     Field,
     Grid,
+    Problem,
     TimeGrid,
-    convergence_in_truncation,
     double_well,
     duality_terms,
     multiplicative_noise,
@@ -24,9 +28,9 @@ from choc import (
 from choc.grid import lap_values, low_pass_field
 from choc.physics import additive_noise, no_noise
 from choc.state import StateParams, series_l2h_norm
-from choc.verify import _continuous_ptildes
+from choc.verify import _continuous_ptildes, check_truncation
 
-from conftest import dense_neumann_laplacian, random_field, zero_potential
+from conftest import clamped, dense_neumann_laplacian, random_field, zero_potential
 
 
 def _make_traj(params, rng, seed=0, y0_amp=0.4, u=None):
@@ -105,9 +109,10 @@ def test_linearized_zero_mean_propagation(small_params, rng):
 
 
 def test_linearized_mu_definition(small_params, rng):
-    traj = _make_traj(small_params, rng)
+    # mu reads the curvature of the trajectory's potential, here clamped
+    traj = _make_traj(clamped(small_params, 5.0), rng)
     h = _random_direction(small_params, rng)
-    lin = solve_linearized(traj, h, trunc=5.0)
+    lin = solve_linearized(traj, h)
     pot = small_params.potential
     for n in (0, small_params.timegrid.nsteps // 2):
         c = np.clip(pot.psi_second(traj.ys[0, n]), -5.0, 5.0)
@@ -154,18 +159,17 @@ def test_linearized_grid_mismatch(small_params, rng):
 
 def test_batched_linearized_is_path_solve(small_params, rng):
     # one sweep of a trajectory of two paths gives each path its own solve,
-    # bit for bit
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
-    paths = [sample_wiener_path(small_params.noise, small_params.timegrid, s)
-             for s in (1, 2)]
-    batch = solve_state(y0, None, paths, small_params)
-    h = _random_direction(small_params, rng)
-    lin = solve_linearized(batch, h, trunc=5.0)
+    # bit for bit, on clamped curvature too
+    params = clamped(small_params, 5.0)
+    y0 = low_pass_field(params.grid, rng, 0.4)
+    paths = [sample_wiener_path(params.noise, params.timegrid, s) for s in (1, 2)]
+    batch = solve_state(y0, None, paths, params)
+    h = _random_direction(params, rng)
+    lin = solve_linearized(batch, h)
     assert lin.npaths == 2
     assert lin.zs.shape == batch.ys.shape
     for i, wp in enumerate(paths):
-        alone = solve_linearized(solve_state(y0, None, [wp], small_params), h,
-                                 trunc=5.0)
+        alone = solve_linearized(solve_state(y0, None, [wp], params), h)
         assert np.array_equal(lin.zs[i], alone.zs[0])
         assert np.array_equal(lin.mus[i], alone.mus[0])
 
@@ -342,38 +346,66 @@ def test_gateaux_difference_quotients(small_params, rng):
 # --- truncation -----------------------------------------------------------------
 
 
+def _truncation(params, y0, levels, es, h=None):
+    """check_truncation of the zero control in the direction ``h``, zero
+    when None."""
+    problem = Problem(params=params, y0=y0, alphas=(1.0, 1.0, 1e-2))
+    direction = (problem.zero_control() if h is None
+                 else ControlProcess(params.grid, params.timegrid, h))
+    return check_truncation(problem, problem.zero_control(), direction, levels, es)
+
+
 def test_truncation_identical_above_curvature(small_params, rng):
-    traj = _make_traj(small_params, rng)
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
     h = _random_direction(small_params, rng)
-    max_curv = float(np.max(np.abs(small_params.potential.psi_second(traj.ys))))
-    (rows,) = convergence_in_truncation(traj, h, [2.0, 10.0 + max_curv,
-                                                  20.0 + max_curv])
-    assert rows[-1]["difference_l2h"] == 0.0
-    assert rows[-1]["identical"]
+    es = EnsembleSpec(2, 0)
+    ys = solve_state(y0, None, es.sample_paths(small_params), small_params).ys
+    max_curv = float(np.max(np.abs(small_params.potential.psi_second(ys))))
+    report = _truncation(small_params, y0, [2.0, 10.0 + max_curv, 20.0 + max_curv],
+                         es, h)
+    assert report.measured["max_curvature"] == max_curv
+    assert report.measured["mean_differences"][-1] == 0.0
+    assert report.measured["top_identical"]
+    assert report.passed
 
 
 def test_truncation_zero_direction(small_params, rng):
-    traj = _make_traj(small_params, rng)
-    (rows,) = convergence_in_truncation(traj, None, [1.0, 2.0, 4.0])
-    assert all(r["difference_l2h"] == 0.0 for r in rows)
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    report = _truncation(small_params, y0, [1.0, 2.0, 4.0], EnsembleSpec(2, 0))
+    assert all(d == 0.0 for d in report.measured["mean_differences"])
 
 
 def test_truncation_differences_decrease(small_params, rng):
     # slow lowest-mode initial state keeps |psi''(y)| above the low clamp
-    # levels along the whole trajectory
+    # levels along the whole trajectory; one path, so the means are its own
     g = small_params.grid
     y0 = Field(g, 1.2 * g.cosine_mode((1,)))
-    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 2)
-    traj = solve_state(y0, None, [wp], small_params)
     h = _random_direction(small_params, rng)
-    (rows,) = convergence_in_truncation(traj, h, [1.0, 2.0, 4.0, 64.0])
-    diffs = [r["difference_l2h"] for r in rows]
+    report = _truncation(small_params, y0, [1.0, 2.0, 4.0, 64.0],
+                         EnsembleSpec(1, 2), h)
+    diffs = report.measured["mean_differences"]
     assert diffs[0] > 0.0                 # low levels genuinely clamp
     assert all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     assert diffs[-1] == 0.0
+    assert report.passed
 
 
 def test_truncation_levels_must_increase(small_params, rng):
-    traj = _make_traj(small_params, rng)
-    with pytest.raises(ConfigurationError):
-        convergence_in_truncation(traj, None, [4.0, 2.0])
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    for levels in ([4.0, 2.0], [2.0, 2.0], [1.0, 4.0, 3.0]):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            _truncation(small_params, y0, levels, EnsembleSpec(1, 0))
+
+
+def test_truncation_levels_must_be_positive(small_params, rng):
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    for levels in ([0.0, 1.0], [-3.0, 1.0], [1.0, float("nan")]):
+        with pytest.raises(DomainError, match="must be positive"):
+            _truncation(small_params, y0, levels, EnsembleSpec(1, 0))
+
+
+def test_truncation_needs_two_levels(small_params, rng):
+    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    for levels in ([2.0], []):
+        with pytest.raises(ConfigurationError, match="two truncation levels"):
+            _truncation(small_params, y0, levels, EnsembleSpec(1, 0))
