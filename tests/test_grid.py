@@ -1,8 +1,12 @@
 """Spatial discretization against dense-matrix and analytic oracles."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from choc import grid as grid_module
 from choc import (
     ConfigurationError,
     DomainError,
@@ -147,6 +151,34 @@ def test_spectral_zero_coefficient_is_mean(grid64, grid2d, rng):
         coeffs = _dct(x.values)
         c0 = coeffs.ravel()[0]
         assert c0 == pytest.approx(mean(x) * np.sqrt(g.size), rel=1e-12, abs=1e-14)
+
+
+def _entered(call) -> set:
+    """Names of the Python functions that ``call`` enters."""
+    names = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.add(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_transforms_call_the_pocketfft_kernel(rng):
+    # A scipy release that renames or changes the private kernel makes the
+    # probe refuse it: every result keeps its bits, and only this test
+    # shows that the transforms lost their fast path.
+    assert grid_module._KERNEL_BITWISE
+    dispatch = {"_r2rn", "_init_nd_shape_and_axes", "__ua_function__", "_asfarray"}
+    for shape, axes in (((64,), None), ((8, 64), (-1,)), ((3, 8, 8), (-2, -1))):
+        x = rng.standard_normal(shape)
+        assert not dispatch & _entered(lambda: _idct(_dct(x, axes), axes))
+        assert dispatch <= _entered(
+            lambda: scipy.fft.dctn(x, type=2, norm="ortho", axes=axes))
 
 
 # --- norms -----------------------------------------------------------------

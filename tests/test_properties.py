@@ -3,13 +3,15 @@
 Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
 and a potential, then checks one identity of the discrete system: duality
 to rounding, per-path mass conservation, idempotent projection, the
-field-level Laplacian and norms against the array-level ones, and a sweep
-of a batch of paths, or of rows controls × paths, against a sweep of each
-path alone, bit for bit.
+field-level Laplacian and norms against the array-level ones, the cosine
+transforms against scipy's public ones, and a sweep of a batch of paths, or
+of rows controls × paths, against a sweep of each path alone, bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+import scipy.fft
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from choc import (
@@ -34,7 +36,10 @@ from choc import (
     solve_linearized,
     solve_state,
 )
+from choc import grid as grid_module
 from choc.grid import (
+    _dct,
+    _idct,
     grad_norm_sq,
     grad_norm_sq_values,
     lap_values,
@@ -143,6 +148,38 @@ def test_projection_idempotent(g, nsteps, amplitude, radius, seed):
 def test_laplacian_is_lap_values(g, seed):
     values = np.random.default_rng(seed).standard_normal(g.shape)
     assert np.array_equal(laplacian(Field(g, values)).values, lap_values(g, values))
+
+
+def _bits(a: np.ndarray):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@PROPERTIES
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       axes=st.sampled_from([None, (-1,), (-2, -1), (0,)]),
+       integer=st.booleans(),
+       view=st.sampled_from(["contiguous", "strided", "reversed", "fortran"]),
+       seed=seeds)
+def test_transforms_are_scipy_bitwise(shape, axes, integer, view, seed):
+    # on the kernel path and on the public path the probe falls back to
+    assume(axes is None or len(axes) <= len(shape))
+    rng = np.random.default_rng(seed)
+    full = tuple(2 * n for n in shape) if view == "strided" else tuple(shape)
+    x = rng.integers(-99, 100, full) if integer else rng.standard_normal(full)
+    if view == "strided":
+        x = x[(slice(None, None, 2),) * x.ndim]
+    elif view == "reversed":
+        x = x[(slice(None, None, -1),) * x.ndim]
+    elif view == "fortran":
+        x = np.asfortranarray(x)
+    forward = scipy.fft.dctn(x, type=2, norm="ortho", axes=axes)
+    inverse = scipy.fft.idctn(x, type=2, norm="ortho", axes=axes)
+    for refused in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if refused:
+                mp.setattr(grid_module, "_KERNEL_BITWISE", False)
+            assert _bits(_dct(x, axes)) == _bits(forward)
+            assert _bits(_idct(x, axes)) == _bits(inverse)
 
 
 @PROPERTIES
