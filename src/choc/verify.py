@@ -97,6 +97,9 @@ _DUALITY_CHUNK = 2
 
 
 def _jsonable(obj):
+    # before the numbers: bool is an int, and np.bool_ is neither
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -108,7 +111,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (bool, str)) or obj is None:
+    if isinstance(obj, str) or obj is None:
         return obj
     return repr(obj)
 

@@ -473,15 +473,15 @@ def test_cli_verify_full_suite_small(tmp_path):
         "check_duality.json":
             "bbfdf76f32829c9389ea514bbcffce45534d071081ce8ad8115a253eca4d9397",
         "check_gateaux.json":
-            "f06cd1f1cdabf936bcf379b804dba0f72204bfe34dc08c1d6b3a28b3f80be2c2",
+            "ec3cd9a3def4a68051b929c1499b7cef622392dcfc0b0e9b07d5f7051b58ee37",
         "check_lipschitz.json":
-            "7e73ae9a993a282e54d36190c0537d3b8f21903181302202dc881f5b184f1b65",
+            "c18269431a03e107714ceb06c8b13e917b16126f16c48e2fdf565e6e7a6444a4",
         "check_mass_conservation.json":
             "e686b4bf0a09059d90971bfb2b44bf7fba4c0e1db6c2a3982943299064083afc",
         "check_moment_bounds.json":
-            "574bcfddd8e72c85a0023f6e1a717c52f82c99a84a223b1c8ee70defafe35962",
+            "734082894659df6d35bca1a10c790d5890ac86dca394f237a7ccb4f8135abf5c",
         "check_truncation.json":
-            "94c468b36d831aa041beef4ded5ee52a4af072ffe60f578900dd0688e4fd3e45",
+            "848afd13be442f31ab9dbc0a18ffd2cafa8d8d879e31e33631a5802702deb7e7",
     }
 
 

@@ -1,5 +1,6 @@
 """Check harness: positive runs, negative controls, bitwise determinism."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from choc.physics import additive_noise, no_noise
 from choc.sensitivity import duality_terms, solve_adjoint, solve_linearized
 from choc.state import StateParams, mix_seed, solve_state
 from choc.verify import (
+    CheckReport,
     _duality_residual,
     check_backend_consistency,
     check_duality,
@@ -442,6 +444,17 @@ def test_reports_bitwise_deterministic():
         ]
 
     assert run() == run()
+
+
+def test_report_booleans_are_json_booleans():
+    flags = {"py": True, "np": np.bool_(False), "count": 1, "index": np.int64(0)}
+    report = CheckReport(name="flags", inputs=flags, measured={"nested": [flags]},
+                         tolerance=flags, passed=True, table=(flags,))
+    d = json.loads(report.to_json())
+    for written in (d["inputs"], d["measured"]["nested"][0], d["tolerance"], d["table"][0]):
+        assert written == flags
+        assert {k: type(v) for k, v in written.items()} == {
+            "py": bool, "np": bool, "count": int, "index": int}
 
 
 def test_empirical_order_helper():
