@@ -300,9 +300,15 @@ def _broadcast(values: tuple, n: int, what: str) -> tuple:
     raise ConfigurationError(f"{what}: expected 1 or {n} entries, got {len(values)}")
 
 
+# numpy sizes an array by its byte count, a signed index
+_MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
 def build_grid(c: RunConfig) -> Grid:
     n = _broadcast(c.grid.npoints, c.grid.ndims, "grid.npoints")
     l = _broadcast(c.grid.lengths, c.grid.ndims, "grid.lengths")
+    _require(math.prod(n) <= _MAX_FLOATS,
+             f"grid.npoints {n} give a field of more values than numpy can size")
     return Grid(n, l)
 
 
@@ -398,6 +404,9 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
     """
     base_dir = Path(base_dir)
     grid = build_grid(config)
+    _require((config.time.nsteps + 1) * grid.size <= _MAX_FLOATS,
+             f"time.nsteps = {config.time.nsteps} on {grid.size} grid points gives "
+             "a trajectory of more values than numpy can size")
     tg = TimeGrid(config.time.t_final, config.time.nsteps)
     pot = build_potential(config)
     noise = build_noise(config, grid)

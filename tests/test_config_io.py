@@ -246,6 +246,27 @@ def test_more_modes_than_grid_points(tmp_path, capsys, nmodes):
     assert "noise.nmodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, section", [
+    ("grid.npoints", f"[grid]\nnpoints = {2**62}\n"),
+    ("grid.npoints", f"[grid]\nnpoints = {2**64}\n"),
+    ("grid.npoints", f"[grid]\nndims = 2\nnpoints = {2**32}\n"),
+    ("time.nsteps", f"[time]\nnsteps = {2**62}\n"),
+    ("time.nsteps", f"[time]\nnsteps = {2**64}\n"),
+])
+def test_sizes_numpy_cannot_allocate(tmp_path, capsys, key, section):
+    # refused before an array is made: numpy raises "array is too big" on
+    # 2^62 values and "Maximum allowed dimension exceeded" on 2^64, and a
+    # 2D grid of 2^32 x 2^32 points wraps np.prod to 0. The appended
+    # section's keys override the base config's.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[grid]\nnpoints = 16\n[time]\nnsteps = 10\n[ensemble]\nnpaths = 2\n"
+                   + section)
+    with pytest.raises(ConfigurationError, match=key):
+        build_problem(parse_config(cfg.read_text()))
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 # --- snapshots -----------------------------------------------------------------
 
 
