@@ -407,6 +407,12 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
     _require((config.time.nsteps + 1) * grid.size <= _MAX_FLOATS,
              f"time.nsteps = {config.time.nsteps} on {grid.size} grid points gives "
              "a trajectory of more values than numpy can size")
+    # every sweep holds the trajectories of all paths, and the synthetic
+    # targets draw one Wiener path per path before any sweep runs
+    _require(config.ensemble.npaths * (config.time.nsteps + 1) * grid.size <= _MAX_FLOATS,
+             f"ensemble.npaths = {config.ensemble.npaths} paths of {config.time.nsteps} "
+             f"steps on {grid.size} grid points give an ensemble trajectory of more "
+             "values than numpy can size")
     tg = TimeGrid(config.time.t_final, config.time.nsteps)
     pot = build_potential(config)
     noise = build_noise(config, grid)

@@ -157,7 +157,7 @@ class Grid:
 
     @cached_property
     def size(self) -> int:
-        return int(np.prod(self.npoints))
+        return math.prod(self.npoints)
 
     @cached_property
     def axes(self) -> tuple[int, ...]:
@@ -284,14 +284,15 @@ def norm_z(x: Field) -> float:
 
 
 # Array-level norms: leading axes of ``values`` are a batch, and each field
-# of the batch gets the bits of its field-level norm. A norm built on
-# another one squares it with np.float_power, which calls the C library's
-# pow as Python's float ** does; np.square rounds differently in about one
-# case in a thousand.
+# of the batch gets the bits of its field-level norm.
+
+
+def _norm_h_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return np.sum(values**2, axis=grid.axes) * grid.cell_volume
 
 
 def norm_h_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(values**2, axis=grid.axes) * grid.cell_volume)
+    return np.sqrt(_norm_h_sq_values(grid, values))
 
 
 def grad_norm_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -299,14 +300,20 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.sum((-grid.lap_symbol) * coeffs**2, axis=grid.axes) * grid.cell_volume
 
 
+def _norm_v_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return _norm_h_sq_values(grid, values) + grad_norm_sq_values(grid, values)
+
+
 def norm_v_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.float_power(norm_h_values(grid, values), 2)
-                   + grad_norm_sq_values(grid, values))
+    return np.sqrt(_norm_v_sq_values(grid, values))
+
+
+def norm_z_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return _norm_v_sq_values(grid, values) + _norm_h_sq_values(grid, lap_values(grid, values))
 
 
 def norm_z_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.float_power(norm_v_values(grid, values), 2)
-                   + np.float_power(norm_h_values(grid, lap_values(grid, values)), 2))
+    return np.sqrt(norm_z_sq_values(grid, values))
 
 
 def prolong(x: Field, fine: Grid) -> Field:

@@ -4,8 +4,9 @@ The potential is a nonnegative C^2 function whose curvature is bounded below
 by -c1, a constant its formula fixes. The noise operator maps a vector of
 Brownian increments to a field increment through K smooth cosine modes;
 multiplicative noise modulates the modes by tanh of the state, bounded and
-Lipschitz, and is projected to zero mean mode by mode, which is what
-conserves mass along stochastic trajectories.
+Lipschitz, and is projected to zero mean, which is what conserves mass along
+stochastic trajectories. The projection is linear, so the mode sum times
+the modulation is projected once, which equals projecting mode by mode.
 """
 
 from __future__ import annotations
@@ -44,13 +45,19 @@ class Potential:
     c1: float
 
 
+def _double_well_prime(r):
+    """psi'(r) = r^3 - r, by products rather than libm's pow."""
+    r = np.asarray(r, dtype=float)
+    return r * r * r - r
+
+
 def double_well() -> Potential:
     """Classical double well psi(r) = (r^2 - 1)^2 / 4 with minima at +-1;
     psi'' = 3 r^2 - 1 >= -1, so c1 = 1."""
     return Potential(
         name="double_well",
         psi=lambda r: 0.25 * (np.asarray(r, dtype=float) ** 2 - 1.0) ** 2,
-        psi_prime=lambda r: np.asarray(r, dtype=float) ** 3 - np.asarray(r, dtype=float),
+        psi_prime=_double_well_prime,
         psi_second=lambda r: 3.0 * np.asarray(r, dtype=float) ** 2 - 1.0,
         c1=1.0,
     )
@@ -98,7 +105,8 @@ class NoiseModel:
     Each mode is a smooth cosine profile ``g_k`` with amplitude ``sigma_k``.
     Additive noise adds ``sum_k sigma_k g_k dW_k``; multiplicative noise
     modulates the modes by rho = tanh of the state and removes the grid mean
-    mode by mode.
+    of the modulated mode sum, which by linearity is the sum of the modes'
+    projections.
     """
 
     grid: Grid
@@ -209,15 +217,10 @@ def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
 
 
 def _projected_modes(nm: NoiseModel, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """sum_k sigma_k dw_k (g_k v - mean(g_k v)) for each row of ``v``."""
-    scales = (nm.sigmas * dw).T                      # (K, *batch)
-    scales = scales.reshape(scales.shape + (1,) * nm.grid.ndims)
-    out = np.zeros(v.shape)
-    for k in range(nm.nmodes):
-        col = nm.modes[k] * v
-        col = col - _path_mean(nm.grid, col)
-        out += scales[k] * col
-    return out
+    """sum_k sigma_k dw_k (g_k v - mean(g_k v)) for each row of ``v``: the
+    projection is linear, so it is the mode sum times v, projected once."""
+    col = _mode_sum(nm, dw) * v
+    return col - _path_mean(nm.grid, col)
 
 
 def b_increment_values(nm: NoiseModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:

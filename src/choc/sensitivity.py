@@ -20,7 +20,10 @@ is
     P_n = alpha1*tau*(y_n - xQ_n) + p_n - tau*(C_n - S)*ptilde_n
           + DB_n^T p_n,
 
-and ptilde satisfies, exactly in floating point up to rounding,
+One node makes three cosine transforms: the forward transform of P_{n+1},
+divided by the implicit symbol, gives the coefficients of p_n, and inverse
+transforms of those coefficients and of -Lap's symbol times them give p_n
+and ptilde_n. ptilde satisfies, exactly in floating point up to rounding,
 
     sum_n tau <h_n, ptilde_n>_H
         = alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N - x_T, z_N>_H
@@ -214,9 +217,12 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     ptildes = np.empty(ys.shape)
     pts_n = _step_major(ptildes, len(paths))
     pts_n[nsteps] = -lap_values(g, costate)
+    neg_lam = -g.lap_symbol
     for n in range(nsteps - 1, -1, -1):
-        p_n = _idct(_dct(costate, axes) / sym, axes)
-        pt_n = pts_n[n] = -lap_values(g, p_n)
+        # p_n and ptilde_n = -Lap p_n from the one set of coefficients of p_n
+        p_hat = _dct(costate, axes) / sym
+        p_n = _idct(p_hat, axes)
+        pt_n = pts_n[n] = _idct(neg_lam * p_hat, axes)
         c_n = p.potential.psi_second(ys_n[n])
         costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
         if noisy:

@@ -252,12 +252,16 @@ def test_more_modes_than_grid_points(tmp_path, capsys, nmodes):
     ("grid.npoints", f"[grid]\nndims = 2\nnpoints = {2**32}\n"),
     ("time.nsteps", f"[time]\nnsteps = {2**62}\n"),
     ("time.nsteps", f"[time]\nnsteps = {2**64}\n"),
+    ("ensemble.npaths", f"[ensemble]\nnpaths = {2**56}\n"),
+    ("ensemble.npaths", f"[ensemble]\nnpaths = {2**62}\n"),
 ])
 def test_sizes_numpy_cannot_allocate(tmp_path, capsys, key, section):
     # refused before an array is made: numpy raises "array is too big" on
     # 2^62 values and "Maximum allowed dimension exceeded" on 2^64, and a
-    # 2D grid of 2^32 x 2^32 points wraps np.prod to 0. The appended
-    # section's keys override the base config's.
+    # 2D grid of 2^32 x 2^32 points has 2^64. An ensemble of 2^56 paths of
+    # 11 steps on 16 points does not fit either, and drawing its Wiener
+    # paths one by one would run until killed. The appended section's keys
+    # override the base config's.
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("[grid]\nnpoints = 16\n[time]\nnsteps = 10\n[ensemble]\nnpaths = 2\n"
                    + section)
@@ -414,29 +418,29 @@ def test_cli_linearize_and_adjoint(tmp_path):
                for p in sorted(out2.iterdir()) if p.name != "manifest.json"}
     assert digests == {
         "adjoint_000000.chs":
-            "9a74d47af8780c54f9ccbc12e7933488181e57bb3ba4e6507ba8c671b590e184",
+            "16d378be797a3f73f65bd9c4dbae64c040053f706657787064d7e722294f539b",
         "adjoint_000001.chs":
-            "9f4e02d22f86ee10c1276b65a948e314da8f81cc34505e12533deca80507fc29",
+            "853f82c620572d1835fb34391e9813a229b308f492162d4d7ff6c6e227d2aabf",
         "adjoint_000002.chs":
-            "082f4bc9ae87c9372ed80d88f36acbfb3e8a43705776d719c5ec5d7766374c05",
+            "b2ea91e27e6b9fbc70efb073e521b2c7c08517e8a4cf9e54b97de1765b508780",
         "adjoint_000003.chs":
-            "1de83d476b56d29a16911ae7e8d1e440afcaf2516bb11d52036c8096eac752d5",
+            "7f2ac13503722cce19a2243341fecb35bc289b679ed9a13697844f31849aaed7",
         "adjoint_000004.chs":
-            "10b19d11583e81cc9007c00e57d194b2c5415cd73e7268831a6a845df9292d8e",
+            "040753e0aff9883cebad5e13bd42dcd4e75b579bfd6d0b7f9f1099df837d2b1a",
         "adjoint_000005.chs":
-            "9850cb8d92cfced6433de05a73e645e9c079e71ad4752ceef3d84384f60073f3",
+            "b4a8c5fd2ae1a26f6a76794d773febb0eec11d9d43c514b86fd9942453f3b654",
         "adjoint_000006.chs":
-            "be1295c2348427872b66c6bae5c13e415304bbb73d41f699570edb57566d4267",
+            "8a06ea0d62689462415dd1f25d80e2203ff2f6fe555881382ad57c8b210c9efe",
         "adjoint_000007.chs":
-            "d8b4e4ac7d847afcaadfd8c3881cd6d06d6197ea4bd46124630c309b0333568e",
+            "a0b85cafa23870f4ed24c230158346d9afa47e4a9cc79ce7eff45c39f3f81ea8",
         "adjoint_000008.chs":
-            "16c9ad573f032182c0f41e5d91772f139344d397d60968d3b0fdccc5205df66b",
+            "baf0a4a58ec0050130e8a81433024b956eb737a99a8b75e03de8beb3d2b24bb6",
         "adjoint_000009.chs":
-            "f897b8057707261c1579cb87a8f72ad0ad10954c2cf2284dfd7fa6247db02f8a",
+            "a732a142c12d83fa2aa43c4f355ecc3e1c0dd8961e7253cc892cd442f19b98b8",
         "adjoint_000010.chs":
             "60727896755f9ac78d3f296c080d1fc673f26ad6e25b34662b3bf6ccf9d16b9c",
         "duality.json":
-            "ca2fa446b492c2abd15748cb85808d8db0530af9ae62661d68376c14cc9ad2ad",
+            "c31d5c285e26ff5736dd7a798603dea6ec67ce195d4efe7c030e09df0814371a",
     }
 
 
@@ -490,17 +494,17 @@ def test_cli_verify_full_suite_small(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
     assert digests == {
         "check_backend_consistency.json":
-            "e42534cc66cee75836a1fd1fba7a25a5916650d871d3804e3d24261c6d6201ed",
+            "632c99e13ebff6766170ada5b1826cf2ba0aa3be13d313d9dc843aa8d68245e4",
         "check_duality.json":
-            "bbfdf76f32829c9389ea514bbcffce45534d071081ce8ad8115a253eca4d9397",
+            "7741f177bcaa9330eabc67d48053c4d350408c0c80d2233db36a7a9ef96a865c",
         "check_gateaux.json":
-            "ec3cd9a3def4a68051b929c1499b7cef622392dcfc0b0e9b07d5f7051b58ee37",
+            "7051c9b7022826e661be8eea9f23a5d65211840825ddc703d87b5a44903ae4c4",
         "check_lipschitz.json":
-            "c18269431a03e107714ceb06c8b13e917b16126f16c48e2fdf565e6e7a6444a4",
+            "630ef35c2e5bb9845b953565c16fc4881d8b031a7ea0f1c52fa90b0e90eff616",
         "check_mass_conservation.json":
             "e686b4bf0a09059d90971bfb2b44bf7fba4c0e1db6c2a3982943299064083afc",
         "check_moment_bounds.json":
-            "734082894659df6d35bca1a10c790d5890ac86dca394f237a7ccb4f8135abf5c",
+            "aadc38fba35ef6ff6a72b1594d43e9db47aee93a6b3d2735bab939c48b5bf6ea",
         "check_truncation.json":
             "848afd13be442f31ab9dbc0a18ffd2cafa8d8d879e31e33631a5802702deb7e7",
     }

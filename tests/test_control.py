@@ -205,8 +205,9 @@ def test_given_states_change_no_bits():
 @pytest.mark.parametrize("npaths", [1, 3])
 def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     # given u's states, the gradient is one adjoint sweep for all paths:
-    # 2 transforms for the terminal ptilde and 4 per node; reading the
-    # stored ptilde afterwards makes none
+    # 2 transforms for the terminal ptilde and 3 per node (p_n and ptilde_n
+    # share the coefficients of p_n); reading the stored ptilde afterwards
+    # makes none
     problem, es = _problem(npaths=npaths)
     u = _smooth_control(problem, 3)
     paths = es.sample_paths(problem.params)
@@ -220,7 +221,7 @@ def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     monkeypatch.setattr(choc.control, "solve_adjoint", kept)
     calls = _count_transforms(monkeypatch)
     gradient(u, es, problem, states=states)
-    assert len(calls) == 2 + 4 * nsteps
+    assert len(calls) == 2 + 3 * nsteps
     (adj,) = adjoints
     del calls[:]
     assert adj.ptildes.shape == states.ys.shape
@@ -320,7 +321,8 @@ def test_optimize_solves_each_control_once(monkeypatch, tol):
 def test_optimize_history_golden():
     # recorded from the optimizer that solved every path again for each
     # gradient and for the residual; reusing the trajectories moves no bit.
-    # Two of the five trials backtrack.
+    # The residual's last bits are those of the adjoint that carries the
+    # coefficients of p_n to ptilde_n. Two of the five trials backtrack.
     problem, es = _problem()
     u0 = _smooth_control(problem, 3)
     res = optimize(u0, es, problem, OptimizerOptions(tol=1e-300, max_iter=3,
@@ -328,7 +330,7 @@ def test_optimize_history_golden():
     assert [c.hex() for c in res.cost_history] == [
         "0x1.161d0b682a2e9p-6", "0x1.c4b5ac72f6a8dp-7",
         "0x1.2fb8cf026d55bp-7", "0x1.1c225ec567e99p-7"]
-    assert res.projection_residual.hex() == "0x1.fef20647839a4p-1"
+    assert res.projection_residual.hex() == "0x1.fef20647839a6p-1"
     assert res.projection_residual == optimality_residual(res.control, es, problem)
     assert len(res.cost_stderr_history) == len(res.cost_history)
     assert res.cost_stderr_history[0] == reduced_cost(u0, es, problem)[1]

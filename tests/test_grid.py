@@ -26,6 +26,7 @@ from choc.grid import (
     lap_values,
     norm_h_values,
     norm_v_values,
+    norm_z_sq_values,
     norm_z_values,
     prolong_values,
 )
@@ -59,6 +60,14 @@ def test_grid_rejects_non_integral_point_counts():
         Grid([16.2, 12.9])
     assert Grid(64.0).npoints == (64,)
     assert Grid([16.0, 12]).npoints == (16, 12)
+
+
+def test_grid_size_is_exact():
+    # the point count is a Python int: an int64 product of 2^32 x 2^32
+    # wraps to 0, and every mean divides by the size
+    assert Grid((2**32, 2**32)).size == 2**64
+    assert Grid((2**62,)).size == 2**62
+    assert Grid((16, 12)).size == 192
 
 
 def test_field_validation(grid64):
@@ -215,20 +224,19 @@ def test_norm_z_matches_dense(grid64, rng):
     assert norm_z(x) == pytest.approx(oracle, rel=1e-9)
 
 
-def test_array_norms_square_like_python_floats(rng):
-    # the array norms compose as the scalar ones always have: a Python float
-    # squared with ** (the C library's pow), then np.sqrt; np.square rounds
-    # differently in about one case in a thousand, which would move the bits
-    # of every report built on these norms
+def test_array_norms_are_roots_of_sums_of_squares(rng):
+    # a norm built on others adds their squares as sums, before the one
+    # square root: no norm is squared back from a rounded square root, and
+    # the squared Z norm that the checks sum over time is one of these sums
     g = Grid((4,), (1.0,))
     values = rng.standard_normal((20000,) + g.shape)
-    hs = norm_h_values(g, values)
-    vs = norm_v_values(g, values)
-    lap_hs = norm_h_values(g, lap_values(g, values))
-    assert all(v == float(np.sqrt(float(h) ** 2 + gsq)) for v, h, gsq
-               in zip(vs, hs, grad_norm_sq_values(g, values)))
-    assert all(z == float(np.sqrt(float(v) ** 2 + float(lh) ** 2))
-               for z, v, lh in zip(norm_z_values(g, values), vs, lap_hs))
+    h_sq = np.sum(values**2, axis=-1) * g.cell_volume
+    v_sq = h_sq + grad_norm_sq_values(g, values)
+    lap_sq = np.sum(lap_values(g, values) ** 2, axis=-1) * g.cell_volume
+    assert np.array_equal(norm_h_values(g, values), np.sqrt(h_sq))
+    assert np.array_equal(norm_v_values(g, values), np.sqrt(v_sq))
+    assert np.array_equal(norm_z_sq_values(g, values), v_sq + lap_sq)
+    assert np.array_equal(norm_z_values(g, values), np.sqrt(v_sq + lap_sq))
 
 
 # --- prolongation ----------------------------------------------------------
