@@ -7,6 +7,11 @@ multiplicative noise modulates the modes by tanh of the state, bounded and
 Lipschitz, and is projected to zero mean, which is what conserves mass along
 stochastic trajectories. The projection is linear, so the mode sum times
 the modulation is projected once, which equals projecting mode by mode.
+
+The operators B, DB and DB* take the increment field xi = sum_k sigma_k
+dW_k g_k rather than the increments dW. xi does not depend on the state, so
+the solvers compute it for a block of steps with one :func:`_mode_sum` and
+call the operators once per step.
 """
 
 from __future__ import annotations
@@ -185,7 +190,8 @@ def additive_noise(grid: Grid, sigmas, mode_indices=None,
 
 
 def multiplicative_noise(grid: Grid, sigmas, mode_indices=None) -> NoiseModel:
-    """State-modulated noise, projected to zero mean mode by mode."""
+    """State-modulated noise: the mode sum times tanh of the state, projected
+    to zero mean once."""
     sigmas, indices = _amplitudes_and_indices(grid, sigmas, mode_indices)
     return NoiseModel(
         grid=grid, kind="multiplicative", sigmas=sigmas,
@@ -201,7 +207,7 @@ def no_noise(grid: Grid) -> NoiseModel:
 
 # The array-level operators below are the hot path of the solvers. Their
 # field arguments may carry leading batch axes (one row per path), with
-# ``dw`` of shape (*batch, K); means and mode sums are taken row by row.
+# ``xi`` the increment field of each row; means are taken row by row.
 
 
 def _path_mean(g: Grid, x: np.ndarray) -> np.ndarray:
@@ -211,42 +217,49 @@ def _path_mean(g: Grid, x: np.ndarray) -> np.ndarray:
 
 
 def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
-    """sum_k sigma_k dw_k g_k for each row of ``dw``."""
-    flat = (nm.sigmas * dw)[..., None, :] @ nm.modes.reshape(nm.nmodes, -1)
+    """The increment field xi = sum_k sigma_k dw_k g_k of each row of ``dw``,
+    shape (*dw.shape[:-1], *grid.shape).
+
+    Each row is one 1 x K product with the K x size mode matrix, so a row is
+    bitwise the same whatever the leading axes of ``dw`` are.
+    """
+    flat = (nm.sigmas * dw)[..., None, :] @ nm.modes.reshape(nm.nmodes, nm.grid.size)
     return flat.reshape(dw.shape[:-1] + nm.grid.shape)
 
 
-def _projected_modes(nm: NoiseModel, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
+def _projected_modes(nm: NoiseModel, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """sum_k sigma_k dw_k (g_k v - mean(g_k v)) for each row of ``v``: the
-    projection is linear, so it is the mode sum times v, projected once."""
-    col = _mode_sum(nm, dw) * v
+    projection is linear, so it is xi times v, projected once."""
+    col = xi * v
     return col - _path_mean(nm.grid, col)
 
 
-def b_increment_values(nm: NoiseModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Array-level noise increment B(y) dw."""
+def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Array-level noise increment B(y) dw of the increment field ``xi``."""
     if nm.nmodes == 0:
         return np.zeros(y.shape)
     if not nm.is_multiplicative:
-        return _mode_sum(nm, dw)
-    return _projected_modes(nm, nm.rho(y), dw)
+        return xi
+    return _projected_modes(nm, nm.rho(y), xi)
 
 
 def db_increment_values(nm: NoiseModel, y: np.ndarray, z: np.ndarray,
-                        dw: np.ndarray) -> np.ndarray:
-    """Derivative of the noise operator in the state, applied to z."""
+                        xi: np.ndarray) -> np.ndarray:
+    """Derivative of the noise operator in the state, applied to z, for the
+    increment field ``xi``."""
     if nm.nmodes == 0 or not nm.is_multiplicative:
         return np.zeros(y.shape)
-    return _projected_modes(nm, nm.rho_prime(y) * z, dw)
+    return _projected_modes(nm, nm.rho_prime(y) * z, xi)
 
 
 def db_adjoint_scaled_values(nm: NoiseModel, y: np.ndarray, p: np.ndarray,
-                             dw: np.ndarray) -> np.ndarray:
-    """Adjoint of z -> DB(y)[z] dw applied to p.
+                             xi: np.ndarray) -> np.ndarray:
+    """Adjoint of z -> DB(y)[z] dw applied to p, for the increment field
+    ``xi`` of dw.
 
     Satisfies the exact discrete identity <DB(y)[z] dw, p>_H = <z, out>_H.
     """
     if nm.nmodes == 0 or not nm.is_multiplicative:
         return np.zeros(y.shape)
     p0 = p - _path_mean(nm.grid, p)
-    return nm.rho_prime(y) * _mode_sum(nm, dw) * p0
+    return nm.rho_prime(y) * xi * p0

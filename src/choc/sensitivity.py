@@ -39,7 +39,10 @@ with a leading path axis; each path's sensitivity and costate are bitwise
 those of its own sweep. Their sweeps are the private kernels
 :func:`_sweep_linearized` and :func:`_sweep_adjoint`, which also run the
 rows controls × paths of several controls on one ensemble, each row bitwise
-its own sweep.
+its own sweep. Both run their steps in blocks, as the state sweep does:
+before a block they compute its increment fields and C_n and, in the
+adjoint, tau*(C_n - S) and tau*alpha1*(y_n - xQ_n), each in one call; the
+noise operators take a step's increment field.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, _dct, _idct, lap_values
-from .physics import db_adjoint_scaled_values, db_increment_values
+from .physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from .state import (
     StateParams,
     Trajectory,
+    _blocks,
     _increments,
     _path_sums,
     _step_major,
@@ -161,11 +165,15 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
     zs_n = _step_major(zs, len(paths))
     z = np.zeros(ys_n.shape[1:])
     z_hat = np.zeros(ys_n.shape[1:])
-    for n in range(p.timegrid.nsteps):
-        noise = db_increment_values(nm, ys_n[n], z, dw_n[n]) if noisy else None
-        reaction = p.potential.psi_second(ys_n[n]) * z
-        z, z_hat = _step_spectral(z, z_hat, reaction, h_n[n], noise, p)
-        zs_n[n + 1] = z
+    for n0, n1 in _blocks(p.timegrid.nsteps, z):
+        # the block's coefficients C_n and increment fields
+        y_b = ys_n[n0:n1]
+        c_b = p.potential.psi_second(y_b)
+        xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
+        for j in range(n1 - n0):
+            noise = db_increment_values(nm, y_b[j], z, xi[j]) if noisy else None
+            z, z_hat = _step_spectral(z, z_hat, c_b[j] * z, h_n[n0 + j], noise, p)
+            zs_n[n0 + j + 1] = z
     return zs
 
 
@@ -197,8 +205,13 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     # arrays indexed by step first, as in the state sweep
     nsteps = tg.nsteps
     ys_n = _step_major(ys, len(paths))
-    if xq is not None and xq.ndim == g.ndims + 2:    # per-path target
-        xq = np.moveaxis(xq, 1, 0)
+    if a1 != 0.0:
+        # xQ_n with the (control, path) axes of a step, so that a block of
+        # targets broadcasts against a block of states
+        if xq.ndim == g.ndims + 2:                   # per-path target
+            xq_n = np.moveaxis(xq, 1, 0)[:, None]
+        else:
+            xq_n = xq[:, None, None]
     zero = np.zeros(ys_n.shape[1:])
     axes = g.axes
     tau = tg.tau
@@ -209,24 +222,27 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     if noisy:
         dw_n = _increments(paths)
 
-    def dist(n):
-        """alpha1 * (y_n - xQ_n)."""
-        return a1 * (ys_n[n] - xq[n]) if a1 != 0.0 else zero
-
     costate = a2 * (ys_n[nsteps] - xt) if a2 != 0.0 else zero    # P_N
     ptildes = np.empty(ys.shape)
     pts_n = _step_major(ptildes, len(paths))
     pts_n[nsteps] = -lap_values(g, costate)
     neg_lam = -g.lap_symbol
-    for n in range(nsteps - 1, -1, -1):
-        # p_n and ptilde_n = -Lap p_n from the one set of coefficients of p_n
-        p_hat = _dct(costate, axes) / sym
-        p_n = _idct(p_hat, axes)
-        pt_n = pts_n[n] = _idct(neg_lam * p_hat, axes)
-        c_n = p.potential.psi_second(ys_n[n])
-        costate = tau * dist(n) + p_n - tau * (c_n - s) * pt_n
-        if noisy:
-            costate = costate + db_adjoint_scaled_values(nm, ys_n[n], p_n, dw_n[n])
+    for n0, n1 in reversed(_blocks(nsteps, zero)):
+        # the block's tracking forcing tau*alpha1*(y_n - xQ_n), reaction
+        # coefficients tau*(C_n - S) and increment fields
+        y_b = ys_n[n0:n1]
+        forcing = (tau * (a1 * (y_b - xq_n[n0:n1])) if a1 != 0.0
+                   else np.broadcast_to(zero, y_b.shape))
+        coef = tau * (p.potential.psi_second(y_b) - s)
+        xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
+        for j in range(n1 - n0 - 1, -1, -1):
+            # p_n and ptilde_n = -Lap p_n from the one set of coefficients of p_n
+            p_hat = _dct(costate, axes) / sym
+            p_n = _idct(p_hat, axes)
+            pt_n = pts_n[n0 + j] = _idct(neg_lam * p_hat, axes)
+            costate = forcing[j] + p_n - coef[j] * pt_n
+            if noisy:
+                costate = costate + db_adjoint_scaled_values(nm, y_b[j], p_n, xi[j])
     return ptildes
 
 

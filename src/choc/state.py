@@ -23,6 +23,15 @@ numbers are bitwise those of solving it alone; a single path is a batch of
 one. The sweep itself is :func:`_sweep_state`, which also solves several
 controls on one ensemble at once, as rows controls × paths, control-major;
 each row is bitwise its control's own sweep.
+
+Every sweep (state, linearized, adjoint and the continuous reference
+adjoint of :mod:`choc.verify`) runs its steps in blocks whose length a
+private byte budget sets (:func:`_blocks`). Before a block it computes, in
+one call per factor, what its recursion does not enter: the increment
+fields xi_n = sum_k sigma_k dW_k g_k and, in the linearized and adjoint
+sweeps, psi''(y_n) and the tracking forcing. The state sweep guards the
+states of a block after it. A step's factors are computed from that step's
+data alone, so every block length gives the same bits.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .grid import (
     grad_norm_sq_values,
     lap_values,
 )
-from .physics import NoiseModel, Potential, b_increment_values
+from .physics import NoiseModel, Potential, _mode_sum, b_increment_values
 
 __all__ = [
     "TimeGrid",
@@ -165,14 +174,20 @@ class StateParams:
         tau = self.timegrid.tau
         return 1.0 + tau * lam**2 - tau * self.stabilization * lam
 
+    @cached_property
+    def tau_lap_symbol(self) -> np.ndarray:
+        """Cosine-space symbol of tau*Lap."""
+        return self.timegrid.tau * self.grid.lap_symbol
+
 
 @dataclass(frozen=True)
 class Trajectory:
     """States of a batch of noise paths; a single path is a batch of one.
 
     ``ys`` stacks the nsteps+1 state fields of every path behind a leading
-    path axis. The control values, shared by the paths, and the Wiener paths that generated the trajectory are kept for the
-    linearized and adjoint solvers. The chemical potentials ``ws`` at the
+    path axis. The control values, shared by the paths, and the Wiener
+    paths that generated the trajectory are kept for the linearized and
+    adjoint solvers. The chemical potentials ``ws`` at the
     step starts and the free-energy series are computed when first read.
     """
 
@@ -278,31 +293,44 @@ def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
     Returns (x_next, x_next_hat). The arrays may carry leading batch axes;
     the transforms run over the grid axes.
     """
-    lam = p.grid.lap_symbol
     axes = p.grid.axes
     explicit = reaction - p.stabilization * x - source
-    rhs_hat = x_hat + p.timegrid.tau * lam * _dct_values(explicit, axes)
+    rhs_hat = x_hat + p.tau_lap_symbol * _dct_values(explicit, axes)
     if noise is not None:
         rhs_hat = rhs_hat + _dct_values(noise, axes)
     x_next_hat = rhs_hat / p.implicit_symbol
     return _idct_values(x_next_hat, axes), x_next_hat
 
 
-def _guard(values: np.ndarray, step: int, threshold: float, seeds) -> None:
-    """Raise :class:`BlowUpError` when a row of ``values`` is not finite or
-    exceeds the threshold, naming the lowest such row by its path: its seed
-    and its index in ``seeds``.
+# Byte budget of one array of a block of steps (see the module docstring):
+# 16 steps of the default 1D problem's 8 paths, one step of a 64 x 64 grid's.
+_BLOCK_BYTES = 1 << 16
 
-    ``values`` has shape (ncontrols, npaths, *grid.shape), rows
-    control-major, and row r runs the path of ``seeds[r % npaths]``.
+
+def _blocks(nsteps: int, step: np.ndarray) -> list[tuple[int, int]]:
+    """The blocks [n0, n1) of steps 0..nsteps-1 in order, each as long as
+    the budget allows for arrays of one step shaped like ``step``."""
+    size = max(1, _BLOCK_BYTES // step.nbytes)
+    return [(n0, min(n0 + size, nsteps)) for n0 in range(0, nsteps, size)]
+
+
+def _guard(states: np.ndarray, first: int, threshold: float, seeds) -> None:
+    """Raise :class:`BlowUpError` when a row of a block of states is not
+    finite or exceeds the threshold, naming the earliest such step and, at
+    it, the lowest such row by its path: its seed and its index in
+    ``seeds``.
+
+    ``states`` has shape (nblock, ncontrols, npaths, *grid.shape) and holds
+    the states after steps first, first+1, ...; rows are control-major, and
+    row r runs the path of ``seeds[r % npaths]``.
     """
-    top = float(np.max(np.abs(values)))
+    top = np.max(np.abs(states))
     if np.isfinite(top) and top <= threshold:
         return
-    rows = np.max(np.abs(values).reshape(values.shape[:2] + (-1,)), axis=2).ravel()
-    r = int(np.argmax(~np.isfinite(rows) | (rows > threshold)))
-    i = r % len(seeds)
-    raise BlowUpError(step, float(rows[r]), seeds[i], i)
+    tops = np.max(np.abs(states).reshape(states.shape[:3] + (-1,)), axis=3)
+    bad = ~np.isfinite(tops) | (tops > threshold)
+    k, c, i = (int(j) for j in np.unravel_index(np.argmax(bad), bad.shape))
+    raise BlowUpError(first + k, float(tops[k, c, i]), seeds[i], i)
 
 
 def _step_major(rows: np.ndarray, npaths: int) -> np.ndarray:
@@ -356,6 +384,10 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
     the sweep of its control and path alone. A blow-up names the earliest
     step and, at it, the lowest blown-up row by its path (see
     :func:`_guard`).
+
+    The steps run in blocks (see :func:`_blocks`), and a block's states are
+    guarded after it: steps past a blow-up inside a block run on without
+    warnings, and the guard names the step at which it happened.
     """
     g = params.grid
     nsteps = params.timegrid.nsteps
@@ -375,11 +407,15 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
     y = np.broadcast_to(y0, (ncontrols, len(paths)) + g.shape).copy()
     y_hat = _dct_values(y, g.axes)
     ys_n[0] = y
-    for n in range(nsteps):
-        noise = b_increment_values(nm, y, dw_n[n]) if noisy else None
-        y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise, params)
-        _guard(y, n, params.blowup_threshold, seeds)
-        ys_n[n + 1] = y
+    for n0, n1 in _blocks(nsteps, y):
+        xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n0, n1):
+                noise = b_increment_values(nm, y, xi[n - n0]) if noisy else None
+                y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise,
+                                          params)
+                ys_n[n + 1] = y
+        _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, seeds)
     return ys
 
 

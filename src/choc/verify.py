@@ -56,6 +56,7 @@ from .state import (
     TimeGrid,
     Trajectory,
     WienerPath,
+    _blocks,
     _generator,
     _sweep_state,
     aggregate_increments,
@@ -596,11 +597,14 @@ def _continuous_ptildes(traj: Trajectory, x_q: np.ndarray, a1: float) -> np.ndar
     ptildes = np.empty(traj.ys[:, :-1].shape)
     pts_n = np.moveaxis(ptildes, 1, 0)
     pv = pt = np.zeros(ys.shape[1:])
-    for n in range(p.timegrid.nsteps - 1, -1, -1):
-        c_n = p.potential.psi_second(ys[n])
-        rhs = pv - tau * (c_n - s) * pt + tau * (a1 * (ys[n] - x_q[n]))
-        pv = _idct(_dct(rhs, axes) / p.implicit_symbol, axes)
-        pt = pts_n[n] = -lap_values(g, pv)
+    for n0, n1 in reversed(_blocks(p.timegrid.nsteps, pv)):
+        # the block's tau*(psi''(y_n) - S) and tau*a1*(y_n - xQ_n)
+        coef = tau * (p.potential.psi_second(ys[n0:n1]) - s)
+        forcing = tau * (a1 * (ys[n0:n1] - x_q[n0:n1, None]))
+        for j in range(n1 - n0 - 1, -1, -1):
+            rhs = pv - coef[j] * pt + forcing[j]
+            pv = _idct(_dct(rhs, axes) / p.implicit_symbol, axes)
+            pt = pts_n[n0 + j] = -lap_values(g, pv)
     return ptildes
 
 

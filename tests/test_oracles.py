@@ -5,6 +5,8 @@ Each oracle computes the same quantity the way its definition reads:
 - the projected multiplicative noise mode by mode, each mode's product
   with the state projected to zero mean on its own, where the solvers
   project the mode sum once;
+- the increment fields of a block of steps one step at a time, where the
+  sweeps compute a block of them with one mode sum;
 - psi'(r) = r^3 - r through ``**``, where the double well multiplies;
 - ptilde_n = -Lap p_n from the values of p_n, where the adjoint sweep
   transforms the coefficients of p_n that it already holds;
@@ -16,10 +18,12 @@ property bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from choc import (
+    Grid,
     TimeGrid,
     double_well,
     multiplicative_noise,
@@ -27,13 +31,21 @@ from choc import (
     solve_adjoint,
 )
 from choc.grid import _dct, _idct, lap_values, low_pass_field, norm_h_values, norm_z_values
-from choc.physics import _path_mean, _projected_modes, db_adjoint_scaled_values
+from choc.physics import (
+    _mode_sum,
+    _path_mean,
+    _projected_modes,
+    db_adjoint_scaled_values,
+)
 from choc.state import solve_state
 from choc.verify import _duality_residual, _norm_c0h_l2z
 
 from test_properties import PROPERTIES, _smooth_series, grids, seeds, state_params
 
 EPS = np.finfo(float).eps
+# A product or difference that lands among the subnormals is off by up to
+# half their spacing, whatever the scale of its operands.
+TINY = np.finfo(float).smallest_subnormal
 
 
 def projected_modes_oracle(nm, v, dw):
@@ -80,17 +92,18 @@ def row_scale(nm, v, dw):
 @given(case=multiplicative_rows())
 def test_projected_modes_is_the_mode_by_mode_projection(case):
     nm, v, dw = case
-    out = _projected_modes(nm, v, dw)
+    out = _projected_modes(nm, v, _mode_sum(nm, dw))
     oracle = projected_modes_oracle(nm, v, dw)
     assert out.shape == oracle.shape == v.shape
-    assert np.all(np.abs(out - oracle) <= 8 * EPS * row_scale(nm, v, dw))
+    assert np.all(np.abs(out - oracle) <= 8 * (EPS * row_scale(nm, v, dw) + TINY))
 
 
 @PROPERTIES
 @given(case=multiplicative_rows())
 def test_projected_modes_rows_are_mean_free(case):
     nm, v, dw = case
-    sums = np.sum(_projected_modes(nm, v, dw), axis=nm.grid.axes, keepdims=True)
+    sums = np.sum(_projected_modes(nm, v, _mode_sum(nm, dw)), axis=nm.grid.axes,
+                  keepdims=True)
     assert np.all(np.abs(sums) <= 4 * EPS * nm.grid.size * row_scale(nm, v, dw))
 
 
@@ -98,11 +111,32 @@ def test_projected_modes_rows_are_mean_free(case):
 @given(case=multiplicative_rows())
 def test_projected_modes_rows_are_their_own_projection(case):
     nm, v, dw = case
-    out = _projected_modes(nm, v, dw)
+    out = _projected_modes(nm, v, _mode_sum(nm, dw))
     ncontrols, npaths = v.shape[:2]
     for c in range(ncontrols):
         for i in range(npaths):
-            assert np.array_equal(out[c, i], _projected_modes(nm, v[c, i], dw[i]))
+            xi = _mode_sum(nm, dw[i])
+            assert np.array_equal(out[c, i], _projected_modes(nm, v[c, i], xi))
+
+
+@pytest.mark.parametrize("nmodes", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [Grid((24,), (1.0,)), Grid((9, 7), (1.0, 1.5))],
+                         ids=["1d", "2d"])
+def test_block_mode_sum_is_the_per_step_mode_sums(grid, nmodes):
+    # the sweeps take a block's increment fields from one mode sum over
+    # (nsteps, npaths, K); each step's fields must be its own call's, and
+    # each path's its own row's, bit for bit
+    rng = np.random.default_rng(nmodes)
+    modes = [ix for ix in np.ndindex(*(min(5, n) for n in grid.npoints)) if any(ix)]
+    nm = multiplicative_noise(grid, rng.uniform(0.05, 0.5, nmodes), modes[:nmodes])
+    nsteps, npaths = 13, 5
+    dw = 0.1 * rng.standard_normal((nsteps, npaths, nmodes))
+    block = _mode_sum(nm, dw)
+    assert block.shape == (nsteps, npaths) + grid.shape
+    for n in range(nsteps):
+        assert np.array_equal(block[n], _mode_sum(nm, dw[n]))
+        for i in range(npaths):
+            assert np.array_equal(block[n, i], _mode_sum(nm, dw[n, i]))
 
 
 @PROPERTIES
@@ -135,7 +169,8 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
         c_n = p.potential.psi_second(ys[n])
         costate = (tau * a1 * (ys[n] - x_q[n]) + p_n
                    - tau * (c_n - p.stabilization) * ptildes[n]
-                   + db_adjoint_scaled_values(p.noise, ys[n], p_n, dws[n]))
+                   + db_adjoint_scaled_values(p.noise, ys[n], p_n,
+                                              _mode_sum(p.noise, dws[n])))
     return ptildes
 
 

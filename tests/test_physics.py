@@ -14,6 +14,7 @@ from choc import (
     quadratic_potential,
 )
 from choc.physics import (
+    _mode_sum,
     b_increment_values,
     db_adjoint_scaled_values,
     db_increment_values,
@@ -23,15 +24,25 @@ from choc.physics import (
 from conftest import inner_h, random_field
 
 
+def increment_field(nm, dw) -> np.ndarray:
+    """The increment field xi = sum_k sigma_k dw_k g_k the operators take."""
+    return _mode_sum(nm, np.asarray(dw, dtype=float))
+
+
 def apply_B(nm, y: Field, dw) -> Field:
     """Noise increment B(y) dw of one field."""
-    return Field(nm.grid, b_increment_values(nm, y.values, np.asarray(dw, dtype=float)))
+    return Field(nm.grid, b_increment_values(nm, y.values, increment_field(nm, dw)))
 
 
 def apply_DB(nm, y: Field, z: Field, dw) -> Field:
     """Directional derivative DB(y)[z] dw of one field."""
     return Field(nm.grid, db_increment_values(nm, y.values, z.values,
-                                              np.asarray(dw, dtype=float)))
+                                              increment_field(nm, dw)))
+
+
+def apply_DB_adjoint(nm, y: Field, p: Field, dw) -> np.ndarray:
+    """DB(y)^T applied to p for the increments dw, as an array."""
+    return db_adjoint_scaled_values(nm, y.values, p.values, increment_field(nm, dw))
 
 
 # --- potential -------------------------------------------------------------
@@ -129,7 +140,7 @@ def test_db_additive_zero(grid64, rng):
     y, z = random_field(grid64, rng), random_field(grid64, rng)
     out = apply_DB(nm, y, z, rng.standard_normal(2))
     assert np.all(out.values == 0.0)
-    adj = db_adjoint_scaled_values(nm, y.values, z.values, rng.standard_normal(2))
+    adj = apply_DB_adjoint(nm, y, z, rng.standard_normal(2))
     assert np.all(adj == 0.0)
 
 
@@ -155,7 +166,7 @@ def test_db_adjoint_identity(grid64, grid2d, rng):
                 ek = np.zeros(3)
                 ek[k] = 1.0
                 lhs += inner_h(apply_DB(nm, y, z, ek), q[k])
-            adj = db_adjoint_scaled_values(nm, y.values, p.values, dw)
+            adj = apply_DB_adjoint(nm, y, p, dw)
             rhs = inner_h(z, Field(g, adj))
             scale = norm_h(z) * max(norm_h(qk) for qk in q)
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
