@@ -11,7 +11,9 @@ the modulation is projected once, which equals projecting mode by mode.
 The operators B, DB and DB* take the increment field xi = sum_k sigma_k
 dW_k g_k rather than the increments dW. xi does not depend on the state, so
 the solvers compute it for a block of steps with one :func:`_mode_sum` and
-call the operators once per step.
+call the operators once per step. Nor does rho'(y_n) along a linearized or
+adjoint sweep, whose states are fixed: DB takes rho'(y) and DB* the product
+rho'(y) xi, which the sweeps compute for a block of steps at once.
 """
 
 from __future__ import annotations
@@ -243,23 +245,23 @@ def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray) -> np.ndar
     return _projected_modes(nm, nm.rho(y), xi)
 
 
-def db_increment_values(nm: NoiseModel, y: np.ndarray, z: np.ndarray,
+def db_increment_values(nm: NoiseModel, rho_prime_y: np.ndarray, z: np.ndarray,
                         xi: np.ndarray) -> np.ndarray:
-    """Derivative of the noise operator in the state, applied to z, for the
-    increment field ``xi``."""
+    """Derivative of the noise operator in the state y, applied to z, for
+    the increment field ``xi``; ``rho_prime_y`` is rho'(y)."""
     if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(y.shape)
-    return _projected_modes(nm, nm.rho_prime(y) * z, xi)
+        return np.zeros(z.shape)
+    return _projected_modes(nm, rho_prime_y * z, xi)
 
 
-def db_adjoint_scaled_values(nm: NoiseModel, y: np.ndarray, p: np.ndarray,
-                             xi: np.ndarray) -> np.ndarray:
-    """Adjoint of z -> DB(y)[z] dw applied to p, for the increment field
-    ``xi`` of dw.
+def db_adjoint_scaled_values(nm: NoiseModel, rho_prime_xi: np.ndarray,
+                             p: np.ndarray) -> np.ndarray:
+    """Adjoint of z -> DB(y)[z] dw applied to p, where ``rho_prime_xi`` is
+    rho'(y) times the increment field xi of dw.
 
     Satisfies the exact discrete identity <DB(y)[z] dw, p>_H = <z, out>_H.
     """
     if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(y.shape)
+        return np.zeros(p.shape)
     p0 = p - _path_mean(nm.grid, p)
-    return nm.rho_prime(y) * xi * p0
+    return rho_prime_xi * p0

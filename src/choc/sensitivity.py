@@ -40,9 +40,10 @@ those of its own sweep. Their sweeps are the private kernels
 :func:`_sweep_linearized` and :func:`_sweep_adjoint`, which also run the
 rows controls × paths of several controls on one ensemble, each row bitwise
 its own sweep. Both run their steps in blocks, as the state sweep does:
-before a block they compute its increment fields and C_n and, in the
-adjoint, tau*(C_n - S) and tau*alpha1*(y_n - xQ_n), each in one call; the
-noise operators take a step's increment field.
+before a block they compute, each in one call, C_n and, with multiplicative
+noise, rho'(y_n) and the increment fields xi_n in the linearized sweep, and
+tau*(C_n - S), tau*alpha1*(y_n - xQ_n) and rho'(y_n) xi_n in the adjoint.
+The noise operators take a step's slice of them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .state import (
     Trajectory,
     _blocks,
     _increments,
-    _path_sums,
     _step_major,
     _step_spectral,
     control_values,
@@ -166,12 +166,14 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
     z = np.zeros(ys_n.shape[1:])
     z_hat = np.zeros(ys_n.shape[1:])
     for n0, n1 in _blocks(p.timegrid.nsteps, z):
-        # the block's coefficients C_n and increment fields
+        # the block's coefficients C_n, rho'(y_n) and increment fields
         y_b = ys_n[n0:n1]
         c_b = p.potential.psi_second(y_b)
-        xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
+        if noisy:
+            rho_b = nm.rho_prime(y_b)
+            xi = _mode_sum(nm, dw_n[n0:n1])
         for j in range(n1 - n0):
-            noise = db_increment_values(nm, y_b[j], z, xi[j]) if noisy else None
+            noise = db_increment_values(nm, rho_b[j], z, xi[j]) if noisy else None
             z, z_hat = _step_spectral(z, z_hat, c_b[j] * z, h_n[n0 + j], noise, p)
             zs_n[n0 + j + 1] = z
     return zs
@@ -229,12 +231,14 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     neg_lam = -g.lap_symbol
     for n0, n1 in reversed(_blocks(nsteps, zero)):
         # the block's tracking forcing tau*alpha1*(y_n - xQ_n), reaction
-        # coefficients tau*(C_n - S) and increment fields
+        # coefficients tau*(C_n - S) and rho'(y_n) xi_n, an increment field
+        # broadcast over the controls
         y_b = ys_n[n0:n1]
         forcing = (tau * (a1 * (y_b - xq_n[n0:n1])) if a1 != 0.0
                    else np.broadcast_to(zero, y_b.shape))
         coef = tau * (p.potential.psi_second(y_b) - s)
-        xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
+        if noisy:
+            rho_xi = nm.rho_prime(y_b) * _mode_sum(nm, dw_n[n0:n1])[:, None]
         for j in range(n1 - n0 - 1, -1, -1):
             # p_n and ptilde_n = -Lap p_n from the one set of coefficients of p_n
             p_hat = _dct(costate, axes) / sym
@@ -242,7 +246,7 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
             pt_n = pts_n[n0 + j] = _idct(neg_lam * p_hat, axes)
             costate = forcing[j] + p_n - coef[j] * pt_n
             if noisy:
-                costate = costate + db_adjoint_scaled_values(nm, y_b[j], p_n, xi[j])
+                costate = costate + db_adjoint_scaled_values(nm, rho_xi[j], p_n)
     return ptildes
 
 
@@ -258,18 +262,33 @@ def duality_terms(traj: Trajectory, lin: LinearizedSolution, adj: AdjointSolutio
     p = traj.params
     hvals = control_values(h, p.timegrid, p.grid)
     xq, xt = target_values(x_q, x_t, alphas, p.timegrid, p.grid, traj.npaths)
-    return _duality_values(traj.ys, lin.zs, adj.ptildes, hvals[None], xq, xt,
-                           alphas, p)
+    return (_duality_lhs(adj.ptildes, hvals[None], p),
+            _duality_rhs(traj.ys, lin.zs, traj.npaths, xq, xt, alphas, p))
 
 
-def _duality_values(ys, zs, ptildes, directions, xq, xt, alphas,
-                    p: StateParams) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the duality identity on the rows directions × paths,
-    direction-major: two arrays of shape (nrows,), each entry bitwise that
-    of its row alone.
+# The two sides reduce one row at a time, so neither holds a temporary
+# larger than one row's sweep. A row's sum runs over the trailing, contiguous
+# axes of its product, which makes it bitwise the sum of that row alone.
 
-    ``ys``, ``zs`` and ``ptildes`` are the rows' sweeps, ``directions`` has
-    shape (ndirections, nsteps, *grid.shape), and the targets are as
+
+def _duality_lhs(ptildes: np.ndarray, directions: np.ndarray,
+                 p: StateParams) -> np.ndarray:
+    """The left side sum_n tau <h_n, ptilde_n>_H on the rows directions ×
+    paths, direction-major, shape (nrows,), from the rows' adjoint sweep
+    ``ptildes``; ``directions`` has shape (ndirections, nsteps, *grid.shape).
+    """
+    nsteps = p.timegrid.nsteps
+    npaths = len(ptildes) // len(directions)
+    scale = p.timegrid.tau * p.grid.cell_volume
+    return np.array([scale * np.sum(directions[r // npaths] * ptildes[r, :nsteps])
+                     for r in range(len(ptildes))])
+
+
+def _duality_rhs(ys: np.ndarray, zs: np.ndarray, npaths: int, xq, xt, alphas,
+                 p: StateParams) -> np.ndarray:
+    """The right side alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N -
+    x_T, z_N>_H on rows of ``npaths`` paths each, shape (nrows,), from the
+    rows' state and linearized sweeps; the targets are as
     :func:`~choc.state.target_values` returns them.
     """
     g = p.grid
@@ -277,18 +296,18 @@ def _duality_values(ys, zs, ptildes, directions, xq, xt, alphas,
     tau = p.timegrid.tau
     nsteps = p.timegrid.nsteps
     a1, a2, _ = alphas
-    # (direction, path) axes in front, so a direction broadcasts over the
-    # paths and a per-path target over the directions
-    ys, zs, ptildes = (a.reshape((len(directions), -1) + a.shape[1:])
-                       for a in (ys, zs, ptildes))
 
-    def row_sums(a):
-        return _path_sums(a.reshape((-1,) + a.shape[2:]))
-
-    lhs = tau * cv * row_sums(directions[:, None] * ptildes[:, :, :nsteps])
-    dist = (a1 * (ys[:, :, :nsteps] - xq) if a1 != 0.0
-            else np.zeros((nsteps,) + g.shape))
-    terminal = a2 * (ys[:, :, nsteps] - xt) if a2 != 0.0 else np.zeros(g.shape)
-    rhs = tau * cv * row_sums(dist * zs[:, :, :nsteps])
-    rhs += cv * row_sums(terminal * zs[:, :, nsteps])
-    return lhs, rhs
+    # a per-path target carries a leading path axis
+    per_path_q = a1 != 0.0 and xq.ndim == g.ndims + 2
+    per_path_t = a2 != 0.0 and xt.ndim == g.ndims + 1
+    no_dist = np.zeros((nsteps,) + g.shape)
+    no_terminal = np.zeros(g.shape)
+    rhs = np.empty(len(ys))
+    for r, (y, z) in enumerate(zip(ys, zs)):
+        i = r % npaths
+        dist = (a1 * (y[:nsteps] - (xq[i] if per_path_q else xq)) if a1 != 0.0
+                else no_dist)
+        terminal = (a2 * (y[nsteps] - (xt[i] if per_path_t else xt)) if a2 != 0.0
+                    else no_terminal)
+        rhs[r] = tau * cv * np.sum(dist * z[:nsteps]) + cv * np.sum(terminal * z[nsteps])
+    return rhs

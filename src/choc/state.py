@@ -29,9 +29,9 @@ adjoint of :mod:`choc.verify`) runs its steps in blocks whose length a
 private byte budget sets (:func:`_blocks`). Before a block it computes, in
 one call per factor, what its recursion does not enter: the increment
 fields xi_n = sum_k sigma_k dW_k g_k and, in the linearized and adjoint
-sweeps, psi''(y_n) and the tracking forcing. The state sweep guards the
-states of a block after it. A step's factors are computed from that step's
-data alone, so every block length gives the same bits.
+sweeps, psi''(y_n), rho'(y_n) and the tracking forcing. The state sweep
+guards the states of a block after it. A step's factors are computed from
+that step's data alone, so every block length gives the same bits.
 """
 
 from __future__ import annotations

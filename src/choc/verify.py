@@ -8,16 +8,19 @@ has one check, and each check has a negative control exercised by the test
 suite, so a vacuous pass cannot hide a wiring bug. A check sweeps its whole
 ensemble at once and averages the per-path results. A check that
 solves several controls on one ensemble sweeps them together, as rows
-controls × paths: Gateaux its base and bumped controls in one sweep,
-Lipschitz both controls of a pair per level, and duality its pairs in
-chunks of :data:`_DUALITY_CHUNK`, whose size memory bounds. Every row is
-bitwise its control's own sweep, so the reports do not depend on the
-chunking. The refinement studies (Lipschitz, moment bounds, backend
-consistency) build every level with :func:`_level`, so all levels of a
-study see the same Brownian motion. The truncation study is the only code
-that clamps the potential's curvature: it solves the state once and runs
-the linearized sweep once per clamp level, on a potential whose psi'' is
-clamped to that level.
+controls × paths: Gateaux its base and bumped controls in one sweep, and
+duality and Lipschitz their pairs in chunks, as many pairs per sweep as a
+private byte budget allows (:func:`_pair_chunks`). A pair holds two sweep
+outputs: Lipschitz the states of both its controls, one level after the
+other, and duality its states and then one of its adjoint and linearized
+sweeps, reducing each side of the identity row by row before the next
+sweep runs. Every row is bitwise its control's own sweep, so the reports
+do not depend on the chunking. The refinement studies (Lipschitz, moment
+bounds, backend consistency) build every level with :func:`_level`, so all
+levels of a study see the same Brownian motion. The truncation study is
+the only code that clamps the potential's curvature: it solves the state
+once and runs the linearized sweep once per clamp level, on a potential
+whose psi'' is clamped to that level.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .grid import (
 )
 from .physics import _build_modes, additive_noise
 from .sensitivity import (
-    _duality_values,
+    _duality_lhs,
+    _duality_rhs,
     _sweep_adjoint,
     _sweep_linearized,
     solve_adjoint,
@@ -92,9 +96,19 @@ _LIPSCHITZ_MESH_FACTOR = 2        # Lipschitz: refinement of the fine level
 _STABILITY_FACTOR = 2.0           # Lipschitz, moment bounds: drift under refinement
 _BACKEND_ORDER_TOL = 0.8          # backend consistency: least order in tau
 
-# Pairs per duality sweep: 16 rows on 8 paths. A 1D sweep is bound by
-# dispatch, so more rows cost little time but hold more memory.
-_DUALITY_CHUNK = 2
+# Byte budget of the sweep outputs a duality or Lipschitz check holds at
+# once (see :func:`_pair_chunks`): 5 pairs of the default 1D problem's 8
+# paths, one pair of a 64 x 64 grid's. A 1D sweep is bound by dispatch, so
+# more rows per sweep cost little time but hold more memory.
+_SWEEP_BYTES = 1 << 23
+
+
+def _pair_chunks(npairs: int, params: StateParams, npaths: int) -> list[range]:
+    """The chunks of pairs 0..npairs-1 in order, each as many pairs as the
+    budget allows when a pair holds two sweep outputs of ``npaths`` rows."""
+    pair_bytes = 2 * npaths * (params.timegrid.nsteps + 1) * params.grid.size * 8
+    size = max(1, _SWEEP_BYTES // pair_bytes)
+    return [range(j0, min(j0 + size, npairs)) for j0 in range(0, npairs, size)]
 
 
 def _jsonable(obj):
@@ -276,14 +290,17 @@ def _duality_sides(problem: Problem, us: np.ndarray, hs: np.ndarray,
                    paths: list[WienerPath]) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the duality identity for the pairs (us[j], hs[j]) on
     every path, (npairs, npaths) each, from independent code paths: one
-    state, linearized and adjoint sweep of the rows pairs × paths."""
+    state, adjoint and linearized sweep of the rows pairs × paths, in that
+    order. Each side is reduced before the next sweep, so the states and
+    one other sweep output are held at a time."""
     p = problem.params
-    xq, xt = target_values(problem.x_q, problem.x_t, problem.alphas, p.timegrid,
+    alphas = problem.alphas
+    xq, xt = target_values(problem.x_q, problem.x_t, alphas, p.timegrid,
                            p.grid, len(paths))
     ys = _sweep_state(problem.y0.values, us, paths, p)
-    zs = _sweep_linearized(ys, hs, paths, p)
-    pts = _sweep_adjoint(ys, paths, xq, xt, problem.alphas, p)
-    lhs, rhs = _duality_values(ys, zs, pts, hs, xq, xt, problem.alphas, p)
+    lhs = _duality_lhs(_sweep_adjoint(ys, paths, xq, xt, alphas, p), hs, p)
+    rhs = _duality_rhs(ys, _sweep_linearized(ys, hs, paths, p), len(paths),
+                       xq, xt, alphas, p)
     return lhs.reshape(len(us), -1), rhs.reshape(len(us), -1)
 
 
@@ -296,9 +313,9 @@ def check_duality(problem: Problem, es: EnsembleSpec,
 
     The identity is algebraic and must hold to rounding on every pair: the
     given ``u`` and ``h``, or else ``npairs`` random smooth pairs drawn from
-    ``seed``. The pairs are solved :data:`_DUALITY_CHUNK` at a time, and a
-    chunk's controls are drawn when it runs. The continuous adjoint's O(tau)
-    agreement with the transpose is measured by
+    ``seed``. The pairs are solved in the chunks of :func:`_pair_chunks`,
+    and a chunk's controls are drawn when it runs. The continuous adjoint's
+    O(tau) agreement with the transpose is measured by
     :func:`check_backend_consistency`.
     """
     if (u is None) != (h is None):
@@ -318,8 +335,7 @@ def check_duality(problem: Problem, es: EnsembleSpec,
     paths = es.sample_paths(problem.params)
     rows = []
     worst = 0.0
-    for start in range(0, npairs, _DUALITY_CHUNK):
-        chunk = range(start, min(start + _DUALITY_CHUNK, npairs))
+    for chunk in _pair_chunks(npairs, problem.params, len(paths)):
         us, hs = (np.stack(c) for c in zip(*map(pair, chunk)))
         for j, lhs, rhs in zip(chunk, *_duality_sides(problem, us, hs, paths)):
             res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
@@ -376,15 +392,18 @@ def _norm_c0h_l2z(series: np.ndarray, tg: TimeGrid, g: Grid) -> float:
     return float(sup_h + math.sqrt(zsq))
 
 
-def _mean_ratio(y0: Field, us: np.ndarray, paths: list[WienerPath],
-                params: StateParams, du: float) -> float:
-    """Path mean of the state-difference norm of the two controls ``us``
-    over ``du``; one sweep of both."""
+def _mean_ratios(y0: Field, us: np.ndarray, paths: list[WienerPath],
+                 params: StateParams, dus) -> list[float]:
+    """For each pair j of controls (us[2j], us[2j+1]), the path mean of
+    their state-difference norm over ``dus[j]``; one sweep of all."""
     ys = _sweep_state(y0.values, us, paths, params)
-    total = 0.0
-    for y1, y2 in zip(ys[: len(paths)], ys[len(paths):]):
-        total += _norm_c0h_l2z(y1 - y2, params.timegrid, params.grid) / du
-    return total / len(paths)
+    ratios = []
+    for pair, du in zip(ys.reshape((len(dus), 2, len(paths)) + ys.shape[1:]), dus):
+        total = 0.0
+        for y1, y2 in zip(*pair):
+            total += _norm_c0h_l2z(y1 - y2, params.timegrid, params.grid) / du
+        ratios.append(total / len(paths))
+    return ratios
 
 
 def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
@@ -393,7 +412,8 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
 
     The continuous theory makes the control-to-state map Lipschitz; the
     computable probe is that the ratios are finite and do not drift by more
-    than a fixed factor under one mesh refinement.
+    than a fixed factor under one mesh refinement. Each level sweeps the
+    pairs in the chunks of :func:`_pair_chunks`, one level after the other.
     """
     p = problem.params
     tg = p.timegrid
@@ -407,21 +427,19 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
         if np.array_equal(u1.values, u2.values):
             raise PreconditionError("control pairs must differ")
 
-    params, y0, paths = _level(problem, es, 1, tg.nsteps, tg.nsteps)
-    fine_params, y0_fine, fine_paths = _level(problem, es, _LIPSCHITZ_MESH_FACTOR,
-                                              tg.nsteps, tg.nsteps)
-    fine_grid = fine_params.grid
-    rows = []
+    dus = [l2q_norm(u1.values - u2.values, tg, p.grid) for u1, u2 in pairs]
     ratios = {"coarse": [], "fine": []}
-    for j, (u1, u2) in enumerate(pairs):
-        du = l2q_norm(u1.values - u2.values, tg, p.grid)
-        us = np.stack([u1.values, u2.values])
-        r_coarse = _mean_ratio(y0, us, paths, params, du)
-        r_fine = _mean_ratio(y0_fine, prolong_values(p.grid, us, fine_grid),
-                             fine_paths, fine_params, du)
-        ratios["coarse"].append(r_coarse)
-        ratios["fine"].append(r_fine)
-        rows.append({"pair": j, "ratio_coarse": r_coarse, "ratio_fine": r_fine})
+    for level, mesh_factor in (("coarse", 1), ("fine", _LIPSCHITZ_MESH_FACTOR)):
+        params, y0, paths = _level(problem, es, mesh_factor, tg.nsteps, tg.nsteps)
+        for chunk in _pair_chunks(len(pairs), params, len(paths)):
+            us = np.stack([u.values for j in chunk for u in pairs[j]])
+            if mesh_factor != 1:
+                us = prolong_values(p.grid, us, params.grid)
+            ratios[level] += _mean_ratios(y0, us, paths, params,
+                                          [dus[j] for j in chunk])
+    rows = [{"pair": j, "ratio_coarse": r_coarse, "ratio_fine": r_fine}
+            for j, (r_coarse, r_fine) in enumerate(zip(ratios["coarse"],
+                                                       ratios["fine"]))]
 
     all_vals = ratios["coarse"] + ratios["fine"]
     finite = all(math.isfinite(v) for v in all_vals)
@@ -574,18 +592,25 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
 # Backend consistency
 
 
-def _continuous_ptildes(traj: Trajectory, x_q: np.ndarray, a1: float) -> np.ndarray:
-    """ptilde at the step starts of every path, shape (npaths, nsteps,
-    *grid.shape), from a direct backward discretization of the continuous
-    adjoint equation with the martingale term dropped, driven by the shared
-    tracking target ``x_q`` alone: from p_N = 0 and ptilde_N = 0,
+def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
+                     ptildes: np.ndarray) -> np.ndarray:
+    """Each path's squared H-norm gap, over the grid and without the cell
+    volume, between the transpose ``ptildes`` of the trajectory's adjoint
+    and the continuous ptilde at every step start: shape (npaths, nsteps),
+    each entry bitwise the term of that path and step that
+    :func:`~choc.state.series_l2h_norm` sums for the difference.
+
+    The continuous ptilde comes from a direct backward discretization of the
+    continuous adjoint equation with the martingale term dropped, driven by
+    the shared tracking target ``x_q`` alone: from p_N = 0 and ptilde_N = 0,
 
         (I + tau*Lap^2 - tau*S*Lap) p_n
             = p_{n+1} - tau*(psi''(y_n) - S)*ptilde_{n+1} + tau*a1*(y_n - xQ_n),
         ptilde_n = -Lap p_n,
 
-    For additive noise it differs from the transpose sweep by a one-step
-    shift of coefficients, an O(tau) gap. It is the reference of
+    and is compared as it is computed, so no batch of it is stored. For
+    additive noise it differs from the transpose sweep by a one-step shift
+    of coefficients, an O(tau) gap. It is the reference of
     :func:`check_backend_consistency` and nothing else.
     """
     p = traj.params
@@ -594,8 +619,8 @@ def _continuous_ptildes(traj: Trajectory, x_q: np.ndarray, a1: float) -> np.ndar
     tau = p.timegrid.tau
     s = p.stabilization
     ys = np.moveaxis(traj.ys, 1, 0)
-    ptildes = np.empty(traj.ys[:, :-1].shape)
-    pts_n = np.moveaxis(ptildes, 1, 0)
+    pts_t = np.moveaxis(ptildes, 1, 0)
+    gaps = np.empty(traj.ys.shape[:1] + (p.timegrid.nsteps,))
     pv = pt = np.zeros(ys.shape[1:])
     for n0, n1 in reversed(_blocks(p.timegrid.nsteps, pv)):
         # the block's tau*(psi''(y_n) - S) and tau*a1*(y_n - xQ_n)
@@ -604,8 +629,9 @@ def _continuous_ptildes(traj: Trajectory, x_q: np.ndarray, a1: float) -> np.ndar
         for j in range(n1 - n0 - 1, -1, -1):
             rhs = pv - coef[j] * pt + forcing[j]
             pv = _idct(_dct(rhs, axes) / p.implicit_symbol, axes)
-            pt = pts_n[n0 + j] = -lap_values(g, pv)
-    return ptildes
+            pt = -lap_values(g, pv)
+            gaps[:, n0 + j] = np.sum((pts_t[n0 + j] - pt) ** 2, axis=axes)
+    return gaps
 
 
 def _adjoint_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
@@ -617,8 +643,9 @@ def _adjoint_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
     traj = solve_state(y0, u, paths, params)
     adj = solve_adjoint(traj, x_q, None, alphas)
     gap = 0.0
-    for pt_t, pt_c in zip(adj.ptildes, _continuous_ptildes(traj, x_q, alphas[0])):
-        gap += series_l2h_norm(pt_t[: tg.nsteps] - pt_c, tg, params.grid)
+    for sq in _continuous_gaps(traj, x_q, alphas[0], adj.ptildes):
+        # the sum series_l2h_norm makes of these terms
+        gap += float(np.sqrt(np.sum(sq) * tg.tau * params.grid.cell_volume))
     return gap / len(paths)
 
 
@@ -628,7 +655,7 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     """Continuous vs transpose adjoint agreement as the time step shrinks.
 
     The continuous adjoint is this check's private reference,
-    :func:`_continuous_ptildes`. The claim is about additive noise, where
+    :func:`_continuous_gaps`. The claim is about additive noise, where
     the continuous scheme is unbiased, so a problem with multiplicative
     noise is measured on its additive variant, with the same modes and
     amplitudes. A shared Brownian path is aggregated across the dyadic

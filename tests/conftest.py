@@ -5,13 +5,14 @@ matrices and never touch the package's transform path, so every spectral
 result is checked against an independent computation.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from choc import Field, Grid, Potential, TimeGrid, double_well, multiplicative_noise
-from choc.grid import low_pass_field
+from choc.grid import _dct, _idct, lap_values, low_pass_field
 from choc.state import StateParams
 
 
@@ -62,6 +63,37 @@ def clamped(params: StateParams, level: float) -> StateParams:
     pot = params.potential
     return replace(params, potential=replace(
         pot, psi_second=lambda r: np.clip(pot.psi_second(r), -level, level)))
+
+
+def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
+    """The continuous reference ptilde of check_backend_consistency at the
+    step starts of every path, stored, shape (npaths, nsteps, *grid.shape):
+    the recursion of ``verify._continuous_gaps``, one step at a time, from
+    p_N = 0 and ptilde_N = 0."""
+    p = traj.params
+    g = p.grid
+    tau = p.timegrid.tau
+    ptildes = np.empty(traj.ys[:, :-1].shape)
+    pv = pt = np.zeros(traj.ys[:, 0].shape)
+    for n in range(p.timegrid.nsteps - 1, -1, -1):
+        y_n = traj.ys[:, n]
+        rhs = (pv - tau * (p.potential.psi_second(y_n) - p.stabilization) * pt
+               + tau * (a1 * (y_n - x_q[n])))
+        pv = _idct(_dct(rhs, g.axes) / p.implicit_symbol, g.axes)
+        pt = ptildes[:, n] = -lap_values(g, pv)
+    return ptildes
+
+
+def heap_peak(fn, *args, **kwargs):
+    """fn's result and the peak, in bytes, of the heap it allocated, by
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def random_field(grid: Grid, rng, smooth=False, amplitude=1.0) -> Field:

@@ -30,7 +30,7 @@ from choc.grid import low_pass_field
 from choc.physics import no_noise
 from choc.sensitivity import _sweep_adjoint, _sweep_linearized
 from choc.state import StateParams, _sweep_state, target_values
-from choc.verify import _continuous_ptildes
+from choc.verify import _continuous_gaps
 
 NSTEPS = 20
 NCONTROLS = 2
@@ -66,11 +66,13 @@ def all_sweeps(p: StateParams, alphas) -> dict:
     ys = _sweep_state(y0.values, controls, paths, p)
     xq, xt = target_values(x_q, x_t, alphas, p.timegrid, g, len(paths))
     traj = solve_state(Field(g, y0.values), controls[0], paths, p)
+    ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, p)
     return {
         "state": ys,
         "linearized": _sweep_linearized(ys, directions, paths, p),
-        "adjoint": _sweep_adjoint(ys, paths, xq, xt, alphas, p),
-        "continuous": _continuous_ptildes(traj, x_q[0], alphas[0]),
+        "adjoint": ptildes,
+        # against the transpose ptildes of the first control's rows
+        "continuous": _continuous_gaps(traj, x_q[0], alphas[0], ptildes[:len(SEEDS)]),
     }
 
 

@@ -11,7 +11,9 @@ Each oracle computes the same quantity the way its definition reads:
 - ptilde_n = -Lap p_n from the values of p_n, where the adjoint sweep
   transforms the coefficients of p_n that it already holds;
 - the checks' ensemble means and time sums as Python loops in path and
-  step order, where the checks let numpy sum.
+  step order, where the checks let numpy sum;
+- the continuous reference ptilde stored and its gap to the transpose taken
+  by ``series_l2h_norm``, where the backend check compares it node by node.
 
 They agree to rounding, and the fast forms keep the batch == serial
 property bit for bit.
@@ -37,9 +39,10 @@ from choc.physics import (
     _projected_modes,
     db_adjoint_scaled_values,
 )
-from choc.state import solve_state
-from choc.verify import _duality_residual, _norm_c0h_l2z
+from choc.state import series_l2h_norm, solve_state
+from choc.verify import _continuous_gaps, _duality_residual, _norm_c0h_l2z
 
+from conftest import continuous_ptildes
 from test_properties import PROPERTIES, _smooth_series, grids, seeds, state_params
 
 EPS = np.finfo(float).eps
@@ -169,8 +172,9 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
         c_n = p.potential.psi_second(ys[n])
         costate = (tau * a1 * (ys[n] - x_q[n]) + p_n
                    - tau * (c_n - p.stabilization) * ptildes[n]
-                   + db_adjoint_scaled_values(p.noise, ys[n], p_n,
-                                              _mode_sum(p.noise, dws[n])))
+                   + db_adjoint_scaled_values(
+                       p.noise, p.noise.rho_prime(ys[n]) * _mode_sum(p.noise, dws[n]),
+                       p_n))
     return ptildes
 
 
@@ -221,3 +225,23 @@ def test_norm_c0h_l2z_is_the_step_order_sum(g, nsteps, seed):
         zsq += float(z) ** 2
     oracle = float(np.max(norm_h_values(g, series))) + np.sqrt(zsq * tg.tau)
     assert abs(_norm_c0h_l2z(series, tg, g) - oracle) <= 4 * nsteps * EPS * oracle
+
+
+@PROPERTIES
+@given(params=state_params(), seed=seeds, npaths=st.integers(1, 3),
+       a1=st.floats(0.1, 2.0))
+def test_continuous_gaps_are_the_terms_of_the_stored_gap(params, seed, npaths, a1):
+    rng = np.random.default_rng(seed)
+    tg, g = params.timegrid, params.grid
+    y0 = low_pass_field(g, rng, 0.4)
+    u = _smooth_series(params, rng, 0.5)
+    x_q = _smooth_series(params, rng, 0.3)
+    paths = [sample_wiener_path(params.noise, tg, seed + i) for i in range(npaths)]
+    traj = solve_state(y0, u, paths, params)
+    ptildes = solve_adjoint(traj, x_q, None, (a1, 0.0, 0.0)).ptildes
+    gaps = _continuous_gaps(traj, x_q, a1, ptildes)
+    diff = ptildes[:, : tg.nsteps] - continuous_ptildes(traj, x_q, a1)
+    for i in range(npaths):
+        assert np.array_equal(gaps[i], np.sum(diff[i] ** 2, axis=g.axes))
+        assert (np.sqrt(np.sum(gaps[i]) * tg.tau * g.cell_volume)
+                == series_l2h_norm(diff[i], tg, g))

@@ -36,13 +36,14 @@ def apply_B(nm, y: Field, dw) -> Field:
 
 def apply_DB(nm, y: Field, z: Field, dw) -> Field:
     """Directional derivative DB(y)[z] dw of one field."""
-    return Field(nm.grid, db_increment_values(nm, y.values, z.values,
+    return Field(nm.grid, db_increment_values(nm, nm.rho_prime(y.values), z.values,
                                               increment_field(nm, dw)))
 
 
 def apply_DB_adjoint(nm, y: Field, p: Field, dw) -> np.ndarray:
     """DB(y)^T applied to p for the increments dw, as an array."""
-    return db_adjoint_scaled_values(nm, y.values, p.values, increment_field(nm, dw))
+    return db_adjoint_scaled_values(nm, nm.rho_prime(y.values) * increment_field(nm, dw),
+                                    p.values)
 
 
 # --- potential -------------------------------------------------------------

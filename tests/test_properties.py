@@ -49,9 +49,9 @@ from choc.grid import (
     norm_z_values,
 )
 from choc.physics import no_noise
-from choc.sensitivity import _duality_values, _sweep_adjoint, _sweep_linearized
+from choc.sensitivity import _duality_lhs, _duality_rhs, _sweep_adjoint, _sweep_linearized
 from choc.state import StateParams, _path_sums, _sweep_state, target_values
-from choc.verify import _continuous_ptildes
+from choc.verify import _continuous_gaps
 
 from conftest import clamped, zero_potential
 
@@ -236,7 +236,7 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
     lin = solve_linearized(batch, h)
     adj = solve_adjoint(batch, x_q, x_t, alphas)
     xq_shared = x_q[0] if per_path_targets else x_q
-    continuous = _continuous_ptildes(batch, xq_shared, alphas[0])
+    continuous = _continuous_gaps(batch, xq_shared, alphas[0], adj.ptildes)
     cost = evaluate_cost(batch, u, x_q, x_t, cost_alphas)
     lhs, rhs = duality_terms(batch, lin, adj, h, x_q, x_t, alphas)
     assert batch.npaths == lin.npaths == adj.npaths == npaths
@@ -257,8 +257,8 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
         assert np.array_equal(lin.mus[i], alone_lin.mus[0])
         alone = solve_adjoint(traj, xq_i, xt_i, alphas)
         assert np.array_equal(adj.ptildes[i], alone.ptildes[0])
-        assert np.array_equal(continuous[i],
-                              _continuous_ptildes(traj, xq_shared, alphas[0])[0])
+        assert np.array_equal(continuous[i], _continuous_gaps(
+            traj, xq_shared, alphas[0], alone.ptildes)[0])
         assert cost[i] == evaluate_cost(traj, u, xq_i, xt_i, cost_alphas)[0]
         alone_lhs, alone_rhs = duality_terms(traj, alone_lin, alone, h, xq_i, xt_i,
                                              alphas)
@@ -292,7 +292,8 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
     ys = _sweep_state(y0.values, us, paths, params)
     zs = _sweep_linearized(ys, hs, paths, params)
     ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, params)
-    lhs, rhs = _duality_values(ys, zs, ptildes, hs, xq, xt, alphas, params)
+    lhs = _duality_lhs(ptildes, hs, params)
+    rhs = _duality_rhs(ys, zs, npaths, xq, xt, alphas, params)
     assert ys.shape == zs.shape == ptildes.shape
     assert ys.shape[0] == lhs.shape[0] == ncontrols * npaths
     for row in range(ncontrols * npaths):

@@ -17,7 +17,7 @@ from choc import (
     multiplicative_noise,
     quadratic_potential,
 )
-from choc import verify
+from choc import state, verify
 from choc.control import l2q_norm
 from choc.errors import BlowUpError, ConfigurationError
 from choc.grid import Field, low_pass_field
@@ -37,6 +37,8 @@ from choc.verify import (
     empirical_order,
     random_smooth_control,
 )
+
+from conftest import heap_peak
 
 
 def _problem(grid_n=32, nsteps=40, noise="multiplicative", potential=None,
@@ -62,6 +64,12 @@ def _problem(grid_n=32, nsteps=40, noise="multiplicative", potential=None,
     x_q = np.stack([low_pass_field(g, rng, 0.3).values for _ in range(nsteps)])
     x_t = low_pass_field(g, rng, 0.3).values
     return Problem(params=params, y0=y0, alphas=alphas, x_q=x_q, x_t=x_t, c0=1.0)
+
+
+def _budget(params, npaths, npairs):
+    """The sweep budget that holds ``npairs`` pairs of ``npaths`` rows on
+    ``params``: two sweep outputs per pair."""
+    return npairs * 2 * npaths * (params.timegrid.nsteps + 1) * params.grid.size * 8
 
 
 # --- mass conservation -------------------------------------------------------
@@ -160,11 +168,15 @@ def _serial_duality_rows(problem, es, pairs):
 @pytest.mark.parametrize("npairs", [3, 5])
 @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
 @pytest.mark.parametrize("per_path_targets", [False, True])
-def test_duality_chunks_equal_a_per_pair_loop(npairs, noise, per_path_targets):
-    # npairs is no multiple of the chunk, so the last chunk is short
-    assert npairs % verify._DUALITY_CHUNK
+def test_duality_chunks_equal_a_per_pair_loop(monkeypatch, npairs, noise,
+                                              per_path_targets):
+    # two pairs per sweep, and npairs is no multiple of the chunk, so the
+    # last chunk is short
     problem = _problem(noise=noise)
     es = EnsembleSpec(3, 9)
+    monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(problem.params, 3, 2))
+    chunks = verify._pair_chunks(npairs, problem.params, es.npaths)
+    assert len(chunks[0]) == 2 and npairs % len(chunks[0])
     if per_path_targets:
         rng = np.random.default_rng(4)
         problem = replace(problem,
@@ -186,7 +198,9 @@ def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
     # strong noise and the second pair a strong control. The error names
     # that row's step, its seed and its index in the ensemble, as a solve of
     # the pair alone does.
-    monkeypatch.setattr(verify, "_DUALITY_CHUNK", 2)
+    problem = _problem(noise="additive", blowup_threshold=0.8)
+    monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(problem.params, 4, 2))
+    assert [len(c) for c in verify._pair_chunks(2, problem.params, 4)] == [2]
     sample_paths = EnsembleSpec.sample_paths
 
     def loud_path_2(self, params):
@@ -202,7 +216,6 @@ def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
 
     monkeypatch.setattr(EnsembleSpec, "sample_paths", loud_path_2)
     monkeypatch.setattr(verify, "random_smooth_control", loud_second_pair)
-    problem = _problem(noise="additive", blowup_threshold=0.8)
     es = EnsembleSpec(4, 9)
     paths = es.sample_paths(problem.params)
     first, second = (loud_second_pair(problem, mix_seed(1, 2 * j), 0.5) for j in (0, 1))
@@ -216,6 +229,70 @@ def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
     assert ((exc.step, exc.max_abs, exc.seed, exc.path)
             == (alone.value.step, alone.value.max_abs, alone.value.seed,
                 alone.value.path))
+
+
+@pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+def test_duality_and_lipschitz_reports_do_not_depend_on_the_budget(monkeypatch,
+                                                                   noise):
+    # one pair per sweep; four pairs per sweep on the coarse grid and two on
+    # Lipschitz's fine one, neither of which divides five; every pair in
+    # one sweep
+    problem = _problem(noise=noise)
+    es = EnsembleSpec(3, 9)
+    p = problem.params
+    nsteps = p.timegrid.nsteps
+    fine = verify._level(problem, es, verify._LIPSCHITZ_MESH_FACTOR, nsteps, nsteps)[0]
+
+    def reports():
+        return (check_duality(problem, es, npairs=5, seed=1).to_json(),
+                check_lipschitz(problem, es, npairs=5, seed=1).to_json())
+
+    reference = reports()
+    for budget, sizes in ((1, [[1] * 5, [1] * 5]),
+                          (_budget(p, 3, 4), [[4, 1], [2, 2, 1]]),
+                          (1 << 62, [[5], [5]])):
+        monkeypatch.setattr(verify, "_SWEEP_BYTES", budget)
+        assert [[len(c) for c in verify._pair_chunks(5, q, 3)]
+                for q in (p, fine)] == sizes
+        assert reports() == reference, sizes
+
+
+# Arrays of one block of steps, each at most state._BLOCK_BYTES, that the
+# heap pins allow a check besides its sweep outputs: the block factors of a
+# sweep, its step temporaries and the increments of the paths.
+_BLOCK_TEMPORARIES = 16
+
+
+def test_duality_heap_holds_two_sweep_outputs_of_a_chunk(monkeypatch):
+    # two pairs per sweep on 12 paths: a chunk holds its states and one of
+    # its adjoint and linearized sweeps, its controls, one block's
+    # temporaries and a few rows; three outputs would not fit
+    problem = _problem(grid_n=64, nsteps=200)
+    p = problem.params
+    monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(p, 12, 2))
+    _, peak = heap_peak(check_duality, problem, EnsembleSpec(12, 9), npairs=2, seed=1)
+    row = (p.timegrid.nsteps + 1) * p.grid.size * 8
+    output = 2 * 12 * row
+    controls = 2 * 2 * row
+    block = _BLOCK_TEMPORARIES * state._BLOCK_BYTES
+    assert 2 * output + controls + block + 4 * row < 3 * output
+    assert peak <= 2 * output + controls + block + 4 * row
+
+
+def test_backend_consistency_heap_holds_one_ptilde_batch():
+    # at the finest level the check holds the states and the transpose
+    # ptildes of its paths, its control and target series and one block's
+    # temporaries, and compares the continuous ptilde node by node; a stored
+    # batch of it would not fit
+    problem = _problem(grid_n=64, noise="additive")
+    size = problem.params.grid.size
+    _, peak = heap_peak(check_backend_consistency, problem, EnsembleSpec(8, 9),
+                        nsteps_list=(100, 800), seed=0)
+    batch = 8 * 801 * size * 8
+    series = 800 * size * 8
+    block = _BLOCK_TEMPORARIES * state._BLOCK_BYTES
+    assert 2 * batch + 2 * series + block < 3 * batch
+    assert peak <= 2 * batch + 2 * series + block
 
 
 def _per_step_control(problem, seed, amplitude):
