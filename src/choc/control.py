@@ -183,8 +183,9 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
     if a2 != 0.0:
         total += 0.5 * a2 * cv * _path_sums((traj.ys[:, tg.nsteps] - xt) ** 2)
     if a3 != 0.0:
-        uvals = np.broadcast_to(control_values(u, tg, g), starts.shape)
-        total += 0.5 * a3 * tau * cv * _path_sums(uvals**2)
+        # the shared control's penalty, summed once: bitwise each path's
+        # sum of its own copy, which is contiguous
+        total += 0.5 * a3 * tau * cv * np.sum(control_values(u, tg, g) ** 2)
     return total
 
 

@@ -27,6 +27,11 @@ and ``idctn`` pass it, when both of these hold:
 - ``scipy.fft.dctn`` (for :func:`_idct`, ``idctn``) is still the function
   scipy shipped. Code that interposes on the public name, such as a trace
   that counts transforms, then sees every one of them.
+
+Both take ``out=``: the kernel writes the result into it, the public path
+copies it there. The time steppers transform the two arrays of a step
+stacked as a pair, in one call, and write into a workspace they allocate
+once per sweep.
 """
 
 from __future__ import annotations
@@ -64,11 +69,12 @@ except ImportError:
 _DCTN, _IDCTN = _fft.dctn, _fft.idctn
 
 
-def _kernel(values, kind: int, axes) -> np.ndarray:
+def _kernel(values, kind: int, axes, out=None) -> np.ndarray:
     """Orthonormal pocketfft cosine transform of type ``kind`` (2 forward,
-    3 inverse) on a float64 copy or view of ``values``. The kernel takes
-    negative axes and None (all axes) as ``dctn`` does."""
-    return _pocketfft_dct(np.asarray(values, dtype=np.float64), kind, axes, 1, None, 1, True)
+    3 inverse) on a float64 copy or view of ``values``, into ``out`` when it
+    is given. The kernel takes negative axes and None (all axes) as ``dctn``
+    does."""
+    return _pocketfft_dct(np.asarray(values, dtype=np.float64), kind, axes, 1, out, 1, True)
 
 
 def _kernel_is_bitwise() -> bool:
@@ -94,18 +100,34 @@ def _kernel_is_bitwise() -> bool:
 _KERNEL_BITWISE = _kernel_is_bitwise()
 
 
-def _dct(values: np.ndarray, axes=None) -> np.ndarray:
+def _dct(values: np.ndarray, axes=None, out=None) -> np.ndarray:
     """Orthonormal cosine transform over ``axes`` (all axes when None); the
-    zero coefficient is the grid mean times sqrt(total point count)."""
+    zero coefficient is the grid mean times sqrt(total point count).
+
+    ``out``, a float64 array of the shape of ``values`` that does not
+    overlap it, receives the coefficients and is returned: the kernel writes
+    them there, the public path copies them. Either way they have the bits
+    of the call without ``out``.
+    """
     if _KERNEL_BITWISE and _fft.dctn is _DCTN:
-        return _kernel(values, 2, axes)
-    return _fft.dctn(values, type=2, norm="ortho", axes=axes)
+        return _kernel(values, 2, axes, out)
+    return _into(out, _fft.dctn(values, type=2, norm="ortho", axes=axes))
 
 
-def _idct(coeffs: np.ndarray, axes=None) -> np.ndarray:
+def _idct(coeffs: np.ndarray, axes=None, out=None) -> np.ndarray:
+    """Inverse of :func:`_dct`; ``out`` as there."""
     if _KERNEL_BITWISE and _fft.idctn is _IDCTN:
-        return _kernel(coeffs, 3, axes)
-    return _fft.idctn(coeffs, type=2, norm="ortho", axes=axes)
+        return _kernel(coeffs, 3, axes, out)
+    return _into(out, _fft.idctn(coeffs, type=2, norm="ortho", axes=axes))
+
+
+def _into(out, result: np.ndarray) -> np.ndarray:
+    """``result``, copied into ``out`` and returned as it when ``out`` is
+    given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 @dataclass(frozen=True)

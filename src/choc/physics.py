@@ -13,7 +13,9 @@ dW_k g_k rather than the increments dW. xi does not depend on the state, so
 the solvers compute it for a block of steps with one :func:`_mode_sum` and
 call the operators once per step. Nor does rho'(y_n) along a linearized or
 adjoint sweep, whose states are fixed: DB takes rho'(y) and DB* the product
-rho'(y) xi, which the sweeps compute for a block of steps at once.
+rho'(y) xi, which the sweeps compute for a block of steps at once. Each
+operator writes into an ``out`` array when given one, so a sweep reuses one
+buffer for every step.
 """
 
 from __future__ import annotations
@@ -131,11 +133,8 @@ class NoiseModel:
         return self.kind == "multiplicative"
 
     @staticmethod
-    def rho(values):
-        return np.tanh(values)
-
-    @staticmethod
     def rho_prime(values):
+        """The derivative of the modulation rho = tanh."""
         return 1.0 / np.cosh(values) ** 2
 
 
@@ -209,13 +208,10 @@ def no_noise(grid: Grid) -> NoiseModel:
 
 # The array-level operators below are the hot path of the solvers. Their
 # field arguments may carry leading batch axes (one row per path), with
-# ``xi`` the increment field of each row; means are taken row by row.
-
-
-def _path_mean(g: Grid, x: np.ndarray) -> np.ndarray:
-    """Grid mean of each row of ``x``, kept broadcastable against ``x``;
-    bitwise np.mean of the row."""
-    return x.sum(axis=g.axes, keepdims=True) / g.size
+# ``xi`` the increment field of each row; means are taken row by row, as
+# the row's grid sum divided by the point count, bitwise np.mean of the row.
+# Each operator writes its result into ``out`` when it is given, an array of
+# the result's shape that overlaps none of its arguments, and returns it.
 
 
 def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
@@ -229,39 +225,63 @@ def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
     return flat.reshape(dw.shape[:-1] + nm.grid.shape)
 
 
-def _projected_modes(nm: NoiseModel, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """sum_k sigma_k dw_k (g_k v - mean(g_k v)) for each row of ``v``: the
-    projection is linear, so it is xi times v, projected once."""
-    col = xi * v
-    return col - _path_mean(nm.grid, col)
+def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Array-level noise increment B(y) dw of the increment field ``xi``,
+    of the shape of ``y``.
 
-
-def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Array-level noise increment B(y) dw of the increment field ``xi``."""
+    Multiplicative noise is xi * tanh(y), projected to zero mean: the
+    projection is linear, so this is sum_k sigma_k dw_k (g_k tanh(y) -
+    mean(g_k tanh(y))).
+    """
+    if out is None:
+        out = np.empty(y.shape)
     if nm.nmodes == 0:
-        return np.zeros(y.shape)
-    if not nm.is_multiplicative:
-        return xi
-    return _projected_modes(nm, nm.rho(y), xi)
+        out.fill(0.0)
+    elif not nm.is_multiplicative:
+        np.copyto(out, xi)
+    else:
+        np.tanh(y, out=out)
+        np.multiply(xi, out, out=out)
+        mean = np.add.reduce(out, axis=nm.grid.axes, keepdims=True)
+        mean /= nm.grid.size
+        out -= mean
+    return out
 
 
 def db_increment_values(nm: NoiseModel, rho_prime_y: np.ndarray, z: np.ndarray,
-                        xi: np.ndarray) -> np.ndarray:
+                        xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Derivative of the noise operator in the state y, applied to z, for
-    the increment field ``xi``; ``rho_prime_y`` is rho'(y)."""
+    the increment field ``xi``; ``rho_prime_y`` is rho'(y). It is
+    xi * (rho'(y) * z), projected to zero mean, of the shape of ``z``."""
+    if out is None:
+        out = np.empty(z.shape)
     if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(z.shape)
-    return _projected_modes(nm, rho_prime_y * z, xi)
+        out.fill(0.0)
+    else:
+        np.multiply(rho_prime_y, z, out=out)
+        np.multiply(xi, out, out=out)
+        mean = np.add.reduce(out, axis=nm.grid.axes, keepdims=True)
+        mean /= nm.grid.size
+        out -= mean
+    return out
 
 
 def db_adjoint_scaled_values(nm: NoiseModel, rho_prime_xi: np.ndarray,
-                             p: np.ndarray) -> np.ndarray:
+                             p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of z -> DB(y)[z] dw applied to p, where ``rho_prime_xi`` is
-    rho'(y) times the increment field xi of dw.
+    rho'(y) times the increment field xi of dw: rho'(y) xi times p projected
+    to zero mean, of the shape of ``p``.
 
     Satisfies the exact discrete identity <DB(y)[z] dw, p>_H = <z, out>_H.
     """
+    if out is None:
+        out = np.empty(p.shape)
     if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(p.shape)
-    p0 = p - _path_mean(nm.grid, p)
-    return rho_prime_xi * p0
+        out.fill(0.0)
+    else:
+        mean = np.add.reduce(p, axis=nm.grid.axes, keepdims=True)
+        mean /= nm.grid.size
+        np.subtract(p, mean, out=out)
+        np.multiply(rho_prime_xi, out, out=out)
+    return out

@@ -20,10 +20,11 @@ is
     P_n = alpha1*tau*(y_n - xQ_n) + p_n - tau*(C_n - S)*ptilde_n
           + DB_n^T p_n,
 
-One node makes three cosine transforms: the forward transform of P_{n+1},
-divided by the implicit symbol, gives the coefficients of p_n, and inverse
-transforms of those coefficients and of -Lap's symbol times them give p_n
-and ptilde_n. ptilde satisfies, exactly in floating point up to rounding,
+One node makes two transform calls: the forward transform of P_{n+1},
+divided by the implicit symbol, gives the coefficients of p_n, and one
+inverse call on those coefficients and -Lap's symbol times them, stacked as
+a pair in one buffer, gives p_n and ptilde_n. ptilde satisfies, exactly in
+floating point up to rounding,
 
     sum_n tau <h_n, ptilde_n>_H
         = alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N - x_T, z_N>_H
@@ -43,7 +44,9 @@ its own sweep. Both run their steps in blocks, as the state sweep does:
 before a block they compute, each in one call, C_n and, with multiplicative
 noise, rho'(y_n) and the increment fields xi_n in the linearized sweep, and
 tau*(C_n - S), tau*alpha1*(y_n - xQ_n) and rho'(y_n) xi_n in the adjoint.
-The noise operators take a step's slice of them.
+The noise operators take a step's slice of them. Like the state sweep, both
+run in a workspace allocated once per sweep and write every per-step result
+through ``out=``; the linearized sweep runs the state's step kernel.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .state import (
     _blocks,
     _increments,
     _step_major,
-    _step_spectral,
+    _stepper,
     control_values,
     target_values,
 )
@@ -163,8 +166,11 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
 
     zs = np.zeros(ys.shape)
     zs_n = _step_major(zs, len(paths))
+    # working arrays as in the state sweep
     z = np.zeros(ys_n.shape[1:])
-    z_hat = np.zeros(ys_n.shape[1:])
+    z_hat = np.zeros(z.shape)
+    reaction = np.empty(z.shape)
+    noise, step = _stepper(p, z.shape, noisy)
     for n0, n1 in _blocks(p.timegrid.nsteps, z):
         # the block's coefficients C_n, rho'(y_n) and increment fields
         y_b = ys_n[n0:n1]
@@ -173,8 +179,10 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
             rho_b = nm.rho_prime(y_b)
             xi = _mode_sum(nm, dw_n[n0:n1])
         for j in range(n1 - n0):
-            noise = db_increment_values(nm, rho_b[j], z, xi[j]) if noisy else None
-            z, z_hat = _step_spectral(z, z_hat, c_b[j] * z, h_n[n0 + j], noise, p)
+            if noisy:
+                db_increment_values(nm, rho_b[j], z, xi[j], out=noise)
+            np.multiply(c_b[j], z, out=reaction)
+            step(z, z_hat, reaction, h_n[n0 + j])
             zs_n[n0 + j + 1] = z
     return zs
 
@@ -214,21 +222,31 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
             xq_n = np.moveaxis(xq, 1, 0)[:, None]
         else:
             xq_n = xq[:, None, None]
-    zero = np.zeros(ys_n.shape[1:])
+    shape = ys_n.shape[1:]
+    zero = np.zeros(shape)
     axes = g.axes
     tau = tg.tau
-    sym = p.implicit_symbol
     nm = p.noise
     s = p.stabilization
     noisy = nm.is_multiplicative and nm.nmodes > 0
     if noisy:
         dw_n = _increments(paths)
 
-    costate = a2 * (ys_n[nsteps] - xt) if a2 != 0.0 else zero    # P_N
+    # P_N, then the costate P_n that each node overwrites
+    costate = a2 * (ys_n[nsteps] - xt) if a2 != 0.0 else np.zeros(shape)
     ptildes = np.empty(ys.shape)
     pts_n = _step_major(ptildes, len(paths))
     pts_n[nsteps] = -lap_values(g, costate)
-    neg_lam = -g.lap_symbol
+    # A node's workspace: the coefficients of p_n and of ptilde_n = -Lap p_n
+    # side by side, inverted by one call into p_n and ptilde_n; the symbols
+    # broadcast to the node shape once
+    pair_hat = np.empty((2,) + shape)
+    pair = np.empty(pair_hat.shape)
+    p_hat, pt_hat = pair_hat
+    p_n, pt_n = pair
+    work = np.empty(shape)
+    implicit = np.broadcast_to(p.implicit_symbol, shape).copy()
+    neg_lam = np.broadcast_to(-g.lap_symbol, shape).copy()
     for n0, n1 in reversed(_blocks(nsteps, zero)):
         # the block's tracking forcing tau*alpha1*(y_n - xQ_n), reaction
         # coefficients tau*(C_n - S) and rho'(y_n) xi_n, an increment field
@@ -240,13 +258,17 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
         if noisy:
             rho_xi = nm.rho_prime(y_b) * _mode_sum(nm, dw_n[n0:n1])[:, None]
         for j in range(n1 - n0 - 1, -1, -1):
-            # p_n and ptilde_n = -Lap p_n from the one set of coefficients of p_n
-            p_hat = _dct(costate, axes) / sym
-            p_n = _idct(p_hat, axes)
-            pt_n = pts_n[n0 + j] = _idct(neg_lam * p_hat, axes)
-            costate = forcing[j] + p_n - coef[j] * pt_n
+            _dct(costate, axes, out=p_hat)
+            np.divide(p_hat, implicit, out=p_hat)
+            np.multiply(neg_lam, p_hat, out=pt_hat)
+            _idct(pair_hat, axes, out=pair)
+            pts_n[n0 + j] = pt_n
+            np.add(forcing[j], p_n, out=costate)
+            np.multiply(coef[j], pt_n, out=work)
+            np.subtract(costate, work, out=costate)
             if noisy:
-                costate = costate + db_adjoint_scaled_values(nm, rho_xi[j], p_n)
+                db_adjoint_scaled_values(nm, rho_xi[j], p_n, out=work)
+                np.add(costate, work, out=costate)
     return ptildes
 
 

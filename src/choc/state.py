@@ -8,11 +8,12 @@ the nonlinearity explicitly with a linear stabilization shift S:
 
 where Lap is the (negative semi-definite) Neumann Laplacian. The implicit
 operator is diagonal in the cosine basis and the step carries the cosine
-coefficients of y, so a step makes three transforms (two without noise):
-forward transforms of the explicit term and of the noise increment and an
-inverse transform of y_{n+1}. The chemical potential is not part of the
-step; a trajectory computes it when read. The linearized solver runs the
-same step. The noise enters explicitly at the old iterate. Because
+coefficients of y, so a step makes two transform calls: one forward call on
+the explicit term and the noise increment, stacked as a pair in one buffer
+(the explicit term alone without noise), and one inverse call for y_{n+1}.
+The chemical potential is not part of the step; a trajectory computes it
+when read. The linearized solver runs the same step. The noise enters
+explicitly at the old iterate. Because
 the zero mode of Lap vanishes and mean-free noise has no zero mode, the
 spatial mean of y is conserved along every path.
 
@@ -32,6 +33,14 @@ fields xi_n = sum_k sigma_k dW_k g_k and, in the linearized and adjoint
 sweeps, psi''(y_n), rho'(y_n) and the tracking forcing. The state sweep
 guards the states of a block after it. A step's factors are computed from
 that step's data alone, so every block length gives the same bits.
+
+A sweep allocates the workspace of its steps once (:func:`_stepper` for
+the state and linearized steps): the symbols fixed over the sweep are
+broadcast to the step shape (ncontrols, npaths, *grid.shape), and every
+per-step ufunc, transform and noise operator writes through ``out=`` into
+contiguous arrays. The working state is one of them; each step's state is
+copied into the stored trajectory. Every result has the bits of the
+formulas that allocate each array.
 """
 
 from __future__ import annotations
@@ -283,23 +292,46 @@ def _chemical_potential_values(g: Grid, y: np.ndarray, u: np.ndarray,
     return -lap_values(g, y) + pot.psi_prime(y) - u
 
 
-def _step_spectral(x: np.ndarray, x_hat: np.ndarray, reaction: np.ndarray,
-                   source: np.ndarray, noise: np.ndarray | None, p: StateParams):
-    """One step of the scheme, carrying the cosine coefficients of x.
+def _stepper(p: StateParams, shape: tuple[int, ...], noisy: bool):
+    """The step of the scheme on arrays of ``shape``, with the workspace it
+    runs in, allocated once for a sweep.
 
-    Solves (I + tau*Lap^2 - tau*S*Lap) x_next
-        = x + tau*Lap(reaction - S*x - source) + noise,
-    where ``x_hat`` is the transform of ``x`` and ``noise`` may be None.
-    Returns (x_next, x_next_hat). The arrays may carry leading batch axes;
-    the transforms run over the grid axes.
+    Returns (noise, step). ``noise`` is the array into which a step writes
+    its noise increment before it runs, or None when ``noisy`` is false.
+    step(x, x_hat, reaction, source) solves
+
+        (I + tau*Lap^2 - tau*S*Lap) x_next
+            = x + tau*Lap(reaction - S*x - source) + noise,
+
+    where ``x_hat`` holds the transform of ``x``, and overwrites ``x`` and
+    ``x_hat`` with x_next and its coefficients. ``x``, ``x_hat`` and
+    ``reaction`` have ``shape``, which may lead with batch axes, and
+    ``source`` broadcasts to it. The explicit term and the noise increment
+    are the two halves of one buffer, so a step makes one forward transform
+    call on the pair and one inverse; without noise the buffer holds the
+    explicit term alone. The symbols are broadcast to ``shape`` here, once.
     """
     axes = p.grid.axes
-    explicit = reaction - p.stabilization * x - source
-    rhs_hat = x_hat + p.tau_lap_symbol * _dct_values(explicit, axes)
-    if noise is not None:
-        rhs_hat = rhs_hat + _dct_values(noise, axes)
-    x_next_hat = rhs_hat / p.implicit_symbol
-    return _idct_values(x_next_hat, axes), x_next_hat
+    s = p.stabilization
+    pair = np.empty((2 if noisy else 1,) + shape)
+    pair_hat = np.empty(pair.shape)
+    explicit, rhs_hat = pair[0], pair_hat[0]
+    noise, noise_hat = (pair[1], pair_hat[1]) if noisy else (None, None)
+    tau_lap = np.broadcast_to(p.tau_lap_symbol, shape).copy()
+    implicit = np.broadcast_to(p.implicit_symbol, shape).copy()
+
+    def step(x, x_hat, reaction, source):
+        np.multiply(s, x, out=explicit)
+        np.subtract(reaction, explicit, out=explicit)
+        np.subtract(explicit, source, out=explicit)
+        _dct_values(pair, axes, out=pair_hat)
+        np.multiply(tau_lap, rhs_hat, out=rhs_hat)
+        np.add(x_hat, rhs_hat, out=rhs_hat)
+        if noisy:
+            np.add(rhs_hat, noise_hat, out=rhs_hat)
+        np.divide(rhs_hat, implicit, out=x_hat)
+        _idct_values(x_hat, axes, out=x)
+    return noise, step
 
 
 # Byte budget of one array of a block of steps (see the module docstring):
@@ -404,16 +436,19 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
     psi_prime = params.potential.psi_prime
     seeds = [wp.seed for wp in paths]
 
+    # the working state and its coefficients are contiguous arrays that the
+    # steps overwrite; each state is copied into ys
     y = np.broadcast_to(y0, (ncontrols, len(paths)) + g.shape).copy()
     y_hat = _dct_values(y, g.axes)
     ys_n[0] = y
+    noise, step = _stepper(params, y.shape, noisy)
     for n0, n1 in _blocks(nsteps, y):
         xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(n0, n1):
-                noise = b_increment_values(nm, y, xi[n - n0]) if noisy else None
-                y, y_hat = _step_spectral(y, y_hat, psi_prime(y), u_n[n], noise,
-                                          params)
+                if noisy:
+                    b_increment_values(nm, y, xi[n - n0], out=noise)
+                step(y, y_hat, psi_prime(y), u_n[n])
                 ys_n[n + 1] = y
         _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, seeds)
     return ys

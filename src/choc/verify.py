@@ -38,7 +38,6 @@ from .grid import (
     Grid,
     _dct,
     _idct,
-    lap_values,
     low_pass_field,
     low_pass_values,
     norm_h_values,
@@ -621,16 +620,29 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
     ys = np.moveaxis(traj.ys, 1, 0)
     pts_t = np.moveaxis(ptildes, 1, 0)
     gaps = np.empty(traj.ys.shape[:1] + (p.timegrid.nsteps,))
-    pv = pt = np.zeros(ys.shape[1:])
+    # the workspace of a node, as in the transpose sweep; ptilde_n is
+    # -Lap p_n from the values of p_n, two transforms of its own
+    pv, pt, rhs, coeffs = np.zeros((4,) + ys.shape[1:])
+    implicit = np.broadcast_to(p.implicit_symbol, pv.shape).copy()
+    lam = np.broadcast_to(g.lap_symbol, pv.shape).copy()
     for n0, n1 in reversed(_blocks(p.timegrid.nsteps, pv)):
         # the block's tau*(psi''(y_n) - S) and tau*a1*(y_n - xQ_n)
         coef = tau * (p.potential.psi_second(ys[n0:n1]) - s)
         forcing = tau * (a1 * (ys[n0:n1] - x_q[n0:n1, None]))
         for j in range(n1 - n0 - 1, -1, -1):
-            rhs = pv - coef[j] * pt + forcing[j]
-            pv = _idct(_dct(rhs, axes) / p.implicit_symbol, axes)
-            pt = -lap_values(g, pv)
-            gaps[:, n0 + j] = np.sum((pts_t[n0 + j] - pt) ** 2, axis=axes)
+            np.multiply(coef[j], pt, out=rhs)
+            np.subtract(pv, rhs, out=rhs)
+            np.add(rhs, forcing[j], out=rhs)
+            _dct(rhs, axes, out=coeffs)
+            np.divide(coeffs, implicit, out=coeffs)
+            _idct(coeffs, axes, out=pv)
+            _dct(pv, axes, out=coeffs)
+            np.multiply(lam, coeffs, out=coeffs)
+            _idct(coeffs, axes, out=pt)
+            np.negative(pt, out=pt)
+            np.subtract(pts_t[n0 + j], pt, out=rhs)
+            np.square(rhs, out=rhs)
+            gaps[:, n0 + j] = np.sum(rhs, axis=axes)
     return gaps
 
 
@@ -686,8 +698,9 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     gaps = []
     for nsteps in nsteps_list:
         params, y0, paths = _level(problem, es, 1, nsteps, finest)
-        uvals = np.repeat(u_field.values[None], nsteps, axis=0)
-        xq = np.repeat(xq_field.values[None], nsteps, axis=0)
+        # the time-constant series as read-only views of one field each
+        uvals = np.broadcast_to(u_field.values, (nsteps,) + p.grid.shape)
+        xq = np.broadcast_to(xq_field.values, (nsteps,) + p.grid.shape)
         taus.append(params.timegrid.tau)
         gaps.append(_adjoint_gap(y0, uvals, xq, alphas, paths, params))
     order = empirical_order(np.asarray(taus), np.asarray(gaps))

@@ -1,8 +1,10 @@
-"""Shared fixtures and dense-matrix oracles.
+"""Shared fixtures, dense-matrix oracles and per-step sweep oracles.
 
-The oracles assemble the reflected-ghost Neumann stencil as ordinary dense
-matrices and never touch the package's transform path, so every spectral
-result is checked against an independent computation.
+The dense oracles assemble the reflected-ghost Neumann stencil as ordinary
+dense matrices and never touch the package's transform path, so every
+spectral result is checked against an independent computation. The
+per-step sweep oracles do transform: they pin the bits of the sweeps'
+workspace to the step formulas written one allocated array at a time.
 """
 
 import tracemalloc
@@ -11,9 +13,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from choc import Field, Grid, Potential, TimeGrid, double_well, multiplicative_noise
+from choc import (
+    BlowUpError,
+    Field,
+    Grid,
+    Potential,
+    TimeGrid,
+    double_well,
+    multiplicative_noise,
+)
 from choc.grid import _dct, _idct, lap_values, low_pass_field
-from choc.state import StateParams
+from choc.physics import _mode_sum
+from choc.state import StateParams, _increments
 
 
 def dense_lap_1d(n: int, h: float) -> np.ndarray:
@@ -82,6 +93,133 @@ def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
         pv = _idct(_dct(rhs, g.axes) / p.implicit_symbol, g.axes)
         pt = ptildes[:, n] = -lap_values(g, pv)
     return ptildes
+
+
+# The sweeps' steps as formulas that allocate every result: the oracle of
+# the sweeps' workspace, which must give the same bits. The sweeps run the
+# rows controls × paths, control-major; these run one step at a time over
+# arrays shaped (ncontrols, npaths, *grid.shape).
+
+
+def path_mean(g: Grid, x: np.ndarray) -> np.ndarray:
+    """Grid mean of each row of ``x``, kept broadcastable against ``x``."""
+    return x.sum(axis=g.axes, keepdims=True) / g.size
+
+
+def projected_modes(nm, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """xi times v, projected to zero mean row by row."""
+    col = xi * v
+    return col - path_mean(nm.grid, col)
+
+
+def b_increment_oracle(nm, y, xi):
+    if nm.nmodes == 0:
+        return np.zeros(y.shape)
+    if not nm.is_multiplicative:
+        return xi
+    return projected_modes(nm, np.tanh(y), xi)
+
+
+def db_increment_oracle(nm, rho_prime_y, z, xi):
+    if nm.nmodes == 0 or not nm.is_multiplicative:
+        return np.zeros(z.shape)
+    return projected_modes(nm, rho_prime_y * z, xi)
+
+
+def db_adjoint_scaled_oracle(nm, rho_prime_xi, p):
+    if nm.nmodes == 0 or not nm.is_multiplicative:
+        return np.zeros(p.shape)
+    return rho_prime_xi * (p - path_mean(nm.grid, p))
+
+
+def step_spectral(x, x_hat, reaction, source, noise, p: StateParams):
+    """(I + tau*Lap^2 - tau*S*Lap) x_next
+    = x + tau*Lap(reaction - S*x - source) + noise, noise None or an array;
+    returns (x_next, its coefficients)."""
+    axes = p.grid.axes
+    explicit = reaction - p.stabilization * x - source
+    rhs_hat = x_hat + p.tau_lap_symbol * _dct(explicit, axes)
+    if noise is not None:
+        rhs_hat = rhs_hat + _dct(noise, axes)
+    x_next_hat = rhs_hat / p.implicit_symbol
+    return _idct(x_next_hat, axes), x_next_hat
+
+
+def _rows(a: np.ndarray, npaths: int) -> np.ndarray:
+    """A (ncontrols * npaths, ...) row array as (ncontrols, npaths, ...)."""
+    return a.reshape((-1, npaths) + a.shape[1:])
+
+
+def sweep_state_oracle(y0, controls, paths, p: StateParams) -> np.ndarray:
+    """The state sweep of ``_sweep_state``, guarded after every step: a
+    blow-up names the step and, at it, the lowest row by its path."""
+    nm = p.noise
+    noisy = nm.nmodes > 0
+    dw = _increments(paths)
+    y = np.broadcast_to(y0, (len(controls), len(paths)) + y0.shape).copy()
+    y_hat = _dct(y, p.grid.axes)
+    ys = [y]
+    for n in range(p.timegrid.nsteps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = b_increment_oracle(nm, y, _mode_sum(nm, dw[n])) if noisy else None
+            y, y_hat = step_spectral(y, y_hat, p.potential.psi_prime(y),
+                                     controls[:, n, None], noise, p)
+        tops = np.max(np.abs(y).reshape(y.shape[:2] + (-1,)), axis=2)
+        bad = ~np.isfinite(tops) | (tops > p.blowup_threshold)
+        if bad.any():
+            c, i = np.argwhere(bad)[0]
+            raise BlowUpError(n, float(tops[c, i]), paths[i].seed, int(i))
+        ys.append(y)
+    return np.stack(ys, axis=2).reshape((-1, len(ys)) + y0.shape)
+
+
+def sweep_linearized_oracle(ys, directions, paths, p: StateParams) -> np.ndarray:
+    """The linearized sweep of ``_sweep_linearized``."""
+    nm = p.noise
+    noisy = nm.is_multiplicative and nm.nmodes > 0
+    dw = _increments(paths)
+    rows = _rows(ys, len(paths))
+    z = z_hat = np.zeros(rows[:, :, 0].shape)
+    zs = [z]
+    for n in range(p.timegrid.nsteps):
+        y_n = rows[:, :, n]
+        noise = (db_increment_oracle(nm, nm.rho_prime(y_n), z, _mode_sum(nm, dw[n]))
+                 if noisy else None)
+        z, z_hat = step_spectral(z, z_hat, p.potential.psi_second(y_n) * z,
+                                 directions[:, n, None], noise, p)
+        zs.append(z)
+    return np.stack(zs, axis=2).reshape(ys.shape)
+
+
+def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams) -> np.ndarray:
+    """The transpose sweep of ``_sweep_adjoint``; the targets as
+    ``target_values`` returns them."""
+    g = p.grid
+    tau = p.timegrid.tau
+    nsteps = p.timegrid.nsteps
+    nm = p.noise
+    noisy = nm.is_multiplicative and nm.nmodes > 0
+    a1, a2, _ = alphas
+    dw = _increments(paths)
+    rows = _rows(ys, len(paths))
+    per_path_q = a1 != 0.0 and xq.ndim == g.ndims + 2
+    zero = np.zeros(rows[:, :, 0].shape)
+    costate = a2 * (rows[:, :, nsteps] - xt) if a2 != 0.0 else zero
+    pts = np.empty(rows.shape)
+    pts[:, :, nsteps] = -lap_values(g, costate)
+    for n in range(nsteps - 1, -1, -1):
+        y_n = rows[:, :, n]
+        forcing = (tau * (a1 * (y_n - (xq[:, n] if per_path_q else xq[n])))
+                   if a1 != 0.0 else zero)
+        coef = tau * (p.potential.psi_second(y_n) - p.stabilization)
+        p_hat = _dct(costate, g.axes) / p.implicit_symbol
+        p_n = _idct(p_hat, g.axes)
+        pt_n = pts[:, :, n] = _idct(-g.lap_symbol * p_hat, g.axes)
+        costate = forcing + p_n - coef * pt_n
+        if noisy:
+            rho_xi = nm.rho_prime(y_n) * _mode_sum(nm, dw[n])
+            costate = costate + db_adjoint_scaled_oracle(nm, rho_xi, p_n)
+    return pts.reshape(ys.shape)
 
 
 def heap_peak(fn, *args, **kwargs):

@@ -205,9 +205,10 @@ def test_given_states_change_no_bits():
 @pytest.mark.parametrize("npaths", [1, 3])
 def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     # given u's states, the gradient is one adjoint sweep for all paths:
-    # 2 transforms for the terminal ptilde and 3 per node (p_n and ptilde_n
-    # share the coefficients of p_n); reading the stored ptilde afterwards
-    # makes none
+    # 2 transforms for the terminal ptilde and 2 per node (the costate
+    # forward, then the coefficients of p_n and of ptilde_n inverted in one
+    # call on the stacked pair); reading the stored ptilde afterwards makes
+    # none
     problem, es = _problem(npaths=npaths)
     u = _smooth_control(problem, 3)
     paths = es.sample_paths(problem.params)
@@ -221,7 +222,7 @@ def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     monkeypatch.setattr(choc.control, "solve_adjoint", kept)
     calls = _count_transforms(monkeypatch)
     gradient(u, es, problem, states=states)
-    assert len(calls) == 2 + 3 * nsteps
+    assert len(calls) == 2 + 2 * nsteps
     (adj,) = adjoints
     del calls[:]
     assert adj.ptildes.shape == states.ys.shape

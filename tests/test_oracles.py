@@ -13,11 +13,16 @@ Each oracle computes the same quantity the way its definition reads:
 - the checks' ensemble means and time sums as Python loops in path and
   step order, where the checks let numpy sum;
 - the continuous reference ptilde stored and its gap to the transpose taken
-  by ``series_l2h_norm``, where the backend check compares it node by node.
+  by ``series_l2h_norm``, where the backend check compares it node by node;
+- the state, linearized and adjoint steps as formulas that allocate every
+  result and transform each array on its own, where the sweeps write into a
+  workspace and transform stacked pairs: these agree bit for bit.
 
 They agree to rounding, and the fast forms keep the batch == serial
 property bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,24 +30,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from choc import (
+    BlowUpError,
     Grid,
     TimeGrid,
+    additive_noise,
     double_well,
     multiplicative_noise,
     sample_wiener_path,
     solve_adjoint,
 )
 from choc.grid import _dct, _idct, lap_values, low_pass_field, norm_h_values, norm_z_values
-from choc.physics import (
-    _mode_sum,
-    _path_mean,
-    _projected_modes,
-    db_adjoint_scaled_values,
-)
-from choc.state import series_l2h_norm, solve_state
+from choc.physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
+from choc.sensitivity import _sweep_adjoint, _sweep_linearized
+from choc.state import _sweep_state, series_l2h_norm, solve_state, target_values
 from choc.verify import _continuous_gaps, _duality_residual, _norm_c0h_l2z
 
-from conftest import continuous_ptildes
+from conftest import (
+    continuous_ptildes,
+    path_mean,
+    sweep_adjoint_oracle,
+    sweep_linearized_oracle,
+    sweep_state_oracle,
+)
+from test_blocks import make_params
 from test_properties import PROPERTIES, _smooth_series, grids, seeds, state_params
 
 EPS = np.finfo(float).eps
@@ -58,7 +68,7 @@ def projected_modes_oracle(nm, v, dw):
     out = np.zeros(v.shape)
     for k in range(nm.nmodes):
         col = nm.modes[k] * v
-        col = col - _path_mean(nm.grid, col)
+        col = col - path_mean(nm.grid, col)
         out += scales[k] * col
     return out
 
@@ -91,11 +101,17 @@ def row_scale(nm, v, dw):
             * np.max(np.abs(v), axis=axes, keepdims=True))
 
 
+def projected_modes(nm, v, xi):
+    """The noise operators' projection of xi * v: DB at rho'(y) = 1, which
+    projects xi * (1 * v) = xi * v."""
+    return db_increment_values(nm, np.ones(v.shape), v, xi)
+
+
 @PROPERTIES
 @given(case=multiplicative_rows())
 def test_projected_modes_is_the_mode_by_mode_projection(case):
     nm, v, dw = case
-    out = _projected_modes(nm, v, _mode_sum(nm, dw))
+    out = projected_modes(nm, v, _mode_sum(nm, dw))
     oracle = projected_modes_oracle(nm, v, dw)
     assert out.shape == oracle.shape == v.shape
     assert np.all(np.abs(out - oracle) <= 8 * (EPS * row_scale(nm, v, dw) + TINY))
@@ -105,7 +121,7 @@ def test_projected_modes_is_the_mode_by_mode_projection(case):
 @given(case=multiplicative_rows())
 def test_projected_modes_rows_are_mean_free(case):
     nm, v, dw = case
-    sums = np.sum(_projected_modes(nm, v, _mode_sum(nm, dw)), axis=nm.grid.axes,
+    sums = np.sum(projected_modes(nm, v, _mode_sum(nm, dw)), axis=nm.grid.axes,
                   keepdims=True)
     assert np.all(np.abs(sums) <= 4 * EPS * nm.grid.size * row_scale(nm, v, dw))
 
@@ -114,12 +130,12 @@ def test_projected_modes_rows_are_mean_free(case):
 @given(case=multiplicative_rows())
 def test_projected_modes_rows_are_their_own_projection(case):
     nm, v, dw = case
-    out = _projected_modes(nm, v, _mode_sum(nm, dw))
+    out = projected_modes(nm, v, _mode_sum(nm, dw))
     ncontrols, npaths = v.shape[:2]
     for c in range(ncontrols):
         for i in range(npaths):
             xi = _mode_sum(nm, dw[i])
-            assert np.array_equal(out[c, i], _projected_modes(nm, v[c, i], xi))
+            assert np.array_equal(out[c, i], projected_modes(nm, v[c, i], xi))
 
 
 @pytest.mark.parametrize("nmodes", [1, 2, 3, 4])
@@ -245,3 +261,57 @@ def test_continuous_gaps_are_the_terms_of_the_stored_gap(params, seed, npaths, a
         assert np.array_equal(gaps[i], np.sum(diff[i] ** 2, axis=g.axes))
         assert (np.sqrt(np.sum(gaps[i]) * tg.tau * g.cell_volume)
                 == series_l2h_norm(diff[i], tg, g))
+
+
+@pytest.mark.parametrize("ncontrols", [1, 3])
+@pytest.mark.parametrize("kind", ["none", "additive", "multiplicative"])
+@pytest.mark.parametrize("ndims", [1, 2])
+def test_sweeps_are_bitwise_the_per_step_formulas(ndims, kind, ncontrols):
+    # the sweeps' steps in a workspace, with stacked transforms, against the
+    # steps that allocate every result: the same bits for every row, with
+    # shared and per-path targets
+    p = make_params(ndims, kind)
+    g = p.grid
+    nsteps = p.timegrid.nsteps
+    rng = np.random.default_rng(10 * ndims + ncontrols)
+    y0 = low_pass_field(g, rng, 0.6).values
+    controls = np.stack([np.stack([low_pass_field(g, rng, 0.8).values
+                                   for _ in range(nsteps)])
+                         for _ in range(ncontrols)])
+    directions = rng.standard_normal(controls.shape)
+    paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in (3, 5)]
+    ys = _sweep_state(y0, controls, paths, p)
+    assert np.array_equal(ys, sweep_state_oracle(y0, controls, paths, p))
+    assert np.array_equal(_sweep_linearized(ys, directions, paths, p),
+                          sweep_linearized_oracle(ys, directions, paths, p))
+    x_q = rng.standard_normal((len(paths), nsteps) + g.shape)
+    x_t = rng.standard_normal(g.shape)
+    for alphas, targets in (((1.0, 0.7, 0.0), (x_q, x_t)),
+                            ((1.0, 0.0, 0.0), (x_q[0], None)),
+                            ((0.0, 0.7, 0.0), (None, x_t))):
+        xq, xt = target_values(*targets, alphas, p.timegrid, g, len(paths))
+        assert np.array_equal(_sweep_adjoint(ys, paths, xq, xt, alphas, p),
+                              sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p))
+
+
+@pytest.mark.parametrize("ndims", [1, 2])
+def test_sweep_blowup_is_the_per_step_formulas_blowup(ndims):
+    # strong additive noise blows some rows up; the sweep names the step,
+    # path and seed that the per-step formulas, guarded step by step, name
+    nsteps = 40
+    p = make_params(ndims, "additive")
+    g = p.grid
+    p = replace(p, timegrid=TimeGrid(0.05, nsteps),
+                noise=additive_noise(g, [200.0, 200.0], p.noise.mode_indices[:2]))
+    rng = np.random.default_rng(8)
+    y0 = low_pass_field(g, rng, 0.4).values
+    controls = np.stack([np.zeros((nsteps,) + g.shape),
+                         np.stack([low_pass_field(g, rng, 2.0).values
+                                   for _ in range(nsteps)]),
+                         np.zeros((nsteps,) + g.shape)])
+    paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in (1, 2, 3, 4)]
+    with pytest.raises(BlowUpError) as expected:
+        sweep_state_oracle(y0, controls, paths, p)
+    with pytest.raises(BlowUpError) as got:
+        _sweep_state(y0, controls, paths, p)
+    assert got.value.args == expected.value.args

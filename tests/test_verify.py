@@ -281,18 +281,18 @@ def test_duality_heap_holds_two_sweep_outputs_of_a_chunk(monkeypatch):
 
 def test_backend_consistency_heap_holds_one_ptilde_batch():
     # at the finest level the check holds the states and the transpose
-    # ptildes of its paths, its control and target series and one block's
-    # temporaries, and compares the continuous ptilde node by node; a stored
-    # batch of it would not fit
+    # ptildes of its paths and one block's temporaries, and compares the
+    # continuous ptilde node by node; a stored batch of it would not fit.
+    # Its time-constant control and target are views of one field each, so
+    # no series of them is held
     problem = _problem(grid_n=64, noise="additive")
     size = problem.params.grid.size
     _, peak = heap_peak(check_backend_consistency, problem, EnsembleSpec(8, 9),
                         nsteps_list=(100, 800), seed=0)
     batch = 8 * 801 * size * 8
-    series = 800 * size * 8
     block = _BLOCK_TEMPORARIES * state._BLOCK_BYTES
-    assert 2 * batch + 2 * series + block < 3 * batch
-    assert peak <= 2 * batch + 2 * series + block
+    assert 2 * batch + block < 3 * batch
+    assert peak <= 2 * batch + block
 
 
 def _per_step_control(problem, seed, amplitude):
