@@ -5,8 +5,15 @@ by -c1, a constant its formula fixes. The noise operator maps a vector of
 Brownian increments to a field increment through K smooth cosine modes;
 multiplicative noise modulates the modes by tanh of the state, bounded and
 Lipschitz, and is projected to zero mean, which is what conserves mass along
-stochastic trajectories. The projection is linear, so the mode sum times
-the modulation is projected once, which equals projecting mode by mode.
+stochastic trajectories.
+
+The projection removes one cosine coefficient, the zero mode, so it lives
+in the time steppers rather than here: a step maps the noise increment to
+coefficient space through a symbol whose zero mode is 0 whenever the noise
+is mean-free (:attr:`NoiseModel.is_mean_free`; see :mod:`choc.state`). B and
+DB return the unprojected xi tanh(y) and xi rho'(y) z, two ufuncs each; DB*
+subtracts a mean its caller takes from the zero coefficient it already
+holds, so the step's projected DB and DB* stay exact transposes.
 
 The operators B, DB and DB* take the increment field xi = sum_k sigma_k
 dW_k g_k rather than the increments dW. xi does not depend on the state, so
@@ -21,6 +28,7 @@ buffer for every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -113,9 +121,9 @@ class NoiseModel:
 
     Each mode is a smooth cosine profile ``g_k`` with amplitude ``sigma_k``.
     Additive noise adds ``sum_k sigma_k g_k dW_k``; multiplicative noise
-    modulates the modes by rho = tanh of the state and removes the grid mean
-    of the modulated mode sum, which by linearity is the sum of the modes'
-    projections.
+    modulates the modes by rho = tanh of the state, and the time steppers
+    remove the grid mean of the modulated mode sum, which by linearity is
+    the sum of the modes' projections.
     """
 
     grid: Grid
@@ -124,13 +132,19 @@ class NoiseModel:
     modes: np.ndarray            # (K, *grid.shape)
     mode_indices: tuple
 
-    @property
+    @cached_property
     def nmodes(self) -> int:
         return int(self.sigmas.shape[0])
 
-    @property
+    @cached_property
     def is_multiplicative(self) -> bool:
         return self.kind == "multiplicative"
+
+    @cached_property
+    def is_mean_free(self) -> bool:
+        """True when the steps project the increments to zero mean:
+        multiplicative noise, or additive noise without a constant mode."""
+        return self.is_multiplicative or all(any(ix) for ix in self.mode_indices)
 
     @staticmethod
     def rho_prime(values):
@@ -208,10 +222,9 @@ def no_noise(grid: Grid) -> NoiseModel:
 
 # The array-level operators below are the hot path of the solvers. Their
 # field arguments may carry leading batch axes (one row per path), with
-# ``xi`` the increment field of each row; means are taken row by row, as
-# the row's grid sum divided by the point count, bitwise np.mean of the row.
-# Each operator writes its result into ``out`` when it is given, an array of
-# the result's shape that overlaps none of its arguments, and returns it.
+# ``xi`` the increment field of each row. Each operator writes its result
+# into ``out`` when it is given, an array of the result's shape that
+# overlaps none of its arguments, and returns it.
 
 
 def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
@@ -228,11 +241,10 @@ def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
 def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Array-level noise increment B(y) dw of the increment field ``xi``,
-    of the shape of ``y``.
+    of the shape of ``y``, before the step's projection.
 
-    Multiplicative noise is xi * tanh(y), projected to zero mean: the
-    projection is linear, so this is sum_k sigma_k dw_k (g_k tanh(y) -
-    mean(g_k tanh(y))).
+    Multiplicative noise is xi * tanh(y) = sum_k sigma_k dw_k g_k tanh(y);
+    the step drops its zero mode.
     """
     if out is None:
         out = np.empty(y.shape)
@@ -243,17 +255,14 @@ def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray,
     else:
         np.tanh(y, out=out)
         np.multiply(xi, out, out=out)
-        mean = np.add.reduce(out, axis=nm.grid.axes, keepdims=True)
-        mean /= nm.grid.size
-        out -= mean
     return out
 
 
 def db_increment_values(nm: NoiseModel, rho_prime_y: np.ndarray, z: np.ndarray,
                         xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Derivative of the noise operator in the state y, applied to z, for
-    the increment field ``xi``; ``rho_prime_y`` is rho'(y). It is
-    xi * (rho'(y) * z), projected to zero mean, of the shape of ``z``."""
+    the increment field ``xi``, before the step's projection; ``rho_prime_y``
+    is rho'(y). It is xi * (rho'(y) * z), of the shape of ``z``."""
     if out is None:
         out = np.empty(z.shape)
     if nm.nmodes == 0 or not nm.is_multiplicative:
@@ -261,27 +270,27 @@ def db_increment_values(nm: NoiseModel, rho_prime_y: np.ndarray, z: np.ndarray,
     else:
         np.multiply(rho_prime_y, z, out=out)
         np.multiply(xi, out, out=out)
-        mean = np.add.reduce(out, axis=nm.grid.axes, keepdims=True)
-        mean /= nm.grid.size
-        out -= mean
     return out
 
 
 def db_adjoint_scaled_values(nm: NoiseModel, rho_prime_xi: np.ndarray,
-                             p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of z -> DB(y)[z] dw applied to p, where ``rho_prime_xi`` is
-    rho'(y) times the increment field xi of dw: rho'(y) xi times p projected
-    to zero mean, of the shape of ``p``.
+                             p: np.ndarray, p_mean: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of the projected z -> DB(y)[z] dw applied to p, where
+    ``rho_prime_xi`` is rho'(y) times the increment field xi of dw and
+    ``p_mean`` the grid mean of each row of p, broadcastable against it:
+    rho'(y) xi times (p - p_mean), of the shape of ``p``.
 
-    Satisfies the exact discrete identity <DB(y)[z] dw, p>_H = <z, out>_H.
+    With Pi the projection to zero mean it satisfies the exact discrete
+    identity <Pi DB(y)[z] dw, p>_H = <z, out>_H. The adjoint sweep takes
+    p_mean from the zero cosine coefficient of p, the one the state step's
+    projection drops.
     """
     if out is None:
         out = np.empty(p.shape)
     if nm.nmodes == 0 or not nm.is_multiplicative:
         out.fill(0.0)
     else:
-        mean = np.add.reduce(p, axis=nm.grid.axes, keepdims=True)
-        mean /= nm.grid.size
-        np.subtract(p, mean, out=out)
+        np.subtract(p, p_mean, out=out)
         np.multiply(rho_prime_xi, out, out=out)
     return out

@@ -5,25 +5,33 @@ state's step function with reaction C_n z_n, source h_n and noise
 DB(y_n)[z_n] dW_n, that is
 
     (I + tau*Lap^2 - tau*S*Lap) z_{n+1}
-        = z_n + tau*Lap(C_n z_n - S z_n - h_n) + DB(y_n)[z_n] dW_n,
+        = z_n + tau*Lap(C_n z_n - S z_n - h_n) + Pi DB(y_n)[z_n] dW_n,
 
 from z_0 = 0, so the map h -> z is linear and is the exact derivative of
-the discrete flow.
+the discrete flow. In coefficient space it is zhat_{n+1} = a zhat_n +
+b DCT(C_n z_n - h_n) + c DCT(DB(y_n)[z_n] dW_n) with the state step's
+symbols (:attr:`~choc.state.StateParams.step_symbols`), whose c drops the
+zero mode of mean-free noise: that is the projection Pi. A linearized step
+makes 11 array operations: 2 in DB, the reaction's product, the step's 7
+and the copy into the stored sensitivities.
 
 The adjoint is the algebraic transpose of this recursion. Writing one
 forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
-implicit operator and E_n = I + tau*Lap(C_n - S) + DB_n, the costate sweep
-is
+implicit operator and E_n = I + tau*Lap(C_n - S) + Pi DB_n, the costate
+sweep is
 
     P_N = alpha2 (y_N - x_T),
     p_n = M P_{n+1},            ptilde_n = -Lap p_n,
     P_n = alpha1*tau*(y_n - xQ_n) + p_n - tau*(C_n - S)*ptilde_n
-          + DB_n^T p_n,
+          + DB_n^T Pi p_n,
 
 One node makes two transform calls: the forward transform of P_{n+1},
-divided by the implicit symbol, gives the coefficients of p_n, and one
-inverse call on those coefficients and -Lap's symbol times them, stacked as
-a pair in one buffer, gives p_n and ptilde_n. ptilde satisfies, exactly in
+times the stacked symbols (1/d, -lambda/d) in one multiply, gives the
+coefficients of p_n and ptilde_n, and one inverse call on that pair gives
+p_n and ptilde_n. Pi p_n is p_n less its mean, which is the zero
+coefficient of p_n over sqrt(grid.size), the coefficient the forward
+step's c drops; so DB_n^T Pi is the exact transpose of the forward step's
+Pi DB_n. A node makes 11 array operations. ptilde satisfies, exactly in
 floating point up to rounding,
 
     sum_n tau <h_n, ptilde_n>_H
@@ -51,6 +59,7 @@ through ``out=``; the linearized sweep runs the state's step kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,16 +246,22 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     ptildes = np.empty(ys.shape)
     pts_n = _step_major(ptildes, len(paths))
     pts_n[nsteps] = -lap_values(g, costate)
-    # A node's workspace: the coefficients of p_n and of ptilde_n = -Lap p_n
-    # side by side, inverted by one call into p_n and ptilde_n; the symbols
-    # broadcast to the node shape once
+    # A node's workspace: the coefficients of P_{n+1}, then those of p_n
+    # and of ptilde_n = -Lap p_n side by side, inverted by one call into
+    # p_n and ptilde_n; the symbols broadcast to the node shape once
+    costate_hat = np.empty(shape)
     pair_hat = np.empty((2,) + shape)
     pair = np.empty(pair_hat.shape)
-    p_hat, pt_hat = pair_hat
     p_n, pt_n = pair
     work = np.empty(shape)
-    implicit = np.broadcast_to(p.implicit_symbol, shape).copy()
-    neg_lam = np.broadcast_to(-g.lap_symbol, shape).copy()
+    d = p.implicit_symbol
+    symbols = np.stack([np.broadcast_to(sym, shape)
+                        for sym in (1.0 / d, -g.lap_symbol / d)])
+    if noisy:
+        # the mean of p_n from its zero coefficient, one per row
+        p_zero = pair_hat[(0, Ellipsis) + (slice(0, 1),) * g.ndims]
+        p_mean = np.empty(p_zero.shape)
+        root_size = math.sqrt(g.size)
     for n0, n1 in reversed(_blocks(nsteps, zero)):
         # the block's tracking forcing tau*alpha1*(y_n - xQ_n), reaction
         # coefficients tau*(C_n - S) and rho'(y_n) xi_n, an increment field
@@ -258,16 +273,16 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
         if noisy:
             rho_xi = nm.rho_prime(y_b) * _mode_sum(nm, dw_n[n0:n1])[:, None]
         for j in range(n1 - n0 - 1, -1, -1):
-            _dct(costate, axes, out=p_hat)
-            np.divide(p_hat, implicit, out=p_hat)
-            np.multiply(neg_lam, p_hat, out=pt_hat)
+            _dct(costate, axes, out=costate_hat)
+            np.multiply(symbols, costate_hat, out=pair_hat)
             _idct(pair_hat, axes, out=pair)
             pts_n[n0 + j] = pt_n
             np.add(forcing[j], p_n, out=costate)
             np.multiply(coef[j], pt_n, out=work)
             np.subtract(costate, work, out=costate)
             if noisy:
-                db_adjoint_scaled_values(nm, rho_xi[j], p_n, out=work)
+                np.divide(p_zero, root_size, out=p_mean)
+                db_adjoint_scaled_values(nm, rho_xi[j], p_n, p_mean, out=work)
                 np.add(costate, work, out=costate)
     return ptildes
 

@@ -4,18 +4,33 @@ One Euler-Maruyama step treats the stiff fourth-order term implicitly and
 the nonlinearity explicitly with a linear stabilization shift S:
 
     (I + tau*Lap^2 - tau*S*Lap) y_{n+1}
-        = y_n + tau*Lap(psi'(y_n) - S*y_n - u_n) + B(y_n) dW_n,
+        = y_n + tau*Lap(psi'(y_n) - S*y_n - u_n) + Pi B(y_n) dW_n,
 
-where Lap is the (negative semi-definite) Neumann Laplacian. The implicit
-operator is diagonal in the cosine basis and the step carries the cosine
-coefficients of y, so a step makes two transform calls: one forward call on
-the explicit term and the noise increment, stacked as a pair in one buffer
-(the explicit term alone without noise), and one inverse call for y_{n+1}.
-The chemical potential is not part of the step; a trajectory computes it
-when read. The linearized solver runs the same step. The noise enters
-explicitly at the old iterate. Because
-the zero mode of Lap vanishes and mean-free noise has no zero mode, the
-spatial mean of y is conserved along every path.
+where Lap is the (negative semi-definite) Neumann Laplacian and Pi removes
+the grid mean of mean-free noise (multiplicative, or additive without a
+constant mode) and is the identity otherwise. Both operators are diagonal
+in the cosine basis, with symbols d and lambda, so the step runs on the
+cosine coefficients of y:
+
+    yhat_{n+1} = a yhat_n + b DCT(psi'(y_n) - u_n) + c DCT(B(y_n) dW_n),
+    a = (1 - tau*S*lambda)/d,   b = tau*lambda/d,   c = 1/d,
+
+where c's zero mode is 0 when the noise is mean-free: that zero is the
+projection Pi (:attr:`StateParams.step_symbols`). As lambda_0 = 0 and
+d_0 = 1, a's zero mode is 1 and b's is 0, so a step carries the zero
+coefficient of y, its mean times sqrt(grid.size), bit for bit, and the
+spatial mean of y is conserved along every path up to the rounding of the
+inverse transform. The noise enters explicitly at the old iterate.
+
+A step makes two transform calls: one forward call on the explicit term
+and the noise increment, stacked as a pair in one buffer (the explicit
+term alone without noise), and one inverse call for y_{n+1}; (b, c) is one
+multiply on the transformed pair. A state step makes 13 array operations:
+2 in the noise operator, 3 in psi', 7 in the step (the subtraction, two
+transforms, the pair's multiply, a times yhat and two additions) and the
+copy into the trajectory. The chemical potential is not part of the step;
+a trajectory computes it when read. The linearized solver runs the same
+step.
 
 :func:`solve_state` integrates a batch of paths in one sweep: the arrays of
 a step carry a leading path axis, the transforms run over the grid axes
@@ -35,12 +50,12 @@ guards the states of a block after it. A step's factors are computed from
 that step's data alone, so every block length gives the same bits.
 
 A sweep allocates the workspace of its steps once (:func:`_stepper` for
-the state and linearized steps): the symbols fixed over the sweep are
-broadcast to the step shape (ncontrols, npaths, *grid.shape), and every
-per-step ufunc, transform and noise operator writes through ``out=`` into
-contiguous arrays. The working state is one of them; each step's state is
-copied into the stored trajectory. Every result has the bits of the
-formulas that allocate each array.
+the state and linearized steps): the symbols are broadcast to the step
+shape (ncontrols, npaths, *grid.shape), and every per-step ufunc, transform
+and noise operator writes through ``out=`` into contiguous arrays. The
+working state is one of them; each step's state is copied into the stored
+trajectory. Every result has the bits of the formulas that allocate each
+array.
 """
 
 from __future__ import annotations
@@ -178,15 +193,24 @@ class StateParams:
 
     @cached_property
     def implicit_symbol(self) -> np.ndarray:
-        """Cosine-space symbol of I + tau*Lap^2 - tau*S*Lap (>= 1)."""
+        """Cosine-space symbol d of I + tau*Lap^2 - tau*S*Lap (>= 1)."""
         lam = self.grid.lap_symbol
         tau = self.timegrid.tau
         return 1.0 + tau * lam**2 - tau * self.stabilization * lam
 
     @cached_property
-    def tau_lap_symbol(self) -> np.ndarray:
-        """Cosine-space symbol of tau*Lap."""
-        return self.timegrid.tau * self.grid.lap_symbol
+    def step_symbols(self) -> np.ndarray:
+        """The cosine-space symbols (a, b, c) of a step (see the module
+        docstring), stacked, shape (3, *grid.shape): a = (1 - tau*S*lambda)/d,
+        b = tau*lambda/d and c = 1/d, whose zero mode is 0 when the noise
+        is mean-free."""
+        lam = self.grid.lap_symbol
+        tau = self.timegrid.tau
+        d = self.implicit_symbol
+        c = 1.0 / d
+        if self.noise.is_mean_free:
+            c[(0,) * self.grid.ndims] = 0.0
+        return np.stack([(1.0 - tau * self.stabilization * lam) / d, tau * lam / d, c])
 
 
 @dataclass(frozen=True)
@@ -196,15 +220,14 @@ class Trajectory:
     ``ys`` stacks the nsteps+1 state fields of every path behind a leading
     path axis. The control values, shared by the paths, and the Wiener
     paths that generated the trajectory are kept for the linearized and
-    adjoint solvers. The chemical potentials ``ws`` at the
-    step starts and the free-energy series are computed when first read.
+    adjoint solvers. The chemical potentials ``ws`` at the step starts and
+    the mass and free-energy series are computed when first read.
     """
 
     params: StateParams
     ys: np.ndarray               # (npaths, nsteps+1, *grid.shape)
     control: np.ndarray          # (nsteps, *grid.shape)
     wiener: tuple[WienerPath, ...]
-    mass: np.ndarray             # (npaths, nsteps+1)
 
     @property
     def grid(self) -> Grid:
@@ -224,6 +247,11 @@ class Trajectory:
         start, shape (npaths, nsteps, *grid.shape)."""
         return _chemical_potential_values(self.grid, self.ys[:, :-1], self.control,
                                           self.params.potential)
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Grid mean of every state, shape (npaths, nsteps+1)."""
+        return self.ys.sum(axis=self.grid.axes) / self.grid.size
 
     @cached_property
     def energy(self) -> np.ndarray:
@@ -297,39 +325,40 @@ def _stepper(p: StateParams, shape: tuple[int, ...], noisy: bool):
     runs in, allocated once for a sweep.
 
     Returns (noise, step). ``noise`` is the array into which a step writes
-    its noise increment before it runs, or None when ``noisy`` is false.
-    step(x, x_hat, reaction, source) solves
+    its unprojected noise increment before it runs, or None when ``noisy``
+    is false. step(x, x_hat, reaction, source) solves
 
         (I + tau*Lap^2 - tau*S*Lap) x_next
-            = x + tau*Lap(reaction - S*x - source) + noise,
+            = x + tau*Lap(reaction - S*x - source) + Pi noise
 
+    in coefficient space, x_hat <- a x_hat + b DCT(reaction - source)
+    + c DCT(noise) with the symbols of :attr:`StateParams.step_symbols`,
     where ``x_hat`` holds the transform of ``x``, and overwrites ``x`` and
     ``x_hat`` with x_next and its coefficients. ``x``, ``x_hat`` and
     ``reaction`` have ``shape``, which may lead with batch axes, and
     ``source`` broadcasts to it. The explicit term and the noise increment
     are the two halves of one buffer, so a step makes one forward transform
-    call on the pair and one inverse; without noise the buffer holds the
-    explicit term alone. The symbols are broadcast to ``shape`` here, once.
+    call on the pair, one multiply by (b, c) and one inverse call; without
+    noise the buffer holds the explicit term alone. The symbols are
+    broadcast to ``shape`` here, once.
     """
     axes = p.grid.axes
-    s = p.stabilization
+    a, b, c = p.step_symbols
     pair = np.empty((2 if noisy else 1,) + shape)
     pair_hat = np.empty(pair.shape)
-    explicit, rhs_hat = pair[0], pair_hat[0]
+    explicit, explicit_hat = pair[0], pair_hat[0]
     noise, noise_hat = (pair[1], pair_hat[1]) if noisy else (None, None)
-    tau_lap = np.broadcast_to(p.tau_lap_symbol, shape).copy()
-    implicit = np.broadcast_to(p.implicit_symbol, shape).copy()
+    a = np.broadcast_to(a, shape).copy()
+    bc = np.stack([np.broadcast_to(sym, shape) for sym in (b, c)[:len(pair)]])
 
     def step(x, x_hat, reaction, source):
-        np.multiply(s, x, out=explicit)
-        np.subtract(reaction, explicit, out=explicit)
-        np.subtract(explicit, source, out=explicit)
+        np.subtract(reaction, source, out=explicit)
         _dct_values(pair, axes, out=pair_hat)
-        np.multiply(tau_lap, rhs_hat, out=rhs_hat)
-        np.add(x_hat, rhs_hat, out=rhs_hat)
+        np.multiply(bc, pair_hat, out=pair_hat)
+        np.multiply(a, x_hat, out=x_hat)
+        np.add(x_hat, explicit_hat, out=x_hat)
         if noisy:
-            np.add(rhs_hat, noise_hat, out=rhs_hat)
-        np.divide(rhs_hat, implicit, out=x_hat)
+            np.add(x_hat, noise_hat, out=x_hat)
         _idct_values(x_hat, axes, out=x)
     return noise, step
 
@@ -381,7 +410,7 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
     (nsteps, *grid.shape), shared by every path. Each path's result is
     bitwise that of solving it alone.
 
-    Deterministic given (y0, control, paths); records the mass series.
+    Deterministic given (y0, control, paths).
     Raises :class:`BlowUpError` instead of clipping runaway states. It names
     the earliest step at which a path blew up and, at that step, the lowest
     blown-up path: its seed and its index in the batch.
@@ -402,8 +431,7 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
         raise ConfigurationError("Wiener path has a different number of modes")
     uvals = control_values(u, tg, g)
     ys = _sweep_state(y0.values, uvals[None], batch, params)
-    mass = ys.sum(axis=g.axes) / g.size
-    return Trajectory(params=params, ys=ys, control=uvals, wiener=batch, mass=mass)
+    return Trajectory(params=params, ys=ys, control=uvals, wiener=batch)
 
 
 def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,

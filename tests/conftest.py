@@ -7,8 +7,10 @@ per-step sweep oracles do transform: they pin the bits of the sweeps'
 workspace to the step formulas written one allocated array at a time.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -95,10 +97,29 @@ def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
     return ptildes
 
 
-# The sweeps' steps as formulas that allocate every result: the oracle of
-# the sweeps' workspace, which must give the same bits. The sweeps run the
-# rows controls × paths, control-major; these run one step at a time over
-# arrays shaped (ncontrols, npaths, *grid.shape).
+# The sweeps' steps as formulas that allocate every result. The sweeps run
+# the rows controls × paths, control-major; the sweep oracles below run one
+# step at a time over arrays shaped (ncontrols, npaths, *grid.shape), with
+# the per-step formulas of a StepFormulas:
+#
+# - FORMULAS, the sweeps' formulas in coefficient space with the symbols of
+#   StateParams.step_symbols, whose c drops the zero mode of mean-free noise:
+#   the sweeps must give their bits;
+# - REFERENCE_FORMULAS, the scheme as its equations read: the noise projected
+#   to zero mean in physical space, the right-hand side x + tau*Lap(...) +
+#   noise divided by the implicit symbol, and DB* with the mean of p summed
+#   over the grid. The sweeps agree with them to rounding.
+
+
+class StepFormulas(NamedTuple):
+    """One step of each sweep: the noise increment B(y) dw and DB(y)[z] dw
+    that a step takes, ``step`` (returns x_next and its coefficients), and
+    an adjoint ``node`` (returns p_n, ptilde_n and the mean of p_n)."""
+
+    noise: Callable
+    dnoise: Callable
+    step: Callable
+    node: Callable
 
 
 def path_mean(g: Grid, x: np.ndarray) -> np.ndarray:
@@ -112,7 +133,43 @@ def projected_modes(nm, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return col - path_mean(nm.grid, col)
 
 
-def b_increment_oracle(nm, y, xi):
+def _noise(nm, y, xi):
+    if nm.nmodes == 0:
+        return np.zeros(y.shape)
+    if not nm.is_multiplicative:
+        return xi
+    return xi * np.tanh(y)
+
+
+def _dnoise(nm, rho_prime_y, z, xi):
+    if nm.nmodes == 0 or not nm.is_multiplicative:
+        return np.zeros(z.shape)
+    return xi * (rho_prime_y * z)
+
+
+def _step(x, x_hat, reaction, source, noise, p: StateParams):
+    """x_hat <- a x_hat + b DCT(reaction - source) + c DCT(noise)."""
+    axes = p.grid.axes
+    a, b, c = p.step_symbols
+    x_next_hat = a * x_hat + b * _dct(reaction - source, axes)
+    if noise is not None:
+        x_next_hat = x_next_hat + c * _dct(noise, axes)
+    return _idct(x_next_hat, axes), x_next_hat
+
+
+def _node(costate, p: StateParams):
+    """p_n and ptilde_n from the coefficients of P_{n+1} times 1/d and
+    -lambda/d; the mean of p_n is its zero coefficient over sqrt(size)."""
+    g = p.grid
+    d = p.implicit_symbol
+    costate_hat = _dct(costate, g.axes)
+    p_hat = (1.0 / d) * costate_hat
+    zero = (Ellipsis,) + (slice(0, 1),) * g.ndims
+    return (_idct(p_hat, g.axes), _idct((-g.lap_symbol / d) * costate_hat, g.axes),
+            p_hat[zero] / math.sqrt(g.size))
+
+
+def _noise_reference(nm, y, xi):
     if nm.nmodes == 0:
         return np.zeros(y.shape)
     if not nm.is_multiplicative:
@@ -120,29 +177,34 @@ def b_increment_oracle(nm, y, xi):
     return projected_modes(nm, np.tanh(y), xi)
 
 
-def db_increment_oracle(nm, rho_prime_y, z, xi):
+def _dnoise_reference(nm, rho_prime_y, z, xi):
     if nm.nmodes == 0 or not nm.is_multiplicative:
         return np.zeros(z.shape)
     return projected_modes(nm, rho_prime_y * z, xi)
 
 
-def db_adjoint_scaled_oracle(nm, rho_prime_xi, p):
-    if nm.nmodes == 0 or not nm.is_multiplicative:
-        return np.zeros(p.shape)
-    return rho_prime_xi * (p - path_mean(nm.grid, p))
-
-
-def step_spectral(x, x_hat, reaction, source, noise, p: StateParams):
+def _step_reference(x, x_hat, reaction, source, noise, p: StateParams):
     """(I + tau*Lap^2 - tau*S*Lap) x_next
-    = x + tau*Lap(reaction - S*x - source) + noise, noise None or an array;
-    returns (x_next, its coefficients)."""
+    = x + tau*Lap(reaction - S*x - source) + noise."""
     axes = p.grid.axes
     explicit = reaction - p.stabilization * x - source
-    rhs_hat = x_hat + p.tau_lap_symbol * _dct(explicit, axes)
+    rhs_hat = x_hat + (p.timegrid.tau * p.grid.lap_symbol) * _dct(explicit, axes)
     if noise is not None:
         rhs_hat = rhs_hat + _dct(noise, axes)
     x_next_hat = rhs_hat / p.implicit_symbol
     return _idct(x_next_hat, axes), x_next_hat
+
+
+def _node_reference(costate, p: StateParams):
+    g = p.grid
+    p_hat = _dct(costate, g.axes) / p.implicit_symbol
+    p_n = _idct(p_hat, g.axes)
+    return p_n, _idct(-g.lap_symbol * p_hat, g.axes), path_mean(g, p_n)
+
+
+FORMULAS = StepFormulas(_noise, _dnoise, _step, _node)
+REFERENCE_FORMULAS = StepFormulas(_noise_reference, _dnoise_reference,
+                                  _step_reference, _node_reference)
 
 
 def _rows(a: np.ndarray, npaths: int) -> np.ndarray:
@@ -150,7 +212,8 @@ def _rows(a: np.ndarray, npaths: int) -> np.ndarray:
     return a.reshape((-1, npaths) + a.shape[1:])
 
 
-def sweep_state_oracle(y0, controls, paths, p: StateParams) -> np.ndarray:
+def sweep_state_oracle(y0, controls, paths, p: StateParams,
+                       formulas: StepFormulas = FORMULAS) -> np.ndarray:
     """The state sweep of ``_sweep_state``, guarded after every step: a
     blow-up names the step and, at it, the lowest row by its path."""
     nm = p.noise
@@ -161,8 +224,8 @@ def sweep_state_oracle(y0, controls, paths, p: StateParams) -> np.ndarray:
     ys = [y]
     for n in range(p.timegrid.nsteps):
         with np.errstate(over="ignore", invalid="ignore"):
-            noise = b_increment_oracle(nm, y, _mode_sum(nm, dw[n])) if noisy else None
-            y, y_hat = step_spectral(y, y_hat, p.potential.psi_prime(y),
+            noise = formulas.noise(nm, y, _mode_sum(nm, dw[n])) if noisy else None
+            y, y_hat = formulas.step(y, y_hat, p.potential.psi_prime(y),
                                      controls[:, n, None], noise, p)
         tops = np.max(np.abs(y).reshape(y.shape[:2] + (-1,)), axis=2)
         bad = ~np.isfinite(tops) | (tops > p.blowup_threshold)
@@ -173,7 +236,8 @@ def sweep_state_oracle(y0, controls, paths, p: StateParams) -> np.ndarray:
     return np.stack(ys, axis=2).reshape((-1, len(ys)) + y0.shape)
 
 
-def sweep_linearized_oracle(ys, directions, paths, p: StateParams) -> np.ndarray:
+def sweep_linearized_oracle(ys, directions, paths, p: StateParams,
+                            formulas: StepFormulas = FORMULAS) -> np.ndarray:
     """The linearized sweep of ``_sweep_linearized``."""
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
@@ -183,15 +247,16 @@ def sweep_linearized_oracle(ys, directions, paths, p: StateParams) -> np.ndarray
     zs = [z]
     for n in range(p.timegrid.nsteps):
         y_n = rows[:, :, n]
-        noise = (db_increment_oracle(nm, nm.rho_prime(y_n), z, _mode_sum(nm, dw[n]))
+        noise = (formulas.dnoise(nm, nm.rho_prime(y_n), z, _mode_sum(nm, dw[n]))
                  if noisy else None)
-        z, z_hat = step_spectral(z, z_hat, p.potential.psi_second(y_n) * z,
+        z, z_hat = formulas.step(z, z_hat, p.potential.psi_second(y_n) * z,
                                  directions[:, n, None], noise, p)
         zs.append(z)
     return np.stack(zs, axis=2).reshape(ys.shape)
 
 
-def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams) -> np.ndarray:
+def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams,
+                         formulas: StepFormulas = FORMULAS) -> np.ndarray:
     """The transpose sweep of ``_sweep_adjoint``; the targets as
     ``target_values`` returns them."""
     g = p.grid
@@ -212,13 +277,12 @@ def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams) -> np.ndarra
         forcing = (tau * (a1 * (y_n - (xq[:, n] if per_path_q else xq[n])))
                    if a1 != 0.0 else zero)
         coef = tau * (p.potential.psi_second(y_n) - p.stabilization)
-        p_hat = _dct(costate, g.axes) / p.implicit_symbol
-        p_n = _idct(p_hat, g.axes)
-        pt_n = pts[:, :, n] = _idct(-g.lap_symbol * p_hat, g.axes)
+        p_n, pt_n, p_mean = formulas.node(costate, p)
+        pts[:, :, n] = pt_n
         costate = forcing + p_n - coef * pt_n
         if noisy:
             rho_xi = nm.rho_prime(y_n) * _mode_sum(nm, dw[n])
-            costate = costate + db_adjoint_scaled_oracle(nm, rho_xi, p_n)
+            costate = costate + rho_xi * (p_n - p_mean)
     return pts.reshape(ys.shape)
 
 

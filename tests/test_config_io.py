@@ -418,29 +418,29 @@ def test_cli_linearize_and_adjoint(tmp_path):
                for p in sorted(out2.iterdir()) if p.name != "manifest.json"}
     assert digests == {
         "adjoint_000000.chs":
-            "16d378be797a3f73f65bd9c4dbae64c040053f706657787064d7e722294f539b",
+            "5cf8877675be609af615eab103062ed875805d1eb400f4d570a7ddcc31da44e8",
         "adjoint_000001.chs":
-            "853f82c620572d1835fb34391e9813a229b308f492162d4d7ff6c6e227d2aabf",
+            "90f2c3308b0a6b699f834163b18688251b5f8e851da59a90039fb5bf5cf84a98",
         "adjoint_000002.chs":
-            "b2ea91e27e6b9fbc70efb073e521b2c7c08517e8a4cf9e54b97de1765b508780",
+            "b7184c9917c5bd079939ac8df2a9bd6852c524baa15d758e5b4398fcc2c74859",
         "adjoint_000003.chs":
-            "7f2ac13503722cce19a2243341fecb35bc289b679ed9a13697844f31849aaed7",
+            "e02b4a0bcc7fa3e45752362b0300a87a07e5036f809378b00837bd81a74de48a",
         "adjoint_000004.chs":
-            "040753e0aff9883cebad5e13bd42dcd4e75b579bfd6d0b7f9f1099df837d2b1a",
+            "e140a6ccc9aefde5f06205d109e3f0e54561d89d33857c64a4a97a973c4a1a31",
         "adjoint_000005.chs":
-            "b4a8c5fd2ae1a26f6a76794d773febb0eec11d9d43c514b86fd9942453f3b654",
+            "1e6ce58ac8ebf39ee63fe9c1c635e2ce145b97ba8822bd7dc3014c8dfd9d613f",
         "adjoint_000006.chs":
-            "8a06ea0d62689462415dd1f25d80e2203ff2f6fe555881382ad57c8b210c9efe",
+            "6e6b6ff18427b6153bfdc688b7fe809c09ea9ccab64d6570e296e8a3041e7211",
         "adjoint_000007.chs":
-            "a0b85cafa23870f4ed24c230158346d9afa47e4a9cc79ce7eff45c39f3f81ea8",
+            "26d6f79eaa74c1c153c251e67de3a996521296c4b526fbfd5e9e92f098e43210",
         "adjoint_000008.chs":
-            "baf0a4a58ec0050130e8a81433024b956eb737a99a8b75e03de8beb3d2b24bb6",
+            "fd5494274d9219bbe1b279409484fa1f296d6b55d76d813b4f55e32be3db7d41",
         "adjoint_000009.chs":
-            "a732a142c12d83fa2aa43c4f355ecc3e1c0dd8961e7253cc892cd442f19b98b8",
+            "bc506d74a7da35f5330c4c521e88082abc78ee8bbd14c729b8f5b3f7252df75b",
         "adjoint_000010.chs":
-            "60727896755f9ac78d3f296c080d1fc673f26ad6e25b34662b3bf6ccf9d16b9c",
+            "cf41ea152164624cc7673610e074e61ed3fbbb6ccb36732e9d38dfe3fbe10638",
         "duality.json":
-            "c31d5c285e26ff5736dd7a798603dea6ec67ce195d4efe7c030e09df0814371a",
+            "926b1070e2a18500fea00ffb22303dd822f90d644ad2cf0321bbb12ba62dd95b",
     }
 
 
@@ -494,13 +494,13 @@ def test_cli_verify_full_suite_small(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
     assert digests == {
         "check_backend_consistency.json":
-            "632c99e13ebff6766170ada5b1826cf2ba0aa3be13d313d9dc843aa8d68245e4",
+            "838c2ada86ca7874a27772af016a1d18a3fc776374a498489f8e19a74a118095",
         "check_duality.json":
-            "7741f177bcaa9330eabc67d48053c4d350408c0c80d2233db36a7a9ef96a865c",
+            "edcbc74183c984c931cf65179164d8e9a7d0112377aadb4fce11ee0ab446503e",
         "check_gateaux.json":
-            "7051c9b7022826e661be8eea9f23a5d65211840825ddc703d87b5a44903ae4c4",
+            "230b97c7b43da42a14544c0bb6b44c019f9e08c6c4cdf2c39c25d61565c9246a",
         "check_lipschitz.json":
-            "630ef35c2e5bb9845b953565c16fc4881d8b031a7ea0f1c52fa90b0e90eff616",
+            "f5a84144e7e4c9f558b500c4c90a2f5e6d9795bb82d2e6deccc5f3a7cee56850",
         "check_mass_conservation.json":
             "e686b4bf0a09059d90971bfb2b44bf7fba4c0e1db6c2a3982943299064083afc",
         "check_moment_bounds.json":

@@ -3,8 +3,8 @@
 Each oracle computes the same quantity the way its definition reads:
 
 - the projected multiplicative noise mode by mode, each mode's product
-  with the state projected to zero mean on its own, where the solvers
-  project the mode sum once;
+  with the state projected to zero mean on its own, where the steps drop
+  the zero cosine mode of the mode sum's product;
 - the increment fields of a block of steps one step at a time, where the
   sweeps compute a block of them with one mode sum;
 - psi'(r) = r^3 - r through ``**``, where the double well multiplies;
@@ -16,7 +16,10 @@ Each oracle computes the same quantity the way its definition reads:
   by ``series_l2h_norm``, where the backend check compares it node by node;
 - the state, linearized and adjoint steps as formulas that allocate every
   result and transform each array on its own, where the sweeps write into a
-  workspace and transform stacked pairs: these agree bit for bit.
+  workspace and transform stacked pairs: these agree bit for bit;
+- the same steps as the scheme's equations read, with the noise projected
+  in physical space and the right-hand side divided by the implicit symbol,
+  where the sweeps step in coefficient space with three symbols.
 
 They agree to rounding, and the fast forms keep the batch == serial
 property bit for bit.
@@ -42,10 +45,17 @@ from choc import (
 from choc.grid import _dct, _idct, lap_values, low_pass_field, norm_h_values, norm_z_values
 from choc.physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from choc.sensitivity import _sweep_adjoint, _sweep_linearized
-from choc.state import _sweep_state, series_l2h_norm, solve_state, target_values
+from choc.state import (
+    StateParams,
+    _sweep_state,
+    series_l2h_norm,
+    solve_state,
+    target_values,
+)
 from choc.verify import _continuous_gaps, _duality_residual, _norm_c0h_l2z
 
 from conftest import (
+    REFERENCE_FORMULAS,
     continuous_ptildes,
     path_mean,
     sweep_adjoint_oracle,
@@ -101,41 +111,55 @@ def row_scale(nm, v, dw):
             * np.max(np.abs(v), axis=axes, keepdims=True))
 
 
-def projected_modes(nm, v, xi):
-    """The noise operators' projection of xi * v: DB at rho'(y) = 1, which
-    projects xi * (1 * v) = xi * v."""
-    return db_increment_values(nm, np.ones(v.shape), v, xi)
+def step_projection(nm, v, xi):
+    """The steps' projection of xi * v, in coefficient space: the step
+    symbol c times the transform of DB at rho'(y) = 1, xi * (1 * v) = xi * v;
+    c is 1/d with its zero mode 0. Returns it with 1/d."""
+    p = StateParams(grid=nm.grid, timegrid=TimeGrid(0.05, 10),
+                    potential=double_well(), noise=nm)
+    coeffs = _dct(db_increment_values(nm, np.ones(v.shape), v, xi), nm.grid.axes)
+    return p.step_symbols[2] * coeffs, 1.0 / p.implicit_symbol
 
 
 @PROPERTIES
 @given(case=multiplicative_rows())
 def test_projected_modes_is_the_mode_by_mode_projection(case):
+    # the physical-space bound 8 (eps |xi v| + tiny) of a point carried to a
+    # cosine coefficient, which the orthonormal transform bounds by sqrt(size)
+    # times the largest point
     nm, v, dw = case
-    out = projected_modes(nm, v, _mode_sum(nm, dw))
-    oracle = projected_modes_oracle(nm, v, dw)
+    out, inverse = step_projection(nm, v, _mode_sum(nm, dw))
+    oracle = inverse * _dct(projected_modes_oracle(nm, v, dw), nm.grid.axes)
     assert out.shape == oracle.shape == v.shape
-    assert np.all(np.abs(out - oracle) <= 8 * (EPS * row_scale(nm, v, dw) + TINY))
+    bound = 8 * np.sqrt(nm.grid.size) * (EPS * row_scale(nm, v, dw) + TINY)
+    assert np.all(np.abs(out - oracle) <= bound)
 
 
 @PROPERTIES
 @given(case=multiplicative_rows())
 def test_projected_modes_rows_are_mean_free(case):
+    # c drops the zero mode, exactly, and no other: every other coefficient
+    # is 1/d times the unprojected one, bit for bit
     nm, v, dw = case
-    sums = np.sum(projected_modes(nm, v, _mode_sum(nm, dw)), axis=nm.grid.axes,
-                  keepdims=True)
-    assert np.all(np.abs(sums) <= 4 * EPS * nm.grid.size * row_scale(nm, v, dw))
+    xi = _mode_sum(nm, dw)
+    out, inverse = step_projection(nm, v, xi)
+    zero = (Ellipsis,) + (0,) * nm.grid.ndims
+    assert np.all(out[zero] == 0.0)
+    unprojected = inverse * _dct(xi * v, nm.grid.axes)
+    unprojected[zero] = 0.0
+    assert np.array_equal(out, unprojected)
 
 
 @PROPERTIES
 @given(case=multiplicative_rows())
 def test_projected_modes_rows_are_their_own_projection(case):
     nm, v, dw = case
-    out = projected_modes(nm, v, _mode_sum(nm, dw))
+    out, _ = step_projection(nm, v, _mode_sum(nm, dw))
     ncontrols, npaths = v.shape[:2]
     for c in range(ncontrols):
         for i in range(npaths):
             xi = _mode_sum(nm, dw[i])
-            assert np.array_equal(out[c, i], projected_modes(nm, v[c, i], xi))
+            assert np.array_equal(out[c, i], step_projection(nm, v[c, i], xi)[0])
 
 
 @pytest.mark.parametrize("nmodes", [1, 2, 3, 4])
@@ -190,7 +214,7 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
                    - tau * (c_n - p.stabilization) * ptildes[n]
                    + db_adjoint_scaled_values(
                        p.noise, p.noise.rho_prime(ys[n]) * _mode_sum(p.noise, dws[n]),
-                       p_n))
+                       p_n, path_mean(g, p_n)))
     return ptildes
 
 
@@ -263,13 +287,9 @@ def test_continuous_gaps_are_the_terms_of_the_stored_gap(params, seed, npaths, a
                 == series_l2h_norm(diff[i], tg, g))
 
 
-@pytest.mark.parametrize("ncontrols", [1, 3])
-@pytest.mark.parametrize("kind", ["none", "additive", "multiplicative"])
-@pytest.mark.parametrize("ndims", [1, 2])
-def test_sweeps_are_bitwise_the_per_step_formulas(ndims, kind, ncontrols):
-    # the sweeps' steps in a workspace, with stacked transforms, against the
-    # steps that allocate every result: the same bits for every row, with
-    # shared and per-path targets
+def sweep_case(ndims: int, kind: str, ncontrols: int):
+    """Parameters, rows ``ncontrols`` × 2 paths of controls and directions,
+    and the adjoint's targets: per path, shared, and terminal alone."""
     p = make_params(ndims, kind)
     g = p.grid
     nsteps = p.timegrid.nsteps
@@ -280,18 +300,57 @@ def test_sweeps_are_bitwise_the_per_step_formulas(ndims, kind, ncontrols):
                          for _ in range(ncontrols)])
     directions = rng.standard_normal(controls.shape)
     paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in (3, 5)]
+    x_q = rng.standard_normal((len(paths), nsteps) + g.shape)
+    x_t = rng.standard_normal(g.shape)
+    targets = []
+    for alphas, pair in (((1.0, 0.7, 0.0), (x_q, x_t)),
+                         ((1.0, 0.0, 0.0), (x_q[0], None)),
+                         ((0.0, 0.7, 0.0), (None, x_t))):
+        targets.append(target_values(*pair, alphas, p.timegrid, g, len(paths)) + (alphas,))
+    return p, y0, controls, directions, paths, targets
+
+
+SWEEP_CASES = pytest.mark.parametrize(
+    "ndims, kind, ncontrols",
+    [(ndims, kind, ncontrols) for ndims in (1, 2)
+     for kind in ("none", "additive", "multiplicative") for ncontrols in (1, 3)])
+
+
+@SWEEP_CASES
+def test_sweeps_are_bitwise_the_per_step_formulas(ndims, kind, ncontrols):
+    # the sweeps' steps in a workspace, with stacked transforms, against the
+    # steps that allocate every result: the same bits for every row, with
+    # shared and per-path targets
+    p, y0, controls, directions, paths, targets = sweep_case(ndims, kind, ncontrols)
     ys = _sweep_state(y0, controls, paths, p)
     assert np.array_equal(ys, sweep_state_oracle(y0, controls, paths, p))
     assert np.array_equal(_sweep_linearized(ys, directions, paths, p),
                           sweep_linearized_oracle(ys, directions, paths, p))
-    x_q = rng.standard_normal((len(paths), nsteps) + g.shape)
-    x_t = rng.standard_normal(g.shape)
-    for alphas, targets in (((1.0, 0.7, 0.0), (x_q, x_t)),
-                            ((1.0, 0.0, 0.0), (x_q[0], None)),
-                            ((0.0, 0.7, 0.0), (None, x_t))):
-        xq, xt = target_values(*targets, alphas, p.timegrid, g, len(paths))
+    for xq, xt, alphas in targets:
         assert np.array_equal(_sweep_adjoint(ys, paths, xq, xt, alphas, p),
                               sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p))
+
+
+def assert_close(fast, reference, rel=1e-12):
+    assert fast.shape == reference.shape
+    assert np.max(np.abs(fast - reference)) <= rel * np.max(np.abs(reference))
+
+
+@SWEEP_CASES
+def test_sweeps_match_the_reference_formulas(ndims, kind, ncontrols):
+    # the steps in coefficient space, with the projection as c's zero mode,
+    # against the scheme as its equations read: the noise projected in
+    # physical space and the right-hand side divided by the implicit
+    # symbol; each sweep runs on the reference's own input states
+    p, y0, controls, directions, paths, targets = sweep_case(ndims, kind, ncontrols)
+    ys = sweep_state_oracle(y0, controls, paths, p, REFERENCE_FORMULAS)
+    assert_close(_sweep_state(y0, controls, paths, p), ys)
+    assert_close(_sweep_linearized(ys, directions, paths, p),
+                 sweep_linearized_oracle(ys, directions, paths, p, REFERENCE_FORMULAS))
+    for xq, xt, alphas in targets:
+        assert_close(_sweep_adjoint(ys, paths, xq, xt, alphas, p),
+                     sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p,
+                                          REFERENCE_FORMULAS))
 
 
 @pytest.mark.parametrize("ndims", [1, 2])

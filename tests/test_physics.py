@@ -1,11 +1,14 @@
 """Potential and noise operator contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from choc import (
     ConfigurationError,
     Field,
+    TimeGrid,
     additive_noise,
     double_well,
     mean,
@@ -13,6 +16,7 @@ from choc import (
     norm_h,
     quadratic_potential,
 )
+from choc.grid import _dct, _idct
 from choc.physics import (
     _mode_sum,
     b_increment_values,
@@ -20,6 +24,7 @@ from choc.physics import (
     db_increment_values,
     no_noise,
 )
+from choc.state import StateParams
 
 from conftest import inner_h, random_field
 
@@ -40,10 +45,26 @@ def apply_DB(nm, y: Field, z: Field, dw) -> Field:
                                               increment_field(nm, dw)))
 
 
+def zero_coefficient_mean(p: Field) -> np.ndarray:
+    """The grid mean of p from its zero cosine coefficient, as the adjoint
+    sweep takes it, shaped to broadcast against p."""
+    g = p.grid
+    return _dct(p.values, g.axes)[(slice(0, 1),) * g.ndims] / math.sqrt(g.size)
+
+
+def project(v: Field) -> Field:
+    """v without its zero cosine mode, the projection that the steps' symbol
+    c makes."""
+    g = v.grid
+    coeffs = _dct(v.values, g.axes)
+    coeffs[(0,) * g.ndims] = 0.0
+    return Field(g, _idct(coeffs, g.axes))
+
+
 def apply_DB_adjoint(nm, y: Field, p: Field, dw) -> np.ndarray:
-    """DB(y)^T applied to p for the increments dw, as an array."""
+    """(Pi DB(y))^T applied to p for the increments dw, as an array."""
     return db_adjoint_scaled_values(nm, nm.rho_prime(y.values) * increment_field(nm, dw),
-                                    p.values)
+                                    p.values, zero_coefficient_mean(p))
 
 
 # --- potential -------------------------------------------------------------
@@ -98,6 +119,19 @@ def test_additive_rejects_constant_mode(grid64):
     assert nm.nmodes == 1
 
 
+def test_noise_model_flags_are_read_once(grid64):
+    # the operators read them at every step, so each is computed once
+    for nm, mean_free in ((multiplicative_noise(grid64, [0.1, 0.2]), True),
+                          (additive_noise(grid64, [0.1, 0.2]), True),
+                          (no_noise(grid64), True),
+                          (additive_noise(grid64, [0.1], mode_indices=[(0,)],
+                                          allow_nonzero_mean_modes=True), False)):
+        assert nm.is_mean_free == mean_free
+        assert nm.nmodes == len(nm.sigmas)
+        assert nm.is_multiplicative == (nm.kind == "multiplicative")
+        assert {"nmodes", "is_multiplicative", "is_mean_free"} <= set(vars(nm))
+
+
 def test_apply_B_zero_increment(grid64, rng):
     nm = multiplicative_noise(grid64, [0.1, 0.2])
     y = random_field(grid64, rng)
@@ -120,13 +154,20 @@ def test_apply_B_multiplicative_zero_state(grid64):
 
 
 def test_multiplicative_mean_free(grid64, grid2d, rng):
+    # the steps take the noise increment to coefficient space through the
+    # symbol c, whose zero mode is 0: the projected increment is mean-free
+    # exactly, and its field to rounding
     for g in (grid64, grid2d):
         nm = multiplicative_noise(g, [0.4, 0.2, 0.1])
+        params = StateParams(grid=g, timegrid=TimeGrid(0.05, 10),
+                             potential=double_well(), noise=nm)
+        c = params.step_symbols[2]
         for _ in range(20):
             y = random_field(g, rng)
             dw = rng.standard_normal(3)
             out = apply_B(nm, y, dw)
-            assert abs(mean(out)) <= 1e-12
+            assert (c * _dct(out.values, g.axes))[(0,) * g.ndims] == 0.0
+            assert abs(mean(project(out))) <= 1e-12
 
 
 def test_k0_reproduces_deterministic(grid64, rng):
@@ -153,7 +194,9 @@ def test_db_linear_in_direction(grid64, rng):
 
 
 def test_db_adjoint_identity(grid64, grid2d, rng):
-    # oracle: both inner products evaluated directly, with q_k = p dw_k
+    # oracle: both inner products evaluated directly, with q_k = p dw_k, on
+    # the projected pair: DB without its zero mode, DB* with the mean of p
+    # from its zero coefficient
     for g in (grid64, grid2d):
         nm = multiplicative_noise(g, [0.4, 0.2, 0.7])
         for _ in range(10):
@@ -166,7 +209,7 @@ def test_db_adjoint_identity(grid64, grid2d, rng):
             for k in range(3):
                 ek = np.zeros(3)
                 ek[k] = 1.0
-                lhs += inner_h(apply_DB(nm, y, z, ek), q[k])
+                lhs += inner_h(project(apply_DB(nm, y, z, ek)), q[k])
             adj = apply_DB_adjoint(nm, y, p, dw)
             rhs = inner_h(z, Field(g, adj))
             scale = norm_h(z) * max(norm_h(qk) for qk in q)

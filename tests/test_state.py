@@ -22,9 +22,15 @@ from choc import (
     sample_wiener_path,
     solve_state,
 )
-from choc.grid import low_pass_field
-from choc.physics import additive_noise, no_noise
-from choc.state import StateParams, WienerPath, _energy_values, aggregate_increments
+from choc.grid import _dct, low_pass_field
+from choc.physics import _mode_sum, additive_noise, b_increment_values, no_noise
+from choc.state import (
+    StateParams,
+    WienerPath,
+    _energy_values,
+    _stepper,
+    aggregate_increments,
+)
 
 from conftest import apply_dense, dense_neumann_laplacian, random_field, zero_potential
 
@@ -226,6 +232,58 @@ def test_solve_mass_conservation_zero_mean_additive(grid64, rng):
     wp = sample_wiener_path(nm, params.timegrid, 5)
     traj = solve_state(y0, None, [wp], params)
     assert np.max(np.abs(traj.mass[0] - traj.mass[0, 0])) <= 1e-12
+
+
+def test_mass_is_computed_on_read(small_params, rng):
+    # a solve does not reduce the mass series; a read gives the grid mean
+    # of every state
+    g = small_params.grid
+    y0 = low_pass_field(g, rng, 0.4)
+    paths = [sample_wiener_path(small_params.noise, small_params.timegrid, s)
+             for s in (1, 2)]
+    traj = solve_state(y0, None, paths, small_params)
+    assert "mass" not in vars(traj)
+    assert np.array_equal(traj.mass, traj.ys.sum(axis=g.axes) / g.size)
+    assert traj.mass.shape == (2, small_params.timegrid.nsteps + 1)
+
+
+@pytest.mark.parametrize("kind", ["none", "additive", "multiplicative", "constant"])
+@pytest.mark.parametrize("ndims", [1, 2])
+def test_step_carries_the_zero_mode_exactly(ndims, kind):
+    # the step's c symbol drops the zero mode of mean-free noise, and a's
+    # zero mode is 1 and b's 0, so one step leaves the zero coefficient, the
+    # mean times sqrt(size), bit for bit; a constant additive mode (the
+    # negative control) moves it. The state is nearly mean-free, so that a
+    # rounding-level zero coefficient of the noise would show.
+    if ndims == 1:
+        g, modes, constant = Grid((24,), (1.0,)), [(1,), (2,)], (0,)
+    else:
+        g, modes, constant = Grid((8, 6), (1.0, 1.5)), [(1, 0), (1, 1)], (0, 0)
+    sigmas = [0.3, 0.2]
+    nm = {"none": no_noise(g),
+          "additive": additive_noise(g, sigmas, modes),
+          "multiplicative": multiplicative_noise(g, sigmas, modes),
+          "constant": additive_noise(g, sigmas, [constant, modes[0]],
+                                     allow_nonzero_mean_modes=True)}[kind]
+    p = StateParams(grid=g, timegrid=TimeGrid(0.05, 10), potential=double_well(),
+                    noise=nm)
+    rng = np.random.default_rng(ndims)
+    shape = (2, 3) + g.shape
+    y = 0.4 * rng.standard_normal(shape)
+    y -= y.mean(axis=g.axes, keepdims=True)
+    y_hat = _dct(y, g.axes)
+    zero = (Ellipsis,) + (0,) * ndims
+    before = y_hat[zero].copy()
+    noise, step = _stepper(p, shape, nm.nmodes > 0)
+    if noise is not None:
+        xi = _mode_sum(nm, 0.2 * rng.standard_normal((3, nm.nmodes)))
+        b_increment_values(nm, y, xi, out=noise)
+    step(y, y_hat, double_well().psi_prime(y), rng.standard_normal(g.shape))
+    assert nm.is_mean_free == (kind != "constant")
+    if kind == "constant":
+        assert np.all(np.abs(y_hat[zero] - before) > 1e-6)
+    else:
+        assert np.array_equal(y_hat[zero], before)
 
 
 def test_blowup_raises_with_diagnostics(grid64, rng):
