@@ -22,6 +22,7 @@ The admissible set is the L2 ball of radius :attr:`Problem.c0`; every
 projection, the optimizer's and the optimality residual's, is onto it.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,10 +89,25 @@ class ControlProcess:
         return l2q_norm(self.values, self.timegrid, self.grid)
 
 
+def _without_overflow(measure, values: np.ndarray) -> float:
+    """``measure(values)`` for a measure that scales with its argument, such
+    as a norm. When it is not finite and the values are, their squares
+    overflowed, and it is measure(values / top) times top, the largest
+    magnitude. Every finite plain result keeps its bits."""
+    with np.errstate(over="ignore"):
+        plain = measure(values)
+        if math.isfinite(plain):
+            return plain
+        top = float(np.max(np.abs(values)))
+        return top * measure(values / top) if math.isfinite(top) else plain
+
+
 def l2q_norm(values: np.ndarray, tg: TimeGrid, grid: Grid) -> float:
-    """Discrete L2 norm over the time-space cylinder."""
-    values = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.sum(values**2) * tg.tau * grid.cell_volume))
+    """Discrete L2 norm over the time-space cylinder; finite on finite
+    values whose squares overflow (:func:`_without_overflow`)."""
+    scale = tg.tau * grid.cell_volume
+    return _without_overflow(lambda v: float(np.sqrt(np.sum(v**2) * scale)),
+                             np.asarray(values, dtype=float))
 
 
 def l2q_inner(a: np.ndarray, b: np.ndarray, tg: TimeGrid, grid: Grid) -> float:
@@ -210,8 +226,8 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     mean = float(np.mean(costs))
     if len(costs) < 2:
         return mean, 0.0
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
-    return mean, stderr
+    stderr = _without_overflow(lambda c: float(np.std(c, ddof=1)), costs) / np.sqrt(len(costs))
+    return mean, float(stderr)
 
 
 def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
@@ -352,7 +368,8 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
         states = None
         gmap = _gradient_map_norm(u, grad, opts.eta0, problem.c0)
         gmap_history.append(gmap)
-        if gmap <= opts.tol:
+        # a non-finite gradient projects to a zero map: it never converges
+        if gmap <= opts.tol and np.all(np.isfinite(grad)):
             termination = "converged"
             break
 
@@ -434,7 +451,13 @@ def _residual(u: ControlProcess, grad: np.ndarray, problem: Problem) -> float:
     g = u.grid
     if a3 > 0:
         mean_ptilde = grad - a3 * u.values
-        target = project_admissible(u.with_values(-mean_ptilde / a3), problem.c0)
+        with np.errstate(over="ignore"):
+            point = -mean_ptilde / a3
+        if not np.all(np.isfinite(point)) and np.all(np.isfinite(mean_ptilde)):
+            # beyond the float range, far outside the ball: project the
+            # point of its ray at twice the radius instead
+            point = mean_ptilde * (-2.0 * problem.c0 / l2q_norm(mean_ptilde, tg, g))
+        target = project_admissible(u.with_values(point), problem.c0)
         return l2q_norm(u.values - target.values, tg, g)
     unit = np.sqrt(tg.tau * g.cell_volume)
     return float(-np.max(np.abs(grad)) * unit)

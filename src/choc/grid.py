@@ -15,10 +15,11 @@ vector cos(k*pi*(i+1/2)/n) has eigenvalue
 which is what makes the fourth-order implicit solves used by the time
 steppers a single diagonal division in coefficient space.
 
-Every cosine transform goes through :func:`_dct`/:func:`_idct`. In 1D most
-of the time of ``scipy.fft.dctn`` is Python dispatch around its pocketfft
-kernel, so the two call that kernel directly, with the arguments ``dctn``
-and ``idctn`` pass it, when both of these hold:
+Field-level operators (the Laplacian, the norms, prolongation and the
+random initial data) transform through :func:`_dct`/:func:`_idct`. In 1D
+most of the time of ``scipy.fft.dctn`` is Python dispatch around its
+pocketfft kernel, so the two call that kernel directly, with the arguments
+``dctn`` and ``idctn`` pass it, when both of these hold:
 
 - an import-time probe found the kernel bitwise equal to ``dctn``/``idctn``,
   forward and inverse, on a 1D, a 2D and a batched array. The kernel is a
@@ -29,16 +30,36 @@ and ``idctn`` pass it, when both of these hold:
   that counts transforms, then sees every one of them.
 
 Both take ``out=``: the kernel writes the result into it, the public path
-copies it there. The time steppers transform the two arrays of a step
-stacked as a pair, in one call, and write into a workspace they allocate
-once per sweep.
+copies it there.
+
+The time steppers transform through :func:`_step_transform` instead, bound
+once per sweep to a workspace they allocate once. An axis of at most
+``_PRODUCT_POINTS`` = 64 points is a matrix product with the cached
+orthonormal DCT-II matrix C (C^T forward, C inverse along the last axis; on
+a 2D grid one product per axis, through a workspace); a longer axis keeps
+the pocketfft kernel, which wins from 128 points. When ``scipy.fft.dctn`` or
+``idctn`` is not scipy's own as a sweep binds, the bound transform calls
+that public name inside ``scipy.fft.set_backend`` with :class:`_StepBackend`,
+whose ``__ua_function__`` runs the same product: an interposer sees every
+call, and the result has the bits of the direct route.
+
+Each field of a batch gets the bits of its own product: BLAS never sees a
+single row, and a product along the last axis writes whole column panels
+(``_PANEL``).
+
+Field-level operators keep the kernel for accuracy. A product leaves the
+coefficients of a constant that should be 0 at rounding level, and the
+Laplacian scales them by up to 4/h^2: through products, the Laplacian of
+the constant 3.7 on 64 points reads 8.2e-11 where the kernel gives 0.
+Inside a step every product output is scaled by a bounded symbol (b, c,
+1/d or lambda/d).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 from scipy import fft as _fft
@@ -63,9 +84,11 @@ try:
 except ImportError:
     _pocketfft_dct = None
 
-# The public transforms as scipy shipped them. Once the benchmark's trace
-# counts transforms at _dct/_idct instead of at scipy.fft.dctn/idctn, the
-# identity test against these in _dct/_idct is deleted.
+# The public transforms as scipy shipped them. While scipy.fft.dctn/idctn
+# are these, _dct/_idct take the kernel and a bound step transform runs its
+# product directly; otherwise both call the public name, which an
+# interposer (a trace that counts transforms) wraps, and a step transform
+# runs its product inside that call through _StepBackend.
 _DCTN, _IDCTN = _fft.dctn, _fft.idctn
 
 
@@ -130,6 +153,157 @@ def _into(out, result: np.ndarray) -> np.ndarray:
     return out
 
 
+# Axes of at most this many points are transformed by the time steppers as
+# products with a cached cosine matrix; longer axes keep the kernel.
+_PRODUCT_POINTS = 64
+# A product along the last axis writes a multiple of this many columns.
+# OpenBLAS' dgemm takes the columns in panels of 8 (Haswell kernels), and a
+# short last panel makes a row's bits depend on how many rows share the
+# call; with full panels they do not, as the tests check.
+_PANEL = 8
+
+
+@cache
+def _cosine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix of ``n`` points, C[k, i] =
+    s_k cos(pi k (2i + 1) / 2n) with s_0 = sqrt(1/n), s_k = sqrt(2/n); the
+    angle is reduced mod 2 pi in integers before it is rounded."""
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    c = math.sqrt(2.0 / n) * np.cos((np.pi / (2 * n)) * ((k * (2 * i + 1)) % (4 * n)))
+    c[0] = math.sqrt(1.0 / n)
+    return c
+
+
+@cache
+def _factor(n: int, kind: int, side: str) -> np.ndarray:
+    """The contiguous factor a product of type ``kind`` (2 forward, 3
+    inverse) multiplies by along an axis of ``n`` points: on the ``right``
+    (the last axis, rows times it) C^T forward and C inverse, zero-padded to
+    a whole number of panels; on the ``left`` (axis -2) C forward and C^T
+    inverse."""
+    c = _cosine_matrix(n)
+    if side == "left":
+        out = np.ascontiguousarray(c if kind == 2 else c.T)
+    else:
+        out = np.zeros((n, -(-n // _PANEL) * _PANEL))
+        out[:, :n] = c.T if kind == 2 else c
+    out.flags.writeable = False
+    return out
+
+
+def _axes_kernel(x: np.ndarray, kind: int, axes, out: np.ndarray) -> None:
+    """The kernel of ``kind`` over ``axes`` of ``x`` into ``out``; scipy's
+    own public transform, never :class:`_StepBackend`, when the probe
+    refused the kernel."""
+    if _KERNEL_BITWISE:
+        _kernel(x, kind, axes, out)
+        return
+    public = _DCTN if kind == 2 else _IDCTN
+    with _fft.skip_backend(_StepBackend):
+        out[...] = public(x, type=2, norm="ortho", axes=axes)
+
+
+def _last_axis(x: np.ndarray, kind: int, out: np.ndarray):
+    """The product of ``kind`` along the last axis of the contiguous ``x``
+    into ``out``, bound."""
+    n = x.shape[-1]
+    factor = _factor(n, kind, "right")
+    rows, dst = x.reshape(-1, n), out.reshape(-1, n)
+    if len(rows) > 1 and factor.shape[1] == n:
+        return partial(np.matmul, rows, factor, out=dst)
+    # numpy hands a single row to gemv, whose bits differ from the same row
+    # inside a gemm: a single row is multiplied as the first of two
+    src = np.zeros((2, n)) if len(rows) == 1 else rows
+    product = np.empty((len(src), factor.shape[1]))
+    top = product[:len(rows), :n]
+
+    def run():
+        if src is not rows:
+            src[0] = rows[0]
+        np.matmul(src, factor, out=product)
+        np.copyto(dst, top)
+    return run
+
+
+def _first_axis(x: np.ndarray, kind: int, out: np.ndarray):
+    """The product of ``kind`` along axis -2 of the contiguous ``x`` into
+    ``out``, bound: one product per field."""
+    n, m = x.shape[-2:]
+    return partial(np.matmul, _factor(n, kind, "left"), x.reshape(-1, n, m),
+                   out=out.reshape(-1, n, m))
+
+
+def _bound_product(x: np.ndarray, out: np.ndarray, kind: int, ndims: int):
+    """The step transform of ``kind`` over the ``ndims`` trailing axes of
+    ``x`` into ``out``, bound to those arrays (see
+    :func:`_step_transform`); both of its routes run this, and the rule
+    that picks a product or the kernel per axis is here alone."""
+    short = [n <= _PRODUCT_POINTS for n in x.shape[-ndims:]]
+    if not any(short):
+        return partial(_axes_kernel, x, kind, tuple(range(-ndims, 0)), out)
+    if ndims == 1:
+        return _last_axis(x, kind, out)
+    work = np.empty(x.shape)
+    last = (_last_axis(x, kind, work) if short[1]
+            else partial(_axes_kernel, x, kind, (-1,), work))
+    first = (_first_axis(work, kind, out) if short[0]
+             else partial(_axes_kernel, work, kind, (-2,), out))
+
+    def run():
+        last()
+        first()
+    return run
+
+
+class _StepBackend:
+    """The scipy.fft backend a bound step transform sets around its public
+    call when scipy.fft.dctn/idctn are interposed. It runs the step
+    transform's own product, which calls no public transform, so it never
+    re-enters itself; any other call falls through to scipy."""
+
+    __ua_domain__ = "numpy.scipy.fft"
+
+    @staticmethod
+    def __ua_function__(method, args, kwargs):
+        kind = 2 if method is _DCTN else 3 if method is _IDCTN else None
+        if (kind is None or kwargs.get("type", 2) != 2 or kwargs.get("norm") != "ortho"
+                or "axes" not in kwargs):
+            return NotImplemented
+        x = np.ascontiguousarray(args[0], dtype=np.float64)
+        out = np.empty(x.shape)
+        _bound_product(x, out, kind, len(kwargs["axes"]))()
+        return out
+
+
+def _step_transform(grid: Grid, x: np.ndarray, out: np.ndarray, inverse: bool = False):
+    """The orthonormal cosine transform (its inverse when ``inverse``) over
+    the grid axes of ``x`` into ``out``, bound once for a sweep: returns a
+    function of no arguments that transforms what ``x`` holds when it is
+    called.
+
+    ``x`` and ``out`` are distinct C-contiguous float64 arrays of one shape,
+    (..., *grid.shape). An axis of at most ``_PRODUCT_POINTS`` points is a
+    product with the cached cosine matrix, a longer one the pocketfft
+    kernel (:func:`_bound_product`). Leading axes are a batch, and each
+    field of it gets the bits of its own transform. When the public
+    transform is not scipy's own at binding, each call goes through it and
+    :class:`_StepBackend`, with the same bits.
+    """
+    for a in (x, out):
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError("a step transform runs on contiguous float64 arrays")
+    kind, name = (3, "idctn") if inverse else (2, "dctn")
+    if getattr(_fft, name) is (_IDCTN if inverse else _DCTN):
+        return _bound_product(x, out, kind, grid.ndims)
+    axes = grid.axes
+
+    def interposed():
+        with _fft.set_backend(_StepBackend):
+            out[...] = getattr(_fft, name)(x, type=2, norm="ortho", axes=axes)
+    return interposed
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid on a Neumann box.
@@ -187,15 +361,15 @@ class Grid:
         paths) are batch axes of the transforms and means."""
         return tuple(range(-self.ndims, 0))
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.npoints))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
@@ -318,7 +492,11 @@ def norm_h_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def grad_norm_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    coeffs = _dct(values, grid.axes)
+    return _dirichlet_sq(grid, _dct(values, grid.axes))
+
+
+def _dirichlet_sq(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The Dirichlet form -<Lap y, y>_H from the coefficients of y."""
     return np.sum((-grid.lap_symbol) * coeffs**2, axis=grid.axes) * grid.cell_volume
 
 
@@ -331,7 +509,12 @@ def norm_v_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def norm_z_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return _norm_v_sq_values(grid, values) + _norm_h_sq_values(grid, lap_values(grid, values))
+    """|y|_H^2 + |grad y|^2 + |Lap y|_H^2 from one transform: the transform
+    is orthonormal, so |Lap y|_H^2 is the sum of (lambda c)^2 over the
+    coefficients c of y, times the cell volume (Parseval)."""
+    coeffs = _dct(values, grid.axes)
+    lap_sq = np.sum((grid.lap_symbol * coeffs) ** 2, axis=grid.axes) * grid.cell_volume
+    return _norm_h_sq_values(grid, values) + _dirichlet_sq(grid, coeffs) + lap_sq
 
 
 def norm_z_values(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -26,13 +26,14 @@ sweep is
           + DB_n^T Pi p_n,
 
 One node makes two transform calls: the forward transform of P_{n+1},
-times the stacked symbols (1/d, -lambda/d) in one multiply, gives the
-coefficients of p_n and ptilde_n, and one inverse call on that pair gives
-p_n and ptilde_n. Pi p_n is p_n less its mean, which is the zero
-coefficient of p_n over sqrt(grid.size), the coefficient the forward
-step's c drops; so DB_n^T Pi is the exact transpose of the forward step's
-Pi DB_n. A node makes 11 array operations. ptilde satisfies, exactly in
-floating point up to rounding,
+times the symbols 1/d and -lambda/d (one multiply each, into the two
+halves of a pair), gives the coefficients of p_n and ptilde_n, and one
+inverse call on that pair gives p_n and ptilde_n. Both are step transforms
+(:func:`~choc.grid._step_transform`), bound once per sweep. Pi p_n is p_n
+less its mean, which is the zero coefficient of p_n over sqrt(grid.size),
+the coefficient the forward step's c drops; so DB_n^T Pi is the exact
+transpose of the forward step's Pi DB_n. A node makes 12 array
+operations. ptilde satisfies, exactly in floating point up to rounding,
 
     sum_n tau <h_n, ptilde_n>_H
         = alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N - x_T, z_N>_H
@@ -53,8 +54,9 @@ before a block they compute, each in one call, C_n and, with multiplicative
 noise, rho'(y_n) and the increment fields xi_n in the linearized sweep, and
 tau*(C_n - S), tau*alpha1*(y_n - xQ_n) and rho'(y_n) xi_n in the adjoint.
 The noise operators take a step's slice of them. Like the state sweep, both
-run in a workspace allocated once per sweep and write every per-step result
-through ``out=``; the linearized sweep runs the state's step kernel.
+run in a workspace allocated once per sweep, with their transforms bound to
+it, and write every per-step result through ``out=``; the linearized sweep
+runs the state's step kernel.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, _dct, _idct, lap_values
+from .grid import Grid, _step_transform, lap_values
 from .physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from .state import (
     StateParams,
@@ -179,7 +181,7 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
     z = np.zeros(ys_n.shape[1:])
     z_hat = np.zeros(z.shape)
     reaction = np.empty(z.shape)
-    noise, step = _stepper(p, z.shape, noisy)
+    noise, step = _stepper(p, z, z_hat, noisy)
     for n0, n1 in _blocks(p.timegrid.nsteps, z):
         # the block's coefficients C_n, rho'(y_n) and increment fields
         y_b = ys_n[n0:n1]
@@ -191,7 +193,7 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
             if noisy:
                 db_increment_values(nm, rho_b[j], z, xi[j], out=noise)
             np.multiply(c_b[j], z, out=reaction)
-            step(z, z_hat, reaction, h_n[n0 + j])
+            step(reaction, h_n[n0 + j])
             zs_n[n0 + j + 1] = z
     return zs
 
@@ -233,7 +235,6 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
             xq_n = xq[:, None, None]
     shape = ys_n.shape[1:]
     zero = np.zeros(shape)
-    axes = g.axes
     tau = tg.tau
     nm = p.noise
     s = p.stabilization
@@ -248,18 +249,22 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     pts_n[nsteps] = -lap_values(g, costate)
     # A node's workspace: the coefficients of P_{n+1}, then those of p_n
     # and of ptilde_n = -Lap p_n side by side, inverted by one call into
-    # p_n and ptilde_n; the symbols broadcast to the node shape once
+    # p_n and ptilde_n; the symbols broadcast to the node shape and the
+    # transforms are bound once
     costate_hat = np.empty(shape)
     pair_hat = np.empty((2,) + shape)
     pair = np.empty(pair_hat.shape)
     p_n, pt_n = pair
+    p_hat, pt_hat = pair_hat
     work = np.empty(shape)
     d = p.implicit_symbol
-    symbols = np.stack([np.broadcast_to(sym, shape)
-                        for sym in (1.0 / d, -g.lap_symbol / d)])
+    p_symbol, pt_symbol = (np.broadcast_to(sym, shape).copy()
+                           for sym in (1.0 / d, -g.lap_symbol / d))
+    forward = _step_transform(g, costate, costate_hat)
+    inverse = _step_transform(g, pair_hat, pair, inverse=True)
     if noisy:
         # the mean of p_n from its zero coefficient, one per row
-        p_zero = pair_hat[(0, Ellipsis) + (slice(0, 1),) * g.ndims]
+        p_zero = p_hat[(Ellipsis,) + (slice(0, 1),) * g.ndims]
         p_mean = np.empty(p_zero.shape)
         root_size = math.sqrt(g.size)
     for n0, n1 in reversed(_blocks(nsteps, zero)):
@@ -273,9 +278,10 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
         if noisy:
             rho_xi = nm.rho_prime(y_b) * _mode_sum(nm, dw_n[n0:n1])[:, None]
         for j in range(n1 - n0 - 1, -1, -1):
-            _dct(costate, axes, out=costate_hat)
-            np.multiply(symbols, costate_hat, out=pair_hat)
-            _idct(pair_hat, axes, out=pair)
+            forward()
+            np.multiply(p_symbol, costate_hat, out=p_hat)
+            np.multiply(pt_symbol, costate_hat, out=pt_hat)
+            inverse()
             pts_n[n0 + j] = pt_n
             np.add(forcing[j], p_n, out=costate)
             np.multiply(coef[j], pt_n, out=work)

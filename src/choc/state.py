@@ -54,8 +54,12 @@ the state and linearized steps): the symbols are broadcast to the step
 shape (ncontrols, npaths, *grid.shape), and every per-step ufunc, transform
 and noise operator writes through ``out=`` into contiguous arrays. The
 working state is one of them; each step's state is copied into the stored
-trajectory. Every result has the bits of the formulas that allocate each
-array.
+trajectory. The two transforms of a step are step transforms
+(:func:`~choc.grid._step_transform`), bound to that workspace once per
+sweep: on an axis of at most 64 points a product with a cached cosine
+matrix, which skips the per-call dispatch of the pocketfft kernel. Every
+result has the bits of the formulas that allocate each array and
+transform as the steps do.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from .grid import (
     Field,
     Grid,
     _dct as _dct_values,
-    _idct as _idct_values,
+    _step_transform,
     grad_norm_sq_values,
     lap_values,
 )
@@ -320,13 +324,13 @@ def _chemical_potential_values(g: Grid, y: np.ndarray, u: np.ndarray,
     return -lap_values(g, y) + pot.psi_prime(y) - u
 
 
-def _stepper(p: StateParams, shape: tuple[int, ...], noisy: bool):
-    """The step of the scheme on arrays of ``shape``, with the workspace it
-    runs in, allocated once for a sweep.
+def _stepper(p: StateParams, x: np.ndarray, x_hat: np.ndarray, noisy: bool):
+    """The step of the scheme on the working arrays ``x`` and ``x_hat``,
+    with the workspace it runs in, allocated once for a sweep.
 
     Returns (noise, step). ``noise`` is the array into which a step writes
     its unprojected noise increment before it runs, or None when ``noisy``
-    is false. step(x, x_hat, reaction, source) solves
+    is false. step(reaction, source) solves
 
         (I + tau*Lap^2 - tau*S*Lap) x_next
             = x + tau*Lap(reaction - S*x - source) + Pi noise
@@ -334,15 +338,16 @@ def _stepper(p: StateParams, shape: tuple[int, ...], noisy: bool):
     in coefficient space, x_hat <- a x_hat + b DCT(reaction - source)
     + c DCT(noise) with the symbols of :attr:`StateParams.step_symbols`,
     where ``x_hat`` holds the transform of ``x``, and overwrites ``x`` and
-    ``x_hat`` with x_next and its coefficients. ``x``, ``x_hat`` and
-    ``reaction`` have ``shape``, which may lead with batch axes, and
-    ``source`` broadcasts to it. The explicit term and the noise increment
-    are the two halves of one buffer, so a step makes one forward transform
-    call on the pair, one multiply by (b, c) and one inverse call; without
-    noise the buffer holds the explicit term alone. The symbols are
-    broadcast to ``shape`` here, once.
+    ``x_hat`` with x_next and its coefficients. ``x`` and ``x_hat`` are
+    contiguous float64 arrays of one shape, which may lead with batch axes;
+    ``reaction`` has that shape and ``source`` broadcasts to it. The
+    explicit term and the noise increment are the two halves of one buffer,
+    so a step makes one forward transform call on the pair, one multiply by
+    (b, c) and one inverse call; without noise the buffer holds the explicit
+    term alone. The symbols are broadcast to the shape and both transforms
+    are bound (:func:`~choc.grid._step_transform`) here, once.
     """
-    axes = p.grid.axes
+    shape = x.shape
     a, b, c = p.step_symbols
     pair = np.empty((2 if noisy else 1,) + shape)
     pair_hat = np.empty(pair.shape)
@@ -350,16 +355,18 @@ def _stepper(p: StateParams, shape: tuple[int, ...], noisy: bool):
     noise, noise_hat = (pair[1], pair_hat[1]) if noisy else (None, None)
     a = np.broadcast_to(a, shape).copy()
     bc = np.stack([np.broadcast_to(sym, shape) for sym in (b, c)[:len(pair)]])
+    forward = _step_transform(p.grid, pair, pair_hat)
+    inverse = _step_transform(p.grid, x_hat, x, inverse=True)
 
-    def step(x, x_hat, reaction, source):
+    def step(reaction, source):
         np.subtract(reaction, source, out=explicit)
-        _dct_values(pair, axes, out=pair_hat)
+        forward()
         np.multiply(bc, pair_hat, out=pair_hat)
         np.multiply(a, x_hat, out=x_hat)
         np.add(x_hat, explicit_hat, out=x_hat)
         if noisy:
             np.add(x_hat, noise_hat, out=x_hat)
-        _idct_values(x_hat, axes, out=x)
+        inverse()
     return noise, step
 
 
@@ -467,16 +474,16 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
     # the working state and its coefficients are contiguous arrays that the
     # steps overwrite; each state is copied into ys
     y = np.broadcast_to(y0, (ncontrols, len(paths)) + g.shape).copy()
-    y_hat = _dct_values(y, g.axes)
+    y_hat = _dct_values(y, g.axes, out=np.empty(y.shape))
     ys_n[0] = y
-    noise, step = _stepper(params, y.shape, noisy)
+    noise, step = _stepper(params, y, y_hat, noisy)
     for n0, n1 in _blocks(nsteps, y):
         xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(n0, n1):
                 if noisy:
                     b_increment_values(nm, y, xi[n - n0], out=noise)
-                step(y, y_hat, psi_prime(y), u_n[n])
+                step(psi_prime(y), u_n[n])
                 ys_n[n + 1] = y
         _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, seeds)
     return ys

@@ -24,7 +24,7 @@ from choc import (
     double_well,
     multiplicative_noise,
 )
-from choc.grid import _dct, _idct, lap_values, low_pass_field
+from choc.grid import _dct, _idct, _step_transform, lap_values, low_pass_field
 from choc.physics import _mode_sum
 from choc.state import StateParams, _increments
 
@@ -103,8 +103,9 @@ def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
 # the per-step formulas of a StepFormulas:
 #
 # - FORMULAS, the sweeps' formulas in coefficient space with the symbols of
-#   StateParams.step_symbols, whose c drops the zero mode of mean-free noise:
-#   the sweeps must give their bits;
+#   StateParams.step_symbols, whose c drops the zero mode of mean-free noise,
+#   transformed as the sweeps' steps are (step_transform): the sweeps must
+#   give their bits;
 # - REFERENCE_FORMULAS, the scheme as its equations read: the noise projected
 #   to zero mean in physical space, the right-hand side x + tau*Lap(...) +
 #   noise divided by the implicit symbol, and DB* with the mean of p summed
@@ -147,14 +148,22 @@ def _dnoise(nm, rho_prime_y, z, xi):
     return xi * (rho_prime_y * z)
 
 
+def step_transform(g: Grid, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The transform a sweep's step makes, of ``x`` into a new array."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    _step_transform(g, x, out, inverse)()
+    return out
+
+
 def _step(x, x_hat, reaction, source, noise, p: StateParams):
     """x_hat <- a x_hat + b DCT(reaction - source) + c DCT(noise)."""
-    axes = p.grid.axes
+    g = p.grid
     a, b, c = p.step_symbols
-    x_next_hat = a * x_hat + b * _dct(reaction - source, axes)
+    x_next_hat = a * x_hat + b * step_transform(g, reaction - source)
     if noise is not None:
-        x_next_hat = x_next_hat + c * _dct(noise, axes)
-    return _idct(x_next_hat, axes), x_next_hat
+        x_next_hat = x_next_hat + c * step_transform(g, noise)
+    return step_transform(g, x_next_hat, inverse=True), x_next_hat
 
 
 def _node(costate, p: StateParams):
@@ -162,10 +171,11 @@ def _node(costate, p: StateParams):
     -lambda/d; the mean of p_n is its zero coefficient over sqrt(size)."""
     g = p.grid
     d = p.implicit_symbol
-    costate_hat = _dct(costate, g.axes)
+    costate_hat = step_transform(g, costate)
     p_hat = (1.0 / d) * costate_hat
     zero = (Ellipsis,) + (slice(0, 1),) * g.ndims
-    return (_idct(p_hat, g.axes), _idct((-g.lap_symbol / d) * costate_hat, g.axes),
+    return (step_transform(g, p_hat, inverse=True),
+            step_transform(g, (-g.lap_symbol / d) * costate_hat, inverse=True),
             p_hat[zero] / math.sqrt(g.size))
 
 

@@ -12,7 +12,7 @@ import pytest
 import choc.cli
 import choc.config
 from choc import Field, Grid, read_snapshot, solve_state, write_snapshot
-from choc.cli import main
+from choc.cli import EXIT_BLOWUP, EXIT_USAGE, main
 from choc.config import (
     ControlConfig,
     CostConfig,
@@ -418,29 +418,29 @@ def test_cli_linearize_and_adjoint(tmp_path):
                for p in sorted(out2.iterdir()) if p.name != "manifest.json"}
     assert digests == {
         "adjoint_000000.chs":
-            "5cf8877675be609af615eab103062ed875805d1eb400f4d570a7ddcc31da44e8",
+            "b530e9b89fd8c28ca45d6526a40809069d17ac745cebdb9d5b7bf48aab6ff855",
         "adjoint_000001.chs":
-            "90f2c3308b0a6b699f834163b18688251b5f8e851da59a90039fb5bf5cf84a98",
+            "a29c9da8c44de9ee21c4f86a129f206e19d6b2030335858afbabf4c711505296",
         "adjoint_000002.chs":
-            "b7184c9917c5bd079939ac8df2a9bd6852c524baa15d758e5b4398fcc2c74859",
+            "1e5c6c0f29234be36adf4ee36fd37729c3794661d30d3f42c289ebe457240693",
         "adjoint_000003.chs":
-            "e02b4a0bcc7fa3e45752362b0300a87a07e5036f809378b00837bd81a74de48a",
+            "395774c9031a465887f73fcd359e71c6c135c57f7a538e09260ed1b60d1bdb6e",
         "adjoint_000004.chs":
-            "e140a6ccc9aefde5f06205d109e3f0e54561d89d33857c64a4a97a973c4a1a31",
+            "be6a8188eadf918165a4cf884d007d928ea13e8e3b323f5c1a894e650343924b",
         "adjoint_000005.chs":
-            "1e6ce58ac8ebf39ee63fe9c1c635e2ce145b97ba8822bd7dc3014c8dfd9d613f",
+            "b0ee25cb1697a79d7f9c5903c9a3b29e5b6c68bae26194343053c24ec191a2fa",
         "adjoint_000006.chs":
-            "6e6b6ff18427b6153bfdc688b7fe809c09ea9ccab64d6570e296e8a3041e7211",
+            "cc530ef3e038d883c76b60a14e85e1019effec5433232cf3d9834c29cc22254d",
         "adjoint_000007.chs":
-            "26d6f79eaa74c1c153c251e67de3a996521296c4b526fbfd5e9e92f098e43210",
+            "39353e4a9cb6e57ef41901e9b4f798259c843a049bce3407de3624a966ae0ff2",
         "adjoint_000008.chs":
-            "fd5494274d9219bbe1b279409484fa1f296d6b55d76d813b4f55e32be3db7d41",
+            "d711b89e630219263ef5466d0eb395024eefd8e1affcf1fe1f8c375f5a1970df",
         "adjoint_000009.chs":
-            "bc506d74a7da35f5330c4c521e88082abc78ee8bbd14c729b8f5b3f7252df75b",
+            "355628d46cb3e445ebc8eb6ded697a375cdbfa57925147eece2f6932888212ed",
         "adjoint_000010.chs":
-            "cf41ea152164624cc7673610e074e61ed3fbbb6ccb36732e9d38dfe3fbe10638",
+            "0cc8e72e1905ad35a05d24a885492dc315c3a077c833c2084b734e8d692a8282",
         "duality.json":
-            "926b1070e2a18500fea00ffb22303dd822f90d644ad2cf0321bbb12ba62dd95b",
+            "0b3785dbbbfb8d9de75cfda19a017e05c9e6fa89dd93959ca7a5111698522e5b",
     }
 
 
@@ -465,6 +465,27 @@ def test_cli_optimize_without_iterations_reports_its_gradient_map(tmp_path):
     final = manifest["deterministic"]["optimization"]["final_gradient_map"]
     (row,) = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
     assert float(row.split(",")[2]) == final > 0.0
+
+
+@pytest.mark.parametrize("weight", ["alpha1 = 1e160", "alpha1 = 1e308", "alpha2 = 1e300"])
+def test_cli_optimize_never_converges_on_an_overflowing_norm(tmp_path, capsys, weight):
+    # weights that put the gradient's squares past the float range once made
+    # its norm inf: the projection scaled by radius/inf = 0, the gradient map
+    # read 0, and the run "converged" after 0 iterations. Each run now ends
+    # in a named error or with finite, nonzero gradient maps, warning-free.
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text(TINY.replace("[cost]\n", f"[cost]\n{weight}\n"))
+    out = tmp_path / "opt"
+    code = main(["optimize", "--config", str(cfg), "--out", str(out)])
+    if code != 0:
+        assert code in (EXIT_BLOWUP, EXIT_USAGE)
+        assert capsys.readouterr().err.startswith("error: ")
+        return
+    summary = json.loads((out / "manifest.json").read_text())["deterministic"]["optimization"]
+    rows = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
+    gmaps = [float(r.split(",")[2]) for r in rows] + [summary["final_gradient_map"]]
+    assert all(0.0 < gm < np.inf for gm in gmaps)
+    assert np.isfinite(summary["projection_residual"])
 
 
 def test_cli_verify_tiny_subset(tmp_path):
@@ -494,17 +515,17 @@ def test_cli_verify_full_suite_small(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
     assert digests == {
         "check_backend_consistency.json":
-            "838c2ada86ca7874a27772af016a1d18a3fc776374a498489f8e19a74a118095",
+            "14d90e4d2b4db58d75fc20ec3d1566195fa5f58ac790a6aeb720e4717ff0024b",
         "check_duality.json":
-            "edcbc74183c984c931cf65179164d8e9a7d0112377aadb4fce11ee0ab446503e",
+            "2602141f553c10e0353a12e68cea8b12f2864cf0a3ba77206a4ad04fb620a9a3",
         "check_gateaux.json":
-            "230b97c7b43da42a14544c0bb6b44c019f9e08c6c4cdf2c39c25d61565c9246a",
+            "6c3f1b2da71f47830059374a6c5e9e63e9ce37d8c8edc4e856e8d6494c669d7f",
         "check_lipschitz.json":
-            "f5a84144e7e4c9f558b500c4c90a2f5e6d9795bb82d2e6deccc5f3a7cee56850",
+            "e89583142f96e731030c3dbf56f381304c20ee295003ad6f6820188a7ec781c8",
         "check_mass_conservation.json":
             "e686b4bf0a09059d90971bfb2b44bf7fba4c0e1db6c2a3982943299064083afc",
         "check_moment_bounds.json":
-            "aadc38fba35ef6ff6a72b1594d43e9db47aee93a6b3d2735bab939c48b5bf6ea",
+            "00bd216a6de438ef1c604fcbfc0db555e77b853b3276ed6d55ac4cdeda4a5cdc",
         "check_truncation.json":
             "848afd13be442f31ab9dbc0a18ffd2cafa8d8d879e31e33631a5802702deb7e7",
     }

@@ -323,16 +323,17 @@ def test_optimize_history_golden():
     # recorded from the optimizer that solved every path again for each
     # gradient and for the residual; reusing the trajectories moves no bit.
     # The last bits are those of the steps in coefficient space, with the
-    # noise projection as the zero mode of the symbol c. Two of the five
+    # noise projection as the zero mode of the symbol c, and of the sweeps'
+    # cosine transforms as products with the cosine matrix. Two of the five
     # trials backtrack.
     problem, es = _problem()
     u0 = _smooth_control(problem, 3)
     res = optimize(u0, es, problem, OptimizerOptions(tol=1e-300, max_iter=3,
                                                      eta0=16.0))
     assert [c.hex() for c in res.cost_history] == [
-        "0x1.161d0b682a2e7p-6", "0x1.c4b5ac72f6a83p-7",
-        "0x1.2fb8cf026d55cp-7", "0x1.1c225ec567e99p-7"]
-    assert res.projection_residual.hex() == "0x1.fef20647839a4p-1"
+        "0x1.161d0b682a2e7p-6", "0x1.c4b5ac72f6a88p-7",
+        "0x1.2fb8cf026d559p-7", "0x1.1c225ec567e97p-7"]
+    assert res.projection_residual.hex() == "0x1.fef20647839a1p-1"
     assert res.projection_residual == optimality_residual(res.control, es, problem)
     assert len(res.cost_stderr_history) == len(res.cost_history)
     assert res.cost_stderr_history[0] == reduced_cost(u0, es, problem)[1]

@@ -1,6 +1,9 @@
 """Spatial discretization against dense-matrix and analytic oracles."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from choc import (
     prolong,
 )
 from choc.grid import (
+    _PRODUCT_POINTS,
     _dct,
     _idct,
+    _step_transform,
     grad_norm_sq_values,
     lap_values,
     norm_h_values,
@@ -31,7 +36,13 @@ from choc.grid import (
     prolong_values,
 )
 
-from conftest import apply_dense, dense_neumann_laplacian, inner_h, random_field
+from conftest import (
+    apply_dense,
+    dense_neumann_laplacian,
+    inner_h,
+    random_field,
+    step_transform,
+)
 
 
 def test_grid_validation():
@@ -190,6 +201,108 @@ def test_transforms_call_the_pocketfft_kernel(rng):
             lambda: scipy.fft.dctn(x, type=2, norm="ortho", axes=axes))
 
 
+# --- step transform ----------------------------------------------------------
+
+
+def _public(x, axes, inverse):
+    public = scipy.fft.idctn if inverse else scipy.fft.dctn
+    return public(x, type=2, norm="ortho", axes=axes)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_step_transform_is_near_scipy_on_short_axes(rng, inverse):
+    # a product sums n terms: it stays within n ulps of the largest input of
+    # dctn/idctn on every axis length it takes (measured: within 0.4 of that)
+    eps = np.finfo(float).eps
+    for n in range(4, _PRODUCT_POINTS + 1):
+        x = rng.standard_normal((5, n))
+        err = np.max(np.abs(step_transform(Grid((n,)), x, inverse)
+                            - _public(x, (-1,), inverse)))
+        assert err <= n * eps * np.max(np.abs(x)), n
+    for shape in ((8, 6), (16, 12), (64, 64), (8, 70)):
+        x = rng.standard_normal((3,) + shape)
+        err = np.max(np.abs(step_transform(Grid(shape), x, inverse)
+                            - _public(x, (-2, -1), inverse)))
+        assert err <= sum(shape) * eps * np.max(np.abs(x)), shape
+
+
+@pytest.mark.parametrize("shape", [(_PRODUCT_POINTS + 1,), (65, 66), (128,)])
+@pytest.mark.parametrize("refused", [False, True])
+def test_step_transform_keeps_scipy_bits_on_long_axes(rng, monkeypatch, shape, refused):
+    # on the kernel and, when the probe refuses it, on scipy's public path
+    if refused:
+        monkeypatch.setattr(grid_module, "_KERNEL_BITWISE", False)
+    g = Grid(shape)
+    x = rng.standard_normal((3,) + shape)
+    for inverse in (False, True):
+        out = step_transform(g, x, inverse)
+        assert out.tobytes() == _public(x, g.axes, inverse).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64,), (19,), (8, 6), (17, 19), (8, 70), (128,)])
+@pytest.mark.parametrize("refused", [False, True])
+def test_step_transform_interposed_is_bitwise_direct(rng, monkeypatch, shape, refused):
+    # with the public names wrapped, as a trace wraps them, every call of a
+    # bound transform goes through them once and gives the direct route's
+    # bits, also where a long axis falls back to scipy's public path
+    if refused:
+        monkeypatch.setattr(grid_module, "_KERNEL_BITWISE", False)
+    g = Grid(shape)
+    x = rng.standard_normal((2, 3) + shape)
+    direct = [step_transform(g, x, inverse) for inverse in (False, True)]
+    calls = []
+    for name in ("dctn", "idctn"):
+        def counted(*args, _original=getattr(scipy.fft, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    for inverse, expected in zip((False, True), direct):
+        out = np.empty(x.shape)
+        run = _step_transform(g, x, out, inverse)
+        for _ in range(2):
+            run()
+            assert out.tobytes() == expected.tobytes()
+    assert len(calls) == 4
+
+
+def test_step_transform_takes_contiguous_float_arrays():
+    g = Grid((16,))
+    x = np.zeros((4, 16))
+    with pytest.raises(ValueError):
+        _step_transform(g, x[::2], np.empty((2, 16)))
+    with pytest.raises(ValueError):
+        _step_transform(g, x, np.empty((4, 16), dtype=np.float32))
+
+
+_THREAD_PROBE = """
+import hashlib, numpy as np
+from choc.grid import Grid, _step_transform
+rng = np.random.default_rng(3)
+digest = hashlib.sha256()
+for shape, rows in ([((n,), 40) for n in range(4, 65)]
+                    + [((64,), 400), ((64, 64), 16), ((12, 10), 5)]):
+    x = rng.standard_normal((rows,) + shape)
+    for inverse in (False, True):
+        out = np.empty(x.shape)
+        _step_transform(Grid(shape), x, out, inverse)()
+        digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_step_transform_bits_do_not_depend_on_blas_threads():
+    # BLAS may split a product over threads; the bits must not move
+    src = str(Path(grid_module.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
 # --- norms -----------------------------------------------------------------
 
 
@@ -232,7 +345,10 @@ def test_array_norms_are_roots_of_sums_of_squares(rng):
     values = rng.standard_normal((20000,) + g.shape)
     h_sq = np.sum(values**2, axis=-1) * g.cell_volume
     v_sq = h_sq + grad_norm_sq_values(g, values)
-    lap_sq = np.sum(lap_values(g, values) ** 2, axis=-1) * g.cell_volume
+    # |Lap y|_H^2 by Parseval, from the coefficients the Dirichlet form takes
+    lap_sq = np.sum((g.lap_symbol * _dct(values, g.axes)) ** 2, axis=-1) * g.cell_volume
+    physical = np.sum(lap_values(g, values) ** 2, axis=-1) * g.cell_volume
+    assert np.allclose(lap_sq, physical, rtol=1e-13, atol=0.0)
     assert np.array_equal(norm_h_values(g, values), np.sqrt(h_sq))
     assert np.array_equal(norm_v_values(g, values), np.sqrt(v_sq))
     assert np.array_equal(norm_z_sq_values(g, values), v_sq + lap_sq)

@@ -53,7 +53,7 @@ from choc.sensitivity import _duality_lhs, _duality_rhs, _sweep_adjoint, _sweep_
 from choc.state import StateParams, _path_sums, _sweep_state, target_values
 from choc.verify import _continuous_gaps
 
-from conftest import clamped, zero_potential
+from conftest import clamped, step_transform, zero_potential
 
 # A fixed example sequence and no example database: the suite gives the same
 # verdict on every run and writes no files.
@@ -206,6 +206,21 @@ def test_transforms_into_out_keep_their_bits(g, batch, seed):
                 for half, x in zip(out, pair):
                     assert _bits(half) == _bits(transform(x, g.axes))
         assert bool(calls) == public
+
+
+@PROPERTIES
+@given(n=st.integers(4, 64), m=st.integers(4, 12), two_d=st.booleans(),
+       nrows=st.integers(2, 40), inverse=st.booleans(), seed=seeds)
+def test_step_transform_row_is_its_row_in_a_batch(n, m, two_d, nrows, inverse, seed):
+    # a field's bits do not depend on how many fields share the products:
+    # one field alone (a single row, which BLAS never sees alone) and every
+    # field of a batch are bitwise their own transforms
+    g = Grid((n, m) if two_d else (n,))
+    batch = np.random.default_rng(seed).standard_normal((nrows,) + g.shape)
+    whole = step_transform(g, batch, inverse)
+    for r in (0, nrows // 2, nrows - 1):
+        assert whole[r].tobytes() == step_transform(g, batch[r], inverse).tobytes()
+        assert whole[r].tobytes() == step_transform(g, batch[r:r + 1], inverse)[0].tobytes()
 
 
 @PROPERTIES

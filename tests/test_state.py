@@ -274,11 +274,11 @@ def test_step_carries_the_zero_mode_exactly(ndims, kind):
     y_hat = _dct(y, g.axes)
     zero = (Ellipsis,) + (0,) * ndims
     before = y_hat[zero].copy()
-    noise, step = _stepper(p, shape, nm.nmodes > 0)
+    noise, step = _stepper(p, y, y_hat, nm.nmodes > 0)
     if noise is not None:
         xi = _mode_sum(nm, 0.2 * rng.standard_normal((3, nm.nmodes)))
         b_increment_values(nm, y, xi, out=noise)
-    step(y, y_hat, double_well().psi_prime(y), rng.standard_normal(g.shape))
+    step(double_well().psi_prime(y), rng.standard_normal(g.shape))
     assert nm.is_mean_free == (kind != "constant")
     if kind == "constant":
         assert np.all(np.abs(y_hat[zero] - before) > 1e-6)
