@@ -14,16 +14,7 @@ from .errors import (
     ShapeError,
     SnapshotFormatError,
 )
-from .grid import (
-    Field,
-    Grid,
-    laplacian,
-    mean,
-    norm_h,
-    norm_v,
-    norm_z,
-    prolong,
-)
+from .grid import Grid
 from .physics import (
     NoiseModel,
     Potential,
@@ -37,10 +28,9 @@ from .state import (
     StateParams,
     TimeGrid,
     Trajectory,
-    WienerPath,
-    chemical_potential,
+    WienerPaths,
     mix_seed,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_state,
 )
 from .sensitivity import (

@@ -30,10 +30,9 @@ from .config import (
 )
 from .control import optimize
 from .errors import BlowUpError, ChocError, ConfigurationError
-from .grid import Field, Grid
 from .sensitivity import duality_terms, solve_adjoint, solve_linearized
 from .snapshots import write_series_csv, write_snapshot
-from .state import sample_wiener_path, solve_state
+from .state import sample_wiener_paths, solve_state
 from .verify import (
     _duality_residual,
     check_backend_consistency,
@@ -111,7 +110,7 @@ def _outdir(args) -> Path:
     return args.out
 
 
-def _write_snapshots(outdir: Path, prefix: str, grid: Grid, series,
+def _write_snapshots(outdir: Path, prefix: str, series,
                      every: int | None) -> list[Path]:
     """Snapshots ``PREFIX_NNNNNN.chs`` of every ``every``-th row of
     ``series`` (about ten rows by default) and of its last row."""
@@ -122,7 +121,7 @@ def _write_snapshots(outdir: Path, prefix: str, grid: Grid, series,
     outputs = []
     for n in steps:
         path = outdir / f"{prefix}_{n:06d}.chs"
-        write_snapshot(Field(grid, series[n]), path)
+        write_snapshot(series[n], path)
         outputs.append(path)
     return outputs
 
@@ -135,10 +134,10 @@ def _solve_path(build: BuildResult, path_index: int):
         raise ConfigurationError(f"--path-index {path_index} is outside the "
                                  f"ensemble's paths 0..{npaths - 1}")
     problem = build.problem
-    wp = sample_wiener_path(problem.params.noise, problem.params.timegrid,
-                            build.ensemble.path_seed(path_index))
+    path = sample_wiener_paths(problem.params.noise, problem.params.timegrid,
+                               [build.ensemble.path_seed(path_index)])
     try:
-        return solve_state(problem.y0, build.u0.values, [wp], problem.params)
+        return solve_state(problem.y0, build.u0.values, path, problem.params)
     except BlowUpError as exc:
         raise BlowUpError(exc.step, exc.max_abs, exc.seed, path_index) from None
 
@@ -149,8 +148,7 @@ def _cmd_simulate(args) -> int:
     problem = build.problem
     traj = _solve_path(build, args.path_index)
     outdir = _outdir(args)
-    outputs = _write_snapshots(outdir, "state", problem.params.grid, traj.ys[0],
-                               args.snapshot_every)
+    outputs = _write_snapshots(outdir, "state", traj.ys[0], args.snapshot_every)
     series = outdir / "series.csv"
     times = problem.params.timegrid.times()
     write_series_csv(series, ["time", "mass", "energy"],
@@ -199,8 +197,7 @@ def _cmd_sensitivity(args) -> int:
     data = _duality_summary(build, args.path_index)
     outdir = _outdir(args)
     prefix, series_of = _SENSITIVITY_SNAPSHOTS[args.command]
-    outputs = _write_snapshots(outdir, prefix, build.problem.params.grid,
-                               series_of(data), args.snapshot_every)
+    outputs = _write_snapshots(outdir, prefix, series_of(data), args.snapshot_every)
     summary = outdir / "duality.json"
     summary.write_text(json.dumps(data["summary"], sort_keys=True, indent=2) + "\n")
     outputs.append(summary)
@@ -222,8 +219,8 @@ def _cmd_optimize(args) -> int:
                      zip(range(len(steps)), result.cost_history,
                          result.gradient_map_history, steps))
     outputs = [history]
-    outputs += _write_snapshots(outdir, "control", build.problem.params.grid,
-                                result.control.values, args.snapshot_every)
+    outputs += _write_snapshots(outdir, "control", result.control.values,
+                                args.snapshot_every)
     _write_manifest(outdir, "optimize", build, outputs,
                     {"optimization": result.summary()}, time.perf_counter() - t0)
     s = result.summary()

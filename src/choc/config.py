@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import ControlProcess, EnsembleSpec, OptimizerOptions, Problem, l2q_norm
 from .errors import ConfigParseError, ConfigurationError, SnapshotFormatError
-from .grid import Field, Grid, low_pass_field
+from .grid import Grid, low_pass_values
 from .physics import (
     additive_noise,
     double_well,
@@ -358,8 +358,9 @@ def _source_number(arg: str, what: str) -> float:
 
 
 def _source_field(text: str, what: str, grid: Grid, base_dir: Path, *,
-                  bare: str | None = None, seed: int | None = None) -> Field | None:
-    """The field that the source ``kind[:arg]`` of key ``what`` names.
+                  bare: str | None = None, seed: int | None = None) -> np.ndarray | None:
+    """The field, an array of shape grid.shape with finite values, that the
+    source ``kind[:arg]`` of key ``what`` names.
 
     Every key takes ``constant:V`` and ``file:PATH``. ``bare`` is the key's
     kind that takes no argument (``zero`` or ``synthetic``), for which this
@@ -373,7 +374,7 @@ def _source_field(text: str, what: str, grid: Grid, base_dir: Path, *,
             raise ConfigurationError(f"{what}: {bare} takes no argument, got {text!r}")
         return None
     if kind == "constant":
-        return Field.constant(grid, _source_number(arg, what))
+        return np.full(grid.shape, _source_number(arg, what))
     if kind == "file":
         try:
             return read_snapshot(base_dir / arg, grid)
@@ -381,7 +382,7 @@ def _source_field(text: str, what: str, grid: Grid, base_dir: Path, *,
             raise ConfigurationError(f"{what}: {exc}") from None
     if kind == "smooth_random" and seed is not None:
         amp = _source_number(arg, what)
-        return low_pass_field(grid, np.random.default_rng(seed), amp)
+        return low_pass_values(grid, np.random.default_rng(seed), amp)
     raise ConfigurationError(f"{what}: unknown source {text!r}")
 
 
@@ -430,7 +431,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
     init = _source_field(config.control.init, "control.init", grid, base_dir,
                          bare="zero")
     u0 = (ControlProcess.zeros(grid, tg) if init is None
-          else ControlProcess(grid, tg, np.broadcast_to(init.values, steps).copy()))
+          else ControlProcess(grid, tg, np.broadcast_to(init, steps).copy()))
 
     cost = config.cost
     alphas = (cost.alpha1, cost.alpha2, cost.alpha3)
@@ -450,7 +451,7 @@ def build_problem(config: RunConfig, base_dir=".") -> BuildResult:
         synthetic = dict(zip(shapes, _synthetic_targets(params, y0, reference, es)))
     for key, f in named.items():
         targets[key] = (synthetic[key] if f is None
-                        else np.broadcast_to(f.values, shapes[key]).copy())
+                        else np.broadcast_to(f, shapes[key]).copy())
 
     problem = Problem(params=params, y0=y0, alphas=alphas, x_q=targets["x_q"],
                       x_t=targets["x_t"], c0=c0)
@@ -469,7 +470,7 @@ def _reference_control(grid: Grid, tg: TimeGrid, c0: float,
     return ControlProcess(grid, tg, values)
 
 
-def _synthetic_targets(params: StateParams, y0: Field, reference: ControlProcess,
+def _synthetic_targets(params: StateParams, y0: np.ndarray, reference: ControlProcess,
                        es: EnsembleSpec):
     """Per-path targets from simulating the reference control."""
     nsteps = params.timegrid.nsteps

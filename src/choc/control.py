@@ -14,9 +14,10 @@ integrates every path at once, on arrays with a leading path axis, and one
 backward. The adjoint runs along the state trajectories at u, so a caller
 that has solved the ensemble at u passes that trajectory on
 (``states=``) and no path is solved twice at one control. :func:`optimize`
-runs one state sweep for the starting cost and one per line-search trial,
-one adjoint sweep per iteration, and one adjoint sweep at the final control,
-whose gradient also gives the optimality residual.
+runs one state sweep for the starting cost and one per line-search trial
+that tries a new control, one adjoint sweep per iteration, and one adjoint
+sweep at the final control, whose gradient also gives the optimality
+residual.
 
 The admissible set is the L2 ball of radius :attr:`Problem.c0`; every
 projection, the optimizer's and the optimality residual's, is onto it.
@@ -28,17 +29,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainError
-from .grid import Field, Grid
+from .grid import Grid, field_array
 from .sensitivity import solve_adjoint
 from .state import (
     StateParams,
     TimeGrid,
     Trajectory,
-    WienerPath,
+    WienerPaths,
     _path_sums,
     control_values,
     mix_seed,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_state,
     target_values,
 )
@@ -129,9 +130,11 @@ class EnsembleSpec:
     def path_seed(self, i: int) -> int:
         return mix_seed(self.base_seed, i)
 
-    def sample_paths(self, params: StateParams) -> list[WienerPath]:
-        return [sample_wiener_path(params.noise, params.timegrid, self.path_seed(i))
-                for i in range(self.npaths)]
+    def sample_paths(self, params: StateParams) -> WienerPaths:
+        """The ensemble's Brownian increments on the time grid and modes of
+        ``params``, one batch."""
+        return sample_wiener_paths(params.noise, params.timegrid,
+                                   [self.path_seed(i) for i in range(self.npaths)])
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,14 @@ class Problem:
     admissible set, the L2 ball of radius ``c0`` that controls are projected
     onto.
 
-    Targets may be shared across paths (shapes (nsteps, *grid) / (*grid)) or
-    per path (leading npaths axis), as produced by the synthetic target
-    generator.
+    The initial datum is one field, an array of shape grid.shape whose
+    values are finite. Targets may be shared across paths (shapes
+    (nsteps, *grid) / (*grid)) or per path (leading npaths axis), as
+    produced by the synthetic target generator.
     """
 
     params: StateParams
-    y0: Field
+    y0: np.ndarray
     alphas: tuple[float, float, float]
     x_q: np.ndarray | None = None
     x_t: np.ndarray | None = None
@@ -157,8 +161,8 @@ class Problem:
             raise DomainError(f"admissibility radius must be positive, got {self.c0}")
         if any(a < 0 for a in self.alphas):
             raise DomainError(f"cost weights must be nonnegative, got {self.alphas}")
-        if self.y0.grid != self.params.grid:
-            raise ConfigurationError("initial datum lives on a different grid")
+        object.__setattr__(self, "y0", field_array(self.params.grid, self.y0,
+                                                   "initial datum"))
 
     def target_q(self, i: int):
         if self.x_q is None:
@@ -206,7 +210,7 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
 
 
 def _solve_paths(u: ControlProcess, problem: Problem,
-                 paths: list[WienerPath]) -> Trajectory:
+                 paths: WienerPaths) -> Trajectory:
     """The state trajectories of ``u`` on every path: one sweep."""
     return solve_state(problem.y0, u.values, paths, problem.params)
 
@@ -335,16 +339,20 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     """Projected gradient descent with Armijo backtracking.
 
     Accepted steps never increase the cost; a trial step whose state solve
-    blows up is rejected and shrunk like one that fails the Armijo test.
+    blows up is rejected and shrunk like one that fails the Armijo test. A
+    trial whose projected control is bitwise the last rejected one's takes
+    that outcome without a state sweep: with the same cost and step, the test
+    cannot pass at a smaller step either, and a reused blow-up counts as a
+    blow-up rejection again.
     Termination on the gradient-map norm at the fixed reference step, on the
     iteration budget, or on a stalled line search.
 
     Solve budget, in sweeps (one sweep solves every path of the ensemble in
     one call): one state sweep for the starting cost and one per line-search
-    trial; one adjoint sweep per iteration, along the trajectories its
-    accepted trial solved; one adjoint sweep at the final control, for the
-    residual and the last gradient map (on convergence or a stalled search
-    this is the gradient the last iteration already took).
+    trial with a new control; one adjoint sweep per iteration, along the
+    trajectories its accepted trial solved; one adjoint sweep at the final
+    control, for the residual and the last gradient map (on convergence or a
+    stalled search this is the gradient the last iteration already took).
     """
     paths = es.sample_paths(problem.params)
     u = project_admissible(u0, problem.c0)
@@ -384,20 +392,29 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
 
         accepted = False
         trial_eta = eta
+        rejected = None    # the last rejected trial's control and outcome
         for _ in range(_MAX_BACKTRACKS):
             cand = project_admissible(u.with_values(u.values - trial_eta * grad),
                                       problem.c0)
             step_sq = l2q_norm(u.values - cand.values, tg, u.grid) ** 2
             cand_states = None    # drop a rejected trial's states before the next solve
-            try:
-                cand_states = _solve_paths(cand, problem, paths)
-                cand_cost, cand_stderr = reduced_cost(cand, es, problem, cand_states)
-            except BlowUpError:
-                cand_cost = np.inf    # a blown-up trial is a rejected trial
-                blowup_rejections += 1
+            if rejected is not None and np.array_equal(cand.values, rejected[0]):
+                # the projection gave the last rejected control again: its
+                # outcome, which no smaller step can make pass, without a sweep
+                cand_cost, cand_stderr, blew_up = rejected[1:]
+            else:
+                try:
+                    cand_states = _solve_paths(cand, problem, paths)
+                    cand_cost, cand_stderr = reduced_cost(cand, es, problem, cand_states)
+                    blew_up = False
+                except BlowUpError:
+                    # a blown-up trial is a rejected trial
+                    cand_cost, cand_stderr, blew_up = np.inf, np.inf, True
+            blowup_rejections += blew_up
             if cand_cost <= cost - (_ARMIJO_C / trial_eta) * step_sq:
                 accepted = True
                 break
+            rejected = (cand.values, cand_cost, cand_stderr, blew_up)
             trial_eta *= _ARMIJO_SHRINK
         if not accepted:
             termination = "stalled"

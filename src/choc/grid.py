@@ -1,4 +1,4 @@
-"""Spatial discretization: uniform Neumann box, fields, and spectral calculus.
+"""Spatial discretization: uniform Neumann box and spectral calculus.
 
 The domain is an axis-aligned box in one or two dimensions with homogeneous
 Neumann boundary conditions. Fields live at cell centers and all quadrature
@@ -15,8 +15,13 @@ vector cos(k*pi*(i+1/2)/n) has eigenvalue
 which is what makes the fourth-order implicit solves used by the time
 steppers a single diagonal division in coefficient space.
 
-Field-level operators (the Laplacian, the norms, prolongation and the
-random initial data) transform through :func:`_dct`/:func:`_idct`. In 1D
+A field is a float64 array of shape ``grid.shape``; data enters through
+:func:`field_array`, which checks the shape and that every value is finite.
+The operators below take arrays whose leading axes are a batch (time steps,
+paths), and each field of a batch gets the bits of its own operation.
+
+These operators (the Laplacian, the norms, prolongation and the random
+initial data) transform through :func:`_dct`/:func:`_idct`. In 1D
 most of the time of ``scipy.fft.dctn`` is Python dispatch around its
 pocketfft kernel, so the two call that kernel directly, with the arguments
 ``dctn`` and ``idctn`` pass it, when both of these hold:
@@ -47,7 +52,7 @@ Each field of a batch gets the bits of its own product: BLAS never sees a
 single row, and a product along the last axis writes whole column panels
 (``_PANEL``).
 
-Field-level operators keep the kernel for accuracy. A product leaves the
+The operators keep the kernel for accuracy. A product leaves the
 coefficients of a constant that should be 0 at rounding level, and the
 Laplacian scales them by up to 4/h^2: through products, the Laplacian of
 the constant 3.7 on 64 points reads 8.2e-11 where the kernel gives 0.
@@ -68,14 +73,13 @@ from .errors import ConfigurationError, DomainError, ShapeError
 
 __all__ = [
     "Grid",
-    "Field",
-    "laplacian",
-    "mean",
-    "norm_h",
-    "grad_norm_sq",
-    "norm_v",
-    "norm_z",
-    "prolong",
+    "field_array",
+    "lap_values",
+    "norm_h_values",
+    "norm_v_values",
+    "norm_z_sq_values",
+    "prolong_values",
+    "low_pass_values",
 ]
 
 
@@ -417,70 +421,27 @@ class Grid:
         return out
 
 
-@dataclass(frozen=True)
-class Field:
-    """Scalar field sampled at the cell centers of a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __init__(self, grid: Grid, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise ShapeError(f"field values shape {values.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("field values must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.shape))
-
-
-def laplacian(x: Field) -> Field:
-    """Discrete Neumann Laplacian (negative semi-definite, zero-mean output)."""
-    return Field(x.grid, lap_values(x.grid, x.values))
+def field_array(grid: Grid, values, what: str = "field") -> np.ndarray:
+    """``values`` as a float64 array of one field on ``grid``, checked where
+    data enters: a :class:`ShapeError` when its shape is not grid.shape, a
+    :class:`DomainError` when a value is not finite. ``what`` names the data
+    in the message."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != grid.shape:
+        raise ShapeError(f"{what} shape {values.shape} != grid shape {grid.shape}")
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} values must be finite")
+    return values
 
 
 def lap_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level Laplacian used by the time steppers; leading axes of
-    ``values`` are a batch."""
+    """Discrete Neumann Laplacian (negative semi-definite, zero-mean
+    output); leading axes of ``values`` are a batch."""
     return _idct(grid.lap_symbol * _dct(values, grid.axes), grid.axes)
 
 
-def mean(x: Field) -> float:
-    """Volume-weighted average; on a uniform grid this is the plain mean."""
-    return float(np.mean(x.values))
-
-
-def norm_h(x: Field) -> float:
-    return float(norm_h_values(x.grid, x.values))
-
-
-def grad_norm_sq(x: Field) -> float:
-    """Squared L2 norm of the discrete gradient, via the Dirichlet form.
-
-    Defined as the quadratic form of minus the Laplacian so that discrete
-    integration by parts is exact.
-    """
-    return float(grad_norm_sq_values(x.grid, x.values))
-
-
-def norm_v(x: Field) -> float:
-    return float(norm_v_values(x.grid, x.values))
-
-
-def norm_z(x: Field) -> float:
-    return float(norm_z_values(x.grid, x.values))
-
-
-# Array-level norms: leading axes of ``values`` are a batch, and each field
-# of the batch gets the bits of its field-level norm.
+# The norms: leading axes of ``values`` are a batch, and each field of the
+# batch gets the bits of its own norm.
 
 
 def _norm_h_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -492,6 +453,9 @@ def norm_h_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def grad_norm_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of the discrete gradient, via the Dirichlet form: the
+    quadratic form of minus the Laplacian, so that discrete integration by
+    parts is exact."""
     return _dirichlet_sq(grid, _dct(values, grid.axes))
 
 
@@ -517,22 +481,14 @@ def norm_z_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _norm_h_sq_values(grid, values) + _dirichlet_sq(grid, coeffs) + lap_sq
 
 
-def norm_z_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(norm_z_sq_values(grid, values))
-
-
-def prolong(x: Field, fine: Grid) -> Field:
-    """Transfer a field to a finer grid by exact cosine-series resampling.
+def prolong_values(grid: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
+    """Transfer fields to a finer grid by exact cosine-series resampling.
 
     Requires the fine grid to have at least as many points per axis and the
-    same side lengths. Mean and low modes are preserved exactly.
+    same side lengths. Mean and low modes are preserved exactly. Leading
+    axes of ``values`` are a batch, and each field of it gets the bits of its
+    own prolongation.
     """
-    return Field(fine, prolong_values(x.grid, x.values, fine))
-
-
-def prolong_values(grid: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
-    """Array-level :func:`prolong`: leading axes of ``values`` are a batch,
-    and each field of it gets the bits of its field-level prolongation."""
     if fine.ndims != grid.ndims:
         raise ConfigurationError("prolongation requires grids of equal dimension")
     if fine.lengths != grid.lengths:
@@ -549,23 +505,17 @@ def prolong_values(grid: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
     return _idct(out, fine.axes)
 
 
-# the wavenumber beyond which low_pass_field damps its white noise
+# the wavenumber beyond which low_pass_values damps its white noise
 _CUTOFF = 8
-
-
-def low_pass_field(grid: Grid, rng: np.random.Generator, amplitude: float) -> Field:
-    """Smooth random field: white noise damped beyond the wavenumber
-    ``_CUTOFF``, rescaled to the requested sup amplitude. Used for initial
-    data."""
-    return Field(grid, low_pass_values(grid, rng, amplitude))
 
 
 def low_pass_values(grid: Grid, rng: np.random.Generator, amplitude: float,
                     batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Array-level :func:`low_pass_field`: a ``batch`` of smooth random
-    fields from one draw, each rescaled to the sup amplitude on its own.
-    The fields are bitwise those of as many :func:`low_pass_field` calls
-    on the same generator."""
+    """A ``batch`` of smooth random fields from one draw: white noise damped
+    beyond the wavenumber ``_CUTOFF``, each field rescaled to the sup
+    ``amplitude`` on its own. The fields are bitwise those of as many calls
+    without a batch on the same generator. Used for initial data and
+    random controls."""
     coeffs = rng.standard_normal(batch + grid.shape)
     if grid.ndims == 1:
         k2 = (np.arange(grid.npoints[0]) / _CUTOFF) ** 2

@@ -45,8 +45,9 @@ the continuous adjoint equation is the private reference of
 :func:`solve_adjoint` stores the ptilde_n it computes at every node and
 does not keep p, which no reader uses. :func:`solve_linearized` and
 :func:`solve_adjoint` sweep every path of a trajectory at once, on arrays
-with a leading path axis; each path's sensitivity and costate are bitwise
-those of its own sweep. Their sweeps are the private kernels
+with a leading path axis, and read the increments of the trajectory's
+:class:`~choc.state.WienerPaths` batch in place; each path's sensitivity
+and costate are bitwise those of its own sweep. Their sweeps are the private kernels
 :func:`_sweep_linearized` and :func:`_sweep_adjoint`, which also run the
 rows controls × paths of several controls on one ensemble, each row bitwise
 its own sweep. Both run their steps in blocks, as the state sweep does:
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +72,8 @@ from .physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from .state import (
     StateParams,
     Trajectory,
+    WienerPaths,
     _blocks,
-    _increments,
     _step_major,
     _stepper,
     control_values,
@@ -95,8 +95,6 @@ class LinearizedSolution:
 
     ``zs`` stacks the nsteps+1 sensitivities from z_0 = 0 in the direction
     ``h``, which the paths share, behind the trajectory's leading path axis.
-    The linearized potential mu_n = -Lap z_n + C_n z_n - h_n at the step
-    starts is computed when first read.
     """
 
     traj: Trajectory
@@ -114,13 +112,6 @@ class LinearizedSolution:
     @property
     def npaths(self) -> int:
         return self.traj.npaths
-
-    @cached_property
-    def mus(self) -> np.ndarray:
-        """mu_n at every step start, shape (npaths, nsteps, *grid.shape)."""
-        z = self.zs[:, :-1]
-        curvature = self.params.potential.psi_second(self.traj.ys[:, :-1])
-        return -lap_values(self.grid, z) + curvature * z - self.h
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ def solve_linearized(traj: Trajectory, h) -> LinearizedSolution:
     return LinearizedSolution(traj=traj, h=hvals, zs=zs)
 
 
-def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
+def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths: WienerPaths,
                       p: StateParams) -> np.ndarray:
     """The linearized sweep of the rows directions × paths, direction-major,
     along the states ``ys`` of those rows (see :func:`~choc.state._sweep_state`).
@@ -170,13 +161,12 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths,
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
     # arrays indexed by step first, as in the state sweep
-    ys_n = _step_major(ys, len(paths))
+    ys_n = _step_major(ys, paths.npaths)
     h_n = np.moveaxis(directions, 1, 0)[:, :, None]
-    if noisy:
-        dw_n = _increments(paths)
+    dw_n = paths.increments
 
     zs = np.zeros(ys.shape)
-    zs_n = _step_major(zs, len(paths))
+    zs_n = _step_major(zs, paths.npaths)
     # working arrays as in the state sweep
     z = np.zeros(ys_n.shape[1:])
     z_hat = np.zeros(z.shape)
@@ -211,7 +201,7 @@ def solve_adjoint(traj: Trajectory, x_q, x_t, alphas) -> AdjointSolution:
     return AdjointSolution(params=p, ptildes=ptildes)
 
 
-def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
+def _sweep_adjoint(ys: np.ndarray, paths: WienerPaths, xq, xt, alphas,
                    p: StateParams) -> np.ndarray:
     """The transpose sweep of the rows controls × paths, control-major,
     along their states ``ys``; returns ptildes of the shape of ``ys``.
@@ -225,7 +215,7 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     a1, a2, _ = alphas
     # arrays indexed by step first, as in the state sweep
     nsteps = tg.nsteps
-    ys_n = _step_major(ys, len(paths))
+    ys_n = _step_major(ys, paths.npaths)
     if a1 != 0.0:
         # xQ_n with the (control, path) axes of a step, so that a block of
         # targets broadcasts against a block of states
@@ -239,13 +229,12 @@ def _sweep_adjoint(ys: np.ndarray, paths, xq, xt, alphas,
     nm = p.noise
     s = p.stabilization
     noisy = nm.is_multiplicative and nm.nmodes > 0
-    if noisy:
-        dw_n = _increments(paths)
+    dw_n = paths.increments
 
     # P_N, then the costate P_n that each node overwrites
     costate = a2 * (ys_n[nsteps] - xt) if a2 != 0.0 else np.zeros(shape)
     ptildes = np.empty(ys.shape)
-    pts_n = _step_major(ptildes, len(paths))
+    pts_n = _step_major(ptildes, paths.npaths)
     pts_n[nsteps] = -lap_values(g, costate)
     # A node's workspace: the coefficients of P_{n+1}, then those of p_n
     # and of ptilde_n = -Lap p_n side by side, inverted by one call into

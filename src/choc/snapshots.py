@@ -8,9 +8,9 @@ Snapshot layout (all integers little-endian):
     u32 per axis  points per axis
     payload       float64 little-endian, row-major
 
-Reading and writing round-trip bit for bit on any host; domain lengths are
-configuration, not payload, so the reader takes an optional grid (defaulting
-to unit side lengths).
+A field is a float64 array. Reading and writing round-trip bit for bit on
+any host; domain lengths are configuration, not payload, so the reader takes
+an optional grid whose point counts the file must match.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SnapshotFormatError
-from .grid import Field, Grid
+from .errors import ShapeError, SnapshotFormatError
+from .grid import Grid, field_array
 
 __all__ = ["write_snapshot", "read_snapshot", "write_series_csv"]
 
@@ -30,20 +30,25 @@ MAGIC = b"CHOC"
 VERSION = 1
 
 
-def write_snapshot(field: Field, path) -> None:
-    """Write a field to the binary snapshot format."""
-    dims = field.grid.npoints
+def write_snapshot(values, path) -> None:
+    """Write one field, an array of one or two axes, to the binary snapshot
+    format."""
+    values = np.asarray(values)
+    dims = values.shape
+    if len(dims) not in (1, 2):
+        raise ShapeError(f"a snapshot holds a field of 1 or 2 axes, got shape {dims}")
     header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", len(dims))
     header += b"".join(struct.pack("<I", d) for d in dims)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
     Path(path).write_bytes(header + payload)
 
 
-def read_snapshot(path, grid: Grid | None = None) -> Field:
-    """Read a snapshot back into a field.
+def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
+    """Read a snapshot back into a field, a float64 array.
 
-    If ``grid`` is given its point counts must match the file; otherwise a
-    unit-length grid with the stored dimensions is created.
+    If ``grid`` is given its point counts must match the file; otherwise the
+    stored dimensions must make a grid. A value that is not finite is a
+    :class:`DomainError`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
@@ -69,7 +74,7 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
         raise SnapshotFormatError(
             f"{path}: snapshot dims {dims} do not match grid {grid.npoints}"
         )
-    return Field(grid, values.astype(np.float64))
+    return field_array(grid, values.astype(np.float64))
 
 
 def write_series_csv(path, header: list[str], rows) -> None:

@@ -28,9 +28,12 @@ term alone without noise), and one inverse call for y_{n+1}; (b, c) is one
 multiply on the transformed pair. A state step makes 13 array operations:
 2 in the noise operator, 3 in psi', 7 in the step (the subtraction, two
 transforms, the pair's multiply, a times yhat and two additions) and the
-copy into the trajectory. The chemical potential is not part of the step;
-a trajectory computes it when read. The linearized solver runs the same
-step.
+copy into the trajectory. The linearized solver runs the same step.
+
+The data are arrays: the initial datum is one field of shape grid.shape,
+a control one field per step, and the noise of an ensemble one
+:class:`WienerPaths` batch, whose increments of shape (nsteps, npaths, K)
+are what the sweeps read, step by step, with no copy.
 
 :func:`solve_state` integrates a batch of paths in one sweep: the arrays of
 a step carry a leading path axis, the transforms run over the grid axes
@@ -64,7 +67,6 @@ transform as the steps do.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,23 +74,22 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainError, ShapeError
 from .grid import (
-    Field,
     Grid,
     _dct as _dct_values,
     _step_transform,
+    field_array,
     grad_norm_sq_values,
-    lap_values,
 )
 from .physics import NoiseModel, Potential, _mode_sum, b_increment_values
 
 __all__ = [
     "TimeGrid",
-    "WienerPath",
+    "WienerPaths",
     "Trajectory",
     "StateParams",
     "mix_seed",
-    "sample_wiener_path",
-    "chemical_potential",
+    "sample_wiener_paths",
+    "aggregate_increments",
     "solve_state",
     "series_l2h_norm",
 ]
@@ -135,20 +136,34 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class WienerPath:
-    """Brownian increments for K modes over a time grid, fixed by a seed."""
+class WienerPaths:
+    """Brownian increments of K modes for a batch of paths over a time grid,
+    each path fixed by its seed.
+
+    ``increments[n, i]`` holds the K increments, i.i.d. N(0, tau), of step n
+    on the path of ``seeds[i]``: the step-first layout the sweeps read.
+    """
 
     timegrid: TimeGrid
-    nmodes: int
-    seed: int
-    increments: np.ndarray   # (nsteps, K), i.i.d. N(0, tau)
+    seeds: tuple[int, ...]
+    increments: np.ndarray   # (nsteps, npaths, K)
 
     def __post_init__(self):
-        if self.increments.shape != (self.timegrid.nsteps, self.nmodes):
-            raise ShapeError(
-                f"increment array shape {self.increments.shape} != "
-                f"({self.timegrid.nsteps}, {self.nmodes})"
-            )
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not self.seeds:
+            raise ConfigurationError("need at least one Wiener path")
+        shape = self.increments.shape
+        if len(shape) != 3 or shape[:2] != (self.timegrid.nsteps, len(self.seeds)):
+            raise ShapeError(f"increment array shape {shape} != "
+                             f"({self.timegrid.nsteps}, {len(self.seeds)}, K)")
+
+    @property
+    def npaths(self) -> int:
+        return self.increments.shape[1]
+
+    @property
+    def nmodes(self) -> int:
+        return self.increments.shape[2]
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -157,21 +172,35 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & _MASK64)
 
 
-def sample_wiener_path(nm: NoiseModel, tg: TimeGrid, seed: int) -> WienerPath:
-    """Draw the Brownian increments for one path; a pure function of the seed."""
-    incr = _generator(seed).standard_normal((tg.nsteps, nm.nmodes)) * np.sqrt(tg.tau)
-    return WienerPath(timegrid=tg, nmodes=nm.nmodes, seed=int(seed), increments=incr)
+def sample_wiener_paths(nm: NoiseModel, tg: TimeGrid, seeds) -> WienerPaths:
+    """Draw the Brownian increments of the paths of ``seeds``: path i is
+    drawn from the generator of seeds[i] alone, so it is a pure function of
+    its seed, whatever the batch."""
+    seeds = tuple(seeds)
+    shape = (tg.nsteps, nm.nmodes)
+    incr = np.empty((tg.nsteps, len(seeds), nm.nmodes))
+    for i, seed in enumerate(seeds):
+        incr[:, i] = _generator(seed).standard_normal(shape) * np.sqrt(tg.tau)
+    return WienerPaths(timegrid=tg, seeds=seeds, increments=incr)
 
 
-def aggregate_increments(wp: WienerPath, factor: int) -> WienerPath:
-    """Sum groups of ``factor`` consecutive increments: the same Brownian path
-    viewed on a coarser time grid. Used by the refinement studies."""
-    if wp.timegrid.nsteps % factor != 0:
+def aggregate_increments(paths: WienerPaths, factor: int) -> WienerPaths:
+    """Sum groups of ``factor`` consecutive increments: the same Brownian
+    paths viewed on a coarser time grid. Used by the refinement studies.
+
+    The sums run path-major, each path's over its own contiguous (coarse,
+    factor, K) array, so each path's increments are bitwise those of
+    aggregating it alone; a reduction over the step-first layout takes
+    another order and, with one mode, other bits.
+    """
+    tg = paths.timegrid
+    if tg.nsteps % factor != 0:
         raise ConfigurationError("aggregation factor must divide nsteps")
-    coarse = TimeGrid(wp.timegrid.t_final, wp.timegrid.nsteps // factor)
-    incr = wp.increments.reshape(coarse.nsteps, factor, wp.nmodes).sum(axis=1)
-    return WienerPath(timegrid=coarse, nmodes=wp.nmodes, seed=wp.seed,
-                      increments=incr)
+    coarse = TimeGrid(tg.t_final, tg.nsteps // factor)
+    by_path = np.ascontiguousarray(np.moveaxis(paths.increments, 1, 0))
+    sums = by_path.reshape(paths.npaths, coarse.nsteps, factor, paths.nmodes).sum(axis=2)
+    return WienerPaths(timegrid=coarse, seeds=paths.seeds,
+                       increments=np.ascontiguousarray(np.moveaxis(sums, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -224,14 +253,14 @@ class Trajectory:
     ``ys`` stacks the nsteps+1 state fields of every path behind a leading
     path axis. The control values, shared by the paths, and the Wiener
     paths that generated the trajectory are kept for the linearized and
-    adjoint solvers. The chemical potentials ``ws`` at the step starts and
-    the mass and free-energy series are computed when first read.
+    adjoint solvers. The mass and free-energy series are computed when
+    first read.
     """
 
     params: StateParams
     ys: np.ndarray               # (npaths, nsteps+1, *grid.shape)
     control: np.ndarray          # (nsteps, *grid.shape)
-    wiener: tuple[WienerPath, ...]
+    wiener: WienerPaths
 
     @property
     def grid(self) -> Grid:
@@ -243,14 +272,7 @@ class Trajectory:
 
     @property
     def npaths(self) -> int:
-        return len(self.wiener)
-
-    @cached_property
-    def ws(self) -> np.ndarray:
-        """Chemical potential w_n = -Lap y_n + psi'(y_n) - u_n at every step
-        start, shape (npaths, nsteps, *grid.shape)."""
-        return _chemical_potential_values(self.grid, self.ys[:, :-1], self.control,
-                                          self.params.potential)
+        return self.wiener.npaths
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -264,11 +286,8 @@ class Trajectory:
 
 
 def control_values(u, tg: TimeGrid, grid: Grid) -> np.ndarray:
-    """Normalize a control argument to a (nsteps, *grid.shape) array.
-
-    Accepts None (zero control), an array, or any object with a ``values``
-    array of the right shape.
-    """
+    """Normalize a control argument, None (zero control) or an array, to a
+    (nsteps, *grid.shape) array."""
     return _series_array(u, (tg.nsteps,) + grid.shape, "control", None)
 
 
@@ -294,7 +313,7 @@ def _series_array(x, shape, kind: str, npaths: int | None) -> np.ndarray:
     (npaths, *shape); None is zero."""
     if x is None:
         return np.zeros(shape)
-    values = np.asarray(getattr(x, "values", x), dtype=float)
+    values = np.asarray(x, dtype=float)
     shapes = [shape] + ([(npaths,) + shape] if npaths else [])
     if values.shape not in shapes:
         wanted = " or ".join(str(s) for s in shapes)
@@ -309,19 +328,6 @@ def _path_sums(a: np.ndarray) -> np.ndarray:
     ``np.sum`` of that path's array alone.
     """
     return np.sum(a, axis=tuple(range(1, a.ndim)))
-
-
-def chemical_potential(y: Field, u: Field, pot: Potential) -> Field:
-    """w = -Lap y + psi'(y) - u."""
-    if y.grid != u.grid:
-        raise ConfigurationError("state and control live on different grids")
-    return Field(y.grid, _chemical_potential_values(y.grid, y.values, u.values, pot))
-
-
-def _chemical_potential_values(g: Grid, y: np.ndarray, u: np.ndarray,
-                               pot: Potential) -> np.ndarray:
-    """Array-level chemical potential; leading axes of ``y`` are a batch."""
-    return -lap_values(g, y) + pot.psi_prime(y) - u
 
 
 def _stepper(p: StateParams, x: np.ndarray, x_hat: np.ndarray, noisy: bool):
@@ -407,15 +413,13 @@ def _step_major(rows: np.ndarray, npaths: int) -> np.ndarray:
     return np.moveaxis(rows.reshape((-1, npaths) + rows.shape[1:]), 2, 0)
 
 
-def solve_state(y0: Field, u, paths: Sequence[WienerPath],
-                params: StateParams) -> Trajectory:
+def solve_state(y0, u, paths: WienerPaths, params: StateParams) -> Trajectory:
     """Integrate the state system along a batch of noise paths in one sweep.
 
-    ``paths`` is a sequence of :class:`WienerPath`; one path is the batch
-    ``[path]``, and a bare path is a :class:`ConfigurationError`. The
-    trajectory carries a leading path axis; ``u`` is one control of shape
-    (nsteps, *grid.shape), shared by every path. Each path's result is
-    bitwise that of solving it alone.
+    ``y0`` is one field of shape grid.shape, shared by every path, and
+    ``u`` one control of shape (nsteps, *grid.shape); the trajectory carries
+    the leading path axis of ``paths``. Each path's result is bitwise that
+    of solving it alone.
 
     Deterministic given (y0, control, paths).
     Raises :class:`BlowUpError` instead of clipping runaway states. It names
@@ -424,27 +428,20 @@ def solve_state(y0: Field, u, paths: Sequence[WienerPath],
     """
     g = params.grid
     tg = params.timegrid
-    if isinstance(paths, WienerPath):
-        raise ConfigurationError("solve_state takes a sequence of Wiener paths; "
-                                 "pass one path as [path]")
-    batch = tuple(paths)
-    if y0.grid != g:
-        raise ConfigurationError("initial datum lives on a different grid")
-    if not batch:
-        raise ConfigurationError("need at least one Wiener path")
-    if any(wp.timegrid != tg for wp in batch):
-        raise ConfigurationError("Wiener path sampled on a different time grid")
-    if any(wp.nmodes != params.noise.nmodes for wp in batch):
-        raise ConfigurationError("Wiener path has a different number of modes")
+    y0 = field_array(g, y0, "initial datum")
+    if paths.timegrid != tg:
+        raise ConfigurationError("Wiener paths sampled on a different time grid")
+    if paths.nmodes != params.noise.nmodes:
+        raise ConfigurationError("Wiener paths have a different number of modes")
     uvals = control_values(u, tg, g)
-    ys = _sweep_state(y0.values, uvals[None], batch, params)
-    return Trajectory(params=params, ys=ys, control=uvals, wiener=batch)
+    ys = _sweep_state(y0, uvals[None], paths, params)
+    return Trajectory(params=params, ys=ys, control=uvals, wiener=paths)
 
 
-def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
+def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths: WienerPaths,
                  params: StateParams) -> np.ndarray:
     """The state sweep of the rows controls × paths, control-major: row r
-    runs ``controls[r // npaths]`` on ``paths[r % npaths]`` from ``y0``.
+    runs ``controls[r // npaths]`` on path ``r % npaths`` from ``y0``.
 
     ``controls`` has shape (ncontrols, nsteps, *grid.shape); returns ys of
     shape (ncontrols * npaths, nsteps+1, *grid.shape). Each row is bitwise
@@ -462,18 +459,18 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
     # broadcasts over the paths and an increment over the controls. The
     # *_n arrays are views indexed by step first.
     ncontrols = len(controls)
-    ys = np.empty((ncontrols * len(paths), nsteps + 1) + g.shape)
-    ys_n = _step_major(ys, len(paths))
+    npaths = paths.npaths
+    ys = np.empty((ncontrols * npaths, nsteps + 1) + g.shape)
+    ys_n = _step_major(ys, npaths)
     u_n = np.moveaxis(controls, 1, 0)[:, :, None]
-    dw_n = _increments(paths)
+    dw_n = paths.increments
     nm = params.noise
     noisy = nm.nmodes > 0
     psi_prime = params.potential.psi_prime
-    seeds = [wp.seed for wp in paths]
 
     # the working state and its coefficients are contiguous arrays that the
     # steps overwrite; each state is copied into ys
-    y = np.broadcast_to(y0, (ncontrols, len(paths)) + g.shape).copy()
+    y = np.broadcast_to(y0, (ncontrols, npaths) + g.shape).copy()
     y_hat = _dct_values(y, g.axes, out=np.empty(y.shape))
     ys_n[0] = y
     noise, step = _stepper(params, y, y_hat, noisy)
@@ -485,13 +482,8 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths,
                     b_increment_values(nm, y, xi[n - n0], out=noise)
                 step(psi_prime(y), u_n[n])
                 ys_n[n + 1] = y
-        _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, seeds)
+        _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, paths.seeds)
     return ys
-
-
-def _increments(paths) -> np.ndarray:
-    """The Brownian increments of a batch of paths, shape (nsteps, npaths, K)."""
-    return np.stack([wp.increments for wp in paths], axis=1)
 
 
 def _energy_values(g: Grid, values: np.ndarray, pot: Potential) -> np.ndarray:

@@ -34,16 +34,13 @@ import numpy as np
 from .control import ControlProcess, EnsembleSpec, Problem, l2q_norm
 from .errors import BlowUpError, ConfigurationError, DomainError, PreconditionError
 from .grid import (
-    Field,
     Grid,
     _dct,
     _idct,
-    low_pass_field,
     low_pass_values,
     norm_h_values,
     norm_v_values,
     norm_z_sq_values,
-    prolong,
     prolong_values,
 )
 from .physics import _build_modes, additive_noise
@@ -58,13 +55,12 @@ from .state import (
     StateParams,
     TimeGrid,
     Trajectory,
-    WienerPath,
+    WienerPaths,
     _blocks,
     _generator,
     _sweep_state,
     aggregate_increments,
     mix_seed,
-    sample_wiener_path,
     series_l2h_norm,
     solve_state,
     target_values,
@@ -233,7 +229,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     paths = EnsembleSpec(npaths, path_seed).sample_paths(p)
     # one sweep of the base control and every bumped one
     controls = np.stack([u.values] + [u.values + eps * h.values for eps in eps_list])
-    ys = _sweep_state(problem.y0.values, controls, paths, p)
+    ys = _sweep_state(problem.y0, controls, paths, p)
     ys = ys.reshape((len(controls), npaths) + ys.shape[1:])
     base, bumped = ys[0], ys[1:]
     zs = _sweep_linearized(base, h.values[None], paths, p)[:, : tg.nsteps]
@@ -286,7 +282,7 @@ def _duality_residual(lhs: np.ndarray, rhs: np.ndarray):
 
 
 def _duality_sides(problem: Problem, us: np.ndarray, hs: np.ndarray,
-                   paths: list[WienerPath]) -> tuple[np.ndarray, np.ndarray]:
+                   paths: WienerPaths) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the duality identity for the pairs (us[j], hs[j]) on
     every path, (npairs, npaths) each, from independent code paths: one
     state, adjoint and linearized sweep of the rows pairs × paths, in that
@@ -295,10 +291,10 @@ def _duality_sides(problem: Problem, us: np.ndarray, hs: np.ndarray,
     p = problem.params
     alphas = problem.alphas
     xq, xt = target_values(problem.x_q, problem.x_t, alphas, p.timegrid,
-                           p.grid, len(paths))
-    ys = _sweep_state(problem.y0.values, us, paths, p)
+                           p.grid, paths.npaths)
+    ys = _sweep_state(problem.y0, us, paths, p)
     lhs = _duality_lhs(_sweep_adjoint(ys, paths, xq, xt, alphas, p), hs, p)
-    rhs = _duality_rhs(ys, _sweep_linearized(ys, hs, paths, p), len(paths),
+    rhs = _duality_rhs(ys, _sweep_linearized(ys, hs, paths, p), paths.npaths,
                        xq, xt, alphas, p)
     return lhs.reshape(len(us), -1), rhs.reshape(len(us), -1)
 
@@ -334,7 +330,7 @@ def check_duality(problem: Problem, es: EnsembleSpec,
     paths = es.sample_paths(problem.params)
     rows = []
     worst = 0.0
-    for chunk in _pair_chunks(npairs, problem.params, len(paths)):
+    for chunk in _pair_chunks(npairs, problem.params, paths.npaths):
         us, hs = (np.stack(c) for c in zip(*map(pair, chunk)))
         for j, lhs, rhs in zip(chunk, *_duality_sides(problem, us, hs, paths)):
             res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
@@ -357,7 +353,7 @@ def check_duality(problem: Problem, es: EnsembleSpec,
 
 
 def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
-           finest: int) -> tuple[StateParams, Field, list[WienerPath]]:
+           finest: int) -> tuple[StateParams, np.ndarray, WienerPaths]:
     """One level of a refinement study: the state parameters on a grid
     refined ``mesh_factor`` times per axis with ``nsteps`` time steps, the
     initial datum on that grid, and the ensemble's paths, sampled on
@@ -370,13 +366,12 @@ def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
     if mesh_factor != 1:
         grid = Grid(tuple(n * mesh_factor for n in grid.npoints), grid.lengths)
         noise = replace(noise, grid=grid, modes=_build_modes(grid, noise.mode_indices))
-        y0 = prolong(y0, grid)
+        y0 = prolong_values(p.grid, y0, grid)
     params = replace(p, grid=grid, noise=noise,
                      timegrid=TimeGrid(p.timegrid.t_final, nsteps))
     fine = TimeGrid(p.timegrid.t_final, finest)
-    paths = [aggregate_increments(sample_wiener_path(noise, fine, es.path_seed(i)),
-                                  finest // nsteps)
-             for i in range(es.npaths)]
+    paths = aggregate_increments(es.sample_paths(replace(params, timegrid=fine)),
+                                 finest // nsteps)
     return params, y0, paths
 
 
@@ -391,17 +386,17 @@ def _norm_c0h_l2z(series: np.ndarray, tg: TimeGrid, g: Grid) -> float:
     return float(sup_h + math.sqrt(zsq))
 
 
-def _mean_ratios(y0: Field, us: np.ndarray, paths: list[WienerPath],
+def _mean_ratios(y0: np.ndarray, us: np.ndarray, paths: WienerPaths,
                  params: StateParams, dus) -> list[float]:
     """For each pair j of controls (us[2j], us[2j+1]), the path mean of
     their state-difference norm over ``dus[j]``; one sweep of all."""
-    ys = _sweep_state(y0.values, us, paths, params)
+    ys = _sweep_state(y0, us, paths, params)
     ratios = []
-    for pair, du in zip(ys.reshape((len(dus), 2, len(paths)) + ys.shape[1:]), dus):
+    for pair, du in zip(ys.reshape((len(dus), 2, paths.npaths) + ys.shape[1:]), dus):
         total = 0.0
         for y1, y2 in zip(*pair):
             total += _norm_c0h_l2z(y1 - y2, params.timegrid, params.grid) / du
-        ratios.append(total / len(paths))
+        ratios.append(total / paths.npaths)
     return ratios
 
 
@@ -430,7 +425,7 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     ratios = {"coarse": [], "fine": []}
     for level, mesh_factor in (("coarse", 1), ("fine", _LIPSCHITZ_MESH_FACTOR)):
         params, y0, paths = _level(problem, es, mesh_factor, tg.nsteps, tg.nsteps)
-        for chunk in _pair_chunks(len(pairs), params, len(paths)):
+        for chunk in _pair_chunks(len(pairs), params, paths.npaths):
             us = np.stack([u.values for j in chunk for u in pairs[j]])
             if mesh_factor != 1:
                 us = prolong_values(p.grid, us, params.grid)
@@ -562,7 +557,7 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
             inputs={"refinements": [list(r) for r in refinements],
                     "npaths": es.npaths, "base_seed": es.base_seed},
             measured={"blow_up": {"step": exc.step, "max_abs": exc.max_abs,
-                                  "seed": exc.seed}},
+                                  "seed": exc.seed, "path": exc.path}},
             tolerance={"stability_factor": _STABILITY_FACTOR},
             passed=False,
             notes="trajectory blow-up detected; estimates not available",
@@ -646,8 +641,8 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
     return gaps
 
 
-def _adjoint_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
-                 paths: list[WienerPath], params: StateParams) -> float:
+def _adjoint_gap(y0: np.ndarray, u: np.ndarray, x_q: np.ndarray, alphas,
+                 paths: WienerPaths, params: StateParams) -> float:
     """Path mean of the L2(Q) gap between the transpose and the continuous
     ptilde; one state sweep and one sweep of each adjoint, all freed on
     return."""
@@ -658,7 +653,7 @@ def _adjoint_gap(y0: Field, u: np.ndarray, x_q: np.ndarray, alphas,
     for sq in _continuous_gaps(traj, x_q, alphas[0], adj.ptildes):
         # the sum series_l2h_norm makes of these terms
         gap += float(np.sqrt(np.sum(sq) * tg.tau * params.grid.cell_volume))
-    return gap / len(paths)
+    return gap / paths.npaths
 
 
 def check_backend_consistency(problem: Problem, es: EnsembleSpec,
@@ -689,8 +684,8 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     finest = nsteps_list[-1]
 
     rng = _generator(seed)
-    xq_field = low_pass_field(p.grid, rng, 0.3)
-    u_field = low_pass_field(p.grid, rng, 0.5)
+    xq_field = low_pass_values(p.grid, rng, 0.3)
+    u_field = low_pass_values(p.grid, rng, 0.5)
     a1 = problem.alphas[0] if problem.alphas[0] > 0 else 1.0
     alphas = (a1, 0.0, problem.alphas[2])
 
@@ -699,8 +694,8 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     for nsteps in nsteps_list:
         params, y0, paths = _level(problem, es, 1, nsteps, finest)
         # the time-constant series as read-only views of one field each
-        uvals = np.broadcast_to(u_field.values, (nsteps,) + p.grid.shape)
-        xq = np.broadcast_to(xq_field.values, (nsteps,) + p.grid.shape)
+        uvals = np.broadcast_to(u_field, (nsteps,) + p.grid.shape)
+        xq = np.broadcast_to(xq_field, (nsteps,) + p.grid.shape)
         taus.append(params.timegrid.tau)
         gaps.append(_adjoint_gap(y0, uvals, xq, alphas, paths, params))
     order = empirical_order(np.asarray(taus), np.asarray(gaps))

@@ -17,16 +17,16 @@ import pytest
 
 from choc import (
     BlowUpError,
-    Field,
     Grid,
     Potential,
     TimeGrid,
+    WienerPaths,
     double_well,
     multiplicative_noise,
 )
-from choc.grid import _dct, _idct, _step_transform, lap_values, low_pass_field
+from choc.grid import _dct, _idct, _step_transform, lap_values, low_pass_values
 from choc.physics import _mode_sum
-from choc.state import StateParams, _increments
+from choc.state import StateParams
 
 
 def dense_lap_1d(n: int, h: float) -> np.ndarray:
@@ -49,13 +49,35 @@ def dense_neumann_laplacian(grid: Grid) -> np.ndarray:
     return np.kron(mats[0], iy) + np.kron(ix, mats[1])
 
 
-def apply_dense(mat: np.ndarray, field: Field) -> np.ndarray:
-    return (mat @ field.values.ravel()).reshape(field.grid.shape)
+def apply_dense(mat: np.ndarray, field: np.ndarray) -> np.ndarray:
+    return (mat @ field.ravel()).reshape(field.shape)
 
 
-def inner_h(x: Field, z: Field) -> float:
+def inner_h(grid: Grid, x: np.ndarray, z: np.ndarray) -> float:
     """Discrete L2 inner product: the midpoint rule on the cell centers."""
-    return float(np.sum(x.values * z.values) * x.grid.cell_volume)
+    return float(np.sum(x * z) * grid.cell_volume)
+
+
+def chemical_potential(grid: Grid, y: np.ndarray, u: np.ndarray,
+                       pot: Potential) -> np.ndarray:
+    """w = -Lap y + psi'(y) - u; leading axes of ``y`` are a batch."""
+    return -lap_values(grid, y) + pot.psi_prime(y) - u
+
+
+def step_potentials(traj) -> np.ndarray:
+    """w_n = -Lap y_n + psi'(y_n) - u_n of a trajectory at every step start,
+    shape (npaths, nsteps, *grid.shape)."""
+    return chemical_potential(traj.grid, traj.ys[:, :-1], traj.control,
+                              traj.params.potential)
+
+
+def linearized_potential(lin) -> np.ndarray:
+    """mu_n = -Lap z_n + C_n z_n - h_n of a linearized solution at every step
+    start, shape (npaths, nsteps, *grid.shape), with C_n the curvature of
+    its trajectory's potential."""
+    z = lin.zs[:, :-1]
+    curvature = lin.params.potential.psi_second(lin.traj.ys[:, :-1])
+    return -lap_values(lin.grid, z) + curvature * z - lin.h
 
 
 def zero_potential() -> Potential:
@@ -224,12 +246,13 @@ def _rows(a: np.ndarray, npaths: int) -> np.ndarray:
 
 def sweep_state_oracle(y0, controls, paths, p: StateParams,
                        formulas: StepFormulas = FORMULAS) -> np.ndarray:
-    """The state sweep of ``_sweep_state``, guarded after every step: a
-    blow-up names the step and, at it, the lowest row by its path."""
+    """The state sweep of ``_sweep_state`` on the batch ``paths``, guarded
+    after every step: a blow-up names the step and, at it, the lowest row by
+    its path."""
     nm = p.noise
     noisy = nm.nmodes > 0
-    dw = _increments(paths)
-    y = np.broadcast_to(y0, (len(controls), len(paths)) + y0.shape).copy()
+    dw = paths.increments
+    y = np.broadcast_to(y0, (len(controls), paths.npaths) + y0.shape).copy()
     y_hat = _dct(y, p.grid.axes)
     ys = [y]
     for n in range(p.timegrid.nsteps):
@@ -241,7 +264,7 @@ def sweep_state_oracle(y0, controls, paths, p: StateParams,
         bad = ~np.isfinite(tops) | (tops > p.blowup_threshold)
         if bad.any():
             c, i = np.argwhere(bad)[0]
-            raise BlowUpError(n, float(tops[c, i]), paths[i].seed, int(i))
+            raise BlowUpError(n, float(tops[c, i]), paths.seeds[i], int(i))
         ys.append(y)
     return np.stack(ys, axis=2).reshape((-1, len(ys)) + y0.shape)
 
@@ -251,8 +274,8 @@ def sweep_linearized_oracle(ys, directions, paths, p: StateParams,
     """The linearized sweep of ``_sweep_linearized``."""
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
-    dw = _increments(paths)
-    rows = _rows(ys, len(paths))
+    dw = paths.increments
+    rows = _rows(ys, paths.npaths)
     z = z_hat = np.zeros(rows[:, :, 0].shape)
     zs = [z]
     for n in range(p.timegrid.nsteps):
@@ -275,8 +298,8 @@ def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams,
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
     a1, a2, _ = alphas
-    dw = _increments(paths)
-    rows = _rows(ys, len(paths))
+    dw = paths.increments
+    rows = _rows(ys, paths.npaths)
     per_path_q = a1 != 0.0 and xq.ndim == g.ndims + 2
     zero = np.zeros(rows[:, :, 0].shape)
     costate = a2 * (rows[:, :, nsteps] - xt) if a2 != 0.0 else zero
@@ -296,6 +319,18 @@ def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams,
     return pts.reshape(ys.shape)
 
 
+def select_paths(paths: WienerPaths, indices) -> WienerPaths:
+    """The batch of the paths ``indices`` of ``paths``, in that order."""
+    indices = list(indices)
+    return WienerPaths(paths.timegrid, [paths.seeds[i] for i in indices],
+                       paths.increments[:, indices])
+
+
+def each_path(paths: WienerPaths) -> list[WienerPaths]:
+    """Every path of ``paths`` as a batch of one."""
+    return [select_paths(paths, [i]) for i in range(paths.npaths)]
+
+
 def heap_peak(fn, *args, **kwargs):
     """fn's result and the peak, in bytes, of the heap it allocated, by
     tracemalloc."""
@@ -308,10 +343,11 @@ def heap_peak(fn, *args, **kwargs):
     return out, peak
 
 
-def random_field(grid: Grid, rng, smooth=False, amplitude=1.0) -> Field:
+def random_field(grid: Grid, rng, smooth=False, amplitude=1.0) -> np.ndarray:
+    """One random field on ``grid``: white noise, or smooth when ``smooth``."""
     if smooth:
-        return low_pass_field(grid, rng, amplitude)
-    return Field(grid, amplitude * rng.standard_normal(grid.shape))
+        return low_pass_values(grid, rng, amplitude)
+    return amplitude * rng.standard_normal(grid.shape)
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import pytest
 
 from choc import (
     EnsembleSpec,
-    Field,
     Grid,
     Problem,
     TimeGrid,
@@ -22,12 +21,12 @@ from choc import (
     optimize,
     quadratic_potential,
     reduced_cost,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_state,
 )
 from choc.config import build_problem, parse_config
 from choc.control import l2q_inner
-from choc.grid import low_pass_field
+from choc.grid import low_pass_values
 from choc.physics import additive_noise, no_noise
 from choc.state import StateParams
 from choc.verify import (
@@ -58,10 +57,10 @@ def _params(noise="multiplicative", potential=None, sigma=0.1, s=2.0):
 
 def _problem(params, seed=5, alphas=(1.0, 1.0, 1e-2)):
     rng = np.random.default_rng(seed)
-    y0 = low_pass_field(GRID, rng, 0.4)
-    x_q = np.stack([low_pass_field(GRID, rng, 0.3).values
+    y0 = low_pass_values(GRID, rng, 0.4)
+    x_q = np.stack([low_pass_values(GRID, rng, 0.3)
                     for _ in range(TIMEGRID.nsteps)])
-    x_t = low_pass_field(GRID, rng, 0.3).values
+    x_t = low_pass_values(GRID, rng, 0.3)
     return Problem(params=params, y0=y0, alphas=alphas, x_q=x_q, x_t=x_t, c0=1.0)
 
 
@@ -82,8 +81,8 @@ def test_criterion_01_mass_conservation():
 
 def test_criterion_02_constant_fixed_point():
     params = _params("none")
-    wp = sample_wiener_path(params.noise, TIMEGRID, 0)
-    traj = solve_state(Field.constant(GRID, 0.3), None, [wp], params)
+    wp = sample_wiener_paths(params.noise, TIMEGRID, [0])
+    traj = solve_state(np.full(GRID.shape, 0.3), None, wp, params)
     dev = float(np.max(np.abs(traj.ys - 0.3)))
     _report(2, "constant state is a fixed point of the deterministic flow",
             dev <= 1e-12, f"sup deviation {dev:.3e} <= 1e-12")
@@ -91,9 +90,9 @@ def test_criterion_02_constant_fixed_point():
 
 def test_criterion_03_energy_dissipation():
     params = _params("none", s=2.0)
-    y0 = low_pass_field(GRID, np.random.default_rng(11), 0.4)
-    wp = sample_wiener_path(params.noise, TIMEGRID, 0)
-    traj = solve_state(y0, None, [wp], params)
+    y0 = low_pass_values(GRID, np.random.default_rng(11), 0.4)
+    wp = sample_wiener_paths(params.noise, TIMEGRID, [0])
+    traj = solve_state(y0, None, wp, params)
     worst = float(np.max(np.diff(traj.energy[0])))
     _report(3, "deterministic energy dissipation at S = 2",
             worst <= 1e-10, f"max energy increment {worst:.3e} <= 1e-10")
@@ -195,7 +194,7 @@ def test_criterion_09_truncation_convergence():
     # slow large-amplitude state: the curvature tail spans the dyadic levels,
     # so the clamp is genuinely active at the low levels and freezes on top
     params = _params("multiplicative")
-    y0 = Field(GRID, 1.2 * GRID.cosine_mode((1,)))
+    y0 = 1.2 * GRID.cosine_mode((1,))
     problem = Problem(params=params, y0=y0, alphas=(1.0, 1.0, 1e-2),
                       x_q=None, x_t=None, c0=1.0)
     u = random_smooth_control(problem, 91, amplitude=0.4)

@@ -16,17 +16,16 @@ import pytest
 
 from choc import (
     BlowUpError,
-    Field,
     Grid,
     TimeGrid,
     additive_noise,
     double_well,
     multiplicative_noise,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_state,
 )
 from choc import state as state_module
-from choc.grid import low_pass_field
+from choc.grid import low_pass_values
 from choc.physics import no_noise
 from choc.sensitivity import _sweep_adjoint, _sweep_linearized
 from choc.state import StateParams, _sweep_state, target_values
@@ -55,17 +54,17 @@ def all_sweeps(p: StateParams, alphas) -> dict:
     targets for the adjoint."""
     g = p.grid
     rng = np.random.default_rng(2024)
-    y0 = low_pass_field(g, rng, 0.6)
-    controls = np.stack([np.stack([low_pass_field(g, rng, 0.8).values
+    y0 = low_pass_values(g, rng, 0.6)
+    controls = np.stack([np.stack([low_pass_values(g, rng, 0.8)
                                    for _ in range(NSTEPS)])
                          for _ in range(NCONTROLS)])
     directions = rng.standard_normal((NCONTROLS, NSTEPS) + g.shape)
     x_q = rng.standard_normal((len(SEEDS), NSTEPS) + g.shape)
     x_t = rng.standard_normal((len(SEEDS),) + g.shape)
-    paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in SEEDS]
-    ys = _sweep_state(y0.values, controls, paths, p)
-    xq, xt = target_values(x_q, x_t, alphas, p.timegrid, g, len(paths))
-    traj = solve_state(Field(g, y0.values), controls[0], paths, p)
+    paths = sample_wiener_paths(p.noise, p.timegrid, SEEDS)
+    ys = _sweep_state(y0, controls, paths, p)
+    xq, xt = target_values(x_q, x_t, alphas, p.timegrid, g, paths.npaths)
+    traj = solve_state(y0, controls[0], paths, p)
     ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, p)
     return {
         "state": ys,
@@ -129,22 +128,22 @@ def test_blowup_inside_a_block_names_the_step_a_per_step_scan_names(monkeypatch)
     p = StateParams(grid=g, timegrid=TimeGrid(0.05, nsteps), potential=double_well(),
                     noise=additive_noise(g, [200.0, 200.0], [(1,), (2,)]))
     rng = np.random.default_rng(8)
-    y0 = low_pass_field(g, rng, 0.4).values
+    y0 = low_pass_values(g, rng, 0.4)
     controls = np.stack([np.zeros((nsteps,) + g.shape),
-                         np.stack([low_pass_field(g, rng, 2.0).values
+                         np.stack([low_pass_values(g, rng, 2.0)
                                    for _ in range(nsteps)])])
-    paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in (1, 2, 3, 4)]
-    seeds = [wp.seed for wp in paths]
+    paths = sample_wiener_paths(p.noise, p.timegrid, (1, 2, 3, 4))
+    seeds = paths.seeds
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with monkeypatch.context() as m:
             m.setattr(state_module, "_guard", lambda *args: None)
             unguarded = _sweep_state(y0, controls, paths, p)
-        expected = per_step_blowup(unguarded, len(paths), p.blowup_threshold, seeds)
+        expected = per_step_blowup(unguarded, paths.npaths, p.blowup_threshold, seeds)
         assert expected is not None
         step = expected[0]
-        ten = 10 * controls.shape[0] * len(paths) * g.size * 8
+        ten = 10 * controls.shape[0] * paths.npaths * g.size * 8
         assert step % 10 != 0
         block_end = (step // 10 + 1) * 10
         assert not np.all(np.isfinite(unguarded[:, step + 2:block_end + 1]))

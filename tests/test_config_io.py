@@ -11,7 +11,7 @@ import pytest
 
 import choc.cli
 import choc.config
-from choc import Field, Grid, read_snapshot, solve_state, write_snapshot
+from choc import Grid, read_snapshot, solve_state, write_snapshot
 from choc.cli import EXIT_BLOWUP, EXIT_USAGE, main
 from choc.config import (
     ControlConfig,
@@ -30,9 +30,15 @@ from choc.config import (
     serialize_config,
 )
 from choc.control import OptimizerOptions
-from choc.errors import ConfigParseError, ConfigurationError, SnapshotFormatError
+from choc.errors import (
+    ConfigParseError,
+    ConfigurationError,
+    DomainError,
+    ShapeError,
+    SnapshotFormatError,
+)
 
-from conftest import random_field
+from conftest import each_path, random_field
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -275,11 +281,11 @@ def test_sizes_numpy_cannot_allocate(tmp_path, capsys, key, section):
 
 
 def test_snapshot_roundtrip_zero(tmp_path, grid64):
-    f = Field.zeros(grid64)
+    f = np.zeros(grid64.shape)
     p = tmp_path / "zero.chs"
     write_snapshot(f, p)
     back = read_snapshot(p, grid64)
-    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(back, f)
 
 
 def test_snapshot_roundtrip_random_bitwise(tmp_path, grid2d, rng):
@@ -287,11 +293,48 @@ def test_snapshot_roundtrip_random_bitwise(tmp_path, grid2d, rng):
     p = tmp_path / "field.chs"
     write_snapshot(f, p)
     back = read_snapshot(p, grid2d)
-    assert np.array_equal(back.values, f.values)
+    assert back.dtype == np.float64 and np.array_equal(back, f)
+    assert np.array_equal(read_snapshot(p), f)
     # writing the read-back field reproduces the file byte for byte
     q = tmp_path / "copy.chs"
     write_snapshot(back, q)
     assert p.read_bytes() == q.read_bytes()
+
+
+def test_snapshot_holds_a_field_of_one_or_two_axes(tmp_path):
+    for values in (np.zeros(()), np.zeros((4, 4, 4))):
+        with pytest.raises(ShapeError):
+            write_snapshot(values, tmp_path / "bad.chs")
+    assert not (tmp_path / "bad.chs").exists()
+
+
+def test_snapshot_non_finite_payload(tmp_path, grid64, rng):
+    # a snapshot is data entering the program: its values must be finite
+    f = random_field(grid64, rng)
+    f[7] = np.nan
+    p = tmp_path / "field.chs"
+    write_snapshot(f, p)
+    for grid in (grid64, None):
+        with pytest.raises(DomainError, match="field values must be finite"):
+            read_snapshot(p, grid)
+
+
+@pytest.mark.parametrize("key, section", [("y0", "solver"), ("init", "control"),
+                                          ("x_q", "cost"), ("x_t", "cost")])
+@pytest.mark.parametrize("bad", ["nan", "dims"])
+def test_cli_bad_snapshot_source_exit_code(tmp_path, capsys, key, section, bad):
+    # a file source with a non-finite value or the wrong dims is a usage
+    # error that leaves no output directory
+    values = np.zeros(16 if bad == "nan" else 12)
+    if bad == "nan":
+        values[3] = np.nan
+    write_snapshot(values, tmp_path / "src.chs")
+    cfg = _write_tiny(tmp_path, f"[{section}]\n{key} = file:src.chs\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("field values must be finite" if bad == "nan" else "do not match grid") in err
+    assert not out.exists()
 
 
 def test_snapshot_bad_magic(tmp_path, grid64, rng):
@@ -743,8 +786,8 @@ def test_build_problem_synthetic_targets_shapes(monkeypatch):
     assert build.problem.x_t.shape == (es.npaths,) + g.shape
     assert build.reference_control is not None
     assert build.reference_control.norm_l2q() <= build.problem.c0
-    for i, wp in enumerate(es.sample_paths(params)):
-        traj = solve_state(build.problem.y0, build.reference_control.values, [wp],
+    for i, wp in enumerate(each_path(es.sample_paths(params))):
+        traj = solve_state(build.problem.y0, build.reference_control.values, wp,
                            params)
         assert np.array_equal(build.problem.x_q[i], traj.ys[0, : tg.nsteps])
         assert np.array_equal(build.problem.x_t[i], traj.ys[0, tg.nsteps])

@@ -8,7 +8,6 @@ from choc import (
     ConfigurationError,
     ControlProcess,
     EnsembleSpec,
-    Field,
     Grid,
     OptimizerOptions,
     Problem,
@@ -23,13 +22,13 @@ from choc import (
     parse_config,
     project_admissible,
     reduced_cost,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_adjoint,
     solve_state,
 )
 import choc.control
 from choc.control import l2q_inner, l2q_norm
-from choc.grid import low_pass_field
+from choc.grid import low_pass_values
 from choc.physics import no_noise
 from choc.state import StateParams
 
@@ -43,9 +42,9 @@ def _problem(grid_n=32, nsteps=40, npaths=3, alphas=(1.0, 1.0, 1e-2),
     nm = multiplicative_noise(g, [0.1, 0.1]) if noise else no_noise(g)
     params = StateParams(grid=g, timegrid=tg, potential=double_well(), noise=nm)
     rng = np.random.default_rng(seed)
-    y0 = low_pass_field(g, rng, 0.4)
-    x_q = np.stack([low_pass_field(g, rng, 0.3).values for _ in range(nsteps)])
-    x_t = low_pass_field(g, rng, 0.3).values
+    y0 = low_pass_values(g, rng, 0.4)
+    x_q = np.stack([low_pass_values(g, rng, 0.3) for _ in range(nsteps)])
+    x_t = low_pass_values(g, rng, 0.3)
     problem = Problem(params=params, y0=y0, alphas=alphas, x_q=x_q, x_t=x_t, c0=c0)
     return problem, EnsembleSpec(npaths, 77)
 
@@ -54,7 +53,7 @@ def _smooth_control(problem, seed, amplitude=0.5):
     g = problem.params.grid
     tg = problem.params.timegrid
     rng = np.random.default_rng(seed)
-    vals = np.stack([low_pass_field(g, rng, 1.0).values for _ in range(tg.nsteps)])
+    vals = np.stack([low_pass_values(g, rng, 1.0) for _ in range(tg.nsteps)])
     vals *= amplitude / l2q_norm(vals, tg, g)
     return ControlProcess(g, tg, vals)
 
@@ -64,9 +63,9 @@ def _smooth_control(problem, seed, amplitude=0.5):
 
 def test_cost_perfect_tracking(small_params, rng):
     g = small_params.grid
-    y0 = low_pass_field(g, rng, 0.4)
-    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
-    traj = solve_state(y0, None, [wp], small_params)
+    y0 = low_pass_values(g, rng, 0.4)
+    wp = sample_wiener_paths(small_params.noise, small_params.timegrid, [4])
+    traj = solve_state(y0, None, wp, small_params)
     tg = small_params.timegrid
     cost = evaluate_cost(traj, None, traj.ys[0, : tg.nsteps], traj.ys[0, tg.nsteps],
                          (1.0, 1.0, 1.0))
@@ -77,9 +76,9 @@ def test_cost_pure_control_quadrature(grid64):
     tg = TimeGrid(0.05, 200)
     params = StateParams(grid=grid64, timegrid=tg, potential=double_well(),
                          noise=no_noise(grid64))
-    wp = sample_wiener_path(params.noise, tg, 0)
+    wp = sample_wiener_paths(params.noise, tg, [0])
     u = np.ones((tg.nsteps,) + grid64.shape)
-    traj = solve_state(Field.constant(grid64, 0.0), u, [wp], params)
+    traj = solve_state(np.full(grid64.shape, 0.0), u, wp, params)
     (cost,) = evaluate_cost(traj, u, None, None, (0.0, 0.0, 1.0))
     expected = 0.5 * tg.t_final * grid64.volume          # (1/2) |u|^2 over Q
     assert cost == pytest.approx(expected, rel=1e-12)
@@ -88,12 +87,12 @@ def test_cost_pure_control_quadrature(grid64):
 def test_cost_matches_quadrature_oracle(small_params, rng):
     g = small_params.grid
     tg = small_params.timegrid
-    y0 = low_pass_field(g, rng, 0.4)
-    wp = sample_wiener_path(small_params.noise, tg, 4)
-    u = np.stack([low_pass_field(g, rng, 0.5).values for _ in range(tg.nsteps)])
-    traj = solve_state(y0, u, [wp], small_params)
-    x_q = np.stack([low_pass_field(g, rng, 0.3).values for _ in range(tg.nsteps)])
-    x_t = low_pass_field(g, rng, 0.3).values
+    y0 = low_pass_values(g, rng, 0.4)
+    wp = sample_wiener_paths(small_params.noise, tg, [4])
+    u = np.stack([low_pass_values(g, rng, 0.5) for _ in range(tg.nsteps)])
+    traj = solve_state(y0, u, wp, small_params)
+    x_q = np.stack([low_pass_values(g, rng, 0.3) for _ in range(tg.nsteps)])
+    x_t = low_pass_values(g, rng, 0.3)
     alphas = (0.7, 1.3, 0.4)
     (cost,) = evaluate_cost(traj, u, x_q, x_t, alphas)
     cv, tau = g.cell_volume, tg.tau
@@ -108,8 +107,8 @@ def test_cost_matches_quadrature_oracle(small_params, rng):
 
 @pytest.mark.parametrize("x_t", [np.zeros(1), np.zeros(16)])
 def test_terminal_target_of_wrong_shape_rejected(small_params, rng, x_t):
-    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
-    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, [wp],
+    wp = sample_wiener_paths(small_params.noise, small_params.timegrid, [4])
+    traj = solve_state(low_pass_values(small_params.grid, rng, 0.4), None, wp,
                        small_params)
     alphas = (0.0, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
@@ -119,8 +118,8 @@ def test_terminal_target_of_wrong_shape_rejected(small_params, rng, x_t):
 
 
 def test_distributed_target_of_wrong_shape_rejected(small_params, rng):
-    wp = sample_wiener_path(small_params.noise, small_params.timegrid, 4)
-    traj = solve_state(low_pass_field(small_params.grid, rng, 0.4), None, [wp],
+    wp = sample_wiener_paths(small_params.noise, small_params.timegrid, [4])
+    traj = solve_state(low_pass_values(small_params.grid, rng, 0.4), None, wp,
                        small_params)
     x_q = np.zeros((3, 32))
     alphas = (1.0, 0.0, 0.0)
@@ -367,8 +366,8 @@ def test_optimize_synthetic_target_descends():
     x_q = np.empty((es.npaths, tg.nsteps) + params.grid.shape)
     x_t = np.empty((es.npaths,) + params.grid.shape)
     for i in range(es.npaths):
-        wp = sample_wiener_path(params.noise, tg, es.path_seed(i))
-        traj = solve_state(problem.y0, u_ref.values, [wp], params)
+        wp = sample_wiener_paths(params.noise, tg, [es.path_seed(i)])
+        traj = solve_state(problem.y0, u_ref.values, wp, params)
         x_q[i] = traj.ys[0, : tg.nsteps]
         x_t[i] = traj.ys[0, tg.nsteps]
     from dataclasses import replace
@@ -410,6 +409,53 @@ def test_optimize_rejects_blown_up_trial():
     assert res.step_history[0] < 1e8
     assert res.blowup_rejections >= 1
     assert all(b <= a for a, b in zip(res.cost_history, res.cost_history[1:]))
+
+
+# A weight past the float range: every trial projects -t * gradient onto the
+# ball's surface, so the line search tries one control (two with alpha1 =
+# 1e160, whose projection moves by rounding once) over and over and stalls.
+_HEAVY_CONFIG = """
+[grid]
+npoints = 16
+[time]
+t_final = 0.01
+nsteps = 10
+[ensemble]
+npaths = 2
+[cost]
+{weight}
+"""
+
+
+@pytest.mark.parametrize("weight, sweeps, cost, gmap, residual", [
+    ("alpha1 = 1e160", 3, "0x1.04b61b6833540p+519", "0x1.fffffffffffffp-1", "0x1.0p+0"),
+    ("alpha1 = 1e308", 2, "0x1.97c928db17f32p+1010", "0x1.0p+0", "0x1.0p+0"),
+    ("alpha2 = 1e300", 2, "0x1.2b4059e3b651ap+992", "0x1.0p+0", "0x1.fffffffffffffp-1"),
+    # the trials blow up: each reuse counts as a blow-up rejection
+    ("alpha1 = 1e160\nx_q = constant:1\nx_t = constant:1\n[control]\nc0 = 1e9", 2,
+     "0x1.9023015cd4cd1p+523", "0x1.dcd64ffffffffp+29", "0x1.dcd64ffffffffp+29"),
+])
+def test_optimize_reuses_a_repeated_trial(monkeypatch, weight, sweeps, cost, gmap,
+                                          residual):
+    # a trial whose projected control is bitwise the last rejected one's takes
+    # its outcome without a sweep; the pinned results are those of a run that
+    # solves all 40 trials
+    build = build_problem(parse_config(_HEAVY_CONFIG.format(weight=weight)))
+    solve_paths = choc.control._solve_paths
+    solved = []
+
+    def counted(u, *args):
+        solved.append(u.values.copy())
+        return solve_paths(u, *args)
+    monkeypatch.setattr(choc.control, "_solve_paths", counted)
+    res = optimize(build.u0, build.ensemble, build.problem, build.optimizer)
+    assert len(solved) == sweeps
+    assert not any(np.array_equal(a, b) for a, b in zip(solved, solved[1:]))
+    assert (res.termination, res.n_iterations, res.step_history) == ("stalled", 0, [])
+    assert res.blowup_rejections == (40 if "c0" in weight else 0)
+    assert res.cost_history == [float.fromhex(cost)]
+    assert res.gradient_map_history == [float.fromhex(gmap)]
+    assert res.projection_residual == float.fromhex(residual)
 
 
 # Synthetic targets from a reference control 8 times the radius: the ball binds.

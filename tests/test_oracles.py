@@ -39,10 +39,17 @@ from choc import (
     additive_noise,
     double_well,
     multiplicative_noise,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_adjoint,
 )
-from choc.grid import _dct, _idct, lap_values, low_pass_field, norm_h_values, norm_z_values
+from choc.grid import (
+    _dct,
+    _idct,
+    lap_values,
+    low_pass_values,
+    norm_h_values,
+    norm_z_sq_values,
+)
 from choc.physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from choc.sensitivity import _sweep_adjoint, _sweep_linearized
 from choc.state import (
@@ -202,7 +209,7 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
     nsteps = p.timegrid.nsteps
     a1, a2, _ = alphas
     ys = traj.ys[0]
-    dws = traj.wiener[0].increments
+    dws = traj.wiener.increments[:, 0]
     costate = a2 * (ys[nsteps] - x_t)
     ptildes = np.empty(ys.shape)
     ptildes[nsteps] = -lap_values(g, costate)
@@ -224,12 +231,12 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
 def test_adjoint_ptilde_is_minus_lap_p(params, seed, alphas):
     rng = np.random.default_rng(seed)
     alphas = alphas + (0.0,)
-    y0 = low_pass_field(params.grid, rng, 0.4)
+    y0 = low_pass_values(params.grid, rng, 0.4)
     u = _smooth_series(params, rng, 0.5)
     x_q = _smooth_series(params, rng, 0.3)
-    x_t = low_pass_field(params.grid, rng, 0.3).values
-    wp = sample_wiener_path(params.noise, params.timegrid, seed)
-    traj = solve_state(y0, u, [wp], params)
+    x_t = low_pass_values(params.grid, rng, 0.3)
+    wp = sample_wiener_paths(params.noise, params.timegrid, [seed])
+    traj = solve_state(y0, u, wp, params)
     (ptildes,) = solve_adjoint(traj, x_q, x_t, alphas).ptildes
     oracle = ptildes_oracle(traj, x_q, x_t, alphas)
     assert np.array_equal(ptildes[-1], oracle[-1])
@@ -261,7 +268,7 @@ def test_norm_c0h_l2z_is_the_step_order_sum(g, nsteps, seed):
     tg = TimeGrid(0.05, nsteps)
     series = np.random.default_rng(seed).standard_normal((nsteps + 1,) + g.shape)
     zsq = 0.0
-    for z in norm_z_values(g, series[:nsteps]):
+    for z in np.sqrt(norm_z_sq_values(g, series[:nsteps])):
         zsq += float(z) ** 2
     oracle = float(np.max(norm_h_values(g, series))) + np.sqrt(zsq * tg.tau)
     assert abs(_norm_c0h_l2z(series, tg, g) - oracle) <= 4 * nsteps * EPS * oracle
@@ -273,10 +280,10 @@ def test_norm_c0h_l2z_is_the_step_order_sum(g, nsteps, seed):
 def test_continuous_gaps_are_the_terms_of_the_stored_gap(params, seed, npaths, a1):
     rng = np.random.default_rng(seed)
     tg, g = params.timegrid, params.grid
-    y0 = low_pass_field(g, rng, 0.4)
+    y0 = low_pass_values(g, rng, 0.4)
     u = _smooth_series(params, rng, 0.5)
     x_q = _smooth_series(params, rng, 0.3)
-    paths = [sample_wiener_path(params.noise, tg, seed + i) for i in range(npaths)]
+    paths = sample_wiener_paths(params.noise, tg, [seed + i for i in range(npaths)])
     traj = solve_state(y0, u, paths, params)
     ptildes = solve_adjoint(traj, x_q, None, (a1, 0.0, 0.0)).ptildes
     gaps = _continuous_gaps(traj, x_q, a1, ptildes)
@@ -294,19 +301,19 @@ def sweep_case(ndims: int, kind: str, ncontrols: int):
     g = p.grid
     nsteps = p.timegrid.nsteps
     rng = np.random.default_rng(10 * ndims + ncontrols)
-    y0 = low_pass_field(g, rng, 0.6).values
-    controls = np.stack([np.stack([low_pass_field(g, rng, 0.8).values
+    y0 = low_pass_values(g, rng, 0.6)
+    controls = np.stack([np.stack([low_pass_values(g, rng, 0.8)
                                    for _ in range(nsteps)])
                          for _ in range(ncontrols)])
     directions = rng.standard_normal(controls.shape)
-    paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in (3, 5)]
-    x_q = rng.standard_normal((len(paths), nsteps) + g.shape)
+    paths = sample_wiener_paths(p.noise, p.timegrid, (3, 5))
+    x_q = rng.standard_normal((paths.npaths, nsteps) + g.shape)
     x_t = rng.standard_normal(g.shape)
     targets = []
     for alphas, pair in (((1.0, 0.7, 0.0), (x_q, x_t)),
                          ((1.0, 0.0, 0.0), (x_q[0], None)),
                          ((0.0, 0.7, 0.0), (None, x_t))):
-        targets.append(target_values(*pair, alphas, p.timegrid, g, len(paths)) + (alphas,))
+        targets.append(target_values(*pair, alphas, p.timegrid, g, paths.npaths) + (alphas,))
     return p, y0, controls, directions, paths, targets
 
 
@@ -363,12 +370,12 @@ def test_sweep_blowup_is_the_per_step_formulas_blowup(ndims):
     p = replace(p, timegrid=TimeGrid(0.05, nsteps),
                 noise=additive_noise(g, [200.0, 200.0], p.noise.mode_indices[:2]))
     rng = np.random.default_rng(8)
-    y0 = low_pass_field(g, rng, 0.4).values
+    y0 = low_pass_values(g, rng, 0.4)
     controls = np.stack([np.zeros((nsteps,) + g.shape),
-                         np.stack([low_pass_field(g, rng, 2.0).values
+                         np.stack([low_pass_values(g, rng, 2.0)
                                    for _ in range(nsteps)]),
                          np.zeros((nsteps,) + g.shape)])
-    paths = [sample_wiener_path(p.noise, p.timegrid, s) for s in (1, 2, 3, 4)]
+    paths = sample_wiener_paths(p.noise, p.timegrid, (1, 2, 3, 4))
     with pytest.raises(BlowUpError) as expected:
         sweep_state_oracle(y0, controls, paths, p)
     with pytest.raises(BlowUpError) as got:

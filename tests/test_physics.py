@@ -7,16 +7,13 @@ import pytest
 
 from choc import (
     ConfigurationError,
-    Field,
     TimeGrid,
     additive_noise,
     double_well,
-    mean,
     multiplicative_noise,
-    norm_h,
     quadratic_potential,
 )
-from choc.grid import _dct, _idct
+from choc.grid import _dct, _idct, norm_h_values
 from choc.physics import (
     _mode_sum,
     b_increment_values,
@@ -34,37 +31,35 @@ def increment_field(nm, dw) -> np.ndarray:
     return _mode_sum(nm, np.asarray(dw, dtype=float))
 
 
-def apply_B(nm, y: Field, dw) -> Field:
+def apply_B(nm, y: np.ndarray, dw) -> np.ndarray:
     """Noise increment B(y) dw of one field."""
-    return Field(nm.grid, b_increment_values(nm, y.values, increment_field(nm, dw)))
+    return b_increment_values(nm, y, increment_field(nm, dw))
 
 
-def apply_DB(nm, y: Field, z: Field, dw) -> Field:
+def apply_DB(nm, y: np.ndarray, z: np.ndarray, dw) -> np.ndarray:
     """Directional derivative DB(y)[z] dw of one field."""
-    return Field(nm.grid, db_increment_values(nm, nm.rho_prime(y.values), z.values,
-                                              increment_field(nm, dw)))
+    return db_increment_values(nm, nm.rho_prime(y), z,
+                                              increment_field(nm, dw))
 
 
-def zero_coefficient_mean(p: Field) -> np.ndarray:
+def zero_coefficient_mean(g, p: np.ndarray) -> np.ndarray:
     """The grid mean of p from its zero cosine coefficient, as the adjoint
     sweep takes it, shaped to broadcast against p."""
-    g = p.grid
-    return _dct(p.values, g.axes)[(slice(0, 1),) * g.ndims] / math.sqrt(g.size)
+    return _dct(p, g.axes)[(slice(0, 1),) * g.ndims] / math.sqrt(g.size)
 
 
-def project(v: Field) -> Field:
+def project(g, v: np.ndarray) -> np.ndarray:
     """v without its zero cosine mode, the projection that the steps' symbol
     c makes."""
-    g = v.grid
-    coeffs = _dct(v.values, g.axes)
+    coeffs = _dct(v, g.axes)
     coeffs[(0,) * g.ndims] = 0.0
-    return Field(g, _idct(coeffs, g.axes))
+    return _idct(coeffs, g.axes)
 
 
-def apply_DB_adjoint(nm, y: Field, p: Field, dw) -> np.ndarray:
-    """(Pi DB(y))^T applied to p for the increments dw, as an array."""
-    return db_adjoint_scaled_values(nm, nm.rho_prime(y.values) * increment_field(nm, dw),
-                                    p.values, zero_coefficient_mean(p))
+def apply_DB_adjoint(nm, y: np.ndarray, p: np.ndarray, dw) -> np.ndarray:
+    """(Pi DB(y))^T applied to p for the increments dw."""
+    return db_adjoint_scaled_values(nm, nm.rho_prime(y) * increment_field(nm, dw),
+                                    p, zero_coefficient_mean(nm.grid, p))
 
 
 # --- potential -------------------------------------------------------------
@@ -136,21 +131,21 @@ def test_apply_B_zero_increment(grid64, rng):
     nm = multiplicative_noise(grid64, [0.1, 0.2])
     y = random_field(grid64, rng)
     out = apply_B(nm, y, np.zeros(2))
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_apply_B_additive_single_mode(grid64, rng):
     nm = additive_noise(grid64, [0.3], mode_indices=[(2,)])
     y = random_field(grid64, rng)
     out = apply_B(nm, y, np.array([1.0]))
-    assert np.allclose(out.values, 0.3 * grid64.cosine_mode((2,)), atol=1e-14)
+    assert np.allclose(out, 0.3 * grid64.cosine_mode((2,)), atol=1e-14)
 
 
 def test_apply_B_multiplicative_zero_state(grid64):
     # tanh(0) = 0, so the modulated modes vanish
     nm = multiplicative_noise(grid64, [0.5, 0.5])
-    out = apply_B(nm, Field.zeros(grid64), np.array([1.0, -2.0]))
-    assert np.max(np.abs(out.values)) == 0.0
+    out = apply_B(nm, np.zeros(grid64.shape), np.array([1.0, -2.0]))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_multiplicative_mean_free(grid64, grid2d, rng):
@@ -166,22 +161,22 @@ def test_multiplicative_mean_free(grid64, grid2d, rng):
             y = random_field(g, rng)
             dw = rng.standard_normal(3)
             out = apply_B(nm, y, dw)
-            assert (c * _dct(out.values, g.axes))[(0,) * g.ndims] == 0.0
-            assert abs(mean(project(out))) <= 1e-12
+            assert (c * _dct(out, g.axes))[(0,) * g.ndims] == 0.0
+            assert abs(np.mean(project(g, out))) <= 1e-12
 
 
 def test_k0_reproduces_deterministic(grid64, rng):
     nm = no_noise(grid64)
     y = random_field(grid64, rng)
     out = apply_B(nm, y, np.zeros(0))
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_db_additive_zero(grid64, rng):
     nm = additive_noise(grid64, [0.1, 0.1])
     y, z = random_field(grid64, rng), random_field(grid64, rng)
     out = apply_DB(nm, y, z, rng.standard_normal(2))
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
     adj = apply_DB_adjoint(nm, y, z, rng.standard_normal(2))
     assert np.all(adj == 0.0)
 
@@ -189,8 +184,8 @@ def test_db_additive_zero(grid64, rng):
 def test_db_linear_in_direction(grid64, rng):
     nm = multiplicative_noise(grid64, [0.3, 0.1])
     y = random_field(grid64, rng)
-    out = apply_DB(nm, y, Field.zeros(grid64), rng.standard_normal(2))
-    assert np.all(out.values == 0.0)
+    out = apply_DB(nm, y, np.zeros(grid64.shape), rng.standard_normal(2))
+    assert np.all(out == 0.0)
 
 
 def test_db_adjoint_identity(grid64, grid2d, rng):
@@ -204,15 +199,15 @@ def test_db_adjoint_identity(grid64, grid2d, rng):
             z = random_field(g, rng)
             p = random_field(g, rng)
             dw = rng.standard_normal(3)
-            q = [Field(g, p.values * float(dw[k])) for k in range(3)]
+            q = [p * float(dw[k]) for k in range(3)]
             lhs = 0.0
             for k in range(3):
                 ek = np.zeros(3)
                 ek[k] = 1.0
-                lhs += inner_h(project(apply_DB(nm, y, z, ek)), q[k])
+                lhs += inner_h(g, project(g, apply_DB(nm, y, z, ek)), q[k])
             adj = apply_DB_adjoint(nm, y, p, dw)
-            rhs = inner_h(z, Field(g, adj))
-            scale = norm_h(z) * max(norm_h(qk) for qk in q)
+            rhs = inner_h(g, z, adj)
+            scale = norm_h_values(g, z) * max(norm_h_values(g, qk) for qk in q)
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
 
@@ -225,9 +220,9 @@ def test_db_directional_derivative(grid64, rng):
     db = apply_DB(nm, y, z, dw)
     errors = []
     for eps in (1e-2, 1e-3, 1e-4):
-        bumped = apply_B(nm, Field(grid64, y.values + eps * z.values), dw)
+        bumped = apply_B(nm, y + eps * z, dw)
         base = apply_B(nm, y, dw)
-        quotient = (bumped.values - base.values) / eps
-        errors.append(norm_h(Field(grid64, quotient - db.values)))
+        quotient = (bumped - base) / eps
+        errors.append(norm_h_values(grid64, quotient - db))
     assert errors[0] > errors[1] > errors[2]
-    assert errors[2] <= 1e-3 * max(norm_h(db), 1.0)
+    assert errors[2] <= 1e-3 * max(norm_h_values(grid64, db), 1.0)

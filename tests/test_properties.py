@@ -3,7 +3,7 @@
 Each example draws a 1D or 2D grid, a noise kind with a set of cosine modes,
 and a potential, then checks one identity of the discrete system: duality
 to rounding, per-path mass conservation, idempotent projection, the
-field-level Laplacian and norms against the array-level ones, the cosine
+Laplacian and norms of a batch against those of each field, the cosine
 transforms against scipy's public ones, and a sweep of a batch of paths, or
 of rows controls × paths, against a sweep of each path alone, bit for bit.
 """
@@ -16,22 +16,17 @@ from hypothesis import strategies as st
 
 from choc import (
     ControlProcess,
-    Field,
     Grid,
     TimeGrid,
     additive_noise,
     double_well,
     duality_terms,
     evaluate_cost,
-    laplacian,
     mix_seed,
     multiplicative_noise,
-    norm_h,
-    norm_v,
-    norm_z,
     project_admissible,
     quadratic_potential,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_adjoint,
     solve_linearized,
     solve_state,
@@ -40,20 +35,26 @@ from choc import grid as grid_module
 from choc.grid import (
     _dct,
     _idct,
-    grad_norm_sq,
     grad_norm_sq_values,
     lap_values,
-    low_pass_field,
+    low_pass_values,
     norm_h_values,
     norm_v_values,
-    norm_z_values,
+    norm_z_sq_values,
 )
 from choc.physics import no_noise
 from choc.sensitivity import _duality_lhs, _duality_rhs, _sweep_adjoint, _sweep_linearized
 from choc.state import StateParams, _path_sums, _sweep_state, target_values
 from choc.verify import _continuous_gaps
 
-from conftest import clamped, step_transform, zero_potential
+from conftest import (
+    clamped,
+    each_path,
+    linearized_potential,
+    step_potentials,
+    step_transform,
+    zero_potential,
+)
 
 # A fixed example sequence and no example database: the suite gives the same
 # verdict on every run and writes no files.
@@ -95,7 +96,7 @@ def state_params(draw):
 
 
 def _smooth_series(params, rng, amplitude):
-    return np.stack([low_pass_field(params.grid, rng, amplitude).values
+    return np.stack([low_pass_values(params.grid, rng, amplitude)
                      for _ in range(params.timegrid.nsteps)])
 
 
@@ -105,13 +106,13 @@ def _smooth_series(params, rng, amplitude):
 def test_duality_to_rounding(params, seed, alphas):
     rng = np.random.default_rng(seed)
     alphas = alphas + (0.0,)
-    y0 = low_pass_field(params.grid, rng, 0.4)
+    y0 = low_pass_values(params.grid, rng, 0.4)
     u = _smooth_series(params, rng, 0.5)
     h = _smooth_series(params, rng, 1.0)
     x_q = _smooth_series(params, rng, 0.3)
-    x_t = low_pass_field(params.grid, rng, 0.3).values
-    wp = sample_wiener_path(params.noise, params.timegrid, seed)
-    traj = solve_state(y0, u, [wp], params)
+    x_t = low_pass_values(params.grid, rng, 0.3)
+    wp = sample_wiener_paths(params.noise, params.timegrid, [seed])
+    traj = solve_state(y0, u, wp, params)
     lin = solve_linearized(traj, h)
     adj = solve_adjoint(traj, x_q, x_t, alphas)
     (lhs,), (rhs,) = duality_terms(traj, lin, adj, h, x_q, x_t, alphas)
@@ -122,11 +123,11 @@ def test_duality_to_rounding(params, seed, alphas):
 @given(params=state_params(), seed=seeds)
 def test_mass_conserved_per_path(params, seed):
     rng = np.random.default_rng(seed)
-    y0 = low_pass_field(params.grid, rng, 0.4)
+    y0 = low_pass_values(params.grid, rng, 0.4)
     u = _smooth_series(params, rng, 0.5)
     for i in range(2):
-        wp = sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
-        traj = solve_state(y0, u, [wp], params)
+        wp = sample_wiener_paths(params.noise, params.timegrid, [mix_seed(seed, i)])
+        traj = solve_state(y0, u, wp, params)
         assert np.max(np.abs(traj.mass[0] - traj.mass[0, 0])) <= 1e-12
 
 
@@ -144,10 +145,13 @@ def test_projection_idempotent(g, nsteps, amplitude, radius, seed):
 
 
 @PROPERTIES
-@given(g=grids, seed=seeds)
-def test_laplacian_is_lap_values(g, seed):
-    values = np.random.default_rng(seed).standard_normal(g.shape)
-    assert np.array_equal(laplacian(Field(g, values)).values, lap_values(g, values))
+@given(g=grids, batch=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       seed=seeds)
+def test_lap_values_of_a_batch_is_per_field(g, batch, seed):
+    values = np.random.default_rng(seed).standard_normal(tuple(batch) + g.shape)
+    batched = lap_values(g, values)
+    for ix in np.ndindex(*batch):
+        assert np.array_equal(batched[ix], lap_values(g, values[ix]))
 
 
 def _bits(a: np.ndarray):
@@ -228,13 +232,12 @@ def test_step_transform_row_is_its_row_in_a_batch(n, m, two_d, nrows, inverse, s
        seed=seeds)
 def test_norms_are_norm_values(g, batch, seed):
     values = np.random.default_rng(seed).standard_normal(tuple(batch) + g.shape)
-    for norm, norm_values in ((norm_h, norm_h_values),
-                              (grad_norm_sq, grad_norm_sq_values),
-                              (norm_v, norm_v_values), (norm_z, norm_z_values)):
+    for norm_values in (norm_h_values, grad_norm_sq_values, norm_v_values,
+                        norm_z_sq_values):
         batched = norm_values(g, values)
         assert batched.shape == tuple(batch)
         for ix in np.ndindex(*batch):
-            assert batched[ix] == norm(Field(g, values[ix]))
+            assert batched[ix] == norm_values(g, values[ix])
 
 
 @PROPERTIES
@@ -261,17 +264,17 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
     cost_alphas = (0.7, 1.3, 0.2)
-    y0 = low_pass_field(params.grid, rng, 0.4)
+    y0 = low_pass_values(params.grid, rng, 0.4)
 
     def per_path(draw, flag):
         return np.stack([draw() for _ in range(npaths)]) if flag else draw()
 
     u = _smooth_series(params, rng, 0.5)
     x_q = per_path(lambda: _smooth_series(params, rng, 0.3), per_path_targets)
-    x_t = per_path(lambda: low_pass_field(params.grid, rng, 0.3).values,
+    x_t = per_path(lambda: low_pass_values(params.grid, rng, 0.3),
                    per_path_targets)
-    paths = [sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
-             for i in range(npaths)]
+    paths = sample_wiener_paths(params.noise, params.timegrid,
+                                [mix_seed(seed, i) for i in range(npaths)])
     h = _smooth_series(params, rng, 1.0)
     batch = solve_state(y0, u, paths, params)
     lin = solve_linearized(batch, h)
@@ -281,21 +284,22 @@ def test_batch_is_serial(params, seed, npaths, per_path_targets, trunc):
     cost = evaluate_cost(batch, u, x_q, x_t, cost_alphas)
     lhs, rhs = duality_terms(batch, lin, adj, h, x_q, x_t, alphas)
     assert batch.npaths == lin.npaths == adj.npaths == npaths
-    for i, wp in enumerate(paths):
+    assert batch.wiener is paths
+    for i, wp in enumerate(each_path(paths)):
         def pick(x, flag):
             return x[i] if flag else x
         xq_i, xt_i = pick(x_q, per_path_targets), pick(x_t, per_path_targets)
-        traj = solve_state(y0, u, [wp], params)
-        assert traj.npaths == 1 and traj.wiener == (wp,)
-        assert batch.wiener[i] is wp
+        traj = solve_state(y0, u, wp, params)
+        assert traj.npaths == 1 and traj.wiener.seeds == (paths.seeds[i],)
         assert np.array_equal(batch.ys[i], traj.ys[0])
-        assert np.array_equal(batch.ws[i], traj.ws[0])
+        assert np.array_equal(step_potentials(batch)[i], step_potentials(traj)[0])
         assert np.array_equal(batch.mass[i], traj.mass[0])
         assert np.array_equal(batch.energy[i], traj.energy[0])
         assert np.array_equal(batch.control, traj.control)
         alone_lin = solve_linearized(traj, h)
         assert np.array_equal(lin.zs[i], alone_lin.zs[0])
-        assert np.array_equal(lin.mus[i], alone_lin.mus[0])
+        assert np.array_equal(linearized_potential(lin)[i],
+                              linearized_potential(alone_lin)[0])
         alone = solve_adjoint(traj, xq_i, xt_i, alphas)
         assert np.array_equal(adj.ptildes[i], alone.ptildes[0])
         assert np.array_equal(continuous[i], _continuous_gaps(
@@ -317,20 +321,20 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
     params = clamped(params, trunc)
     rng = np.random.default_rng(seed)
     alphas = (0.7, 1.3, 0.0)
-    y0 = low_pass_field(params.grid, rng, 0.4)
+    y0 = low_pass_values(params.grid, rng, 0.4)
     us = np.stack([_smooth_series(params, rng, 0.5) for _ in range(ncontrols)])
     hs = np.stack([_smooth_series(params, rng, 1.0) for _ in range(ncontrols)])
     if per_path_targets:
         x_q = np.stack([_smooth_series(params, rng, 0.3) for _ in range(npaths)])
-        x_t = np.stack([low_pass_field(params.grid, rng, 0.3).values
+        x_t = np.stack([low_pass_values(params.grid, rng, 0.3)
                         for _ in range(npaths)])
     else:
         x_q = _smooth_series(params, rng, 0.3)
-        x_t = low_pass_field(params.grid, rng, 0.3).values
-    paths = [sample_wiener_path(params.noise, params.timegrid, mix_seed(seed, i))
-             for i in range(npaths)]
+        x_t = low_pass_values(params.grid, rng, 0.3)
+    paths = sample_wiener_paths(params.noise, params.timegrid,
+                                [mix_seed(seed, i) for i in range(npaths)])
     xq, xt = target_values(x_q, x_t, alphas, params.timegrid, params.grid, npaths)
-    ys = _sweep_state(y0.values, us, paths, params)
+    ys = _sweep_state(y0, us, paths, params)
     zs = _sweep_linearized(ys, hs, paths, params)
     ptildes = _sweep_adjoint(ys, paths, xq, xt, alphas, params)
     lhs = _duality_lhs(ptildes, hs, params)
@@ -340,7 +344,7 @@ def test_rows_are_serial(params, seed, ncontrols, npaths, per_path_targets, trun
     for row in range(ncontrols * npaths):
         c, i = divmod(row, npaths)
         xq_i, xt_i = (x_q[i], x_t[i]) if per_path_targets else (x_q, x_t)
-        traj = solve_state(y0, us[c], [paths[i]], params)
+        traj = solve_state(y0, us[c], each_path(paths)[i], params)
         lin = solve_linearized(traj, hs[c])
         adj = solve_adjoint(traj, xq_i, xt_i, alphas)
         assert np.array_equal(ys[row], traj.ys[0])

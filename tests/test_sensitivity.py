@@ -13,19 +13,18 @@ from choc import (
     ControlProcess,
     DomainError,
     EnsembleSpec,
-    Field,
     Grid,
     Problem,
     TimeGrid,
     double_well,
     duality_terms,
     multiplicative_noise,
-    sample_wiener_path,
+    sample_wiener_paths,
     solve_adjoint,
     solve_linearized,
     solve_state,
 )
-from choc.grid import lap_values, low_pass_field
+from choc.grid import lap_values, low_pass_values
 from choc.physics import additive_noise, no_noise
 from choc.state import StateParams, series_l2h_norm
 from choc.verify import _continuous_gaps, check_truncation
@@ -34,21 +33,23 @@ from conftest import (
     clamped,
     continuous_ptildes,
     dense_neumann_laplacian,
+    each_path,
+    linearized_potential,
     random_field,
     zero_potential,
 )
 
 
 def _make_traj(params, rng, seed=0, y0_amp=0.4, u=None):
-    y0 = low_pass_field(params.grid, rng, y0_amp)
-    wp = sample_wiener_path(params.noise, params.timegrid, seed)
-    return solve_state(y0, u, [wp], params)
+    y0 = low_pass_values(params.grid, rng, y0_amp)
+    wp = sample_wiener_paths(params.noise, params.timegrid, [seed])
+    return solve_state(y0, u, wp, params)
 
 
 def _random_direction(params, rng, amplitude=1.0):
     tg = params.timegrid
     return np.stack([
-        low_pass_field(params.grid, rng, amplitude).values
+        low_pass_values(params.grid, rng, amplitude)
         for _ in range(tg.nsteps)
     ])
 
@@ -60,7 +61,7 @@ def test_linearized_zero_direction(small_params, rng):
     traj = _make_traj(small_params, rng)
     lin = solve_linearized(traj, None)
     assert np.all(lin.zs == 0.0)
-    assert np.all(lin.mus == 0.0)
+    assert np.all(linearized_potential(lin) == 0.0)
 
 
 def test_linearized_starts_at_zero(small_params, rng):
@@ -78,8 +79,8 @@ def test_linearized_eigen_recursion(grid64, k):
     nm = additive_noise(grid64, [0.1])
     params = StateParams(grid=grid64, timegrid=tg, potential=zero_potential(),
                          noise=nm, stabilization=0.0)
-    wp = sample_wiener_path(nm, tg, 4)
-    traj = solve_state(Field.zeros(grid64), None, [wp], params)
+    wp = sample_wiener_paths(nm, tg, [4])
+    traj = solve_state(np.zeros(grid64.shape), None, wp, params)
 
     mode = grid64.cosine_mode((k,))
     h = np.repeat(mode[None], tg.nsteps, axis=0)
@@ -114,19 +115,6 @@ def test_linearized_zero_mean_propagation(small_params, rng):
     assert np.max(np.abs(means)) <= 1e-12
 
 
-def test_linearized_mu_definition(small_params, rng):
-    # mu reads the curvature of the trajectory's potential, here clamped
-    traj = _make_traj(clamped(small_params, 5.0), rng)
-    h = _random_direction(small_params, rng)
-    lin = solve_linearized(traj, h)
-    pot = small_params.potential
-    for n in (0, small_params.timegrid.nsteps // 2):
-        c = np.clip(pot.psi_second(traj.ys[0, n]), -5.0, 5.0)
-        expected = (-lap_values(small_params.grid, lin.zs[0, n])
-                    + c * lin.zs[0, n] - h[n])
-        assert np.allclose(lin.mus[0, n], expected, atol=1e-11)
-
-
 def _count_transforms(monkeypatch):
     calls = []
     for name in ("dctn", "idctn"):
@@ -149,10 +137,10 @@ def test_linearized_runs_the_state_step(small_params, rng, monkeypatch, noise_ki
         params = replace(params, noise=no_noise(params.grid))
     nsteps = params.timegrid.nsteps
     h = _random_direction(params, rng)
-    y0 = low_pass_field(params.grid, rng, 0.4)
-    wp = sample_wiener_path(params.noise, params.timegrid, 0)
+    y0 = low_pass_values(params.grid, rng, 0.4)
+    wp = sample_wiener_paths(params.noise, params.timegrid, [0])
     calls = _count_transforms(monkeypatch)
-    traj = solve_state(y0, None, [wp], params)
+    traj = solve_state(y0, None, wp, params)
     state_calls = len(calls)
     solve_linearized(traj, h)
     assert state_calls == 1 + per_step * nsteps
@@ -169,23 +157,23 @@ def test_batched_linearized_is_path_solve(small_params, rng):
     # one sweep of a trajectory of two paths gives each path its own solve,
     # bit for bit, on clamped curvature too
     params = clamped(small_params, 5.0)
-    y0 = low_pass_field(params.grid, rng, 0.4)
-    paths = [sample_wiener_path(params.noise, params.timegrid, s) for s in (1, 2)]
+    y0 = low_pass_values(params.grid, rng, 0.4)
+    paths = sample_wiener_paths(params.noise, params.timegrid, (1, 2))
     batch = solve_state(y0, None, paths, params)
     h = _random_direction(params, rng)
     lin = solve_linearized(batch, h)
     assert lin.npaths == 2
     assert lin.zs.shape == batch.ys.shape
-    for i, wp in enumerate(paths):
-        alone = solve_linearized(solve_state(y0, None, [wp], params), h)
+    for i, wp in enumerate(each_path(paths)):
+        alone = solve_linearized(solve_state(y0, None, wp, params), h)
         assert np.array_equal(lin.zs[i], alone.zs[0])
-        assert np.array_equal(lin.mus[i], alone.mus[0])
+        assert np.array_equal(linearized_potential(lin)[i],
+                              linearized_potential(alone)[0])
 
 
 def test_batched_adjoint_rejects_target_of_other_path_count(small_params, rng):
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
-    paths = [sample_wiener_path(small_params.noise, small_params.timegrid, s)
-             for s in (1, 2)]
+    y0 = low_pass_values(small_params.grid, rng, 0.4)
+    paths = sample_wiener_paths(small_params.noise, small_params.timegrid, (1, 2))
     batch = solve_state(y0, None, paths, small_params)
     x_t = np.zeros((3,) + small_params.grid.shape)
     with pytest.raises(ConfigurationError, match=r"terminal target shape \(3, 32\)"):
@@ -204,9 +192,9 @@ def test_adjoint_zero_weights(small_params, rng):
 def test_adjoint_terminal_condition(small_params, rng):
     traj = _make_traj(small_params, rng)
     x_t = random_field(small_params.grid, rng, smooth=True)
-    adj = solve_adjoint(traj, None, x_t.values, (0.0, 1.0, 0.0))
+    adj = solve_adjoint(traj, None, x_t, (0.0, 1.0, 0.0))
     n = small_params.timegrid.nsteps
-    expected = -lap_values(small_params.grid, traj.ys[0, n] - x_t.values)
+    expected = -lap_values(small_params.grid, traj.ys[0, n] - x_t)
     assert np.array_equal(adj.ptildes[0, n], expected)
 
 
@@ -215,7 +203,7 @@ def test_adjoint_ptilde_is_minus_lap_p(small_params, rng):
     # ptilde_{N-1} = -L p_{N-1} with p_{N-1} = (I + tau L^2 - tau S L)^{-1} P_N
     params = small_params
     traj = _make_traj(params, rng)
-    x_t = random_field(params.grid, rng, smooth=True).values
+    x_t = random_field(params.grid, rng, smooth=True)
     adj = solve_adjoint(traj, None, x_t, (0.0, 1.0, 0.0))
     n = params.timegrid.nsteps
     tau = params.timegrid.tau
@@ -243,7 +231,7 @@ def _duality_setup(params, rng, seed):
     traj = _make_traj(params, rng, seed=seed)
     h = _random_direction(params, rng)
     x_q = _random_direction(params, rng, 0.3)
-    x_t = low_pass_field(params.grid, rng, 0.3).values
+    x_t = low_pass_values(params.grid, rng, 0.3)
     alphas = (0.8, 1.3, 0.0)
     return traj, h, x_q, x_t, alphas
 
@@ -294,7 +282,7 @@ def test_transpose_against_dense_column_oracle(rng):
         columns[:, :, col] = solve_linearized(traj, h).zs[0]
 
     x_q = _random_direction(params, rng, 0.3)
-    x_t = low_pass_field(g, rng, 0.3).values
+    x_t = low_pass_values(g, rng, 0.3)
     alphas = (0.7, 1.1, 0.0)
 
     # cost gradient with respect to z, matching the duality pairing
@@ -320,7 +308,7 @@ def test_backends_consistent_additive(grid64, rng):
     params = StateParams(grid=grid64, timegrid=tg, potential=double_well(),
                          noise=nm)
     traj = _make_traj(params, rng)
-    x_q = np.repeat(low_pass_field(grid64, rng, 0.3).values[None], tg.nsteps, axis=0)
+    x_q = np.repeat(low_pass_values(grid64, rng, 0.3)[None], tg.nsteps, axis=0)
     adj_t = solve_adjoint(traj, x_q, None, (1.0, 0.0, 0.0))
     (sq,) = _continuous_gaps(traj, x_q, 1.0, adj_t.ptildes)
     gap = np.sqrt(np.sum(sq) * tg.tau * grid64.cell_volume)
@@ -333,17 +321,17 @@ def test_backends_consistent_additive(grid64, rng):
 
 def test_gateaux_difference_quotients(small_params, rng):
     traj_params = small_params
-    y0 = low_pass_field(traj_params.grid, rng, 0.4)
-    wp = sample_wiener_path(traj_params.noise, traj_params.timegrid, 21)
+    y0 = low_pass_values(traj_params.grid, rng, 0.4)
+    wp = sample_wiener_paths(traj_params.noise, traj_params.timegrid, [21])
     u = _random_direction(traj_params, rng, 0.5)
     h = _random_direction(traj_params, rng)
-    base = solve_state(y0, u, [wp], traj_params)
+    base = solve_state(y0, u, wp, traj_params)
     lin = solve_linearized(base, h)
     tg = traj_params.timegrid
     errors = []
     eps_list = [1e-1, 1e-2, 1e-3, 1e-4]
     for eps in eps_list:
-        bumped = solve_state(y0, u + eps * h, [wp], traj_params)
+        bumped = solve_state(y0, u + eps * h, wp, traj_params)
         quotient = (bumped.ys[0] - base.ys[0]) / eps
         errors.append(series_l2h_norm(quotient[: tg.nsteps] - lin.zs[0, : tg.nsteps],
                                       tg, traj_params.grid))
@@ -364,7 +352,7 @@ def _truncation(params, y0, levels, es, h=None):
 
 
 def test_truncation_identical_above_curvature(small_params, rng):
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    y0 = low_pass_values(small_params.grid, rng, 0.4)
     h = _random_direction(small_params, rng)
     es = EnsembleSpec(2, 0)
     ys = solve_state(y0, None, es.sample_paths(small_params), small_params).ys
@@ -378,7 +366,7 @@ def test_truncation_identical_above_curvature(small_params, rng):
 
 
 def test_truncation_zero_direction(small_params, rng):
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    y0 = low_pass_values(small_params.grid, rng, 0.4)
     report = _truncation(small_params, y0, [1.0, 2.0, 4.0], EnsembleSpec(2, 0))
     assert all(d == 0.0 for d in report.measured["mean_differences"])
 
@@ -387,7 +375,7 @@ def test_truncation_differences_decrease(small_params, rng):
     # slow lowest-mode initial state keeps |psi''(y)| above the low clamp
     # levels along the whole trajectory; one path, so the means are its own
     g = small_params.grid
-    y0 = Field(g, 1.2 * g.cosine_mode((1,)))
+    y0 = 1.2 * g.cosine_mode((1,))
     h = _random_direction(small_params, rng)
     report = _truncation(small_params, y0, [1.0, 2.0, 4.0, 64.0],
                          EnsembleSpec(1, 2), h)
@@ -399,21 +387,21 @@ def test_truncation_differences_decrease(small_params, rng):
 
 
 def test_truncation_levels_must_increase(small_params, rng):
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    y0 = low_pass_values(small_params.grid, rng, 0.4)
     for levels in ([4.0, 2.0], [2.0, 2.0], [1.0, 4.0, 3.0]):
         with pytest.raises(ConfigurationError, match="strictly increasing"):
             _truncation(small_params, y0, levels, EnsembleSpec(1, 0))
 
 
 def test_truncation_levels_must_be_positive(small_params, rng):
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    y0 = low_pass_values(small_params.grid, rng, 0.4)
     for levels in ([0.0, 1.0], [-3.0, 1.0], [1.0, float("nan")]):
         with pytest.raises(DomainError, match="must be positive"):
             _truncation(small_params, y0, levels, EnsembleSpec(1, 0))
 
 
 def test_truncation_needs_two_levels(small_params, rng):
-    y0 = low_pass_field(small_params.grid, rng, 0.4)
+    y0 = low_pass_values(small_params.grid, rng, 0.4)
     for levels in ([2.0], []):
         with pytest.raises(ConfigurationError, match="two truncation levels"):
             _truncation(small_params, y0, levels, EnsembleSpec(1, 0))

@@ -49,11 +49,12 @@ def test_trace_sees_every_layer(tracing):
     try:
         build = tracing.wrap_potential(build, tracer)
         problem, es = build.problem, build.ensemble
-        wp = es.sample_paths(problem.params)[0]
+        wp = choc.state.sample_wiener_paths(problem.params.noise, problem.params.timegrid,
+                                            [es.path_seed(0)])
         counts = {}
         calls = {
             "solve_state": lambda: choc.state.solve_state(
-                problem.y0, build.u0.values, [wp], problem.params),
+                problem.y0, build.u0.values, wp, problem.params),
             "solve_linearized": lambda: choc.sensitivity.solve_linearized(
                 traj, h.values),
             "solve_adjoint": lambda: choc.sensitivity.solve_adjoint(

@@ -20,7 +20,7 @@ from choc import (
 from choc import state, verify
 from choc.control import l2q_norm
 from choc.errors import BlowUpError, ConfigurationError
-from choc.grid import Field, low_pass_field
+from choc.grid import low_pass_values
 from choc.physics import additive_noise, no_noise
 from choc.sensitivity import duality_terms, solve_adjoint, solve_linearized
 from choc.state import StateParams, mix_seed, solve_state
@@ -60,9 +60,9 @@ def _problem(grid_n=32, nsteps=40, noise="multiplicative", potential=None,
     params = StateParams(grid=g, timegrid=tg, potential=pot, noise=nm,
                          blowup_threshold=blowup_threshold)
     rng = np.random.default_rng(seed)
-    y0 = low_pass_field(g, rng, 0.4)
-    x_q = np.stack([low_pass_field(g, rng, 0.3).values for _ in range(nsteps)])
-    x_t = low_pass_field(g, rng, 0.3).values
+    y0 = low_pass_values(g, rng, 0.4)
+    x_q = np.stack([low_pass_values(g, rng, 0.3) for _ in range(nsteps)])
+    x_t = low_pass_values(g, rng, 0.3)
     return Problem(params=params, y0=y0, alphas=alphas, x_q=x_q, x_t=x_t, c0=1.0)
 
 
@@ -205,8 +205,9 @@ def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
 
     def loud_path_2(self, params):
         paths = sample_paths(self, params)
-        paths[2] = replace(paths[2], increments=20.0 * paths[2].increments)
-        return paths
+        loud = paths.increments.copy()
+        loud[:, 2] *= 20.0
+        return replace(paths, increments=loud)
 
     draw = verify.random_smooth_control
 
@@ -325,7 +326,7 @@ def test_random_smooth_control_is_the_per_step_loop(grid):
     tg = TimeGrid(0.02, 40)
     params = StateParams(grid=grid, timegrid=tg, potential=double_well(),
                          noise=no_noise(grid))
-    problem = Problem(params=params, y0=Field.zeros(grid), alphas=(1.0, 1.0, 1e-2))
+    problem = Problem(params=params, y0=np.zeros(grid.shape), alphas=(1.0, 1.0, 1e-2))
     for seed in range(30):
         for amplitude in (0.5, 0.7, 1.0):
             u = random_smooth_control(problem, seed, amplitude)
@@ -379,15 +380,15 @@ def test_lipschitz_ratio_bounded_by_dense_operator_norm():
     tg = problem.params.timegrid
     npts, nsteps = g.size, tg.nsteps
 
-    from choc.state import sample_wiener_path, solve_state
+    from choc.state import sample_wiener_paths, solve_state
     from choc.verify import _norm_c0h_l2z
-    wp = sample_wiener_path(problem.params.noise, tg, 0)
-    base = solve_state(problem.y0, None, [wp], problem.params)
+    wp = sample_wiener_paths(problem.params.noise, tg, [0])
+    base = solve_state(problem.y0, None, wp, problem.params)
     cols = np.zeros((nsteps + 1, npts, nsteps * npts))
     for col in range(nsteps * npts):
         d = np.zeros((nsteps, npts))
         d[col // npts, col % npts] = 1.0
-        bumped = solve_state(problem.y0, d, [wp], problem.params)
+        bumped = solve_state(problem.y0, d, wp, problem.params)
         cols[:, :, col] = bumped.ys[0] - base.ys[0]
 
     # operator norm wrt the (C0 H cap L2 Z) output norm is bounded by the
@@ -405,7 +406,7 @@ def test_lipschitz_ratio_bounded_by_dense_operator_norm():
         d = random_smooth_control(problem, seed, amplitude=0.2)
         u2 = ControlProcess(g, tg, d.values)
         diff_traj = None
-        bumped = solve_state(problem.y0, d.values, [wp], problem.params)
+        bumped = solve_state(problem.y0, d.values, wp, problem.params)
         num = _norm_c0h_l2z(bumped.ys[0] - base.ys[0], tg, g)
         den = np.sqrt(np.sum(d.values**2) * tau * cv)
         ratios.append(num / den)
@@ -475,7 +476,10 @@ def test_moment_bounds_blowup_negative_control():
     # at that step the lowest blown-up path
     assert 0 <= blow_up["step"] < problem.params.timegrid.nsteps
     assert blow_up["seed"] in [es.path_seed(i) for i in range(es.npaths)]
+    assert es.path_seed(blow_up["path"]) == blow_up["seed"]
     assert not np.isfinite(blow_up["max_abs"]) or blow_up["max_abs"] > 1e6
+    # the report is JSON, and the path survives the round trip
+    assert json.loads(report.to_json())["measured"]["blow_up"]["path"] == blow_up["path"]
 
 
 # --- backend consistency ------------------------------------------------------------
