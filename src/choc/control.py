@@ -334,6 +334,21 @@ def _gradient_map_norm(u: ControlProcess, grad: np.ndarray, eta0: float,
     return l2q_norm(u.values - trial.values, u.timegrid, u.grid) / eta0
 
 
+def _nonfinite_cost(u: ControlProcess, problem: Problem, states: Trajectory) -> DomainError:
+    """The error of a starting cost at ``u`` that is not finite: it names
+    the first path whose cost is not finite, or else says that the mean of
+    the paths' finite costs overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = evaluate_cost(states, u.values, problem.x_q, problem.x_t, problem.alphas)
+    bad = np.flatnonzero(~np.isfinite(costs))
+    if len(bad) == 0:
+        return DomainError("the starting cost is not finite: the mean of the path "
+                           f"costs overflows (largest {np.max(costs):.3e})")
+    i = int(bad[0])
+    return DomainError(f"the starting cost is not finite: ensemble path {i} "
+                       f"(Wiener path seed {states.wiener.seeds[i]}) has cost {costs[i]}")
+
+
 def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
              opts: OptimizerOptions = OptimizerOptions()) -> OptimizationResult:
     """Projected gradient descent with Armijo backtracking.
@@ -345,7 +360,9 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     cannot pass at a smaller step either, and a reused blow-up counts as a
     blow-up rejection again.
     Termination on the gradient-map norm at the fixed reference step, on the
-    iteration budget, or on a stalled line search.
+    iteration budget, or on a stalled line search. A starting cost that is
+    not finite raises :class:`DomainError`, naming the first path whose cost
+    is not, before any gradient is taken.
 
     Solve budget, in sweeps (one sweep solves every path of the ensemble in
     one call): one state sweep for the starting cost and one per line-search
@@ -358,7 +375,11 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     u = project_admissible(u0, problem.c0)
     # u's trajectories, kept from the cost to the next gradient only.
     states = _solve_paths(u, problem, paths)
-    cost, stderr = reduced_cost(u, es, problem, states)
+    # a starting cost past the float range is an error, before any gradient
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost, stderr = reduced_cost(u, es, problem, states)
+    if not math.isfinite(cost):
+        raise _nonfinite_cost(u, problem, states)
     cost_history = [cost]
     stderr_history = [stderr]
     gmap_history: list[float] = []

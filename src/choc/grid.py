@@ -44,13 +44,21 @@ orthonormal DCT-II matrix C (C^T forward, C inverse along the last axis; on
 a 2D grid one product per axis, through a workspace); a longer axis keeps
 the pocketfft kernel, which wins from 128 points. When ``scipy.fft.dctn`` or
 ``idctn`` is not scipy's own as a sweep binds, the bound transform calls
-that public name inside ``scipy.fft.set_backend`` with :class:`_StepBackend`,
+that public name inside ``scipy.fft.set_backend`` with a :class:`_StepBackend`,
 whose ``__ua_function__`` runs the same product: an interposer sees every
 call, and the result has the bits of the direct route.
 
 Each field of a batch gets the bits of its own product: BLAS never sees a
 single row, and a product along the last axis writes whole column panels
 (``_PANEL``).
+
+The steps multiply coefficients by cosine-space symbols through two bound
+maps, :func:`_step_map` (a step's forward half) and :func:`_node_map` (an
+adjoint node). On a 1D grid of at most ``_PRODUCT_POINTS`` points
+(:func:`_folds`, the one place that decides) each is one product with the
+symbols folded into the cached matrices, one transform call; elsewhere the
+maps transform, multiply and add in the order the steps always had, so a
+2D grid or a longer axis keeps its bits.
 
 The operators keep the kernel for accuracy. A product leaves the
 coefficients of a constant that should be 0 at rounding level, and the
@@ -64,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import fft as _fft
@@ -198,14 +206,13 @@ def _factor(n: int, kind: int, side: str) -> np.ndarray:
 
 def _axes_kernel(x: np.ndarray, kind: int, axes, out: np.ndarray) -> None:
     """The kernel of ``kind`` over ``axes`` of ``x`` into ``out``; scipy's
-    own public transform, never :class:`_StepBackend`, when the probe
-    refused the kernel."""
+    own public transform when the probe refused the kernel (inside a public
+    call of a bound map, its :class:`_StepBackend` declines this call)."""
     if _KERNEL_BITWISE:
         _kernel(x, kind, axes, out)
         return
     public = _DCTN if kind == 2 else _IDCTN
-    with _fft.skip_backend(_StepBackend):
-        out[...] = public(x, type=2, norm="ortho", axes=axes)
+    out[...] = public(x, type=2, norm="ortho", axes=axes)
 
 
 def _last_axis(x: np.ndarray, kind: int, out: np.ndarray):
@@ -260,24 +267,117 @@ def _bound_product(x: np.ndarray, out: np.ndarray, kind: int, ndims: int):
     return run
 
 
+def _folds(grid: Grid) -> bool:
+    """True when the steps fold their cosine-space symbols into the cached
+    matrices: on a 1D grid of at most ``_PRODUCT_POINTS`` points. Elsewhere
+    they transform, then multiply (:func:`_step_map`, :func:`_node_map`);
+    the rule is here alone."""
+    return grid.ndims == 1 and grid.npoints[0] <= _PRODUCT_POINTS
+
+
+def _panels(n: int) -> int:
+    """``n`` columns rounded up to whole panels."""
+    return -(-n // _PANEL) * _PANEL
+
+
+@lru_cache(maxsize=32)
+def _folded_factor(n: int, symbols: bytes, node: bool) -> np.ndarray:
+    """The factor of a folded product on an axis of ``n`` points, from the
+    ``symbols``, the bytes of a (k, n) float64 array, one symbol s per row:
+
+    - for a step, the blocks C^T diag(s) stacked as rows, (k n, whole
+      panels): a row [x_1 | ... | x_k] times it is sum_k s_k DCT(x_k), and
+      its column 0 is exactly 0 when every s_0 is;
+    - for a ``node``, the blocks C^T diag(s) C side by side, each starting
+      a panel, (n, k whole panels): a row x times it holds IDCT(s_k DCT(x))
+      in block k.
+
+    The blocks are summed by einsum, not BLAS, so their bits do not depend
+    on BLAS threads."""
+    syms = np.frombuffer(symbols).reshape(-1, n)
+    c = _cosine_matrix(n)
+    width = _panels(n)
+    if node:
+        out = np.zeros((n, len(syms) * width))
+        for k, s in enumerate(syms):
+            out[:, k * width:k * width + n] = np.einsum("ji,j,jl->il", c, s, c)
+    else:
+        out = np.zeros((len(syms) * n, width))
+        for k, s in enumerate(syms):
+            out[k * n:(k + 1) * n, :n] = c.T * s
+    out.flags.writeable = False
+    return out
+
+
+def _block(buf: np.ndarray, rows: int, start: int, n: int, shape) -> np.ndarray:
+    """Columns start..start+n of the first ``rows`` rows of ``buf``, as a
+    view of ``shape``."""
+    view = buf[:rows, start:start + n].view()
+    view.shape = shape          # raises rather than copy
+    return view
+
+
+def _folded(grid: Grid, shape, symbols: np.ndarray, node: bool):
+    """One product with the factor :func:`_folded_factor` builds from the k
+    ``symbols`` for a step or a ``node``, bound to arrays it allocates: the
+    inputs (k for a step, 1 for a node) are the column blocks of one array,
+    and the outputs (1 for a step, k for a node), zero until it first runs,
+    the column blocks of another, each starting a panel; all are views of
+    ``shape``. Both arrays have at least two rows, so BLAS never sees a
+    single one. Returns (inputs, outputs, run), one transform call a run."""
+    n = shape[-1]
+    nrows = math.prod(shape[:-1])
+    factor = _folded_factor(n, np.ascontiguousarray(symbols).tobytes(), node)
+    ninputs, noutputs = (1, len(symbols)) if node else (len(symbols), 1)
+    src = np.zeros((max(2, nrows), ninputs * n))
+    dst = np.zeros((len(src), noutputs * _panels(n)))
+    inputs = tuple(_block(src, nrows, j * n, n, shape) for j in range(ninputs))
+    outputs = tuple(_block(dst, nrows, k * _panels(n), n, shape) for k in range(noutputs))
+    return inputs, outputs, _bound(
+        "dctn", src, dst, lambda x, out: partial(np.matmul, x, factor, out=out), grid.axes)
+
+
 class _StepBackend:
-    """The scipy.fft backend a bound step transform sets around its public
-    call when scipy.fft.dctn/idctn are interposed. It runs the step
-    transform's own product, which calls no public transform, so it never
-    re-enters itself; any other call falls through to scipy."""
+    """The scipy.fft backend a bound map sets around its public call when
+    scipy.fft.dctn/idctn are interposed. It runs the map's own plan on the
+    call's array into a new output, and declines any other call and its
+    own nested calls, which fall through to scipy."""
 
     __ua_domain__ = "numpy.scipy.fft"
 
-    @staticmethod
-    def __ua_function__(method, args, kwargs):
-        kind = 2 if method is _DCTN else 3 if method is _IDCTN else None
-        if (kind is None or kwargs.get("type", 2) != 2 or kwargs.get("norm") != "ortho"
-                or "axes" not in kwargs):
+    def __init__(self, method, plan, shape):
+        self._method, self._plan, self._shape = method, plan, shape
+        self._busy = False
+
+    def __ua_function__(self, method, args, kwargs):
+        if method is not self._method or self._busy:
             return NotImplemented
-        x = np.ascontiguousarray(args[0], dtype=np.float64)
-        out = np.empty(x.shape)
-        _bound_product(x, out, kind, len(kwargs["axes"]))()
+        self._busy = True
+        try:
+            out = np.empty(self._shape)
+            self._plan(np.ascontiguousarray(args[0], dtype=np.float64), out)()
+        finally:
+            self._busy = False
         return out
+
+
+def _bound(name: str, x: np.ndarray, out: np.ndarray, plan, axes):
+    """``plan(x, out)``, a function of no arguments that maps what ``x``
+    holds into ``out``, while scipy.fft's public ``name`` ("dctn" or
+    "idctn") is scipy's own. Otherwise each call goes through that public
+    name on ``x``, inside ``scipy.fft.set_backend`` with a
+    :class:`_StepBackend` that runs the plan, and is copied into ``out``:
+    an interposer sees one transform per call, and the bits are the
+    direct route's."""
+    method = _DCTN if name == "dctn" else _IDCTN
+    if getattr(_fft, name) is method:
+        return plan(x, out)
+    backend = _StepBackend(method, plan, out.shape)
+
+    def interposed():
+        with _fft.set_backend(backend):
+            out[...] = getattr(_fft, name)(x, type=2, norm="ortho", axes=axes)
+    return interposed
 
 
 def _step_transform(grid: Grid, x: np.ndarray, out: np.ndarray, inverse: bool = False):
@@ -291,21 +391,104 @@ def _step_transform(grid: Grid, x: np.ndarray, out: np.ndarray, inverse: bool = 
     product with the cached cosine matrix, a longer one the pocketfft
     kernel (:func:`_bound_product`). Leading axes are a batch, and each
     field of it gets the bits of its own transform. When the public
-    transform is not scipy's own at binding, each call goes through it and
-    :class:`_StepBackend`, with the same bits.
+    transform is not scipy's own at binding, each call goes through it
+    (:func:`_bound`), with the same bits.
     """
     for a in (x, out):
         if a.dtype != np.float64 or not a.flags.c_contiguous:
             raise ValueError("a step transform runs on contiguous float64 arrays")
-    kind, name = (3, "idctn") if inverse else (2, "dctn")
-    if getattr(_fft, name) is (_IDCTN if inverse else _DCTN):
-        return _bound_product(x, out, kind, grid.ndims)
-    axes = grid.axes
+    kind = 3 if inverse else 2
+    return _bound("idctn" if inverse else "dctn", x, out,
+                  partial(_bound_product, kind=kind, ndims=grid.ndims), grid.axes)
 
-    def interposed():
-        with _fft.set_backend(_StepBackend):
-            out[...] = getattr(_fft, name)(x, type=2, norm="ortho", axes=axes)
-    return interposed
+
+def _step_map(grid: Grid, x_hat: np.ndarray, symbols: np.ndarray):
+    """x_hat <- s_0 x_hat + sum_k s_k DCT(input_k), bound once for a sweep.
+
+    ``x_hat`` is a contiguous float64 array (..., *grid.shape) of
+    coefficients and ``symbols`` the cosine-space symbols (s_0, s_1, ...),
+    stacked, (1 + k, *grid.shape). The map allocates its k inputs, arrays of
+    the shape of ``x_hat``. Returns (inputs, run); run() applies the map to
+    what ``x_hat`` and the inputs hold, with one transform call.
+
+    On a folded grid (:func:`_folds`) the inputs are column blocks of one
+    (rows, k n) array, and one product with the stacked C^T diag(s_k) gives
+    G = sum_k s_k DCT(input_k); then x_hat <- s_0 x_hat + G. Elsewhere the
+    inputs are stacked, transformed in one call and multiplied by their
+    symbols, and each is added to s_0 x_hat in turn.
+    """
+    shape = x_hat.shape
+    k = len(symbols) - 1
+    scale = np.broadcast_to(symbols[0], shape).copy()
+    if _folds(grid):
+        inputs, (total,), product = _folded(grid, shape, symbols[1:], False)
+
+        def run():
+            product()
+            np.multiply(scale, x_hat, out=x_hat)
+            np.add(x_hat, total, out=x_hat)
+        return inputs, run
+    stack = np.empty((k,) + shape)
+    stack_hat = np.empty(stack.shape)
+    terms = tuple(stack_hat)
+    weights = np.stack([np.broadcast_to(s, shape) for s in symbols[1:]])
+    forward = _step_transform(grid, stack, stack_hat)
+
+    def run():
+        forward()
+        np.multiply(weights, stack_hat, out=stack_hat)
+        np.multiply(scale, x_hat, out=x_hat)
+        for term in terms:
+            np.add(x_hat, term, out=x_hat)
+    return tuple(stack), run
+
+
+def _node_map(grid: Grid, shape, symbols: np.ndarray, project: bool = False):
+    """x -> IDCT(s_k DCT(x)) for each of the k stacked ``symbols``,
+    (k, *grid.shape), and, when ``project``, the first of these less its
+    grid mean; bound once for a sweep on arrays of ``shape``, (...,
+    *grid.shape), that it allocates.
+
+    Returns (x, outputs, run): run() maps what ``x`` holds into the
+    ``outputs``, zero until it first runs, with one transform call on a
+    folded grid (:func:`_folds`) and two elsewhere. Folded, the outputs are
+    column blocks of one product with the side-by-side C^T diag(s_k) C, and
+    the projection is one more block, of s_0 with its zero mode 0.
+    Elsewhere x is transformed, multiplied by each symbol and the stack
+    inverted in one call; the projection subtracts from the first output
+    the zero coefficient of its coefficients over sqrt(grid.size).
+    """
+    if _folds(grid):
+        if project:
+            projected = symbols[0].copy()
+            projected[0] = 0.0
+            symbols = np.concatenate([symbols, projected[None]])
+        (x,), outputs, run = _folded(grid, shape, symbols, True)
+        return x, outputs, run
+    x = np.zeros(shape)
+    x_hat = np.empty(shape)
+    stack_hat = np.empty((len(symbols),) + tuple(shape))
+    stack = np.zeros(stack_hat.shape)
+    weights = [np.broadcast_to(s, shape).copy() for s in symbols]
+    pairs = tuple(zip(weights, stack_hat))
+    forward = _step_transform(grid, x, x_hat)
+    inverse = _step_transform(grid, stack_hat, stack, inverse=True)
+    outputs = tuple(stack)
+    if project:
+        zero = stack_hat[0][(Ellipsis,) + (slice(0, 1),) * grid.ndims]
+        mean = np.empty(zero.shape)
+        root = math.sqrt(grid.size)
+        outputs += (np.zeros(shape),)
+
+    def run():
+        forward()
+        for weight, out in pairs:
+            np.multiply(weight, x_hat, out=out)
+        inverse()
+        if project:
+            np.divide(zero, root, out=mean)
+            np.subtract(outputs[0], mean, out=outputs[-1])
+    return x, outputs, run
 
 
 @dataclass(frozen=True)

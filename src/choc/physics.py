@@ -12,8 +12,8 @@ in the time steppers rather than here: a step maps the noise increment to
 coefficient space through a symbol whose zero mode is 0 whenever the noise
 is mean-free (:attr:`NoiseModel.is_mean_free`; see :mod:`choc.state`). B and
 DB return the unprojected xi tanh(y) and xi rho'(y) z, two ufuncs each; DB*
-subtracts a mean its caller takes from the zero coefficient it already
-holds, so the step's projected DB and DB* stay exact transposes.
+takes the projected Pi p that its caller's node computes without the zero
+coefficient, so the step's projected DB and DB* stay exact transposes.
 
 The operators B, DB and DB* take the increment field xi = sum_k sigma_k
 dW_k g_k rather than the increments dW. xi does not depend on the state, so
@@ -274,23 +274,22 @@ def db_increment_values(nm: NoiseModel, rho_prime_y: np.ndarray, z: np.ndarray,
 
 
 def db_adjoint_scaled_values(nm: NoiseModel, rho_prime_xi: np.ndarray,
-                             p: np.ndarray, p_mean: np.ndarray,
+                             p_projected: np.ndarray,
                              out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of the projected z -> DB(y)[z] dw applied to p, where
     ``rho_prime_xi`` is rho'(y) times the increment field xi of dw and
-    ``p_mean`` the grid mean of each row of p, broadcastable against it:
-    rho'(y) xi times (p - p_mean), of the shape of ``p``.
+    ``p_projected`` is Pi p, p less its grid mean: rho'(y) xi Pi p, of the
+    shape of ``p_projected``.
 
     With Pi the projection to zero mean it satisfies the exact discrete
     identity <Pi DB(y)[z] dw, p>_H = <z, out>_H. The adjoint sweep takes
-    p_mean from the zero cosine coefficient of p, the one the state step's
-    projection drops.
+    Pi p from its node map, which drops the zero coefficient of p, the one
+    the state step's projection drops.
     """
     if out is None:
-        out = np.empty(p.shape)
+        out = np.empty(p_projected.shape)
     if nm.nmodes == 0 or not nm.is_multiplicative:
         out.fill(0.0)
     else:
-        np.subtract(p, p_mean, out=out)
-        np.multiply(rho_prime_xi, out, out=out)
+        np.multiply(rho_prime_xi, p_projected, out=out)
     return out

@@ -12,8 +12,10 @@ the discrete flow. In coefficient space it is zhat_{n+1} = a zhat_n +
 b DCT(C_n z_n - h_n) + c DCT(DB(y_n)[z_n] dW_n) with the state step's
 symbols (:attr:`~choc.state.StateParams.step_symbols`), whose c drops the
 zero mode of mean-free noise: that is the projection Pi. A linearized step
-makes 11 array operations: 2 in DB, the reaction's product, the step's 7
-and the copy into the stored sensitivities.
+makes 9 array operations on a 1D grid of at most 64 points, where (b, c)
+are folded into the forward product: 2 in DB, the reaction's product, the
+step's 5 and the copy into the stored sensitivities. Elsewhere the step
+makes 7 and the linearized step 11.
 
 The adjoint is the algebraic transpose of this recursion. Writing one
 forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
@@ -25,15 +27,19 @@ sweep is
     P_n = alpha1*tau*(y_n - xQ_n) + p_n - tau*(C_n - S)*ptilde_n
           + DB_n^T Pi p_n,
 
-One node makes two transform calls: the forward transform of P_{n+1},
-times the symbols 1/d and -lambda/d (one multiply each, into the two
-halves of a pair), gives the coefficients of p_n and ptilde_n, and one
-inverse call on that pair gives p_n and ptilde_n. Both are step transforms
-(:func:`~choc.grid._step_transform`), bound once per sweep. Pi p_n is p_n
-less its mean, which is the zero coefficient of p_n over sqrt(grid.size),
-the coefficient the forward step's c drops; so DB_n^T Pi is the exact
-transpose of the forward step's Pi DB_n. A node makes 12 array
-operations. ptilde satisfies, exactly in floating point up to rounding,
+A node maps P_{n+1} to p_n and ptilde_n through the symbols 1/d and
+-lambda/d (:attr:`~choc.state.StateParams.node_symbols`) with one node map
+(:func:`~choc.grid._node_map`), bound once per sweep. With multiplicative
+noise the map also gives Pi p_n, p_n without its zero coefficient, the one
+the forward step's c drops; so DB_n^T Pi is the exact transpose of the
+forward step's Pi DB_n. On a 1D grid of at most 64 points the map is one
+product of the costate with the cached blocks C^T diag(s) C of the
+symbols 1/d, -lambda/d and, for Pi p_n, 1/d with its zero mode 0: one
+transform call, and a node makes 7 array operations (5 without
+multiplicative noise). Elsewhere it transforms P_{n+1}, multiplies by each
+symbol and inverts the pair in one call, and Pi p_n is p_n less the zero
+coefficient over sqrt(grid.size): two transform calls and 12 operations.
+ptilde satisfies, exactly in floating point up to rounding,
 
     sum_n tau <h_n, ptilde_n>_H
         = alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N - x_T, z_N>_H
@@ -55,19 +61,19 @@ before a block they compute, each in one call, C_n and, with multiplicative
 noise, rho'(y_n) and the increment fields xi_n in the linearized sweep, and
 tau*(C_n - S), tau*alpha1*(y_n - xQ_n) and rho'(y_n) xi_n in the adjoint.
 The noise operators take a step's slice of them. Like the state sweep, both
-run in a workspace allocated once per sweep, with their transforms bound to
-it, and write every per-step result through ``out=``; the linearized sweep
-runs the state's step kernel.
+run in a workspace allocated once per sweep, with their maps bound to it,
+and write every per-step result through ``out=``; the linearized sweep
+runs the state's step kernel and copies each block's directions to the
+step shape.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _step_transform, lap_values
+from .grid import Grid, _node_map, lap_values
 from .physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from .state import (
     StateParams,
@@ -172,8 +178,13 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths: WienerPaths
     z_hat = np.zeros(z.shape)
     reaction = np.empty(z.shape)
     noise, step = _stepper(p, z, z_hat, noisy)
-    for n0, n1 in _blocks(p.timegrid.nsteps, z):
-        # the block's coefficients C_n, rho'(y_n) and increment fields
+    blocks = _blocks(p.timegrid.nsteps, z)
+    sources = np.empty((blocks[0][1],) + z.shape)
+    for n0, n1 in blocks:
+        # the block's directions, copied to the step shape, and its
+        # coefficients C_n, rho'(y_n) and increment fields
+        h_b = sources[:n1 - n0]
+        np.copyto(h_b, h_n[n0:n1])
         y_b = ys_n[n0:n1]
         c_b = p.potential.psi_second(y_b)
         if noisy:
@@ -183,7 +194,7 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths: WienerPaths
             if noisy:
                 db_increment_values(nm, rho_b[j], z, xi[j], out=noise)
             np.multiply(c_b[j], z, out=reaction)
-            step(reaction, h_n[n0 + j])
+            step(reaction, h_b[j])
             zs_n[n0 + j + 1] = z
     return zs
 
@@ -231,31 +242,18 @@ def _sweep_adjoint(ys: np.ndarray, paths: WienerPaths, xq, xt, alphas,
     noisy = nm.is_multiplicative and nm.nmodes > 0
     dw_n = paths.increments
 
-    # P_N, then the costate P_n that each node overwrites
-    costate = a2 * (ys_n[nsteps] - xt) if a2 != 0.0 else np.zeros(shape)
+    # A node's workspace: the costate P_{n+1}, which each node overwrites
+    # with P_n, is the input of one bound node map, whose outputs are p_n,
+    # ptilde_n = -Lap p_n and, with multiplicative noise, Pi p_n
+    costate, outputs, node = _node_map(g, shape, p.node_symbols, project=noisy)
+    p_n, pt_n = outputs[:2]
+    pi_p = outputs[2] if noisy else None
+    work = np.empty(shape)
+    if a2 != 0.0:
+        np.multiply(a2, ys_n[nsteps] - xt, out=costate)
     ptildes = np.empty(ys.shape)
     pts_n = _step_major(ptildes, paths.npaths)
     pts_n[nsteps] = -lap_values(g, costate)
-    # A node's workspace: the coefficients of P_{n+1}, then those of p_n
-    # and of ptilde_n = -Lap p_n side by side, inverted by one call into
-    # p_n and ptilde_n; the symbols broadcast to the node shape and the
-    # transforms are bound once
-    costate_hat = np.empty(shape)
-    pair_hat = np.empty((2,) + shape)
-    pair = np.empty(pair_hat.shape)
-    p_n, pt_n = pair
-    p_hat, pt_hat = pair_hat
-    work = np.empty(shape)
-    d = p.implicit_symbol
-    p_symbol, pt_symbol = (np.broadcast_to(sym, shape).copy()
-                           for sym in (1.0 / d, -g.lap_symbol / d))
-    forward = _step_transform(g, costate, costate_hat)
-    inverse = _step_transform(g, pair_hat, pair, inverse=True)
-    if noisy:
-        # the mean of p_n from its zero coefficient, one per row
-        p_zero = p_hat[(Ellipsis,) + (slice(0, 1),) * g.ndims]
-        p_mean = np.empty(p_zero.shape)
-        root_size = math.sqrt(g.size)
     for n0, n1 in reversed(_blocks(nsteps, zero)):
         # the block's tracking forcing tau*alpha1*(y_n - xQ_n), reaction
         # coefficients tau*(C_n - S) and rho'(y_n) xi_n, an increment field
@@ -267,17 +265,13 @@ def _sweep_adjoint(ys: np.ndarray, paths: WienerPaths, xq, xt, alphas,
         if noisy:
             rho_xi = nm.rho_prime(y_b) * _mode_sum(nm, dw_n[n0:n1])[:, None]
         for j in range(n1 - n0 - 1, -1, -1):
-            forward()
-            np.multiply(p_symbol, costate_hat, out=p_hat)
-            np.multiply(pt_symbol, costate_hat, out=pt_hat)
-            inverse()
+            node()
             pts_n[n0 + j] = pt_n
             np.add(forcing[j], p_n, out=costate)
             np.multiply(coef[j], pt_n, out=work)
             np.subtract(costate, work, out=costate)
             if noisy:
-                np.divide(p_zero, root_size, out=p_mean)
-                db_adjoint_scaled_values(nm, rho_xi[j], p_n, p_mean, out=work)
+                db_adjoint_scaled_values(nm, rho_xi[j], pi_p, out=work)
                 np.add(costate, work, out=costate)
     return ptildes
 

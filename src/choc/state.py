@@ -23,12 +23,16 @@ spatial mean of y is conserved along every path up to the rounding of the
 inverse transform. The noise enters explicitly at the old iterate.
 
 A step makes two transform calls: one forward call on the explicit term
-and the noise increment, stacked as a pair in one buffer (the explicit
-term alone without noise), and one inverse call for y_{n+1}; (b, c) is one
-multiply on the transformed pair. A state step makes 13 array operations:
-2 in the noise operator, 3 in psi', 7 in the step (the subtraction, two
-transforms, the pair's multiply, a times yhat and two additions) and the
-copy into the trajectory. The linearized solver runs the same step.
+and the noise increment (the explicit term alone without noise), which
+also applies (b, c), and one inverse call for y_{n+1}. On a 1D grid of at
+most 64 points the forward call is one product of the row-concatenated
+pair with the stacked C^T diag(b) and C^T diag(c), which sums the two
+terms, so yhat <- a yhat + G; there a state step makes 11 array
+operations: 2 in the noise operator, 3 in psi', 5 in the step (the
+subtraction, the product, a times yhat, one addition and the inverse) and
+the copy into the trajectory. Elsewhere the pair is transformed, then
+multiplied by (b, c), and each term is added in turn: 13 operations, the
+step's 7. The linearized solver runs the same step.
 
 The data are arrays: the initial datum is one field of shape grid.shape,
 a control one field per step, and the noise of an ensemble one
@@ -55,14 +59,16 @@ that step's data alone, so every block length gives the same bits.
 A sweep allocates the workspace of its steps once (:func:`_stepper` for
 the state and linearized steps): the symbols are broadcast to the step
 shape (ncontrols, npaths, *grid.shape), and every per-step ufunc, transform
-and noise operator writes through ``out=`` into contiguous arrays. The
-working state is one of them; each step's state is copied into the stored
-trajectory. The two transforms of a step are step transforms
-(:func:`~choc.grid._step_transform`), bound to that workspace once per
-sweep: on an axis of at most 64 points a product with a cached cosine
-matrix, which skips the per-call dispatch of the pocketfft kernel. Every
-result has the bits of the formulas that allocate each array and
-transform as the steps do.
+and noise operator writes through ``out=`` into that workspace. The
+working state is one of its arrays; each step's state is copied into the
+stored trajectory. Before each block the sweep copies the block's controls
+(or directions) to the step shape, so a step subtracts two arrays of one
+shape. The two transform calls of a step are bound to the workspace once
+per sweep: the step map (:func:`~choc.grid._step_map`) and the inverse
+step transform (:func:`~choc.grid._step_transform`), on an axis of at
+most 64 points products with cached cosine matrices, which skip the
+per-call dispatch of the pocketfft kernel. Every result has the bits of
+the formulas that allocate each array and run the same maps.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ from .errors import BlowUpError, ConfigurationError, DomainError, ShapeError
 from .grid import (
     Grid,
     _dct as _dct_values,
+    _step_map,
     _step_transform,
     field_array,
     grad_norm_sq_values,
@@ -245,6 +252,15 @@ class StateParams:
             c[(0,) * self.grid.ndims] = 0.0
         return np.stack([(1.0 - tau * self.stabilization * lam) / d, tau * lam / d, c])
 
+    @cached_property
+    def node_symbols(self) -> np.ndarray:
+        """The cosine-space symbols (1/d, -lambda/d) of the transpose of a
+        step's implicit solve, stacked, shape (2, *grid.shape): they map the
+        coefficients of P_{n+1} to those of p_n and of ptilde_n = -Lap p_n
+        (see :mod:`choc.sensitivity`)."""
+        d = self.implicit_symbol
+        return np.stack([1.0 / d, -self.grid.lap_symbol / d])
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -345,35 +361,22 @@ def _stepper(p: StateParams, x: np.ndarray, x_hat: np.ndarray, noisy: bool):
     + c DCT(noise) with the symbols of :attr:`StateParams.step_symbols`,
     where ``x_hat`` holds the transform of ``x``, and overwrites ``x`` and
     ``x_hat`` with x_next and its coefficients. ``x`` and ``x_hat`` are
-    contiguous float64 arrays of one shape, which may lead with batch axes;
-    ``reaction`` has that shape and ``source`` broadcasts to it. The
-    explicit term and the noise increment are the two halves of one buffer,
-    so a step makes one forward transform call on the pair, one multiply by
-    (b, c) and one inverse call; without noise the buffer holds the explicit
-    term alone. The symbols are broadcast to the shape and both transforms
-    are bound (:func:`~choc.grid._step_transform`) here, once.
+    contiguous float64 arrays of one shape, which may lead with batch axes,
+    and ``reaction`` and ``source`` have that shape. The explicit term and
+    the noise increment are the inputs of one bound step map
+    (:func:`~choc.grid._step_map`), so a step makes one forward transform
+    call, which applies (b, c), and one inverse call; without noise the map
+    takes the explicit term alone.
     """
-    shape = x.shape
-    a, b, c = p.step_symbols
-    pair = np.empty((2 if noisy else 1,) + shape)
-    pair_hat = np.empty(pair.shape)
-    explicit, explicit_hat = pair[0], pair_hat[0]
-    noise, noise_hat = (pair[1], pair_hat[1]) if noisy else (None, None)
-    a = np.broadcast_to(a, shape).copy()
-    bc = np.stack([np.broadcast_to(sym, shape) for sym in (b, c)[:len(pair)]])
-    forward = _step_transform(p.grid, pair, pair_hat)
+    inputs, update = _step_map(p.grid, x_hat, p.step_symbols[:3 if noisy else 2])
+    explicit = inputs[0]
     inverse = _step_transform(p.grid, x_hat, x, inverse=True)
 
     def step(reaction, source):
         np.subtract(reaction, source, out=explicit)
-        forward()
-        np.multiply(bc, pair_hat, out=pair_hat)
-        np.multiply(a, x_hat, out=x_hat)
-        np.add(x_hat, explicit_hat, out=x_hat)
-        if noisy:
-            np.add(x_hat, noise_hat, out=x_hat)
+        update()
         inverse()
-    return noise, step
+    return (inputs[1] if noisy else None), step
 
 
 # Byte budget of one array of a block of steps (see the module docstring):
@@ -474,14 +477,19 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths: WienerPaths,
     y_hat = _dct_values(y, g.axes, out=np.empty(y.shape))
     ys_n[0] = y
     noise, step = _stepper(params, y, y_hat, noisy)
-    for n0, n1 in _blocks(nsteps, y):
+    blocks = _blocks(nsteps, y)
+    sources = np.empty((blocks[0][1],) + y.shape)
+    for n0, n1 in blocks:
+        # the block's controls, copied to the step shape
+        u_b = sources[:n1 - n0]
+        np.copyto(u_b, u_n[n0:n1])
         xi = _mode_sum(nm, dw_n[n0:n1]) if noisy else None
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(n0, n1):
+            for j in range(n1 - n0):
                 if noisy:
-                    b_increment_values(nm, y, xi[n - n0], out=noise)
-                step(psi_prime(y), u_n[n])
-                ys_n[n + 1] = y
+                    b_increment_values(nm, y, xi[j], out=noise)
+                step(psi_prime(y), u_b[j])
+                ys_n[n0 + j + 1] = y
         _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, paths.seeds)
     return ys
 

@@ -35,8 +35,7 @@ from .control import ControlProcess, EnsembleSpec, Problem, l2q_norm
 from .errors import BlowUpError, ConfigurationError, DomainError, PreconditionError
 from .grid import (
     Grid,
-    _dct,
-    _idct,
+    _node_map,
     low_pass_values,
     norm_h_values,
     norm_v_values,
@@ -602,9 +601,12 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
             = p_{n+1} - tau*(psi''(y_n) - S)*ptilde_{n+1} + tau*a1*(y_n - xQ_n),
         ptilde_n = -Lap p_n,
 
-    and is compared as it is computed, so no batch of it is stored. For
-    additive noise it differs from the transpose sweep by a one-step shift
-    of coefficients, an O(tau) gap. It is the reference of
+    and is compared as it is computed, so no batch of it is stored. A node
+    runs the transpose sweep's node map (:func:`~choc.grid._node_map`) with
+    the symbols 1/d and -lambda/d, which gives p_n and ptilde_n from the
+    right-hand side at once: on a 1D grid of at most 64 points one product.
+    For additive noise it differs from the transpose sweep by a one-step
+    shift of coefficients, an O(tau) gap. It is the reference of
     :func:`check_backend_consistency` and nothing else.
     """
     p = traj.params
@@ -615,12 +617,11 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
     ys = np.moveaxis(traj.ys, 1, 0)
     pts_t = np.moveaxis(ptildes, 1, 0)
     gaps = np.empty(traj.ys.shape[:1] + (p.timegrid.nsteps,))
-    # the workspace of a node, as in the transpose sweep; ptilde_n is
-    # -Lap p_n from the values of p_n, two transforms of its own
-    pv, pt, rhs, coeffs = np.zeros((4,) + ys.shape[1:])
-    implicit = np.broadcast_to(p.implicit_symbol, pv.shape).copy()
-    lam = np.broadcast_to(g.lap_symbol, pv.shape).copy()
-    for n0, n1 in reversed(_blocks(p.timegrid.nsteps, pv)):
+    # the workspace of a node, as in the transpose sweep: the right-hand
+    # side is the input of one bound node map, whose outputs are p_n and
+    # ptilde_n = -Lap p_n, zero until the first node
+    rhs, (pv, pt), node = _node_map(g, ys.shape[1:], p.node_symbols)
+    for n0, n1 in reversed(_blocks(p.timegrid.nsteps, rhs)):
         # the block's tau*(psi''(y_n) - S) and tau*a1*(y_n - xQ_n)
         coef = tau * (p.potential.psi_second(ys[n0:n1]) - s)
         forcing = tau * (a1 * (ys[n0:n1] - x_q[n0:n1, None]))
@@ -628,13 +629,8 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
             np.multiply(coef[j], pt, out=rhs)
             np.subtract(pv, rhs, out=rhs)
             np.add(rhs, forcing[j], out=rhs)
-            _dct(rhs, axes, out=coeffs)
-            np.divide(coeffs, implicit, out=coeffs)
-            _idct(coeffs, axes, out=pv)
-            _dct(pv, axes, out=coeffs)
-            np.multiply(lam, coeffs, out=coeffs)
-            _idct(coeffs, axes, out=pt)
-            np.negative(pt, out=pt)
+            node()
+            # the node has read rhs, which now holds the gap
             np.subtract(pts_t[n0 + j], pt, out=rhs)
             np.square(rhs, out=rhs)
             gaps[:, n0 + j] = np.sum(rhs, axis=axes)

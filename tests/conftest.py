@@ -7,7 +7,6 @@ per-step sweep oracles do transform: they pin the bits of the sweeps'
 workspace to the step formulas written one allocated array at a time.
 """
 
-import math
 import tracemalloc
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -24,7 +23,15 @@ from choc import (
     double_well,
     multiplicative_noise,
 )
-from choc.grid import _dct, _idct, _step_transform, lap_values, low_pass_values
+from choc.grid import (
+    _dct,
+    _idct,
+    _node_map,
+    _step_map,
+    _step_transform,
+    lap_values,
+    low_pass_values,
+)
 from choc.physics import _mode_sum
 from choc.state import StateParams
 
@@ -114,8 +121,8 @@ def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
         y_n = traj.ys[:, n]
         rhs = (pv - tau * (p.potential.psi_second(y_n) - p.stabilization) * pt
                + tau * (a1 * (y_n - x_q[n])))
-        pv = _idct(_dct(rhs, g.axes) / p.implicit_symbol, g.axes)
-        pt = ptildes[:, n] = -lap_values(g, pv)
+        pv, pt = node_map(g, rhs, p.node_symbols)
+        ptildes[:, n] = pt
     return ptildes
 
 
@@ -126,8 +133,10 @@ def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
 #
 # - FORMULAS, the sweeps' formulas in coefficient space with the symbols of
 #   StateParams.step_symbols, whose c drops the zero mode of mean-free noise,
-#   transformed as the sweeps' steps are (step_transform): the sweeps must
-#   give their bits;
+#   and StateParams.node_symbols, through the maps the sweeps bind
+#   (step_map, node_map, step_transform), on a short 1D axis with the
+#   symbols folded into the cosine matrices: the sweeps must give their
+#   bits;
 # - REFERENCE_FORMULAS, the scheme as its equations read: the noise projected
 #   to zero mean in physical space, the right-hand side x + tau*Lap(...) +
 #   noise divided by the implicit symbol, and DB* with the mean of p summed
@@ -137,7 +146,8 @@ def continuous_ptildes(traj, x_q: np.ndarray, a1: float) -> np.ndarray:
 class StepFormulas(NamedTuple):
     """One step of each sweep: the noise increment B(y) dw and DB(y)[z] dw
     that a step takes, ``step`` (returns x_next and its coefficients), and
-    an adjoint ``node`` (returns p_n, ptilde_n and the mean of p_n)."""
+    an adjoint ``node`` (returns p_n, ptilde_n and Pi p_n, p_n less its
+    grid mean)."""
 
     noise: Callable
     dnoise: Callable
@@ -178,27 +188,38 @@ def step_transform(g: Grid, x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out
 
 
+def step_map(g: Grid, x_hat: np.ndarray, symbols: np.ndarray, inputs) -> np.ndarray:
+    """The map a sweep's step applies, s_0 x_hat + sum_k s_k DCT(inputs[k]),
+    into a new array."""
+    out = np.array(x_hat, dtype=np.float64)
+    arrays, run = _step_map(g, out, symbols)
+    for array, x in zip(arrays, inputs, strict=True):
+        np.copyto(array, x)
+    run()
+    return out
+
+
+def node_map(g: Grid, x: np.ndarray, symbols: np.ndarray, project: bool = False):
+    """The outputs of a sweep's node map of ``x``, IDCT(s_k DCT(x)) for each
+    symbol and, when ``project``, the first less its grid mean, as new
+    arrays."""
+    array, outputs, run = _node_map(g, x.shape, symbols, project)
+    np.copyto(array, x)
+    run()
+    return tuple(out.copy() for out in outputs)
+
+
 def _step(x, x_hat, reaction, source, noise, p: StateParams):
     """x_hat <- a x_hat + b DCT(reaction - source) + c DCT(noise)."""
-    g = p.grid
-    a, b, c = p.step_symbols
-    x_next_hat = a * x_hat + b * step_transform(g, reaction - source)
-    if noise is not None:
-        x_next_hat = x_next_hat + c * step_transform(g, noise)
-    return step_transform(g, x_next_hat, inverse=True), x_next_hat
+    inputs = [reaction - source] + ([] if noise is None else [noise])
+    x_next_hat = step_map(p.grid, x_hat, p.step_symbols[:1 + len(inputs)], inputs)
+    return step_transform(p.grid, x_next_hat, inverse=True), x_next_hat
 
 
 def _node(costate, p: StateParams):
-    """p_n and ptilde_n from the coefficients of P_{n+1} times 1/d and
-    -lambda/d; the mean of p_n is its zero coefficient over sqrt(size)."""
-    g = p.grid
-    d = p.implicit_symbol
-    costate_hat = step_transform(g, costate)
-    p_hat = (1.0 / d) * costate_hat
-    zero = (Ellipsis,) + (slice(0, 1),) * g.ndims
-    return (step_transform(g, p_hat, inverse=True),
-            step_transform(g, (-g.lap_symbol / d) * costate_hat, inverse=True),
-            p_hat[zero] / math.sqrt(g.size))
+    """p_n, ptilde_n and Pi p_n from P_{n+1} by the symbols 1/d and
+    -lambda/d, in one node map."""
+    return node_map(p.grid, costate, p.node_symbols, project=True)
 
 
 def _noise_reference(nm, y, xi):
@@ -231,7 +252,7 @@ def _node_reference(costate, p: StateParams):
     g = p.grid
     p_hat = _dct(costate, g.axes) / p.implicit_symbol
     p_n = _idct(p_hat, g.axes)
-    return p_n, _idct(-g.lap_symbol * p_hat, g.axes), path_mean(g, p_n)
+    return p_n, _idct(-g.lap_symbol * p_hat, g.axes), p_n - path_mean(g, p_n)
 
 
 FORMULAS = StepFormulas(_noise, _dnoise, _step, _node)
@@ -310,12 +331,12 @@ def sweep_adjoint_oracle(ys, paths, xq, xt, alphas, p: StateParams,
         forcing = (tau * (a1 * (y_n - (xq[:, n] if per_path_q else xq[n])))
                    if a1 != 0.0 else zero)
         coef = tau * (p.potential.psi_second(y_n) - p.stabilization)
-        p_n, pt_n, p_mean = formulas.node(costate, p)
+        p_n, pt_n, pi_p = formulas.node(costate, p)
         pts[:, :, n] = pt_n
         costate = forcing + p_n - coef * pt_n
         if noisy:
             rho_xi = nm.rho_prime(y_n) * _mode_sum(nm, dw[n])
-            costate = costate + rho_xi * (p_n - p_mean)
+            costate = costate + rho_xi * pi_p
     return pts.reshape(ys.shape)
 
 

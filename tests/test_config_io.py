@@ -461,29 +461,29 @@ def test_cli_linearize_and_adjoint(tmp_path):
                for p in sorted(out2.iterdir()) if p.name != "manifest.json"}
     assert digests == {
         "adjoint_000000.chs":
-            "b530e9b89fd8c28ca45d6526a40809069d17ac745cebdb9d5b7bf48aab6ff855",
+            "603a26d538361170e0611eb40b340bb80ad69c5da90c6131e114747603cf121b",
         "adjoint_000001.chs":
-            "a29c9da8c44de9ee21c4f86a129f206e19d6b2030335858afbabf4c711505296",
+            "61090e3135eb7a1c85a2cb06c8ac52199bcdaa28bb7922644d371df9ac185c3a",
         "adjoint_000002.chs":
-            "1e5c6c0f29234be36adf4ee36fd37729c3794661d30d3f42c289ebe457240693",
+            "6a9d2e37954a5cef328f8992df13211942dd751e618775040a7460a35bc2f52c",
         "adjoint_000003.chs":
-            "395774c9031a465887f73fcd359e71c6c135c57f7a538e09260ed1b60d1bdb6e",
+            "f129172bb5137363e4af1791bf91b26b34237bc8a613fa55dd86746b94469184",
         "adjoint_000004.chs":
-            "be6a8188eadf918165a4cf884d007d928ea13e8e3b323f5c1a894e650343924b",
+            "c241f113374270e85e3379059a5e239a38f8fefc2b018b5fa6965ae785723f45",
         "adjoint_000005.chs":
-            "b0ee25cb1697a79d7f9c5903c9a3b29e5b6c68bae26194343053c24ec191a2fa",
+            "741b50f4c883dbe0d8724ea70b225f3cb228e94db80a32fa80ad799bef785a38",
         "adjoint_000006.chs":
-            "cc530ef3e038d883c76b60a14e85e1019effec5433232cf3d9834c29cc22254d",
+            "5042b46563e1e451cd3ab196cdd47479aaa620c8be4a6bdae115ed445b11f738",
         "adjoint_000007.chs":
-            "39353e4a9cb6e57ef41901e9b4f798259c843a049bce3407de3624a966ae0ff2",
+            "fed52998950551346e4cfad819c1475761e26196efc622868661ba2fd067f97b",
         "adjoint_000008.chs":
-            "d711b89e630219263ef5466d0eb395024eefd8e1affcf1fe1f8c375f5a1970df",
+            "59d56e22973e5477a4fd7b18c36d40e73a4c15540b3968d3acb8664064e16cf6",
         "adjoint_000009.chs":
-            "355628d46cb3e445ebc8eb6ded697a375cdbfa57925147eece2f6932888212ed",
+            "7514eaa73c5362e39ede3aad1504a3e803e69f6bc9460ec75f64d3159c5a20c9",
         "adjoint_000010.chs":
-            "0cc8e72e1905ad35a05d24a885492dc315c3a077c833c2084b734e8d692a8282",
+            "5e6b8d11360030fbff49b3cbfe89c635c5d2486bc1a60ff1524526dbf2f1cc1f",
         "duality.json":
-            "0b3785dbbbfb8d9de75cfda19a017e05c9e6fa89dd93959ca7a5111698522e5b",
+            "5094ef55cd3cc8386c5dd24dbc05a9014fed0db460a01b0dcf7cc6f0e409ed33",
     }
 
 
@@ -531,6 +531,18 @@ def test_cli_optimize_never_converges_on_an_overflowing_norm(tmp_path, capsys, w
     assert np.isfinite(summary["projection_residual"])
 
 
+def test_cli_optimize_refuses_a_starting_cost_that_is_not_finite(tmp_path, capsys):
+    # the run once exited 0 with "cost inf -> inf; gradient map nan" and a
+    # manifest of Infinity and NaN; now it is a usage error that writes nothing
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text(TINY.replace("[cost]\n", "[cost]\nalpha2 = 1e308\nx_t = constant:100\n"))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: the starting cost is not finite: ensemble path 0 ")
+    assert not out.exists()
+
+
 def test_cli_verify_tiny_subset(tmp_path):
     cfg = _write_tiny(tmp_path)
     out = tmp_path / "ver"
@@ -558,13 +570,13 @@ def test_cli_verify_full_suite_small(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
     assert digests == {
         "check_backend_consistency.json":
-            "14d90e4d2b4db58d75fc20ec3d1566195fa5f58ac790a6aeb720e4717ff0024b",
+            "e0c2fb0761159d626a3b2e847c83f86daafb020f04be6c06278ebaac6d891050",
         "check_duality.json":
-            "2602141f553c10e0353a12e68cea8b12f2864cf0a3ba77206a4ad04fb620a9a3",
+            "1f8c7bfb343248a8095e7c55a43e0431ecc692718570ab5e212ea7a4624c9be7",
         "check_gateaux.json":
-            "6c3f1b2da71f47830059374a6c5e9e63e9ce37d8c8edc4e856e8d6494c669d7f",
+            "da5edb94b6f33486ec904a2c764987c5f7978cf7da1005adb5611da1f98a9669",
         "check_lipschitz.json":
-            "e89583142f96e731030c3dbf56f381304c20ee295003ad6f6820188a7ec781c8",
+            "b80865660a851980ed2e98d2cc86f491659fe86abac3d579971d70fa8f2818ee",
         "check_mass_conservation.json":
             "e686b4bf0a09059d90971bfb2b44bf7fba4c0e1db6c2a3982943299064083afc",
         "check_moment_bounds.json":

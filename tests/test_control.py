@@ -7,6 +7,7 @@ from choc import (
     BlowUpError,
     ConfigurationError,
     ControlProcess,
+    DomainError,
     EnsembleSpec,
     Grid,
     OptimizerOptions,
@@ -204,9 +205,9 @@ def test_given_states_change_no_bits():
 @pytest.mark.parametrize("npaths", [1, 3])
 def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     # given u's states, the gradient is one adjoint sweep for all paths:
-    # 2 transforms for the terminal ptilde and 2 per node (the costate
-    # forward, then the coefficients of p_n and of ptilde_n inverted in one
-    # call on the stacked pair); reading the stored ptilde afterwards makes
+    # 2 transforms for the terminal ptilde and 1 per node (on this short 1D
+    # axis one product of the costate with the folded 1/d and -lambda/d
+    # gives p_n and ptilde_n); reading the stored ptilde afterwards makes
     # none
     problem, es = _problem(npaths=npaths)
     u = _smooth_control(problem, 3)
@@ -221,7 +222,7 @@ def test_gradient_reads_the_stored_ptilde(monkeypatch, npaths):
     monkeypatch.setattr(choc.control, "solve_adjoint", kept)
     calls = _count_transforms(monkeypatch)
     gradient(u, es, problem, states=states)
-    assert len(calls) == 2 + 2 * nsteps
+    assert len(calls) == 2 + nsteps
     (adj,) = adjoints
     del calls[:]
     assert adj.ptildes.shape == states.ys.shape
@@ -323,16 +324,16 @@ def test_optimize_history_golden():
     # gradient and for the residual; reusing the trajectories moves no bit.
     # The last bits are those of the steps in coefficient space, with the
     # noise projection as the zero mode of the symbol c, and of the sweeps'
-    # cosine transforms as products with the cosine matrix. Two of the five
-    # trials backtrack.
+    # cosine transforms as products with the cosine matrix, into which the
+    # steps' and nodes' symbols are folded. Two of the five trials backtrack.
     problem, es = _problem()
     u0 = _smooth_control(problem, 3)
     res = optimize(u0, es, problem, OptimizerOptions(tol=1e-300, max_iter=3,
                                                      eta0=16.0))
     assert [c.hex() for c in res.cost_history] == [
-        "0x1.161d0b682a2e7p-6", "0x1.c4b5ac72f6a88p-7",
-        "0x1.2fb8cf026d559p-7", "0x1.1c225ec567e97p-7"]
-    assert res.projection_residual.hex() == "0x1.fef20647839a1p-1"
+        "0x1.161d0b682a2e7p-6", "0x1.c4b5ac72f6a85p-7",
+        "0x1.2fb8cf026d558p-7", "0x1.1c225ec567e98p-7"]
+    assert res.projection_residual.hex() == "0x1.fef20647839a8p-1"
     assert res.projection_residual == optimality_residual(res.control, es, problem)
     assert len(res.cost_stderr_history) == len(res.cost_history)
     assert res.cost_stderr_history[0] == reduced_cost(u0, es, problem)[1]
@@ -428,9 +429,9 @@ npaths = 2
 
 
 @pytest.mark.parametrize("weight, sweeps, cost, gmap, residual", [
-    ("alpha1 = 1e160", 3, "0x1.04b61b6833540p+519", "0x1.fffffffffffffp-1", "0x1.0p+0"),
-    ("alpha1 = 1e308", 2, "0x1.97c928db17f32p+1010", "0x1.0p+0", "0x1.0p+0"),
-    ("alpha2 = 1e300", 2, "0x1.2b4059e3b651ap+992", "0x1.0p+0", "0x1.fffffffffffffp-1"),
+    ("alpha1 = 1e160", 3, "0x1.04b61b683353ep+519", "0x1.fffffffffffffp-1", "0x1.0p+0"),
+    ("alpha1 = 1e308", 2, "0x1.97c928db17f2ep+1010", "0x1.0p+0", "0x1.0p+0"),
+    ("alpha2 = 1e300", 2, "0x1.2b4059e3b6518p+992", "0x1.0p+0", "0x1.fffffffffffffp-1"),
     # the trials blow up: each reuse counts as a blow-up rejection
     ("alpha1 = 1e160\nx_q = constant:1\nx_t = constant:1\n[control]\nc0 = 1e9", 2,
      "0x1.9023015cd4cd1p+523", "0x1.dcd64ffffffffp+29", "0x1.dcd64ffffffffp+29"),
@@ -456,6 +457,22 @@ def test_optimize_reuses_a_repeated_trial(monkeypatch, weight, sweeps, cost, gma
     assert res.cost_history == [float.fromhex(cost)]
     assert res.gradient_map_history == [float.fromhex(gmap)]
     assert res.projection_residual == float.fromhex(residual)
+
+
+def test_optimize_refuses_a_starting_cost_that_is_not_finite(monkeypatch):
+    # alpha2 = 1e308 against a far terminal target puts every path's cost
+    # past the float range: a named error before any gradient is taken, with
+    # no warning (pytest makes warnings errors)
+    heavy = "alpha2 = 1e308\nx_t = constant:100"
+    build = build_problem(parse_config(_HEAVY_CONFIG.format(weight=heavy)))
+
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("a gradient was taken")
+    monkeypatch.setattr(choc.control, "gradient", no_gradient)
+    seed = build.ensemble.path_seed(0)
+    with pytest.raises(DomainError, match=rf"starting cost is not finite: ensemble "
+                                          rf"path 0 \(Wiener path seed {seed}\) has cost inf"):
+        optimize(build.u0, build.ensemble, build.problem, build.optimizer)
 
 
 # Synthetic targets from a reference control 8 times the radius: the ball binds.

@@ -20,6 +20,8 @@ from choc.grid import (
     _PRODUCT_POINTS,
     _dct,
     _idct,
+    _node_map,
+    _step_map,
     _step_transform,
     field_array,
     grad_norm_sq_values,
@@ -240,30 +242,67 @@ def test_step_transform_keeps_scipy_bits_on_long_axes(rng, monkeypatch, shape, r
         assert out.tobytes() == _public(x, g.axes, inverse).tobytes()
 
 
+def _bound_maps(g, x, symbols):
+    """Every map a sweep binds on ``g``, bound to new arrays that hold
+    ``x``: the two step transforms, the step map and the node map with its
+    projection. Returns (runs, results): runs[i]() writes results[i]."""
+    runs, results = [], []
+    for inverse in (False, True):
+        out = np.empty(x.shape)
+        runs.append(_step_transform(g, x, out, inverse))
+        results.append((out,))
+    x_hat = np.empty(x.shape)
+    inputs, update = _step_map(g, x_hat, symbols)
+
+    def step_map():
+        np.copyto(x_hat, x)
+        for array in inputs:
+            np.copyto(array, x)
+        update()
+    runs.append(step_map)
+    results.append((x_hat,))
+    source, outputs, node = _node_map(g, x.shape, symbols[:2], project=True)
+    np.copyto(source, x)
+    runs.append(node)
+    results.append(outputs)
+    return runs, results
+
+
+def _direct_bits(g, x, symbols):
+    runs, results = _bound_maps(g, x, symbols)
+    for run in runs:
+        run()
+    return [[out.tobytes() for out in outs] for outs in results]
+
+
 @pytest.mark.parametrize("shape", [(64,), (19,), (8, 6), (17, 19), (8, 70), (128,)])
 @pytest.mark.parametrize("refused", [False, True])
 def test_step_transform_interposed_is_bitwise_direct(rng, monkeypatch, shape, refused):
     # with the public names wrapped, as a trace wraps them, every call of a
-    # bound transform goes through them once and gives the direct route's
-    # bits, also where a long axis falls back to scipy's public path
+    # bound transform or map goes through them, once per transform call (a
+    # folded map is one), and gives the direct route's bits, also where a
+    # long axis falls back to scipy's public path
     if refused:
         monkeypatch.setattr(grid_module, "_KERNEL_BITWISE", False)
     g = Grid(shape)
     x = rng.standard_normal((2, 3) + shape)
-    direct = [step_transform(g, x, inverse) for inverse in (False, True)]
+    symbols = rng.uniform(-1.0, 1.0, (3,) + shape)
+    direct = _direct_bits(g, x, symbols)
     calls = []
     for name in ("dctn", "idctn"):
-        def counted(*args, _original=getattr(scipy.fft, name), **kwargs):
-            calls.append(1)
+        def counted(*args, _name=name, _original=getattr(scipy.fft, name), **kwargs):
+            calls.append(_name)
             return _original(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
-    for inverse, expected in zip((False, True), direct):
-        out = np.empty(x.shape)
-        run = _step_transform(g, x, out, inverse)
+    runs, results = _bound_maps(g, x, symbols)
+    node_calls = ["dctn"] if grid_module._folds(g) else ["dctn", "idctn"]
+    for run, outs, expected, made in zip(runs, results, direct,
+                                         (["dctn"], ["idctn"], ["dctn"], node_calls)):
         for _ in range(2):
+            del calls[:]
             run()
-            assert out.tobytes() == expected.tobytes()
-    assert len(calls) == 4
+            assert calls == made
+            assert [out.tobytes() for out in outs] == expected
 
 
 def test_step_transform_takes_contiguous_float_arrays():
@@ -277,22 +316,37 @@ def test_step_transform_takes_contiguous_float_arrays():
 
 _THREAD_PROBE = """
 import hashlib, numpy as np
-from choc.grid import Grid, _step_transform
+from choc.grid import Grid, _node_map, _step_map, _step_transform
 rng = np.random.default_rng(3)
 digest = hashlib.sha256()
 for shape, rows in ([((n,), 40) for n in range(4, 65)]
+                    + [((n,), 1) for n in (17, 18, 19, 57, 64)]
                     + [((64,), 400), ((64, 64), 16), ((12, 10), 5)]):
+    g = Grid(shape)
     x = rng.standard_normal((rows,) + shape)
+    symbols = rng.uniform(-1.0, 1.0, (3,) + shape)
     for inverse in (False, True):
         out = np.empty(x.shape)
-        _step_transform(Grid(shape), x, out, inverse)()
+        _step_transform(g, x, out, inverse)()
+        digest.update(out.tobytes())
+    x_hat = x.copy()
+    inputs, update = _step_map(g, x_hat, symbols)
+    for array, values in zip(inputs, rng.standard_normal((2,) + x.shape)):
+        array[...] = values
+    update()
+    digest.update(x_hat.tobytes())
+    source, outputs, node = _node_map(g, x.shape, symbols[:2], project=True)
+    source[...] = x
+    node()
+    for out in outputs:
         digest.update(out.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_step_transform_bits_do_not_depend_on_blas_threads():
-    # BLAS may split a product over threads; the bits must not move
+    # BLAS may split a product over threads; the bits must not move, in the
+    # step transforms or in the maps that fold the symbols into them
     src = str(Path(grid_module.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):

@@ -8,15 +8,15 @@ Each oracle computes the same quantity the way its definition reads:
 - the increment fields of a block of steps one step at a time, where the
   sweeps compute a block of them with one mode sum;
 - psi'(r) = r^3 - r through ``**``, where the double well multiplies;
-- ptilde_n = -Lap p_n from the values of p_n, where the adjoint sweep
-  transforms the coefficients of p_n that it already holds;
+- ptilde_n = -Lap p_n from the values of p_n, where the adjoint sweep's
+  node map gives it from P_{n+1} through the symbol -lambda/d;
 - the checks' ensemble means and time sums as Python loops in path and
   step order, where the checks let numpy sum;
 - the continuous reference ptilde stored and its gap to the transpose taken
   by ``series_l2h_norm``, where the backend check compares it node by node;
 - the state, linearized and adjoint steps as formulas that allocate every
-  result and transform each array on its own, where the sweeps write into a
-  workspace and transform stacked pairs: these agree bit for bit;
+  result and run the grid's step and node maps on new arrays, where the
+  sweeps bind those maps to a workspace once: these agree bit for bit;
 - the same steps as the scheme's equations read, with the noise projected
   in physical space and the right-hand side divided by the implicit symbol,
   where the sweeps step in coefficient space with three symbols.
@@ -221,7 +221,7 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
                    - tau * (c_n - p.stabilization) * ptildes[n]
                    + db_adjoint_scaled_values(
                        p.noise, p.noise.rho_prime(ys[n]) * _mode_sum(p.noise, dws[n]),
-                       p_n, path_mean(g, p_n)))
+                       p_n - path_mean(g, p_n)))
     return ptildes
 
 
@@ -325,7 +325,7 @@ SWEEP_CASES = pytest.mark.parametrize(
 
 @SWEEP_CASES
 def test_sweeps_are_bitwise_the_per_step_formulas(ndims, kind, ncontrols):
-    # the sweeps' steps in a workspace, with stacked transforms, against the
+    # the sweeps' steps in a workspace, with maps bound once, against the
     # steps that allocate every result: the same bits for every row, with
     # shared and per-path targets
     p, y0, controls, directions, paths, targets = sweep_case(ndims, kind, ncontrols)

@@ -59,7 +59,7 @@ def project(g, v: np.ndarray) -> np.ndarray:
 def apply_DB_adjoint(nm, y: np.ndarray, p: np.ndarray, dw) -> np.ndarray:
     """(Pi DB(y))^T applied to p for the increments dw."""
     return db_adjoint_scaled_values(nm, nm.rho_prime(y) * increment_field(nm, dw),
-                                    p, zero_coefficient_mean(nm.grid, p))
+                                    p - zero_coefficient_mean(nm.grid, p))
 
 
 # --- potential -------------------------------------------------------------

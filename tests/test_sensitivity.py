@@ -127,8 +127,9 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-# a step transforms its explicit term and its noise increment in one call on
-# the stacked pair, the explicit term alone without noise, then inverts once
+# a step transforms its explicit term and its noise increment in one call,
+# on this short 1D axis one product with the folded symbols (b, c) that sums
+# the pair, the explicit term alone without noise, then inverts once
 @pytest.mark.parametrize("noise_kind, per_step", [("multiplicative", 2), ("none", 2)])
 def test_linearized_runs_the_state_step(small_params, rng, monkeypatch, noise_kind,
                                         per_step):

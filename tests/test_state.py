@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import choc.sensitivity
+import choc.state
 from choc import (
     BlowUpError,
     ConfigurationError,
@@ -23,10 +25,12 @@ from choc import (
 from choc.errors import DomainError, ShapeError
 from choc.grid import _dct, low_pass_values, norm_h_values
 from choc.physics import _mode_sum, additive_noise, b_increment_values, no_noise
+from choc.sensitivity import _sweep_linearized
 from choc.state import (
     StateParams,
     _energy_values,
     _stepper,
+    _sweep_state,
     aggregate_increments,
 )
 
@@ -290,6 +294,40 @@ def test_step_carries_the_zero_mode_exactly(ndims, kind):
         assert np.all(np.abs(y_hat[zero] - before) > 1e-6)
     else:
         assert np.array_equal(y_hat[zero], before)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+@pytest.mark.parametrize("shape", [(64,), (17,), (128,), (8, 6)])
+def test_sweeps_carry_the_zero_coefficient_at_every_step(monkeypatch, shape, kind):
+    # with mean-free noise, b's and c's zero modes are 0 (a zero column of a
+    # folded factor) and a's is 1: every step of the state and linearized
+    # sweeps leaves yhat's zero coefficient bitwise as the sweep began it
+    g = Grid(shape)
+    modes = [(1,) * g.ndims, (2,) + (0,) * (g.ndims - 1)]
+    make = additive_noise if kind == "additive" else multiplicative_noise
+    p = StateParams(grid=g, timegrid=TimeGrid(0.05, 30), potential=double_well(),
+                    noise=make(g, [0.3, 0.2], modes))
+    zero = (Ellipsis,) + (0,) * g.ndims
+    seen = []
+
+    def recording(params, x, x_hat, noisy):
+        noise, step = stepper(params, x, x_hat, noisy)
+        start = x_hat[zero].copy()
+
+        def recorded(reaction, source):
+            step(reaction, source)
+            seen.append(np.array_equal(x_hat[zero], start))
+        return noise, recorded
+    stepper = choc.state._stepper
+    monkeypatch.setattr(choc.state, "_stepper", recording)
+    monkeypatch.setattr(choc.sensitivity, "_stepper", recording)
+    rng = np.random.default_rng(len(shape))
+    y0 = low_pass_values(g, rng, 0.6)
+    controls = rng.standard_normal((2, 30) + shape)
+    paths = sample_wiener_paths(p.noise, p.timegrid, (4, 5, 6))
+    ys = _sweep_state(y0, controls, paths, p)
+    _sweep_linearized(ys, controls, paths, p)
+    assert len(seen) == 2 * 30 and all(seen)
 
 
 def test_blowup_raises_with_diagnostics(grid64, rng):
