@@ -32,7 +32,7 @@ from .control import optimize
 from .errors import BlowUpError, ChocError, ConfigurationError
 from .sensitivity import duality_terms, solve_adjoint, solve_linearized
 from .snapshots import write_series_csv, write_snapshot
-from .state import sample_wiener_paths, solve_state
+from .state import sample_wiener_paths, solve_state, target_values
 from .verify import (
     _duality_residual,
     check_backend_consistency,
@@ -170,7 +170,11 @@ def _duality_summary(build: BuildResult, path_index: int) -> dict:
     problem = build.problem
     traj = _solve_path(build, path_index)
     h = _default_direction(build)
-    x_q, x_t = problem.target_q(path_index), problem.target_t(path_index)
+    p = problem.params
+    # the path's slice of the targets, in the shape every reader takes
+    targets = target_values(problem.x_q, problem.x_t, problem.alphas, p.timegrid,
+                            p.grid, build.ensemble.npaths)
+    x_q, x_t = (None if x is None else x[path_index:path_index + 1] for x in targets)
     lin = solve_linearized(traj, h.values)
     adj = solve_adjoint(traj, x_q, x_t, problem.alphas)
     lhs, rhs = duality_terms(traj, lin, adj, h.values, x_q, x_t, problem.alphas)

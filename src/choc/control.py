@@ -146,7 +146,8 @@ class Problem:
     The initial datum is one field, an array of shape grid.shape whose
     values are finite. Targets may be shared across paths (shapes
     (nsteps, *grid) / (*grid)) or per path (leading npaths axis), as
-    produced by the synthetic target generator.
+    produced by the synthetic target generator; every reader takes them
+    through :func:`~choc.state.target_values`, with a leading path axis.
     """
 
     params: StateParams
@@ -163,19 +164,6 @@ class Problem:
             raise DomainError(f"cost weights must be nonnegative, got {self.alphas}")
         object.__setattr__(self, "y0", field_array(self.params.grid, self.y0,
                                                    "initial datum"))
-
-    def target_q(self, i: int):
-        if self.x_q is None:
-            return None
-        xq = np.asarray(self.x_q)
-        base_ndim = 1 + self.params.grid.ndims
-        return xq[i] if xq.ndim == base_ndim + 1 else xq
-
-    def target_t(self, i: int):
-        if self.x_t is None:
-            return None
-        xt = np.asarray(self.x_t)
-        return xt[i] if xt.ndim == self.params.grid.ndims + 1 else xt
 
     def zero_control(self) -> ControlProcess:
         return ControlProcess.zeros(self.params.grid, self.params.timegrid)

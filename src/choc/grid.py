@@ -17,55 +17,42 @@ steppers a single diagonal division in coefficient space.
 
 A field is a float64 array of shape ``grid.shape``; data enters through
 :func:`field_array`, which checks the shape and that every value is finite.
-The operators below take arrays whose leading axes are a batch (time steps,
-paths), and each field of a batch gets the bits of its own operation.
+The operators below (the Laplacian, the norms, prolongation and the random
+initial data) take arrays whose leading axes are a batch (time steps,
+paths). The time steppers transform through maps they bind once per sweep
+to a workspace: :func:`_step_transform`, :func:`_step_map` (a step's
+forward half, which multiplies by the step's cosine-space symbols) and
+:func:`_node_map` (an adjoint node).
 
-These operators (the Laplacian, the norms, prolongation and the random
-initial data) transform through :func:`_dct`/:func:`_idct`. In 1D
-most of the time of ``scipy.fft.dctn`` is Python dispatch around its
-pocketfft kernel, so the two call that kernel directly, with the arguments
-``dctn`` and ``idctn`` pass it, when both of these hold:
+The module keeps these invariants:
 
-- an import-time probe found the kernel bitwise equal to ``dctn``/``idctn``,
-  forward and inverse, on a 1D, a 2D and a batched array. The kernel is a
-  private scipy name, and a scipy release may rename it or change what it
-  computes; then every transform takes the public path, with the same bits.
-- ``scipy.fft.dctn`` (for :func:`_idct`, ``idctn``) is still the function
-  scipy shipped. Code that interposes on the public name, such as a trace
-  that counts transforms, then sees every one of them.
+- Each field of a batch gets the bits of its own operation, whatever else
+  shares the batch.
+- The zero coefficient is carried exactly: where a step's symbol has a zero
+  mode of 0, the coefficient it gives there is exactly 0.
+- Every rule that picks a route is stated here once:
+  :func:`_cosine` takes the pocketfft kernel when an import-time probe
+  found it bitwise equal to ``scipy.fft.dctn``/``idctn`` and scipy's public
+  transform otherwise; :func:`_takes_products` gives a step products with
+  cached cosine matrices when every axis has at most ``_PRODUCT_POINTS``
+  points and the kernel on all axes otherwise; :func:`_folds` folds the
+  step's symbols into those matrices on a 1D grid; :func:`_factor` is the
+  one cache of product factors; and :func:`_rows_product` is the one
+  binder of a product, in which BLAS never sees a single row and always
+  writes whole column panels.
+- A transform stays visible to code that interposes on scipy's public
+  names, such as a trace that counts transforms: while ``scipy.fft.dctn``
+  or ``idctn`` is not scipy's own, the operators call that name, and a
+  bound map calls it inside ``scipy.fft.set_backend`` with a
+  :class:`_StepBackend` that runs the same plan, so the bits do not move.
 
-Both take ``out=``: the kernel writes the result into it, the public path
-copies it there.
-
-The time steppers transform through :func:`_step_transform` instead, bound
-once per sweep to a workspace they allocate once. An axis of at most
-``_PRODUCT_POINTS`` = 64 points is a matrix product with the cached
-orthonormal DCT-II matrix C (C^T forward, C inverse along the last axis; on
-a 2D grid one product per axis, through a workspace); a longer axis keeps
-the pocketfft kernel, which wins from 128 points. When ``scipy.fft.dctn`` or
-``idctn`` is not scipy's own as a sweep binds, the bound transform calls
-that public name inside ``scipy.fft.set_backend`` with a :class:`_StepBackend`,
-whose ``__ua_function__`` runs the same product: an interposer sees every
-call, and the result has the bits of the direct route.
-
-Each field of a batch gets the bits of its own product: BLAS never sees a
-single row, and a product along the last axis writes whole column panels
-(``_PANEL``).
-
-The steps multiply coefficients by cosine-space symbols through two bound
-maps, :func:`_step_map` (a step's forward half) and :func:`_node_map` (an
-adjoint node). On a 1D grid of at most ``_PRODUCT_POINTS`` points
-(:func:`_folds`, the one place that decides) each is one product with the
-symbols folded into the cached matrices, one transform call; elsewhere the
-maps transform, multiply and add in the order the steps always had, so a
-2D grid or a longer axis keeps its bits.
-
-The operators keep the kernel for accuracy. A product leaves the
-coefficients of a constant that should be 0 at rounding level, and the
-Laplacian scales them by up to 4/h^2: through products, the Laplacian of
-the constant 3.7 on 64 points reads 8.2e-11 where the kernel gives 0.
-Inside a step every product output is scaled by a bounded symbol (b, c,
-1/d or lambda/d).
+Why two routes: in 1D most of the time of a transform call is Python
+dispatch, which the bound products skip. The operators keep the kernel for
+accuracy. A product leaves the coefficients of a constant that should be 0
+at rounding level, and the Laplacian scales them by up to 4/h^2: through
+products, the Laplacian of the constant 3.7 on 64 points reads 8.2e-11
+where the kernel gives 0. Inside a step every product output is scaled by
+a bounded symbol.
 """
 
 from __future__ import annotations
@@ -97,10 +84,10 @@ except ImportError:
     _pocketfft_dct = None
 
 # The public transforms as scipy shipped them. While scipy.fft.dctn/idctn
-# are these, _dct/_idct take the kernel and a bound step transform runs its
-# product directly; otherwise both call the public name, which an
-# interposer (a trace that counts transforms) wraps, and a step transform
-# runs its product inside that call through _StepBackend.
+# are these, _dct/_idct take _cosine and a bound step transform runs its
+# plan directly; otherwise both call the public name, which an interposer
+# (a trace that counts transforms) wraps, and a step transform runs its
+# plan inside that call through _StepBackend.
 _DCTN, _IDCTN = _fft.dctn, _fft.idctn
 
 
@@ -135,44 +122,68 @@ def _kernel_is_bitwise() -> bool:
 _KERNEL_BITWISE = _kernel_is_bitwise()
 
 
-def _dct(values: np.ndarray, axes=None, out=None) -> np.ndarray:
-    """Orthonormal cosine transform over ``axes`` (all axes when None); the
-    zero coefficient is the grid mean times sqrt(total point count).
-
-    ``out``, a float64 array of the shape of ``values`` that does not
-    overlap it, receives the coefficients and is returned: the kernel writes
-    them there, the public path copies them. Either way they have the bits
-    of the call without ``out``.
-    """
-    if _KERNEL_BITWISE and _fft.dctn is _DCTN:
-        return _kernel(values, 2, axes, out)
-    return _into(out, _fft.dctn(values, type=2, norm="ortho", axes=axes))
-
-
-def _idct(coeffs: np.ndarray, axes=None, out=None) -> np.ndarray:
-    """Inverse of :func:`_dct`; ``out`` as there."""
-    if _KERNEL_BITWISE and _fft.idctn is _IDCTN:
-        return _kernel(coeffs, 3, axes, out)
-    return _into(out, _fft.idctn(coeffs, type=2, norm="ortho", axes=axes))
-
-
-def _into(out, result: np.ndarray) -> np.ndarray:
-    """``result``, copied into ``out`` and returned as it when ``out`` is
-    given."""
+def _cosine(x, kind: int, axes, out=None) -> np.ndarray:
+    """The orthonormal cosine transform of type ``kind`` (2 forward, 3
+    inverse) over ``axes`` of ``x``: the pocketfft kernel when the probe
+    accepted it, scipy's own public transform otherwise (inside a public
+    call of a bound map, its :class:`_StepBackend` declines this call).
+    The kernel is a private scipy name that a release may rename or change;
+    then every transform takes the public path, with the same bits. The
+    result goes into ``out`` when it is given, with the same bits."""
+    if _KERNEL_BITWISE:
+        return _kernel(x, kind, axes, out)
+    result = (_DCTN if kind == 2 else _IDCTN)(x, type=2, norm="ortho", axes=axes)
     if out is None:
         return result
     out[...] = result
     return out
 
 
+def _dct(values: np.ndarray, axes=None) -> np.ndarray:
+    """Orthonormal cosine transform over ``axes`` (all axes when None); the
+    zero coefficient is the grid mean times sqrt(total point count). It is
+    :func:`_cosine` while ``scipy.fft.dctn`` is scipy's own, and a call of
+    that public name otherwise."""
+    if _fft.dctn is _DCTN:
+        return _cosine(values, 2, axes)
+    return _fft.dctn(values, type=2, norm="ortho", axes=axes)
+
+
+def _idct(coeffs: np.ndarray, axes=None) -> np.ndarray:
+    """Inverse of :func:`_dct`, through ``scipy.fft.idctn`` likewise."""
+    if _fft.idctn is _IDCTN:
+        return _cosine(coeffs, 3, axes)
+    return _fft.idctn(coeffs, type=2, norm="ortho", axes=axes)
+
+
 # Axes of at most this many points are transformed by the time steppers as
-# products with a cached cosine matrix; longer axes keep the kernel.
+# products with a cached cosine matrix; the kernel wins from 128 points.
 _PRODUCT_POINTS = 64
-# A product along the last axis writes a multiple of this many columns.
-# OpenBLAS' dgemm takes the columns in panels of 8 (Haswell kernels), and a
-# short last panel makes a row's bits depend on how many rows share the
-# call; with full panels they do not, as the tests check.
+# BLAS writes a product's columns in panels of this many. OpenBLAS' dgemm
+# takes the columns in panels of 8 (Haswell kernels), and a short last panel
+# makes a row's bits depend on how many rows share the call; with full
+# panels they do not, as the tests check.
 _PANEL = 8
+
+
+def _takes_products(shape) -> bool:
+    """True when the steps transform fields of ``shape`` by products, every
+    axis having at most ``_PRODUCT_POINTS`` points; otherwise they take the
+    kernel (:func:`_cosine`) on all axes."""
+    return all(n <= _PRODUCT_POINTS for n in shape)
+
+
+def _folds(grid: Grid) -> bool:
+    """True when the steps fold their cosine-space symbols into the cached
+    matrices: on a 1D grid that takes products. Elsewhere they transform,
+    then multiply (:func:`_step_map`, :func:`_node_map`); the rule is here
+    alone."""
+    return grid.ndims == 1 and _takes_products(grid.shape)
+
+
+def _panels(n: int) -> int:
+    """``n`` columns rounded up to whole panels."""
+    return -(-n // _PANEL) * _PANEL
 
 
 @cache
@@ -187,79 +198,91 @@ def _cosine_matrix(n: int) -> np.ndarray:
     return c
 
 
-@cache
-def _factor(n: int, kind: int, side: str) -> np.ndarray:
-    """The contiguous factor a product of type ``kind`` (2 forward, 3
-    inverse) multiplies by along an axis of ``n`` points: on the ``right``
-    (the last axis, rows times it) C^T forward and C inverse, zero-padded to
-    a whole number of panels; on the ``left`` (axis -2) C forward and C^T
-    inverse."""
+@lru_cache(maxsize=32)
+def _factor(n: int, kind: int | str, symbols: bytes | None = None) -> np.ndarray:
+    """The factor that rows multiply along an axis of ``n`` points, with
+    whole panels of columns, from the ``symbols``, the bytes of a (k, n)
+    float64 array, one symbol s per row; None is the one symbol 1, which a
+    plain transform uses (c.T * 1.0 is bitwise c.T):
+
+    - ``kind`` 2 (forward): the blocks C^T diag(s) stacked as rows, (k n,
+      panels): a row [x_1 | ... | x_k] times it is sum_k s_k DCT(x_k), and
+      its column 0 is exactly 0 when every s_0 is;
+    - ``kind`` 3 (inverse): the blocks diag(s) C, the transposes of the
+      forward ones, stacked as rows: sum_k IDCT(s_k x_k);
+    - ``kind`` "node": the blocks C^T diag(s) C side by side, each starting
+      a panel, (n, k panels): a row x times it holds IDCT(s_k DCT(x)) in
+      block k. They are summed by einsum, not BLAS, so their bits do not
+      depend on BLAS threads.
+    """
+    syms = np.ones((1, n)) if symbols is None else np.frombuffer(symbols).reshape(-1, n)
     c = _cosine_matrix(n)
-    if side == "left":
-        out = np.ascontiguousarray(c if kind == 2 else c.T)
+    width = _panels(n)
+    if kind == "node":
+        out = np.zeros((n, len(syms) * width))
+        for k, s in enumerate(syms):
+            out[:, k * width:k * width + n] = np.einsum("ji,j,jl->il", c, s, c)
     else:
-        out = np.zeros((n, -(-n // _PANEL) * _PANEL))
-        out[:, :n] = c.T if kind == 2 else c
+        out = np.zeros((len(syms) * n, width))
+        for k, s in enumerate(syms):
+            block = c.T * s
+            out[k * n:(k + 1) * n, :n] = block if kind == 2 else block.T
     out.flags.writeable = False
     return out
 
 
-def _axes_kernel(x: np.ndarray, kind: int, axes, out: np.ndarray) -> None:
-    """The kernel of ``kind`` over ``axes`` of ``x`` into ``out``; scipy's
-    own public transform when the probe refused the kernel (inside a public
-    call of a bound map, its :class:`_StepBackend` declines this call)."""
-    if _KERNEL_BITWISE:
-        _kernel(x, kind, axes, out)
-        return
-    public = _DCTN if kind == 2 else _IDCTN
-    out[...] = public(x, type=2, norm="ortho", axes=axes)
+def _rows_product(factor: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """rows times ``factor`` into ``out``, bound: a function of no
+    arguments. ``rows`` is (r, K), ``factor`` (K, W) with W whole panels,
+    and ``out`` (r, m) with m <= W receives the first m columns.
+
+    Each row gets the bits of its own product: BLAS never sees a single row,
+    which is multiplied as the first of two (numpy hands a single row to
+    gemv, whose bits differ from the same row inside a gemm), and always
+    writes whole panels, into ``out`` itself when it has all W columns."""
+    if len(rows) > 1 and out.shape[1] == factor.shape[1]:
+        return partial(np.matmul, rows, factor, out=out)
+    src = rows if len(rows) > 1 else np.zeros((2, rows.shape[1]))
+    product = np.empty((len(src), factor.shape[1]))
+    top = product[:len(rows), :out.shape[1]]
+
+    def run():
+        if src is not rows:
+            src[0] = rows[0]
+        np.matmul(src, factor, out=product)
+        np.copyto(out, top)
+    return run
 
 
 def _last_axis(x: np.ndarray, kind: int, out: np.ndarray):
     """The product of ``kind`` along the last axis of the contiguous ``x``
     into ``out``, bound."""
     n = x.shape[-1]
-    factor = _factor(n, kind, "right")
-    rows, dst = x.reshape(-1, n), out.reshape(-1, n)
-    if len(rows) > 1 and factor.shape[1] == n:
-        return partial(np.matmul, rows, factor, out=dst)
-    # numpy hands a single row to gemv, whose bits differ from the same row
-    # inside a gemm: a single row is multiplied as the first of two
-    src = np.zeros((2, n)) if len(rows) == 1 else rows
-    product = np.empty((len(src), factor.shape[1]))
-    top = product[:len(rows), :n]
-
-    def run():
-        if src is not rows:
-            src[0] = rows[0]
-        np.matmul(src, factor, out=product)
-        np.copyto(dst, top)
-    return run
+    return _rows_product(_factor(n, kind), x.reshape(-1, n), out.reshape(-1, n))
 
 
 def _first_axis(x: np.ndarray, kind: int, out: np.ndarray):
     """The product of ``kind`` along axis -2 of the contiguous ``x`` into
-    ``out``, bound: one product per field."""
+    ``out``, bound: one product per field, by the transpose of the last
+    axis' factor (C forward, C^T inverse)."""
     n, m = x.shape[-2:]
-    return partial(np.matmul, _factor(n, kind, "left"), x.reshape(-1, n, m),
-                   out=out.reshape(-1, n, m))
+    left = np.ascontiguousarray(_factor(n, kind)[:, :n].T)
+    return partial(np.matmul, left, x.reshape(-1, n, m), out=out.reshape(-1, n, m))
 
 
 def _bound_product(x: np.ndarray, out: np.ndarray, kind: int, ndims: int):
     """The step transform of ``kind`` over the ``ndims`` trailing axes of
     ``x`` into ``out``, bound to those arrays (see
-    :func:`_step_transform`); both of its routes run this, and the rule
-    that picks a product or the kernel per axis is here alone."""
-    short = [n <= _PRODUCT_POINTS for n in x.shape[-ndims:]]
-    if not any(short):
-        return partial(_axes_kernel, x, kind, tuple(range(-ndims, 0)), out)
+    :func:`_step_transform`); both of its routes run this. Products where
+    the axes are short (:func:`_takes_products`), the last axis first; the
+    kernel on all of them otherwise."""
+    if not _takes_products(x.shape[-ndims:]):
+        return partial(_cosine, x, kind, tuple(range(-ndims, 0)), out)
     if ndims == 1:
         return _last_axis(x, kind, out)
     work = np.empty(x.shape)
-    last = (_last_axis(x, kind, work) if short[1]
-            else partial(_axes_kernel, x, kind, (-1,), work))
-    first = (_first_axis(work, kind, out) if short[0]
-             else partial(_axes_kernel, work, kind, (-2,), out))
+    last = _last_axis(x, kind, work)
+    first = _first_axis(work, kind, out)
 
     def run():
         last()
@@ -267,74 +290,31 @@ def _bound_product(x: np.ndarray, out: np.ndarray, kind: int, ndims: int):
     return run
 
 
-def _folds(grid: Grid) -> bool:
-    """True when the steps fold their cosine-space symbols into the cached
-    matrices: on a 1D grid of at most ``_PRODUCT_POINTS`` points. Elsewhere
-    they transform, then multiply (:func:`_step_map`, :func:`_node_map`);
-    the rule is here alone."""
-    return grid.ndims == 1 and grid.npoints[0] <= _PRODUCT_POINTS
-
-
-def _panels(n: int) -> int:
-    """``n`` columns rounded up to whole panels."""
-    return -(-n // _PANEL) * _PANEL
-
-
-@lru_cache(maxsize=32)
-def _folded_factor(n: int, symbols: bytes, node: bool) -> np.ndarray:
-    """The factor of a folded product on an axis of ``n`` points, from the
-    ``symbols``, the bytes of a (k, n) float64 array, one symbol s per row:
-
-    - for a step, the blocks C^T diag(s) stacked as rows, (k n, whole
-      panels): a row [x_1 | ... | x_k] times it is sum_k s_k DCT(x_k), and
-      its column 0 is exactly 0 when every s_0 is;
-    - for a ``node``, the blocks C^T diag(s) C side by side, each starting
-      a panel, (n, k whole panels): a row x times it holds IDCT(s_k DCT(x))
-      in block k.
-
-    The blocks are summed by einsum, not BLAS, so their bits do not depend
-    on BLAS threads."""
-    syms = np.frombuffer(symbols).reshape(-1, n)
-    c = _cosine_matrix(n)
-    width = _panels(n)
-    if node:
-        out = np.zeros((n, len(syms) * width))
-        for k, s in enumerate(syms):
-            out[:, k * width:k * width + n] = np.einsum("ji,j,jl->il", c, s, c)
-    else:
-        out = np.zeros((len(syms) * n, width))
-        for k, s in enumerate(syms):
-            out[k * n:(k + 1) * n, :n] = c.T * s
-    out.flags.writeable = False
-    return out
-
-
-def _block(buf: np.ndarray, rows: int, start: int, n: int, shape) -> np.ndarray:
-    """Columns start..start+n of the first ``rows`` rows of ``buf``, as a
-    view of ``shape``."""
-    view = buf[:rows, start:start + n].view()
+def _block(buf: np.ndarray, start: int, n: int, shape) -> np.ndarray:
+    """Columns start..start+n of ``buf``, as a view of ``shape``."""
+    view = buf[:, start:start + n].view()
     view.shape = shape          # raises rather than copy
     return view
 
 
 def _folded(grid: Grid, shape, symbols: np.ndarray, node: bool):
-    """One product with the factor :func:`_folded_factor` builds from the k
-    ``symbols`` for a step or a ``node``, bound to arrays it allocates: the
-    inputs (k for a step, 1 for a node) are the column blocks of one array,
-    and the outputs (1 for a step, k for a node), zero until it first runs,
-    the column blocks of another, each starting a panel; all are views of
-    ``shape``. Both arrays have at least two rows, so BLAS never sees a
-    single one. Returns (inputs, outputs, run), one transform call a run."""
+    """One product with the factor :func:`_factor` builds from the k
+    ``symbols`` for a step (kind 2) or a ``node``, bound to arrays it
+    allocates: the inputs (k for a step, 1 for a node) are the column blocks
+    of one array, and the outputs (1 for a step, k for a node), zero until
+    it first runs, the column blocks of another, each starting a panel; all
+    are views of ``shape``. Returns (inputs, outputs, run), one transform
+    call a run."""
     n = shape[-1]
     nrows = math.prod(shape[:-1])
-    factor = _folded_factor(n, np.ascontiguousarray(symbols).tobytes(), node)
+    factor = _factor(n, "node" if node else 2, np.ascontiguousarray(symbols).tobytes())
     ninputs, noutputs = (1, len(symbols)) if node else (len(symbols), 1)
-    src = np.zeros((max(2, nrows), ninputs * n))
-    dst = np.zeros((len(src), noutputs * _panels(n)))
-    inputs = tuple(_block(src, nrows, j * n, n, shape) for j in range(ninputs))
-    outputs = tuple(_block(dst, nrows, k * _panels(n), n, shape) for k in range(noutputs))
-    return inputs, outputs, _bound(
-        "dctn", src, dst, lambda x, out: partial(np.matmul, x, factor, out=out), grid.axes)
+    src = np.zeros((nrows, ninputs * n))
+    dst = np.zeros((nrows, factor.shape[1]))
+    inputs = tuple(_block(src, j * n, n, shape) for j in range(ninputs))
+    outputs = tuple(_block(dst, k * _panels(n), n, shape) for k in range(noutputs))
+    return inputs, outputs, _bound("dctn", src, dst, partial(_rows_product, factor),
+                                   grid.axes)
 
 
 class _StepBackend:
@@ -387,10 +367,10 @@ def _step_transform(grid: Grid, x: np.ndarray, out: np.ndarray, inverse: bool = 
     called.
 
     ``x`` and ``out`` are distinct C-contiguous float64 arrays of one shape,
-    (..., *grid.shape). An axis of at most ``_PRODUCT_POINTS`` points is a
-    product with the cached cosine matrix, a longer one the pocketfft
-    kernel (:func:`_bound_product`). Leading axes are a batch, and each
-    field of it gets the bits of its own transform. When the public
+    (..., *grid.shape). It is a product per axis with the cached cosine
+    matrices when every axis is short, the pocketfft kernel otherwise
+    (:func:`_bound_product`). Leading axes are a batch, and each field of
+    it gets the bits of its own transform. When the public
     transform is not scipy's own at binding, each call goes through it
     (:func:`_bound`), with the same bits.
     """

@@ -11,11 +11,7 @@ from z_0 = 0, so the map h -> z is linear and is the exact derivative of
 the discrete flow. In coefficient space it is zhat_{n+1} = a zhat_n +
 b DCT(C_n z_n - h_n) + c DCT(DB(y_n)[z_n] dW_n) with the state step's
 symbols (:attr:`~choc.state.StateParams.step_symbols`), whose c drops the
-zero mode of mean-free noise: that is the projection Pi. A linearized step
-makes 9 array operations on a 1D grid of at most 64 points, where (b, c)
-are folded into the forward product: 2 in DB, the reaction's product, the
-step's 5 and the copy into the stored sensitivities. Elsewhere the step
-makes 7 and the linearized step 11.
+zero mode of mean-free noise: that is the projection Pi.
 
 The adjoint is the algebraic transpose of this recursion. Writing one
 forward step as z_{n+1} = M (E_n z_n - tau*Lap h_n) with M the inverse
@@ -32,14 +28,11 @@ A node maps P_{n+1} to p_n and ptilde_n through the symbols 1/d and
 (:func:`~choc.grid._node_map`), bound once per sweep. With multiplicative
 noise the map also gives Pi p_n, p_n without its zero coefficient, the one
 the forward step's c drops; so DB_n^T Pi is the exact transpose of the
-forward step's Pi DB_n. On a 1D grid of at most 64 points the map is one
-product of the costate with the cached blocks C^T diag(s) C of the
-symbols 1/d, -lambda/d and, for Pi p_n, 1/d with its zero mode 0: one
-transform call, and a node makes 7 array operations (5 without
-multiplicative noise). Elsewhere it transforms P_{n+1}, multiplies by each
-symbol and inverts the pair in one call, and Pi p_n is p_n less the zero
-coefficient over sqrt(grid.size): two transform calls and 12 operations.
-ptilde satisfies, exactly in floating point up to rounding,
+forward step's Pi DB_n. How the map computes, with one product or with
+transforms and multiplies, is :mod:`choc.grid`'s rule alone. The
+targets xQ and x_T arrive as :func:`~choc.state.target_values` gives them,
+with a leading path axis. ptilde satisfies, exactly in floating point up
+to rounding,
 
     sum_n tau <h_n, ptilde_n>_H
         = alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N - x_T, z_N>_H
@@ -218,8 +211,7 @@ def _sweep_adjoint(ys: np.ndarray, paths: WienerPaths, xq, xt, alphas,
     along their states ``ys``; returns ptildes of the shape of ``ys``.
 
     ``xq`` and ``xt`` are as :func:`~choc.state.target_values` returns them,
-    shared by the rows or given per path, and each row is bitwise its own
-    sweep.
+    with a leading path axis, and each row is bitwise its own sweep.
     """
     g = p.grid
     tg = p.timegrid
@@ -230,10 +222,7 @@ def _sweep_adjoint(ys: np.ndarray, paths: WienerPaths, xq, xt, alphas,
     if a1 != 0.0:
         # xQ_n with the (control, path) axes of a step, so that a block of
         # targets broadcasts against a block of states
-        if xq.ndim == g.ndims + 2:                   # per-path target
-            xq_n = np.moveaxis(xq, 1, 0)[:, None]
-        else:
-            xq_n = xq[:, None, None]
+        xq_n = np.moveaxis(xq, 1, 0)[:, None]
     shape = ys_n.shape[1:]
     zero = np.zeros(shape)
     tau = tg.tau
@@ -323,17 +312,12 @@ def _duality_rhs(ys: np.ndarray, zs: np.ndarray, npaths: int, xq, xt, alphas,
     nsteps = p.timegrid.nsteps
     a1, a2, _ = alphas
 
-    # a per-path target carries a leading path axis
-    per_path_q = a1 != 0.0 and xq.ndim == g.ndims + 2
-    per_path_t = a2 != 0.0 and xt.ndim == g.ndims + 1
     no_dist = np.zeros((nsteps,) + g.shape)
     no_terminal = np.zeros(g.shape)
     rhs = np.empty(len(ys))
     for r, (y, z) in enumerate(zip(ys, zs)):
         i = r % npaths
-        dist = (a1 * (y[:nsteps] - (xq[i] if per_path_q else xq)) if a1 != 0.0
-                else no_dist)
-        terminal = (a2 * (y[nsteps] - (xt[i] if per_path_t else xt)) if a2 != 0.0
-                    else no_terminal)
+        dist = a1 * (y[:nsteps] - xq[i]) if a1 != 0.0 else no_dist
+        terminal = a2 * (y[nsteps] - xt[i]) if a2 != 0.0 else no_terminal
         rhs[r] = tau * cv * np.sum(dist * z[:nsteps]) + cv * np.sum(terminal * z[nsteps])
     return rhs

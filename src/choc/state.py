@@ -22,22 +22,21 @@ coefficient of y, its mean times sqrt(grid.size), bit for bit, and the
 spatial mean of y is conserved along every path up to the rounding of the
 inverse transform. The noise enters explicitly at the old iterate.
 
-A step makes two transform calls: one forward call on the explicit term
-and the noise increment (the explicit term alone without noise), which
-also applies (b, c), and one inverse call for y_{n+1}. On a 1D grid of at
-most 64 points the forward call is one product of the row-concatenated
-pair with the stacked C^T diag(b) and C^T diag(c), which sums the two
-terms, so yhat <- a yhat + G; there a state step makes 11 array
-operations: 2 in the noise operator, 3 in psi', 5 in the step (the
-subtraction, the product, a times yhat, one addition and the inverse) and
-the copy into the trajectory. Elsewhere the pair is transformed, then
-multiplied by (b, c), and each term is added in turn: 13 operations, the
-step's 7. The linearized solver runs the same step.
+A step makes two transform calls, bound once per sweep: the step map
+(:func:`~choc.grid._step_map`) takes the explicit term and the noise
+increment (the explicit term alone without noise) forward and applies
+(b, c), and the inverse step transform gives y_{n+1}. Which route a call
+takes, products or the pocketfft kernel, with the symbols folded in or
+not, is :mod:`choc.grid`'s rule alone, and every route keeps the bits of
+the formulas. The linearized solver runs the same step.
 
 The data are arrays: the initial datum is one field of shape grid.shape,
 a control one field per step, and the noise of an ensemble one
 :class:`WienerPaths` batch, whose increments of shape (nsteps, npaths, K)
-are what the sweeps read, step by step, with no copy.
+are what the sweeps read, step by step, with no copy. The tracking
+targets reach every reader in one shape, :func:`target_values`'s: with a
+leading path axis, which a target shared by the paths has as a zero
+stride.
 
 :func:`solve_state` integrates a batch of paths in one sweep: the arrays of
 a step carry a leading path axis, the transforms run over the grid axes
@@ -63,12 +62,8 @@ and noise operator writes through ``out=`` into that workspace. The
 working state is one of its arrays; each step's state is copied into the
 stored trajectory. Before each block the sweep copies the block's controls
 (or directions) to the step shape, so a step subtracts two arrays of one
-shape. The two transform calls of a step are bound to the workspace once
-per sweep: the step map (:func:`~choc.grid._step_map`) and the inverse
-step transform (:func:`~choc.grid._step_transform`), on an axis of at
-most 64 points products with cached cosine matrices, which skip the
-per-call dispatch of the pocketfft kernel. Every result has the bits of
-the formulas that allocate each array and run the same maps.
+shape. Every result has the bits of the formulas that allocate each array
+and run the same maps.
 """
 
 from __future__ import annotations
@@ -308,13 +303,15 @@ def control_values(u, tg: TimeGrid, grid: Grid) -> np.ndarray:
 
 
 def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid, npaths: int):
-    """Normalize the tracking targets the cost weights read.
+    """Normalize the tracking targets the cost weights read, to the one
+    shape every reader takes.
 
-    Returns (xQ, xT) as arrays of shapes (nsteps, *grid.shape) and
-    grid.shape, or given per path with a leading npaths axis; None stands
-    for a zero target. A target whose weight is zero is not read and comes
-    back as None. A target of another shape is a
-    :class:`ConfigurationError`.
+    Returns (xQ, xT) with a leading path axis, of shapes (npaths, nsteps,
+    *grid.shape) and (npaths, *grid.shape). A target given without that
+    axis is shared by the paths and comes back as a read-only view of it
+    with a zero stride; None stands for a zero target. A target whose weight
+    is zero is not read and comes back as None. A target of another shape
+    is a :class:`ConfigurationError`.
     """
     a1, a2, _ = alphas
     xq = (_series_array(x_q, (tg.nsteps,) + grid.shape, "distributed target", npaths)
@@ -325,16 +322,15 @@ def target_values(x_q, x_t, alphas, tg: TimeGrid, grid: Grid, npaths: int):
 
 
 def _series_array(x, shape, kind: str, npaths: int | None) -> np.ndarray:
-    """``x`` as a float array of ``shape`` or, given ``npaths``, of
-    (npaths, *shape); None is zero."""
-    if x is None:
-        return np.zeros(shape)
-    values = np.asarray(x, dtype=float)
+    """``x`` as a float array of ``shape``, None being zero; given
+    ``npaths``, of (npaths, *shape), where an ``x`` of ``shape`` is
+    broadcast over the paths."""
+    values = np.zeros(shape) if x is None else np.asarray(x, dtype=float)
     shapes = [shape] + ([(npaths,) + shape] if npaths else [])
     if values.shape not in shapes:
         wanted = " or ".join(str(s) for s in shapes)
         raise ConfigurationError(f"{kind} shape {values.shape} != {wanted}")
-    return values
+    return np.broadcast_to(values, shapes[-1]) if values.shape != shapes[-1] else values
 
 
 def _path_sums(a: np.ndarray) -> np.ndarray:
@@ -474,7 +470,7 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths: WienerPaths,
     # the working state and its coefficients are contiguous arrays that the
     # steps overwrite; each state is copied into ys
     y = np.broadcast_to(y0, (ncontrols, npaths) + g.shape).copy()
-    y_hat = _dct_values(y, g.axes, out=np.empty(y.shape))
+    y_hat = _dct_values(y, g.axes)
     ys_n[0] = y
     noise, step = _stepper(params, y, y_hat, noisy)
     blocks = _blocks(nsteps, y)

@@ -105,6 +105,13 @@ def _pair_chunks(npairs: int, params: StateParams, npaths: int) -> list[range]:
     return [range(j0, min(j0 + size, npairs)) for j0 in range(0, npairs, size)]
 
 
+def _require_count(name: str, n: int) -> None:
+    """Raise a :class:`ConfigurationError` naming ``name`` when the count
+    ``n`` is below 1: a check that measures nothing cannot pass."""
+    if n < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {n}")
+
+
 def _jsonable(obj):
     # before the numbers: bool is an int, and np.bool_ is neither
     if isinstance(obj, (bool, np.bool_)):
@@ -218,6 +225,8 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     sits at rounding level for every eps, which counts as a pass.
     """
     eps_list = list(eps_list)
+    if not all(math.isfinite(e) and e > 0 for e in eps_list):
+        raise ConfigurationError(f"eps_list must be finite and positive, got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps_list must be strictly decreasing")
     p = problem.params
@@ -318,6 +327,7 @@ def check_duality(problem: Problem, es: EnsembleSpec,
         )
     if u is not None:
         npairs = 1
+    _require_count("npairs", npairs)
 
     def pair(j):
         """The j-th (u, h), drawn when its chunk runs."""
@@ -358,6 +368,8 @@ def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
     initial datum on that grid, and the ensemble's paths, sampled on
     ``finest`` steps and aggregated, so every level sees the same Brownian
     motion."""
+    _require_count("a refinement level's mesh factor", mesh_factor)
+    _require_count("a refinement level's step count", nsteps)
     if finest % nsteps:
         raise ConfigurationError("coarse step counts must divide the finest")
     p = problem.params
@@ -411,11 +423,13 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     p = problem.params
     tg = p.timegrid
     if pairs is None:
+        _require_count("npairs", npairs)
         pairs = []
         for j in range(npairs):
             u1 = random_smooth_control(problem, mix_seed(seed, 2 * j), amplitude=0.7)
             u2 = random_smooth_control(problem, mix_seed(seed, 2 * j + 1), amplitude=0.7)
             pairs.append((u1, u2))
+    _require_count("len(pairs)", len(pairs))
     for u1, u2 in pairs:
         if np.array_equal(u1.values, u2.values):
             raise PreconditionError("control pairs must differ")
@@ -604,7 +618,7 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
     and is compared as it is computed, so no batch of it is stored. A node
     runs the transpose sweep's node map (:func:`~choc.grid._node_map`) with
     the symbols 1/d and -lambda/d, which gives p_n and ptilde_n from the
-    right-hand side at once: on a 1D grid of at most 64 points one product.
+    right-hand side at once.
     For additive noise it differs from the transpose sweep by a one-step
     shift of coefficients, an O(tau) gap. It is the reference of
     :func:`check_backend_consistency` and nothing else.

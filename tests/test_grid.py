@@ -229,10 +229,11 @@ def test_step_transform_is_near_scipy_on_short_axes(rng, inverse):
         assert err <= sum(shape) * eps * np.max(np.abs(x)), shape
 
 
-@pytest.mark.parametrize("shape", [(_PRODUCT_POINTS + 1,), (65, 66), (128,)])
+@pytest.mark.parametrize("shape", [(_PRODUCT_POINTS + 1,), (65, 66), (128,), (8, 70), (70, 8)])
 @pytest.mark.parametrize("refused", [False, True])
 def test_step_transform_keeps_scipy_bits_on_long_axes(rng, monkeypatch, shape, refused):
-    # on the kernel and, when the probe refuses it, on scipy's public path
+    # on the kernel and, when the probe refuses it, on scipy's public path;
+    # a grid with one long axis takes the kernel on both
     if refused:
         monkeypatch.setattr(grid_module, "_KERNEL_BITWISE", False)
     g = Grid(shape)

@@ -51,6 +51,10 @@ def test_trace_sees_every_layer(tracing):
         problem, es = build.problem, build.ensemble
         wp = choc.state.sample_wiener_paths(problem.params.noise, problem.params.timegrid,
                                             [es.path_seed(0)])
+        # path 0's slice of the targets
+        x_q, x_t = (None if x is None else x[:1] for x in choc.state.target_values(
+            problem.x_q, problem.x_t, problem.alphas, problem.params.timegrid,
+            problem.params.grid, es.npaths))
         counts = {}
         calls = {
             "solve_state": lambda: choc.state.solve_state(
@@ -58,7 +62,7 @@ def test_trace_sees_every_layer(tracing):
             "solve_linearized": lambda: choc.sensitivity.solve_linearized(
                 traj, h.values),
             "solve_adjoint": lambda: choc.sensitivity.solve_adjoint(
-                traj, problem.target_q(0), problem.target_t(0), problem.alphas),
+                traj, x_q, x_t, problem.alphas),
             "reduced_cost": lambda: choc.control.reduced_cost(build.u0, es, problem),
             "gradient": lambda: choc.control.gradient(build.u0, es, problem),
         }

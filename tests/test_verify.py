@@ -1,6 +1,7 @@
 """Check harness: positive runs, negative controls, bitwise determinism."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,15 @@ def test_gateaux_requires_decreasing_eps():
     u = problem.zero_control()
     with pytest.raises(ConfigurationError):
         check_gateaux(problem, u, u, eps_list=(1e-3, 1e-2))
+
+
+@pytest.mark.parametrize("eps_list", [(1e-1, -1e-2), (1e-1, 0.0), (np.inf, 1e-1)])
+def test_gateaux_requires_finite_positive_eps(eps_list):
+    # a difference quotient at eps <= 0 or at an infinite eps measures no order
+    problem = _problem(grid_n=16, nsteps=10)
+    u = problem.zero_control()
+    with pytest.raises(ConfigurationError, match="eps_list must be finite and positive"):
+        check_gateaux(problem, u, u, eps_list=eps_list)
 
 
 # --- duality ---------------------------------------------------------------------
@@ -343,7 +353,21 @@ def test_duality_requires_both_or_neither_of_u_and_h():
             check_duality(problem, es, **kwargs)
 
 
+def test_duality_requires_a_pair():
+    # no pair measures no residual, which must not read as a pass
+    with pytest.raises(ConfigurationError, match="npairs must be at least 1, got 0"):
+        check_duality(_problem(grid_n=16, nsteps=10), EnsembleSpec(2, 9), npairs=0)
+
+
 # --- Lipschitz -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs, name", [({"npairs": 0}, "npairs"),
+                                          ({"pairs": []}, "len(pairs)")])
+def test_lipschitz_requires_a_pair(kwargs, name):
+    with pytest.raises(ConfigurationError, match=rf"{re.escape(name)} must be at least 1"):
+        check_lipschitz(_problem(grid_n=16, nsteps=10), EnsembleSpec(2, 9), **kwargs)
+
 
 
 def test_lipschitz_check_default():
@@ -464,6 +488,20 @@ def test_moment_bounds_rejects_non_dividing_ladder():
     with pytest.raises(ConfigurationError, match="must divide the finest"):
         check_moment_bounds(problem, EnsembleSpec(1, 9),
                             refinements=((1, 2), (1, 3)))
+
+
+@pytest.mark.parametrize("refinements, what", [(((1, 1), (1, 0)), "step count"),
+                                               (((1, 1), (0, 1)), "mesh factor")])
+def test_moment_bounds_rejects_a_level_without_steps_or_points(refinements, what):
+    problem = _problem(grid_n=16, nsteps=10)
+    with pytest.raises(ConfigurationError, match=f"{what} must be at least 1"):
+        check_moment_bounds(problem, EnsembleSpec(2, 9), refinements=refinements)
+
+
+def test_backend_consistency_rejects_a_level_without_steps():
+    problem = _problem(grid_n=16, nsteps=10)
+    with pytest.raises(ConfigurationError, match="step count must be at least 1, got 0"):
+        check_backend_consistency(problem, EnsembleSpec(2, 9), nsteps_list=(0, 10))
 
 
 def test_moment_bounds_blowup_negative_control():
