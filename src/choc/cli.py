@@ -33,17 +33,7 @@ from .errors import BlowUpError, ChocError, ConfigurationError
 from .sensitivity import duality_terms, solve_adjoint, solve_linearized
 from .snapshots import write_series_csv, write_snapshot
 from .state import sample_wiener_paths, solve_state, target_values
-from .verify import (
-    _duality_residual,
-    check_backend_consistency,
-    check_duality,
-    check_gateaux,
-    check_lipschitz,
-    check_mass_conservation,
-    check_moment_bounds,
-    check_truncation,
-    random_smooth_control,
-)
+from .verify import _duality_residual, default_direction, suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -161,15 +151,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _default_direction(build: BuildResult):
-    return random_smooth_control(build.problem, build.ensemble.base_seed ^ 0x5EED,
-                                 amplitude=1.0)
-
-
 def _duality_summary(build: BuildResult, path_index: int) -> dict:
     problem = build.problem
     traj = _solve_path(build, path_index)
-    h = _default_direction(build)
+    h = default_direction(problem, build.ensemble)
     p = problem.params
     # the path's slice of the targets, in the shape every reader takes
     targets = target_values(problem.x_q, problem.x_t, problem.alphas, p.timegrid,
@@ -235,34 +220,15 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _run_verify_suite(build: BuildResult, names=None) -> list:
-    problem, es = build.problem, build.ensemble
-    u0 = build.u0
-    h = _default_direction(build)
-    seed = es.base_seed
-    available = {
-        "mass_conservation": lambda: check_mass_conservation(problem, es),
-        "gateaux": lambda: check_gateaux(problem, u0, h, path_seed=seed,
-                                         npaths=min(2, es.npaths)),
-        "duality": lambda: check_duality(problem, es, npairs=20, seed=seed),
-        "lipschitz": lambda: check_lipschitz(problem, es, npairs=5, seed=seed),
-        "truncation": lambda: check_truncation(problem, u0, h,
-                                               (2.0, 8.0, 32.0, 128.0), es),
-        "moment_bounds": lambda: check_moment_bounds(problem, es),
-        "backend_consistency": lambda: check_backend_consistency(
-            problem, es, nsteps_list=(100, 200, 400, 800), seed=seed),
-    }
-    names = names or list(available)
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        raise ConfigurationError(f"unknown checks: {', '.join(unknown)}")
-    return [available[n]() for n in names]
-
-
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     build = _load(args)
-    reports = _run_verify_suite(build, args.check or None)
+    checks = suite(build.problem, build.ensemble, build.u0)
+    names = args.check or list(checks)
+    unknown = [n for n in names if n not in checks]
+    if unknown:
+        raise ConfigurationError(f"unknown checks: {', '.join(unknown)}")
+    reports = [checks[n]() for n in names]
     outdir = _outdir(args)
     outputs = []
     all_passed = True

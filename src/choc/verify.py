@@ -1,26 +1,16 @@
-"""Executable structural checks: conservation, differentiability, duality,
-continuous dependence, truncation convergence, moment probes, and the
-consistency of the continuous adjoint with the transpose.
+"""Executable structural checks of the identities behind the first-order
+optimality conditions: mass conservation, Gateaux differentiability of the
+control-to-state map, duality of the linearized and adjoint systems,
+Lipschitz dependence on the control, convergence under a clamp of the
+potential's curvature, moment bounds under refinement, and the agreement of
+the transpose adjoint with a discretization of the continuous one.
 
-Every check is a pure function of its inputs and seeds and emits a
-:class:`CheckReport` whose JSON form is byte-stable across runs. Each claim
-has one check, and each check has a negative control exercised by the test
-suite, so a vacuous pass cannot hide a wiring bug. A check sweeps its whole
-ensemble at once and averages the per-path results. A check that
-solves several controls on one ensemble sweeps them together, as rows
-controls × paths: Gateaux its base and bumped controls in one sweep, and
-duality and Lipschitz their pairs in chunks, as many pairs per sweep as a
-private byte budget allows (:func:`_pair_chunks`). A pair holds two sweep
-outputs: Lipschitz the states of both its controls, one level after the
-other, and duality its states and then one of its adjoint and linearized
-sweeps, reducing each side of the identity row by row before the next
-sweep runs. Every row is bitwise its control's own sweep, so the reports
-do not depend on the chunking. The refinement studies (Lipschitz, moment
-bounds, backend consistency) build every level with :func:`_level`, so all
-levels of a study see the same Brownian motion. The truncation study is
-the only code that clamps the potential's curvature: it solves the state
-once and runs the linearized sweep once per clamp level, on a potential
-whose psi'' is clamped to that level.
+Each check is a pure function of its inputs and seeds that returns a
+:class:`CheckReport`, whose JSON form is byte-stable across runs, and has a
+negative control in the test suite, so a vacuous pass cannot hide a wiring
+bug. A count or a ladder that a check cannot measure on is a
+:class:`~choc.errors.ConfigurationError`. :func:`suite` is the one
+definition of the suite that ``choc verify`` runs.
 """
 
 from __future__ import annotations
@@ -28,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .control import ControlProcess, EnsembleSpec, Problem, l2q_norm
-from .errors import BlowUpError, ConfigurationError, DomainError, PreconditionError
+from .errors import BlowUpError, ConfigurationError, PreconditionError
 from .grid import (
     Grid,
     _node_map,
@@ -75,7 +66,9 @@ __all__ = [
     "check_moment_bounds",
     "check_backend_consistency",
     "random_smooth_control",
+    "default_direction",
     "empirical_order",
+    "suite",
 ]
 
 
@@ -99,7 +92,9 @@ _SWEEP_BYTES = 1 << 23
 
 def _pair_chunks(npairs: int, params: StateParams, npaths: int) -> list[range]:
     """The chunks of pairs 0..npairs-1 in order, each as many pairs as the
-    budget allows when a pair holds two sweep outputs of ``npaths`` rows."""
+    budget allows when a pair holds two sweep outputs of ``npaths`` rows.
+    Every row of a sweep is bitwise its control's own sweep, so a report
+    does not depend on the chunking."""
     pair_bytes = 2 * npaths * (params.timegrid.nsteps + 1) * params.grid.size * 8
     size = max(1, _SWEEP_BYTES // pair_bytes)
     return [range(j0, min(j0 + size, npairs)) for j0 in range(0, npairs, size)]
@@ -110,6 +105,30 @@ def _require_count(name: str, n: int) -> None:
     ``n`` is below 1: a check that measures nothing cannot pass."""
     if n < 1:
         raise ConfigurationError(f"{name} must be at least 1, got {n}")
+
+
+def _require_ladder(name: str, ladder: list, decreasing: bool = False,
+                    finite: bool = True) -> None:
+    """Raise a :class:`ConfigurationError` naming ``name`` unless the
+    ``ladder`` that a check fits an order or compares levels along has at
+    least two entries, each positive (and finite where ``finite``), strictly
+    increasing (decreasing where ``decreasing``). A refinement level (mesh
+    factor, step count), as :func:`_level` takes it, is positive when both
+    counts are, and larger than another when finer in one and in neither
+    coarser."""
+    if len(ladder) < 2:
+        raise ConfigurationError(f"need at least two {name}, got {len(ladder)}")
+    for entry in ladder:
+        if isinstance(entry, tuple):
+            for part, n in zip(("mesh factor", "step count"), entry):
+                _require_count(f"{name}: a level's {part}", n)
+        elif not (entry > 0 and (not finite or math.isfinite(entry))):
+            qualifier = "finite and " if finite else ""
+            raise ConfigurationError(f"{name} must be {qualifier}positive, got {ladder}")
+    steps = zip(ladder[1:], ladder) if decreasing else zip(ladder, ladder[1:])
+    if not all(a != b and np.all(np.less_equal(a, b)) for a, b in steps):
+        order = "decreasing" if decreasing else "increasing"
+        raise ConfigurationError(f"{name} must be strictly {order}, got {ladder}")
 
 
 def _jsonable(obj):
@@ -182,21 +201,44 @@ def random_smooth_control(problem: Problem, seed: int,
     return ControlProcess(g, tg, vals)
 
 
+def default_direction(problem: Problem, es: EnsembleSpec) -> ControlProcess:
+    """The direction h of the suite's Gateaux and truncation checks and of
+    ``choc linearize`` and ``choc adjoint``, drawn from the base seed."""
+    return random_smooth_control(problem, es.base_seed ^ 0x5EED, amplitude=1.0)
+
+
+def suite(problem: Problem, es: EnsembleSpec, u0: ControlProcess) -> dict:
+    """``choc verify``'s suite on ``problem`` and ``es`` at the base control
+    ``u0``: each check's name, in the command's order, mapped to a callable
+    of no arguments that returns the check's report. An argument not given
+    here is the check's default."""
+    h = default_direction(problem, es)
+    seed = es.base_seed
+    return {
+        "mass_conservation": lambda: check_mass_conservation(problem, es),
+        "gateaux": lambda: check_gateaux(problem, u0, h, path_seed=seed,
+                                         npaths=min(2, es.npaths)),
+        "duality": lambda: check_duality(problem, es, npairs=20, seed=seed),
+        "lipschitz": lambda: check_lipschitz(problem, es, seed=seed),
+        "truncation": lambda: check_truncation(problem, u0, h,
+                                               (2.0, 8.0, 32.0, 128.0), es),
+        "moment_bounds": lambda: check_moment_bounds(problem, es),
+        "backend_consistency": lambda: check_backend_consistency(problem, es, seed=seed),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Conservation
 
 
-def check_mass_conservation(problem: Problem, es: EnsembleSpec,
-                            u: ControlProcess | None = None) -> CheckReport:
-    """Mass drift along stochastic trajectories must stay at rounding level.
+def check_mass_conservation(problem: Problem, es: EnsembleSpec) -> CheckReport:
+    """Mass drift along uncontrolled stochastic paths must stay at rounding level.
 
     The Laplacian term is mean-free under Neumann conditions and so is any
     mean-free noise; a constant noise mode (negative control) shows up here
     as a macroscopic drift.
     """
-    if u is None:
-        u = problem.zero_control()
-    traj = solve_state(problem.y0, u.values, es.sample_paths(problem.params),
+    traj = solve_state(problem.y0, None, es.sample_paths(problem.params),
                        problem.params)
     worst = float(np.max(np.abs(traj.mass - traj.mass[:, :1])))
     return CheckReport(
@@ -225,10 +267,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
     sits at rounding level for every eps, which counts as a pass.
     """
     eps_list = list(eps_list)
-    if not all(math.isfinite(e) and e > 0 for e in eps_list):
-        raise ConfigurationError(f"eps_list must be finite and positive, got {eps_list}")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigurationError("eps_list must be strictly decreasing")
+    _require_ladder("eps_list", eps_list, decreasing=True)
     p = problem.params
     tg = p.timegrid
     g = p.grid
@@ -367,9 +406,7 @@ def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
     refined ``mesh_factor`` times per axis with ``nsteps`` time steps, the
     initial datum on that grid, and the ensemble's paths, sampled on
     ``finest`` steps and aggregated, so every level sees the same Brownian
-    motion."""
-    _require_count("a refinement level's mesh factor", mesh_factor)
-    _require_count("a refinement level's step count", nsteps)
+    motion. The levels of a study pass :func:`_require_ladder` first."""
     if finest % nsteps:
         raise ConfigurationError("coarse step counts must divide the finest")
     p = problem.params
@@ -448,15 +485,16 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
             for j, (r_coarse, r_fine) in enumerate(zip(ratios["coarse"],
                                                        ratios["fine"]))]
 
-    all_vals = ratios["coarse"] + ratios["fine"]
-    finite = all(math.isfinite(v) for v in all_vals)
-    drift = max(ratios["fine"]) / max(ratios["coarse"]) if finite else float("inf")
-    stable = finite and (1.0 / _STABILITY_FACTOR <= drift <= _STABILITY_FACTOR)
+    finite = all(math.isfinite(v) for v in ratios["coarse"] + ratios["fine"])
+    # all-zero coarse ratios (a state that does not see the control) drift unboundedly
+    coarse = max(ratios["coarse"])
+    drift = max(ratios["fine"]) / coarse if finite and coarse > 0 else float("inf")
+    stable = 1.0 / _STABILITY_FACTOR <= drift <= _STABILITY_FACTOR
     return CheckReport(
         name="lipschitz",
         inputs={"npairs": len(pairs), "seed": seed, "npaths": es.npaths,
                 "base_seed": es.base_seed, "mesh_factor": _LIPSCHITZ_MESH_FACTOR},
-        measured={"max_ratio_coarse": max(ratios["coarse"]),
+        measured={"max_ratio_coarse": coarse,
                   "max_ratio_fine": max(ratios["fine"]),
                   "refinement_drift": drift, "all_finite": finite},
         tolerance={"stability_factor": _STABILITY_FACTOR},
@@ -479,13 +517,8 @@ def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
     dominates the observed curvature the solutions must agree bit for bit.
     """
     levels = [float(level) for level in levels]
-    if len(levels) < 2:
-        raise ConfigurationError("need at least two truncation levels")
-    for level in levels:
-        if not level > 0:
-            raise DomainError(f"truncation level must be positive, got {level}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("truncation levels must be strictly increasing")
+    # an infinite level clamps nothing
+    _require_ladder("truncation levels", levels, finite=False)
     p = problem.params
     paths = es.sample_paths(p)
     ys = solve_state(problem.y0, u.values, paths, p).ys
@@ -543,12 +576,16 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
     blow-up on any path is recorded as a failure, never as NaN.
     """
     nsteps = problem.params.timegrid.nsteps
-    finest = nsteps * max(int(t) for _, t in refinements)
+    levels = [(int(mesh_f), nsteps * int(time_f)) for mesh_f, time_f in refinements]
+    _require_ladder("refinements", levels)
+    report = partial(CheckReport, name="moment_bounds",
+                     inputs={"refinements": [list(r) for r in refinements],
+                             "npaths": es.npaths, "base_seed": es.base_seed},
+                     tolerance={"stability_factor": _STABILITY_FACTOR})
     rows = []
     try:
-        for mesh_f, time_f in refinements:
-            params, y0, paths = _level(problem, es, int(mesh_f),
-                                       nsteps * int(time_f), finest)
+        for mesh, steps in levels:
+            params, y0, paths = _level(problem, es, mesh, steps, levels[-1][1])
             tg = params.timegrid
             m12 = zsq = v6 = 0.0
             for ys in solve_state(y0, None, paths, params).ys:
@@ -559,19 +596,15 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
                 zsq += float(np.sum(norm_z_sq_values(params.grid, ys[: tg.nsteps]))
                              * tg.tau)
             rows.append({
-                "mesh_factor": int(mesh_f), "time_factor": int(time_f),
+                "mesh_factor": mesh, "time_factor": steps // nsteps,
                 "sup_h_12": m12 / es.npaths,
                 "l2z_sq": zsq / es.npaths,
                 "sup_v_6": v6 / es.npaths,
             })
     except BlowUpError as exc:
-        return CheckReport(
-            name="moment_bounds",
-            inputs={"refinements": [list(r) for r in refinements],
-                    "npaths": es.npaths, "base_seed": es.base_seed},
+        return report(
             measured={"blow_up": {"step": exc.step, "max_abs": exc.max_abs,
                                   "seed": exc.seed, "path": exc.path}},
-            tolerance={"stability_factor": _STABILITY_FACTOR},
             passed=False,
             notes="trajectory blow-up detected; estimates not available",
         )
@@ -584,12 +617,8 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
             lo, hi = sorted((a[k], b[k]))
             if lo <= 0 or hi / lo > _STABILITY_FACTOR:
                 stable = False
-    return CheckReport(
-        name="moment_bounds",
-        inputs={"refinements": [list(r) for r in refinements],
-                "npaths": es.npaths, "base_seed": es.base_seed},
+    return report(
         measured={"levels": rows, "all_finite": finite},
-        tolerance={"stability_factor": _STABILITY_FACTOR},
         passed=bool(stable),
         table=tuple(rows),
     )
@@ -691,6 +720,7 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
         p = replace(p, noise=additive_noise(p.grid, nm.sigmas, nm.mode_indices))
         problem = replace(problem, params=p)
     nsteps_list = sorted(int(n) for n in nsteps_list)
+    _require_ladder("nsteps_list", [(1, n) for n in nsteps_list])
     finest = nsteps_list[-1]
 
     rng = _generator(seed)

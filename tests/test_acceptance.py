@@ -225,14 +225,14 @@ def test_criterion_10_lipschitz_probe():
 def test_criterion_11_reproducibility():
     import json as _json
 
-    from choc.cli import _run_verify_suite
+    from choc.verify import suite
 
     config = parse_config("[ensemble]\nnpaths = 4\nbase_seed = 2024\n")
 
     def run_once():
         build = build_problem(config)
-        reports = _run_verify_suite(build)
-        return [r.to_json() for r in reports]
+        checks = suite(build.problem, build.ensemble, build.u0)
+        return [check().to_json() for check in checks.values()]
 
     first = run_once()
     second = run_once()

@@ -11,7 +11,7 @@ import pytest
 
 import choc.cli
 import choc.config
-from choc import Grid, read_snapshot, solve_state, write_snapshot
+from choc import Grid, read_snapshot, solve_state, verify, write_snapshot
 from choc.cli import EXIT_BLOWUP, EXIT_USAGE, main
 from choc.config import (
     ControlConfig,
@@ -553,7 +553,7 @@ def test_cli_verify_tiny_subset(tmp_path):
     assert report["passed"] is True
 
 
-def test_cli_verify_full_suite_small(tmp_path):
+def test_cli_verify_full_suite_small(tmp_path, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(
         "[grid]\nnpoints = 16\n"
@@ -563,7 +563,13 @@ def test_cli_verify_full_suite_small(tmp_path):
     )
     out = tmp_path / "ver"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    # without --check, the command runs the one suite, in its order
+    build = build_problem(parse_config(cfg.read_text()))
+    names = list(verify.suite(build.problem, build.ensemble, build.u0))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1].rstrip(":") for line in lines] == names
     reports = sorted(out.glob("check_*.json"))
+    assert sorted(p.name for p in reports) == sorted(f"check_{n}.json" for n in names)
     assert len(reports) == 7
     assert all(json.loads(p.read_text())["passed"] for p in reports)
     # every report keeps its bits
@@ -668,6 +674,21 @@ def test_cli_false_potential_constant_exit_code(tmp_path, capsys):
         build_problem(parse_config(cfg.read_text()))
     assert main(["info", "--config", str(cfg)]) == 2
     assert "c1 = 1" in capsys.readouterr().err
+
+
+def test_cli_verify_lipschitz_fails_when_the_state_does_not_see_the_control(
+        tmp_path, capsys):
+    # every coarse Lipschitz ratio is 0 over a horizon of 1e-300: a FAIL
+    # line and exit 1, not a division by zero
+    cfg = tmp_path / "instant.cfg"
+    cfg.write_text("[grid]\nnpoints = 16\n[time]\nt_final = 1e-300\nnsteps = 10\n"
+                   "[ensemble]\nnpaths = 2\n")
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--check", "lipschitz"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  lipschitz: ")
+    report = json.loads((out / "check_lipschitz.json").read_text())
+    assert report["measured"]["refinement_drift"] == "inf"
 
 
 def test_cli_unknown_check_exit_code(tmp_path):

@@ -11,7 +11,6 @@ import scipy.fft
 from choc import (
     ConfigurationError,
     ControlProcess,
-    DomainError,
     EnsembleSpec,
     Grid,
     Problem,
@@ -397,7 +396,7 @@ def test_truncation_levels_must_increase(small_params, rng):
 def test_truncation_levels_must_be_positive(small_params, rng):
     y0 = low_pass_values(small_params.grid, rng, 0.4)
     for levels in ([0.0, 1.0], [-3.0, 1.0], [1.0, float("nan")]):
-        with pytest.raises(DomainError, match="must be positive"):
+        with pytest.raises(ConfigurationError, match="must be positive"):
             _truncation(small_params, y0, levels, EnsembleSpec(1, 0))
 
 

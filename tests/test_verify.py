@@ -378,6 +378,17 @@ def test_lipschitz_check_default():
     assert 0.5 <= report.measured["refinement_drift"] <= 2.0
 
 
+def test_lipschitz_fails_when_the_state_does_not_see_the_control():
+    # over a horizon of 1e-300 the controls move no state bit, so every
+    # coarse ratio is 0: the drift is unbounded and the check fails
+    problem = _problem(grid_n=16, nsteps=10, t_final=1e-300)
+    report = check_lipschitz(problem, EnsembleSpec(2, 9), npairs=2, seed=4)
+    assert report.measured["max_ratio_coarse"] == 0.0
+    assert report.measured["refinement_drift"] == float("inf")
+    assert not report.passed
+    assert json.loads(report.to_json())["measured"]["refinement_drift"] == "inf"
+
+
 def test_lipschitz_linear_map_ratio_independent_of_base():
     # quadratic potential, no noise: the control-to-state map is affine, so
     # the ratio depends only on the direction, not the base control
@@ -502,6 +513,45 @@ def test_backend_consistency_rejects_a_level_without_steps():
     problem = _problem(grid_n=16, nsteps=10)
     with pytest.raises(ConfigurationError, match="step count must be at least 1, got 0"):
         check_backend_consistency(problem, EnsembleSpec(2, 9), nsteps_list=(0, 10))
+
+
+def _run_ladder(name, ladder):
+    """The check that fits or compares along the ladder ``name``, on it."""
+    problem = _problem(grid_n=16, nsteps=10)
+    es = EnsembleSpec(2, 9)
+    u = problem.zero_control()
+    if name == "eps_list":
+        return check_gateaux(problem, u, u, eps_list=ladder)
+    if name == "nsteps_list":
+        return check_backend_consistency(problem, es, nsteps_list=ladder)
+    return check_moment_bounds(problem, es, refinements=ladder)
+
+
+@pytest.mark.parametrize("name, ladder", [
+    ("eps_list", ()), ("eps_list", (1e-2,)),
+    ("nsteps_list", ()), ("nsteps_list", (10,)),
+    ("refinements", ()), ("refinements", ((1, 1),)),
+])
+def test_ladders_need_two_entries(name, ladder):
+    # an order or a ratio needs two levels to compare: a shorter ladder
+    # measures nothing
+    with pytest.raises(ConfigurationError,
+                       match=f"need at least two {name}, got {len(ladder)}"):
+        _run_ladder(name, ladder)
+
+
+@pytest.mark.parametrize("name, ladder, order", [
+    ("eps_list", (1e-2, 1e-2), "decreasing"),
+    ("nsteps_list", (10, 20, 10), "increasing"),
+    ("refinements", ((1, 1), (1, 1)), "increasing"),
+    ("refinements", ((2, 2), (1, 1)), "increasing"),
+    ("refinements", ((1, 2), (2, 1)), "increasing"),
+])
+def test_ladders_must_be_strictly_monotone(name, ladder, order):
+    # a repeated level compares a level with itself; a refinement level
+    # must be at least as fine as the last in both factors and finer in one
+    with pytest.raises(ConfigurationError, match=f"{name} must be strictly {order}"):
+        _run_ladder(name, ladder)
 
 
 def test_moment_bounds_blowup_negative_control():
