@@ -10,7 +10,6 @@ from .errors import (
     ChocError,
     ConfigurationError,
     DomainError,
-    PreconditionError,
     ShapeError,
     SnapshotFormatError,
 )

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlProcess, EnsembleSpec, OptimizerOptions, Problem, l2q_norm
+from .control import (
+    _ETA_MIN,
+    ControlProcess,
+    EnsembleSpec,
+    OptimizerOptions,
+    Problem,
+    l2q_norm,
+)
 from .errors import ConfigParseError, ConfigurationError, SnapshotFormatError
 from .grid import Grid, low_pass_values
 from .physics import (
@@ -286,7 +293,12 @@ def _validate(c: RunConfig) -> None:
              "solver.blowup_threshold must be positive")
     _require(c.optimizer.tol > 0, "optimizer.tol must be positive")
     _require(c.optimizer.max_iter >= 0, "optimizer.max_iter must be nonnegative")
-    _require(c.optimizer.eta0 > 0, "optimizer.eta0 must be positive")
+    # optimize clips its first trial step, eta0, below at _ETA_MIN; and at the
+    # zero control the gradient map is min(|grad|, c0/eta0), which meets tol
+    # whatever the gradient once eta0 >= c0/tol
+    eta0, limit = c.optimizer.eta0, c.control.c0 / c.optimizer.tol
+    _require(_ETA_MIN <= eta0 < limit, f"optimizer.eta0 must be at least {_ETA_MIN} "
+             f"and below control.c0 / optimizer.tol = {limit:.6g}, got {eta0}")
 
 
 # --- construction ---------------------------------------------------------

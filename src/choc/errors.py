@@ -17,17 +17,6 @@ class DomainError(ChocError):
     """A scalar argument is outside its mathematical domain."""
 
 
-class PreconditionError(ChocError):
-    """A documented precondition of an operation is violated.
-
-    Carries the offending measured value in ``value`` when applicable.
-    """
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
-
-
 class BlowUpError(ChocError):
     """The time integration produced a non-finite or runaway state.
 

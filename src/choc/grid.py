@@ -319,14 +319,15 @@ def _folded(grid: Grid, shape, symbols: np.ndarray, node: bool):
 
 class _StepBackend:
     """The scipy.fft backend a bound map sets around its public call when
-    scipy.fft.dctn/idctn are interposed. It runs the map's own plan on the
-    call's array into a new output, and declines any other call and its
-    own nested calls, which fall through to scipy."""
+    scipy.fft.dctn/idctn are interposed. It runs the map's bound ``run``,
+    which transforms the map's own arrays, and returns its output array; it
+    declines any other call and its own nested calls, which fall through to
+    scipy."""
 
     __ua_domain__ = "numpy.scipy.fft"
 
-    def __init__(self, method, plan, shape):
-        self._method, self._plan, self._shape = method, plan, shape
+    def __init__(self, method, run, out):
+        self._method, self._run, self._out = method, run, out
         self._busy = False
 
     def __ua_function__(self, method, args, kwargs):
@@ -334,29 +335,28 @@ class _StepBackend:
             return NotImplemented
         self._busy = True
         try:
-            out = np.empty(self._shape)
-            self._plan(np.ascontiguousarray(args[0], dtype=np.float64), out)()
+            self._run()
         finally:
             self._busy = False
-        return out
+        return self._out
 
 
 def _bound(name: str, x: np.ndarray, out: np.ndarray, plan, axes):
-    """``plan(x, out)``, a function of no arguments that maps what ``x``
-    holds into ``out``, while scipy.fft's public ``name`` ("dctn" or
+    """``run = plan(x, out)``, a function of no arguments that maps what
+    ``x`` holds into ``out``, while scipy.fft's public ``name`` ("dctn" or
     "idctn") is scipy's own. Otherwise each call goes through that public
     name on ``x``, inside ``scipy.fft.set_backend`` with a
-    :class:`_StepBackend` that runs the plan, and is copied into ``out``:
-    an interposer sees one transform per call, and the bits are the
-    direct route's."""
+    :class:`_StepBackend` that runs ``run``: an interposer sees one
+    transform per call, and the bits are the direct route's."""
     method = _DCTN if name == "dctn" else _IDCTN
+    run = plan(x, out)
     if getattr(_fft, name) is method:
-        return plan(x, out)
-    backend = _StepBackend(method, plan, out.shape)
+        return run
+    backend = _StepBackend(method, run, out)
 
     def interposed():
         with _fft.set_backend(backend):
-            out[...] = getattr(_fft, name)(x, type=2, norm="ortho", axes=axes)
+            getattr(_fft, name)(x, type=2, norm="ortho", axes=axes)
     return interposed
 
 

@@ -262,9 +262,10 @@ class Trajectory:
     """States of a batch of noise paths; a single path is a batch of one.
 
     ``ys`` stacks the nsteps+1 state fields of every path behind a leading
-    path axis. The control values, shared by the paths, and the Wiener
-    paths that generated the trajectory are kept for the linearized and
-    adjoint solvers. The mass and free-energy series are computed when
+    path axis. ``control`` holds the control values, shared by the paths,
+    and ``wiener`` the Wiener paths that generated the trajectory; the
+    linearized and adjoint solvers read ``params``, ``ys`` and ``wiener``,
+    not the control. The mass and free-energy series are computed when
     first read.
     """
 

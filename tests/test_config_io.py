@@ -510,6 +510,21 @@ def test_cli_optimize_without_iterations_reports_its_gradient_map(tmp_path):
     assert float(row.split(",")[2]) == final > 0.0
 
 
+@pytest.mark.parametrize("eta0", ["1e-300", "1e7", "1e300"])
+def test_cli_optimize_refuses_an_eta0_that_fakes_convergence(tmp_path, capsys, eta0):
+    # at the zero control the gradient map is min(|grad|, c0/eta0), below
+    # tol for any gradient once eta0 >= c0/tol (1.43e6 here), and at 1e-300
+    # the step's squares underflow: each run once "converged after 0
+    # iterations" with a projection residual of 1
+    cfg = tmp_path / "eta0.cfg"
+    cfg.write_text("[grid]\nnpoints = 16\n[time]\nnsteps = 10\n[ensemble]\nnpaths = 2\n"
+                   f"[optimizer]\nmax_iter = 2\neta0 = {eta0}\n")
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert "optimizer.eta0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weight", ["alpha1 = 1e160", "alpha1 = 1e308", "alpha2 = 1e300"])
 def test_cli_optimize_never_converges_on_an_overflowing_norm(tmp_path, capsys, weight):
     # weights that put the gradient's squares past the float range once made

@@ -39,7 +39,7 @@ from choc.verify import (
     random_smooth_control,
 )
 
-from conftest import heap_peak
+from conftest import continuous_ptildes, heap_peak
 
 
 def _problem(grid_n=32, nsteps=40, noise="multiplicative", potential=None,
@@ -197,10 +197,6 @@ def test_duality_chunks_equal_a_per_pair_loop(monkeypatch, npairs, noise,
               random_smooth_control(problem, mix_seed(1, 2 * j + 1), 1.0).values)
              for j in range(npairs)]
     assert list(report.table) == _serial_duality_rows(problem, es, pairs)
-    u, h = (ControlProcess(problem.params.grid, problem.params.timegrid, v)
-            for v in pairs[-1])
-    given = check_duality(problem, es, u=u, h=h)
-    assert list(given.table) == _serial_duality_rows(problem, es, pairs[-1:])
 
 
 def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
@@ -343,31 +339,37 @@ def test_random_smooth_control_is_the_per_step_loop(grid):
             assert np.array_equal(u.values, _per_step_control(problem, seed, amplitude))
 
 
-def test_duality_requires_both_or_neither_of_u_and_h():
-    # a lone control or direction would be dropped for random pairs
-    problem = _problem()
-    es = EnsembleSpec(2, 9)
-    u = random_smooth_control(problem, 1, amplitude=0.3)
-    for kwargs in ({"u": u}, {"h": u}):
-        with pytest.raises(ConfigurationError, match="both"):
-            check_duality(problem, es, **kwargs)
-
-
 def test_duality_requires_a_pair():
     # no pair measures no residual, which must not read as a pass
     with pytest.raises(ConfigurationError, match="npairs must be at least 1, got 0"):
         check_duality(_problem(grid_n=16, nsteps=10), EnsembleSpec(2, 9), npairs=0)
 
 
+def test_duality_fails_on_a_nan_residual(monkeypatch):
+    # a NaN side of one pair must fail the report and read as its maximum,
+    # not be passed over by a comparison that NaN never wins
+    sides = verify._duality_sides
+
+    def nan_middle_pair(*args):
+        lhs, rhs = sides(*args)
+        lhs[1, 0] = np.nan
+        return lhs, rhs
+
+    monkeypatch.setattr(verify, "_duality_sides", nan_middle_pair)
+    report = check_duality(_problem(grid_n=16, nsteps=10), EnsembleSpec(2, 9),
+                           npairs=3, seed=1)
+    assert np.isnan(report.table[1]["residual"])
+    assert not report.passed
+    assert json.loads(report.to_json())["measured"]["max_relative_residual"] == "nan"
+
+
 # --- Lipschitz -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kwargs, name", [({"npairs": 0}, "npairs"),
-                                          ({"pairs": []}, "len(pairs)")])
+@pytest.mark.parametrize("kwargs, name", [({"npairs": 0}, "npairs")])
 def test_lipschitz_requires_a_pair(kwargs, name):
     with pytest.raises(ConfigurationError, match=rf"{re.escape(name)} must be at least 1"):
         check_lipschitz(_problem(grid_n=16, nsteps=10), EnsembleSpec(2, 9), **kwargs)
-
 
 
 def test_lipschitz_check_default():
@@ -392,16 +394,16 @@ def test_lipschitz_fails_when_the_state_does_not_see_the_control():
 def test_lipschitz_linear_map_ratio_independent_of_base():
     # quadratic potential, no noise: the control-to-state map is affine, so
     # the ratio depends only on the direction, not the base control
+    # (the check's coarse level: its state sweep and its ratio of each pair)
     problem = _problem(noise="none", potential=quadratic_potential(1.0))
-    es = EnsembleSpec(1, 9)
-    d = random_smooth_control(problem, 11, amplitude=0.3)
-    ratios = []
-    for seed in (21, 22):
-        u1 = random_smooth_control(problem, seed, amplitude=0.5)
-        u2 = ControlProcess(problem.params.grid, problem.params.timegrid,
-                            u1.values + d.values)
-        report = check_lipschitz(problem, es, pairs=[(u1, u2)])
-        ratios.append(report.measured["max_ratio_coarse"])
+    p = problem.params
+    d = random_smooth_control(problem, 11, amplitude=0.3).values
+    bases = [random_smooth_control(problem, seed, amplitude=0.5).values
+             for seed in (21, 22)]
+    us = np.stack([u for base in bases for u in (base, base + d)])
+    dus = [l2q_norm(u1 - u2, p.timegrid, p.grid) for u1, u2 in zip(us[::2], us[1::2])]
+    ratios = verify._mean_ratios(problem.y0, us, EnsembleSpec(1, 9).sample_paths(p),
+                                 p, dus)
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
 
 
@@ -593,6 +595,31 @@ def test_backend_consistency_measures_the_additive_variant():
     report = check_backend_consistency(problem, es, nsteps_list=(20, 40), seed=2)
     twin = check_backend_consistency(additive, es, nsteps_list=(20, 40), seed=2)
     assert report.to_json() == twin.to_json()
+
+
+@pytest.mark.parametrize("shape", [(16,), (64,), (128,), (12, 10)])
+def test_backend_consistency_gap_is_the_transpose_one_node_apart(shape):
+    # for additive noise and alpha2 = 0 the continuous ptilde at node n is
+    # the transpose ptilde at node n - 1: the two recursions are one, shifted
+    # by a node, up to the order of one addition. So the check's gap is the
+    # transpose costate's one-step increment (plus node 0). Multiplicative
+    # noise parts them, which is why the check measures an additive twin
+    g = Grid(shape)
+    tg = TimeGrid(0.02, 100)
+    rng = np.random.default_rng(3)
+    y0 = low_pass_values(g, rng, 0.4)
+    u = np.broadcast_to(low_pass_values(g, rng, 0.5), (tg.nsteps,) + shape)
+    x_q = np.stack([low_pass_values(g, rng, 0.3) for _ in range(tg.nsteps)])
+    for noise, bounds in ((additive_noise, (0.0, 1e-12)),
+                          (multiplicative_noise, (1e-4, np.inf))):
+        params = StateParams(grid=g, timegrid=tg, potential=double_well(),
+                             noise=noise(g, [0.1, 0.1]))
+        traj = solve_state(y0, u, state.sample_wiener_paths(params.noise, tg, [1, 2, 3]),
+                           params)
+        ptildes = solve_adjoint(traj, x_q, None, (1.0, 0.0, 0.0)).ptildes
+        continuous = continuous_ptildes(traj, x_q, 1.0)
+        apart = np.max(np.abs(continuous[:, 1:] - ptildes[:, : tg.nsteps - 1]))
+        assert bounds[0] <= apart / np.max(np.abs(ptildes)) <= bounds[1], noise
 
 
 # --- determinism ---------------------------------------------------------------------
