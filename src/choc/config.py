@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .control import (
-    _ETA_MIN,
     ControlProcess,
     EnsembleSpec,
     OptimizerOptions,
     Problem,
+    _require_eta0,
     l2q_norm,
 )
 from .errors import ConfigParseError, ConfigurationError, SnapshotFormatError
@@ -293,12 +293,7 @@ def _validate(c: RunConfig) -> None:
              "solver.blowup_threshold must be positive")
     _require(c.optimizer.tol > 0, "optimizer.tol must be positive")
     _require(c.optimizer.max_iter >= 0, "optimizer.max_iter must be nonnegative")
-    # optimize clips its first trial step, eta0, below at _ETA_MIN; and at the
-    # zero control the gradient map is min(|grad|, c0/eta0), which meets tol
-    # whatever the gradient once eta0 >= c0/tol
-    eta0, limit = c.optimizer.eta0, c.control.c0 / c.optimizer.tol
-    _require(_ETA_MIN <= eta0 < limit, f"optimizer.eta0 must be at least {_ETA_MIN} "
-             f"and below control.c0 / optimizer.tol = {limit:.6g}, got {eta0}")
+    _require_eta0(c.optimizer, c.control.c0)
 
 
 # --- construction ---------------------------------------------------------

@@ -169,6 +169,17 @@ class Problem:
         return ControlProcess.zeros(self.params.grid, self.params.timegrid)
 
 
+def _require_geometry(u: ControlProcess, problem: Problem) -> None:
+    """Raise a :class:`ConfigurationError` naming both geometries unless
+    ``u`` is built on the grid and time grid of ``problem``: its projection
+    and norms measure with its own."""
+    p = problem.params
+    if (u.grid, u.timegrid) != (p.grid, p.timegrid):
+        raise ConfigurationError(
+            f"control on {u.grid} and {u.timegrid} is not on the problem's "
+            f"{p.grid} and {p.timegrid}")
+
+
 def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
     """Quadratic tracking cost of every path, shape (npaths,); ensemble
     averaging is the caller's.
@@ -212,6 +223,7 @@ def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     ``states`` is u's trajectory on the paths of ``es``, which it carries;
     it is solved here when None.
     """
+    _require_geometry(u, problem)
     if states is None:
         states = _solve_paths(u, problem, es.sample_paths(problem.params))
     costs = evaluate_cost(states, u.values, problem.x_q, problem.x_t, problem.alphas)
@@ -230,6 +242,7 @@ def gradient(u: ControlProcess, es: EnsembleSpec, problem: Problem,
     and averages ptilde; the control penalty contributes alpha3 * u.
     ``states`` are as for :func:`reduced_cost`.
     """
+    _require_geometry(u, problem)
     if states is None:
         states = _solve_paths(u, problem, es.sample_paths(problem.params))
     tg = problem.params.timegrid
@@ -279,6 +292,18 @@ class OptimizerOptions:
     tol: float = 7e-7
     max_iter: int = 300
     eta0: float = 1.0            # reference step for the termination metric
+
+
+def _require_eta0(opts: OptimizerOptions, c0: float) -> None:
+    """Raise a :class:`ConfigurationError` unless ``_ETA_MIN <= eta0 < c0 /
+    tol``. :func:`optimize` clips its first trial step, eta0, below at
+    _ETA_MIN; and at the zero control the gradient map is min(|grad|,
+    c0/eta0), which meets tol whatever the gradient once eta0 >= c0/tol."""
+    limit = c0 / opts.tol if opts.tol > 0 else math.inf
+    if not _ETA_MIN <= opts.eta0 < limit:
+        raise ConfigurationError(
+            f"optimizer.eta0 must be at least {_ETA_MIN} and below "
+            f"control.c0 / optimizer.tol = {limit:.6g}, got {opts.eta0}")
 
 
 @dataclass
@@ -358,7 +383,12 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     trajectories its accepted trial solved; one adjoint sweep at the final
     control, for the residual and the last gradient map (on convergence or a
     stalled search this is the gradient the last iteration already took).
+    An ``eta0`` outside the range of :func:`_require_eta0` or a ``u0`` off
+    the problem's geometry raises :class:`ConfigurationError` before any
+    sweep.
     """
+    _require_eta0(opts, problem.c0)
+    _require_geometry(u0, problem)
     paths = es.sample_paths(problem.params)
     u = project_admissible(u0, problem.c0)
     # u's trajectories, kept from the cost to the next gradient only.

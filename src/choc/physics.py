@@ -10,10 +10,15 @@ stochastic trajectories.
 The projection removes one cosine coefficient, the zero mode, so it lives
 in the time steppers rather than here: a step maps the noise increment to
 coefficient space through a symbol whose zero mode is 0 whenever the noise
-is mean-free (:attr:`NoiseModel.is_mean_free`; see :mod:`choc.state`). B and
-DB return the unprojected xi tanh(y) and xi rho'(y) z, two ufuncs each; DB*
-takes the projected Pi p that its caller's node computes without the zero
-coefficient, so the step's projected DB and DB* stay exact transposes.
+is mean-free (:attr:`NoiseModel.is_mean_free`; see :mod:`choc.state`). B
+returns the unprojected increment, xi for additive noise and xi tanh(y) for
+multiplicative noise. DB and DB* are the multiplicative formulas alone:
+DB returns the unprojected xi rho'(y) z, and DB* takes the projected Pi p
+that its caller's node computes without the zero coefficient, so the step's
+projected DB and DB* stay exact transposes. Additive noise and noise
+without modes have DB = 0; the sweeps decide which noise enters a step, and
+call DB and DB* only for multiplicative noise with modes, B only when there
+are modes.
 
 The operators B, DB and DB* take the increment field xi = sum_k sigma_k
 dW_k g_k rather than the increments dW. xi does not depend on the state, so
@@ -21,7 +26,7 @@ the solvers compute it for a block of steps with one :func:`_mode_sum` and
 call the operators once per step. Nor does rho'(y_n) along a linearized or
 adjoint sweep, whose states are fixed: DB takes rho'(y) and DB* the product
 rho'(y) xi, which the sweeps compute for a block of steps at once. Each
-operator writes into an ``out`` array when given one, so a sweep reuses one
+operator writes into the ``out`` array it is given, so a sweep reuses one
 buffer for every step.
 """
 
@@ -223,8 +228,8 @@ def no_noise(grid: Grid) -> NoiseModel:
 # The array-level operators below are the hot path of the solvers. Their
 # field arguments may carry leading batch axes (one row per path), with
 # ``xi`` the increment field of each row. Each operator writes its result
-# into ``out`` when it is given, an array of the result's shape that
-# overlaps none of its arguments, and returns it.
+# into ``out``, an array of the result's shape that overlaps none of its
+# arguments, and returns it. Which noise enters a step is the sweeps' rule.
 
 
 def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
@@ -239,18 +244,14 @@ def _mode_sum(nm: NoiseModel, dw: np.ndarray) -> np.ndarray:
 
 
 def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray) -> np.ndarray:
     """Array-level noise increment B(y) dw of the increment field ``xi``,
     of the shape of ``y``, before the step's projection.
 
-    Multiplicative noise is xi * tanh(y) = sum_k sigma_k dw_k g_k tanh(y);
-    the step drops its zero mode.
+    Additive noise is xi itself; multiplicative noise is xi * tanh(y) =
+    sum_k sigma_k dw_k g_k tanh(y), and the step drops its zero mode.
     """
-    if out is None:
-        out = np.empty(y.shape)
-    if nm.nmodes == 0:
-        out.fill(0.0)
-    elif not nm.is_multiplicative:
+    if not nm.is_multiplicative:
         np.copyto(out, xi)
     else:
         np.tanh(y, out=out)
@@ -258,38 +259,26 @@ def b_increment_values(nm: NoiseModel, y: np.ndarray, xi: np.ndarray,
     return out
 
 
-def db_increment_values(nm: NoiseModel, rho_prime_y: np.ndarray, z: np.ndarray,
-                        xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of the noise operator in the state y, applied to z, for
-    the increment field ``xi``, before the step's projection; ``rho_prime_y``
-    is rho'(y). It is xi * (rho'(y) * z), of the shape of ``z``."""
-    if out is None:
-        out = np.empty(z.shape)
-    if nm.nmodes == 0 or not nm.is_multiplicative:
-        out.fill(0.0)
-    else:
-        np.multiply(rho_prime_y, z, out=out)
-        np.multiply(xi, out, out=out)
-    return out
+def db_increment_values(rho_prime_y: np.ndarray, z: np.ndarray, xi: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Derivative of the multiplicative noise operator in the state y,
+    applied to z, for the increment field ``xi``, before the step's
+    projection; ``rho_prime_y`` is rho'(y). It is xi * (rho'(y) * z), of
+    the shape of ``z``."""
+    np.multiply(rho_prime_y, z, out=out)
+    return np.multiply(xi, out, out=out)
 
 
-def db_adjoint_scaled_values(nm: NoiseModel, rho_prime_xi: np.ndarray,
-                             p_projected: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of the projected z -> DB(y)[z] dw applied to p, where
-    ``rho_prime_xi`` is rho'(y) times the increment field xi of dw and
-    ``p_projected`` is Pi p, p less its grid mean: rho'(y) xi Pi p, of the
-    shape of ``p_projected``.
+def db_adjoint_scaled_values(rho_prime_xi: np.ndarray, p_projected: np.ndarray,
+                             out: np.ndarray) -> np.ndarray:
+    """Adjoint of the projected z -> DB(y)[z] dw of multiplicative noise
+    applied to p, where ``rho_prime_xi`` is rho'(y) times the increment
+    field xi of dw and ``p_projected`` is Pi p, p less its grid mean:
+    rho'(y) xi Pi p, of the shape of ``p_projected``.
 
     With Pi the projection to zero mean it satisfies the exact discrete
     identity <Pi DB(y)[z] dw, p>_H = <z, out>_H. The adjoint sweep takes
     Pi p from its node map, which drops the zero coefficient of p, the one
     the state step's projection drops.
     """
-    if out is None:
-        out = np.empty(p_projected.shape)
-    if nm.nmodes == 0 or not nm.is_multiplicative:
-        out.fill(0.0)
-    else:
-        np.multiply(rho_prime_xi, p_projected, out=out)
-    return out
+    return np.multiply(rho_prime_xi, p_projected, out=out)

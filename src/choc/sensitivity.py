@@ -41,8 +41,15 @@ for every direction h. It is the only adjoint: a direct discretization of
 the continuous adjoint equation is the private reference of
 :func:`choc.verify.check_backend_consistency` and nothing else.
 
-:func:`solve_adjoint` stores the ptilde_n it computes at every node and
-does not keep p, which no reader uses. :func:`solve_linearized` and
+DB_n is zero for additive noise and for noise without modes. The two
+sweeps, and not the noise operators, decide that: each tests
+``nm.is_multiplicative and nm.nmodes > 0`` once and calls DB or DB*, which
+are the multiplicative formulas alone, only when it holds; otherwise it
+steps without a noise term.
+
+:func:`solve_linearized` returns the z_n of every node and
+:func:`solve_adjoint` the ptilde_n, not p, which no reader uses; each
+solution carries the trajectory's parameters. :func:`solve_linearized` and
 :func:`solve_adjoint` sweep every path of a trajectory at once, on arrays
 with a leading path axis, and read the increments of the trajectory's
 :class:`~choc.state.WienerPaths` batch in place; each path's sensitivity
@@ -66,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _node_map, lap_values
+from .grid import _node_map, lap_values
 from .physics import _mode_sum, db_adjoint_scaled_values, db_increment_values
 from .state import (
     StateParams,
@@ -92,25 +99,16 @@ __all__ = [
 class LinearizedSolution:
     """Directional state sensitivity z along a trajectory's paths.
 
-    ``zs`` stacks the nsteps+1 sensitivities from z_0 = 0 in the direction
-    ``h``, which the paths share, behind the trajectory's leading path axis.
+    ``zs`` stacks the nsteps+1 sensitivities from z_0 = 0 in a direction
+    that the paths share, behind the trajectory's leading path axis.
     """
 
-    traj: Trajectory
-    h: np.ndarray                # (nsteps, *grid.shape)
+    params: StateParams
     zs: np.ndarray               # (npaths, nsteps+1, *grid.shape), zs[:, 0] = 0
 
     @property
-    def params(self) -> StateParams:
-        return self.traj.params
-
-    @property
-    def grid(self) -> Grid:
-        return self.params.grid
-
-    @property
     def npaths(self) -> int:
-        return self.traj.npaths
+        return self.zs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -125,10 +123,6 @@ class AdjointSolution:
 
     params: StateParams
     ptildes: np.ndarray          # (npaths, nsteps+1, *grid.shape)
-
-    @property
-    def grid(self) -> Grid:
-        return self.params.grid
 
     @property
     def npaths(self) -> int:
@@ -146,7 +140,7 @@ def solve_linearized(traj: Trajectory, h) -> LinearizedSolution:
     p = traj.params
     hvals = control_values(h, p.timegrid, p.grid)
     zs = _sweep_linearized(traj.ys, hvals[None], traj.wiener, p)
-    return LinearizedSolution(traj=traj, h=hvals, zs=zs)
+    return LinearizedSolution(params=p, zs=zs)
 
 
 def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths: WienerPaths,
@@ -185,7 +179,7 @@ def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths: WienerPaths
             xi = _mode_sum(nm, dw_n[n0:n1])
         for j in range(n1 - n0):
             if noisy:
-                db_increment_values(nm, rho_b[j], z, xi[j], out=noise)
+                db_increment_values(rho_b[j], z, xi[j], noise)
             np.multiply(c_b[j], z, out=reaction)
             step(reaction, h_b[j])
             zs_n[n0 + j + 1] = z
@@ -260,7 +254,7 @@ def _sweep_adjoint(ys: np.ndarray, paths: WienerPaths, xq, xt, alphas,
             np.multiply(coef[j], pt_n, out=work)
             np.subtract(costate, work, out=costate)
             if noisy:
-                db_adjoint_scaled_values(nm, rho_xi[j], pi_p, out=work)
+                db_adjoint_scaled_values(rho_xi[j], pi_p, work)
                 np.add(costate, work, out=costate)
     return ptildes
 

@@ -58,7 +58,12 @@ that step's data alone, so every block length gives the same bits.
 A sweep allocates the workspace of its steps once (:func:`_stepper` for
 the state and linearized steps): the symbols are broadcast to the step
 shape (ncontrols, npaths, *grid.shape), and every per-step ufunc, transform
-and noise operator writes through ``out=`` into that workspace. The
+and noise operator writes through ``out=`` into that workspace. The state
+sweep decides which noise enters a step: it calls the noise operator B
+(:func:`~choc.physics.b_increment_values`) into the step map's noise input
+only when the noise has modes, and otherwise steps without a noise input;
+the linearized and adjoint sweeps decide the same for DB and DB* (see
+:mod:`choc.sensitivity`). The
 working state is one of its arrays; each step's state is copied into the
 stored trajectory. Before each block the sweep copies the block's controls
 (or directions) to the step shape, so a step subtracts two arrays of one
@@ -262,16 +267,14 @@ class Trajectory:
     """States of a batch of noise paths; a single path is a batch of one.
 
     ``ys`` stacks the nsteps+1 state fields of every path behind a leading
-    path axis. ``control`` holds the control values, shared by the paths,
-    and ``wiener`` the Wiener paths that generated the trajectory; the
-    linearized and adjoint solvers read ``params``, ``ys`` and ``wiener``,
-    not the control. The mass and free-energy series are computed when
-    first read.
+    path axis, and ``wiener`` holds the Wiener paths that generated the
+    trajectory; the linearized and adjoint solvers read ``params``, ``ys``
+    and ``wiener``. The mass and free-energy series are computed when first
+    read.
     """
 
     params: StateParams
     ys: np.ndarray               # (npaths, nsteps+1, *grid.shape)
-    control: np.ndarray          # (nsteps, *grid.shape)
     wiener: WienerPaths
 
     @property
@@ -433,9 +436,8 @@ def solve_state(y0, u, paths: WienerPaths, params: StateParams) -> Trajectory:
         raise ConfigurationError("Wiener paths sampled on a different time grid")
     if paths.nmodes != params.noise.nmodes:
         raise ConfigurationError("Wiener paths have a different number of modes")
-    uvals = control_values(u, tg, g)
-    ys = _sweep_state(y0, uvals[None], paths, params)
-    return Trajectory(params=params, ys=ys, control=uvals, wiener=paths)
+    ys = _sweep_state(y0, control_values(u, tg, g)[None], paths, params)
+    return Trajectory(params=params, ys=ys, wiener=paths)
 
 
 def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths: WienerPaths,
@@ -484,7 +486,7 @@ def _sweep_state(y0: np.ndarray, controls: np.ndarray, paths: WienerPaths,
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n1 - n0):
                 if noisy:
-                    b_increment_values(nm, y, xi[j], out=noise)
+                    b_increment_values(nm, y, xi[j], noise)
                 step(psi_prime(y), u_b[j])
                 ys_n[n0 + j + 1] = y
         _guard(ys_n[n0 + 1:n1 + 1], n0, params.blowup_threshold, paths.seeds)

@@ -8,7 +8,10 @@ the transpose adjoint with a discretization of the continuous one.
 Each check is a pure function of its inputs and seeds that returns a
 :class:`CheckReport`, whose JSON form is byte-stable across runs, and has a
 negative control in the test suite, so a vacuous pass cannot hide a wiring
-bug. A count or a ladder that a check cannot measure on is a
+bug. The Gateaux check's bump sizes and the moment bounds' refinement
+levels are constants beside the tolerances; the ladders that stay
+parameters are the truncation levels and the step counts of the backend
+consistency check. A count or a ladder that a check cannot measure on is a
 :class:`~choc.errors.ConfigurationError`. :func:`suite` is the one
 definition of the suite that ``choc verify`` runs.
 """
@@ -83,6 +86,12 @@ _LIPSCHITZ_MESH_FACTOR = 2        # Lipschitz: refinement of the fine level
 _STABILITY_FACTOR = 2.0           # Lipschitz, moment bounds: drift under refinement
 _BACKEND_ORDER_TOL = 0.8          # backend consistency: least order in tau
 
+# The ladders that ``choc verify`` measures along and no caller changes:
+# the Gateaux check's bump sizes, and the moment bounds' refinement levels,
+# each (mesh factor, time factor) of the problem's grid and step count.
+_GATEAUX_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+_MOMENT_REFINEMENTS = ((1, 1), (2, 2))
+
 # Byte budget of the sweep outputs a duality or Lipschitz check holds at
 # once (see :func:`_pair_chunks`): 5 pairs of the default 1D problem's 8
 # paths, one pair of a 64 x 64 grid's. A 1D sweep is bound by dispatch, so
@@ -107,28 +116,16 @@ def _require_count(name: str, n: int) -> None:
         raise ConfigurationError(f"{name} must be at least 1, got {n}")
 
 
-def _require_ladder(name: str, ladder: list, decreasing: bool = False,
-                    finite: bool = True) -> None:
+def _require_ladder(name: str, ladder: list) -> None:
     """Raise a :class:`ConfigurationError` naming ``name`` unless the
     ``ladder`` that a check fits an order or compares levels along has at
-    least two entries, each positive (and finite where ``finite``), strictly
-    increasing (decreasing where ``decreasing``). A refinement level (mesh
-    factor, step count), as :func:`_level` takes it, is positive when both
-    counts are, and larger than another when finer in one and in neither
-    coarser."""
+    least two entries, each positive, strictly increasing."""
     if len(ladder) < 2:
         raise ConfigurationError(f"need at least two {name}, got {len(ladder)}")
-    for entry in ladder:
-        if isinstance(entry, tuple):
-            for part, n in zip(("mesh factor", "step count"), entry):
-                _require_count(f"{name}: a level's {part}", n)
-        elif not (entry > 0 and (not finite or math.isfinite(entry))):
-            qualifier = "finite and " if finite else ""
-            raise ConfigurationError(f"{name} must be {qualifier}positive, got {ladder}")
-    steps = zip(ladder[1:], ladder) if decreasing else zip(ladder, ladder[1:])
-    if not all(a != b and np.all(np.less_equal(a, b)) for a, b in steps):
-        order = "decreasing" if decreasing else "increasing"
-        raise ConfigurationError(f"{name} must be strictly {order}, got {ladder}")
+    if not all(entry > 0 for entry in ladder):
+        raise ConfigurationError(f"{name} must be positive, got {ladder}")
+    if not all(a < b for a, b in zip(ladder, ladder[1:])):
+        raise ConfigurationError(f"{name} must be strictly increasing, got {ladder}")
 
 
 def _jsonable(obj):
@@ -266,39 +263,37 @@ def check_mass_conservation(problem: Problem, es: EnsembleSpec) -> CheckReport:
 
 
 def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
-                  eps_list=(1e-1, 1e-2, 1e-3, 1e-4), path_seed: int = 0,
-                  npaths: int = 2) -> CheckReport:
+                  path_seed: int = 0, npaths: int = 2) -> CheckReport:
     """Difference quotients of the control-to-state map against the
-    linearized solution, path by path with common noise.
+    linearized solution, path by path with common noise, at the bump sizes
+    eps of ``_GATEAUX_EPS``.
 
     The error e(eps) must shrink linearly in eps; when the potential has
     constant curvature the dynamics are affine in the control and e(eps)
     sits at rounding level for every eps, which counts as a pass.
     """
-    eps_list = list(eps_list)
-    _require_ladder("eps_list", eps_list, decreasing=True)
     p = problem.params
     tg = p.timegrid
     g = p.grid
-    errors = np.zeros(len(eps_list))
+    errors = np.zeros(len(_GATEAUX_EPS))
     z_norm = 0.0
     paths = EnsembleSpec(npaths, path_seed).sample_paths(p)
     # one sweep of the base control and every bumped one
-    controls = np.stack([u.values] + [u.values + eps * h.values for eps in eps_list])
+    controls = np.stack([u.values] + [u.values + eps * h.values for eps in _GATEAUX_EPS])
     ys = _sweep_state(problem.y0, controls, paths, p)
     ys = ys.reshape((len(controls), npaths) + ys.shape[1:])
     base, bumped = ys[0], ys[1:]
     zs = _sweep_linearized(base, h.values[None], paths, p)[:, : tg.nsteps]
     for z in zs:
         z_norm += series_l2h_norm(z, tg, g)
-    for j, eps in enumerate(eps_list):
+    for j, eps in enumerate(_GATEAUX_EPS):
         for i in range(npaths):
             quotient = (bumped[j, i] - base[i]) / eps
             errors[j] += series_l2h_norm(quotient[: tg.nsteps] - zs[i], tg, g)
     errors /= npaths
     z_norm /= npaths
 
-    order = empirical_order(np.asarray(eps_list), errors)
+    order = empirical_order(np.asarray(_GATEAUX_EPS), errors)
     exact_bound = _GATEAUX_EXACT_TOL * (1.0 + z_norm)
     floor_bound = _GATEAUX_FLOOR_FACTOR * (1.0 + z_norm)
     exact = bool(np.max(errors) <= exact_bound)
@@ -307,7 +302,7 @@ def check_gateaux(problem: Problem, u: ControlProcess, h: ControlProcess,
                        and floor_ok)
     table = tuple(
         {"eps": float(e), "error_l2h": float(err)}
-        for e, err in zip(eps_list, errors)
+        for e, err in zip(_GATEAUX_EPS, errors)
     )
     return CheckReport(
         name="gateaux",
@@ -401,7 +396,8 @@ def _level(problem: Problem, es: EnsembleSpec, mesh_factor: int, nsteps: int,
     refined ``mesh_factor`` times per axis with ``nsteps`` time steps, the
     initial datum on that grid, and the ensemble's paths, sampled on
     ``finest`` steps and aggregated, so every level sees the same Brownian
-    motion. The levels of a study pass :func:`_require_ladder` first."""
+    motion. A study's levels are a constant ladder or pass
+    :func:`_require_ladder` first."""
     if finest % nsteps:
         raise ConfigurationError("coarse step counts must divide the finest")
     p = problem.params
@@ -504,7 +500,7 @@ def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
     """
     levels = [float(level) for level in levels]
     # an infinite level clamps nothing
-    _require_ladder("truncation levels", levels, finite=False)
+    _require_ladder("truncation levels", levels)
     p = problem.params
     paths = es.sample_paths(p)
     ys = solve_state(problem.y0, u.values, paths, p).ys
@@ -552,9 +548,9 @@ def check_truncation(problem: Problem, u: ControlProcess, h: ControlProcess,
 # Moment bounds
 
 
-def check_moment_bounds(problem: Problem, es: EnsembleSpec,
-                        refinements=((1, 1), (2, 2))) -> CheckReport:
-    """Monte Carlo moment estimates under mesh/time refinement.
+def check_moment_bounds(problem: Problem, es: EnsembleSpec) -> CheckReport:
+    """Monte Carlo moment estimates under the mesh/time refinements of
+    ``_MOMENT_REFINEMENTS``.
 
     Estimates E sup_n |y_n|_H^12, E sum_n tau |y_n|_Z^2, and
     E sup_n |y_n|_V^6 with Brownian paths coupled across refinement levels;
@@ -562,10 +558,9 @@ def check_moment_bounds(problem: Problem, es: EnsembleSpec,
     blow-up on any path is recorded as a failure, never as NaN.
     """
     nsteps = problem.params.timegrid.nsteps
-    levels = [(int(mesh_f), nsteps * int(time_f)) for mesh_f, time_f in refinements]
-    _require_ladder("refinements", levels)
+    levels = [(mesh_f, nsteps * time_f) for mesh_f, time_f in _MOMENT_REFINEMENTS]
     report = partial(CheckReport, name="moment_bounds",
-                     inputs={"refinements": [list(r) for r in refinements],
+                     inputs={"refinements": [list(r) for r in _MOMENT_REFINEMENTS],
                              "npaths": es.npaths, "base_seed": es.base_seed},
                      tolerance={"stability_factor": _STABILITY_FACTOR})
     rows = []
@@ -712,7 +707,7 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
         p = replace(p, noise=additive_noise(p.grid, nm.sigmas, nm.mode_indices))
         problem = replace(problem, params=p)
     nsteps_list = sorted(int(n) for n in nsteps_list)
-    _require_ladder("nsteps_list", [(1, n) for n in nsteps_list])
+    _require_ladder("nsteps_list", nsteps_list)
     finest = nsteps_list[-1]
 
     rng = _generator(seed)

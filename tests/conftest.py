@@ -71,20 +71,21 @@ def chemical_potential(grid: Grid, y: np.ndarray, u: np.ndarray,
     return -lap_values(grid, y) + pot.psi_prime(y) - u
 
 
-def step_potentials(traj) -> np.ndarray:
-    """w_n = -Lap y_n + psi'(y_n) - u_n of a trajectory at every step start,
+def step_potentials(traj, u) -> np.ndarray:
+    """w_n = -Lap y_n + psi'(y_n) - u_n of a trajectory of the control ``u``
+    (nsteps, *grid.shape), or 0.0 for the zero control, at every step start,
     shape (npaths, nsteps, *grid.shape)."""
-    return chemical_potential(traj.grid, traj.ys[:, :-1], traj.control,
-                              traj.params.potential)
+    return chemical_potential(traj.grid, traj.ys[:, :-1], u, traj.params.potential)
 
 
-def linearized_potential(lin) -> np.ndarray:
-    """mu_n = -Lap z_n + C_n z_n - h_n of a linearized solution at every step
-    start, shape (npaths, nsteps, *grid.shape), with C_n the curvature of
-    its trajectory's potential."""
+def linearized_potential(lin, traj, h) -> np.ndarray:
+    """mu_n = -Lap z_n + C_n z_n - h_n of a linearized solution along the
+    trajectory ``traj`` in the direction ``h`` (nsteps, *grid.shape), or 0.0
+    for the zero direction, at every step start, shape (npaths, nsteps,
+    *grid.shape), with C_n the curvature of the trajectory's potential."""
     z = lin.zs[:, :-1]
-    curvature = lin.params.potential.psi_second(lin.traj.ys[:, :-1])
-    return -lap_values(lin.grid, z) + curvature * z - lin.h
+    curvature = lin.params.potential.psi_second(traj.ys[:, :-1])
+    return -lap_values(lin.params.grid, z) + curvature * z - h
 
 
 def zero_potential() -> Potential:

@@ -102,17 +102,15 @@ def test_criterion_04_gateaux():
     problem = _problem(_params("multiplicative"))
     u = random_smooth_control(problem, 21, amplitude=0.4)
     h = random_smooth_control(problem, 22, amplitude=1.0)
-    rep = check_gateaux(problem, u, h, eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                        path_seed=31, npaths=2)
+    rep = check_gateaux(problem, u, h, path_seed=31, npaths=2)
+    assert [row["eps"] for row in rep.table] == [1e-1, 1e-2, 1e-3, 1e-4]
     scale = 1.0 + rep.measured["linearized_norm"]
     assert rep.tolerance["empirical_order"] == 0.9
     assert rep.tolerance["min_error"] == 1e-4 * scale
     ok_order = rep.passed and rep.measured["empirical_order"] >= 0.9
 
     lin_problem = _problem(_params("additive", potential=quadratic_potential(1.0)))
-    rep_lin = check_gateaux(lin_problem, u, h,
-                            eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                            path_seed=31, npaths=2)
+    rep_lin = check_gateaux(lin_problem, u, h, path_seed=31, npaths=2)
     lin_scale = 1.0 + rep_lin.measured["linearized_norm"]
     assert rep_lin.tolerance["exact_linearity_error"] == 1e-11 * lin_scale
     ok_exact = rep_lin.measured["max_error"] <= 1e-11 * lin_scale

@@ -1,5 +1,7 @@
 """Cost, gradient, projection, and projected gradient descent."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -282,7 +284,9 @@ def test_optimize_pure_penalty_contracts_to_zero():
 
 
 def test_optimize_huge_tol_stops_immediately():
-    problem, es = _problem()
+    # optimize refuses an eta0 at or above c0/tol, whose gradient map meets
+    # the tol at once, so the ball is as large as the tol
+    problem, es = _problem(c0=1e7)
     u0 = _smooth_control(problem, 3)
     res = optimize(u0, es, problem, OptimizerOptions(tol=1e6, max_iter=50))
     assert res.n_iterations == 0
@@ -290,12 +294,76 @@ def test_optimize_huge_tol_stops_immediately():
     assert np.array_equal(res.control.values, u0.values)
 
 
+def _small_build():
+    """The build of the 16-point, 10-step, 2-path configuration."""
+    return build_problem(parse_config(
+        "[grid]\nnpoints = 16\n[time]\nnsteps = 10\n[ensemble]\nnpaths = 2\n"))
+
+
+# the default config's c0 / tol, the least eta0 that fakes convergence
+_ETA0_LIMIT = 1.0 / 7e-7
+
+
+@pytest.mark.parametrize("eta0", [1e-300, 1e7, 1e300, _ETA0_LIMIT])
+def test_optimize_refuses_an_eta0_that_fakes_convergence(monkeypatch, eta0):
+    # at the zero control the gradient map is min(|grad|, c0/eta0), below
+    # tol for any gradient once eta0 >= c0/tol (1.43e6 here), and at 1e-300
+    # the step's squares underflow: each once returned "converged" after 0
+    # iterations. The library refuses them as the config does, before any
+    # sweep.
+    build = _small_build()
+    monkeypatch.setattr(choc.control, "solve_state", None)
+    opts = replace(build.optimizer, eta0=eta0)
+    with pytest.raises(ConfigurationError, match="optimizer.eta0 must be at least"):
+        optimize(build.u0, build.ensemble, build.problem, opts)
+
+
+@pytest.mark.parametrize("eta0", [choc.control._ETA_MIN, np.nextafter(_ETA0_LIMIT, 0.0)])
+def test_optimize_takes_an_eta0_at_the_ends_of_the_range(eta0):
+    # the range is [_ETA_MIN, c0/tol): both ends of it run
+    build = _small_build()
+    opts = replace(build.optimizer, eta0=eta0, max_iter=0)
+    res = optimize(build.u0, build.ensemble, build.problem, opts)
+    assert res.n_iterations == 0 and len(res.gradient_map_history) == 1
+
+
+_OFF_GEOMETRY = {"grid": dict(grid=Grid((16,), (9.0,))),
+                 "timegrid": dict(timegrid=TimeGrid(7.0, 10))}
+_CONTROL_CALLS = {
+    "reduced_cost": lambda u, b: reduced_cost(u, b.ensemble, b.problem),
+    "gradient": lambda u, b: gradient(u, b.ensemble, b.problem),
+    "optimality_residual": lambda u, b: optimality_residual(u, b.ensemble, b.problem),
+    "optimize": lambda u, b: optimize(u, b.ensemble, b.problem, b.optimizer),
+}
+
+
+@pytest.mark.parametrize("call", list(_CONTROL_CALLS))
+@pytest.mark.parametrize("off", list(_OFF_GEOMETRY))
+def test_a_control_off_the_problem_geometry_is_refused(monkeypatch, off, call):
+    # a control on another grid or time grid of the same shape was measured
+    # with its own cell volume and step: 5.0 everywhere on Grid((16,), (9.0,))
+    # and TimeGrid(7.0, 10) projected to 0.126, not 4.472, and optimize from
+    # it ended at cost 0.0255 instead of 1.2e-4, with no error
+    build = _small_build()
+    g, tg = build.problem.params.grid, build.problem.params.timegrid
+    values = np.full((tg.nsteps,) + g.shape, 5.0)
+    good = ControlProcess(g, tg, values)
+    assert project_admissible(good, 1.0).values[0, 0] == pytest.approx(4.472, abs=1e-3)
+    other = replace(good, **_OFF_GEOMETRY[off])
+    monkeypatch.setattr(choc.control, "solve_state", None)
+    with pytest.raises(ConfigurationError) as err:
+        _CONTROL_CALLS[call](other, build)
+    for geometry in (g, tg, other.grid, other.timegrid):
+        assert repr(geometry) in str(err.value)
+
+
 @pytest.mark.parametrize("tol", [1e-300, 1e6])
 def test_optimize_solves_each_control_once(monkeypatch, tol):
     # the ensemble is solved in one sweep per control: the starting cost and
     # each trial; the gradient and the residual reuse those trajectories, and
-    # each gradient is one adjoint sweep
-    problem, es = _problem(grid_n=16, npaths=2)
+    # each gradient is one adjoint sweep. At tol = 1e6 the ball is enlarged
+    # so that eta0 = 16 lies below c0/tol.
+    problem, es = _problem(grid_n=16, npaths=2, c0=1e8 if tol > 1 else 1.0)
     counts = {"state": 0, "adjoint": 0, "cost": 0}
 
     def counted(name, fn):

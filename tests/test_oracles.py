@@ -124,7 +124,8 @@ def step_projection(nm, v, xi):
     c is 1/d with its zero mode 0. Returns it with 1/d."""
     p = StateParams(grid=nm.grid, timegrid=TimeGrid(0.05, 10),
                     potential=double_well(), noise=nm)
-    coeffs = _dct(db_increment_values(nm, np.ones(v.shape), v, xi), nm.grid.axes)
+    db = db_increment_values(np.ones(v.shape), v, xi, np.empty(v.shape))
+    coeffs = _dct(db, nm.grid.axes)
     return p.step_symbols[2] * coeffs, 1.0 / p.implicit_symbol
 
 
@@ -202,7 +203,7 @@ def test_double_well_prime_is_the_cube_minus_r(r):
 
 def ptildes_oracle(traj, x_q, x_t, alphas):
     """The transpose sweep of one path with ptilde_n = -Lap p_n taken from
-    the values of p_n."""
+    the values of p_n; only multiplicative noise has a DB* term."""
     p = traj.params
     g = p.grid
     tau = p.timegrid.tau
@@ -218,10 +219,11 @@ def ptildes_oracle(traj, x_q, x_t, alphas):
         ptildes[n] = -lap_values(g, p_n)
         c_n = p.potential.psi_second(ys[n])
         costate = (tau * a1 * (ys[n] - x_q[n]) + p_n
-                   - tau * (c_n - p.stabilization) * ptildes[n]
-                   + db_adjoint_scaled_values(
-                       p.noise, p.noise.rho_prime(ys[n]) * _mode_sum(p.noise, dws[n]),
-                       p_n - path_mean(g, p_n)))
+                   - tau * (c_n - p.stabilization) * ptildes[n])
+        if p.noise.is_multiplicative:
+            costate += db_adjoint_scaled_values(
+                p.noise.rho_prime(ys[n]) * _mode_sum(p.noise, dws[n]),
+                p_n - path_mean(g, p_n), np.empty(p_n.shape))
     return ptildes
 
 

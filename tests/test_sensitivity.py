@@ -25,7 +25,8 @@ from choc import (
 )
 from choc.grid import lap_values, low_pass_values
 from choc.physics import additive_noise, no_noise
-from choc.state import StateParams, series_l2h_norm
+from choc.sensitivity import _sweep_adjoint, _sweep_linearized
+from choc.state import StateParams, series_l2h_norm, target_values
 from choc.verify import _continuous_gaps, check_truncation
 
 from conftest import (
@@ -60,7 +61,7 @@ def test_linearized_zero_direction(small_params, rng):
     traj = _make_traj(small_params, rng)
     lin = solve_linearized(traj, None)
     assert np.all(lin.zs == 0.0)
-    assert np.all(linearized_potential(lin) == 0.0)
+    assert np.all(linearized_potential(lin, traj, 0.0) == 0.0)
 
 
 def test_linearized_starts_at_zero(small_params, rng):
@@ -165,10 +166,11 @@ def test_batched_linearized_is_path_solve(small_params, rng):
     assert lin.npaths == 2
     assert lin.zs.shape == batch.ys.shape
     for i, wp in enumerate(each_path(paths)):
-        alone = solve_linearized(solve_state(y0, None, wp, params), h)
+        traj = solve_state(y0, None, wp, params)
+        alone = solve_linearized(traj, h)
         assert np.array_equal(lin.zs[i], alone.zs[0])
-        assert np.array_equal(linearized_potential(lin)[i],
-                              linearized_potential(alone)[0])
+        assert np.array_equal(linearized_potential(lin, batch, h)[i],
+                              linearized_potential(alone, traj, h)[0])
 
 
 def test_batched_adjoint_rejects_target_of_other_path_count(small_params, rng):
@@ -222,6 +224,29 @@ def test_adjoint_ptilde_is_minus_lap_p(small_params, rng):
     for ptildes in (adj.ptildes[0], continuous[0]):
         means = np.mean(ptildes.reshape(len(ptildes), -1), axis=1)
         assert np.max(np.abs(means)) <= 1e-12
+
+
+# --- which noise enters a step ---------------------------------------------------
+
+
+def test_additive_noise_enters_no_linearized_or_adjoint_step(small_params, rng):
+    # additive noise has DB = 0, and the sweeps are the one home of that
+    # rule: along an additive-noise trajectory, the linearized and adjoint
+    # sweeps give bitwise what they give with the same params and no noise
+    params = replace(small_params, noise=additive_noise(small_params.grid, [0.3, 0.2]))
+    quiet = replace(params, noise=no_noise(params.grid))
+    traj = _make_traj(params, rng, seed=7)
+    assert np.any(traj.wiener.increments != 0.0)
+    h = _random_direction(params, rng)[None]
+    alphas = (0.7, 1.3, 0.0)
+    xq, xt = target_values(_random_direction(params, rng, 0.3),
+                           low_pass_values(params.grid, rng, 0.3), alphas,
+                           params.timegrid, params.grid, traj.npaths)
+    for sweep, args in ((_sweep_linearized, (traj.ys, h, traj.wiener)),
+                        (_sweep_adjoint, (traj.ys, traj.wiener, xq, xt, alphas))):
+        noisy, plain = (sweep(*args, p) for p in (params, quiet))
+        assert np.array_equal(noisy, plain)
+        assert np.any(noisy != 0.0)
 
 
 # --- duality ----------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_step_constant_fixed_point(grid64):
     y = np.full(grid64.shape, 0.3)
     traj = one_step(y, np.zeros(grid64.shape), np.zeros(0), params)
     assert np.max(np.abs(traj.ys[0, 1] - 0.3)) <= 1e-13
-    assert np.allclose(step_potentials(traj)[0, 0], 0.3**3 - 0.3, atol=1e-12)
+    assert np.allclose(step_potentials(traj, 0.0)[0, 0], 0.3**3 - 0.3, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 4, 9])
@@ -184,7 +184,8 @@ def test_step_is_first_step_of_solve(grid64, grid2d, rng, make_noise):
         first = replace(params, timegrid=TimeGrid(params.timegrid.tau, 1))
         step = one_step(y0, u[0], wp.increments[0], first)
         assert np.array_equal(step.ys[0, 1], traj.ys[0, 1])
-        assert np.array_equal(step_potentials(step)[0, 0], step_potentials(traj)[0, 0])
+        assert np.array_equal(step_potentials(step, u[:1])[0, 0],
+                              step_potentials(traj, u)[0, 0])
 
 
 def test_step_requires_stabilization_above_c1(grid64):
@@ -221,7 +222,7 @@ def test_solve_bitwise_reproducible(small_params, rng):
     t1 = solve_state(y0, None, wp, small_params)
     t2 = solve_state(y0, None, wp, small_params)
     assert np.array_equal(t1.ys, t2.ys)
-    assert np.array_equal(step_potentials(t1), step_potentials(t2))
+    assert np.array_equal(step_potentials(t1, 0.0), step_potentials(t2, 0.0))
 
 
 def test_solve_mass_conservation_multiplicative(grid64, rng):

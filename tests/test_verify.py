@@ -132,22 +132,6 @@ def test_gateaux_double_well_order_one():
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_gateaux_requires_decreasing_eps():
-    problem = _problem()
-    u = problem.zero_control()
-    with pytest.raises(ConfigurationError):
-        check_gateaux(problem, u, u, eps_list=(1e-3, 1e-2))
-
-
-@pytest.mark.parametrize("eps_list", [(1e-1, -1e-2), (1e-1, 0.0), (np.inf, 1e-1)])
-def test_gateaux_requires_finite_positive_eps(eps_list):
-    # a difference quotient at eps <= 0 or at an infinite eps measures no order
-    problem = _problem(grid_n=16, nsteps=10)
-    u = problem.zero_control()
-    with pytest.raises(ConfigurationError, match="eps_list must be finite and positive"):
-        check_gateaux(problem, u, u, eps_list=eps_list)
-
-
 # --- duality ---------------------------------------------------------------------
 
 
@@ -487,73 +471,45 @@ def test_truncation_check_negative_control():
 
 def test_moment_bounds_stable():
     problem = _problem()
-    report = check_moment_bounds(problem, EnsembleSpec(3, 9),
-                                 refinements=((1, 1), (2, 2)))
+    report = check_moment_bounds(problem, EnsembleSpec(3, 9))
+    assert report.inputs["refinements"] == [[1, 1], [2, 2]]
     assert report.passed
     levels = report.measured["levels"]
     assert len(levels) == 2
     assert all(np.isfinite(l["sup_h_12"]) for l in levels)
 
 
-def test_moment_bounds_rejects_non_dividing_ladder():
-    # 2n steps do not aggregate from the finest 3n
-    problem = _problem()
+def test_backend_consistency_rejects_non_dividing_ladder():
+    # 200 steps do not aggregate from the finest 300
+    problem = _problem(grid_n=16)
     with pytest.raises(ConfigurationError, match="must divide the finest"):
-        check_moment_bounds(problem, EnsembleSpec(1, 9),
-                            refinements=((1, 2), (1, 3)))
+        check_backend_consistency(problem, EnsembleSpec(1, 9), nsteps_list=(200, 300))
 
 
-@pytest.mark.parametrize("refinements, what", [(((1, 1), (1, 0)), "step count"),
-                                               (((1, 1), (0, 1)), "mesh factor")])
-def test_moment_bounds_rejects_a_level_without_steps_or_points(refinements, what):
+def _run_ladder(ladder):
+    """check_backend_consistency along the step counts ``ladder``."""
     problem = _problem(grid_n=16, nsteps=10)
-    with pytest.raises(ConfigurationError, match=f"{what} must be at least 1"):
-        check_moment_bounds(problem, EnsembleSpec(2, 9), refinements=refinements)
+    return check_backend_consistency(problem, EnsembleSpec(2, 9), nsteps_list=ladder)
 
 
 def test_backend_consistency_rejects_a_level_without_steps():
-    problem = _problem(grid_n=16, nsteps=10)
-    with pytest.raises(ConfigurationError, match="step count must be at least 1, got 0"):
-        check_backend_consistency(problem, EnsembleSpec(2, 9), nsteps_list=(0, 10))
-
-
-def _run_ladder(name, ladder):
-    """The check that fits or compares along the ladder ``name``, on it."""
-    problem = _problem(grid_n=16, nsteps=10)
-    es = EnsembleSpec(2, 9)
-    u = problem.zero_control()
-    if name == "eps_list":
-        return check_gateaux(problem, u, u, eps_list=ladder)
-    if name == "nsteps_list":
-        return check_backend_consistency(problem, es, nsteps_list=ladder)
-    return check_moment_bounds(problem, es, refinements=ladder)
-
-
-@pytest.mark.parametrize("name, ladder", [
-    ("eps_list", ()), ("eps_list", (1e-2,)),
-    ("nsteps_list", ()), ("nsteps_list", (10,)),
-    ("refinements", ()), ("refinements", ((1, 1),)),
-])
-def test_ladders_need_two_entries(name, ladder):
-    # an order or a ratio needs two levels to compare: a shorter ladder
-    # measures nothing
     with pytest.raises(ConfigurationError,
-                       match=f"need at least two {name}, got {len(ladder)}"):
-        _run_ladder(name, ladder)
+                       match=re.escape("nsteps_list must be positive, got [0, 10]")):
+        _run_ladder((0, 10))
 
 
-@pytest.mark.parametrize("name, ladder, order", [
-    ("eps_list", (1e-2, 1e-2), "decreasing"),
-    ("nsteps_list", (10, 20, 10), "increasing"),
-    ("refinements", ((1, 1), (1, 1)), "increasing"),
-    ("refinements", ((2, 2), (1, 1)), "increasing"),
-    ("refinements", ((1, 2), (2, 1)), "increasing"),
-])
-def test_ladders_must_be_strictly_monotone(name, ladder, order):
-    # a repeated level compares a level with itself; a refinement level
-    # must be at least as fine as the last in both factors and finer in one
-    with pytest.raises(ConfigurationError, match=f"{name} must be strictly {order}"):
-        _run_ladder(name, ladder)
+@pytest.mark.parametrize("ladder", [(), (10,)])
+def test_ladders_need_two_entries(ladder):
+    # an order needs two levels to compare: a shorter ladder measures nothing
+    with pytest.raises(ConfigurationError,
+                       match=f"need at least two nsteps_list, got {len(ladder)}"):
+        _run_ladder(ladder)
+
+
+def test_ladders_must_be_strictly_monotone():
+    # a repeated level compares a level with itself
+    with pytest.raises(ConfigurationError, match="nsteps_list must be strictly increasing"):
+        _run_ladder((10, 20, 10))
 
 
 def test_moment_bounds_blowup_negative_control():
