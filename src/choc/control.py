@@ -14,10 +14,10 @@ integrates every path at once, on arrays with a leading path axis, and one
 backward. The adjoint runs along the state trajectories at u, so a caller
 that has solved the ensemble at u passes that trajectory on
 (``states=``) and no path is solved twice at one control. :func:`optimize`
-runs one state sweep for the starting cost and one per line-search trial
-that tries a new control, one adjoint sweep per iteration, and one adjoint
-sweep at the final control, whose gradient also gives the optimality
-residual.
+runs one state sweep for the starting cost and sweeps only the line-search
+trials whose outcome is not known without one, the backtracks two at a
+time; it runs one adjoint sweep per iteration and one at the final
+control, whose gradient also gives the optimality residual.
 
 The admissible set is the L2 ball of radius :attr:`Problem.c0`; every
 projection, the optimizer's and the optimality residual's, is onto it.
@@ -25,6 +25,7 @@ projection, the optimizer's and the optimality residual's, is onto it.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .state import (
     TimeGrid,
     Trajectory,
     WienerPaths,
-    _path_sums,
+    _sweep_state,
     control_values,
     mix_seed,
     sample_wiener_paths,
@@ -194,24 +195,59 @@ def evaluate_cost(traj: Trajectory, u, x_q, x_t, alphas) -> np.ndarray:
     g = traj.grid
     cv = g.cell_volume
     tau = tg.tau
-    starts = traj.ys[:, : tg.nsteps]
     xq, xt = target_values(x_q, x_t, alphas, tg, g, traj.npaths)
     total = np.zeros(traj.npaths)
     if a1 != 0.0:
-        total += 0.5 * a1 * tau * cv * _path_sums((starts - xq) ** 2)
+        total += 0.5 * a1 * tau * cv * _misfit_sums(traj.ys[:, : tg.nsteps], xq)
     if a2 != 0.0:
-        total += 0.5 * a2 * cv * _path_sums((traj.ys[:, tg.nsteps] - xt) ** 2)
-    if a3 != 0.0:
-        # the shared control's penalty, summed once: bitwise each path's
-        # sum of its own copy, which is contiguous
-        total += 0.5 * a3 * tau * cv * np.sum(control_values(u, tg, g) ** 2)
+        total += 0.5 * a2 * cv * _misfit_sums(traj.ys[:, tg.nsteps], xt)
+    total += _penalty(u, a3, tg, g)
     return total
+
+
+def _misfit_sums(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each path's sum of squared misfits, shape (npaths,), squared and
+    summed one path at a time: a path's states are contiguous, so each sum
+    is bitwise the axis sum of the whole squared array, which is never
+    allocated."""
+    return np.array([np.sum((s - x) ** 2) for s, x in zip(states, targets)])
+
+
+def _penalty(u, a3: float, tg: TimeGrid, g: Grid) -> float:
+    """The control penalty (a3/2) sum_n tau |u_n|_H^2 that every path's cost
+    adds, 0.0 when a3 = 0. The shared control is summed once: bitwise each
+    path's sum of its own copy, which is contiguous."""
+    if a3 == 0.0:
+        return 0.0
+    return 0.5 * a3 * tg.tau * g.cell_volume * np.sum(control_values(u, tg, g) ** 2)
+
+
+def _cost_bound(u, a3: float, tg: TimeGrid, g: Grid, npaths: int) -> float:
+    """A lower bound, known before any sweep, on the mean cost of ``u`` over
+    ``npaths`` paths, bit for bit: the mean of npaths copies of its penalty.
+    Every path's cost is fl(x + penalty) with x >= 0 (:func:`evaluate_cost`),
+    and rounding and the mean are monotone."""
+    with np.errstate(over="ignore"):
+        penalty = _penalty(u, a3, tg, g)
+    return float(np.mean(np.full(npaths, penalty)))
 
 
 def _solve_paths(u: ControlProcess, problem: Problem,
                  paths: WienerPaths) -> Trajectory:
     """The state trajectories of ``u`` on every path: one sweep."""
     return solve_state(problem.y0, u.values, paths, problem.params)
+
+
+def _sweep_controls(controls: list[ControlProcess], problem: Problem,
+                    paths: WienerPaths) -> list[Trajectory]:
+    """The state trajectories of each control on every path, all in one
+    sweep of the rows controls × paths; each control's are bitwise those of
+    its own sweep (:func:`~choc.state._sweep_state`)."""
+    ys = _sweep_state(problem.y0, np.stack([c.values for c in controls]), paths,
+                      problem.params)
+    n = paths.npaths
+    return [Trajectory(problem.params, ys[k * n:(k + 1) * n], paths)
+            for k in range(len(controls))]
 
 
 def reduced_cost(u: ControlProcess, es: EnsembleSpec, problem: Problem,
@@ -279,6 +315,11 @@ _ETA_MAX = 1e8
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 40
+# the trials after an iteration's first rejection are swept this many at a
+# time. A larger batch holds more states at once and wastes more rows: on
+# the default problem 4 ran no faster than 2 and raised the peak memory by
+# about 2 MB, and 8 ran slower.
+_BACKTRACK_BATCH = 2
 
 
 @dataclass(frozen=True)
@@ -327,7 +368,10 @@ class OptimizationResult:
     termination: str
     n_iterations: int
     cost_stderr_history: list[float]   # Monte Carlo standard error of each cost
-    blowup_rejections: int             # trials rejected because the state blew up
+    # trials rejected because their state sweep blew up, a trial that reuses
+    # such an outcome included; a trial that the penalty bound rejects is not
+    # swept and not counted
+    blowup_rejections: int
 
     def summary(self) -> dict:
         return {
@@ -362,6 +406,78 @@ def _nonfinite_cost(u: ControlProcess, problem: Problem, states: Trajectory) -> 
                        f"(Wiener path seed {states.wiener.seeds[i]}) has cost {costs[i]}")
 
 
+def _line_search(u: ControlProcess, grad: np.ndarray, eta: float, cost: float,
+                 es: EnsembleSpec, problem: Problem, paths: WienerPaths):
+    """Armijo backtracking from the trial step ``eta`` along -grad.
+
+    Returns (found, blow-ups): found is (t, control, cost, stderr, states)
+    of the first of at most _MAX_BACKTRACKS trials that passes, None when
+    none does, and blow-ups counts the trials rejected for a blow-up. Trial
+    k has the step eta * _ARMIJO_SHRINK**k and passes when its cost is at
+    most cost - (_ARMIJO_C / t) * |step|^2, the Armijo threshold.
+
+    A trial is not swept when its outcome is known without its states:
+    - its control is bitwise the previous trial's, whose outcome it takes
+      (with the same cost and step, the test cannot pass at a smaller step);
+    - its penalty bound (:func:`_cost_bound`), below which its mean cost
+      cannot fall, is above the threshold: the trial fails.
+    The first trial is swept alone. After it fails, the trials that must be
+    swept are swept _BACKTRACK_BATCH at a time, as the rows of one sweep,
+    each bitwise its own; their costs are taken in order, up to the first
+    that passes. A batch that blows up is swept again one trial at a time,
+    so that each trial's outcome is its own sweep's.
+    """
+    tg, g = u.timegrid, u.grid
+    a3 = problem.alphas[2]
+    trials = []       # (step, control, threshold, how its outcome is found)
+    batched = {}      # trial index -> states from a batch sweep, None if it blew up
+
+    def trial(k: int):
+        while len(trials) <= k:
+            t = trials[-1][0] * _ARMIJO_SHRINK if trials else eta
+            cand = project_admissible(u.with_values(u.values - t * grad), problem.c0)
+            step_sq = l2q_norm(u.values - cand.values, tg, g) ** 2
+            threshold = cost - (_ARMIJO_C / t) * step_sq
+            if trials and np.array_equal(cand.values, trials[-1][1].values):
+                how = "repeat"
+            elif _cost_bound(cand.values, a3, tg, g, es.npaths) > threshold:
+                how = "bound"
+            else:
+                how = "sweep"
+            trials.append((t, cand, threshold, how))
+        return trials[k]
+
+    blowups = 0
+    outcome = None    # (cost, stderr, blew up) of the last trial
+    for k in range(_MAX_BACKTRACKS):
+        t, cand, threshold, how = trial(k)
+        states = None     # a rejected trial's states are dropped here
+        if how == "bound":
+            outcome = (math.inf, math.inf, False)
+        elif how == "sweep":
+            if k > 0 and k not in batched:
+                later = (j for j in range(k + 1, _MAX_BACKTRACKS)
+                         if trial(j)[3] == "sweep")
+                batch = [k, *islice(later, _BACKTRACK_BATCH - 1)]
+                if len(batch) > 1:
+                    try:
+                        batched.update(zip(batch, _sweep_controls(
+                            [trials[j][1] for j in batch], problem, paths)))
+                    except BlowUpError:
+                        batched.update(dict.fromkeys(batch))
+            try:
+                states = batched.pop(k, None)
+                if states is None:
+                    states = _solve_paths(cand, problem, paths)
+                outcome = (*reduced_cost(cand, es, problem, states), False)
+            except BlowUpError:
+                outcome = (math.inf, math.inf, True)
+        blowups += outcome[2]
+        if outcome[0] <= threshold:
+            return (t, cand, *outcome[:2], states), blowups
+    return None, blowups
+
+
 def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
              opts: OptimizerOptions = OptimizerOptions()) -> OptimizationResult:
     """Projected gradient descent with Armijo backtracking.
@@ -371,18 +487,26 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
     trial whose projected control is bitwise the last rejected one's takes
     that outcome without a state sweep: with the same cost and step, the test
     cannot pass at a smaller step either, and a reused blow-up counts as a
-    blow-up rejection again.
+    blow-up rejection again. A trial whose control penalty alone puts its
+    cost above the Armijo threshold is rejected without a sweep
+    (:func:`_line_search`).
     Termination on the gradient-map norm at the fixed reference step, on the
     iteration budget, or on a stalled line search. A starting cost that is
     not finite raises :class:`DomainError`, naming the first path whose cost
     is not, before any gradient is taken.
 
     Solve budget, in sweeps (one sweep solves every path of the ensemble in
-    one call): one state sweep for the starting cost and one per line-search
-    trial with a new control; one adjoint sweep per iteration, along the
+    one call, for one control or several): one state sweep for the starting
+    cost; one for each iteration's first trial unless its penalty rejects
+    it; after that trial fails, one per pair of the later trials that need
+    a sweep (a new control that its penalty does not reject), the second of
+    which is wasted when the first passes (a pair that blows up is swept
+    again one trial at a time); one adjoint sweep per iteration, along the
     trajectories its accepted trial solved; one adjoint sweep at the final
     control, for the residual and the last gradient map (on convergence or a
     stalled search this is the gradient the last iteration already took).
+    Every decision, and every bit of the result, is that of sweeping each
+    trial alone in turn.
     An ``eta0`` outside the range of :func:`_require_eta0` or a ``u0`` off
     the problem's geometry raises :class:`ConfigurationError` before any
     sweep.
@@ -429,45 +553,19 @@ def optimize(u0: ControlProcess, es: EnsembleSpec, problem: Problem,
                 eta = l2q_inner(du, du, tg, u.grid) / denom
         eta = float(np.clip(eta, _ETA_MIN, _ETA_MAX))
 
-        accepted = False
-        trial_eta = eta
-        rejected = None    # the last rejected trial's control and outcome
-        for _ in range(_MAX_BACKTRACKS):
-            cand = project_admissible(u.with_values(u.values - trial_eta * grad),
-                                      problem.c0)
-            step_sq = l2q_norm(u.values - cand.values, tg, u.grid) ** 2
-            cand_states = None    # drop a rejected trial's states before the next solve
-            if rejected is not None and np.array_equal(cand.values, rejected[0]):
-                # the projection gave the last rejected control again: its
-                # outcome, which no smaller step can make pass, without a sweep
-                cand_cost, cand_stderr, blew_up = rejected[1:]
-            else:
-                try:
-                    cand_states = _solve_paths(cand, problem, paths)
-                    cand_cost, cand_stderr = reduced_cost(cand, es, problem, cand_states)
-                    blew_up = False
-                except BlowUpError:
-                    # a blown-up trial is a rejected trial
-                    cand_cost, cand_stderr, blew_up = np.inf, np.inf, True
-            blowup_rejections += blew_up
-            if cand_cost <= cost - (_ARMIJO_C / trial_eta) * step_sq:
-                accepted = True
-                break
-            rejected = (cand.values, cand_cost, cand_stderr, blew_up)
-            trial_eta *= _ARMIJO_SHRINK
-        if not accepted:
+        found, blowups = _line_search(u, grad, eta, cost, es, problem, paths)
+        blowup_rejections += blowups
+        if found is None:
             termination = "stalled"
             break
 
         prev_u = u.values
         prev_grad = grad
-        u = cand
-        states = cand_states
-        cost = cand_cost
+        eta, u, cost, stderr, states = found
+        del found    # so that the gradient can drop the states
         cost_history.append(cost)
-        stderr_history.append(cand_stderr)
-        step_history.append(trial_eta)
-        eta = trial_eta
+        stderr_history.append(stderr)
+        step_history.append(eta)
         it += 1
 
     if termination == "max_iter":

@@ -337,15 +337,6 @@ def _series_array(x, shape, kind: str, npaths: int | None) -> np.ndarray:
     return np.broadcast_to(values, shapes[-1]) if values.shape != shapes[-1] else values
 
 
-def _path_sums(a: np.ndarray) -> np.ndarray:
-    """The sum of each path's entries of a contiguous (npaths, ...) array.
-
-    The summed axes are trailing and contiguous, so each sum is bitwise the
-    ``np.sum`` of that path's array alone.
-    """
-    return np.sum(a, axis=tuple(range(1, a.ndim)))
-
-
 def _stepper(p: StateParams, x: np.ndarray, x_hat: np.ndarray, noisy: bool):
     """The step of the scheme on the working arrays ``x`` and ``x_hat``,
     with the workspace it runs in, allocated once for a sweep.

@@ -20,6 +20,7 @@ from choc import (
     Potential,
     TimeGrid,
     WienerPaths,
+    control,
     double_well,
     multiplicative_noise,
 )
@@ -33,7 +34,7 @@ from choc.grid import (
     low_pass_values,
 )
 from choc.physics import _mode_sum
-from choc.state import StateParams
+from choc.state import StateParams, solve_state
 
 
 def dense_lap_1d(n: int, h: float) -> np.ndarray:
@@ -351,6 +352,39 @@ def select_paths(paths: WienerPaths, indices) -> WienerPaths:
 def each_path(paths: WienerPaths) -> list[WienerPaths]:
     """Every path of ``paths`` as a batch of one."""
     return [select_paths(paths, [i]) for i in range(paths.npaths)]
+
+
+def sequential_line_search(u, grad, eta, cost, es, problem, paths):
+    """The line search of ``choc.control.optimize`` as one loop that sweeps
+    every trial alone, in order, with no bound: a drop-in oracle for
+    ``choc.control._line_search``, which must make its decisions and give its
+    bits. A trial whose control is bitwise the last rejected one's takes
+    that outcome without a sweep, and a reused blow-up counts again."""
+    tg, g = u.timegrid, u.grid
+    blowups = 0
+    trial_eta = eta
+    rejected = None    # the last rejected trial's control and outcome
+    for _ in range(control._MAX_BACKTRACKS):
+        cand = control.project_admissible(u.with_values(u.values - trial_eta * grad),
+                                          problem.c0)
+        step_sq = control.l2q_norm(u.values - cand.values, tg, g) ** 2
+        cand_states = None
+        if rejected is not None and np.array_equal(cand.values, rejected[0]):
+            cand_cost, cand_stderr, blew_up = rejected[1:]
+        else:
+            try:
+                cand_states = solve_state(problem.y0, cand.values, paths, problem.params)
+                cand_cost, cand_stderr = control.reduced_cost(cand, es, problem,
+                                                              cand_states)
+                blew_up = False
+            except BlowUpError:
+                cand_cost, cand_stderr, blew_up = np.inf, np.inf, True
+        blowups += blew_up
+        if cand_cost <= cost - (control._ARMIJO_C / trial_eta) * step_sq:
+            return (trial_eta, cand, cand_cost, cand_stderr, cand_states), blowups
+        rejected = (cand.values, cand_cost, cand_stderr, blew_up)
+        trial_eta *= control._ARMIJO_SHRINK
+    return None, blowups
 
 
 def heap_peak(fn, *args, **kwargs):

@@ -1,6 +1,6 @@
 """Cost, gradient, projection, and projected gradient descent."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from choc.grid import low_pass_values
 from choc.physics import no_noise
 from choc.state import StateParams
 
+from conftest import sequential_line_search
 from test_sensitivity import _count_transforms
 
 
@@ -357,14 +358,27 @@ def test_a_control_off_the_problem_geometry_is_refused(monkeypatch, off, call):
         assert repr(geometry) in str(err.value)
 
 
-@pytest.mark.parametrize("tol", [1e-300, 1e6])
+# tol -> the sweeps and cost evaluations of optimize. At 1e-300, iteration 1
+# rejects eta0 = 16, swept alone, then sweeps the trials 8 and 4 as one batch
+# and accepts 4; iterations 2 and 3 accept their first trial. One sweep per
+# trial, as the sequential search ran, would make 6 state sweeps.
+_SOLVE_BUDGETS = {
+    1e-300: dict(state=4, batches=1, batch_rows=2, adjoint=4, cost=6),
+    1e6: dict(state=1, batches=0, batch_rows=0, adjoint=1, cost=1),
+}
+
+
+@pytest.mark.parametrize("tol", list(_SOLVE_BUDGETS))
 def test_optimize_solves_each_control_once(monkeypatch, tol):
     # the ensemble is solved in one sweep per control: the starting cost and
-    # each trial; the gradient and the residual reuse those trajectories, and
-    # each gradient is one adjoint sweep. At tol = 1e6 the ball is enlarged
-    # so that eta0 = 16 lies below c0/tol.
+    # each trial that is swept, alone or in a batch; the gradient and the
+    # residual reuse those trajectories, and each gradient is one adjoint
+    # sweep. At tol = 1e6 the ball is enlarged so that eta0 = 16 lies below
+    # c0/tol.
     problem, es = _problem(grid_n=16, npaths=2, c0=1e8 if tol > 1 else 1.0)
-    counts = {"state": 0, "adjoint": 0, "cost": 0}
+    budget = _SOLVE_BUDGETS[tol]
+    counts = dict.fromkeys(budget, 0)
+    solved = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -372,19 +386,33 @@ def test_optimize_solves_each_control_once(monkeypatch, tol):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(choc.control, "solve_state",
-                        counted("state", choc.control.solve_state))
+    sweep_controls = choc.control._sweep_controls
+
+    def batch(controls, *args):
+        counts["batches"] += 1
+        counts["batch_rows"] += len(controls)
+        solved.extend(c.values for c in controls)
+        return sweep_controls(controls, *args)
+
+    def state(y0, u, *args):
+        counts["state"] += 1
+        solved.append(u)
+        return solve_state(y0, u, *args)
+
+    monkeypatch.setattr(choc.control, "solve_state", state)
+    monkeypatch.setattr(choc.control, "_sweep_controls", batch)
     monkeypatch.setattr(choc.control, "solve_adjoint",
                         counted("adjoint", choc.control.solve_adjoint))
     monkeypatch.setattr(choc.control, "reduced_cost",
                         counted("cost", choc.control.reduced_cost))
     res = optimize(_smooth_control(problem, 3), es, problem,
                    OptimizerOptions(tol=tol, max_iter=3, eta0=16.0))
-    trials = counts["cost"] - 1
     assert res.n_iterations == (3 if tol < 1 else 0)
-    assert trials >= res.n_iterations
-    assert counts["state"] == 1 + trials
+    assert counts == budget
     assert counts["adjoint"] == res.n_iterations + 1
+    assert len(solved) == counts["state"] + counts["batch_rows"]
+    assert not any(np.array_equal(a, b) for i, a in enumerate(solved)
+                   for b in solved[i + 1:])
 
 
 def test_optimize_history_golden():
@@ -496,19 +524,24 @@ npaths = 2
 """
 
 
-@pytest.mark.parametrize("weight, sweeps, cost, gmap, residual", [
+_HEAVY_CASES = [
     ("alpha1 = 1e160", 3, "0x1.04b61b683353ep+519", "0x1.fffffffffffffp-1", "0x1.0p+0"),
     ("alpha1 = 1e308", 2, "0x1.97c928db17f2ep+1010", "0x1.0p+0", "0x1.0p+0"),
     ("alpha2 = 1e300", 2, "0x1.2b4059e3b6518p+992", "0x1.0p+0", "0x1.fffffffffffffp-1"),
     # the trials blow up: each reuse counts as a blow-up rejection
     ("alpha1 = 1e160\nx_q = constant:1\nx_t = constant:1\n[control]\nc0 = 1e9", 2,
      "0x1.9023015cd4cd1p+523", "0x1.dcd64ffffffffp+29", "0x1.dcd64ffffffffp+29"),
-])
+]
+
+
+@pytest.mark.parametrize("weight, sweeps, cost, gmap, residual", _HEAVY_CASES)
 def test_optimize_reuses_a_repeated_trial(monkeypatch, weight, sweeps, cost, gmap,
                                           residual):
     # a trial whose projected control is bitwise the last rejected one's takes
     # its outcome without a sweep; the pinned results are those of a run that
-    # solves all 40 trials
+    # solves all 40 trials. Every sweep is the starting cost's or a trial's
+    # with a new control, and no trial after the first has another new
+    # control to share a batch with: each is swept alone.
     build = build_problem(parse_config(_HEAVY_CONFIG.format(weight=weight)))
     solve_paths = choc.control._solve_paths
     solved = []
@@ -517,6 +550,7 @@ def test_optimize_reuses_a_repeated_trial(monkeypatch, weight, sweeps, cost, gma
         solved.append(u.values.copy())
         return solve_paths(u, *args)
     monkeypatch.setattr(choc.control, "_solve_paths", counted)
+    monkeypatch.setattr(choc.control, "_sweep_controls", None)
     res = optimize(build.u0, build.ensemble, build.problem, build.optimizer)
     assert len(solved) == sweeps
     assert not any(np.array_equal(a, b) for a, b in zip(solved, solved[1:]))
@@ -593,6 +627,81 @@ def test_projection_residual_is_gradient_map_over_alpha3_inside_the_ball():
         assert l2q_norm(point, u.timegrid, u.grid) < problem.c0
     assert res.projection_residual * a3 == pytest.approx(
         res.gradient_map_history[-1], rel=1e-6)
+
+
+# A 16-point problem whose line searches backtrack; on base seed 1 the
+# penalty bound rejects trials that the sequential search swept.
+_SIXTEEN_POINT_CONFIG = """
+[grid]
+npoints = 16
+[time]
+nsteps = 20
+[ensemble]
+npaths = 2
+base_seed = {seed}
+[optimizer]
+max_iter = 30
+"""
+_ORACLE_CASES = {
+    **{f"16-point seed {seed}": _SIXTEEN_POINT_CONFIG.format(seed=seed)
+       for seed in (1, 2, 3, 4)},
+    "alpha3 = 0": _SIXTEEN_POINT_CONFIG.format(seed=1) + "[cost]\nalpha3 = 0\n",
+    **{f"binding ball seed {seed}": _BINDING_BALL_CONFIG.format(seed=seed)
+       for seed in (1, 2)},
+    "blown-up trials": _BLOWUP_TRIAL_CONFIG,
+    **{f"heavy {case[0]}": _HEAVY_CONFIG.format(weight=case[0]) for case in _HEAVY_CASES},
+}
+
+
+def _bits(value):
+    """A result field as bits: floats as hex, a control as its bytes."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, ControlProcess):
+        return (value.grid, value.timegrid, value.values.tobytes())
+    return value
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_line_search_is_the_sequential_search(monkeypatch, case):
+    # the penalty bound and the batched backtracks make the sequential
+    # search's decisions: every field of the result keeps its bits, the
+    # blow-up count included, and no more costs are evaluated
+    build = build_problem(parse_config(_ORACLE_CASES[case]))
+    args = (build.u0, build.ensemble, build.problem, build.optimizer)
+    costs = []
+    batches = []    # whether each batch sweep blew up
+    reduced = choc.control.reduced_cost
+    sweep_controls = choc.control._sweep_controls
+
+    def counted(*a, **kw):
+        costs[-1] += 1
+        return reduced(*a, **kw)
+
+    def batch(*a):
+        batches.append(True)
+        out = sweep_controls(*a)
+        batches[-1] = False
+        return out
+
+    monkeypatch.setattr(choc.control, "reduced_cost", counted)
+    monkeypatch.setattr(choc.control, "_sweep_controls", batch)
+    results = []
+    for search in (choc.control._line_search, sequential_line_search):
+        monkeypatch.setattr(choc.control, "_line_search", search)
+        costs.append(0)
+        results.append(optimize(*args))
+    res, ref = results
+    for field in fields(res):
+        assert _bits(getattr(res, field.name)) == _bits(getattr(ref, field.name)), field.name
+    assert costs[0] <= costs[1]
+    if case == "16-point seed 1":
+        assert costs[0] < costs[1]      # the bound rejected a trial
+        assert batches == [False] * len(batches) and batches
+    if case == "blown-up trials":
+        assert any(batches) and res.blowup_rejections > 0
 
 
 def test_optimize_blowup_in_starting_cost_raises():

@@ -13,11 +13,13 @@ import pytest
 import scipy.fft
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from choc import (
     ControlProcess,
     Grid,
     TimeGrid,
+    WienerPaths,
     additive_noise,
     double_well,
     duality_terms,
@@ -44,7 +46,8 @@ from choc.grid import (
 )
 from choc.physics import no_noise
 from choc.sensitivity import _duality_lhs, _duality_rhs, _sweep_adjoint, _sweep_linearized
-from choc.state import StateParams, _path_sums, _sweep_state, target_values
+from choc.control import _cost_bound, _misfit_sums
+from choc.state import StateParams, Trajectory, _sweep_state, target_values
 from choc.verify import _continuous_gaps
 
 from conftest import (
@@ -260,14 +263,60 @@ def test_norms_are_norm_values(g, batch, seed):
 
 
 @PROPERTIES
-@given(g=grids, npaths=st.integers(1, 8), nsteps=st.integers(1, 300), seed=seeds)
-def test_path_sums_are_per_path_sums(g, npaths, nsteps, seed):
-    # the loop over paths is the reference: each row sum is bitwise the
-    # np.sum of that path's array alone
-    a = np.random.default_rng(seed).standard_normal((npaths, nsteps) + g.shape)
-    sums = _path_sums(a)
+@given(g=grids, npaths=st.integers(1, 8), nsteps=st.integers(1, 300), seed=seeds,
+       shared=st.booleans())
+def test_misfit_sums_are_per_path_sums(g, npaths, nsteps, seed, shared):
+    # the loop over paths squares each path's misfit alone: each sum is
+    # bitwise the np.sum of that path's squared misfit and the axis sum of
+    # the whole squared array, against a shared (zero-stride) or per-path
+    # target
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal((npaths, nsteps) + g.shape)
+    xs = (np.broadcast_to(rng.standard_normal(ys.shape[1:]), ys.shape) if shared
+          else rng.standard_normal(ys.shape))
+    sums = _misfit_sums(ys, xs)
+    whole = (ys - xs) ** 2
     assert sums.shape == (npaths,)
-    assert all(sums[i] == np.sum(a[i]) for i in range(npaths))
+    assert np.array_equal(sums, np.sum(whole, axis=tuple(range(1, whole.ndim))))
+    assert all(sums[i] == np.sum(whole[i]) for i in range(npaths))
+
+
+# Values whose squares span the float range: huge ones overflow to inf and
+# tiny ones underflow to subnormals or zero.
+_ANY_VALUES = st.one_of(st.floats(allow_nan=False), st.floats(-1e-150, 1e-150),
+                        st.sampled_from([np.inf, 1e-160, 2e-162, 1e154, 1e160]))
+_BOUND_GRID = Grid((4,), (1.0,))
+_BOUND_TIMES = TimeGrid(0.1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(npaths=st.integers(1, 9),
+       ys=hnp.arrays(float, (9, 3, 4), elements=_ANY_VALUES),
+       u=hnp.arrays(float, (2, 4), elements=_ANY_VALUES),
+       alphas=st.tuples(*[st.floats(0.0, allow_nan=False)] * 3),
+       on_target=st.booleans())
+@example(npaths=9, ys=np.full((9, 3, 4), 1e160), u=np.full((2, 4), 1e-160),
+         alphas=(1.0, 1.0, 1.0), on_target=False)
+@example(npaths=7, ys=np.full((9, 3, 4), 1e-170), u=np.full((2, 4), 1e154),
+         alphas=(1e300, 1.0, 1e300), on_target=False)
+# the mean of 9 copies of this penalty, 0.1125, is an ulp below it
+@example(npaths=9, ys=np.zeros((9, 3, 4)), u=np.full((2, 4), 1.5),
+         alphas=(1.0, 1.0, 1.0), on_target=True)
+def test_mean_cost_is_never_below_the_penalty_bound(npaths, ys, u, alphas, on_target):
+    # the line search rejects a trial without a sweep when this bound is
+    # above its Armijo threshold: the mean cost that evaluate_cost's
+    # arithmetic gives, from nonnegative distributed and terminal terms and
+    # the penalty, must never fall below it (a NaN mean fails the test too).
+    # On target, the tracking terms vanish and the costs are the penalty's.
+    params = StateParams(grid=_BOUND_GRID, timegrid=_BOUND_TIMES,
+                         potential=double_well(), noise=no_noise(_BOUND_GRID))
+    paths = WienerPaths(_BOUND_TIMES, range(npaths), np.zeros((2, npaths, 0)))
+    states = np.zeros((npaths, 3, 4)) if on_target else ys[:npaths]
+    traj = Trajectory(params, states, paths)
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(evaluate_cost(traj, u, None, None, alphas)))
+        bound = _cost_bound(u, alphas[2], _BOUND_TIMES, _BOUND_GRID, npaths)
+    assert not mean < bound
 
 
 @PROPERTIES

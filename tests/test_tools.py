@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import choc.control
+import choc.state
+from choc import build_problem, optimize
 from choc.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +52,29 @@ def test_artifact_digests_do_not_depend_on_the_output_directory(tmp_path):
     assert "verify/seed1/check_duality.json" in labels
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[0])
                for line in lines if not line.startswith("exit="))
+
+
+def test_time_to_tol_prints_each_seed_run_to_its_tolerance():
+    time_to_tol = runpy.run_path(str(ROOT / "tools" / "time_to_tol.py"))["time_to_tol"]
+    text = ("[grid]\nnpoints = 16\n[time]\nnsteps = 20\n[ensemble]\nnpaths = 2\n"
+            "[optimizer]\nmax_iter = 40\n")
+    sweep = choc.state._sweep_state
+    lines = time_to_tol(parse_config(text), [3, 1])
+    assert choc.state._sweep_state is choc.control._sweep_state is sweep
+    assert len(lines) == 2
+    for seed, line in zip([3, 1], lines):
+        fields = dict(item.split("=") for item in line.split())
+        assert list(fields) == ["seed", "iterations", "termination", "final_cost",
+                                "sweeps", "rows", "cpu_s"]
+        config = parse_config(text.replace("npaths = 2\n", f"npaths = 2\nbase_seed = {seed}\n"))
+        build = build_problem(config)
+        res = optimize(build.u0, build.ensemble, build.problem, build.optimizer)
+        assert fields["seed"] == str(seed)
+        assert fields["iterations"] == str(res.n_iterations)
+        assert fields["termination"] == res.termination
+        assert fields["final_cost"] == res.cost_history[-1].hex()
+        # the starting cost and at least one trial per iteration, each row
+        # swept once
+        sweeps, rows = int(fields["sweeps"]), int(fields["rows"])
+        assert 1 + res.n_iterations <= sweeps <= rows
+        assert float(fields["cpu_s"]) > 0.0
