@@ -156,6 +156,13 @@ def _idct(coeffs: np.ndarray, axes=None) -> np.ndarray:
     return _fft.idctn(coeffs, type=2, norm="ortho", axes=axes)
 
 
+def _interposed() -> bool:
+    """True while ``scipy.fft.dctn`` or ``idctn`` is not scipy's own: code
+    interposes on the public transforms, such as a trace that counts
+    them."""
+    return _fft.dctn is not _DCTN or _fft.idctn is not _IDCTN
+
+
 # Axes of at most this many points are transformed by the time steppers as
 # products with a cached cosine matrix; the kernel wins from 128 points.
 _PRODUCT_POINTS = 64

@@ -14,14 +14,36 @@ parameters are the truncation levels and the step counts of the backend
 consistency check. A count or a ladder that a check cannot measure on is a
 :class:`~choc.errors.ConfigurationError`. :func:`suite` is the one
 definition of the suite that ``choc verify`` runs.
+
+The duality, Lipschitz and backend consistency checks are lists of
+independent sweeps, and :func:`_shared_map` runs them on every CPU the
+process may use: the calling process and forked workers, with the bits of
+a serial run. It forks only where POSIX makes a fork safe, in a process
+that runs one thread, and not while code interposes on scipy's transforms,
+as a trace that counts them does; elsewhere every sweep runs in the
+caller. An OpenBLAS or OpenMP build starts a pool of threads at import
+unless ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) is set, so
+only with that setting does ``choc verify`` use the cores. choc's matrix
+products are below the sizes where BLAS threads help (on a 2-CPU machine
+the 64 x 64 gradient and the 1D optimizer ran as fast with one BLAS thread
+as with two), and their bits do not depend on the BLAS thread count. A
+forked check pays for its fork and for a page fault on the first write to
+each page it shares with its workers, so it gains only while the other
+CPUs are free. The other checks' sweeps are near the cost of a fork and
+stay serial.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,6 +51,7 @@ from .control import ControlProcess, EnsembleSpec, Problem, l2q_norm
 from .errors import BlowUpError, ConfigurationError
 from .grid import (
     Grid,
+    _interposed,
     _node_map,
     low_pass_values,
     norm_h_values,
@@ -93,9 +116,11 @@ _GATEAUX_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 _MOMENT_REFINEMENTS = ((1, 1), (2, 2))
 
 # Byte budget of the sweep outputs a duality or Lipschitz check holds at
-# once (see :func:`_pair_chunks`): 5 pairs of the default 1D problem's 8
-# paths, one pair of a 64 x 64 grid's. A 1D sweep is bound by dispatch, so
-# more rows per sweep cost little time but hold more memory.
+# once in one process (see :func:`_pair_chunks`): 5 pairs of the default 1D
+# problem's 8 paths, one pair of a 64 x 64 grid's. A 1D sweep is bound by
+# dispatch, so more rows per sweep cost little time but hold more memory.
+# The budget applies per process: where :func:`_shared_map` runs chunks in
+# several workers at once, each holds up to the budget.
 _SWEEP_BYTES = 1 << 23
 
 
@@ -107,6 +132,156 @@ def _pair_chunks(npairs: int, params: StateParams, npaths: int) -> list[range]:
     pair_bytes = 2 * npaths * (params.timegrid.nsteps + 1) * params.grid.size * 8
     size = max(1, _SWEEP_BYTES // pair_bytes)
     return [range(j0, min(j0 + size, npairs)) for j0 in range(0, npairs, size)]
+
+
+def _sweep_cost(nrows: int, nsteps: int, grid: Grid) -> int:
+    """The weight of a sweep of ``nrows`` rows over ``nsteps`` steps of
+    ``grid`` in :func:`_shared_map`: rows x steps x grid points."""
+    return nrows * nsteps * grid.size
+
+
+# ---------------------------------------------------------------------------
+# Sharing a check's units over CPUs
+
+
+def _worker_count() -> int:
+    """The processes that may share a check's units: the CPUs this process
+    may run on where forking it is safe, else 1. POSIX makes a fork safe in
+    a process of one thread only; on Linux each thread has an entry in
+    ``/proc/self/task``, and where that count cannot be read there is no
+    fork. Nor is there one while code interposes on scipy's transforms,
+    such as a trace that counts them: what a worker counts dies with it,
+    so the work is kept where it is counted."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if _interposed():
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(costs, nworkers: int) -> list[list[int]]:
+    """The unit indices of each worker, longest first: the units in
+    decreasing ``costs``, ties in index order, each to the least loaded
+    worker, ties to the lowest. Each share is in increasing index order;
+    empty shares are dropped, so worker 0's comes first."""
+    loads = [0] * nworkers
+    shares = [[] for _ in range(nworkers)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return [sorted(share) for share in shares if share]
+
+
+def _run_share(fn, units, share) -> tuple[dict, tuple | None]:
+    """``fn`` of the units of ``share`` in order, up to the first that
+    raises: the results by unit index, and the index and exception of the
+    unit that raised, or None."""
+    results = {}
+    for i in share:
+        try:
+            results[i] = fn(units[i])
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _child(fn, units, share, fd: int, inherited) -> NoReturn:
+    """A forked worker: close the ``inherited`` pipe ends, run ``share``,
+    write its outcome to the pipe ``fd`` as one pickle and exit, with
+    status 0 once the pickle is written. An exception that does not survive
+    a pickle goes as a RuntimeError with its formatted traceback."""
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        results, failure = _run_share(fn, units, share)
+        if failure is not None:
+            try:
+                pickle.loads(pickle.dumps(failure[1]))
+            except Exception:
+                trace = "".join(traceback.format_exception(failure[1]))
+                failure = (failure[0], RuntimeError(
+                    f"a worker's unit raised an exception that cannot be sent:\n{trace}"))
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump((results, failure), pipe)
+        status = 0
+    finally:
+        # never back into the parent's stack, whatever was raised
+        os._exit(status)
+
+
+def _shared_map(fn, units, costs) -> list:
+    """``[fn(u) for u in units]``, with the units shared over the usable
+    CPUs (:func:`_worker_count`) by :func:`_shares` of their ``costs``.
+
+    Worker 0 is this process; the others are forked children, each of
+    which sends its results, or its first exception, through a pipe. Every
+    child is reaped before this returns or raises, and killed first if this
+    process is interrupted; a fork that fails leaves its share and the
+    later ones to this process. The exception raised is that of the lowest
+    failing unit index, the one a serial run raises. ``fn`` of a unit must
+    depend on nothing that another unit does, and its result must pickle;
+    the results are then those of a serial run, bit for bit.
+    """
+    shares = _shares(costs, min(_worker_count(), len(units)))
+    if len(shares) < 2:
+        return [fn(u) for u in units]
+    children = []       # [pid, read end of its pipe], each None once done
+    outcomes = []
+    own = shares[:1]    # the shares this process runs
+    try:
+        for k, share in enumerate(shares[1:], 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # out of processes or memory: this process runs the rest
+                os.close(read)
+                os.close(write)
+                own += shares[k:]
+                break
+            if pid == 0:
+                _child(fn, units, share, write, [read] + [fd for _, fd in children])
+            children.append([pid, read])
+            os.close(write)
+        for share in own:
+            outcomes.append(_run_share(fn, units, share))
+        for child, share in zip(children, shares[1:]):
+            with os.fdopen(child[1], "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            _, status = os.waitpid(child[0], 0)
+            child[0] = None
+            if data:
+                outcomes.append(pickle.loads(data))
+            else:
+                code = os.waitstatus_to_exitcode(status)
+                outcomes.append(({}, (share[0], RuntimeError(
+                    f"a worker exited with code {code} and sent no result"))))
+    finally:
+        for child in children:
+            pid, fd = child
+            if fd is not None:
+                os.close(fd)
+            if pid is not None:
+                # a child that has exited is killed to no effect
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results = {}
+    failures = []
+    for got, failure in outcomes:
+        results.update(got)
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [results[i] for i in range(len(units))]
 
 
 def _require_count(name: str, n: int) -> None:
@@ -358,20 +533,29 @@ def check_duality(problem: Problem, es: EnsembleSpec, npairs: int = 1,
     The identity is algebraic and must hold to rounding on every one of
     ``npairs`` random smooth pairs drawn from ``seed``; a given pair's two
     sides are :func:`~choc.sensitivity.duality_terms`. The pairs are solved
-    in the chunks of :func:`_pair_chunks`, and a chunk's controls are drawn
-    when it runs. A NaN residual fails the check. The continuous adjoint's
-    O(tau) agreement with the transpose is measured by
-    :func:`check_backend_consistency`.
+    in the chunks of :func:`_pair_chunks`, which :func:`_shared_map` shares
+    over CPUs, and a chunk's controls are drawn when it runs. A NaN
+    residual fails the check. The continuous adjoint's O(tau) agreement
+    with the transpose is measured by :func:`check_backend_consistency`.
     """
     _require_count("npairs", npairs)
-    paths = es.sample_paths(problem.params)
-    rows = []
-    for chunk in _pair_chunks(npairs, problem.params, paths.npaths):
+    p = problem.params
+    paths = es.sample_paths(p)
+
+    def chunk_rows(chunk):
+        """The table rows of the pairs of ``chunk``, drawn and solved."""
         pairs = [_drawn_pair(problem, seed, j, (0.5, 1.0)) for j in chunk]
         us, hs = (np.stack(c) for c in zip(*pairs))
+        rows = []
         for j, lhs, rhs in zip(chunk, *_duality_sides(problem, us, hs, paths)):
             res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
             rows.append({"pair": j, "residual": res, "lhs": lhs_mean, "rhs": rhs_mean})
+        return rows
+
+    chunks = _pair_chunks(npairs, p, paths.npaths)
+    costs = [_sweep_cost(len(chunk) * paths.npaths, p.timegrid.nsteps, p.grid)
+             for chunk in chunks]
+    rows = [row for got in _shared_map(chunk_rows, chunks, costs) for row in got]
     # np.max, unlike max, keeps a NaN residual, which then fails the check
     worst = float(np.max([row["residual"] for row in rows]))
     return CheckReport(
@@ -447,22 +631,34 @@ def check_lipschitz(problem: Problem, es: EnsembleSpec, npairs: int = 5,
     computable probe is that the ratios of ``npairs`` random smooth pairs
     drawn from ``seed`` are finite and do not drift by more than a fixed
     factor under one mesh refinement. Each level sweeps the pairs in the
-    chunks of :func:`_pair_chunks`, one level after the other.
+    chunks of :func:`_pair_chunks`; the chunks of both levels are the units
+    that :func:`_shared_map` shares over CPUs.
     """
     _require_count("npairs", npairs)
     p = problem.params
     tg = p.timegrid
     pairs = [_drawn_pair(problem, seed, j, (0.7, 0.7)) for j in range(npairs)]
     dus = [l2q_norm(u1 - u2, tg, p.grid) for u1, u2 in pairs]
-    ratios = {"coarse": [], "fine": []}
+    # (level, its mesh factor, its parameters, initial datum and paths, chunk)
+    units = []
     for level, mesh_factor in (("coarse", 1), ("fine", _LIPSCHITZ_MESH_FACTOR)):
-        params, y0, paths = _level(problem, es, mesh_factor, tg.nsteps, tg.nsteps)
-        for chunk in _pair_chunks(npairs, params, paths.npaths):
-            us = np.stack([u for j in chunk for u in pairs[j]])
-            if mesh_factor != 1:
-                us = prolong_values(p.grid, us, params.grid)
-            ratios[level] += _mean_ratios(y0, us, paths, params,
-                                          [dus[j] for j in chunk])
+        built = _level(problem, es, mesh_factor, tg.nsteps, tg.nsteps)
+        units += [(level, mesh_factor, built, chunk)
+                  for chunk in _pair_chunks(npairs, built[0], es.npaths)]
+
+    def unit_ratios(unit):
+        """The ratios of the pairs of a unit's chunk, on its level."""
+        _, mesh_factor, (params, y0, paths), chunk = unit
+        us = np.stack([u for j in chunk for u in pairs[j]])
+        if mesh_factor != 1:
+            us = prolong_values(p.grid, us, params.grid)
+        return _mean_ratios(y0, us, paths, params, [dus[j] for j in chunk])
+
+    ratios = {"coarse": [], "fine": []}
+    costs = [_sweep_cost(2 * len(chunk) * es.npaths, tg.nsteps, built[0].grid)
+             for _, _, built, chunk in units]
+    for unit, got in zip(units, _shared_map(unit_ratios, units, costs)):
+        ratios[unit[0]] += got
     rows = [{"pair": j, "ratio_coarse": r_coarse, "ratio_fine": r_fine}
             for j, (r_coarse, r_fine) in enumerate(zip(ratios["coarse"],
                                                        ratios["fine"]))]
@@ -625,7 +821,8 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
             = p_{n+1} - tau*(psi''(y_n) - S)*ptilde_{n+1} + tau*a1*(y_n - xQ_n),
         ptilde_n = -Lap p_n,
 
-    and is compared as it is computed, so no batch of it is stored. A node
+    and is compared one block of steps at a time, as it is computed, so no
+    more than a block of it is stored. A node
     runs the transpose sweep's node map (:func:`~choc.grid._node_map`) with
     the symbols 1/d and -lambda/d, which gives p_n and ptilde_n from the
     right-hand side at once.
@@ -648,19 +845,24 @@ def _continuous_gaps(traj: Trajectory, x_q: np.ndarray, a1: float,
     # side is the input of one bound node map, whose outputs are p_n and
     # ptilde_n = -Lap p_n, zero until the first node
     rhs, (pv, pt), node = _node_map(g, ys.shape[1:], p.node_symbols)
-    for n0, n1 in reversed(_blocks(p.timegrid.nsteps, rhs)):
+    blocks = _blocks(p.timegrid.nsteps, rhs)
+    # the continuous ptildes of one block, which become its squared gaps;
+    # each row's sum over the grid has the bits of that node's own sum
+    block = np.empty((blocks[0][1] - blocks[0][0],) + rhs.shape)
+    for n0, n1 in reversed(blocks):
         # the block's tau*(psi''(y_n) - S) and tau*a1*(y_n - xQ_n)
         coef = tau * (p.potential.psi_second(ys[n0:n1]) - s)
         forcing = tau * (a1 * (ys[n0:n1] - x_q[n0:n1, None]))
+        sq = block[: n1 - n0]
         for j in range(n1 - n0 - 1, -1, -1):
             np.multiply(coef[j], pt, out=rhs)
             np.subtract(pv, rhs, out=rhs)
             np.add(rhs, forcing[j], out=rhs)
             node()
-            # the node has read rhs, which now holds the gap
-            np.subtract(pts_t[n0 + j], pt, out=rhs)
-            np.square(rhs, out=rhs)
-            gaps[:, n0 + j] = np.sum(rhs, axis=axes)
+            sq[j] = pt
+        np.subtract(pts_t[n0:n1], sq, out=sq)
+        np.square(sq, out=sq)
+        gaps[:, n0:n1] = np.sum(sq, axis=axes).T
     return gaps
 
 
@@ -689,11 +891,12 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     the continuous scheme is unbiased, so a problem with multiplicative
     noise is measured on its additive variant, with the same modes and
     amplitudes. A shared Brownian path is aggregated across the dyadic
-    sweep, and the L2(Q) gap between the two ptilde sequences must shrink
-    with order about one. That gap is the transpose costate's one-step
-    increment in L2(Q), plus node 0 (:func:`_continuous_gaps`), so its
-    fitted order stays pre-asymptotic while the drawn control and target
-    excite modes with tau*lambda^2 >> 1.
+    sweep, whose levels :func:`_shared_map` shares over CPUs, and the L2(Q)
+    gap between the two ptilde sequences must shrink with order about
+    one. That gap is the transpose costate's one-step increment in L2(Q),
+    plus node 0 (:func:`_continuous_gaps`), so its fitted order stays
+    pre-asymptotic while the drawn control and target excite modes with
+    tau*lambda^2 >> 1.
 
     The scenario drives the adjoint by the distributed tracking term alone.
     A terminal datum excites a one-node layer in which the adjoints disagree
@@ -716,15 +919,16 @@ def check_backend_consistency(problem: Problem, es: EnsembleSpec,
     a1 = problem.alphas[0] if problem.alphas[0] > 0 else 1.0
     alphas = (a1, 0.0, problem.alphas[2])
 
-    taus = []
-    gaps = []
-    for nsteps in nsteps_list:
+    def level_gap(nsteps):
+        """The step and the gap at the level of ``nsteps`` steps."""
         params, y0, paths = _level(problem, es, 1, nsteps, finest)
         # the time-constant series as read-only views of one field each
         uvals = np.broadcast_to(u_field, (nsteps,) + p.grid.shape)
         xq = np.broadcast_to(xq_field, (nsteps,) + p.grid.shape)
-        taus.append(params.timegrid.tau)
-        gaps.append(_adjoint_gap(y0, uvals, xq, alphas, paths, params))
+        return params.timegrid.tau, _adjoint_gap(y0, uvals, xq, alphas, paths, params)
+
+    taus, gaps = zip(*_shared_map(level_gap, nsteps_list, [
+        _sweep_cost(es.npaths, nsteps, p.grid) for nsteps in nsteps_list]))
     order = empirical_order(np.asarray(taus), np.asarray(gaps))
     table = tuple({"tau": t, "ptilde_gap_l2q": gv} for t, gv in zip(taus, gaps))
     return CheckReport(
