@@ -56,10 +56,12 @@ with a leading path axis, and read the increments of the trajectory's
 and costate are bitwise those of its own sweep. Their sweeps are the private kernels
 :func:`_sweep_linearized` and :func:`_sweep_adjoint`, which also run the
 rows controls × paths of several controls on one ensemble, each row bitwise
-its own sweep. Both run their steps in blocks, as the state sweep does:
-before a block they compute, each in one call, C_n and, with multiplicative
-noise, rho'(y_n) and the increment fields xi_n in the linearized sweep, and
-tau*(C_n - S), tau*alpha1*(y_n - xQ_n) and rho'(y_n) xi_n in the adjoint.
+its own sweep; the linearized sweep also runs several directions along the
+states of one control. Both run their steps in blocks, as the state sweep
+does: before a block they compute, each in one call, C_n and, with
+multiplicative noise, rho'(y_n) and the increment fields xi_n in the
+linearized sweep, and tau*(C_n - S), tau*alpha1*(y_n - xQ_n) and rho'(y_n)
+xi_n in the adjoint.
 The noise operators take a step's slice of them. Like the state sweep, both
 run in a workspace allocated once per sweep, with their maps bound to it,
 and write every per-step result through ``out=``; the linearized sweep
@@ -146,22 +148,26 @@ def solve_linearized(traj: Trajectory, h) -> LinearizedSolution:
 def _sweep_linearized(ys: np.ndarray, directions: np.ndarray, paths: WienerPaths,
                       p: StateParams) -> np.ndarray:
     """The linearized sweep of the rows directions × paths, direction-major,
-    along the states ``ys`` of those rows (see :func:`~choc.state._sweep_state`).
+    along the states ``ys`` (see :func:`~choc.state._sweep_state`): those
+    of the rows, or those of one control's paths, which every direction
+    then reads.
 
     ``directions`` has shape (ndirections, nsteps, *grid.shape); returns zs
-    of the shape of ``ys``. Each row is bitwise its own sweep.
+    of shape (ndirections * npaths, nsteps+1, *grid.shape). Each row is
+    bitwise its own sweep.
     """
     nm = p.noise
     noisy = nm.is_multiplicative and nm.nmodes > 0
-    # arrays indexed by step first, as in the state sweep
+    # arrays indexed by step first, as in the state sweep; states of one
+    # control broadcast over the directions
     ys_n = _step_major(ys, paths.npaths)
     h_n = np.moveaxis(directions, 1, 0)[:, :, None]
     dw_n = paths.increments
 
-    zs = np.zeros(ys.shape)
+    zs = np.zeros((len(directions) * paths.npaths,) + ys.shape[1:])
     zs_n = _step_major(zs, paths.npaths)
     # working arrays as in the state sweep
-    z = np.zeros(ys_n.shape[1:])
+    z = np.zeros(zs_n.shape[1:])
     z_hat = np.zeros(z.shape)
     reaction = np.empty(z.shape)
     noise, step = _stepper(p, z, z_hat, noisy)
@@ -297,8 +303,9 @@ def _duality_rhs(ys: np.ndarray, zs: np.ndarray, npaths: int, xq, xt, alphas,
                  p: StateParams) -> np.ndarray:
     """The right side alpha1 sum_n tau <y_n - xQ_n, z_n>_H + alpha2 <y_N -
     x_T, z_N>_H on rows of ``npaths`` paths each, shape (nrows,), from the
-    rows' state and linearized sweeps; the targets are as
-    :func:`~choc.state.target_values` returns them.
+    rows' linearized sweep ``zs`` and their states ``ys``, of which row r
+    reads row r % len(ys): the rows' own, or those of one control's paths.
+    The targets are as :func:`~choc.state.target_values` returns them.
     """
     g = p.grid
     cv = g.cell_volume
@@ -308,9 +315,10 @@ def _duality_rhs(ys: np.ndarray, zs: np.ndarray, npaths: int, xq, xt, alphas,
 
     no_dist = np.zeros((nsteps,) + g.shape)
     no_terminal = np.zeros(g.shape)
-    rhs = np.empty(len(ys))
-    for r, (y, z) in enumerate(zip(ys, zs)):
+    rhs = np.empty(len(zs))
+    for r, z in enumerate(zs):
         i = r % npaths
+        y = ys[r % len(ys)]
         dist = a1 * (y[:nsteps] - xq[i]) if a1 != 0.0 else no_dist
         terminal = a2 * (y[nsteps] - xt[i]) if a2 != 0.0 else no_terminal
         rhs[r] = tau * cv * np.sum(dist * z[:nsteps]) + cv * np.sum(terminal * z[nsteps])

@@ -593,7 +593,7 @@ def test_cli_verify_full_suite_small(tmp_path, capsys):
         "check_backend_consistency.json":
             "e0c2fb0761159d626a3b2e847c83f86daafb020f04be6c06278ebaac6d891050",
         "check_duality.json":
-            "1f8c7bfb343248a8095e7c55a43e0431ecc692718570ab5e212ea7a4624c9be7",
+            "f7439f9395b34ab129e1e190a6f8ef0487c7a0303f30af36387e74e7bc02d3ab",
         "check_gateaux.json":
             "da5edb94b6f33486ec904a2c764987c5f7978cf7da1005adb5611da1f98a9669",
         "check_lipschitz.json":

@@ -18,7 +18,7 @@ from choc import (
     multiplicative_noise,
     quadratic_potential,
 )
-from choc import state, verify
+from choc import sensitivity, state, verify
 from choc.control import l2q_norm
 from choc.errors import BlowUpError, ConfigurationError
 from choc.grid import low_pass_values
@@ -143,79 +143,116 @@ def test_duality_check_transpose(noise):
     assert report.measured["max_relative_residual"] <= 1e-10
 
 
+def _no_db_adjoint(rho_prime_xi, p_projected, out):
+    """The adjoint sweep's DB* term, dropped."""
+    out.fill(0.0)
+    return out
+
+
+def _one_node_symbol_off(monkeypatch):
+    """The adjoint sweep's node map with the 1/d symbol of mode 3 scaled
+    by 1 + 1e-6."""
+    node_map = sensitivity._node_map
+
+    def off(grid, shape, symbols, project=False):
+        symbols = symbols.copy()
+        symbols[0][3] *= 1.0 + 1e-6
+        return node_map(grid, shape, symbols, project)
+    monkeypatch.setattr(sensitivity, "_node_map", off)
+
+
+@pytest.mark.parametrize("mutation", ["drop_db_adjoint", "scale_node_symbol"])
+def test_duality_negative_controls(monkeypatch, mutation):
+    # an adjoint that is not the transpose of the linearization fails the
+    # suite's 20 pairs: one without the DB* term of multiplicative noise,
+    # and one with a node symbol off in the sixth digit
+    problem = _problem()
+    assert check_duality(problem, EnsembleSpec(4, 9), npairs=20, seed=1).passed
+    if mutation == "drop_db_adjoint":
+        monkeypatch.setattr(sensitivity, "db_adjoint_scaled_values", _no_db_adjoint)
+    else:
+        _one_node_symbol_off(monkeypatch)
+    report = check_duality(problem, EnsembleSpec(4, 9), npairs=20, seed=1)
+    assert not report.passed
+    assert report.measured["max_relative_residual"] > 1e-8
+
+
 def _serial_duality_rows(problem, es, pairs):
     """The report rows of a per-pair loop: one public state, linearized and
-    adjoint solve of each pair, reduced by ``_duality_residual``."""
+    adjoint solve of each pair (base, u, h), reduced by
+    ``_duality_residual``."""
     paths = es.sample_paths(problem.params)
     rows = []
-    for j, (u, h) in enumerate(pairs):
+    for j, (base, u, h) in enumerate(pairs):
         traj = solve_state(problem.y0, u, paths, problem.params)
         lin = solve_linearized(traj, h)
         adj = solve_adjoint(traj, problem.x_q, problem.x_t, problem.alphas)
         lhs, rhs = duality_terms(traj, lin, adj, h, problem.x_q, problem.x_t,
                                  problem.alphas)
         res, lhs_mean, rhs_mean = _duality_residual(lhs, rhs)
-        rows.append({"pair": j, "residual": res, "lhs": lhs_mean, "rhs": rhs_mean})
+        rows.append({"pair": j, "base": base, "residual": res, "lhs": lhs_mean,
+                     "rhs": rhs_mean})
     return rows
 
 
-@pytest.mark.parametrize("npairs", [3, 5])
+@pytest.mark.parametrize("npairs", [3, 5, 12])
 @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
 @pytest.mark.parametrize("per_path_targets", [False, True])
 def test_duality_chunks_equal_a_per_pair_loop(monkeypatch, npairs, noise,
                                               per_path_targets):
-    # two pairs per sweep, and npairs is no multiple of the chunk, so the
-    # last chunk is short
+    # four directions per linearized sweep, and the last group's pairs are
+    # no multiple of four, so its last chunk is short; with 12 pairs the
+    # second group has a base of its own
     problem = _problem(noise=noise)
     es = EnsembleSpec(3, 9)
-    monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(problem.params, 3, 2))
-    chunks = verify._pair_chunks(npairs, problem.params, es.npaths)
-    assert len(chunks[0]) == 2 and npairs % len(chunks[0])
+    monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(problem.params, 3, 4))
+    assert len(verify._pair_chunks(10, problem.params, es.npaths)[0]) == 4
+    assert verify._DUALITY_DIRECTIONS == 10 and npairs % 10 % 4
     if per_path_targets:
         rng = np.random.default_rng(4)
         problem = replace(problem,
                           x_q=problem.x_q + rng.standard_normal((3,) + problem.x_q.shape),
                           x_t=problem.x_t + rng.standard_normal((3,) + problem.x_t.shape))
     report = check_duality(problem, es, npairs=npairs, seed=1)
-    pairs = [(random_smooth_control(problem, mix_seed(1, 2 * j), 0.5).values,
+    # pair j pairs the u of its group's first pair with its own h
+    pairs = [(j - j % 10,
+              random_smooth_control(problem, mix_seed(1, 2 * (j - j % 10)), 0.5).values,
               random_smooth_control(problem, mix_seed(1, 2 * j + 1), 1.0).values)
              for j in range(npairs)]
     assert list(report.table) == _serial_duality_rows(problem, es, pairs)
 
 
 def test_duality_blowup_names_the_path_in_the_ensemble(monkeypatch):
-    # Only the second pair of a chunk blows up, on path 2 of 4: path 2 carries
-    # strong noise and the second pair a strong control. The error names
-    # that row's step, its seed and its index in the ensemble, as a solve of
-    # the pair alone does.
+    # Only the second group of pairs blows up, on path 2 of 4: path 2
+    # carries strong noise and the second group's base a strong control.
+    # The error names that row's step, its seed and its index in the
+    # ensemble, as a solve of the base alone does.
     problem = _problem(noise="additive", blowup_threshold=0.8)
-    monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(problem.params, 4, 2))
-    assert [len(c) for c in verify._pair_chunks(2, problem.params, 4)] == [2]
     sample_paths = EnsembleSpec.sample_paths
 
     def loud_path_2(self, params):
         paths = sample_paths(self, params)
         loud = paths.increments.copy()
-        loud[:, 2] *= 20.0
+        loud[:, 2] *= 40.0
         return replace(paths, increments=loud)
 
     draw = verify.random_smooth_control
 
-    def loud_second_pair(problem, seed, amplitude=1.0):
+    def loud_second_base(problem, seed, amplitude=1.0):
         u = draw(problem, seed, amplitude)
-        return u.with_values(8.0 * u.values) if seed == mix_seed(1, 2) else u
+        return u.with_values(8.0 * u.values) if seed == mix_seed(1, 20) else u
 
     monkeypatch.setattr(EnsembleSpec, "sample_paths", loud_path_2)
-    monkeypatch.setattr(verify, "random_smooth_control", loud_second_pair)
+    monkeypatch.setattr(verify, "random_smooth_control", loud_second_base)
     es = EnsembleSpec(4, 9)
     paths = es.sample_paths(problem.params)
-    first, second = (loud_second_pair(problem, mix_seed(1, 2 * j), 0.5) for j in (0, 1))
+    first, second = (loud_second_base(problem, mix_seed(1, 2 * j), 0.5) for j in (0, 10))
     solve_state(problem.y0, first.values, paths, problem.params)    # no blow-up
     with pytest.raises(BlowUpError) as alone:
         solve_state(problem.y0, second.values, paths, problem.params)
-    with pytest.raises(BlowUpError) as chunked:
-        check_duality(problem, es, npairs=2, seed=1)
-    exc = chunked.value
+    with pytest.raises(BlowUpError) as grouped:
+        check_duality(problem, es, npairs=12, seed=1)
+    exc = grouped.value
     assert exc.path == 2 and es.path_seed(exc.path) == exc.seed
     assert ((exc.step, exc.max_abs, exc.seed, exc.path)
             == (alone.value.step, alone.value.max_abs, alone.value.seed,
@@ -255,9 +292,10 @@ _BLOCK_TEMPORARIES = 16
 
 
 def test_duality_heap_holds_two_sweep_outputs_of_a_chunk(monkeypatch):
-    # two pairs per sweep on 12 paths: a chunk holds its states and one of
-    # its adjoint and linearized sweeps, its controls, one block's
-    # temporaries and a few rows; three outputs would not fit
+    # two pairs per sweep on 12 paths: a group holds its base's states and
+    # adjoint sweep, together one output, and one chunk's linearized sweep,
+    # its controls, one block's temporaries and a few rows; three outputs
+    # would not fit
     problem = _problem(grid_n=64, nsteps=200)
     p = problem.params
     monkeypatch.setattr(verify, "_SWEEP_BYTES", _budget(p, 12, 2))
